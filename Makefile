@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook docs examples report serve-smoke all
+.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples report serve-smoke all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -54,6 +54,13 @@ bench-sharded-smoke:
 bench-playbook:
 	PYTHONPATH=src python -m pytest benchmarks/bench_extension_playbook.py --benchmark-only -s
 
+# Operator-level benchmark (BENCHMARK.json), one short repetition per
+# workload with every output check on: default stdout == sharded
+# stdout, playbook artifacts byte-identical across paths, served
+# answers == published state.  Exits non-zero on any failed check.
+bench-e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
+
 # Documentation gate: every intra-repo markdown link resolves, and the
 # README quickstart (observer included) still runs end to end.
 docs:
@@ -71,4 +78,4 @@ report:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-all: lint docs test serve-smoke bench
+all: lint docs test serve-smoke bench-e2e-smoke bench

@@ -127,5 +127,5 @@ def broot_sweep(broot, broot_vp):
 @pytest.fixture(scope="session")
 def tangled_series(tangled_vp):
     return run_stability_series(
-        tangled_vp, rounds=STABILITY_ROUNDS, interval_seconds=900.0, fast=True
+        tangled_vp, rounds=STABILITY_ROUNDS, interval_seconds=900.0
     )

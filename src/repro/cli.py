@@ -10,7 +10,6 @@ deterministic in ``--seed``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -86,7 +85,7 @@ def _add_sharding(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=int, default=None, metavar="N",
         help="partition the block universe into N contiguous shards "
-             "(bit-identical to the unsharded run)",
+             "(bit-identical to the default run)",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -144,31 +143,23 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
+    routing = verfploeter.routing_for()
     if args.shards is not None or args.workers is not None:
-        # Sharded path: the vectorised engine fanned over the block
-        # universe — bit-identical catchments/RTTs/stats to the scalar
-        # run below, just evaluated shard by shard (optionally across
-        # worker processes).  One ShardPool spans the whole invocation,
-        # so its workers attach the memmapped universe once.
-        from repro.core.fastscan import FastScanEngine
+        # The same engine round, evaluated shard by shard (optionally
+        # across worker processes).  One ShardPool spans the whole
+        # invocation, so its workers attach the memmapped universe once.
         from repro.core.pool import ShardPool
-        from repro.core.sharding import resolve_fanout, run_sharded_series
+        from repro.core.sharding import resolve_fanout, run_sharded_scan
 
-        engine = FastScanEngine(verfploeter)
         shards, workers = resolve_fanout(args.shards, args.workers)
         with ShardPool(workers=workers, observer=observer) as pool:
-            scan = run_sharded_series(
-                engine,
-                rounds=1,
-                shards=shards,
-                dataset_prefix="cli-scan",
-                pool=pool,
-            )[0]
-        # The series namer appends "-r000"; a single CLI round keeps the
-        # plain scan's dataset id so the artifacts diff byte-identical.
-        scan = dataclasses.replace(scan, dataset_id="cli-scan")
+            scan = run_sharded_scan(
+                verfploeter, routing, "cli-scan", pool, shards=shards
+            )
     else:
-        scan = verfploeter.run_scan(dataset_id="cli-scan", wire_level=False)
+        scan = verfploeter.run_scan(
+            routing=routing, dataset_id="cli-scan", wire_level=False
+        )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
             write_scan(scan, stream)
@@ -237,22 +228,11 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
-    if args.shards is not None or args.workers is not None:
-        from repro.core.pool import ShardPool
-        from repro.core.sharding import resolve_fanout
-
-        shards, workers = resolve_fanout(args.shards, args.workers)
-        with ShardPool(workers=workers, observer=observer) as pool:
-            series = run_stability_series(
-                verfploeter, rounds=args.rounds, interval_seconds=900.0,
-                cache=RoutingCache(observer=observer),
-                shards=shards, pool=pool,
-            )
-    else:
-        series = run_stability_series(
-            verfploeter, rounds=args.rounds, interval_seconds=900.0,
-            cache=RoutingCache(observer=observer),
-        )
+    series = run_stability_series(
+        verfploeter, rounds=args.rounds, interval_seconds=900.0,
+        cache=RoutingCache(observer=observer),
+        shards=args.shards, workers=args.workers,
+    )
     print(format_stability_table(series, every=max(1, args.rounds // 8)))
     print()
     print(format_flip_table(flip_table(series, scenario.internet)))

@@ -3,9 +3,12 @@
 All drivers evaluate routing through a :class:`RoutingCache`: the first
 configuration propagates in full, every later one is an incremental
 delta against it, and repeated configurations are dictionary hits.
-Results are bit-identical to scratch propagation either way.  Drivers
-that sweep independent scenarios accept ``parallel=`` to fan the
-scenarios out across a thread pool; results keep configuration order.
+Results are bit-identical to scratch propagation either way.  Every
+scan runs on the deployment's columnar engine
+(:meth:`Verfploeter.engine_for`), in-process or — given a ``pool`` —
+sharded over worker processes with the same answer.  Drivers that
+sweep independent scenarios accept ``parallel=`` to fan the scenarios
+out across a thread pool; results keep configuration order.
 """
 
 from __future__ import annotations
@@ -120,7 +123,6 @@ def run_stability_series(
     policy: Optional[AnnouncementPolicy] = None,
     rounds: int = 96,
     interval_seconds: float = 900.0,
-    fast: bool = False,
     cache: Optional[RoutingCache] = None,
     parallel: int = 1,
     shards: Optional[int] = None,
@@ -131,35 +133,30 @@ def run_stability_series(
 
     96 rounds at 15-minute spacing by default; returns per-round
     stable/flipped/to-NR/from-NR counts and per-block flip totals.
-    With ``fast=True`` the vectorised engine runs the rounds
-    (bit-identical results, ~50x faster — required for paper-scale
-    series) and ``parallel`` > 1 fans them out over threads; the scalar
-    engine ignores ``parallel`` (its rounds share mutable dataplane
-    state).  ``shards``/``workers`` instead fan the fast engine over
-    the block universe in worker processes via
+    The rounds run on the deployment's columnar engine (one precompute
+    for the whole series); ``parallel`` > 1 fans them out over threads.
+    ``shards``/``workers`` instead fan the same engine over the block
+    universe in worker processes via
     :func:`repro.core.sharding.run_sharded_series` (bit-identical
-    again; setting either implies ``fast``), and an open
-    :class:`repro.core.pool.ShardPool` passed as ``pool`` lets several
-    series in one invocation share warm worker processes.  The routing
-    state is resolved through ``cache``, so a series over an
-    already-studied policy skips propagation entirely.
+    again), and an open :class:`repro.core.pool.ShardPool` passed as
+    ``pool`` lets several series in one invocation share warm worker
+    processes.  The routing state is resolved through ``cache``, so a
+    series over an already-studied policy skips propagation entirely.
     """
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()
     sharded = shards is not None or workers is not None or pool is not None
     with observer.tracer.span(
-        "experiment.stability_series", rounds=rounds, fast=fast or sharded
+        "experiment.stability_series", rounds=rounds, sharded=sharded
     ):
         routing = routing_cache.get_or_compute(
             verfploeter.internet, policy or verfploeter.service.default_policy()
         )
         if sharded:
-            from repro.core.fastscan import FastScanEngine
             from repro.core.sharding import run_sharded_series
 
-            engine = FastScanEngine(verfploeter, routing)
             scans = run_sharded_series(
-                engine,
+                verfploeter.engine_for(routing),
                 rounds=rounds,
                 shards=shards,
                 workers=workers,
@@ -167,11 +164,8 @@ def run_stability_series(
                 dataset_prefix="stability",
                 pool=pool,
             )
-        elif fast:
-            from repro.core.fastscan import FastScanEngine
-
-            engine = FastScanEngine(verfploeter, routing)
-            scans = engine.run_series(
+        elif parallel > 1:
+            scans = verfploeter.engine_for(routing).run_series(
                 rounds=rounds,
                 interval_seconds=interval_seconds,
                 dataset_prefix="stability",
@@ -249,20 +243,32 @@ class SiteFailureResult:
         return worst, self.overload_factor(worst)
 
 
-def _pooled_failure_scan(
-    verfploeter: Verfploeter, routing, dataset_id: str, pool
-) -> ScanResult:
-    """One round-0 scan of a routing state, sharded over ``pool``."""
-    import dataclasses
+def _scan_and_weigh(
+    verfploeter: Verfploeter,
+    routing,
+    estimate: LoadEstimate,
+    dataset_id: str,
+    round_id: int,
+    pool,
+) -> Tuple[ScanResult, SiteLoad]:
+    """One scan of ``routing`` and its load join, over ``pool`` if given."""
+    observer = verfploeter.observer
+    if pool is None:
+        scan = verfploeter.run_scan(
+            routing=routing, round_id=round_id, dataset_id=dataset_id,
+            wire_level=False,
+        )
+        return scan, weight_catchment(
+            scan.catchment, estimate, observer=observer
+        )
+    from repro.core.sharding import run_sharded_scan, sharded_weight_catchment
 
-    from repro.core.fastscan import FastScanEngine
-    from repro.core.sharding import run_sharded_series
-
-    engine = FastScanEngine(verfploeter, routing)
-    scan = run_sharded_series(
-        engine, rounds=1, pool=pool, dataset_prefix=dataset_id
-    )[0]
-    return dataclasses.replace(scan, dataset_id=dataset_id)
+    scan = run_sharded_scan(
+        verfploeter, routing, dataset_id, pool, round_id=round_id
+    )
+    return scan, sharded_weight_catchment(
+        scan.catchment, estimate, pool=pool, observer=observer
+    )
 
 
 def site_failure_study(
@@ -281,10 +287,8 @@ def site_failure_study(
     withdrawal's routing is a delta against the all-sites baseline.
 
     With an open :class:`repro.core.pool.ShardPool` as ``pool``, every
-    withdrawal's scan and load join fan over the pool's warm workers
-    (round 0 per routing state through the vectorised engine, so
-    per-scan values match ``FastScanEngine.run_scan(0)`` rather than
-    the scalar path's per-withdrawal round ids).
+    withdrawal's scan and load join fan over the pool's warm workers;
+    the results are bit-identical to the unpooled study.
     """
     service = verfploeter.service
     internet = verfploeter.internet
@@ -294,23 +298,9 @@ def site_failure_study(
         baseline_routing = routing_cache.get_or_compute(
             internet, service.default_policy()
         )
-        if pool is not None:
-            from repro.core.sharding import sharded_weight_catchment
-
-            baseline_scan = _pooled_failure_scan(
-                verfploeter, baseline_routing, "failure-baseline", pool
-            )
-            baseline_load = sharded_weight_catchment(
-                baseline_scan.catchment, estimate, pool=pool, observer=observer
-            )
-        else:
-            baseline_scan = verfploeter.run_scan(
-                routing=baseline_routing, dataset_id="failure-baseline",
-                wire_level=False,
-            )
-            baseline_load = weight_catchment(
-                baseline_scan.catchment, estimate, observer=observer
-            )
+        _, baseline_load = _scan_and_weigh(
+            verfploeter, baseline_routing, estimate, "failure-baseline", 0, pool
+        )
         baseline = {
             code: baseline_load.daily_of(code)
             for code in (*service.site_codes, UNKNOWN)
@@ -325,25 +315,10 @@ def site_failure_study(
             with observer.tracer.span("failure.withdrawal", site=site_code):
                 policy = service.policy(withdrawn=[site_code])
                 routing = routing_cache.get_or_compute(internet, policy)
-                if pool is not None:
-                    from repro.core.sharding import sharded_weight_catchment
-
-                    scan = _pooled_failure_scan(
-                        verfploeter, routing, f"failure-{site_code}", pool
-                    )
-                    after_load = sharded_weight_catchment(
-                        scan.catchment, estimate, pool=pool, observer=observer
-                    )
-                else:
-                    scan = verfploeter.run_scan(
-                        routing=routing,
-                        round_id=100 + index,
-                        dataset_id=f"failure-{site_code}",
-                        wire_level=False,
-                    )
-                    after_load = weight_catchment(
-                        scan.catchment, estimate, observer=observer
-                    )
+                scan, after_load = _scan_and_weigh(
+                    verfploeter, routing, estimate, f"failure-{site_code}",
+                    100 + index, pool,
+                )
             after = {
                 code: after_load.daily_of(code)
                 for code in (*service.site_codes, UNKNOWN)

@@ -1,11 +1,13 @@
-"""Vectorised scan engine.
+"""Vectorised scan engine — what every default scan runs on.
 
-Replays :meth:`Verfploeter.run_scan`'s semantics with numpy over all
-blocks at once — bit-exact (same hash draws, same cleaning rules, same
-RTTs), asserted by the equivalence tests — at 10-50x the speed.  This
-is what lets the reproduction run paper-scale experiments: the paper's
-96-round day over millions of blocks is a pure Python non-starter, but
-perfectly tractable vectorised.
+Replays the wire-level :meth:`Verfploeter.run_scan` loop with numpy
+over all blocks at once — bit-exact (same hash draws, same cleaning
+rules, same RTTs), asserted by the equivalence tests — at ~100x the
+speed.  ``Verfploeter.run_scan`` dispatches here for every call that
+is not the wire-level oracle (one engine memoised per routing state,
+:meth:`Verfploeter.engine_for`): the paper's 96-round day over millions
+of blocks is a pure Python non-starter, but perfectly tractable
+vectorised.
 
 The engine precomputes everything round-invariant (permutation domain,
 stable responders, base catchment sites, geography) once per routing
@@ -344,7 +346,7 @@ def materialise_columnar(
 
 
 class FastScanEngine:
-    """Vectorised equivalent of repeated ``Verfploeter.run_scan`` calls."""
+    """Vectorised equivalent of repeated wire-level ``run_scan`` calls."""
 
     def __init__(
         self,
@@ -539,7 +541,7 @@ class FastScanEngine:
         start_time: float = 0.0,
         dataset_id: Optional[str] = None,
     ) -> ScanResult:
-        """One vectorised measurement round (equals ``Verfploeter.run_scan``)."""
+        """One vectorised measurement round (equals the wire-level scan)."""
         with self.observer.tracer.span(
             "fastscan.round", round_id=round_id
         ) as span:
@@ -551,11 +553,15 @@ class FastScanEngine:
                 kept=result.stats.kept,
             )
         metrics = self.observer.metrics
+        metrics.counter("probe.rounds_scheduled").inc()
         metrics.counter("probe.probes_sent").inc(result.stats.probes_sent)
         metrics.counter("collector.replies_received").inc(
             result.stats.replies_received
         )
         metrics.counter("cleaning.kept").inc(result.stats.kept)
+        metrics.counter("cleaning.dropped", rule="wrong_round").inc(
+            result.stats.wrong_round
+        )
         metrics.counter("cleaning.dropped", rule="unsolicited").inc(
             result.stats.unsolicited
         )

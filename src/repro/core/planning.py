@@ -81,22 +81,6 @@ def _mean_rtt(scan: ScanResult) -> float:
     return sum(scan.rtts.values()) / len(scan.rtts)
 
 
-def _pooled_scan(
-    verfploeter: Verfploeter, routing, dataset_id: str, pool
-) -> ScanResult:
-    """One round-0 scan of a candidate configuration over ``pool``."""
-    import dataclasses
-
-    from repro.core.fastscan import FastScanEngine
-    from repro.core.sharding import run_sharded_series
-
-    engine = FastScanEngine(verfploeter, routing)
-    scan = run_sharded_series(
-        engine, rounds=1, pool=pool, dataset_prefix=dataset_id
-    )[0]
-    return dataclasses.replace(scan, dataset_id=dataset_id)
-
-
 def evaluate_site_addition(
     scenario: Scenario,
     site_code: str,
@@ -117,10 +101,9 @@ def evaluate_site_addition(
     propagates as a site-addition delta against it.
 
     With an open :class:`repro.core.pool.ShardPool` as ``pool``, both
-    scans run through the vectorised engine sharded over the pool's
-    warm workers (round 0 per configuration) — the planner's lattice
-    search evaluates many candidates against one pool, paying the
-    universe externalisation once.
+    scans are sharded over the pool's warm workers — bit-identical to
+    the unpooled call; many candidates evaluated against one pool pay
+    the universe externalisation once.
     """
     test_prefix = test_prefix if test_prefix is not None else Prefix("192.88.99.0/24")
     routing_cache = cache if cache is not None else default_routing_cache()
@@ -156,20 +139,18 @@ def evaluate_site_addition(
     trial_routing = routing_cache.get_or_compute(
         scenario.internet, trial_service.default_policy()
     )
-    if pool is not None:
-        baseline = _pooled_scan(
-            baseline_vp, baseline_routing, "addition-baseline", pool
-        )
-        trial = _pooled_scan(
-            trial_vp, trial_routing, f"addition-{site_code}", pool
-        )
-    else:
-        baseline = baseline_vp.run_scan(routing=baseline_routing,
-                                        dataset_id="addition-baseline",
-                                        wire_level=False)
-        trial = trial_vp.run_scan(routing=trial_routing,
-                                  dataset_id=f"addition-{site_code}",
-                                  wire_level=False)
+
+    def scan(vp: Verfploeter, routing, dataset_id: str) -> ScanResult:
+        if pool is None:
+            return vp.run_scan(
+                routing=routing, dataset_id=dataset_id, wire_level=False
+            )
+        from repro.core.sharding import run_sharded_scan
+
+        return run_sharded_scan(vp, routing, dataset_id, pool)
+
+    baseline = scan(baseline_vp, baseline_routing, "addition-baseline")
+    trial = scan(trial_vp, trial_routing, f"addition-{site_code}")
 
     captured = len(trial.catchment.blocks_of_site(site_code))
     return SiteAdditionResult(

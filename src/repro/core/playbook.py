@@ -350,20 +350,16 @@ class PlaybookPlanner:
         metrics.counter("playbook.catchment_memo.misses").inc()
         routing = self.cache.get_or_compute(self.verfploeter.internet, policy)
         dataset_id = f"playbook-{policy_digest(policy)}"
-        from repro.core.fastscan import FastScanEngine
-
-        engine = FastScanEngine(self.verfploeter, routing)
         if pool is not None:
-            import dataclasses
+            from repro.core.sharding import run_sharded_scan
 
-            from repro.core.sharding import run_sharded_series
-
-            scan: ScanResult = run_sharded_series(
-                engine, rounds=1, pool=pool, dataset_prefix=dataset_id
-            )[0]
-            scan = dataclasses.replace(scan, dataset_id=dataset_id)
+            scan: ScanResult = run_sharded_scan(
+                self.verfploeter, routing, dataset_id, pool
+            )
         else:
-            scan = engine.run_scan(round_id=0, dataset_id=dataset_id)
+            scan = self.verfploeter.run_scan(
+                routing=routing, dataset_id=dataset_id, wire_level=False
+            )
         with self._memo_lock:
             self._catchments.setdefault(key, scan.catchment)
             return self._catchments[key]

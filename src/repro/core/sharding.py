@@ -47,16 +47,18 @@ from __future__ import annotations
 import os
 import pickle
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.anycast.catchment import ArrayCatchmentMap
+from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import BlockValueMap, ScanResult, ScanStats
 from repro.core.fastscan import FastScanEngine, RoundState, evaluate_round
 from repro.core.pool import ShardPool, attached_array, attached_round_state
 from repro.core.tables import ensure_array
+from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import UNKNOWN, SiteLoad
@@ -238,16 +240,16 @@ def _scan_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray
     """Evaluate every round of one shard; returns compact round columns.
 
     The payload carries no arrays — just the store root, the round
-    state's content fingerprint, and the shard bounds; the state is
-    attached (or found warm) in this process's cache.  Each round comes
-    back as ``(kept site indices, packed keep mask, kept delays,
-    stats)``: the parent rebuilds full-universe columns from its own
-    copy, so result pickling scales with *kept* rows only.
+    state's content fingerprint, the shard bounds, and the round range;
+    the state is attached (or found warm) in this process's cache.
+    Each round comes back as ``(kept site indices, packed keep mask,
+    kept delays, stats)``: the parent rebuilds full-universe columns
+    from its own copy, so result pickling scales with *kept* rows only.
     """
-    store_root, fingerprint, start, stop, rounds = payload
+    store_root, fingerprint, start, stop, first_round, rounds = payload
     state = attached_round_state(store_root, fingerprint).shard(start, stop)
     results = []
-    for round_id in range(rounds):
+    for round_id in range(first_round, first_round + rounds):
         arrays = evaluate_round(state, round_id)
         results.append(
             (
@@ -339,12 +341,14 @@ def run_sharded_series(
     observer: Optional[Observer] = None,
     pool: Optional[ShardPool] = None,
     store=None,
+    first_round: int = 0,
 ) -> List[ScanResult]:
     """A stability series fanned across block shards and worker processes.
 
     Equivalent to ``engine.run_series(rounds, ...)`` — same dataset
     ids, same start times, bit-identical catchments, RTTs, and stats —
-    but each shard of the block universe is evaluated independently.
+    but each shard of the block universe is evaluated independently
+    (``first_round`` starts the round ids elsewhere than 0).
     Pass an open :class:`~repro.core.pool.ShardPool` to reuse warm
     workers (and their attach caches) across calls; otherwise a
     temporary pool is created for this series (``workers >= 1`` in
@@ -375,7 +379,7 @@ def run_sharded_series(
         ) as span:
             fingerprint = engine.externalize(pool.store)
             payloads = [
-                (pool.store.root, fingerprint, start, stop, rounds)
+                (pool.store.root, fingerprint, start, stop, first_round, rounds)
                 for start, stop in plan.bounds
             ]
             payload_bytes = _payload_bytes(payloads)
@@ -383,13 +387,13 @@ def run_sharded_series(
             merged = [
                 _merge_round(
                     state,
-                    [shard_rounds[round_id] for shard_rounds in per_shard],
+                    [shard_rounds[index] for shard_rounds in per_shard],
                     plan.bounds,
-                    round_id,
+                    first_round + index,
                     interval_seconds,
                     dataset_prefix,
                 )
-                for round_id in range(rounds)
+                for index in range(rounds)
             ]
             span.set(blocks=state.rows, payload_bytes=payload_bytes)
     metrics = observer.metrics
@@ -397,6 +401,31 @@ def run_sharded_series(
     metrics.gauge("scan.shards").set(plan.shard_count)
     metrics.gauge("scan.shard_imbalance").set(plan.imbalance())
     return merged
+
+
+def run_sharded_scan(
+    verfploeter: Verfploeter,
+    routing: RoutingOutcome,
+    dataset_id: str,
+    pool: ShardPool,
+    round_id: int = 0,
+    shards: Optional[int] = None,
+) -> ScanResult:
+    """One scan of ``routing`` fanned over ``pool``'s warm workers.
+
+    Bit-identical to ``verfploeter.run_scan(routing=routing,
+    round_id=round_id, dataset_id=dataset_id, wire_level=False)`` — the
+    engine comes from the same per-deployment memo and the lone round
+    starts at time 0 — so passing a pool never changes a driver's answer.
+    """
+    scan = run_sharded_series(
+        verfploeter.engine_for(routing),
+        rounds=1,
+        shards=shards,
+        pool=pool,
+        first_round=round_id,
+    )[0]
+    return replace(scan, dataset_id=dataset_id, start_time=0.0)
 
 
 # -- sharded load weighting ------------------------------------------------

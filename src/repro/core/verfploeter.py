@@ -85,6 +85,7 @@ class Verfploeter:
             self.hitlist, self.prober_config, internet.seed,
             observer=self.observer,
         )
+        self._engine: Optional["FastScanEngine"] = None
 
     @property
     def prober(self) -> Prober:
@@ -126,6 +127,27 @@ class Verfploeter:
         self.observer.metrics.counter("routing.full_computes").inc()
         return outcome
 
+    def engine_for(self, routing: RoutingOutcome) -> "FastScanEngine":
+        """The columnar engine for ``routing``, memoised in a single slot.
+
+        Keyed by the identity of the routing outcome: a series pays one
+        precompute, and a sweep over many routing states holds one
+        ``RoundState`` at a time (the stale one is released before the
+        next is built).  The slot is assigned only after construction,
+        so concurrent callers (the ``parallel=`` thread fan-outs) at
+        worst build an engine each — never observe one bound to another
+        routing.  Imported lazily because :mod:`repro.core.fastscan`
+        imports this module.
+        """
+        engine = self._engine
+        if engine is None or engine.routing is not routing:
+            from repro.core.fastscan import FastScanEngine
+
+            self._engine = engine = None
+            engine = FastScanEngine(self, routing)
+            self._engine = engine
+        return engine
+
     def run_scan(
         self,
         routing: Optional[RoutingOutcome] = None,
@@ -137,9 +159,13 @@ class Verfploeter:
     ) -> ScanResult:
         """Run one measurement round and return the cleaned catchment.
 
-        ``wire_level`` forces full packet encode/decode per probe; by
-        default small hitlists go through the wire path and large ones
-        use the semantically identical fast path.
+        ``wire_level=True`` (and the automatic choice for small
+        hitlists) walks the paper's Figure 1 packet by packet — full
+        ICMP encode/decode, per-site captures, central merge, cleaning
+        — and is the oracle the equivalence suites compare against.
+        Every other call evaluates the round on the columnar
+        :meth:`engine_for` this routing state: same catchment, same
+        stats, RTTs equal to 1e-9.
         """
         if routing is not None and policy is not None:
             raise MeasurementError("pass either routing or policy, not both")
@@ -147,10 +173,13 @@ class Verfploeter:
             routing = self.routing_for(policy)
         if wire_level is None:
             wire_level = len(self.hitlist) <= _WIRE_LEVEL_CUTOFF
+        dataset_id = dataset_id or f"scan-r{round_id}"
+        if not wire_level:
+            return self.engine_for(routing).run_scan(
+                round_id, start_time, dataset_id
+            )
         observer = self.observer
-        with observer.tracer.span(
-            "scan.round", round_id=round_id, wire_level=wire_level
-        ) as scan_span:
+        with observer.tracer.span("scan.round", round_id=round_id) as scan_span:
             dataplane = SimulatedDataplane(routing, self.latency_model)
             collector = CentralCollector(
                 self._make_captures(), observer=observer
@@ -165,23 +194,13 @@ class Verfploeter:
                 for probe in schedule:
                     probed_addresses.add(probe.destination)
                     send_times[probe.destination] = probe.send_time
-                    if wire_level:
-                        packet = build_probe(
-                            source, probe.destination, probe.identifier,
-                            probe.sequence, payload
-                        )
-                        delivered = dataplane.send_probe_packet(
-                            packet, probe.send_time, round_id
-                        )
-                    else:
-                        delivered = dataplane.send_probe_fast(
-                            probe.destination,
-                            probe.identifier,
-                            probe.sequence,
-                            probe.send_time,
-                            round_id,
-                        )
-                    for reply in delivered:
+                    packet = build_probe(
+                        source, probe.destination, probe.identifier,
+                        probe.sequence, payload
+                    )
+                    for reply in dataplane.send_probe_packet(
+                        packet, probe.send_time, round_id
+                    ):
                         replies_received += 1
                         collector.ingest(reply)
             collected = collector.collect()
@@ -229,7 +248,7 @@ class Verfploeter:
                 kept=len(cleaned.kept),
             )
             return ScanResult(
-                dataset_id=dataset_id or f"scan-r{round_id}",
+                dataset_id=dataset_id,
                 round_id=round_id,
                 start_time=start_time,
                 duration_seconds=schedule.duration_seconds,
@@ -269,19 +288,3 @@ class Verfploeter:
             )
             for round_id in range(rounds)
         ]
-
-    def fast_engine(
-        self,
-        routing: Optional[RoutingOutcome] = None,
-        columnar: bool = True,
-    ) -> "FastScanEngine":
-        """A vectorised engine bound to this deployment.
-
-        ``columnar=True`` (the default) makes every round's results
-        array-backed end-to-end; ``columnar=False`` selects the
-        dict-backed reference materialisation.  Imported lazily because
-        :mod:`repro.core.fastscan` imports this module.
-        """
-        from repro.core.fastscan import FastScanEngine
-
-        return FastScanEngine(self, routing=routing, columnar=columnar)

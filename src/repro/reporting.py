@@ -68,8 +68,7 @@ def generate_full_report(
     )
     cache = RoutingCache(observer=observer)
     routing = verfploeter.routing_for()
-    scan = verfploeter.run_scan(routing=routing, dataset_id="report-scan",
-                                wire_level=False)
+    scan = verfploeter.run_scan(routing=routing, dataset_id="report-scan")
     atlas_measurement = scenario.atlas.measure(routing, scenario.service)
     load = scenario.day_load("report-day", target_total_queries=day_queries)
     estimate = LoadEstimate(load)
@@ -131,7 +130,7 @@ def generate_full_report(
     ))
 
     series = run_stability_series(
-        verfploeter, rounds=stability_rounds, fast=True, cache=cache
+        verfploeter, rounds=stability_rounds, cache=cache
     )
     parts.append(_section(
         "Stability (paper Figure 9)",

@@ -6,6 +6,8 @@ functions of their seeds — tests never mutate them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.bgp.propagation import compute_routes
@@ -60,6 +62,31 @@ def broot_routing(broot_verfploeter):
 def broot_scan(broot_verfploeter, broot_routing):
     """One completed scan of the tiny B-Root scenario."""
     return broot_verfploeter.run_scan(routing=broot_routing, dataset_id="SBV-test")
+
+
+@pytest.fixture
+def wire_oracle():
+    """``with wire_oracle():`` forces every scan through the wire path.
+
+    ``Verfploeter.run_scan`` runs on the columnar engine unless asked
+    for the packet-level oracle, and the drivers above it offer no
+    switch — so the equivalence suites patch the dispatch itself to
+    compare a whole driver against its wire-level twin.
+    """
+
+    @contextmanager
+    def forced():
+        dispatch = Verfploeter.run_scan
+
+        def wire_scan(self, *args, **kwargs):
+            kwargs["wire_level"] = True
+            return dispatch(self, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Verfploeter, "run_scan", wire_scan)
+            yield
+
+    return forced
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 from repro.cli import build_parser, main
 
 TINY = ["--scenario", "broot", "--scale", "tiny"]
+TANGLED_TINY = ["--scenario", "tangled", "--scale", "tiny"]
 
 
 class TestParser:
@@ -121,7 +122,9 @@ class TestObservability:
             observer.tracer.to_json()
         )["spans"]
         names = [span["name"] for span in payload["spans"]]
-        assert "scan.round" in names
+        assert "fastscan.precompute" in names
+        assert "fastscan.round" in names
+        assert "scan.round" not in names
 
     def test_metrics_and_trace_share_a_fingerprint(self, tmp_path, capsys):
         metrics_out = tmp_path / "m.json"
@@ -157,3 +160,83 @@ class TestObservability:
     def test_profile_flag_prints_report(self, capsys):
         assert main(["scan", *TINY, "--profile"]) == 0
         assert "profile (wall clock, opt-in):" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv,rounds",
+        [(["scan", *TINY], 1), (["stability", *TINY, "--rounds", "3"], 3)],
+        ids=["scan", "stability"],
+    )
+    def test_profile_lists_the_engine_sections(self, argv, rounds, capsys):
+        """Regression: the default path ran no instrumented section."""
+        assert main([*argv, "--profile"]) == 0
+        report = capsys.readouterr().out.split("profile (wall clock, opt-in):")[1]
+        assert "(no instrumented sections ran)" not in report
+        calls = {
+            line.split()[0]: int(line.split("(")[1].split()[0])
+            for line in report.strip().splitlines()
+        }
+        assert calls == {"fastscan.precompute": 1, "fastscan.round": rounds}
+
+
+class TestEngineIdentity:
+    """What an operator reads does not depend on which engine ran.
+
+    Every subcommand's default path (columnar engine) is compared with
+    the same driver forced through the wire-level oracle.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", *TINY],
+            ["stability", *TANGLED_TINY, "--rounds", "4"],
+            ["coverage", *TINY],
+            ["loadmap", *TINY],
+            ["failure", *TINY],
+            ["suggest", *TINY, "--count", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_default_stdout_equals_wire_oracle(self, argv, capsys, wire_oracle):
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        with wire_oracle():
+            assert main(argv) == 0
+        assert capsys.readouterr().out == default
+        assert default.strip()
+
+    def test_scan_dataset_equals_wire_oracle(self, tmp_path, capsys, wire_oracle):
+        def run(path):
+            assert main(["scan", *TINY, "--rtt", "--output", str(path)]) == 0
+            return capsys.readouterr().out.replace(str(path), "FILE")
+
+        default = run(tmp_path / "engine.tsv")
+        with wire_oracle():
+            wire = run(tmp_path / "wire.tsv")
+        assert wire == default
+        assert (tmp_path / "wire.tsv").read_bytes() == (
+            tmp_path / "engine.tsv"
+        ).read_bytes()
+
+    def test_stability_equals_inline_shards(self, capsys):
+        argv = ["stability", *TANGLED_TINY, "--rounds", "4"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--shards", "2", "--workers", "0"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_the_two_paths_really_differ(self, capsys, wire_oracle):
+        """Guards the suite itself: default = engine, oracle = wire."""
+        from repro.obs import Observer
+
+        def span_names(observer):
+            assert main(["scan", *TINY], observer=observer) == 0
+            return set(observer.tracer.span_names())
+
+        engine_spans = span_names(Observer.collecting())
+        with wire_oracle():
+            wire_spans = span_names(Observer.collecting())
+        assert "fastscan.round" in engine_spans
+        assert "scan.round" not in engine_spans
+        assert "scan.round" in wire_spans
+        assert "fastscan.round" not in wire_spans

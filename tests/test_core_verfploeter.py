@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import pytest
 
+from repro.bgp.cache import RoutingCache
+from repro.core.experiments import prepend_sweep
+from repro.core.fastscan import FastScanEngine
+from repro.core.sharding import assert_scan_results_identical
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
+from repro.obs import Observer
 from repro.probing.prober import ProberConfig
 
 
@@ -46,6 +54,9 @@ class TestScan:
         )
         assert dict(wire.catchment.items()) == dict(fast.catchment.items())
         assert wire.stats == fast.stats
+        assert set(wire.rtts) == set(fast.rtts)
+        for block, rtt in wire.rtts.items():
+            assert math.isclose(fast.rtts[block], rtt, rel_tol=1e-9)
 
     def test_rejects_routing_and_policy(self, broot_verfploeter, broot_routing):
         with pytest.raises(MeasurementError):
@@ -68,16 +79,79 @@ class TestScan:
         assert diff.stable > 0.9 * len(first.catchment)
 
 
+class TestEngineMemo:
+    """``run_scan`` keeps one engine per deployment, keyed by routing identity."""
+
+    def test_one_precompute_per_routing(self, broot_tiny, broot_routing):
+        observer = Observer.collecting()
+        verfploeter = Verfploeter(
+            broot_tiny.internet, broot_tiny.service, observer=observer
+        )
+        for round_id in range(5):
+            verfploeter.run_scan(
+                routing=broot_routing, round_id=round_id, wire_level=False
+            )
+        names = observer.tracer.span_names()
+        assert names.count("fastscan.precompute") == 1
+        assert names.count("fastscan.round") == 5
+
+    def test_alternating_routings_never_cross(self, broot_tiny, broot_routing):
+        observer = Observer.collecting()
+        verfploeter = Verfploeter(
+            broot_tiny.internet, broot_tiny.service, observer=observer
+        )
+        withdrawn = verfploeter.routing_for(
+            broot_tiny.service.policy(withdrawn=["MIA"])
+        )
+        routings = [broot_routing, withdrawn]
+        references = [
+            FastScanEngine(verfploeter, routing, observer=Observer.null())
+            for routing in routings
+        ]
+        for round_id in range(6):
+            which = round_id % 2
+            scan = verfploeter.run_scan(
+                routing=routings[which], round_id=round_id,
+                dataset_id="alternating", wire_level=False,
+            )
+            assert_scan_results_identical(
+                scan,
+                references[which].run_scan(round_id, dataset_id="alternating"),
+            )
+        assert set(scan.catchment.fractions()) == {"LAX"}
+        # A single slot: every switch of routing state rebuilds.
+        assert observer.tracer.span_names().count("fastscan.precompute") == 6
+
+    def test_parallel_sweep_equals_serial(self, broot_tiny):
+        """Five routing states race for the one slot on four threads."""
+        verfploeter = Verfploeter(broot_tiny.internet, broot_tiny.service)
+        serial = prepend_sweep(
+            verfploeter, broot_tiny.atlas, cache=RoutingCache()
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = prepend_sweep(
+                verfploeter, broot_tiny.atlas, cache=RoutingCache(), parallel=4
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert [m.label for m in threaded] == [m.label for m in serial]
+        for one, other in zip(serial, threaded):
+            assert_scan_results_identical(other.scan, one.scan)
+            assert other.verfploeter_fractions == one.verfploeter_fractions
+
+
 class TestCaptureStyles:
     @pytest.mark.parametrize("style", ["streaming", "lander", "pcap", "pcapbin"])
     def test_styles_agree(self, broot_tiny, broot_routing, style):
         verfploeter = Verfploeter(
             broot_tiny.internet, broot_tiny.service, capture_style=style
         )
-        scan = verfploeter.run_scan(routing=broot_routing, wire_level=False)
+        scan = verfploeter.run_scan(routing=broot_routing, wire_level=True)
         assert scan.mapped_blocks > 0
         reference = Verfploeter(broot_tiny.internet, broot_tiny.service).run_scan(
-            routing=broot_routing, wire_level=False
+            routing=broot_routing, wire_level=True
         )
         assert dict(scan.catchment.items()) == dict(reference.catchment.items())
 

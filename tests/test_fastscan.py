@@ -10,6 +10,7 @@ from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
 from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
+from repro.core.sharding import assert_scan_results_identical
 from repro.probing.order import PseudorandomOrder
 
 
@@ -35,14 +36,14 @@ class TestEquivalence:
     def test_catchment_stats_rtts_identical(
         self, broot_verfploeter, broot_routing, engine, round_id
     ):
-        scalar = broot_verfploeter.run_scan(
-            routing=broot_routing, round_id=round_id, wire_level=False
+        wire = broot_verfploeter.run_scan(
+            routing=broot_routing, round_id=round_id, wire_level=True
         )
         fast = engine.run_scan(round_id=round_id)
-        assert dict(fast.catchment.items()) == dict(scalar.catchment.items())
-        assert fast.stats == scalar.stats
-        assert set(fast.rtts) == set(scalar.rtts)
-        for block, rtt in scalar.rtts.items():
+        assert dict(fast.catchment.items()) == dict(wire.catchment.items())
+        assert fast.stats == wire.stats
+        assert set(fast.rtts) == set(wire.rtts)
+        for block, rtt in wire.rtts.items():
             assert math.isclose(fast.rtts[block], rtt, rel_tol=1e-9)
 
     def test_series_metadata(self, engine):
@@ -50,9 +51,12 @@ class TestEquivalence:
         assert [scan.round_id for scan in scans] == [0, 1, 2]
         assert [scan.start_time for scan in scans] == [0.0, 100.0, 200.0]
 
-    def test_stability_series_fast_equals_slow(self, broot_verfploeter):
-        slow = run_stability_series(broot_verfploeter, rounds=4, fast=False)
-        fast = run_stability_series(broot_verfploeter, rounds=4, fast=True)
+    def test_stability_series_fast_equals_slow(
+        self, broot_verfploeter, wire_oracle
+    ):
+        with wire_oracle():
+            slow = run_stability_series(broot_verfploeter, rounds=4)
+        fast = run_stability_series(broot_verfploeter, rounds=4)
         assert len(slow.rounds) == len(fast.rounds)
         for a, b in zip(slow.rounds, fast.rounds):
             assert (a.stable, a.flipped, a.to_nr, a.from_nr) == (
@@ -61,13 +65,18 @@ class TestEquivalence:
         assert slow.flip_counts == fast.flip_counts
 
     def test_wire_level_also_agrees(self, broot_verfploeter, broot_routing, engine):
-        """Transitivity check: wire == scalar-fast == vectorised."""
+        """The default dispatch lands on the same engine round."""
         wire = broot_verfploeter.run_scan(
             routing=broot_routing, round_id=2, wire_level=True
         )
         fast = engine.run_scan(round_id=2)
         assert dict(wire.catchment.items()) == dict(fast.catchment.items())
         assert wire.stats == fast.stats
+        default = broot_verfploeter.run_scan(
+            routing=broot_routing, round_id=2, dataset_id=fast.dataset_id,
+            wire_level=False,
+        )
+        assert_scan_results_identical(default, fast)
 
 
 class TestColumnarResults:
@@ -117,9 +126,9 @@ class TestColumnarResults:
             assert dict(a.rtts.items()) == dict(b.rtts.items())
 
     def test_parallel_stability_series_equals_serial(self, broot_verfploeter):
-        serial = run_stability_series(broot_verfploeter, rounds=4, fast=True)
+        serial = run_stability_series(broot_verfploeter, rounds=4)
         threaded = run_stability_series(
-            broot_verfploeter, rounds=4, fast=True, parallel=4
+            broot_verfploeter, rounds=4, parallel=4
         )
         assert serial.flip_counts == threaded.flip_counts
         assert serial.rounds == threaded.rounds
@@ -143,10 +152,8 @@ class TestColumnarResults:
         assert fast.median_rtt_of_site("NOPE") is None
 
     def test_fast_engine_convenience(self, broot_verfploeter, broot_routing):
-        engine = broot_verfploeter.fast_engine(routing=broot_routing)
+        engine = broot_verfploeter.engine_for(broot_routing)
         assert isinstance(engine, FastScanEngine)
         assert engine.columnar
-        reference = broot_verfploeter.fast_engine(
-            routing=broot_routing, columnar=False
-        )
-        assert not reference.columnar
+        assert engine.routing is broot_routing
+        assert broot_verfploeter.engine_for(broot_routing) is engine

@@ -18,13 +18,13 @@ def test_tangled_equivalence(scenario_fixture, request):
     routing = verfploeter.routing_for()
     engine = FastScanEngine(verfploeter, routing)
     for round_id in (0, 4):
-        scalar = verfploeter.run_scan(
-            routing=routing, round_id=round_id, wire_level=False
+        wire = verfploeter.run_scan(
+            routing=routing, round_id=round_id, wire_level=True
         )
         fast = engine.run_scan(round_id=round_id)
-        assert dict(fast.catchment.items()) == dict(scalar.catchment.items())
-        assert fast.stats == scalar.stats
-        for block, rtt in scalar.rtts.items():
+        assert dict(fast.catchment.items()) == dict(wire.catchment.items())
+        assert fast.stats == wire.stats
+        for block, rtt in wire.rtts.items():
             assert math.isclose(fast.rtts[block], rtt, rel_tol=1e-9)
 
 
@@ -33,10 +33,10 @@ def test_cdn_equivalence():
     verfploeter = Verfploeter(scenario.internet, scenario.service)
     routing = verfploeter.routing_for()
     engine = FastScanEngine(verfploeter, routing)
-    scalar = verfploeter.run_scan(routing=routing, round_id=3, wire_level=False)
+    wire = verfploeter.run_scan(routing=routing, round_id=3, wire_level=True)
     fast = engine.run_scan(round_id=3)
-    assert dict(fast.catchment.items()) == dict(scalar.catchment.items())
-    assert fast.stats == scalar.stats
+    assert dict(fast.catchment.items()) == dict(wire.catchment.items())
+    assert fast.stats == wire.stats
 
 
 def test_withdrawn_site_policy_equivalence(broot_tiny):
@@ -45,7 +45,7 @@ def test_withdrawn_site_policy_equivalence(broot_tiny):
     policy = broot_tiny.service.policy(withdrawn=["MIA"])
     routing = verfploeter.routing_for(policy)
     engine = FastScanEngine(verfploeter, routing)
-    scalar = verfploeter.run_scan(routing=routing, round_id=1, wire_level=False)
+    wire = verfploeter.run_scan(routing=routing, round_id=1, wire_level=True)
     fast = engine.run_scan(round_id=1)
-    assert dict(fast.catchment.items()) == dict(scalar.catchment.items())
+    assert dict(fast.catchment.items()) == dict(wire.catchment.items())
     assert set(fast.catchment.fractions()) == {"LAX"}

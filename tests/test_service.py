@@ -136,7 +136,7 @@ class TestIncrementalEquivalence:
     def test_batch_replay_helper_matches_streamed_state(
         self, served, batch_rounds, broot_verfploeter, broot_routing, universe
     ):
-        engine = broot_verfploeter.fast_engine(routing=broot_routing)
+        engine = broot_verfploeter.engine_for(broot_routing)
         columnar_rounds = [
             engine.run_scan(round_id=r, start_time=r * 900.0).catchment
             for r in range(ROUNDS)

@@ -122,7 +122,7 @@ class TestShardedSeriesEquivalence:
         store = TableStore(root=str(tmp_path))
         fingerprint = engine.externalize(store)
         shard_rounds = [
-            _scan_shard_worker((store.root, fingerprint, start, stop, 1))[0]
+            _scan_shard_worker((store.root, fingerprint, start, stop, 0, 1))[0]
             for start, stop in plan.bounds
         ]
         merged = _merge_round(

@@ -88,7 +88,7 @@ class TestExport:
     def test_stability_series(self, tmp_path, broot_verfploeter):
         from repro.core.experiments import run_stability_series
 
-        series = run_stability_series(broot_verfploeter, rounds=4, fast=True)
+        series = run_stability_series(broot_verfploeter, rounds=4)
         path = tmp_path / "fig9.tsv"
         export_stability_series(series, path)
         lines = path.read_text().strip().splitlines()
