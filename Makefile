@@ -50,7 +50,8 @@ bench-sharded-smoke:
 	PYTHONPATH=src python -m pytest benchmarks/bench_extension_sharded_scan.py --benchmark-only -s
 
 # Regenerate the playbook-search perf baseline (BENCH_playbook.json):
-# cache-accelerated search vs scratch, artifacts asserted byte-identical.
+# cache-accelerated search vs scratch; the warm pass asserted to be pure
+# memo hits, artifacts asserted byte-identical.
 bench-playbook:
 	PYTHONPATH=src python -m pytest benchmarks/bench_extension_playbook.py --benchmark-only -s
 

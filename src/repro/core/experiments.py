@@ -45,12 +45,12 @@ def _run_indexed(
 ) -> List[_T]:
     """Run ``worker(0..count-1)``, optionally on threads, in index order.
 
-    Scenario workers are independent: they compute (or cache-fetch) a
-    routing outcome and run scans against per-call state.  Shared
-    structures they touch — the routing cache, an outcome's memoised
-    PoP/catchment maps — take locks or perform idempotent writes of
-    deterministic values, so the fan-out cannot change results, only
-    wall-clock time.
+    Scenario workers and playbook candidates are independent: they
+    compute (or cache-fetch) a routing outcome and run scans against
+    per-call state.  Shared structures they touch — the routing cache,
+    an outcome's memoised PoP/catchment maps, the planner's catchment
+    memo — take locks or perform idempotent writes of deterministic
+    values, so the fan-out cannot change results, only wall-clock time.
     """
     if parallel > 1 and count > 1:
         with ThreadPoolExecutor(max_workers=min(parallel, count)) as pool:

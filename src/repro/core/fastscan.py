@@ -9,18 +9,19 @@ is not the wire-level oracle (one engine memoised per routing state,
 of blocks is a pure Python non-starter, but perfectly tractable
 vectorised.
 
-The engine precomputes everything round-invariant (permutation domain,
-stable responders, base catchment sites, geography) once per routing
-state into a :class:`RoundState` — a plain, picklable bundle of numpy
-columns.  Precomputation itself is columnar: blocks join against the
-internet's block table and the geo database's columnar snapshot with
-``searchsorted``, and per-PoP routing facts are computed once per PoP
-and broadcast, so no per-block Python loop runs at any point.
+Precomputed state comes in two halves.  What routing cannot change —
+permutation domain, block -> PoP join, stable responders, geography,
+RTTs to every service site — is a :class:`RoundState`, built columnar
+(``searchsorted`` joins, no per-block Python loop) once per deployment
+and shared read-only by every engine on it; it memoises the
+routing-independent draws of its last round (:func:`round_draws`).  A
+routing state adds a :class:`RouteColumns`: routing facts vary per PoP,
+so they are computed once per PoP and broadcast at evaluation time.
 
-Round evaluation is a module-level pure function over a
-:class:`RoundState` (:func:`evaluate_round`), so the same code path
-serves both the in-process engine and the multiprocess shard workers
-in :mod:`repro.core.sharding` — bit-identity between the two is by
+Round evaluation is a module-level pure function over the two halves
+(:func:`evaluate_round`), so the same code path serves both the
+in-process engine and the multiprocess shard workers in
+:mod:`repro.core.sharding` — bit-identity between the two is by
 construction, not by parallel maintenance of two implementations.
 Every stochastic draw depends only on ``(seed, salt, block, round)``,
 and probe send offsets are recovered per shard through the inverse of
@@ -39,8 +40,8 @@ the equivalence suite compares against.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -129,38 +130,57 @@ class _VectorPermutation:
         return values.astype(np.int64)
 
 
+class RoundDraws(NamedTuple):
+    """The routing-independent part of one evaluated round: pure functions
+    of ``(seed, salt, block, round)``, shared by every routing state
+    scanned at that round id.  Immutable, its arrays read-only."""
+
+    round_id: int
+    responds: np.ndarray  # bool: stable and not churned out this round
+    flip_draw: np.ndarray  # float64 uniform deciding per-round flips
+    counts: np.ndarray  # int64 replies a delivered probe would draw
+    late_replier: np.ndarray  # bool
+    host_delay: np.ndarray  # float64 ms, delay when no path delay applies
+    jitter: np.ndarray  # float64 ms
+    offsets: np.ndarray  # float64 seconds after round start of each probe
+
+
 @dataclass
 class RoundState:
-    """Everything round-invariant about a scan, as picklable columns.
+    """The routing-invariant half of a scan, as picklable columns.
 
-    One row per hitlist block.  A state is either the full universe
+    One row per hitlist block.  One instance serves every routing state
+    a deployment scans (:meth:`Verfploeter.round_state`), so its arrays
+    are read-only.  A state is either the full universe
     (``row_start == 0``, ``rows == n_total``) or a contiguous shard of
     it produced by :meth:`shard`; every per-row value in a shard is a
     slice of the full state's value, never recomputed, so shard
     evaluation is bit-identical to evaluating the same rows in-process.
     """
 
-    site_codes: List[str]
     blocks: np.ndarray  # uint64, strictly ascending
-    base: np.ndarray  # int16 site index, -1 = unrouted
-    alternate: np.ndarray  # int16 site index, -1 = none
-    flipper: np.ndarray  # bool
-    participates: np.ndarray  # bool
+    block_pops: np.ndarray  # int64 PoP id; len(pops) = block outside the topology
     stable: np.ndarray  # bool
     off_address: np.ndarray  # bool
     duplicator: np.ndarray  # bool
+    participate_draw: np.ndarray  # float64 uniform, thresholded per flip config
     prefixes: Dict[int, np.ndarray]  # salt -> uint64 per-block hash prefix
-    site_rtt: np.ndarray  # (sites, rows) float64 milliseconds
+    site_rtt: np.ndarray  # (every service site, rows) float64 milliseconds
     access: np.ndarray  # float64 milliseconds
     lat_ok: np.ndarray  # bool
     jitter_scale: float
     host_config: HostModelConfig
-    flip_config: FlipModelConfig
     late_cutoff: float  # seconds
     interval: float  # seconds between probes
     order_parent_seed: int
     n_total: int  # permutation domain (full universe size)
     row_start: int = 0  # first hitlist index covered by this state
+    #: store root -> fingerprint this state is persisted under there.
+    external: Dict[str, str] = field(default_factory=dict, init=False, compare=False)
+    #: One-slot memo of the last round drawn (see :func:`round_draws`).
+    _draws: Optional[RoundDraws] = field(default=None, init=False, compare=False)
+    #: (start, stop) -> the shard handed out for those rows.
+    _shards: Dict[tuple, "RoundState"] = field(default_factory=dict, init=False, compare=False)
 
     @property
     def rows(self) -> int:
@@ -168,27 +188,48 @@ class RoundState:
         return int(self.blocks.size)
 
     def shard(self, start: int, stop: int) -> "RoundState":
-        """The contiguous sub-state covering hitlist rows [start, stop)."""
+        """The contiguous sub-state covering hitlist rows [start, stop).
+
+        One object per bounds, so a shard's own draw slot outlives the
+        task that asked for it (a worker's next routing state at the
+        same round id draws nothing).
+        """
         if not 0 <= start < stop <= self.rows:
             raise ConfigurationError(
                 f"shard [{start}, {stop}) outside [0, {self.rows})"
             )
-        return replace(
-            self,
-            blocks=self.blocks[start:stop],
-            base=self.base[start:stop],
-            alternate=self.alternate[start:stop],
-            flipper=self.flipper[start:stop],
-            participates=self.participates[start:stop],
-            stable=self.stable[start:stop],
-            off_address=self.off_address[start:stop],
-            duplicator=self.duplicator[start:stop],
-            prefixes={salt: arr[start:stop] for salt, arr in self.prefixes.items()},
-            site_rtt=self.site_rtt[:, start:stop],
-            access=self.access[start:stop],
-            lat_ok=self.lat_ok[start:stop],
-            row_start=self.row_start + start,
-        )
+        shard = self._shards.get((start, stop))
+        if shard is None:
+            columns = {
+                name: value[..., start:stop]
+                for name, value in vars(self).items()
+                if isinstance(value, np.ndarray)
+            }
+            shard = self._shards[(start, stop)] = replace(
+                self,
+                **columns,
+                prefixes={s: arr[start:stop] for s, arr in self.prefixes.items()},
+                row_start=self.row_start + start,
+            )
+        return shard
+
+
+@dataclass(frozen=True)
+class RouteColumns:
+    """The per-routing half of a scan: O(PoPs), never O(blocks).
+
+    Three per-PoP columns — each with a trailing sentinel entry for
+    blocks outside the topology — broadcast over the rows through
+    ``block_pops``, and the policy's sites as rows of the all-sites RTT
+    matrix: a withdrawn site shrinks the index space, never the matrix.
+    """
+
+    site_codes: Tuple[str, ...]  # the policy's announcing sites
+    site_rows: np.ndarray  # intp row of RoundState.site_rtt per site index
+    pop_base: np.ndarray  # int16 site index per PoP, -1 = unrouted
+    pop_alternate: np.ndarray  # int16 site index per PoP, -1 = none
+    pop_flipper: np.ndarray  # bool
+    flip_config: FlipModelConfig
 
 
 @dataclass
@@ -199,11 +240,6 @@ class RoundArrays:
     delay: np.ndarray  # float64 first-reply delay (ms) per row
     kept_mask: np.ndarray  # bool: row survives cleaning
     stats: ScanStats
-
-
-def _round_draw(state: RoundState, salt: int, round_id: int) -> np.ndarray:
-    """One per-block uniform draw for this round (prefix finished)."""
-    return uniform_from_prefix_np(state.prefixes[salt], round_id)
 
 
 def send_offsets(state: RoundState, round_id: int) -> np.ndarray:
@@ -230,59 +266,95 @@ def send_offsets(state: RoundState, round_id: int) -> np.ndarray:
     return perm.positions_of(rows).astype(np.float64) * state.interval
 
 
-def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
-    """One measurement round over ``state`` (pure array passes).
+def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
+    """``state``'s draws for ``round_id`` and whether the slot held them.
 
-    Module-level so process-pool workers can evaluate pickled shard
-    states with the very code the in-process engine runs.
+    One slot: a sweep over routing states at one round id draws once, a
+    series over round ids holds one round at a time (the stale one is
+    released before the next is built).  Read once and assigned once, so
+    concurrent callers (the ``parallel=`` thread fan-outs) at worst draw
+    a round each — never see half of one.
     """
+    draws = state._draws
+    if draws is not None and draws.round_id == round_id:
+        return draws, True
+    state._draws = draws = None
     cfg = state.host_config
-    n = state.rows
-    responds = state.stable & (
-        _round_draw(state, _hosts._CHURN_SALT, round_id) >= cfg.churn_probability
-    )
 
-    # Site selection with per-round flips.
-    flip_draw = _round_draw(state, _instability._FLIP_SALT, round_id)
-    has_alternate = state.alternate >= 0
-    flips = has_alternate & (
-        (state.participates & (flip_draw < state.flip_config.flipper_flip_probability))
-        | (~state.flipper & (flip_draw < state.flip_config.background_flip_probability))
-    )
-    site = np.where(flips, state.alternate, state.base)
-    delivered = responds & (site >= 0)
+    def draw(salt: int) -> np.ndarray:
+        """One per-block uniform draw for this round (prefix finished)."""
+        return uniform_from_prefix_np(state.prefixes[salt], round_id)
+
+    responds = state.stable & (draw(_hosts._CHURN_SALT) >= cfg.churn_probability)
+    flip_draw = draw(_instability._FLIP_SALT)
 
     # Reply counts (duplicates).
-    tail = _round_draw(state, _hosts._DUPN_SALT, round_id)
+    tail = draw(_hosts._DUPN_SALT)
     heavy = tail < cfg.heavy_duplicate_fraction
-    counts = np.ones(n, dtype=np.int64)
+    counts = np.ones(state.rows, dtype=np.int64)
     counts[state.duplicator & ~heavy] = 2
     heaviness = tail / cfg.heavy_duplicate_fraction
     heavy_counts = 3 + ((cfg.max_duplicates - 3) * heaviness).astype(np.int64)
     counts = np.where(state.duplicator & heavy, heavy_counts, counts)
-    counts = np.where(delivered, counts, 0)
 
-    # First-reply delay (milliseconds), mirroring the dataplane.
-    latency_draw = _round_draw(state, _hosts._LATENCY_SALT, round_id)
-    late_replier = (
-        _round_draw(state, _hosts._LATE_SALT, round_id) < cfg.late_fraction
-    )
+    # Host-side delay (milliseconds), mirroring the dataplane.
+    latency_draw = draw(_hosts._LATENCY_SALT)
+    late_replier = draw(_hosts._LATE_SALT) < cfg.late_fraction
     host_delay = np.where(
         late_replier,
         cfg.late_threshold_ms * (1.0 + 4.0 * latency_draw),
         10.0 + 390.0 * latency_draw,
     )
-    jitter = state.jitter_scale * _round_draw(state, _latency._JITTER_SALT, round_id)
-    site_clamped = np.clip(site, 0, len(state.site_codes) - 1)
-    path_delay = (
-        state.site_rtt[site_clamped, np.arange(n)] + state.access + jitter
+    jitter = state.jitter_scale * draw(_latency._JITTER_SALT)
+    draws = RoundDraws(
+        round_id, responds, flip_draw, counts, late_replier, host_delay,
+        jitter, send_offsets(state, round_id),
     )
-    use_path = state.lat_ok & ~late_replier & (site >= 0)
-    delay = np.where(use_path, path_delay, host_delay)
+    for array in draws[1:]:
+        array.setflags(write=False)
+    state._draws = draws
+    return draws, False
+
+
+def evaluate_round(
+    state: RoundState, routes: RouteColumns, draws: RoundDraws
+) -> RoundArrays:
+    """One measurement round of ``routes`` over ``state`` (pure array passes).
+
+    Module-level so process-pool workers evaluate attached shard states
+    with the very code the in-process engine runs.
+    """
+    n = state.rows
+    flip_config = routes.flip_config
+
+    # Site selection with per-round flips.
+    base = routes.pop_base[state.block_pops]
+    alternate = routes.pop_alternate[state.block_pops]
+    flipper = routes.pop_flipper[state.block_pops]
+    participates = flipper & (
+        state.participate_draw < flip_config.flipper_block_fraction
+    )
+    flip_draw = draws.flip_draw
+    flips = (alternate >= 0) & (
+        (participates & (flip_draw < flip_config.flipper_flip_probability))
+        | (~flipper & (flip_draw < flip_config.background_flip_probability))
+    )
+    site = np.where(flips, alternate, base)
+    delivered = draws.responds & (site >= 0)
+    counts = np.where(delivered, draws.counts, 0)
+
+    # First-reply delay (milliseconds), mirroring the dataplane.
+    site_clamped = np.clip(site, 0, len(routes.site_codes) - 1)
+    path_delay = (
+        state.site_rtt[routes.site_rows[site_clamped], np.arange(n)]
+        + state.access
+        + draws.jitter
+    )
+    use_path = state.lat_ok & ~draws.late_replier & (site >= 0)
+    delay = np.where(use_path, path_delay, draws.host_delay)
 
     # Cleaning: how many of each block's replies beat the cut-off?
-    offsets = send_offsets(state, round_id)
-    first_rel = offsets + delay / 1000.0
+    first_rel = draws.offsets + delay / 1000.0
     dup_gap = 0.1 / 1000.0  # duplicates trail by 0.1 ms
     within = np.floor((state.late_cutoff - first_rel) / dup_gap) + 1
     within = np.clip(within, 0, counts).astype(np.int64)
@@ -312,6 +384,7 @@ def evaluate_round(state: RoundState, round_id: int) -> RoundArrays:
 
 def materialise_columnar(
     state: RoundState,
+    routes: RouteColumns,
     arrays: RoundArrays,
     round_id: int,
     start_time: float,
@@ -325,7 +398,7 @@ def materialise_columnar(
     universe once (pickle memoises the shared ndarray).
     """
     catchment = ArrayCatchmentMap(
-        state.site_codes,
+        routes.site_codes,
         state.blocks,
         np.where(arrays.kept_mask, arrays.site, np.int16(-1)).astype(np.int16),
         validate=False,
@@ -345,6 +418,107 @@ def materialise_columnar(
     )
 
 
+def build_round_state(verfploeter: Verfploeter) -> RoundState:
+    """Build every routing-invariant column (one pass per deployment;
+    callers want the memoised :meth:`Verfploeter.round_state`)."""
+    internet = verfploeter.internet
+    seed = internet.seed
+    cfg = internet.host_model.config
+
+    blocks = np.array(verfploeter.hitlist.blocks, dtype=np.uint64)
+    n = blocks.size
+
+    # --- bulk joins, no block loop -------------------------------------
+    # Block -> PoP through the internet's columnar block table; blocks
+    # outside the topology point at the route columns' sentinel entry.
+    table_blocks, _, table_pops = internet.block_table()
+    signed_blocks = blocks.astype(np.int64)
+    rows = np.searchsorted(table_blocks, signed_blocks)
+    rows = np.minimum(rows, max(table_blocks.size - 1, 0))
+    populated = (table_blocks.size > 0) & (table_blocks[rows] == signed_blocks)
+    block_pops = np.where(populated, table_pops[rows], len(internet.pops))
+
+    # Geography joins against the geo database's columnar snapshot;
+    # responsiveness thresholds are per country, broadcast to blocks.
+    model = internet.host_model
+    columns = internet.geodb.columnar()
+    geo_rows, located = internet.geodb.join(signed_blocks)
+    lat = np.where(located, columns.latitudes[geo_rows], np.nan)
+    lon = np.where(located, columns.longitudes[geo_rows], np.nan)
+    country_thresholds = np.array(
+        [model.responsiveness_for(code) for code in columns.countries],
+        dtype=np.float64,
+    )
+    base_threshold = model.responsiveness_for(None)
+    if columns.countries:
+        threshold = np.where(
+            located,
+            country_thresholds[columns.country_index[geo_rows]],
+            base_threshold,
+        )
+    else:
+        threshold = np.full(n, base_threshold, dtype=np.float64)
+
+    # --- latency precomputation: every service site, announcing or not --
+    lm = verfploeter.latency_model
+    sites = verfploeter.service.sites
+    site_rtt = np.full((len(sites), n), np.nan)
+    lat_rad = np.radians(lat)
+    lon_rad = np.radians(lon)
+    for index, site in enumerate(sites):
+        site_lat = np.radians(site.latitude)
+        site_lon = np.radians(site.longitude)
+        half_dlat = (site_lat - lat_rad) / 2.0
+        half_dlon = (site_lon - lon_rad) / 2.0
+        a = (
+            np.sin(half_dlat) ** 2
+            + np.cos(lat_rad) * np.cos(site_lat) * np.sin(half_dlon) ** 2
+        )
+        distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
+        site_rtt[index] = 2.0 * lm._stretch * distance / _latency.KM_PER_MS
+    low, high = lm._access_range
+
+    def unit(salt: int) -> np.ndarray:
+        """One round-invariant uniform draw per block."""
+        return uniform_unit_np(seed, salt, blocks)
+
+    access_draw = unit(_latency._ACCESS_SALT)
+    state = RoundState(
+        blocks=blocks,
+        block_pops=block_pops,
+        stable=unit(_hosts._STABLE_SALT) < threshold,
+        off_address=unit(_hosts._OFFADDR_SALT) < cfg.off_address_fraction,
+        duplicator=unit(_hosts._DUP_SALT) < cfg.duplicate_fraction,
+        participate_draw=unit(_instability._PARTICIPATE_SALT),
+        # Per-round draws share a round-invariant hash prefix over (seed,
+        # salt, blocks); a round then absorbs its id in one array mix pass.
+        prefixes={
+            salt: hash_prefix_np(seed, salt, blocks)
+            for salt in (
+                _hosts._CHURN_SALT,
+                _hosts._DUPN_SALT,
+                _hosts._LATENCY_SALT,
+                _hosts._LATE_SALT,
+                _instability._FLIP_SALT,
+                _latency._JITTER_SALT,
+            )
+        },
+        site_rtt=site_rtt,
+        access=low + (high - low) * access_draw * access_draw,
+        lat_ok=~np.isnan(lat),
+        jitter_scale=lm._jitter,
+        host_config=cfg,
+        late_cutoff=verfploeter.cleaning.late_cutoff_seconds,
+        interval=1.0 / verfploeter.prober_config.rate_pps,
+        order_parent_seed=verfploeter._prober._seed,
+        n_total=n,
+    )
+    for value in (*vars(state).values(), *state.prefixes.values()):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)  # every engine of the deployment shares them
+    return state
+
+
 class FastScanEngine:
     """Vectorised equivalent of repeated wire-level ``run_scan`` calls."""
 
@@ -362,53 +536,44 @@ class FastScanEngine:
         self.routing = routing if routing is not None else verfploeter.routing_for()
         self.columnar = columnar
         self._prober = verfploeter._prober
+        self.state = verfploeter.round_state()
         with self.observer.tracer.span(
             "fastscan.precompute", columnar=columnar
         ) as span:
             with self.observer.profile("fastscan.precompute"):
-                self.state = self._precompute(verfploeter)
-            span.set(blocks=self.state.rows, sites=len(self.state.site_codes))
-        self._external: Dict[str, str] = {}
+                self.routes = self._precompute(verfploeter)
+            span.set(blocks=self.state.rows, sites=len(self.routes.site_codes))
 
     def externalize(self, store) -> str:
-        """Persist this engine's round state through ``store``; returns
+        """Persist the deployment's round state through ``store``; returns
         the content fingerprint workers attach by.
 
-        Cached per store root, so a pool running several series over one
-        engine fingerprints and persists at most once.
+        Memoised per store root on the shared state, so the engines of
+        one deployment fingerprint and persist at most once between them.
         """
         from repro.core.tables import persist_round_state
 
-        cached = self._external.get(store.root)
+        cached = self.state.external.get(store.root)
         if cached is not None:
             return cached
         with self.observer.tracer.span("fastscan.externalize") as span:
             fingerprint = persist_round_state(store, self.state)
             span.set(fingerprint=fingerprint, blocks=self.state.rows)
-        self._external[store.root] = fingerprint
+        self.state.external[store.root] = fingerprint
         return fingerprint
 
-    def _precompute(self, verfploeter: Verfploeter) -> RoundState:
-        """Build every round-invariant array (one pass per routing state)."""
+    def _precompute(self, verfploeter: Verfploeter) -> RouteColumns:
+        """Build the per-PoP route columns (one pass per routing state)."""
         internet = verfploeter.internet
-        seed = internet.seed
-        host_config = internet.host_model.config
-        flip_config = self.routing.flip_model.config
-
-        hitlist = verfploeter.hitlist
-        n = len(hitlist)
-        blocks = np.array(hitlist.blocks, dtype=np.uint64)
-        site_codes = list(self.routing.policy.site_codes)
+        service = verfploeter.service
+        site_codes = tuple(self.routing.policy.site_codes)
         site_index = {code: i for i, code in enumerate(site_codes)}
+        site_rows = [service.sites.index(service.site(code)) for code in site_codes]
 
-        # --- per-block round-invariant state (bulk joins, no block loop) --
-        # Routing facts vary per PoP, not per block: compute site / alternate /
-        # flipper once per PoP (and per AS behind it), then broadcast over the
-        # hitlist through the internet's columnar block table.
-        pop_count = len(internet.pops)
-        pop_base = np.full(pop_count, -1, dtype=np.int16)
-        pop_alternate = np.full(pop_count, -1, dtype=np.int16)
-        pop_flipper = np.zeros(pop_count, dtype=bool)
+        size = len(internet.pops) + 1  # the sentinel: unrouted, no alternate, no flips
+        pop_base = np.full(size, -1, dtype=np.int16)
+        pop_alternate = np.full(size, -1, dtype=np.int16)
+        pop_flipper = np.zeros(size, dtype=bool)
         for pop in internet.pops:
             site = self.routing.site_of_pop(pop)
             if site is None:
@@ -418,122 +583,16 @@ class FastScanEngine:
             alternate = self.routing.selections[pop.asn].alternate_site
             if alternate is not None and alternate != site and alternate in site_index:
                 pop_alternate[pop.pop_id] = site_index[alternate]
-
-        table_blocks, _, table_pops = internet.block_table()
-        signed_blocks = blocks.astype(np.int64)
-        rows = np.searchsorted(table_blocks, signed_blocks)
-        rows = np.minimum(rows, max(table_blocks.size - 1, 0))
-        populated = (table_blocks.size > 0) & (table_blocks[rows] == signed_blocks)
-        block_pops = np.where(populated, table_pops[rows], 0)
-        base = np.where(populated, pop_base[block_pops], np.int16(-1)).astype(np.int16)
-        has_site = base >= 0
-        alternate = np.where(
-            has_site, pop_alternate[block_pops], np.int16(-1)
-        ).astype(np.int16)
-        flipper = has_site & pop_flipper[block_pops]
-
-        # Geography joins against the geo database's columnar snapshot;
-        # responsiveness thresholds are per country, broadcast to blocks.
-        model = internet.host_model
-        columns = internet.geodb.columnar()
-        geo_rows, located = internet.geodb.join(signed_blocks)
-        lat = np.where(located, columns.latitudes[geo_rows], np.nan)
-        lon = np.where(located, columns.longitudes[geo_rows], np.nan)
-        country_thresholds = np.array(
-            [model.responsiveness_for(code) for code in columns.countries],
-            dtype=np.float64,
-        )
-        base_threshold = model.responsiveness_for(None)
-        if columns.countries:
-            threshold = np.where(
-                located,
-                country_thresholds[columns.country_index[geo_rows]],
-                base_threshold,
-            )
-        else:
-            threshold = np.full(n, base_threshold, dtype=np.float64)
-
-        # --- round-invariant stochastic masks ----------------------------
-        cfg = host_config
-        stable = uniform_unit_np(seed, _hosts._STABLE_SALT, blocks) < threshold
-        off_address = (
-            uniform_unit_np(seed, _hosts._OFFADDR_SALT, blocks)
-            < cfg.off_address_fraction
-        )
-        duplicator = (
-            uniform_unit_np(seed, _hosts._DUP_SALT, blocks)
-            < cfg.duplicate_fraction
-        )
-        participates = flipper & (
-            uniform_unit_np(seed, _instability._PARTICIPATE_SALT, blocks)
-            < flip_config.flipper_block_fraction
-        )
-
-        # Per-round draws share a round-invariant hash prefix over
-        # (seed, salt, blocks); each round then needs only one array
-        # mix pass to absorb the round id.
-        prefixes = {
-            salt: hash_prefix_np(seed, salt, blocks)
-            for salt in (
-                _hosts._CHURN_SALT,
-                _hosts._DUPN_SALT,
-                _hosts._LATENCY_SALT,
-                _hosts._LATE_SALT,
-                _instability._FLIP_SALT,
-                _latency._JITTER_SALT,
-            )
-        }
-
-        # --- latency precomputation ---------------------------------------
-        lm = verfploeter.latency_model
-        lat_ok = ~np.isnan(lat)
-        site_rtt = np.full((len(site_codes), n), np.nan)
-        lat_rad = np.radians(lat)
-        lon_rad = np.radians(lon)
-        for index, code in enumerate(site_codes):
-            site = verfploeter.service.site(code)
-            site_lat = np.radians(site.latitude)
-            site_lon = np.radians(site.longitude)
-            half_dlat = (site_lat - lat_rad) / 2.0
-            half_dlon = (site_lon - lon_rad) / 2.0
-            a = (
-                np.sin(half_dlat) ** 2
-                + np.cos(lat_rad) * np.cos(site_lat) * np.sin(half_dlon) ** 2
-            )
-            distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
-            site_rtt[index] = 2.0 * lm._stretch * distance / _latency.KM_PER_MS
-        access_draw = uniform_unit_np(seed, _latency._ACCESS_SALT, blocks)
-        low, high = lm._access_range
-        access = low + (high - low) * access_draw * access_draw
-
-        return RoundState(
+        return RouteColumns(
             site_codes=site_codes,
-            blocks=blocks,
-            base=base,
-            alternate=alternate,
-            flipper=flipper,
-            participates=participates,
-            stable=stable,
-            off_address=off_address,
-            duplicator=duplicator,
-            prefixes=prefixes,
-            site_rtt=site_rtt,
-            access=access,
-            lat_ok=lat_ok,
-            jitter_scale=lm._jitter,
-            host_config=host_config,
-            flip_config=flip_config,
-            late_cutoff=verfploeter.cleaning.late_cutoff_seconds,
-            interval=1.0 / verfploeter.prober_config.rate_pps,
-            order_parent_seed=verfploeter._prober._seed,
-            n_total=n,
+            site_rows=np.array(site_rows, dtype=np.intp),
+            pop_base=pop_base,
+            pop_alternate=pop_alternate,
+            pop_flipper=pop_flipper,
+            flip_config=self.routing.flip_model.config,
         )
 
     # -- per-round evaluation ---------------------------------------------
-
-    def _send_offsets(self, round_id: int) -> np.ndarray:
-        """Per-block send offsets of one round (the prober's schedule)."""
-        return send_offsets(self.state, round_id)
 
     def run_scan(
         self,
@@ -582,21 +641,28 @@ class FastScanEngine:
     ) -> ScanResult:
         """Evaluate one round and materialise it (columnar or reference)."""
         state = self.state
-        arrays = evaluate_round(state, round_id)
+        draws, hit = round_draws(state, round_id)
+        self.observer.metrics.counter(
+            "fastscan.round_draws.hit" if hit else "fastscan.round_draws.miss"
+        ).inc()
+        arrays = evaluate_round(state, self.routes, draws)
         label = dataset_id or f"fast-r{round_id}"
         if self.columnar:
-            return materialise_columnar(state, arrays, round_id, start_time, label)
+            return materialise_columnar(
+                state, self.routes, arrays, round_id, start_time, label
+            )
 
         # Dict-backed reference materialisation (equivalence baseline).
+        site_codes = self.routes.site_codes
         mapping: Dict[int, str] = {}
         rtt_dict: Dict[int, float] = {}
         kept_blocks = state.blocks[arrays.kept_mask].astype(np.int64)
         kept_sites = arrays.site[arrays.kept_mask]
         kept_delays = arrays.delay[arrays.kept_mask]
         for block, site_idx, block_delay in zip(kept_blocks, kept_sites, kept_delays):
-            mapping[int(block)] = state.site_codes[site_idx]  # reprolint: disable=D110 — reference path
+            mapping[int(block)] = site_codes[site_idx]  # reprolint: disable=D110 — reference path
             rtt_dict[int(block)] = float(block_delay)  # reprolint: disable=D110 — reference path
-        catchment: CatchmentMap = CatchmentMap(state.site_codes, mapping)
+        catchment: CatchmentMap = CatchmentMap(site_codes, mapping)
         return ScanResult(
             dataset_id=label,
             round_id=round_id,

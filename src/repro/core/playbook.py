@@ -29,10 +29,9 @@ strict ``>``, withdrawn sites never violate.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from threading import Lock
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.anycast.catchment import CatchmentMap
 from repro.bgp.cache import (
@@ -43,6 +42,7 @@ from repro.bgp.cache import (
 )
 from repro.bgp.policy import AnnouncementPolicy
 from repro.collector.results import ScanResult
+from repro.core.experiments import _run_indexed
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError
 from repro.load.estimator import LoadEstimate
@@ -53,25 +53,6 @@ from repro.load.weighting import (
     weight_catchment,
 )
 from repro.traffic.attack import AttackProfile
-
-_T = TypeVar("_T")
-
-
-def _run_indexed(
-    worker: Callable[[int], _T], count: int, parallel: int
-) -> List[_T]:
-    """Run ``worker(0..count-1)``, optionally on threads, in index order.
-
-    Candidate evaluations are independent; the structures they share —
-    the routing cache, the planner's catchment memo — take locks or
-    perform idempotent writes of deterministic values, so fanning out
-    changes wall-clock time only, never results (asserted byte-for-byte
-    by ``tests/test_playbook.py``).
-    """
-    if parallel > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=min(parallel, count)) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(index) for index in range(count)]
 
 
 @dataclass(frozen=True)

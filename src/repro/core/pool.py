@@ -14,13 +14,13 @@ a per-process cache before invoking the real worker function.
 
 Cache safety: the cache is per *process* (a module-global
 :class:`_ProcessCache` instance, re-initialised on pid change so a
-forked worker never aliases its parent's memmaps), holds only
-read-only memmap-backed state keyed by ``(store root, fingerprint)``,
-and fingerprints are content hashes — a stale hit is impossible by
-construction.  Workers never mutate attached state, so no locking is
-needed (reprolint W502's pool-escape analysis stays clean: nothing
-reachable from a worker writes a module global; the cache mutates only
-attributes of one private instance).
+forked worker never aliases its parent's memmaps), holds a bounded
+number of read-only memmap-backed states keyed by ``(store root,
+fingerprint)``, and fingerprints are content hashes — a stale hit is
+impossible by construction.  Workers never write an
+attached array, so no locking is needed (reprolint W502's pool-escape
+analysis stays clean: nothing reachable from a worker writes a module
+global; the cache mutates only attributes of one private instance).
 
 Determinism: the pool changes *where* tasks run, never what they
 return; ``map`` yields results in submission order, and all
@@ -34,15 +34,22 @@ from __future__ import annotations
 
 import os
 import resource
+from collections import OrderedDict
 from concurrent.futures import CancelledError, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, PoolError
 from repro.obs import NULL_OBSERVER, Observer
+
+
+#: Attachments a process keeps before dropping its oldest: above a depth-2
+#: playbook's 101 ``sites`` columns, so a replan on a warm pool re-attaches
+#: nothing, yet a daemon joining a new catchment every round stays bounded.
+_ATTACH_CACHE_LIMIT = 128
 
 
 class _ProcessCache:
@@ -54,15 +61,30 @@ class _ProcessCache:
 
     def __init__(self) -> None:
         self.pid = os.getpid()
-        self.states: Dict[Tuple[str, str], object] = {}
-        self.arrays: Dict[Tuple[str, str], np.ndarray] = {}
+        self.attached: "OrderedDict[tuple, object]" = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self.evicted = 0
         self.tasks = 0
 
     def ensure_current(self) -> None:
         if self.pid != os.getpid():
             self.__init__()
+
+    def lookup(self, key: tuple, attach: Callable[[], object]):
+        """The attachment under ``key``, made on a miss; past the limit the
+        oldest attachment goes first."""
+        self.ensure_current()
+        value = self.attached.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = self.attached[key] = attach()
+        while len(self.attached) > _ATTACH_CACHE_LIMIT:
+            self.attached.popitem(last=False)
+            self.evicted += 1
+        return value
 
 
 _CACHE = _ProcessCache()
@@ -72,32 +94,20 @@ def attached_round_state(store_root: str, fingerprint: str):
     """This process's attached ``RoundState`` for a fingerprint."""
     from repro.core.tables import TableStore, attach_round_state
 
-    _CACHE.ensure_current()
-    key = (store_root, fingerprint)
-    state = _CACHE.states.get(key)
-    if state is not None:
-        _CACHE.hits += 1
-        return state
-    _CACHE.misses += 1
-    state = attach_round_state(TableStore(store_root), fingerprint)
-    _CACHE.states[key] = state
-    return state
+    return _CACHE.lookup(
+        (store_root, fingerprint),
+        lambda: attach_round_state(TableStore(store_root), fingerprint),
+    )
 
 
 def attached_array(store_root: str, fingerprint: str) -> np.ndarray:
     """This process's attached memmap for a content-addressed array."""
     from repro.core.tables import TableStore, attach_array
 
-    _CACHE.ensure_current()
-    key = (store_root, fingerprint)
-    array = _CACHE.arrays.get(key)
-    if array is not None:
-        _CACHE.hits += 1
-        return array
-    _CACHE.misses += 1
-    array = attach_array(TableStore(store_root), fingerprint)
-    _CACHE.arrays[key] = array
-    return array
+    return _CACHE.lookup(
+        (store_root, fingerprint),
+        lambda: attach_array(TableStore(store_root), fingerprint),
+    )
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,7 @@ class TaskStats:
 
     attach_hits: int
     attach_misses: int
+    attach_evicted: int
     reused: bool
     max_rss_kb: int
 
@@ -122,10 +133,12 @@ def run_attached(fn: Callable[[object], object], payload: object):
     _CACHE.tasks += 1
     hits_before = _CACHE.hits
     misses_before = _CACHE.misses
+    evicted_before = _CACHE.evicted
     result = fn(payload)
     stats = TaskStats(
         attach_hits=_CACHE.hits - hits_before,
         attach_misses=_CACHE.misses - misses_before,
+        attach_evicted=_CACHE.evicted - evicted_before,
         reused=reused,
         max_rss_kb=int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
     )
@@ -218,6 +231,9 @@ class ShardPool:
         reused = sum(1 for _, stats in outcomes if stats.reused)
         metrics.counter("pool.attach.hit").inc(hits)
         metrics.counter("pool.attach.miss").inc(misses)
+        metrics.counter("pool.attach.evicted").inc(
+            sum(stats.attach_evicted for _, stats in outcomes)
+        )
         metrics.counter("pool.worker.reuse").inc(reused)
         metrics.counter("pool.tasks").inc(len(outcomes))
         for _, stats in outcomes:

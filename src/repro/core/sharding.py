@@ -8,14 +8,15 @@ and the load-weighting join across a persistent
 :class:`repro.core.pool.ShardPool`, then deterministically concatenates
 the per-shard columns back into full-universe results.
 
-Workers are zero-copy: the parent externalises every round-invariant
-column once through :class:`repro.core.tables.TableStore`
-(:meth:`FastScanEngine.externalize`, :func:`ensure_array`), and a task
-payload is just ``(store root, fingerprint, shard bounds, round
-params)`` — a few hundred bytes regardless of universe size.  Each
-worker process attaches the fingerprinted arrays as read-only memmaps
-through a per-process cache (`core.pool`), so repeated series over one
-engine ship no arrays at all.  Results come back compact too: kept-only
+Workers are zero-copy: the parent externalises the deployment's
+routing-invariant columns once through
+:class:`repro.core.tables.TableStore` (:meth:`FastScanEngine.externalize`,
+:func:`ensure_array`), and a scan payload (:func:`scan_payloads`) is
+``(store root, fingerprint, per-PoP route columns, shard bounds, round
+params)`` — its size never depends on the block count.  Each worker
+process attaches the fingerprinted arrays as read-only memmaps through
+a per-process cache (`core.pool`), once per shard however many routing
+states are scanned.  Results come back compact too: kept-only
 site/delay columns plus a packed keep mask; the parent rebuilds full
 columns against its own copy of the universe.
 
@@ -55,7 +56,7 @@ import numpy as np
 from repro.anycast.catchment import ArrayCatchmentMap
 from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import BlockValueMap, ScanResult, ScanStats
-from repro.core.fastscan import FastScanEngine, RoundState, evaluate_round
+from repro.core.fastscan import FastScanEngine, evaluate_round, round_draws
 from repro.core.pool import ShardPool, attached_array, attached_round_state
 from repro.core.tables import ensure_array
 from repro.core.verfploeter import Verfploeter
@@ -236,21 +237,33 @@ def _payload_bytes(payloads: Sequence[object]) -> int:
 # -- pool workers (top-level so they pickle; fingerprints in, columns out) --
 
 
+def scan_payloads(
+    engine: FastScanEngine, store, bounds, first_round: int, rounds: int
+) -> List[tuple]:
+    """One :func:`_scan_shard_worker` payload per ``(start, stop)`` in
+    ``bounds``: block-sized state travels as a fingerprint into ``store``,
+    routing as the engine's per-PoP columns — never O(blocks)."""
+    fingerprint = engine.externalize(store)
+    return [
+        (store.root, fingerprint, engine.routes, start, stop, first_round, rounds)
+        for start, stop in bounds
+    ]
+
+
 def _scan_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray, ScanStats]]:
     """Evaluate every round of one shard; returns compact round columns.
 
-    The payload carries no arrays — just the store root, the round
-    state's content fingerprint, the shard bounds, and the round range;
-    the state is attached (or found warm) in this process's cache.
+    The payload (:func:`scan_payloads`) carries no block-sized array;
+    the shard's state is attached (or found warm) in this process's cache.
     Each round comes back as ``(kept site indices, packed keep mask,
     kept delays, stats)``: the parent rebuilds full-universe columns
     from its own copy, so result pickling scales with *kept* rows only.
     """
-    store_root, fingerprint, start, stop, first_round, rounds = payload
+    store_root, fingerprint, routes, start, stop, first_round, rounds = payload
     state = attached_round_state(store_root, fingerprint).shard(start, stop)
     results = []
     for round_id in range(first_round, first_round + rounds):
-        arrays = evaluate_round(state, round_id)
+        arrays = evaluate_round(state, routes, round_draws(state, round_id)[0])
         results.append(
             (
                 arrays.site[arrays.kept_mask],
@@ -284,7 +297,7 @@ def _join_shard_worker(payload) -> np.ndarray:
 
 
 def _merge_round(
-    state: RoundState,
+    engine: FastScanEngine,
     shard_rounds: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, ScanStats]],
     bounds: Sequence[Tuple[int, int]],
     round_id: int,
@@ -299,6 +312,7 @@ def _merge_round(
     concatenates, so the result is bit-identical to evaluating the
     full universe in one pass.
     """
+    state = engine.state
     site_parts: List[np.ndarray] = []
     block_parts: List[np.ndarray] = []
     value_parts: List[np.ndarray] = []
@@ -314,7 +328,7 @@ def _merge_round(
         value_parts.append(kept_delays)
     sites = site_parts[0] if len(site_parts) == 1 else np.concatenate(site_parts)
     catchment = ArrayCatchmentMap(
-        state.site_codes, state.blocks, sites, validate=False
+        engine.routes.site_codes, state.blocks, sites, validate=False
     )
     rtts = BlockValueMap(
         block_parts[0] if len(block_parts) == 1 else np.concatenate(block_parts),
@@ -377,16 +391,14 @@ def run_sharded_series(
             shards=plan.shard_count,
             workers=pool.workers,
         ) as span:
-            fingerprint = engine.externalize(pool.store)
-            payloads = [
-                (pool.store.root, fingerprint, start, stop, first_round, rounds)
-                for start, stop in plan.bounds
-            ]
+            payloads = scan_payloads(
+                engine, pool.store, plan.bounds, first_round, rounds
+            )
             payload_bytes = _payload_bytes(payloads)
             per_shard = pool.map(_scan_shard_worker, payloads, observer=observer)
             merged = [
                 _merge_round(
-                    state,
+                    engine,
                     [shard_rounds[index] for shard_rounds in per_shard],
                     plan.bounds,
                     first_round + index,

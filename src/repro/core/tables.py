@@ -318,13 +318,11 @@ def attach_array(store: TableStore, fingerprint: str) -> np.ndarray:
 #: prefixes are stored as ``state.prefix.<salt>``).
 _STATE_COLUMNS = (
     "blocks",
-    "base",
-    "alternate",
-    "flipper",
-    "participates",
+    "block_pops",
     "stable",
     "off_address",
     "duplicator",
+    "participate_draw",
     "site_rtt",
     "access",
     "lat_ok",
@@ -341,11 +339,9 @@ def _round_state_arrays(state) -> Dict[str, np.ndarray]:
 def _round_state_scalars(state) -> Dict[str, object]:
     return {
         "kind": "round_state",
-        "site_codes": list(state.site_codes),
         "salts": sorted(int(salt) for salt in state.prefixes),
         "jitter_scale": state.jitter_scale,
         "host_config": dataclasses.asdict(state.host_config),
-        "flip_config": dataclasses.asdict(state.flip_config),
         "late_cutoff": state.late_cutoff,
         "interval": state.interval,
         "order_parent_seed": state.order_parent_seed,
@@ -356,9 +352,9 @@ def _round_state_scalars(state) -> Dict[str, object]:
 def persist_round_state(store: TableStore, state) -> str:
     """Persist a full-universe ``RoundState``; returns its fingerprint.
 
-    This is what shrinks shard-worker payloads to a few hundred bytes:
-    the parent externalises the engine's round-invariant columns once,
-    and every worker re-attaches them as read-only memmaps by
+    This is what keeps shard-worker payloads independent of block count:
+    the parent externalises the deployment's routing-invariant columns
+    once, and every worker re-attaches them as read-only memmaps by
     fingerprint instead of unpickling hundreds of megabytes per task.
     Idempotent per content; shard slices are refused (workers slice
     after attaching, so only the full state is ever stored).
@@ -389,7 +385,6 @@ def attach_round_state(store: TableStore, fingerprint: str):
     something other than a round state.
     """
     # Deferred import: fastscan imports this module for persistence.
-    from repro.bgp.instability import FlipModelConfig
     from repro.core.fastscan import RoundState
     from repro.topology.hosts import HostModelConfig
 
@@ -408,11 +403,9 @@ def attach_round_state(store: TableStore, fingerprint: str):
         for salt in manifest["salts"]
     }
     return RoundState(
-        site_codes=list(manifest["site_codes"]),
         prefixes=prefixes,
         jitter_scale=float(manifest["jitter_scale"]),
         host_config=HostModelConfig(**manifest["host_config"]),
-        flip_config=FlipModelConfig(**manifest["flip_config"]),
         late_cutoff=float(manifest["late_cutoff"]),
         interval=float(manifest["interval"]),
         order_parent_seed=int(manifest["order_parent_seed"]),

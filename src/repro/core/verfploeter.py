@@ -9,6 +9,7 @@ site, aggregate centrally, clean, and emit a measured catchment map.
 from __future__ import annotations
 
 import io
+from threading import Lock
 from typing import Dict, List, Optional
 
 from repro.anycast.catchment import CatchmentMap
@@ -86,6 +87,8 @@ class Verfploeter:
             observer=self.observer,
         )
         self._engine: Optional["FastScanEngine"] = None
+        self._round_state: Optional["RoundState"] = None
+        self._round_state_lock = Lock()
 
     @property
     def prober(self) -> Prober:
@@ -127,25 +130,39 @@ class Verfploeter:
         self.observer.metrics.counter("routing.full_computes").inc()
         return outcome
 
+    def round_state(self) -> "RoundState":
+        """The routing-invariant scan state, built once per deployment and
+        shared read-only by every engine on it (the :meth:`engine_for`
+        slot and directly built ones alike).  Locked, so racing
+        ``parallel=`` threads still build it once."""
+        with self._round_state_lock:
+            if self._round_state is None:
+                from repro.core.fastscan import build_round_state
+
+                observer = self.observer
+                with observer.tracer.span("fastscan.invariant") as span:
+                    with observer.profile("fastscan.invariant"):
+                        self._round_state = build_round_state(self)
+                    span.set(blocks=self._round_state.rows)
+                observer.metrics.counter("fastscan.invariant.builds").inc()
+            return self._round_state
+
     def engine_for(self, routing: RoutingOutcome) -> "FastScanEngine":
         """The columnar engine for ``routing``, memoised in a single slot.
 
         Keyed by the identity of the routing outcome: a series pays one
-        precompute, and a sweep over many routing states holds one
-        ``RoundState`` at a time (the stale one is released before the
-        next is built).  The slot is assigned only after construction,
-        so concurrent callers (the ``parallel=`` thread fan-outs) at
-        worst build an engine each — never observe one bound to another
-        routing.  Imported lazily because :mod:`repro.core.fastscan`
-        imports this module.
+        precompute, a sweep over routing states one set of per-PoP route
+        columns each (the block columns are :meth:`round_state`'s).  The
+        slot is assigned only after construction, so concurrent callers
+        (the ``parallel=`` thread fan-outs) at worst build an engine each
+        — never observe one bound to another routing.  Imported lazily
+        because :mod:`repro.core.fastscan` imports this module.
         """
         engine = self._engine
         if engine is None or engine.routing is not routing:
             from repro.core.fastscan import FastScanEngine
 
-            self._engine = engine = None
-            engine = FastScanEngine(self, routing)
-            self._engine = engine
+            self._engine = engine = FastScanEngine(self, routing)
         return engine
 
     def run_scan(

@@ -175,7 +175,38 @@ class TestObservability:
             line.split()[0]: int(line.split("(")[1].split()[0])
             for line in report.strip().splitlines()
         }
-        assert calls == {"fastscan.precompute": 1, "fastscan.round": rounds}
+        assert calls == {
+            "fastscan.invariant": 1,
+            "fastscan.precompute": 1,
+            "fastscan.round": rounds,
+        }
+
+    @pytest.mark.parametrize(
+        "argv,scans,draw_hits",
+        [
+            (["playbook", *TANGLED_TINY, "--depth", "2"], 101, 100),
+            (["playbook", *TANGLED_TINY, "--depth", "1"], 5, 4),
+            (["stability", *TANGLED_TINY, "--rounds", "4"], 4, 0),
+        ],
+        ids=["playbook-depth2", "playbook-depth1", "stability"],
+    )
+    def test_counters_show_the_hoist(self, argv, scans, draw_hits, capsys):
+        """One invariant build per deployment; one draw per run of equal
+        round ids — a playbook scans every policy at round 0, a
+        stability series never repeats a round."""
+        from repro.obs import Observer
+
+        observer = Observer.collecting()
+        assert main(argv, observer=observer) == 0
+        metrics = observer.metrics
+        names = observer.tracer.span_names()
+        routings = scans if argv[0] == "playbook" else 1
+        assert metrics.value_of("fastscan.invariant.builds") == 1
+        assert names.count("fastscan.invariant") == 1
+        assert names.count("fastscan.precompute") == routings
+        assert names.count("fastscan.round") == scans
+        assert metrics.value_of("fastscan.round_draws.hit") == draw_hits
+        assert metrics.value_of("fastscan.round_draws.miss") == scans - draw_hits
 
 
 class TestEngineIdentity:

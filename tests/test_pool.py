@@ -8,16 +8,18 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import pool as pool_module
 from repro.core.fastscan import FastScanEngine
-from repro.core.pool import ShardPool, run_attached
+from repro.core.pool import ShardPool, attached_array, run_attached
 from repro.core.scenarios import tangled_like
 from repro.core.sharding import (
+    assert_buffers_equal,
     assert_scan_results_identical,
     assert_site_loads_identical,
     run_sharded_series,
     sharded_weight_catchment,
 )
-from repro.core.tables import TableStore
+from repro.core.tables import TableStore, ensure_array
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, PoolError
 from repro.load.estimator import LoadEstimate
@@ -28,6 +30,10 @@ from repro.obs import Observer
 def _engine_for(seed: int) -> FastScanEngine:
     scenario = tangled_like(scale="tiny", seed=seed)
     return FastScanEngine(Verfploeter(scenario.internet, scenario.service))
+
+
+def _attached_copy(payload):
+    return np.array(attached_array(*payload))
 
 
 def _slow_echo(payload):
@@ -105,6 +111,51 @@ class TestPoolReuse:
         assert metrics.value_of("pool.attach.hit") >= 2
         assert metrics.value_of("pool.tasks") == 4
         assert metrics.value_of("scan.shard.payload_bytes") > 0
+
+
+class TestAttachCacheBound:
+    """A worker keeps at most ``_ATTACH_CACHE_LIMIT`` attachments of each
+    kind; evicted ones re-attach from the store with the same bytes."""
+
+    def test_arrays_beyond_the_limit_are_evicted(self, tmp_path):
+        limit = pool_module._ATTACH_CACHE_LIMIT
+        store = TableStore(root=str(tmp_path))
+        arrays = [np.arange(i, i + 8, dtype=np.int64) for i in range(limit + 1)]
+        payloads = [(store.root, ensure_array(store, array)) for array in arrays]
+        observer = Observer.collecting()
+        with ShardPool(workers=0, store=store, observer=observer) as pool:
+            first = pool.map(_attached_copy, payloads)
+            again = pool.map(_attached_copy, payloads)
+        assert len(pool_module._CACHE.attached) <= limit
+        assert observer.metrics.value_of("pool.attach.evicted") >= 1
+        assert observer.metrics.value_of("pool.attach.miss") > len(payloads)
+        for copies in (first, again):
+            for copy, array in zip(copies, arrays):
+                assert_buffers_equal(copy, array)
+
+    def test_an_evicted_round_state_reattaches_identically(self, tmp_path):
+        limit = pool_module._ATTACH_CACHE_LIMIT
+        engine = _engine_for(3)
+        baseline = engine.run_series(rounds=1)[0]
+        store = TableStore(root=str(tmp_path))
+        arrays = [np.arange(i, i + 4, dtype=np.int64) for i in range(limit)]
+        payloads = [(store.root, ensure_array(store, array)) for array in arrays]
+        observer = Observer.collecting()
+        with ShardPool(workers=0, store=store, observer=observer) as pool:
+            for misses in (1, 2):  # attached, pushed out by the arrays, re-attached
+                merged = run_sharded_series(
+                    engine, rounds=1, shards=2, pool=pool, observer=observer
+                )[0]
+                assert_scan_results_identical(merged, baseline)
+                state_key = (store.root, engine.externalize(store))
+                assert state_key in pool_module._CACHE.attached
+                pool.map(_attached_copy, payloads)
+                assert state_key not in pool_module._CACHE.attached
+                assert (
+                    observer.metrics.value_of("pool.attach.miss")
+                    == misses * (1 + limit)
+                )
+        assert len(pool_module._CACHE.attached) <= limit
 
 
 class TestPoolLifecycle:

@@ -63,11 +63,11 @@ def test_schedule_uses_the_shared_stream():
 
 def test_fastscan_consumes_the_prober_stream(broot_verfploeter):
     pytest.importorskip("numpy")
-    from repro.core.fastscan import FastScanEngine
+    from repro.core.fastscan import FastScanEngine, send_offsets
 
     engine = FastScanEngine(broot_verfploeter)
     assert engine._prober is broot_verfploeter._prober
-    offsets = engine._send_offsets(round_id=1)
+    offsets = send_offsets(engine.state, round_id=1)
     schedule = broot_verfploeter._prober.schedule_round(round_id=1)
     index_of = {
         entry.address: index

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.core.sharding import (
     assert_scan_results_identical,
     assert_site_loads_identical,
     run_sharded_series,
+    scan_payloads,
     sharded_weight_catchment,
 )
 from repro.core.tables import (
@@ -28,6 +30,7 @@ from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import weight_catchment
+from repro.probing.hitlist import Hitlist
 
 
 def _engine_for(seed: int) -> FastScanEngine:
@@ -116,17 +119,14 @@ class TestShardedSeriesEquivalence:
             universe_size=sites.size,
             bounds=((0, boundary), (boundary, sites.size)),
         )
-        state = engine.state
         from repro.core.sharding import _merge_round, _scan_shard_worker
 
-        store = TableStore(root=str(tmp_path))
-        fingerprint = engine.externalize(store)
-        shard_rounds = [
-            _scan_shard_worker((store.root, fingerprint, start, stop, 0, 1))[0]
-            for start, stop in plan.bounds
-        ]
+        payloads = scan_payloads(
+            engine, TableStore(root=str(tmp_path)), plan.bounds, 0, 1
+        )
+        shard_rounds = [_scan_shard_worker(payload)[0] for payload in payloads]
         merged = _merge_round(
-            state, shard_rounds, plan.bounds, 0, 900.0, "fast-series"
+            engine, shard_rounds, plan.bounds, 0, 900.0, "fast-series"
         )
         assert_scan_results_identical(merged, baseline)
 
@@ -178,43 +178,64 @@ class TestPickling:
         assert clone.counts() == catchment.counts()
 
     def test_worker_payload_is_tiny(self, tmp_path):
-        # The zero-copy contract: a scan-shard payload is (store root,
-        # fingerprint, bounds, rounds) — a few hundred bytes no matter
-        # how many blocks the universe holds.
-        engine = _engine_for(3)
-        store = TableStore(root=str(tmp_path))
-        fingerprint = engine.externalize(store)
-        payload = (store.root, fingerprint, 0, engine.state.rows, 96)
-        assert len(pickle.dumps(payload)) < 4096
+        # The zero-copy contract, on the payloads run_sharded_series
+        # really submits: block-sized state travels as a fingerprint and
+        # routing as per-PoP columns, so the pickled bytes do not change
+        # when the same PoPs carry twice the blocks.
+        scenario = tangled_like(scale="tiny", seed=3)
+        full = Verfploeter(scenario.internet, scenario.service)
+        half = Verfploeter(
+            scenario.internet, scenario.service,
+            hitlist=Hitlist(list(full.hitlist)[::2]),
+        )
+        routing = full.routing_for()
+        # One shard each, and both universes inside pickle's two-byte
+        # integer range, so the bounds encode at one width.
+        assert 256 <= len(half.hitlist) < len(full.hitlist) < 65536
+        assert len(full.hitlist) >= 2 * len(half.hitlist) - 1
+        pickled = []
+        for verfploeter in (half, full):
+            engine = FastScanEngine(verfploeter, routing)
+            (payload,) = scan_payloads(
+                engine, TableStore(root=str(tmp_path)),
+                [(0, engine.state.rows)], 0, 96,
+            )
+            pickled.append((pickle.dumps(payload), pickle.dumps(engine.routes)))
+        (half_payload, half_routes), (full_payload, full_routes) = pickled
+        assert half_routes == full_routes
+        assert len(half_payload) == len(full_payload)
+        assert len(full_payload) < 16 * len(scenario.internet.pops)
 
     def test_worker_never_receives_a_universe_array(self, tmp_path):
         # Regression for the pre-pool protocol, which shipped the full
-        # RoundState (block/site/geo columns) to every worker: nothing
-        # in a payload may be an ndarray at all, let alone one the size
-        # of the block universe.
+        # RoundState (block/site/geo columns) to every worker: no leaf of
+        # a payload may be as long as the block universe — arrays stop
+        # at one entry per PoP (plus the sentinel) or per site.
         engine = _engine_for(3)
-        store = TableStore(root=str(tmp_path))
-        fingerprint = engine.externalize(store)
         plan = ShardPlan.split(engine.state.rows, 3)
-        payloads = [
-            (store.root, fingerprint, start, stop, 4)
-            for start, stop in plan.bounds
-        ]
+        payloads = scan_payloads(
+            engine, TableStore(root=str(tmp_path)), plan.bounds, 0, 4
+        )
+        pops = len(engine.verfploeter.internet.pops)
+        assert pops + 1 < engine.state.rows
 
         def flatten(value):
+            if dataclasses.is_dataclass(value):
+                value = dataclasses.astuple(value)
             if isinstance(value, (tuple, list)):
                 for item in value:
-                    yield from flatten(item)
-            elif isinstance(value, dict):
-                for item in value.values():
                     yield from flatten(item)
             else:
                 yield value
 
         for payload in payloads:
-            for leaf in flatten(pickle.loads(pickle.dumps(payload))):
-                assert not isinstance(leaf, np.ndarray)
-                assert isinstance(leaf, (str, int, float))
+            leaves = list(flatten(pickle.loads(pickle.dumps(payload))))
+            assert any(isinstance(leaf, np.ndarray) for leaf in leaves)
+            for leaf in leaves:
+                if isinstance(leaf, np.ndarray):
+                    assert leaf.ndim == 1 and leaf.size <= pops + 1
+                else:
+                    assert isinstance(leaf, (str, int, float))
 
     def test_scan_result_roundtrips_bitwise(self):
         engine = _engine_for(3)
