@@ -68,6 +68,7 @@ docs:
 	python tools/checkdocs.py
 	PYTHONPATH=src python examples/quickstart.py > /dev/null
 
+# Every example script end to end (`docs` runs only the quickstart).
 examples:
 	for script in examples/*.py; do echo "== $$script"; PYTHONPATH=src python $$script > /dev/null || exit 1; done
 
@@ -79,4 +80,4 @@ report:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-all: lint docs test serve-smoke bench-e2e-smoke bench
+all: lint docs examples test serve-smoke bench-e2e-smoke bench

@@ -13,7 +13,7 @@ from __future__ import annotations
 def test_ablation_retries(benchmark, broot, broot_vp, broot_routing_may):
     first = benchmark.pedantic(
         lambda: broot_vp.run_scan(
-            routing=broot_routing_may, round_id=50, wire_level=False
+            routing=broot_routing_may, round_id=50
         ),
         rounds=1,
         iterations=1,
@@ -21,7 +21,7 @@ def test_ablation_retries(benchmark, broot, broot_vp, broot_routing_may):
     # Retry pass: an immediate second attempt experiences fresh churn;
     # modelled as an independent round against the same routing.
     second = broot_vp.run_scan(
-        routing=broot_routing_may, round_id=51, wire_level=False
+        routing=broot_routing_may, round_id=51
     )
     combined = dict(second.catchment.items())
     combined.update(dict(first.catchment.items()))

@@ -14,7 +14,7 @@ def test_figure3_tangled_maps(benchmark, tangled, tangled_vp):
     routing = tangled_vp.routing_for()
     scan = benchmark.pedantic(
         lambda: tangled_vp.run_scan(
-            routing=routing, dataset_id="STV-2-01", wire_level=False
+            routing=routing, dataset_id="STV-2-01"
         ),
         rounds=1,
         iterations=1,

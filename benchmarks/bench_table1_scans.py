@@ -20,12 +20,12 @@ def test_table1_scan_datasets(
 ):
     scan = benchmark.pedantic(
         lambda: broot_vp.run_scan(
-            routing=broot_routing_may, dataset_id="SBV-5-15", wire_level=False
+            routing=broot_routing_may, dataset_id="SBV-5-15"
         ),
         rounds=1,
         iterations=1,
     )
-    tangled_scan = tangled_vp.run_scan(dataset_id="STV-2-01", wire_level=False)
+    tangled_scan = tangled_vp.run_scan(dataset_id="STV-2-01")
     tangled_atlas = tangled.atlas.measure(
         tangled_vp.routing_for(), tangled.service
     )

@@ -71,15 +71,14 @@ def broot_routing_april(broot):
 @pytest.fixture(scope="session")
 def broot_scan_may(broot_vp, broot_routing_may):
     return broot_vp.run_scan(
-        routing=broot_routing_may, dataset_id="SBV-5-15", wire_level=False
+        routing=broot_routing_may, dataset_id="SBV-5-15"
     )
 
 
 @pytest.fixture(scope="session")
 def broot_scan_april(broot_vp, broot_routing_april):
     return broot_vp.run_scan(
-        routing=broot_routing_april, round_id=1, dataset_id="SBV-4-21",
-        wire_level=False,
+        routing=broot_routing_april, round_id=1, dataset_id="SBV-4-21"
     )
 
 

@@ -25,7 +25,7 @@ from repro.analysis.containment import (
 def main() -> None:
     scenario = tangled_like(scale="small")
     verfploeter = Verfploeter(scenario.internet, scenario.service)
-    scan = verfploeter.run_scan(dataset_id="containment", wire_level=False)
+    scan = verfploeter.run_scan(dataset_id="containment")
     print(f"mapped {scan.mapped_blocks} /24s across "
           f"{len(scenario.service.sites)} sites\n")
 

@@ -28,7 +28,7 @@ def main() -> None:
           f"{scenario.internet.summary()['blocks']} /24s in topology")
 
     # One scan gives both the catchments and per-block RTTs.
-    scan = verfploeter.run_scan(dataset_id="cdn-planning", wire_level=False)
+    scan = verfploeter.run_scan(dataset_id="cdn-planning")
     summary = rtt_summary_by_site(scan)
     print(render_table(
         ["site", "/24s", "median RTT (ms)"],

@@ -34,6 +34,7 @@ from repro.core.playbook import (
 from repro.core.scenarios import SCALES, Scenario, broot_like, cdn_like, nl_like, tangled_like
 from repro.core.verfploeter import Verfploeter
 from repro.datasets import write_scan
+from repro.errors import ReproError
 from repro.load.estimator import LoadEstimate
 from repro.load.rssac import build_rssac_report
 from repro.obs import NULL_OBSERVER, Observer, run_metadata
@@ -157,9 +158,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
                 verfploeter, routing, "cli-scan", pool, shards=shards
             )
     else:
-        scan = verfploeter.run_scan(
-            routing=routing, dataset_id="cli-scan", wire_level=False
-        )
+        scan = verfploeter.run_scan(routing=routing, dataset_id="cli-scan")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
             write_scan(scan, stream)
@@ -247,7 +246,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
         scenario.internet, scenario.service, observer=observer
     )
     routing = verfploeter.routing_for()
-    scan = verfploeter.run_scan(routing=routing, wire_level=False)
+    scan = verfploeter.run_scan(routing=routing)
     measurement = scenario.atlas.measure(routing, scenario.service)
     print(format_coverage_table(
         compare_coverage(measurement, scan, scenario.internet)
@@ -262,7 +261,7 @@ def _cmd_loadmap(args: argparse.Namespace) -> int:
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
-    scan = verfploeter.run_scan(dataset_id="cli-loadmap", wire_level=False)
+    scan = verfploeter.run_scan(dataset_id="cli-loadmap")
     estimate = LoadEstimate(scenario.day_load("cli-day"))
     grid = load_grid(scan.catchment, estimate, scenario.internet.geodb, 4.0)
     print(render_ascii_map(grid))
@@ -362,7 +361,6 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
             capacities,
             max_prepend=args.max_prepend,
             depth=args.depth,
-            parallel=args.parallel,
             pool=pool,
             attack=profile,
             attacker_count=len(attackers),
@@ -407,7 +405,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
-    scan = verfploeter.run_scan(dataset_id="cli-suggest", wire_level=False)
+    scan = verfploeter.run_scan(dataset_id="cli-suggest")
     estimate = LoadEstimate(scenario.day_load("cli-day"))
     suggestions = suggest_sites(
         scan, scenario.internet.geodb, count=args.count,
@@ -615,13 +613,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="ranked configs to print (the artifact always has all)",
     )
     playbook.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
-        help="evaluate candidates on N threads (byte-identical to serial)",
-    )
-    playbook.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="shard scans and load joins over N worker processes "
-             "(0 runs the sharded path inline; byte-identical again)",
+             "(0 runs the sharded path inline; byte-identical either way)",
     )
     playbook.add_argument(
         "--out", default=None, metavar="FILE",
@@ -692,13 +686,19 @@ def main(
     ``observer`` lets callers (tests, embedding scripts) supply a
     pre-built :class:`~repro.obs.Observer` and inspect its tracer and
     metrics after the command returns, instead of round-tripping
-    through ``--metrics-out``/``--trace-out`` files.
+    through ``--metrics-out``/``--trace-out`` files.  A
+    :class:`~repro.errors.ReproError` from the command is reported as one
+    ``repro: error:`` line on stderr and exit code 2, like a usage error.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     if observer is not None:
         args.observer = observer
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -6,16 +6,13 @@ delta against it, and repeated configurations are dictionary hits.
 Results are bit-identical to scratch propagation either way.  Every
 scan runs on the deployment's columnar engine
 (:meth:`Verfploeter.engine_for`), in-process or — given a ``pool`` —
-sharded over worker processes with the same answer.  Drivers that
-sweep independent scenarios accept ``parallel=`` to fan the scenarios
-out across a thread pool; results keep configuration order.
+sharded over worker processes with the same answer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.atlas.platform import AtlasPlatform
 from repro.bgp.cache import RoutingCache, default_routing_cache
@@ -37,26 +34,6 @@ from repro.load.weighting import (
     weight_catchment,
 )
 
-_T = TypeVar("_T")
-
-
-def _run_indexed(
-    worker: Callable[[int], _T], count: int, parallel: int
-) -> List[_T]:
-    """Run ``worker(0..count-1)``, optionally on threads, in index order.
-
-    Scenario workers and playbook candidates are independent: they
-    compute (or cache-fetch) a routing outcome and run scans against
-    per-call state.  Shared structures they touch — the routing cache,
-    an outcome's memoised PoP/catchment maps, the planner's catchment
-    memo — take locks or perform idempotent writes of deterministic
-    values, so the fan-out cannot change results, only wall-clock time.
-    """
-    if parallel > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=min(parallel, count)) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(index) for index in range(count)]
-
 #: The paper's Figure 5/6 x-axis for B-Root.
 BROOT_PREPEND_CONFIGS: Tuple[Tuple[str, Mapping[str, int]], ...] = (
     ("+1 LAX", {"LAX": 1}),
@@ -72,7 +49,6 @@ def prepend_sweep(
     atlas: AtlasPlatform,
     configs: Sequence[Tuple[str, Mapping[str, int]]] = BROOT_PREPEND_CONFIGS,
     cache: Optional[RoutingCache] = None,
-    parallel: int = 1,
 ) -> List[PrependMeasurement]:
     """Measure each prepending configuration with Atlas and Verfploeter.
 
@@ -89,8 +65,8 @@ def prepend_sweep(
     with observer.tracer.span(
         "experiment.prepend_sweep", configs=len(configs)
     ):
-        # Seed the unprepended baseline before fanning out so every variant
-        # finds a delta baseline instead of propagating from scratch.
+        # Seed the unprepended baseline first so every variant finds a
+        # delta baseline instead of propagating from scratch.
         routing_cache.get_or_compute(internet, service.default_policy())
 
         def measure_config(index: int) -> PrependMeasurement:
@@ -102,7 +78,6 @@ def prepend_sweep(
                     routing=routing,
                     round_id=index,
                     dataset_id=f"prepend-{label.replace(' ', '')}",
-                    wire_level=False,
                 )
                 atlas_measurement = atlas.measure(
                     routing, service, measurement_id=index
@@ -115,7 +90,7 @@ def prepend_sweep(
                 scan=scan,
             )
 
-        return _run_indexed(measure_config, len(configs), parallel)
+        return [measure_config(index) for index in range(len(configs))]
 
 
 def run_stability_series(
@@ -124,7 +99,6 @@ def run_stability_series(
     rounds: int = 96,
     interval_seconds: float = 900.0,
     cache: Optional[RoutingCache] = None,
-    parallel: int = 1,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
     pool=None,
@@ -134,8 +108,7 @@ def run_stability_series(
     96 rounds at 15-minute spacing by default; returns per-round
     stable/flipped/to-NR/from-NR counts and per-block flip totals.
     The rounds run on the deployment's columnar engine (one precompute
-    for the whole series); ``parallel`` > 1 fans them out over threads.
-    ``shards``/``workers`` instead fan the same engine over the block
+    for the whole series); ``shards``/``workers`` fan it over the block
     universe in worker processes via
     :func:`repro.core.sharding.run_sharded_series` (bit-identical
     again), and an open :class:`repro.core.pool.ShardPool` passed as
@@ -163,13 +136,6 @@ def run_stability_series(
                 interval_seconds=interval_seconds,
                 dataset_prefix="stability",
                 pool=pool,
-            )
-        elif parallel > 1:
-            scans = verfploeter.engine_for(routing).run_series(
-                rounds=rounds,
-                interval_seconds=interval_seconds,
-                dataset_prefix="stability",
-                parallel=parallel,
             )
         else:
             scans = verfploeter.run_series(
@@ -255,8 +221,7 @@ def _scan_and_weigh(
     observer = verfploeter.observer
     if pool is None:
         scan = verfploeter.run_scan(
-            routing=routing, round_id=round_id, dataset_id=dataset_id,
-            wire_level=False,
+            routing=routing, round_id=round_id, dataset_id=dataset_id
         )
         return scan, weight_catchment(
             scan.catchment, estimate, observer=observer
@@ -276,7 +241,6 @@ def site_failure_study(
     estimate: LoadEstimate,
     sites: Optional[Sequence[str]] = None,
     cache: Optional[RoutingCache] = None,
-    parallel: int = 1,
     pool=None,
 ) -> List[SiteFailureResult]:
     """Withdraw each site in turn and predict the load redistribution.
@@ -336,7 +300,7 @@ def site_failure_study(
                 peak_after=peak_after,
             )
 
-        return _run_indexed(withdraw_site, len(study_sites), parallel)
+        return [withdraw_site(index) for index in range(len(study_sites))]
 
 
 @dataclass(frozen=True)
@@ -386,7 +350,7 @@ def prediction_decay_study(
             verfploeter.internet, base_policy, config=RoutingConfig(era=eras[0])
         )
         base_scan = verfploeter.run_scan(
-            routing=base_routing, dataset_id="decay-base", wire_level=False
+            routing=base_routing, dataset_id="decay-base"
         )
         base_estimate = LoadEstimate(day_load_builder(eras[0]))
         prediction = weight_catchment(
@@ -408,56 +372,3 @@ def prediction_decay_study(
                 DecayPoint(era=era, predicted=predicted, actual=actual)
             )
         return points
-
-
-@dataclass(frozen=True)
-class AttackAbsorption:
-    """How a DDoS from a given attacker population lands on the sites.
-
-    The paper's DDoS motivation (§1, §6.1 and the Nov-2015 root event
-    study [33]): anycast "absorbs" attacks by splitting them across
-    catchments, so matching attack share to per-site capacity is the
-    defensive question.  ``share`` is each site's fraction of attacker
-    blocks; ``unmapped`` attackers are outside all catchments.
-    """
-
-    share: Dict[str, float]
-    attacker_blocks: int
-    unmapped: int
-
-    def hottest_site(self) -> Tuple[str, float]:
-        """The site absorbing the largest attack share."""
-        site = max(self.share, key=self.share.get)
-        return site, self.share[site]
-
-
-def attack_absorption(
-    routing: "RoutingOutcome",
-    attacker_blocks: Sequence[int],
-    round_id: Optional[int] = None,
-) -> AttackAbsorption:
-    """Split an attacker population over the current catchments.
-
-    ``attacker_blocks`` is the set of /24s sourcing attack traffic
-    (e.g. a botnet sample or one country's blocks); per-block volume is
-    treated as uniform, matching how operators reason about spoofless
-    volumetric attacks at block granularity.
-    """
-    counts: Dict[str, int] = {code: 0 for code in routing.policy.site_codes}
-    unmapped = 0
-    for block in attacker_blocks:
-        site = routing.site_of_block(block, round_id)
-        if site is None:
-            unmapped += 1
-        else:
-            counts[site] += 1
-    mapped = sum(counts.values())
-    share = {
-        code: (count / mapped if mapped else 0.0)
-        for code, count in counts.items()
-    }
-    return AttackAbsorption(
-        share=share,
-        attacker_blocks=len(attacker_blocks),
-        unmapped=unmapped,
-    )

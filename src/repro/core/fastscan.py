@@ -39,7 +39,6 @@ the equivalence suite compares against.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -51,7 +50,7 @@ from repro.bgp.instability import FlipModelConfig
 from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import BlockValueMap
 from repro.core.verfploeter import ScanResult, ScanStats, Verfploeter
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MeasurementError
 from repro.geo.distance import EARTH_RADIUS_KM
 from repro.icmp import latency as _latency
 from repro.obs import Observer
@@ -272,8 +271,8 @@ def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
     One slot: a sweep over routing states at one round id draws once, a
     series over round ids holds one round at a time (the stale one is
     released before the next is built).  Read once and assigned once, so
-    concurrent callers (the ``parallel=`` thread fan-outs) at worst draw
-    a round each — never see half of one.
+    concurrent callers at worst draw a round each — never see half of
+    one.
     """
     draws = state._draws
     if draws is not None and draws.round_id == round_id:
@@ -678,29 +677,20 @@ class FastScanEngine:
         rounds: int,
         interval_seconds: float = 900.0,
         dataset_prefix: str = "fast-series",
-        parallel: int = 1,
     ) -> List[ScanResult]:
         """A stability series, vectorised round by round.
 
-        ``parallel`` > 1 fans the rounds out over a thread pool
-        (mirroring the experiment drivers' opt-in fan-out): each round
-        reads only the engine's immutable precomputed arrays, so the
-        fan-out changes wall-clock time, never results.  Results keep
-        round order either way.  For process-level fan-out sharded over
-        the block universe, see :func:`repro.core.sharding.run_sharded_series`.
+        For fan-out over worker processes, sharded over the block
+        universe, see :func:`repro.core.sharding.run_sharded_series`.
         """
-
-        def one_round(round_id: int) -> ScanResult:
-            return self.run_scan(
-                round_id=round_id,
-                start_time=round_id * interval_seconds,
-                dataset_id=f"{dataset_prefix}-r{round_id:03d}",
-            )
-
-        with self.observer.tracer.span(
-            "fastscan.series", rounds=rounds, parallel=parallel
-        ):
-            if parallel > 1 and rounds > 1:
-                with ThreadPoolExecutor(max_workers=min(parallel, rounds)) as pool:
-                    return list(pool.map(one_round, range(rounds)))
-            return [one_round(round_id) for round_id in range(rounds)]
+        if rounds < 1:
+            raise MeasurementError("rounds must be >= 1")
+        with self.observer.tracer.span("fastscan.series", rounds=rounds):
+            return [
+                self.run_scan(
+                    round_id=round_id,
+                    start_time=round_id * interval_seconds,
+                    dataset_id=f"{dataset_prefix}-r{round_id:03d}",
+                )
+                for round_id in range(rounds)
+            ]

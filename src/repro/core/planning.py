@@ -142,9 +142,7 @@ def evaluate_site_addition(
 
     def scan(vp: Verfploeter, routing, dataset_id: str) -> ScanResult:
         if pool is None:
-            return vp.run_scan(
-                routing=routing, dataset_id=dataset_id, wire_level=False
-            )
+            return vp.run_scan(routing=routing, dataset_id=dataset_id)
         from repro.core.sharding import run_sharded_scan
 
         return run_sharded_scan(vp, routing, dataset_id, pool)

@@ -14,11 +14,11 @@ overwhelmed.  This module is that search over our substrate:
    propagation on first sight, dictionary hits after), a memoised
    vectorised catchment scan per distinct policy, and the columnar
    :func:`~repro.load.weighting.weight_catchment` join against the
-   attack-day load — optionally fanned over threads or a
+   attack-day load — optionally fanned over a
    :class:`~repro.core.pool.ShardPool`;
 3. the result ranks configs by (capacity violations, worst peak
-   utilisation, config id) — byte-identically across runs, serial or
-   parallel — and renders to a canonical JSON artifact with per-config
+   utilisation, config id) — byte-identically across runs, in-process
+   or pooled — and renders to a canonical JSON artifact with per-config
    before/after load tables and an "absorber" recommendation.
 
 Capacity semantics are the repo-wide pinned definition of
@@ -42,7 +42,6 @@ from repro.bgp.cache import (
 )
 from repro.bgp.policy import AnnouncementPolicy
 from repro.collector.results import ScanResult
-from repro.core.experiments import _run_indexed
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError
 from repro.load.estimator import LoadEstimate
@@ -216,11 +215,11 @@ class Playbook:
         """The playbook as a plain deterministic dict (artifact schema).
 
         Stats that legitimately vary between equivalent runs — cache
-        hit counts under thread races, wall-clock — are deliberately
-        absent: two same-seed searches must render byte-identically,
-        serial or parallel, cold caches or warm (they live in the
-        metrics/trace sidecars instead).  Floats are rounded to 6
-        decimals for a stable, readable rendering.
+        hit counts, wall-clock — are deliberately absent: two same-seed
+        searches must render byte-identically, in-process or pooled,
+        cold caches or warm (they live in the metrics/trace sidecars
+        instead).  Floats are rounded to 6 decimals for a stable,
+        readable rendering.
         """
         def table(outcome: ConfigOutcome) -> dict:
             return {
@@ -339,7 +338,7 @@ class PlaybookPlanner:
             )
         else:
             scan = self.verfploeter.run_scan(
-                routing=routing, dataset_id=dataset_id, wire_level=False
+                routing=routing, dataset_id=dataset_id
             )
         with self._memo_lock:
             self._catchments.setdefault(key, scan.catchment)
@@ -427,7 +426,6 @@ class PlaybookPlanner:
         capacities: Dict[str, float],
         max_prepend: int = 3,
         depth: int = 1,
-        parallel: int = 1,
         pool=None,
         attack: Optional[AttackProfile] = None,
         attacker_count: int = 0,
@@ -437,12 +435,9 @@ class PlaybookPlanner:
         ``estimate`` is the *attack-day* load (compose one with
         :func:`repro.traffic.attack.compose_attack`); ``capacities``
         come from :func:`derive_capacities` over the normal day.
-        ``parallel`` > 1 fans candidate evaluations over threads; an
-        open :class:`~repro.core.pool.ShardPool` as ``pool`` instead
-        shards each scan and load join over warm worker processes
-        (``pool`` takes precedence — candidates then run in sequence so
-        the pool is never contended).  Either way the ranked result is
-        byte-identical to the serial search.
+        An open :class:`~repro.core.pool.ShardPool` as ``pool`` shards
+        each scan and load join over warm worker processes; the ranked
+        result is byte-identical to the in-process search.
         """
         service = self.verfploeter.service
         internet = self.verfploeter.internet
@@ -460,8 +455,7 @@ class PlaybookPlanner:
             # so every variant propagates as a delta, not from scratch.
             self.cache.get_or_compute(internet, service.default_policy())
 
-            def evaluate(index: int) -> ConfigOutcome:
-                entry = entries[index]
+            def evaluate(entry: PlaybookEntry) -> ConfigOutcome:
                 with observer.tracer.span(
                     "playbook.candidate", label=entry.label
                 ):
@@ -480,8 +474,7 @@ class PlaybookPlanner:
                 observer.metrics.counter("playbook.configs_evaluated").inc()
                 return self._outcome(entry, load, capacities)
 
-            fanout = 1 if pool is not None else parallel
-            outcomes = _run_indexed(evaluate, len(entries), fanout)
+            outcomes = [evaluate(entry) for entry in entries]
             baseline = outcomes[0]
             ranked = sorted(outcomes, key=ConfigOutcome.sort_key)
             span.set(configs=len(entries))

@@ -426,7 +426,7 @@ def run_sharded_scan(
     """One scan of ``routing`` fanned over ``pool``'s warm workers.
 
     Bit-identical to ``verfploeter.run_scan(routing=routing,
-    round_id=round_id, dataset_id=dataset_id, wire_level=False)`` — the
+    round_id=round_id, dataset_id=dataset_id)`` — the
     engine comes from the same per-deployment memo and the lone round
     starts at time 0 — so passing a pool never changes a driver's answer.
     """

@@ -34,8 +34,6 @@ from repro.probing.hitlist import Hitlist, build_hitlist
 from repro.probing.prober import Prober, ProberConfig
 from repro.topology.internet import Internet
 
-_WIRE_LEVEL_CUTOFF = 5_000
-
 CAPTURE_STYLES = ("streaming", "lander", "pcap", "pcapbin")
 
 
@@ -133,8 +131,8 @@ class Verfploeter:
     def round_state(self) -> "RoundState":
         """The routing-invariant scan state, built once per deployment and
         shared read-only by every engine on it (the :meth:`engine_for`
-        slot and directly built ones alike).  Locked, so racing
-        ``parallel=`` threads still build it once."""
+        slot and directly built ones alike).  Locked, so concurrent
+        callers still build it once."""
         with self._round_state_lock:
             if self._round_state is None:
                 from repro.core.fastscan import build_round_state
@@ -154,9 +152,9 @@ class Verfploeter:
         precompute, a sweep over routing states one set of per-PoP route
         columns each (the block columns are :meth:`round_state`'s).  The
         slot is assigned only after construction, so concurrent callers
-        (the ``parallel=`` thread fan-outs) at worst build an engine each
-        — never observe one bound to another routing.  Imported lazily
-        because :mod:`repro.core.fastscan` imports this module.
+        at worst build an engine each — never observe one bound to
+        another routing.  Imported lazily because
+        :mod:`repro.core.fastscan` imports this module.
         """
         engine = self._engine
         if engine is None or engine.routing is not routing:
@@ -172,24 +170,21 @@ class Verfploeter:
         round_id: int = 0,
         start_time: float = 0.0,
         dataset_id: Optional[str] = None,
-        wire_level: Optional[bool] = None,
+        wire_level: bool = False,
     ) -> ScanResult:
         """Run one measurement round and return the cleaned catchment.
 
-        ``wire_level=True`` (and the automatic choice for small
-        hitlists) walks the paper's Figure 1 packet by packet — full
-        ICMP encode/decode, per-site captures, central merge, cleaning
-        — and is the oracle the equivalence suites compare against.
-        Every other call evaluates the round on the columnar
-        :meth:`engine_for` this routing state: same catchment, same
-        stats, RTTs equal to 1e-9.
+        ``wire_level=True`` walks the paper's Figure 1 packet by packet
+        — full ICMP encode/decode, per-site captures, central merge,
+        cleaning — and is the oracle the equivalence suites compare
+        against.  Every other call, whatever the hitlist size, evaluates
+        the round on the columnar :meth:`engine_for` this routing state:
+        same catchment, same stats, RTTs equal to 1e-9.
         """
         if routing is not None and policy is not None:
             raise MeasurementError("pass either routing or policy, not both")
         if routing is None:
             routing = self.routing_for(policy)
-        if wire_level is None:
-            wire_level = len(self.hitlist) <= _WIRE_LEVEL_CUTOFF
         dataset_id = dataset_id or f"scan-r{round_id}"
         if not wire_level:
             return self.engine_for(routing).run_scan(
@@ -301,7 +296,6 @@ class Verfploeter:
                 round_id=round_id,
                 start_time=round_id * interval_seconds,
                 dataset_id=f"{dataset_prefix}-r{round_id:03d}",
-                wire_level=False,
             )
             for round_id in range(rounds)
         ]

@@ -5,7 +5,7 @@ Edges come in two strengths:
 * **call** edges — an ``ast.Call`` whose callee resolves to an indexed
   function (including ``self.method`` and ``module.func`` forms);
 * **reference** edges — an indexed function passed *as an argument*
-  (``pool.map(worker, ...)``, ``_run_indexed(measure, count)``), the
+  (``pool.map(worker, ...)``, ``sorted(rows, key=rank)``), the
   standard approximation for first-order higher-order flow.
 
 Calls inside nested ``def``s and lambdas are attributed to the

@@ -17,10 +17,9 @@ Three hazards are invisible to any single-file pass:
   module, so parent and worker copies diverge silently.  This extends
   the per-file D112 hygiene check transitively.
 * **W503** — order-sensitive float accumulation.  Functions reachable
-  from shard workers or ``parallel=`` thread fan-outs must not grow
-  float accumulators in loops: float addition is non-associative, so
-  any accumulation whose order can depend on shard boundaries or
-  completion order breaks bit-identity.
+  from shard workers must not grow float accumulators in loops: float
+  addition is non-associative, so any accumulation whose order can
+  depend on shard boundaries breaks bit-identity.
 
 All three rules share one :class:`WholeProgramContext` (built lazily by
 the engine) holding the :class:`~repro.lint.index.ProjectIndex` and
@@ -42,7 +41,6 @@ from repro.lint.violations import LIBRARY, Violation, register_rule
 _DERIVE_NAMES = ("derive_seed", "derive_rng")
 
 _PROCESS_POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool", "ShardPool"})
-_THREAD_POOL_CTORS = frozenset({"ThreadPoolExecutor"})
 
 _MUTATOR_METHODS = frozenset(
     {
@@ -97,7 +95,6 @@ class PoolRoot:
     """One function that executes as a pool submit/map target."""
 
     qualname: str
-    kind: str  # "process" | "thread"
     path: str
     line: int
 
@@ -105,32 +102,17 @@ class PoolRoot:
 # -- pool-root discovery ---------------------------------------------------
 
 
-def _ctor_kind(name: Optional[str]) -> Optional[str]:
-    if name in _PROCESS_POOL_CTORS:
-        return "process"
-    if name in _THREAD_POOL_CTORS:
-        return "thread"
-    return None
-
-
-def _pool_ctor_kind(value: ast.AST) -> Optional[str]:
-    """Pool kind of an expression that constructs a pool, if any.
+def _constructs_pool(value: ast.AST) -> bool:
+    """Whether an expression constructs a process pool.
 
     Handles the bare ctor and one level of wrapping —
     ``stack.enter_context(ProcessPoolExecutor(...))`` — which is how
     pools are opened inside an ``ExitStack``.
     """
     if not isinstance(value, ast.Call):
-        return None
-    kind = _ctor_kind(_callee_attr(value.func))
-    if kind is not None:
-        return kind
-    for argument in value.args:
-        if isinstance(argument, ast.Call):
-            kind = _ctor_kind(_callee_attr(argument.func))
-            if kind is not None:
-                return kind
-    return None
+        return False
+    calls = [value, *(arg for arg in value.args if isinstance(arg, ast.Call))]
+    return any(_callee_attr(call.func) in _PROCESS_POOL_CTORS for call in calls)
 
 
 def _callee_attr(func: ast.AST) -> Optional[str]:
@@ -182,11 +164,8 @@ def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
     roots: Dict[str, PoolRoot] = {}
     hosts: Dict[str, str] = {}  # host qualname -> parameter name
 
-    def add_root(qualname: str, kind: str, path: str, line: int) -> None:
-        existing = roots.get(qualname)
-        # A process root outranks a thread root for the same function.
-        if existing is None or (existing.kind == "thread" and kind == "process"):
-            roots[qualname] = PoolRoot(qualname, kind, path, line)
+    def add_root(qualname: str, path: str, line: int) -> None:
+        roots.setdefault(qualname, PoolRoot(qualname, path, line))
 
     scopes: List[Tuple[ModuleInfo, ast.AST, str, Optional[str], Optional[FunctionInfo]]] = []
     for module in index.modules.values():
@@ -205,21 +184,21 @@ def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
             scopes.append((module, info.node, info.qualname, info.class_name, info))
 
     for module, scope, owner, class_name, info in scopes:
-        pools: Dict[str, str] = {}  # local name -> "process"/"thread"
-        submitters: Dict[str, str] = {}  # name bound to pool.submit/pool.map
+        pools: Set[str] = set()  # local names bound to a pool
+        submitters: Set[str] = set()  # names bound to pool.submit/pool.map
         for node in ast.walk(scope):
             if isinstance(node, ast.Assign):
-                kind = _pool_ctor_kind(node.value)
-                if kind is not None:
+                if _constructs_pool(node.value):
                     for target in node.targets:
                         if isinstance(target, ast.Name):
-                            pools[target.id] = kind
+                            pools.add(target.id)
             elif isinstance(node, (ast.With, ast.AsyncWith)):
                 for item in node.items:
-                    if isinstance(item.optional_vars, ast.Name):
-                        kind = _pool_ctor_kind(item.context_expr)
-                        if kind is not None:
-                            pools[item.optional_vars.id] = kind
+                    bound = item.optional_vars
+                    if isinstance(bound, ast.Name) and _constructs_pool(
+                        item.context_expr
+                    ):
+                        pools.add(bound.id)
         for node in ast.walk(scope):
             if (
                 isinstance(node, ast.Assign)
@@ -230,49 +209,38 @@ def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
             ):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
-                        submitters[target.id] = pools[node.value.value.id]
+                        submitters.add(target.id)
         nested = _nested_defs(scope)
         params = set(info.params) if info is not None else set()
         for node in ast.walk(scope):
             if not isinstance(node, ast.Call):
                 continue
-            kind = None
-            target: Optional[ast.AST] = None
             func = node.func
-            if (
+            submits = (
                 isinstance(func, ast.Attribute)
                 and func.attr in ("submit", "map")
                 and isinstance(func.value, ast.Name)
                 and func.value.id in pools
-                and node.args
-            ):
-                kind = pools[func.value.id]
-                target = node.args[0]
-            elif (
-                isinstance(func, ast.Name)
-                and func.id in submitters
-                and node.args
-            ):
-                kind = submitters[func.id]
-                target = node.args[0]
-            if kind is None or target is None:
+            ) or (isinstance(func, ast.Name) and func.id in submitters)
+            if not (submits and node.args):
                 continue
+            target = node.args[0]
             if isinstance(target, ast.Lambda):
                 if info is not None:
-                    add_root(owner, kind, module.path, target.lineno)
+                    add_root(owner, module.path, target.lineno)
                 continue
             if isinstance(target, ast.Name):
                 if target.id in params:
                     hosts[owner] = target.id
-                    add_root(owner, kind, module.path, target.lineno)
+                    add_root(owner, module.path, target.lineno)
                     continue
                 if target.id in nested:
                     if info is not None:
-                        add_root(owner, kind, module.path, target.lineno)
+                        add_root(owner, module.path, target.lineno)
                     continue
             resolved = index.resolve(module, target, class_name)
             if resolved is not None and resolved in index.functions:
-                add_root(resolved, kind, module.path, target.lineno)
+                add_root(resolved, module.path, target.lineno)
 
     # Second pass: promote callables passed into higher-order hosts.
     if hosts:
@@ -285,8 +253,7 @@ def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
                 if callee is None or callee not in hosts:
                     continue
                 host_info = index.function_at(callee)
-                host_root = roots.get(callee)
-                if host_info is None or host_root is None:
+                if host_info is None or callee not in roots:
                     continue
                 bound = _map_call_args(host_info, node)
                 argument = bound.get(hosts[callee])
@@ -294,11 +261,11 @@ def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
                     continue
                 if isinstance(argument, ast.Name) and argument.id in nested:
                     if info is not None:
-                        add_root(owner, host_root.kind, module.path, argument.lineno)
+                        add_root(owner, module.path, argument.lineno)
                     continue
                 resolved = index.resolve(module, argument, class_name)
                 if resolved is not None and resolved in index.functions:
-                    add_root(resolved, host_root.kind, module.path, argument.lineno)
+                    add_root(resolved, module.path, argument.lineno)
     return roots
 
 
@@ -790,11 +757,7 @@ class PoolEscapeRule:
         context = _context_for(files, context)
         index = context.index
         graph = context.graph
-        roots = [
-            root.qualname
-            for root in context.pool_roots.values()
-            if root.kind == "process"
-        ]
+        roots = [root.qualname for root in context.pool_roots.values()]
         if not roots:
             return []
         library_paths = {source.path for source in files}
@@ -936,17 +899,17 @@ class FloatAccumulationRule:
     rule_id = "W503"
     name = "shard-float-accumulation"
     description = (
-        "functions reachable from a shard worker or thread fan-out must "
-        "not grow float accumulators in loops: float addition is "
-        "non-associative, so any order dependence on shard boundaries or "
-        "completion order breaks bit-identity; accumulate integers, or "
-        "sum in the parent in a fixed order"
+        "functions reachable from a shard worker must not grow float "
+        "accumulators in loops: float addition is non-associative, so "
+        "any order dependence on shard boundaries breaks bit-identity; "
+        "accumulate integers, or sum in the parent in a fixed order"
     )
     scope = "project"
     kinds = (LIBRARY,)
     wants_context = True
     #: v2: ShardPool fan-outs count as process-pool roots.
-    version = 2
+    #: v3: thread pools are no longer roots (D112 bans them outright).
+    version = 3
 
     def check(self, files, context=None) -> Iterable[Violation]:
         context = _context_for(files, context)
@@ -970,7 +933,7 @@ class FloatAccumulationRule:
                         f"float accumulation into '{target}' inside a loop; "
                         f"'{info.display}' is reachable from a pool fan-out "
                         f"({chain}), where accumulation order can depend on "
-                        "sharding or completion order",
+                        "sharding",
                     )
                 )
         return findings

@@ -11,6 +11,9 @@ method (a lambda or a nested ``def`` imports fine under ``fork`` and
 then breaks on every other platform, or silently captures stale parent
 state).  This rule enforces both halves: no pool machinery outside the
 sanctioned homes, and no unpicklable submission targets anywhere.
+Thread pools get the first half only: ``ShardPool`` is the library's one
+fan-out mechanism, so a ``ThreadPoolExecutor`` import outside the pool
+homes is flagged too.
 """
 
 from __future__ import annotations
@@ -108,16 +111,18 @@ class ProcessPoolHygieneRule:
     description = (
         "process-level fan-out belongs in the sanctioned pool homes "
         "(repro.core.pool, repro.lint.parallel); importing "
-        "multiprocessing or ProcessPoolExecutor elsewhere in the library "
-        "is flagged, and pool submit/map targets must be top-level "
-        "functions — lambdas and nested defs do not pickle under spawn"
+        "multiprocessing, ProcessPoolExecutor or ThreadPoolExecutor "
+        "elsewhere in the library is flagged, and pool submit/map "
+        "targets must be top-level functions — lambdas and nested defs "
+        "do not pickle under spawn"
     )
     scope = "file"
     kinds = ALL_KINDS
     #: v2: repro.lint.parallel joined the sanctioned pool homes.
     #: v3: repro.core.pool replaced repro.core.sharding as the library's
     #: pool home, and ShardPool counts as a pool constructor.
-    version = 3
+    #: v4: ThreadPoolExecutor imports are flagged like process pools.
+    version = 4
 
     _POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool", "ShardPool"})
 
@@ -175,6 +180,14 @@ class ProcessPoolHygieneRule:
                                 "a sanctioned pool home; route process "
                                 "fan-out through repro.core.pool",
                                 alias.asname or alias.name,
+                            )
+                        elif alias.name == "ThreadPoolExecutor":
+                            yield (
+                                node,
+                                "import of ThreadPoolExecutor outside "
+                                "a sanctioned pool home; repro.core.pool "
+                                "is the one fan-out mechanism",
+                                None,
                             )
 
     def _target_findings(self, tree: ast.Module, pool_ctors: Set[str]):

@@ -9,9 +9,9 @@ across reruns — tests pin trace *shape* without depending on wall
 time.  Operators who want wall-clock durations inject
 ``time.perf_counter`` instead.
 
-The tracer keeps one span stack per thread: spans opened on a worker
-thread (the experiment drivers' opt-in ``parallel=`` fan-out) become
-additional roots in completion order.  Deterministic artifacts
+The tracer keeps one span stack per thread: spans opened on another
+thread (the daemon's ingest thread, a library user's own threads)
+become additional roots in completion order.  Deterministic artifacts
 therefore come from sequential runs, which is what the CLI and the
 report generator do.
 """

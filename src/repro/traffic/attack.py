@@ -179,8 +179,7 @@ def compose_attack(
     """Sample the hotspot and overlay it in one step.
 
     Convenience for the CLI / planner path: returns the attack-day load
-    together with the attacker blocks (the latter feed
-    :func:`repro.core.experiments.attack_absorption` and the playbook
+    together with the attacker blocks (the latter feed the playbook
     artifact's attacker count).
     """
     attackers = hotspot_blocks(

@@ -244,14 +244,3 @@ class TestSweepIntegration:
         assert cache.stats.full_computes == 1
         assert cache.stats.hits == 1
         assert cache.stats.delta_computes == len(BROOT_PREPEND_CONFIGS) - 1
-
-    def test_prepend_sweep_parallel_matches_serial(self, broot):
-        verfploeter = Verfploeter(broot.internet, broot.service)
-        serial = prepend_sweep(verfploeter, broot.atlas, cache=RoutingCache())
-        threaded = prepend_sweep(
-            verfploeter, broot.atlas, cache=RoutingCache(), parallel=4
-        )
-        assert [m.label for m in serial] == [m.label for m in threaded]
-        for one, other in zip(serial, threaded):
-            assert one.verfploeter_fractions == other.verfploeter_fractions
-            assert one.atlas_fractions == other.atlas_fractions

@@ -90,6 +90,23 @@ class TestCommands:
         assert first != second
 
 
+class TestTypedErrors:
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--rounds", "0"], "rounds must be >= 1"),
+            (["--rounds", "2", "--shards", "0"], "shards must be >= 1"),
+        ],
+        ids=["zero-rounds", "zero-shards"],
+    )
+    def test_repro_errors_exit_2_with_one_stderr_line(self, extra, message, capsys):
+        """A ``ReproError`` reaches the operator as a message, not a traceback."""
+        assert main(["stability", *TANGLED_TINY, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"repro: error: {message}\n"
+
+
 class TestObservability:
     """--metrics-out / --trace-out round-trips and artifact determinism."""
 
@@ -248,6 +265,27 @@ class TestEngineIdentity:
         assert (tmp_path / "wire.tsv").read_bytes() == (
             tmp_path / "engine.tsv"
         ).read_bytes()
+
+    def test_paper_report_equals_wire_oracle(self, tmp_path, capsys, wire_oracle):
+        """``paper`` spells no engine choice, and at ``tiny`` (under 5,000
+        blocks) once picked its engine by hitlist size."""
+
+        def run(outdir):
+            argv = ["paper", *TINY, "--rounds", "4", "--outdir", str(outdir)]
+            assert main(argv) == 0
+            return capsys.readouterr().out.replace(str(outdir), "DIR")
+
+        default = run(tmp_path / "engine")
+        with wire_oracle():
+            wire = run(tmp_path / "wire")
+        assert wire == default
+        files = sorted(path.name for path in (tmp_path / "engine").iterdir())
+        assert "REPORT.md" in files
+        assert files == sorted(path.name for path in (tmp_path / "wire").iterdir())
+        for name in files:
+            assert (tmp_path / "wire" / name).read_bytes() == (
+                tmp_path / "engine" / name
+            ).read_bytes()
 
     def test_stability_equals_inline_shards(self, capsys):
         argv = ["stability", *TANGLED_TINY, "--rounds", "4"]

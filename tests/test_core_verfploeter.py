@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import math
-import sys
 
 import pytest
 
-from repro.bgp.cache import RoutingCache
-from repro.core.experiments import prepend_sweep
 from repro.core.fastscan import FastScanEngine
 from repro.core.sharding import assert_scan_results_identical
 from repro.core.verfploeter import Verfploeter
@@ -122,25 +119,6 @@ class TestEngineMemo:
         # A single slot: every switch of routing state rebuilds.
         assert observer.tracer.span_names().count("fastscan.precompute") == 6
 
-    def test_parallel_sweep_equals_serial(self, broot_tiny):
-        """Five routing states race for the one slot on four threads."""
-        verfploeter = Verfploeter(broot_tiny.internet, broot_tiny.service)
-        serial = prepend_sweep(
-            verfploeter, broot_tiny.atlas, cache=RoutingCache()
-        )
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threaded = prepend_sweep(
-                verfploeter, broot_tiny.atlas, cache=RoutingCache(), parallel=4
-            )
-        finally:
-            sys.setswitchinterval(interval)
-        assert [m.label for m in threaded] == [m.label for m in serial]
-        for one, other in zip(serial, threaded):
-            assert_scan_results_identical(other.scan, one.scan)
-            assert other.verfploeter_fractions == one.verfploeter_fractions
-
 
 class TestCaptureStyles:
     @pytest.mark.parametrize("style", ["streaming", "lander", "pcap", "pcapbin"])
@@ -154,6 +132,39 @@ class TestCaptureStyles:
             routing=broot_routing, wire_level=True
         )
         assert dict(scan.catchment.items()) == dict(reference.catchment.items())
+
+    @pytest.mark.parametrize("style", ["streaming", "lander", "pcap", "pcapbin"])
+    def test_style_is_oracle_only(self, broot_tiny, broot_routing, broot_scan, style):
+        """``capture_style`` shapes the packet-level oracle's captures and
+        nothing else: the default scan never touches a capture and is the
+        same scan under all four styles."""
+        observer = Observer.collecting()
+        verfploeter = Verfploeter(
+            broot_tiny.internet, broot_tiny.service, capture_style=style,
+            observer=observer,
+        )
+        default = verfploeter.run_scan(
+            routing=broot_routing, dataset_id=broot_scan.dataset_id
+        )
+        assert_scan_results_identical(default, broot_scan)
+        sites = broot_tiny.service.site_codes
+
+        def captured():
+            return sum(
+                observer.metrics.value_of("collector.site_replies", site=code) or 0
+                for code in sites
+            )
+
+        assert captured() == 0
+        wire = verfploeter.run_scan(routing=broot_routing, wire_level=True)
+        assert captured() == wire.stats.replies_received > 0
+        assert wire.stats == default.stats
+        assert dict(wire.catchment.items()) == dict(default.catchment.items())
+        assert set(wire.rtts) == set(default.rtts)
+        # pcap files keep microsecond timestamps; the other captures are exact.
+        tolerance = 1e-3 if style.startswith("pcap") else 1e-9
+        for block, rtt in wire.rtts.items():
+            assert math.isclose(default.rtts[block], rtt, abs_tol=tolerance)
 
     def test_unknown_style_rejected(self, broot_tiny):
         with pytest.raises(ConfigurationError):

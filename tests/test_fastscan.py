@@ -10,7 +10,8 @@ from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
 from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
-from repro.core.sharding import assert_scan_results_identical
+from repro.core.sharding import assert_scan_results_identical, run_sharded_series
+from repro.errors import ConfigurationError, MeasurementError
 from repro.probing.order import PseudorandomOrder
 
 
@@ -50,6 +51,27 @@ class TestEquivalence:
         scans = engine.run_series(rounds=3, interval_seconds=100.0)
         assert [scan.round_id for scan in scans] == [0, 1, 2]
         assert [scan.start_time for scan in scans] == [0.0, 100.0, 200.0]
+
+    @pytest.mark.parametrize(
+        "entry_point,error",
+        [
+            (lambda vp, engine: vp.run_series(rounds=0), MeasurementError),
+            (lambda vp, engine: engine.run_series(rounds=0), MeasurementError),
+            (
+                lambda vp, engine: run_sharded_series(
+                    engine, rounds=0, shards=2, workers=0
+                ),
+                ConfigurationError,
+            ),
+        ],
+        ids=["deployment", "engine", "sharded"],
+    )
+    def test_every_series_entry_point_rejects_zero_rounds(
+        self, broot_verfploeter, engine, entry_point, error
+    ):
+        """A typed error from all three, never a silent empty series."""
+        with pytest.raises(error, match="rounds must be >= 1"):
+            entry_point(broot_verfploeter, engine)
 
     def test_stability_series_fast_equals_slow(
         self, broot_verfploeter, wire_oracle
@@ -113,25 +135,6 @@ class TestColumnarResults:
         scans = engine.run_series(rounds=3)
         universes = [scan.catchment.universe for scan in scans]
         assert all(universe is universes[0] for universe in universes)
-
-    def test_parallel_series_equals_serial(self, engine):
-        serial = engine.run_series(rounds=4, interval_seconds=50.0)
-        threaded = engine.run_series(rounds=4, interval_seconds=50.0, parallel=4)
-        assert [scan.dataset_id for scan in threaded] == [
-            scan.dataset_id for scan in serial
-        ]
-        for a, b in zip(serial, threaded):
-            assert a.stats == b.stats
-            assert dict(a.catchment.items()) == dict(b.catchment.items())
-            assert dict(a.rtts.items()) == dict(b.rtts.items())
-
-    def test_parallel_stability_series_equals_serial(self, broot_verfploeter):
-        serial = run_stability_series(broot_verfploeter, rounds=4)
-        threaded = run_stability_series(
-            broot_verfploeter, rounds=4, parallel=4
-        )
-        assert serial.flip_counts == threaded.flip_counts
-        assert serial.rounds == threaded.rounds
 
     def test_median_rtt_fast_path_agrees(self, broot_verfploeter, engine):
         fast = engine.run_scan(round_id=1)

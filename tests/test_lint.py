@@ -150,6 +150,21 @@ def test_clean_fixture_has_zero_findings():
     assert result.ok, result.to_text()
 
 
+def test_d112_flags_thread_pool_imports_outside_the_pool_homes():
+    """ShardPool is the one fan-out: a ThreadPoolExecutor import is a
+    finding in library code (its nested target is not — threads need no
+    pickling) and clean inside a sanctioned pool home."""
+    violating = os.path.join(FIXTURES, "d112_thread_pool.py")
+    result = lint_paths([violating], force_kind="library", rule_ids=["D112"])
+    assert [violation.line for violation in result.violations] == [
+        _marker_line(violating, "# MARK")
+    ], result.to_text()
+    assert "ThreadPoolExecutor" in result.violations[0].message
+    home = os.path.join(FIXTURES, "pool_home", "repro", "core", "pool.py")
+    result = lint_paths([home], force_kind="library", rule_ids=["D112"])
+    assert result.ok, result.to_text()
+
+
 def test_suppression_is_line_and_rule_scoped():
     path = os.path.join(FIXTURES, "clean.py")
     # The suppressed D101 call resurfaces if we ask for a rule the

@@ -159,14 +159,31 @@ def observed_scan():
 
 
 class TestPipelineInstrumentation:
-    def test_scan_emits_the_documented_span_tree(self, observed_scan):
-        _, observer = observed_scan
+    def test_scan_emits_the_documented_span_tree(self):
+        """The packet-level oracle, asked for by name, keeps its tree."""
+        scenario = broot_like(scale="tiny")
+        observer = Observer.collecting()
+        vp = Verfploeter(scenario.internet, scenario.service, observer=observer)
+        vp.run_scan(wire_level=True)
         root = observer.tracer.find("scan.round")
         children = [child.name for child in root.children]
         assert children == [
             "probe.schedule", "scan.probe_replies", "collector.merge",
             "cleaning.pass", "catchment.map",
         ]
+        assert "fastscan.round" not in observer.tracer.span_names()
+
+    def test_default_scan_emits_the_engine_span_tree(self, observed_scan):
+        """However small the hitlist (1,514 blocks here), the default
+        scan is the columnar engine: no packet-level span, no per-site
+        capture counter."""
+        scan, observer = observed_scan
+        assert scan.stats.probes_sent <= 5_000
+        assert observer.tracer.span_names() == [
+            "hitlist.build", "bgp.propagate.full", "fastscan.invariant",
+            "fastscan.precompute", "fastscan.round",
+        ]
+        assert "collector.site_replies" not in observer.metrics.to_json()
 
     def test_reply_conservation(self, observed_scan):
         _, observer = observed_scan

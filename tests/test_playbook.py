@@ -227,7 +227,7 @@ class TestLattice:
             enumerate_lattice(tangled_vp.service, "MIA", depth=3)
 
 
-def _plan_artifact(seed: int, parallel: int = 1) -> str:
+def _plan_artifact(seed: int) -> str:
     """One complete cold search at tiny scale, rendered to canonical JSON."""
     scenario = tangled_like(scale="tiny", seed=seed)
     vp = Verfploeter(scenario.internet, scenario.service)
@@ -246,7 +246,6 @@ def _plan_artifact(seed: int, parallel: int = 1) -> str:
         derive_capacities(load, scenario.service.site_codes),
         max_prepend=2,
         depth=1,
-        parallel=parallel,
         attack=profile,
         attacker_count=len(attackers),
     )
@@ -257,9 +256,6 @@ class TestPlannerDeterminism:
     @pytest.mark.parametrize("seed", [3, 17, 123])
     def test_same_seed_same_bytes(self, seed):
         assert _plan_artifact(seed) == _plan_artifact(seed)
-
-    def test_parallel_equals_serial_bytes(self):
-        assert _plan_artifact(3, parallel=1) == _plan_artifact(3, parallel=4)
 
     def test_different_seeds_differ(self):
         assert _plan_artifact(3) != _plan_artifact(17)
@@ -358,9 +354,7 @@ class TestCliRoundTrip:
         first = tmp_path / "first.json"
         second = tmp_path / "second.json"
         assert main(self.ARGS + ["--out", str(first)]) == 0
-        assert main(
-            self.ARGS + ["--parallel", "3", "--out", str(second)]
-        ) == 0
+        assert main(self.ARGS + ["--out", str(second)]) == 0
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 

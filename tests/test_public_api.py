@@ -74,3 +74,30 @@ def test_quickstart_snippet_works():
     metrics_table = observer.metrics.render_text()
     assert "probe.probes_sent" in metrics_table
     assert "catchment.fraction{site=LAX}" in metrics_table
+
+
+def test_no_driver_takes_a_thread_fanout():
+    """``pool=`` / ``--shards`` / ``--workers`` is the one fan-out and
+    ``wire_level=True`` the one engine switch, asked for by name."""
+    import inspect
+
+    from repro.cli import build_parser
+    from repro.core.experiments import (
+        prepend_sweep,
+        run_stability_series,
+        site_failure_study,
+    )
+    from repro.core.fastscan import FastScanEngine
+    from repro.core.playbook import PlaybookPlanner
+    from repro.core.verfploeter import Verfploeter
+
+    for function in (
+        prepend_sweep, run_stability_series, site_failure_study,
+        FastScanEngine.run_series, PlaybookPlanner.plan,
+    ):
+        assert "parallel" not in inspect.signature(function).parameters
+    wire_level = inspect.signature(Verfploeter.run_scan).parameters["wire_level"]
+    assert wire_level.default is False
+    with pytest.raises(SystemExit) as usage:
+        build_parser().parse_args(["playbook", "--parallel", "2"])
+    assert usage.value.code == 2

@@ -1,4 +1,4 @@
-"""Tests for the RIB dump and attack-absorption analysis."""
+"""Tests for the RIB and path dumps."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import io
 import pytest
 
 from repro.bgp.ribdump import read_rib_dump, write_rib_dump
-from repro.core.experiments import attack_absorption
 from repro.errors import DatasetError
 
 
@@ -49,47 +48,6 @@ class TestRibDump:
     def test_comments_and_blanks_ignored(self):
         lookup = read_rib_dump(io.StringIO("# header\n\n10.0.0.0/8 65000\n"))
         assert lookup.origin_of_address(0x0A000001) == 65000
-
-
-class TestAttackAbsorption:
-    def test_shares_sum_to_one(self, tiny_internet, two_site_routing):
-        attackers = list(tiny_internet.blocks)[:200]
-        absorption = attack_absorption(two_site_routing, attackers)
-        assert sum(absorption.share.values()) == pytest.approx(1.0)
-        assert absorption.attacker_blocks == 200
-        assert absorption.unmapped == 0
-
-    def test_unmapped_attackers_counted(self, two_site_routing):
-        absorption = attack_absorption(two_site_routing, [0xFFFFFF, 0xFFFFFE])
-        assert absorption.unmapped == 2
-        assert sum(absorption.share.values()) == 0.0
-
-    def test_matches_catchment(self, tiny_internet, two_site_routing):
-        attackers = list(tiny_internet.blocks)[:100]
-        absorption = attack_absorption(two_site_routing, attackers)
-        expected_a = sum(
-            1 for b in attackers if two_site_routing.site_of_block(b) == "A"
-        )
-        assert absorption.share["A"] == pytest.approx(expected_a / 100)
-
-    def test_regional_attack_is_skewed(self, broot_tiny, broot_routing):
-        """A single-country botnet concentrates on few sites."""
-        cn_blocks = [
-            block for block in broot_tiny.internet.blocks
-            if broot_tiny.internet.country_of_block(block) == "CN"
-        ]
-        if len(cn_blocks) < 20:
-            pytest.skip("too few CN blocks at tiny scale")
-        absorption = attack_absorption(broot_routing, cn_blocks)
-        _, hottest = absorption.hottest_site()
-        assert hottest > 0.5
-
-    def test_round_aware(self, broot_tiny, broot_routing):
-        attackers = list(broot_tiny.internet.blocks)
-        first = attack_absorption(broot_routing, attackers, round_id=1)
-        second = attack_absorption(broot_routing, attackers, round_id=2)
-        # Flips shift a tiny fraction between rounds.
-        assert abs(first.share["LAX"] - second.share["LAX"]) < 0.05
 
 
 class TestPathDump:

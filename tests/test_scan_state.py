@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -26,19 +28,12 @@ from hypothesis.stateful import (
 
 from repro.bgp.cache import RoutingCache
 from repro.cli import main
-from repro.core.experiments import prepend_sweep
 from repro.core.fastscan import FastScanEngine, round_draws
-from repro.core.playbook import (
-    PlaybookPlanner,
-    derive_capacities,
-    enumerate_lattice,
-)
+from repro.core.playbook import PlaybookPlanner, enumerate_lattice
 from repro.core.pool import ShardPool
 from repro.core.sharding import assert_scan_results_identical, run_sharded_scan
 from repro.core.tables import TableStore
 from repro.core.verfploeter import Verfploeter
-from repro.load.estimator import LoadEstimate
-from repro.load.weighting import weight_catchment
 from repro.obs import Observer
 
 
@@ -78,6 +73,34 @@ def _switch_interval(seconds: float):
         yield
     finally:
         sys.setswitchinterval(interval)
+
+
+def _on_threads(calls):
+    """Run each call on its own thread, all released at once under a
+    10 µs switch interval; results in call order."""
+    results = [None] * len(calls)
+    errors = []
+    barrier = threading.Barrier(len(calls))
+
+    def run(index):
+        try:
+            barrier.wait(timeout=30)
+            results[index] = calls[index]()
+        except Exception as error:  # re-raised on the test's own thread
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=run, args=(index,)) for index in range(len(calls))
+    ]
+    with _switch_interval(1e-5):
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
 
 
 class TestSharedStateEqualsFresh:
@@ -213,58 +236,61 @@ class TestCounters:
             assert np.array_equal(whole[3:40], piece)
 
 
-class TestThreadFanouts:
-    """Racing threads share the state lock and the draw slot; a fresh
-    deployment per run makes them race the invariant build too."""
+class TestConcurrentCallers:
+    """The library offers no thread fan-out, but its users (and the
+    daemon) call from their own threads: racing callers share the state
+    lock, the engine slot, the draw slot and the planner's memo.  A fresh
+    deployment per test makes them race the invariant build too."""
 
-    def test_parallel_prepend_sweep_equals_serial(self, broot_tiny):
-        def sweep(parallel):
-            observer = Observer.collecting()
-            verfploeter = Verfploeter(
-                broot_tiny.internet, broot_tiny.service, observer=observer
-            )
-            measurements = prepend_sweep(
-                verfploeter, broot_tiny.atlas, cache=RoutingCache(),
-                parallel=parallel,
-            )
-            assert observer.metrics.value_of("fastscan.invariant.builds") == 1
-            return measurements
+    def test_four_threads_scanning_four_routings_equal_serial(
+        self, tangled_tiny, hitlist, lattice
+    ):
+        jobs = [  # two rounds share a draw, two evict it
+            (lattice[index][1], round_id)
+            for index, round_id in ((0, 0), (3, 0), (40, 1), (100, 1))
+        ]
 
-        serial = sweep(1)
-        with _switch_interval(1e-5):
-            threaded = sweep(4)
+        def calls(deployment):
+            return [
+                partial(
+                    deployment.run_scan,
+                    routing=routing, round_id=round_id, dataset_id="race",
+                )
+                for routing, round_id in jobs
+            ]
+
+        serial = [call() for call in calls(_deployment(tangled_tiny, hitlist))]
+        observer = Observer.collecting()
+        threaded = _on_threads(
+            calls(_deployment(tangled_tiny, hitlist, observer=observer))
+        )
         for one, other in zip(serial, threaded):
-            assert_scan_results_identical(other.scan, one.scan)
+            assert_scan_results_identical(other, one)
+        assert observer.metrics.value_of("fastscan.invariant.builds") == 1
 
-    def test_parallel_plan_equals_serial(self, tangled_tiny, hitlist):
+    def test_four_threads_missing_one_policy_share_one_catchment(
+        self, tangled_tiny, hitlist
+    ):
         service = tangled_tiny.service
-        day = tangled_tiny.day_load("scan-state-day")
-        baseline = _deployment(tangled_tiny, hitlist).run_scan(wire_level=False)
-        load = weight_catchment(baseline.catchment, LoadEstimate(day))
-        attacked = max(sorted(load.peaks()), key=load.daily_of)
-        capacities = derive_capacities(load, service.site_codes)
-
-        def plan(parallel):
-            observer = Observer.collecting()
-            planner = PlaybookPlanner(
-                _deployment(tangled_tiny, hitlist, observer=observer),
-                cache=RoutingCache(maxsize=256),
-            )
-            artifact = planner.plan(
-                LoadEstimate(day), attacked, capacities, depth=2,
-                parallel=parallel,
-            ).to_json()
-            metrics = observer.metrics
-            assert metrics.value_of("fastscan.invariant.builds") == 1
-            assert (
-                metrics.value_of("fastscan.round_draws.hit")
-                + metrics.value_of("fastscan.round_draws.miss")
-            ) == 101
-            return artifact
-
-        serial = plan(1)
-        with _switch_interval(1e-5):
-            assert plan(4) == serial
+        policy = service.policy(prepends={service.site_codes[0]: 2})
+        observer = Observer.collecting()
+        planner = PlaybookPlanner(
+            _deployment(tangled_tiny, hitlist, observer=observer),
+            cache=RoutingCache(maxsize=16),
+        )
+        catchments = _on_threads([lambda: planner.catchment_for(policy)] * 4)
+        assert all(catchment is catchments[0] for catchment in catchments)
+        assert planner.catchment_for(policy) is catchments[0]
+        expected = PlaybookPlanner(
+            _deployment(tangled_tiny, hitlist), cache=RoutingCache(maxsize=16)
+        ).catchment_for(policy)
+        assert dict(catchments[0].items()) == dict(expected.items())
+        metrics = observer.metrics
+        assert metrics.value_of("fastscan.invariant.builds") == 1
+        assert (
+            metrics.value_of("playbook.catchment_memo.hits")
+            + metrics.value_of("playbook.catchment_memo.misses")
+        ) == 5
 
 
 class TestPooledStore:
