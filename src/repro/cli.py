@@ -483,18 +483,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"serving on http://{host}:{port}")
     print("endpoints: /v1/health /v1/catchment/<block> /v1/load "
           "/v1/diff?rounds=N /v1/metrics")
-    completed = service.ingest()
-    view = state.view
-    print(f"ingested {completed} round(s); "
-          f"{len(view.catchment) if view.catchment is not None else 0} "
-          f"blocks mapped; {view.quarantined_batches} batch(es) quarantined")
-    if args.linger_seconds > 0:
-        time.sleep(args.linger_seconds)
-    service.shutdown()
-    if pool is not None:
-        pool.shutdown()
+    # Ingest runs on the daemon's own thread, so Ctrl-C interrupts only
+    # this wait: shutdown() drains the open round and the exit is normal.
+    status = 0
+    try:
+        service.start_ingest()
+        service.wait_ingest()
+        view = state.view
+        print(f"ingested {view.rounds_completed} round(s); "
+              f"{len(view.catchment) if view.catchment is not None else 0} "
+              f"blocks mapped; {view.quarantined_batches} batch(es) quarantined")
+        if args.linger_seconds > 0:
+            time.sleep(args.linger_seconds)
+    except KeyboardInterrupt:
+        status = 130
+    finally:
+        service.shutdown()
+        if pool is not None:
+            pool.shutdown()
     _emit_observability(args, observer, scenario)
-    return 0
+    return status
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -68,7 +68,7 @@ class HttpError(ServiceError):
     """A request the JSON API must answer with a structured error body.
 
     Handlers raise this to short-circuit into a 4xx/5xx JSON response;
-    the WSGI layer renders ``{"error": {"status", "code", "message"}}``.
+    ``JsonApp`` renders ``{"error": {"status", "code", "message"}}``.
     """
 
     def __init__(self, status: int, code: str, message: str) -> None:

@@ -4,9 +4,9 @@ The batch pipeline measures a catchment once; this package keeps one
 *alive*.  A feed of measurement rounds (:mod:`repro.service.feed`)
 streams through incremental cleaning and catchment/load state
 (:mod:`repro.service.state`) and is queryable over a zero-dependency
-JSON-over-WSGI API (:mod:`repro.service.wsgi`,
-:mod:`repro.service.routes`) run by the daemon
-(:mod:`repro.service.daemon`), also reachable as ``repro serve``.
+JSON API (:mod:`repro.service.http`: routing plus a one-thread
+``selectors`` HTTP server; :mod:`repro.service.routes`) run by the
+daemon (:mod:`repro.service.daemon`), also reachable as ``repro serve``.
 """
 
 from repro.service.daemon import MappingService
@@ -24,7 +24,7 @@ from repro.service.state import (
     StateView,
     batch_replay,
 )
-from repro.service.wsgi import JsonApp, Request
+from repro.service.http import JsonApp, Request
 
 __all__ = [
     "MappingService",

@@ -3,45 +3,29 @@
 A :class:`MappingService` couples a feed (any iterator of
 :mod:`repro.service.feed` events) to a
 :class:`~repro.service.state.MeasurementState` and serves the JSON API
-over a threaded ``wsgiref`` server — the standard library is the whole
-HTTP stack, no framework, no new dependency.
+from :class:`~repro.service.http.HttpServer` — the standard library is
+the whole HTTP stack, no framework, no new dependency.
 
-Threads: one ingest thread drains the feed; the WSGI server spawns one
-short-lived thread per request.  They share nothing mutable — requests
-read the state's atomically published view — so there is no lock
-between ingest and queries.  Shutdown drains cleanly: the ingest loop
-checks the stop flag only at round boundaries, so a round that has
-started always ends (and publishes) before the thread exits, and the
-HTTP server is shut down after ingest has settled.
+Threads: one ingest thread drains the feed; one I/O thread runs the
+HTTP server's ``selectors`` loop and answers every request on it.  They
+share nothing mutable — requests read the state's atomically published
+view — so there is no lock between ingest and queries.  Shutdown drains
+cleanly: the ingest loop checks the stop flag only at round boundaries,
+so a round that has started always ends (and publishes) before the
+thread exits, and the HTTP server is closed after ingest has settled.
 """
 
 from __future__ import annotations
 
 import threading
 from typing import Iterable, Optional, Tuple
-from wsgiref.simple_server import WSGIRequestHandler, WSGIServer, make_server
 
-from socketserver import ThreadingMixIn
-
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.obs import Observer
 from repro.service.feed import FeedEvent, ReplyBatch, RoundEnd, RoundStart
 from repro.service.routes import build_app
 from repro.service.state import MeasurementState
-from repro.service.wsgi import JsonApp
-
-
-class _QuietHandler(WSGIRequestHandler):
-    """Request handler that never writes access logs to stderr."""
-
-    def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        """Silence per-request logging (the observer carries metrics)."""
-
-
-class _ThreadingWSGIServer(ThreadingMixIn, WSGIServer):
-    """One thread per request; daemon threads so shutdown never hangs."""
-
-    daemon_threads = True
+from repro.service.http import HttpServer, JsonApp
 
 
 class MappingService:
@@ -59,8 +43,9 @@ class MappingService:
         self._app = build_app(state, observer=self._observer)
         self._stop = threading.Event()
         self._ingest_thread: Optional[threading.Thread] = None
-        self._server: Optional[_ThreadingWSGIServer] = None
-        self._server_thread: Optional[threading.Thread] = None
+        self._ingest_done = threading.Event()
+        self._ingest_error: Optional[ReproError] = None
+        self._server: Optional[HttpServer] = None
 
     @property
     def state(self) -> MeasurementState:
@@ -69,7 +54,7 @@ class MappingService:
 
     @property
     def app(self) -> JsonApp:
-        """The WSGI app (callable directly, no socket needed, in tests)."""
+        """The JSON app (``app.respond`` needs no socket, in tests)."""
         return self._app
 
     # -- ingest ------------------------------------------------------------
@@ -113,12 +98,34 @@ class MappingService:
         if self._ingest_thread is not None:
             raise ServiceError("ingest is already running")
         self._ingest_thread = threading.Thread(
-            target=self.ingest,
-            kwargs={"max_rounds": max_rounds},
+            target=self._ingest_in_background,
+            args=(max_rounds,),
             name="repro-serve-ingest",
             daemon=True,
         )
         self._ingest_thread.start()
+
+    def _ingest_in_background(self, max_rounds: Optional[int]) -> None:
+        try:
+            self.ingest(max_rounds)
+        except ReproError as err:
+            self._ingest_error = err
+        finally:
+            self._ingest_done.set()
+
+    def wait_ingest(self) -> None:
+        """Block until the background ingest ends; re-raise what ended it.
+
+        Waits on an event, not ``Thread.join``: interrupted by a signal,
+        CPython 3.11's ``join`` marks the still-running thread stopped,
+        and :meth:`shutdown` would then no longer wait for the drain.
+        """
+        if self._ingest_thread is None:
+            raise ServiceError("no background ingest to wait for")
+        self._ingest_done.wait()
+        err = self._ingest_error
+        if err is not None:
+            raise err
 
     # -- HTTP --------------------------------------------------------------
 
@@ -132,34 +139,20 @@ class MappingService:
         """
         if self._server is not None:
             raise ServiceError("the HTTP server is already running")
-        self._server = make_server(
-            host,
-            port,
-            self._app,
-            server_class=_ThreadingWSGIServer,
-            handler_class=_QuietHandler,
-        )
-        self._server_thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve-http",
-            daemon=True,
-        )
-        self._server_thread.start()
-        bound_host, bound_port = self._server.server_address[:2]
-        return str(bound_host), int(bound_port)
+        self._server = HttpServer(self._app, self._observer, host, port)
+        return self._server.address
 
     # -- lifecycle ---------------------------------------------------------
 
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Drain and stop: finish the open round, then close the server."""
+        """Drain and stop: finish the open round, then close the server.
+
+        Idempotent; :meth:`serve_http` may be called again afterwards.
+        """
         self._stop.set()
         if self._ingest_thread is not None:
             self._ingest_thread.join(timeout=timeout)
             self._ingest_thread = None
         if self._server is not None:
-            self._server.shutdown()
-            if self._server_thread is not None:
-                self._server_thread.join(timeout=timeout)
-                self._server_thread = None
-            self._server.server_close()
+            self._server.close(timeout)
             self._server = None

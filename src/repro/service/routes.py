@@ -11,19 +11,20 @@ Five read-only endpoints over a :class:`~repro.service.state.StateView`:
 Every handler reads ``state.view`` exactly once, so a response is a
 pure function of one published view: concurrent ingest can swap views
 between requests but never mid-request, and the data endpoints answer
-byte-identically to a quiesced daemon at the same round.  Endpoints
-that need data before the first round completes answer a structured
-409 rather than guessing.
+byte-identically to a quiesced daemon at the same round (``/v1/load``
+and ``/v1/diff``, functions of the view alone, render once per view).
+Endpoints that need data before the first round completes answer a
+structured 409 rather than guessing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import HttpError
 from repro.obs import Observer
+from repro.service.http import DECIMAL, JsonApp, Request, render_json
 from repro.service.state import MeasurementState, StateView
-from repro.service.wsgi import JsonApp, Request
 
 _MAX_BLOCK = 0xFFFFFFFFFFFFFFFF
 
@@ -39,13 +40,12 @@ def _require_rounds(view: StateView) -> StateView:
 
 def _parse_block(raw: str) -> int:
     """Decimal block key from the path, 400 on anything else."""
-    try:
-        block = int(raw)
-    except ValueError:
+    if DECIMAL.fullmatch(raw) is None or raw.startswith("-"):
         raise HttpError(
             400, "bad-block", f"block must be a decimal integer, got {raw!r}"
-        ) from None
-    if not 0 <= block <= _MAX_BLOCK:
+        )
+    block = int(raw)
+    if block > _MAX_BLOCK:
         raise HttpError(400, "bad-block", "block outside the uint64 range")
     return block
 
@@ -68,10 +68,18 @@ def _site_load_document(load, site_codes) -> Dict[str, object]:
     }
 
 
+def _rendered(view: StateView, key: object, build: Callable[[], object]) -> bytes:
+    """The body for ``key``, rendered once per view (a race renders equal bytes)."""
+    body = view.rendered.get(key)
+    if body is None:
+        body = view.rendered[key] = render_json(build())
+    return body
+
+
 def build_app(
     state: MeasurementState, observer: Optional[Observer] = None
 ) -> JsonApp:
-    """The service's WSGI app, with every route bound to ``state``."""
+    """The service's JSON app, with every route bound to ``state``."""
     resolved = observer if observer is not None else state.observer
     app = JsonApp(observer=resolved)
 
@@ -97,18 +105,18 @@ def build_app(
             "generation": view.generation,
         }
 
-    def load(request: Request) -> Dict[str, object]:
+    def load(request: Request) -> bytes:
         """Windowed load aggregate plus the latest round's own load."""
         view = _require_rounds(state.view)
         latest = view.rounds[-1]
-        return {
+        return _rendered(view, "load", lambda: {
             "round_id": latest.round_id,
             "window_size": view.window_size,
             "window": _site_load_document(view.window_load, view.site_codes),
             "latest_round": _site_load_document(latest.load, view.site_codes),
-        }
+        })
 
-    def diff(request: Request) -> Dict[str, object]:
+    def diff(request: Request) -> bytes:
         """Catchment churn between the round N back and the latest."""
         view = _require_rounds(state.view)
         span = request.query_int("rounds", default=1, minimum=1)
@@ -120,19 +128,22 @@ def build_app(
                 f"diff over {span} round(s) needs {span + 1} rounds in the "
                 f"ring; only {available} available",
             )
-        earlier = view.rounds[-1 - span]
-        latest = view.rounds[-1]
-        delta = earlier.catchment.diff(latest.catchment)
-        flipped: List[int] = [int(block) for block in delta.flipped_blocks]
-        return {
-            "from_round": earlier.round_id,
-            "to_round": latest.round_id,
-            "stable": delta.stable,
-            "flipped": delta.flipped,
-            "appeared": delta.appeared,
-            "disappeared": delta.disappeared,
-            "flipped_blocks": flipped,
-        }
+
+        def document() -> Dict[str, object]:
+            earlier = view.rounds[-1 - span]
+            latest = view.rounds[-1]
+            delta = earlier.catchment.diff(latest.catchment)
+            return {
+                "from_round": earlier.round_id,
+                "to_round": latest.round_id,
+                "stable": delta.stable,
+                "flipped": delta.flipped,
+                "appeared": delta.appeared,
+                "disappeared": delta.disappeared,
+                "flipped_blocks": [int(block) for block in delta.flipped_blocks],
+            }
+
+        return _rendered(view, ("diff", span), document)
 
     def metrics(request: Request) -> Dict[str, object]:
         """The observer's full metrics document."""

@@ -34,8 +34,8 @@ atomically, so a quarantined batch leaves no partial counts behind.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class StateView:
 
     Swapped in atomically at every round end; everything reachable
     from a view is frozen (snapshot copies, finished ``SiteLoad``
-    results, a tuple ring), so readers need no locks.
+    results, a tuple ring), so readers need no locks.  ``rendered`` is
+    the query side's memo of bodies that are functions of this view.
     """
 
     site_codes: Tuple[str, ...]
@@ -84,9 +85,7 @@ class StateView:
     rounds_completed: int
     quarantined_batches: int
     generation: int
-
-
-_EMPTY_VIEW_SITES: Tuple[str, ...] = ()
+    rendered: Dict[object, bytes] = field(default_factory=dict, compare=False)
 
 
 class MeasurementState:

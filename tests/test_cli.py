@@ -309,3 +309,83 @@ class TestEngineIdentity:
         assert "scan.round" not in engine_spans
         assert "scan.round" in wire_spans
         assert "fastscan.round" not in wire_spans
+
+
+class TestServe:
+    def test_serve_ingests_and_exits_zero(self, capsys):
+        assert main(["serve", *TINY, "--rounds", "2"]) == 0
+        assert "ingested 2 round(s)" in capsys.readouterr().out
+
+    def test_error_on_the_ingest_thread_is_still_a_typed_exit(self, capsys):
+        assert main(["serve", *TINY, "--rounds", "0"]) == 2
+        assert "repro: error: rounds must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("phase", ["ingest", "linger"])
+    def test_sigint_drains_closes_and_writes_artifacts(self, tmp_path, phase):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import urllib.request
+        from pathlib import Path
+
+        import repro
+
+        metrics_path = tmp_path / "metrics.json"
+        trace_path = tmp_path / "trace.json"
+        # "ingest": far more rounds than fit before the signal arrives.
+        rounds = "2" if phase == "linger" else "100000"
+        child = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", *TINY, "--rounds", rounds,
+                "--linger-seconds", "120", "--metrics-out", str(metrics_path),
+                "--trace-out", str(trace_path),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+                "PYTHONUNBUFFERED": "1",
+            },
+        )
+        try:
+            url = child.stdout.readline().split()[-1]
+            assert url.startswith("http://127.0.0.1:")
+            if phase == "linger":
+                child.stdout.readline()  # the endpoint list
+                assert "ingested 2 round(s)" in child.stdout.readline()
+            while True:
+                with urllib.request.urlopen(f"{url}/v1/health", timeout=30) as reply:
+                    health = json.loads(reply.read())
+                if health["rounds_completed"] and (
+                    phase == "linger" or health["round_open"]
+                ):
+                    break
+            child.send_signal(signal.SIGINT)
+            out, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+            child.wait()
+        assert child.returncode == 130
+        assert err == ""
+        assert f"wrote metrics to {metrics_path}" in out
+        assert f"wrote trace to {trace_path}" in out
+        metrics = json.loads(metrics_path.read_text())
+        assert metrics["counters"]["service.requests{route=/v1/health,status=200}"] >= 1
+        completed = metrics["gauges"]["service.rounds_completed"]
+        assert completed >= health["rounds_completed"]
+        if phase == "linger":
+            assert completed == 2
+        # Every round that began was drained: it ended and was published.
+        spans = json.loads(trace_path.read_text())["spans"]
+        begun = [
+            span for span in spans
+            if span["name"] == "cleaning.stream.batch"
+            and span["attributes"]["batch"] == 0
+        ]
+        ended = [span for span in spans if span["name"] == "service.round_end"]
+        assert len(begun) == len(ended) == completed
+        with pytest.raises(OSError):
+            urllib.request.urlopen(f"{url}/v1/health", timeout=5)

@@ -2,15 +2,16 @@
 """Smoke-test the always-on mapping service over real HTTP.
 
 Boots two same-seed daemons on a tiny scenario, drives each through the
-same simulated reply stream, queries every ``/v1`` endpoint through an
-actual TCP socket (``urllib`` against the ephemeral port the server
-bound), and asserts:
+same simulated reply stream, queries every ``/v1`` endpoint over one
+keep-alive ``http.client`` connection per daemon (the ephemeral port
+the server bound), and asserts:
 
-- every endpoint answers 200 with well-formed JSON (and the error
-  paths answer structured 4xx);
+- every endpoint answers 200 with well-formed JSON, and the error
+  paths answer structured 4xx, all on that one connection;
 - load fractions sum to 1.0 with the ``UNK`` bucket included;
 - the two daemons' data-endpoint responses are **byte-identical** —
-  the service determinism contract, end to end through the HTTP stack.
+  status line, headers and body: the service determinism contract, end
+  to end through the HTTP stack.
 
 Stdlib + repro only.  Run as ``python tools/serve_smoke.py`` (or
 ``make serve-smoke``); exits non-zero with a message on any failure.
@@ -18,10 +19,9 @@ Stdlib + repro only.  Run as ``python tools/serve_smoke.py`` (or
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
-import urllib.error
-import urllib.request
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -41,11 +41,23 @@ ENDPOINTS = (
 )
 
 #: Data endpoints that must be byte-identical across same-seed daemons
-#: (health/metrics carry run-local counters like request tallies).
+#: (health/metrics carry run-local counters like request tallies); one
+#: ``/v1/catchment/<block>`` of a mapped block joins them at run time.
 DETERMINISTIC_ENDPOINTS = (
     "/v1/load",
     "/v1/diff?rounds=1",
 )
+
+ERROR_PATHS = (
+    ("/v1/catchment/not-a-block", 400),
+    ("/v1/catchment/1_000", 400),
+    ("/v1/diff?rounds=0", 400),
+    ("/v1/diff?rounds=99", 400),
+    ("/v1/nothing-here", 404),
+)
+
+#: Everything of a response but the socket: what "byte-identical" compares.
+Response = Tuple[int, int, str, List[Tuple[str, str]], bytes]
 
 
 def boot_daemon() -> Tuple[MappingService, str, int]:
@@ -75,31 +87,38 @@ def boot_daemon() -> Tuple[MappingService, str, int]:
     return service, host, port
 
 
-def fetch(host: str, port: int, path: str) -> Tuple[int, bytes]:
-    """GET one path over real HTTP; returns (status, body bytes)."""
-    url = f"http://{host}:{port}{path}"
-    try:
-        with urllib.request.urlopen(url, timeout=30) as response:
-            return response.status, response.read()
-    except urllib.error.HTTPError as err:
-        return err.code, err.read()
+def fetch(connection: http.client.HTTPConnection, path: str) -> Response:
+    """GET one path: (HTTP version, status, reason, headers, body bytes)."""
+    connection.request("GET", path)
+    response = connection.getresponse()
+    body = response.read()
+    return (
+        response.version, response.status, response.reason,
+        response.getheaders(), body,
+    )
 
 
 def main() -> int:
     """Run the smoke; returns a process exit code."""
     daemons = [boot_daemon() for _ in range(2)]
     failures: List[str] = []
-    responses: List[Dict[str, bytes]] = []
+    responses: List[Dict[str, Response]] = []
+    catchment_path = ""
     try:
         for service, host, port in daemons:
-            bodies: Dict[str, bytes] = {}
-            for path in ENDPOINTS:
-                status, body = fetch(host, port, path)
+            connection = http.client.HTTPConnection(host, port, timeout=30)
+            connection.connect()
+            local_address = connection.sock.getsockname()
+            block = int(service.state.view.catchment.mapped_block_array()[0])
+            catchment_path = f"/v1/catchment/{block}"
+            answers: Dict[str, Response] = {}
+            for path in (*ENDPOINTS, catchment_path):
+                answers[path] = fetch(connection, path)
+                status, body = answers[path][1], answers[path][4]
                 document = json.loads(body)
                 if status != 200:
                     failures.append(f"{path}: expected 200, got {status}")
                     continue
-                bodies[path] = body
                 if path == "/v1/load":
                     shares = document["window"]["fractions"]
                     total = sum(shares.values())
@@ -109,25 +128,24 @@ def main() -> int:
                         )
                     if "UNK" not in shares:
                         failures.append("/v1/load fractions missing UNK")
-            # One mapped block fetched through the path parameter.
-            status, body = fetch(host, port, "/v1/diff?rounds=1")
-            sample = json.loads(body)["stable"]
-            if sample < 1:
-                failures.append("diff reports no stable blocks on a tiny run")
-            for path, expect in (
-                ("/v1/catchment/not-a-block", 400),
-                ("/v1/diff?rounds=0", 400),
-                ("/v1/diff?rounds=99", 400),
-                ("/v1/nothing-here", 404),
-            ):
-                status, _ = fetch(host, port, path)
+                if path == "/v1/diff?rounds=1" and document["stable"] < 1:
+                    failures.append("diff reports no stable blocks on a tiny run")
+            for path, expect in ERROR_PATHS:
+                _, status, _, _, body = fetch(connection, path)
                 if status != expect:
                     failures.append(f"{path}: expected {expect}, got {status}")
-            responses.append(bodies)
+                elif json.loads(body)["error"]["status"] != expect:
+                    failures.append(f"{path}: unstructured error body {body!r}")
+            if connection.sock is None or (
+                connection.sock.getsockname() != local_address
+            ):
+                failures.append("the keep-alive connection did not survive the run")
+            connection.close()
+            responses.append(answers)
     finally:
         for service, _, _ in daemons:
             service.shutdown()
-    for path in DETERMINISTIC_ENDPOINTS:
+    for path in (*DETERMINISTIC_ENDPOINTS, catchment_path):
         if responses[0].get(path) != responses[1].get(path):
             failures.append(f"{path}: two same-seed daemons differ")
     if failures:
@@ -136,7 +154,8 @@ def main() -> int:
         return 1
     print(
         f"serve-smoke: OK ({ROUNDS} rounds x 2 daemons, "
-        f"{len(ENDPOINTS)} endpoints, byte-identical data responses)"
+        f"{len(ENDPOINTS) + 1} endpoints and {len(ERROR_PATHS)} error paths "
+        f"on one keep-alive connection each, byte-identical data responses)"
     )
     return 0
 
