@@ -16,9 +16,10 @@ from repro.collector.capture import (
 )
 from repro.collector.cleaning import CleaningConfig, CleaningResult, clean_replies
 from repro.collector.pcap import PcapCapture, PcapReader, PcapWriter
-from repro.collector.stream import StreamingCleaner
+from repro.collector.stream import ReplyColumns, StreamingCleaner
 
 __all__ = [
+    "ReplyColumns",
     "StreamingCleaner",
     "SiteCapture",
     "StreamingCapture",

@@ -15,7 +15,7 @@ Removes, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
 from repro.icmp.network import DeliveredReply
@@ -35,9 +35,10 @@ class CleaningConfig:
 
 @dataclass
 class CleaningResult:
-    """Cleaned replies plus per-category removal counts."""
+    """Cleaned replies plus per-category removal counts (``kept`` is a
+    ``ReplyColumns`` when the streaming cleaner produced it)."""
 
-    kept: List[DeliveredReply] = field(default_factory=list)
+    kept: Sequence[DeliveredReply] = field(default_factory=list)
     wrong_round: int = 0
     unsolicited: int = 0
     late: int = 0

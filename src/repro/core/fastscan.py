@@ -238,6 +238,7 @@ class RoundArrays:
     site: np.ndarray  # int16 replying site per row (meaningful where kept)
     delay: np.ndarray  # float64 first-reply delay (ms) per row
     kept_mask: np.ndarray  # bool: row survives cleaning
+    counts: np.ndarray  # int64 replies delivered per row, before cleaning
     stats: ScanStats
 
 
@@ -378,7 +379,9 @@ def evaluate_round(
         duplicates=duplicates,
         kept=kept,
     )
-    return RoundArrays(site=site, delay=delay, kept_mask=kept_mask, stats=stats)
+    return RoundArrays(
+        site=site, delay=delay, kept_mask=kept_mask, counts=counts, stats=stats
+    )
 
 
 def materialise_columnar(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 from threading import Lock
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.anycast.catchment import CatchmentMap
 from repro.anycast.service import AnycastService
@@ -27,11 +27,11 @@ from repro.collector.cleaning import CleaningConfig, clean_replies
 from repro.collector.results import ScanResult, ScanStats
 from repro.errors import ConfigurationError, MeasurementError
 from repro.icmp.latency import LatencyModel
-from repro.icmp.network import SimulatedDataplane
+from repro.icmp.network import DeliveredReply, SimulatedDataplane
 from repro.icmp.packets import build_probe
 from repro.obs import NULL_OBSERVER, Observer
 from repro.probing.hitlist import Hitlist, build_hitlist
-from repro.probing.prober import Prober, ProberConfig
+from repro.probing.prober import ProbeSchedule, Prober, ProberConfig
 from repro.topology.internet import Internet
 
 CAPTURE_STYLES = ("streaming", "lander", "pcap", "pcapbin")
@@ -87,15 +87,6 @@ class Verfploeter:
         self._engine: Optional["FastScanEngine"] = None
         self._round_state: Optional["RoundState"] = None
         self._round_state_lock = Lock()
-
-    @property
-    def prober(self) -> Prober:
-        """The deployment's prober (round schedules for external drivers).
-
-        The always-on service's reply feed schedules rounds through
-        this rather than re-deriving the prober's seeding.
-        """
-        return self._prober
 
     def _make_captures(self) -> List[SiteCapture]:
         captures: List[SiteCapture] = []
@@ -163,6 +154,32 @@ class Verfploeter:
             self._engine = engine = FastScanEngine(self, routing)
         return engine
 
+    def wire_round(
+        self, routing: RoutingOutcome, round_id: int, start_time: float
+    ) -> Tuple[ProbeSchedule, Dict[int, float], List[DeliveredReply]]:
+        """The oracle's probe → reply → collect walk of one round: its
+        schedule, each probed address's send time and the collector's
+        sorted drain *before* cleaning (what ``wire_level=True`` cleans
+        and the daemon's columnar feed is compared against)."""
+        observer = self.observer
+        dataplane = SimulatedDataplane(routing, self.latency_model)
+        collector = CentralCollector(self._make_captures(), observer=observer)
+        schedule = self._prober.schedule_round(round_id, start_time)
+        send_times: Dict[int, float] = {}
+        config = self.prober_config
+        with observer.tracer.span("scan.probe_replies"):
+            for probe in schedule:
+                send_times[probe.destination] = probe.send_time
+                packet = build_probe(
+                    config.source_address, probe.destination, probe.identifier,
+                    probe.sequence, config.payload,
+                )
+                for reply in dataplane.send_probe_packet(
+                    packet, probe.send_time, round_id
+                ):
+                    collector.ingest(reply)
+        return schedule, send_times, collector.collect()
+
     def run_scan(
         self,
         routing: Optional[RoutingOutcome] = None,
@@ -192,33 +209,13 @@ class Verfploeter:
             )
         observer = self.observer
         with observer.tracer.span("scan.round", round_id=round_id) as scan_span:
-            dataplane = SimulatedDataplane(routing, self.latency_model)
-            collector = CentralCollector(
-                self._make_captures(), observer=observer
+            schedule, send_times, collected = self.wire_round(
+                routing, round_id, start_time
             )
-            schedule = self._prober.schedule_round(round_id, start_time)
-            probed_addresses = set()
-            send_times: Dict[int, float] = {}
-            replies_received = 0
-            source = self.prober_config.source_address
-            payload = self.prober_config.payload
-            with observer.tracer.span("scan.probe_replies"):
-                for probe in schedule:
-                    probed_addresses.add(probe.destination)
-                    send_times[probe.destination] = probe.send_time
-                    packet = build_probe(
-                        source, probe.destination, probe.identifier,
-                        probe.sequence, payload
-                    )
-                    for reply in dataplane.send_probe_packet(
-                        packet, probe.send_time, round_id
-                    ):
-                        replies_received += 1
-                        collector.ingest(reply)
-            collected = collector.collect()
+            replies_received = len(collected)
             cleaned = clean_replies(
                 collected,
-                probed_addresses,
+                set(send_times),
                 schedule.identifier,
                 start_time,
                 self.cleaning,

@@ -4,6 +4,10 @@ This is the crux of Verfploeter (paper Figure 1, right half): the
 request is sent *from* the anycast measurement address, so the reply is
 addressed to the anycast prefix and lands at whichever site BGP selects
 for the *replying* network — identifying its catchment.
+
+Only the wire oracle (``run_scan(wire_level=True)``) walks this module
+probe by probe; default scans and the daemon's feed compute the same
+replies as columns (:mod:`repro.core.fastscan`, :mod:`repro.service.feed`).
 """
 
 from __future__ import annotations
@@ -88,10 +92,10 @@ class SimulatedDataplane:
     def send_probe_packet(
         self, packet: bytes, timestamp: float, round_id: int
     ) -> List[DeliveredReply]:
-        """Wire-level path: parse the probe, simulate host, deliver replies.
+        """Parse the probe, simulate the host, deliver its replies.
 
-        Used at small scale and in tests; byte-for-byte exercises the
-        packet encode/decode path.
+        The one per-probe walker: the wire oracle's, byte-for-byte
+        through the packet encode/decode path.
         """
         header, message = parse_packet(packet)
         if not message.is_request:
@@ -111,26 +115,6 @@ class SimulatedDataplane:
         return self._deliver(
             events, message.identifier, message.sequence, timestamp, round_id
         )
-
-    def send_probe_fast(
-        self,
-        destination: int,
-        identifier: int,
-        sequence: int,
-        timestamp: float,
-        round_id: int,
-    ) -> List[DeliveredReply]:
-        """Fast path: identical semantics without wire encode/decode.
-
-        Equivalence with :meth:`send_probe_packet` is asserted by tests;
-        large scans use this path (millions of packet round-trips in
-        pure Python would dominate runtime without changing results).
-        """
-        from repro.icmp.packets import EchoMessage, ICMP_ECHO_REQUEST
-
-        message = EchoMessage(ICMP_ECHO_REQUEST, identifier, sequence)
-        events = self._responder.respond(destination, message, round_id)
-        return self._deliver(events, identifier, sequence, timestamp, round_id)
 
     def site_of_block(self, block: int, round_id: Optional[int] = None) -> Optional[str]:
         """Ground-truth catchment of ``block`` (for validation)."""

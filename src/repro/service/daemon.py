@@ -74,9 +74,7 @@ class MappingService:
                 if self._stop.is_set():
                     break
                 state.begin_round(
-                    event.round_id,
-                    event.start_time,
-                    set(event.probed_addresses),
+                    event.round_id, event.start_time, event.probed_addresses
                 )
             elif isinstance(event, ReplyBatch):
                 state.ingest_batch(event.replies)

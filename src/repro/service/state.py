@@ -26,24 +26,26 @@ identical to one served after the stream quiesces at the same round.
 
 Robustness contract: a poisoned reply batch (anything that raises while
 cleaning or applying it) is quarantined — counted, skipped, and the
-round continues.  The underlying
-:class:`~repro.collector.stream.StreamingCleaner` commits per batch
-atomically, so a quarantined batch leaves no partial counts behind.
+round continues.  A batch (:class:`~repro.collector.stream.ReplyColumns`)
+is staged in the :class:`~repro.collector.stream.StreamingCleaner`, its
+kept rows are applied to the catchment (which validates sites and blocks
+before it writes), and only then is the cleaner committed — a batch
+quarantined at *either* step leaves no counts, no seen addresses and no
+catchment rows behind.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.anycast.catchment import ArrayCatchmentMap, CatchmentAccumulator
 from repro.collector.cleaning import CleaningConfig, CleaningResult
-from repro.collector.stream import StreamingCleaner
+from repro.collector.stream import ReplyColumns, StreamingCleaner
 from repro.errors import ServiceError
-from repro.icmp.network import DeliveredReply
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import SiteLoad, weight_catchment
 from repro.load.windowed import LoadWindow
@@ -105,7 +107,6 @@ class MeasurementState:
         if ring_size < 1:
             raise ServiceError("ring_size must be >= 1")
         self._site_codes = list(site_codes)
-        self._site_index = {code: i for i, code in enumerate(self._site_codes)}
         self._estimate = estimate
         # The round-end load join, replaceable so a daemon can route it
         # through a ShardPool (same signature and bit-identical output
@@ -153,13 +154,15 @@ class MeasurementState:
         self,
         round_id: int,
         round_start: float,
-        probed_addresses: Set[int],
+        probed_addresses: Iterable[int],
     ) -> None:
         """Open a measurement round: arm a fresh streaming cleaner.
 
-        ``round_id`` is the full measurement id; the cleaner masks it to
-        the 16-bit ICMP identifier internally, so id rollover past
-        65535 mid-stream just works — state stays keyed by the full id.
+        ``probed_addresses`` is any iterable of addresses (the feed's is
+        one shared array).  ``round_id`` is the full measurement id; the
+        cleaner masks it to the 16-bit ICMP identifier internally, so id
+        rollover past 65535 mid-stream just works — state stays keyed by
+        the full id.
         """
         if self._cleaner is not None:
             raise ServiceError(
@@ -177,9 +180,7 @@ class MeasurementState:
         self._round_quarantined = 0
         self._round_changed = 0
 
-    def ingest_batch(
-        self, replies: Sequence[DeliveredReply]
-    ) -> Optional[CleaningResult]:
+    def ingest_batch(self, replies: ReplyColumns) -> Optional[CleaningResult]:
         """Clean one reply batch and fold its kept replies in, in place.
 
         Returns the batch's own cleaning result, or ``None`` when the
@@ -187,27 +188,22 @@ class MeasurementState:
         accumulator immediately (last write wins within the batch, same
         as a dict merge in stream order), so round-end needs no replay.
         """
-        if self._cleaner is None:
+        cleaner = self._cleaner
+        if cleaner is None:
             raise ServiceError("no round is open; call begin_round first")
         try:
-            batch = self._cleaner.feed(replies)
-            if batch.kept:
-                blocks = np.array(
-                    [reply.source_block for reply in batch.kept],
-                    dtype=np.uint64,
-                )
-                indices = np.array(
-                    [self._site_index[reply.site_code] for reply in batch.kept],
-                    dtype=np.int16,
-                )
+            batch, rows = cleaner.stage(replies)
+            kept = batch.kept
+            if len(kept):
                 self._round_changed += self._accumulator.apply_blocks(
-                    blocks, indices
+                    kept.source_address >> 8, kept.site_over(self._site_codes)
                 )
         except Exception:  # reprolint: disable=E302 — quarantine boundary: one poisoned batch must not kill the ingest loop; it is counted and skipped
             self._round_quarantined += 1
             self._quarantined += 1
             self._observer.metrics.counter("service.quarantined_batches").inc()
             return None
+        cleaner.commit(batch, rows)
         return batch
 
     def end_round(self) -> RoundRecord:

@@ -9,6 +9,7 @@ import pytest
 from repro.collector.aggregate import CentralCollector
 from repro.collector.capture import LanderCapture, PcapLikeCapture, StreamingCapture
 from repro.collector.cleaning import CleaningConfig, clean_replies
+from repro.collector.stream import ReplyColumns
 from repro.errors import ConfigurationError, MeasurementError
 from repro.icmp.network import DeliveredReply
 
@@ -285,11 +286,12 @@ class TestStreamingCleaner:
         expected = clean_replies(replies, self.PROBED, 1, 0.0)
         cleaner = StreamingCleaner(self.PROBED, 1, 0.0)
         batches = [
-            replies[i:i + batch_size] for i in range(0, len(replies), batch_size)
+            ReplyColumns.from_replies(replies[i:i + batch_size])
+            for i in range(0, len(replies), batch_size)
         ]
-        increments = list(cleaner.stream(batches))
+        increments = [cleaner.feed(batch) for batch in batches]
         totals = cleaner.totals
-        assert totals.kept == expected.kept
+        assert list(totals.kept) == expected.kept
         assert totals.wrong_round == expected.wrong_round
         assert totals.unsolicited == expected.unsolicited
         assert totals.late == expected.late
@@ -303,8 +305,10 @@ class TestStreamingCleaner:
         from repro.collector.stream import StreamingCleaner
 
         cleaner = StreamingCleaner(self.PROBED, 1, 0.0)
-        first = cleaner.feed([reply(timestamp=1.0)])
-        second = cleaner.feed([reply(timestamp=2.0, sequence=1)])
+        first = cleaner.feed(ReplyColumns.from_replies([reply(timestamp=1.0)]))
+        second = cleaner.feed(
+            ReplyColumns.from_replies([reply(timestamp=2.0, sequence=1)])
+        )
         assert len(first.kept) == 1
         assert second.duplicates == 1
         assert cleaner.totals.duplicates == 1
@@ -313,14 +317,15 @@ class TestStreamingCleaner:
         from repro.collector.stream import StreamingCleaner
 
         cleaner = StreamingCleaner(self.PROBED, 1, 0.0)
-        cleaner.feed([reply(timestamp=1.0)])
+        cleaner.feed(ReplyColumns.from_replies([reply(timestamp=1.0)]))
         before = (
             list(cleaner.totals.kept),
             cleaner.totals.removed,
             cleaner.batches,
         )
-        # A non-reply object poisons the batch part-way through the
-        # sorted pass; the cleaner must stay exactly as it was.
+        # Reply objects are not a batch any more: anything that is not
+        # well-formed columns raises while staging, and the cleaner
+        # must stay exactly as it was.
         with pytest.raises(AttributeError):
             cleaner.feed([reply(address=0x0A000002, timestamp=2.0), object()])
         after = (
@@ -330,12 +335,14 @@ class TestStreamingCleaner:
         )
         assert before == after
         # And the cleaner still works afterwards.
-        result = cleaner.feed([reply(address=0x0A000002, timestamp=2.0)])
+        result = cleaner.feed(
+            ReplyColumns.from_replies([reply(address=0x0A000002, timestamp=2.0)])
+        )
         assert len(result.kept) == 1
 
     def test_identifier_wraps_16_bits(self):
         from repro.collector.stream import StreamingCleaner
 
         cleaner = StreamingCleaner(self.PROBED, 0x1_0001, 0.0)
-        result = cleaner.feed([reply(identifier=1)])
+        result = cleaner.feed(ReplyColumns.from_replies([reply(identifier=1)]))
         assert len(result.kept) == 1

@@ -94,6 +94,7 @@ class TestPcapCapture:
         """A scan whose every reply crossed the binary pcap format."""
         from repro.collector.aggregate import CentralCollector
         from repro.icmp.network import SimulatedDataplane
+        from repro.icmp.packets import build_probe
 
         dataplane = SimulatedDataplane(broot_routing)
         address = broot_tiny.service.measurement_address
@@ -103,7 +104,8 @@ class TestPcapCapture:
         ])
         delivered_count = 0
         for block in list(broot_tiny.internet.blocks)[:300]:
-            for reply in dataplane.send_probe_fast((block << 8) | 1, 1, 0, 0.0, 0):
+            probe = build_probe(address, (block << 8) | 1, 1, 0)
+            for reply in dataplane.send_probe_packet(probe, 0.0, 0):
                 collector.ingest(reply)
                 delivered_count += 1
         collected = collector.collect()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import threading
 import urllib.request
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,78 @@ class TestEdgeCases:
         assert state.view.quarantined_batches == 1
         assert record.kept > 0
         assert observer.metrics.value_of("service.quarantined_batches") == 1
+
+    def test_batch_quarantined_at_apply_leaves_no_counts(
+        self, broot_verfploeter, broot_routing, universe, estimate
+    ):
+        # A batch that cleans fine but cannot be *applied* (its replies
+        # name a site the state does not know) used to stay in the
+        # cleaner: kept counted, sources marked seen, and the genuine
+        # replies that followed dropped as duplicates of nothing.
+        events = list(
+            replay_feed(
+                broot_verfploeter, routing=broot_routing, rounds=1,
+                batch_size=50,
+            )
+        )
+        start = events[0]
+        batches = [e.replies for e in events if isinstance(e, ReplyBatch)]
+        poisoned = replace(batches[0], site_codes=("XXX",) * 2)
+
+        def run(stream):
+            state = build_state(broot_routing, universe, estimate)
+            state.begin_round(
+                start.round_id, start.start_time, start.probed_addresses
+            )
+            outcomes = [state.ingest_batch(batch) for batch in stream]
+            return outcomes, state.end_round()
+
+        outcomes, dirty = run([poisoned, *batches])
+        _, clean = run(batches)
+        assert outcomes[0] is None and None not in outcomes[1:]
+        assert dirty.quarantined_batches == 1
+        assert replace(
+            dirty, quarantined_batches=0, catchment=None, load=None
+        ) == replace(clean, catchment=None, load=None)
+        assert np.array_equal(
+            dirty.catchment.site_index_array, clean.catchment.site_index_array
+        )
+        for code in [*broot_routing.policy.site_codes, UNKNOWN]:
+            assert dirty.load.daily_of(code) == clean.load.daily_of(code)
+
+    def test_metrics_endpoint_satisfies_the_healthy_run_invariants(
+        self, broot_tiny, broot_routing, universe, estimate
+    ):
+        observer = Observer.collecting()
+        verfploeter = Verfploeter(
+            broot_tiny.internet, broot_tiny.service, observer=observer
+        )
+        state = build_state(broot_routing, universe, estimate, observer=observer)
+        service = MappingService(
+            state,
+            replay_feed(
+                verfploeter, routing=broot_routing, rounds=3, batch_size=BATCH
+            ),
+            observer=observer,
+        )
+        assert service.ingest() == 3
+        status, body = service.app.respond("GET", "/v1/metrics")
+        assert status == 200
+        counters = json.loads(body)["counters"]
+        received = counters["collector.replies_received"]
+        dropped = sum(
+            value for key, value in counters.items()
+            if key.startswith("cleaning.dropped{")
+        )
+        per_site = sum(
+            value for key, value in counters.items()
+            if key.startswith("collector.site_replies{")
+        )
+        # Conservation and coverage, as docs/observability.md states them.
+        assert counters["cleaning.kept"] + dropped == received == per_site
+        assert counters["probe.rounds_scheduled"] == 3
+        assert counters["probe.probes_sent"] == 3 * len(universe)
+        assert 0.3 < received / counters["probe.probes_sent"] < 1.0
 
     def test_concurrent_queries_match_quiesced_states(
         self, broot_tiny, broot_routing, universe, estimate

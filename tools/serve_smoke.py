@@ -9,6 +9,10 @@ the server bound), and asserts:
 - every endpoint answers 200 with well-formed JSON, and the error
   paths answer structured 4xx, all on that one connection;
 - load fractions sum to 1.0 with the ``UNK`` bucket included;
+- ``/v1/metrics`` satisfies Conservation (``cleaning.kept`` + every
+  ``cleaning.dropped`` == ``collector.replies_received``), and the two
+  daemons — asked the same things in the same order — report equal
+  ``counters``;
 - the two daemons' data-endpoint responses are **byte-identical** —
   status line, headers and body: the service determinism contract, end
   to end through the HTTP stack.
@@ -98,6 +102,21 @@ def fetch(connection: http.client.HTTPConnection, path: str) -> Response:
     )
 
 
+def conservation_failures(counters: Dict[str, int]) -> List[str]:
+    """docs/observability.md's Conservation invariant on one document."""
+    received = counters.get("collector.replies_received", 0)
+    accounted = counters.get("cleaning.kept", 0) + sum(
+        value for key, value in counters.items()
+        if key.startswith("cleaning.dropped{")
+    )
+    if received < 1 or accounted != received:
+        return [
+            f"/v1/metrics: kept + dropped = {accounted}, "
+            f"collector.replies_received = {received}"
+        ]
+    return []
+
+
 def main() -> int:
     """Run the smoke; returns a process exit code."""
     daemons = [boot_daemon() for _ in range(2)]
@@ -130,6 +149,8 @@ def main() -> int:
                         failures.append("/v1/load fractions missing UNK")
                 if path == "/v1/diff?rounds=1" and document["stable"] < 1:
                     failures.append("diff reports no stable blocks on a tiny run")
+                if path == "/v1/metrics":
+                    failures.extend(conservation_failures(document["counters"]))
             for path, expect in ERROR_PATHS:
                 _, status, _, _, body = fetch(connection, path)
                 if status != expect:
@@ -148,6 +169,11 @@ def main() -> int:
     for path in (*DETERMINISTIC_ENDPOINTS, catchment_path):
         if responses[0].get(path) != responses[1].get(path):
             failures.append(f"{path}: two same-seed daemons differ")
+    counters = [
+        json.loads(answers["/v1/metrics"][4])["counters"] for answers in responses
+    ]
+    if counters[0] != counters[1]:
+        failures.append("/v1/metrics: two same-seed daemons' counters differ")
     if failures:
         for failure in failures:
             print(f"serve-smoke: FAIL: {failure}")
@@ -155,7 +181,8 @@ def main() -> int:
     print(
         f"serve-smoke: OK ({ROUNDS} rounds x 2 daemons, "
         f"{len(ENDPOINTS) + 1} endpoints and {len(ERROR_PATHS)} error paths "
-        f"on one keep-alive connection each, byte-identical data responses)"
+        f"on one keep-alive connection each, byte-identical data responses, "
+        f"conserved and equal /v1/metrics counters)"
     )
     return 0
 
