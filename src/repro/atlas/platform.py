@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+import numpy as np
+
 from repro.anycast.service import AnycastService
 from repro.atlas.vp import AtlasVP
 from repro.bgp.propagation import RoutingOutcome
@@ -110,11 +112,16 @@ class AtlasPlatform:
         users but few probes (China, Korea, ...) get almost none.
         """
         rng = derive_rng(self._seed, "atlas-deploy")
-        blocks_by_country: Dict[str, List[int]] = {}
-        for block in self.internet.blocks:
-            country = self.internet.country_of_block(block)
-            if country is not None:
-                blocks_by_country.setdefault(country, []).append(block)
+        columns = self.internet.geodb.columnar()
+        populated = self.internet.join(columns.blocks)[1]
+        country_index = columns.country_index[populated]
+        # The stable sort keeps each country's candidates in block order,
+        # which is what ``rng.choice`` below indexes into.
+        by_country = columns.blocks[populated][np.argsort(country_index, kind="stable")]
+        groups = np.split(by_country, np.cumsum(np.bincount(country_index))[:-1])
+        blocks_by_country: Dict[str, List[int]] = {
+            code: group.tolist() for code, group in zip(columns.countries, groups) if group.size
+        }
         countries = [c for c in COUNTRIES if c.code in blocks_by_country]
         if not countries:
             raise MeasurementError("topology has no geolocated blocks to host VPs")

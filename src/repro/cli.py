@@ -443,7 +443,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     routing = verfploeter.routing_for()
     estimate = LoadEstimate(scenario.day_load("serve-day"))
-    universe = np.array(verfploeter.hitlist.blocks, dtype=np.uint64)
+    universe = verfploeter.hitlist.blocks.astype(np.uint64)
     pool = None
     weighter = None
     if args.workers is not None:

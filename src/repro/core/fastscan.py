@@ -427,39 +427,23 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
     seed = internet.seed
     cfg = internet.host_model.config
 
-    blocks = np.array(verfploeter.hitlist.blocks, dtype=np.uint64)
+    blocks = verfploeter.hitlist.blocks.astype(np.uint64)
     n = blocks.size
 
     # --- bulk joins, no block loop -------------------------------------
     # Block -> PoP through the internet's columnar block table; blocks
-    # outside the topology point at the route columns' sentinel entry.
-    table_blocks, _, table_pops = internet.block_table()
-    signed_blocks = blocks.astype(np.int64)
-    rows = np.searchsorted(table_blocks, signed_blocks)
-    rows = np.minimum(rows, max(table_blocks.size - 1, 0))
-    populated = (table_blocks.size > 0) & (table_blocks[rows] == signed_blocks)
-    block_pops = np.where(populated, table_pops[rows], len(internet.pops))
+    # outside the topology point at the route columns' sentinel entry
+    # (unrouted, so their responder draw is never read).
+    signed_blocks = verfploeter.hitlist.blocks
+    rows, populated = internet.join(signed_blocks)
+    block_pops = np.where(populated, internet.block_table()[2][rows], len(internet.pops))
+    stable = populated & internet.stable_mask()[rows]
 
-    # Geography joins against the geo database's columnar snapshot;
-    # responsiveness thresholds are per country, broadcast to blocks.
-    model = internet.host_model
+    # Geography joins against the geo database's columnar snapshot.
     columns = internet.geodb.columnar()
     geo_rows, located = internet.geodb.join(signed_blocks)
     lat = np.where(located, columns.latitudes[geo_rows], np.nan)
     lon = np.where(located, columns.longitudes[geo_rows], np.nan)
-    country_thresholds = np.array(
-        [model.responsiveness_for(code) for code in columns.countries],
-        dtype=np.float64,
-    )
-    base_threshold = model.responsiveness_for(None)
-    if columns.countries:
-        threshold = np.where(
-            located,
-            country_thresholds[columns.country_index[geo_rows]],
-            base_threshold,
-        )
-    else:
-        threshold = np.full(n, base_threshold, dtype=np.float64)
 
     # --- latency precomputation: every service site, announcing or not --
     lm = verfploeter.latency_model
@@ -488,7 +472,7 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
     state = RoundState(
         blocks=blocks,
         block_pops=block_pops,
-        stable=unit(_hosts._STABLE_SALT) < threshold,
+        stable=stable,
         off_address=unit(_hosts._OFFADDR_SALT) < cfg.off_address_fraction,
         duplicator=unit(_hosts._DUP_SALT) < cfg.duplicate_fraction,
         participate_draw=unit(_instability._PARTICIPATE_SALT),

@@ -108,13 +108,7 @@ def _scale_params(scale: str) -> Tuple[int, int, int, int, float]:
 
 
 def _atlas_vp_count(internet: Internet) -> int:
-    responsive = sum(
-        1
-        for block in internet.blocks
-        if internet.host_model.is_stable_responder(
-            block, internet.country_of_block(block)
-        )
-    )
+    responsive = int(internet.stable_mask().sum())
     return max(_MIN_ATLAS_VPS, int(responsive / _ATLAS_COVERAGE_RATIO))
 
 

@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import DatasetError
+
+
+def join_sorted(table: np.ndarray, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, found)``: where each of ``blocks`` sits in the ascending
+    ``table`` and whether it is there (rows are meaningless where not)."""
+    keys = np.asarray(blocks, dtype=np.int64)
+    if table.size == 0 or keys.size == 0:
+        return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
+    rows = np.minimum(np.searchsorted(table, keys), table.size - 1)
+    return rows, table[rows] == keys
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,29 @@ class GeoColumns:
     longitudes: np.ndarray
     country_index: np.ndarray
     countries: Tuple[str, ...]
+
+    @classmethod
+    def from_rows(
+        cls,
+        blocks: Sequence[int],
+        country_codes: Sequence[str],
+        latitudes: Sequence[float],
+        longitudes: Sequence[float],
+    ) -> "GeoColumns":
+        """Columns from parallel per-block sequences (``blocks`` ascending)."""
+        countries = tuple(sorted(set(country_codes)))
+        country_row = {code: row for row, code in enumerate(countries)}
+        return cls(
+            blocks=np.asarray(blocks, dtype=np.int64),
+            latitudes=np.asarray(latitudes, dtype=np.float64),
+            longitudes=np.asarray(longitudes, dtype=np.float64),
+            country_index=np.fromiter(
+                map(country_row.__getitem__, country_codes),
+                dtype=np.int32,
+                count=len(country_codes),
+            ),
+            countries=countries,
+        )
 
 
 class GeoDatabase:
@@ -97,26 +130,12 @@ class GeoDatabase:
         issuing a dict probe per block.
         """
         if self._columns is None or self._columns_pid != os.getpid():
-            blocks = sorted(self._records)
-            count = len(blocks)
-            countries = tuple(
-                sorted({record.country_code for record in self._records.values()})
-            )
-            country_row = {code: row for row, code in enumerate(countries)}
-            latitudes = np.empty(count, dtype=np.float64)
-            longitudes = np.empty(count, dtype=np.float64)
-            country_index = np.empty(count, dtype=np.int32)
-            for row, block in enumerate(blocks):
-                record = self._records[block]
-                latitudes[row] = record.latitude
-                longitudes[row] = record.longitude
-                country_index[row] = country_row[record.country_code]
-            self._columns = GeoColumns(
-                blocks=np.asarray(blocks, dtype=np.int64),
-                latitudes=latitudes,
-                longitudes=longitudes,
-                country_index=country_index,
-                countries=countries,
+            records = sorted(self._records.items())
+            self._columns = GeoColumns.from_rows(
+                [block for block, _ in records],
+                [record.country_code for _, record in records],
+                [record.latitude for _, record in records],
+                [record.longitude for _, record in records],
             )
             self._columns_pid = os.getpid()
         return self._columns
@@ -142,14 +161,14 @@ class GeoDatabase:
         the :meth:`columnar` arrays (meaningless where ``located`` is
         False) and whether the database knows it.
         """
+        return join_sorted(self.columnar().blocks, blocks)
+
+    def country_values(self, blocks: np.ndarray, value_of, unlocated) -> np.ndarray:
+        """``value_of(country code)`` per block, ``unlocated`` where the
+        database has no row: a per-country scalar broadcast over blocks."""
         columns = self.columnar()
-        keys = np.asarray(blocks, dtype=np.int64)
-        if columns.blocks.size == 0 or keys.size == 0:
-            return (
-                np.zeros(keys.shape, dtype=np.int64),
-                np.zeros(keys.shape, dtype=bool),
-            )
-        rows = np.searchsorted(columns.blocks, keys)
-        rows = np.minimum(rows, columns.blocks.size - 1)
-        located = columns.blocks[rows] == keys
-        return rows, located
+        rows, located = self.join(blocks)
+        table = np.array([value_of(code) for code in columns.countries] + [unlocated])
+        index = np.full(rows.shape, -1)  # the appended ``unlocated`` entry
+        index[located] = columns.country_index[rows[located]]
+        return table[index]

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import DatasetError
 from repro.netaddr.blocks import format_block
-from repro.rng import mix64, uniform_unit
+from repro.rng import mix64_np, uniform_unit_np
 from repro.topology.internet import Internet
 
 _SCORE_SALT = 0x53434F52
@@ -34,44 +36,68 @@ class HitlistEntry:
 
 
 class Hitlist:
-    """An ordered collection of hitlist entries (block order)."""
+    """Hitlist rows in block order, held as three read-only columns.
+
+    ``blocks`` / ``addresses`` (int64) and ``scores`` (float64) align
+    row for row; a :class:`HitlistEntry` exists only while a caller
+    indexes or iterates.
+    """
 
     def __init__(self, entries: Iterable[HitlistEntry]) -> None:
-        self._entries: List[HitlistEntry] = sorted(entries, key=lambda e: e.block)
-        blocks = [entry.block for entry in self._entries]
-        if len(set(blocks)) != len(blocks):
+        entries = list(entries)
+        self._adopt(
+            np.array([entry.block for entry in entries], dtype=np.int64),
+            np.array([entry.address for entry in entries], dtype=np.int64),
+            np.array([entry.score for entry in entries], dtype=np.float64),
+        )
+
+    @classmethod
+    def from_columns(
+        cls, blocks: np.ndarray, addresses: np.ndarray, scores: np.ndarray
+    ) -> "Hitlist":
+        """A hitlist over aligned columns (any row order, no duplicates)."""
+        hitlist = cls.__new__(cls)
+        hitlist._adopt(blocks, addresses, scores)
+        return hitlist
+
+    def _adopt(self, blocks: np.ndarray, addresses: np.ndarray, scores: np.ndarray) -> None:
+        order = np.argsort(blocks, kind="stable")
+        self.blocks, self.addresses, self.scores = blocks[order], addresses[order], scores[order]
+        if np.any(np.diff(self.blocks) == 0):
             raise DatasetError("hitlist has duplicate blocks")
+        for column in (self.blocks, self.addresses, self.scores):
+            column.setflags(write=False)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.blocks.size
+
+    def _entries(self, rows) -> List[HitlistEntry]:
+        """Materialise the rows picked by a slice or an index array."""
+        return [
+            HitlistEntry(*row)
+            for row in zip(
+                self.blocks[rows].tolist(),
+                self.addresses[rows].tolist(),
+                self.scores[rows].tolist(),
+            )
+        ]
 
     def __iter__(self) -> Iterator[HitlistEntry]:
-        return iter(self._entries)
+        return iter(self._entries(slice(None)))
 
     def __getitem__(self, index: int) -> HitlistEntry:
-        return self._entries[index]
-
-    @property
-    def blocks(self) -> List[int]:
-        """Covered block ids, ascending."""
-        return [entry.block for entry in self._entries]
+        return self._entries([index])[0]
 
     def entry_for(self, block: int) -> Optional[HitlistEntry]:
         """Entry for ``block`` via binary search, or None."""
-        low, high = 0, len(self._entries)
-        while low < high:
-            mid = (low + high) // 2
-            if self._entries[mid].block < block:
-                low = mid + 1
-            else:
-                high = mid
-        if low < len(self._entries) and self._entries[low].block == block:
-            return self._entries[low]
+        row = int(np.searchsorted(self.blocks, block))
+        if row < len(self) and self.blocks[row] == block:
+            return self[row]
         return None
 
     def top_scoring(self, count: int) -> List[HitlistEntry]:
         """The ``count`` entries with the highest scores."""
-        return sorted(self._entries, key=lambda e: -e.score)[:count]
+        return self._entries(np.argsort(-self.scores, kind="stable")[:count])
 
 
 def build_hitlist(
@@ -85,17 +111,13 @@ def build_hitlist(
     score loosely tracks the block's actual responsiveness so that
     score-ordered subsets behave like the real hitlist's.
     """
-    chosen = internet.blocks if blocks is None else blocks
-    entries = []
-    model = internet.host_model
-    for block in chosen:
-        if not internet.has_block(block):
-            raise DatasetError(f"block {block} not in topology")
-        # Representative host octet in [1, 254]: never .0 or .255.
-        octet = 1 + mix64(block ^ _HOST_SALT) % 254
-        country = internet.country_of_block(block)
-        responsive = model.is_stable_responder(block, country)
-        noise = uniform_unit(internet.seed, _SCORE_SALT, block)
-        score = (0.55 + 0.45 * noise) if responsive else 0.45 * noise
-        entries.append(HitlistEntry(block, (block << 8) | octet, score))
-    return Hitlist(entries)
+    chosen = internet.block_table()[0] if blocks is None else np.asarray(blocks, np.int64)
+    rows, populated = internet.join(chosen)
+    if not populated.all():
+        raise DatasetError(f"block {int(chosen[~populated][0])} not in topology")
+    keys = chosen.astype(np.uint64)
+    # Representative host octet in [1, 254]: never .0 or .255.
+    octet = 1 + (mix64_np(keys ^ np.uint64(_HOST_SALT)) % np.uint64(254)).astype(np.int64)
+    noise = uniform_unit_np(internet.seed, _SCORE_SALT, keys)
+    scores = np.where(internet.stable_mask()[rows], 0.55 + 0.45 * noise, 0.45 * noise)
+    return Hitlist.from_columns(chosen, (chosen << 8) | octet, scores)

@@ -82,11 +82,11 @@ class ProbeSchedule:
 
     def __iter__(self) -> Iterator[ScheduledProbe]:
         interval = 1.0 / self._config.rate_pps
+        addresses = self._hitlist.addresses.tolist()
         for position, target_index in enumerate(self._order):
-            entry = self._hitlist[target_index]
             yield ScheduledProbe(
                 send_time=self.start_time + position * interval,
-                destination=entry.address,
+                destination=addresses[target_index],
                 identifier=self.identifier,
                 sequence=target_index & 0xFFFF,
             )
@@ -102,11 +102,12 @@ class ProbeSchedule:
         shift = 32 - prefix_bits
         per_second_prefix: dict = {}
         worst = (0, 0)
+        addresses = self._hitlist.addresses.tolist()
         # Walk the permutation directly — same positions, same arithmetic —
         # without materialising a ScheduledProbe per target.
         for position, target_index in enumerate(self._order):
             second = int(self.start_time + position * interval)
-            prefix = self._hitlist[target_index].address >> shift
+            prefix = addresses[target_index] >> shift
             key = (second, prefix)
             tally = per_second_prefix.get(key, 0) + 1
             per_second_prefix[key] = tally

@@ -113,8 +113,7 @@ def replay_feed(
     metrics = observer.metrics
     engine = verfploeter.engine_for(routing)
     state, site_codes = engine.state, engine.routes.site_codes
-    addresses = np.array([entry.address for entry in verfploeter.hitlist], dtype=np.int64)
-    addresses.setflags(write=False)
+    addresses = verfploeter.hitlist.addresses
     # An off-address host answers from the next host address of its /24.
     neighbour = (addresses & ~0xFF) | ((addresses & 0xFF) + 1) % 256
     sources = np.where(state.off_address, neighbour, addresses)

@@ -22,8 +22,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.geo.geodb import GeoDatabase, GeoRecord
+from repro.geo.geodb import GeoColumns, GeoDatabase, GeoRecord
 from repro.geo.regions import COUNTRIES, Country, country_by_code
 from repro.netaddr.prefix import Prefix
 from repro.rng import derive_rng
@@ -150,6 +152,7 @@ class _Builder:
         self.transit_asns: List[int] = []
         self.stub_asns: List[int] = []
         self.seeded_asns: Dict[str, int] = {}
+        self._preference_groups: Dict[Tuple[str, int], Tuple[List[int], ...]] = {}
         weights = [country.internet_weight for country in COUNTRIES]
         self._countries = COUNTRIES
         self._country_weights = weights
@@ -250,26 +253,24 @@ class _Builder:
 
     def _transit_preference(self, country: Country, rng) -> List[int]:
         """Transit providers ordered: same country, same region, anywhere."""
-        same_country = [
-            asn
-            for asn in self.transit_asns
-            if self.ases[asn].country_code == country.code
-        ]
-        same_region = [
-            asn
-            for asn in self.transit_asns
-            if country_by_code(self.ases[asn].country_code).region == country.region
-            and self.ases[asn].country_code != country.code
-        ]
-        anywhere = [
-            asn
-            for asn in self.transit_asns
-            if asn not in same_country and asn not in same_region
-        ]
-        rng.shuffle(same_country)
-        rng.shuffle(same_region)
-        rng.shuffle(anywhere)
-        return same_country + same_region + anywhere
+        key = (country.code, len(self.transit_asns))  # transit_asns only grows
+        groups = self._preference_groups.get(key)
+        if groups is None:
+            homes = [
+                (asn, country_by_code(self.ases[asn].country_code)) for asn in self.transit_asns
+            ]
+            region = [(asn, home.code) for asn, home in homes if home.region == country.region]
+            groups = self._preference_groups[key] = (
+                [asn for asn, code in region if code == country.code],
+                [asn for asn, code in region if code != country.code],
+                [asn for asn, home in homes if home.region != country.region],
+            )
+        ordered: List[int] = []
+        for group in groups:
+            shuffled = list(group)
+            rng.shuffle(shuffled)
+            ordered += shuffled
+        return ordered
 
     def build_stubs(self) -> None:
         rng = derive_rng(self.config.seed, "stub")
@@ -391,16 +392,29 @@ class _Builder:
 
     def build_geo(self) -> None:
         rng = derive_rng(self.config.seed, "geo")
+        blocks: List[int] = []
+        pop_ids: List[int] = []
+        lats: List[float] = []
+        lons: List[float] = []
         for block in sorted(self.block_assignment):
             if rng.random() < self.config.unlocatable_fraction:
                 continue
             pop = self.pops[self.block_assignment[block][1]]
-            country = country_by_code(pop.country_code)
-            lat = min(max(rng.gauss(pop.latitude, 1.5), country.lat_range[0]), country.lat_range[1])
-            lon = min(max(rng.gauss(pop.longitude, 1.5), country.lon_range[0]), country.lon_range[1])
-            lat = min(max(lat, -89.9), 89.9)
-            lon = min(max(lon, -179.9), 179.9)
-            self.geodb.add(block, GeoRecord(pop.country_code, lat, lon))
+            blocks.append(block)
+            pop_ids.append(pop.pop_id)
+            lats.append(rng.gauss(pop.latitude, 1.5))
+            lons.append(rng.gauss(pop.longitude, 1.5))
+        # Clamp each draw into its PoP's country, then onto the globe.
+        homes = [country_by_code(pop.country_code) for pop in self.pops]
+        bounds = np.array([(*home.lat_range, *home.lon_range) for home in homes])
+        lat_low, lat_high, lon_low, lon_high = bounds[pop_ids].T
+        latitudes = np.clip(np.clip(lats, lat_low, lat_high), -89.9, 89.9)
+        longitudes = np.clip(np.clip(lons, lon_low, lon_high), -179.9, 179.9)
+        codes = [self.pops[pop_id].country_code for pop_id in pop_ids]
+        self.geodb.add_many(
+            zip(blocks, map(GeoRecord, codes, latitudes.tolist(), longitudes.tolist()))
+        )
+        self.geodb.attach_columns(GeoColumns.from_rows(blocks, codes, latitudes, longitudes))
 
     def finish(self) -> Internet:
         host_model = HostModel(self.config.seed, self.config.host_config)

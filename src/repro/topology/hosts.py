@@ -15,8 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.rng import uniform_unit
+from repro.geo.geodb import GeoDatabase
+from repro.rng import uniform_unit, uniform_unit_np
 
 _STABLE_SALT = 0x5741424C  # arbitrary distinct salts per decision
 _CHURN_SALT = 0x43485552
@@ -85,6 +88,18 @@ class HostModel:
         """Whether ``block`` hosts a ping responder at all (time-invariant)."""
         threshold = self.responsiveness_for(country_code)
         return uniform_unit(self._seed, _STABLE_SALT, block) < threshold
+
+    def stable_mask(self, blocks: np.ndarray, geodb: GeoDatabase) -> np.ndarray:
+        """:meth:`is_stable_responder` of every block, countries from ``geodb``.
+
+        The one array form of the draw: hitlist scores, the day load,
+        Atlas sizing and the scan engine read it through
+        :meth:`~repro.topology.internet.Internet.stable_mask`.
+        """
+        threshold = geodb.country_values(
+            blocks, self.responsiveness_for, self.responsiveness_for(None)
+        )
+        return uniform_unit_np(self._seed, _STABLE_SALT, np.asarray(blocks, np.uint64)) < threshold
 
     def responds_in_round(
         self, block: int, round_id: int, country_code: Optional[str] = None

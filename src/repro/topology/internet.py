@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geo.geodb import GeoDatabase
+from repro.geo.geodb import GeoDatabase, join_sorted
 from repro.netaddr.trie import LongestPrefixTrie
 from repro.topology.asys import AutonomousSystem, PoP
 from repro.topology.hosts import HostModel
@@ -53,6 +53,7 @@ class Internet:
             self._blocks_by_asn.setdefault(asn, []).append(block)
         self._block_table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._block_table_pid: Optional[int] = None
+        self._stable_mask: Optional[np.ndarray] = None
 
     # -- blocks ---------------------------------------------------------
 
@@ -136,19 +137,28 @@ class Internet:
         Raises :class:`~repro.errors.TopologyError` if any block is not
         populated, mirroring the scalar lookup.
         """
-        table_blocks, table_asns, _ = self.block_table()
-        keys = np.asarray(blocks, dtype=np.int64)
-        if keys.size == 0:
-            return np.empty(0, dtype=np.int64)
-        pos = np.searchsorted(table_blocks, keys)
-        pos_clamped = np.minimum(pos, max(table_blocks.size - 1, 0))
-        found = (
-            (table_blocks.size > 0) & (table_blocks[pos_clamped] == keys)
-        )
-        if not np.all(found):
-            missing = int(keys[~found][0])
+        rows, populated = self.join(blocks)
+        if not np.all(populated):
+            missing = int(np.asarray(blocks)[~populated][0])
             raise TopologyError(f"block {missing} is not populated")
-        return table_asns[pos_clamped]
+        return self.block_table()[1][rows]
+
+    def join(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of ``blocks`` in :meth:`block_table` and whether each is
+        populated (rows are meaningless where it is not)."""
+        return join_sorted(self.block_table()[0], blocks)
+
+    def stable_mask(self) -> np.ndarray:
+        """Which :meth:`block_table` rows host a ping responder at all.
+
+        The host model's time-invariant draw, made once and shared
+        read-only by every consumer of the responder column.
+        """
+        if self._stable_mask is None:
+            mask = self.host_model.stable_mask(self.block_table()[0], self.geodb)
+            mask.setflags(write=False)
+            self._stable_mask = mask
+        return self._stable_mask
 
     def country_of_block(self, block: int) -> Optional[str]:
         """Country code of ``block`` from the geolocation DB (or None)."""

@@ -15,7 +15,7 @@ from repro.probing.prober import Prober, ProberConfig
 class TestHitlist:
     def test_covers_all_blocks(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        assert hitlist.blocks == sorted(tiny_internet.blocks)
+        assert hitlist.blocks.tolist() == sorted(tiny_internet.blocks)
 
     def test_addresses_inside_blocks(self, tiny_internet):
         for entry in build_hitlist(tiny_internet):
