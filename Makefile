@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-columnar bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples report serve-smoke all
+.PHONY: install test lint lint-cold lint-sarif bench bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach report serve-smoke all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -29,10 +29,6 @@ bench-verbose:
 # Regenerate the incremental-propagation perf baseline (BENCH_delta_routing.json).
 bench-delta:
 	PYTHONPATH=src python -m pytest benchmarks/bench_extension_delta_routing.py --benchmark-only -s
-
-# Regenerate the columnar-results perf baseline (BENCH_columnar_scan.json).
-bench-columnar:
-	PYTHONPATH=src python -m pytest benchmarks/bench_extension_columnar_scan.py --benchmark-only -s
 
 # Regenerate the observability-overhead baseline (BENCH_observability.json).
 bench-obs:
@@ -72,6 +68,13 @@ docs:
 examples:
 	for script in examples/*.py; do echo "== $$script"; PYTHONPATH=src python $$script > /dev/null || exit 1; done
 
+# Reach audit: every CLI subcommand and example under a profile hook;
+# fails on a module no operator path runs that tools/reach.py does not
+# declare (oracle / library / types), and on a declared one that ran.
+reach:
+	PYTHONPATH=src python tools/reach.py --check
+	PYTHONPATH=src python -m pytest tests/test_reach.py -m reach -q
+
 report:
 	PYTHONPATH=src python -m repro paper --scenario broot --scale small --outdir repro-report
 
@@ -80,4 +83,4 @@ report:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-all: lint docs examples test serve-smoke bench-e2e-smoke bench
+all: lint docs examples reach test serve-smoke bench-e2e-smoke bench

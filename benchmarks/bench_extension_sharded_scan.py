@@ -13,10 +13,7 @@ engine (the helpers raise ``EquivalenceError`` on the first differing
 byte).  Worker payloads are ``(store root, fingerprint, bounds,
 rounds)`` tuples, so the JSON also records total payload bytes,
 attach-cache hits/misses, warm-worker reuse, and parent/worker peak
-RSS.  It also measures the memmap table cold-start: the scenario's
-round-invariant tables are persisted once through
-``core.tables.TableStore`` and re-attached, which must cost
-milliseconds, not the seconds of the Python rebuild passes.
+RSS.
 
 Timings land in ``BENCH_sharded_scan.json`` at the repo root.  The
 full run is slow (the topology alone takes ~2 minutes to build), so it
@@ -51,12 +48,7 @@ from repro.core.sharding import (
     run_sharded_series,
     sharded_weight_catchment,
 )
-from repro.core.tables import (
-    TableStore,
-    attach_scenario_tables,
-    attached_day_load,
-    persist_scenario_tables,
-)
+from repro.core.tables import TableStore
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import weight_catchment
@@ -100,21 +92,9 @@ def test_extension_sharded_scan(benchmark):
     day_seconds, day = _timed(lambda: scenario.day_load(DAY_LABEL))
     estimate = LoadEstimate(day)
 
-    # -- memmap tables: persist once, re-attach in milliseconds -------------
     table_root = tempfile.mkdtemp(prefix="repro-sharded-bench-")
     try:
         store = TableStore(root=table_root)
-        persist_seconds, _ = _timed(
-            lambda: persist_scenario_tables(store, scenario, day_loads=[day])
-        )
-        attach_seconds, _ = _timed(lambda: attach_scenario_tables(store, scenario))
-        day_attach_seconds, attached_day = _timed(
-            lambda: attached_day_load(
-                store, scenario, day.service_name, day.date_label
-            )
-        )
-        assert attached_day.total_queries() == day.total_queries()
-
         verfploeter = Verfploeter(scenario.internet, scenario.service)
         precompute_seconds, engine = _timed(lambda: FastScanEngine(verfploeter))
         blocks = engine.state.rows
@@ -237,8 +217,6 @@ def test_extension_sharded_scan(benchmark):
             assert speedup >= MIN_SPEEDUP_AT_4_CORES, (
                 f"{pool_workers}-worker series only {speedup:.2f}x over 1 worker"
             )
-    rebuild_seconds = build_seconds + day_seconds
-    attach_total_seconds = attach_seconds + day_attach_seconds
     metrics = observer.metrics
     parent_rss_kb = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
@@ -257,11 +235,6 @@ def test_extension_sharded_scan(benchmark):
         "build_seconds": round(build_seconds, 3),
         "day_load_seconds": round(day_seconds, 3),
         "precompute_seconds": round(precompute_seconds, 3),
-        "tables_persist_seconds": round(persist_seconds, 3),
-        "tables_attach_seconds": round(attach_total_seconds, 6),
-        "tables_attach_speedup": round(
-            rebuild_seconds / attach_total_seconds, 1
-        ) if attach_total_seconds else float("inf"),
         "series_single_process_seconds": round(single_seconds, 3),
         "series_sharded_inline_seconds": round(inline_seconds, 3),
         "series_sharded_cold_pool_seconds": round(cold_seconds, 3),
@@ -306,11 +279,6 @@ def test_extension_sharded_scan(benchmark):
         f"{payload['payload_bytes']} B, attach "
         f"{payload['pool_attach_hits']} hits / "
         f"{payload['pool_attach_misses']} misses"
-    )
-    print(
-        f"  tables: persist {persist_seconds:.3f} s, re-attach "
-        f"{attach_total_seconds * 1e3:.2f} ms "
-        f"(rebuild was {rebuild_seconds:.1f} s)"
     )
     if FULL:
         print(f"  (recorded in {os.path.basename(RESULT_PATH)})")

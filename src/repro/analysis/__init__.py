@@ -20,7 +20,6 @@ from repro.analysis.flips import (
     format_stability_table,
     stability_rows,
 )
-from repro.analysis.consensus import agreement_scores, coverage_gain, merge_scans
 from repro.analysis.containment import (
     containment_report,
     country_site_matrix,
@@ -72,7 +71,4 @@ __all__ = [
     "format_inflation_table",
     "suggest_sites",
     "rtt_summary_by_site",
-    "merge_scans",
-    "agreement_scores",
-    "coverage_gain",
 ]

@@ -198,10 +198,6 @@ class ArrayCatchmentMap(CatchmentMap):
             codes, np.asarray(blocks, dtype=np.uint64), sites, validate=False
         )
 
-    def to_reference(self) -> CatchmentMap:
-        """The equivalent dict-backed :class:`CatchmentMap`."""
-        return CatchmentMap(self._site_codes, dict(self.items()))
-
     # -- columnar accessors ------------------------------------------------
 
     @property
@@ -499,9 +495,3 @@ class CatchmentAccumulator:
             validate=False,
         )
 
-
-def columnar_catchment(
-    site_codes: Sequence[str], mapping: Mapping[int, str]
-) -> ArrayCatchmentMap:
-    """Convenience: :meth:`ArrayCatchmentMap.from_mapping`."""
-    return ArrayCatchmentMap.from_mapping(site_codes, mapping)

@@ -15,7 +15,6 @@ from repro.collector.capture import (
     StreamingCapture,
 )
 from repro.collector.cleaning import CleaningConfig, CleaningResult, clean_replies
-from repro.collector.pcap import PcapCapture, PcapReader, PcapWriter
 from repro.collector.stream import ReplyColumns, StreamingCleaner
 
 __all__ = [
@@ -29,7 +28,4 @@ __all__ = [
     "CleaningConfig",
     "CleaningResult",
     "clean_replies",
-    "PcapCapture",
-    "PcapReader",
-    "PcapWriter",
 ]

@@ -5,8 +5,7 @@ configuration propagates in full, every later one is an incremental
 delta against it, and repeated configurations are dictionary hits.
 Results are bit-identical to scratch propagation either way.  Every
 scan runs on the deployment's columnar engine
-(:meth:`Verfploeter.engine_for`), in-process or — given a ``pool`` —
-sharded over worker processes with the same answer.
+(:meth:`Verfploeter.engine_for`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import (
     UNKNOWN,
-    SiteLoad,
     capacity_violations,
     weight_catchment,
 )
@@ -101,7 +99,6 @@ def run_stability_series(
     cache: Optional[RoutingCache] = None,
     shards: Optional[int] = None,
     workers: Optional[int] = None,
-    pool=None,
 ) -> StabilitySeries:
     """Run the paper's 24-hour stability experiment (§6.3).
 
@@ -111,14 +108,12 @@ def run_stability_series(
     for the whole series); ``shards``/``workers`` fan it over the block
     universe in worker processes via
     :func:`repro.core.sharding.run_sharded_series` (bit-identical
-    again), and an open :class:`repro.core.pool.ShardPool` passed as
-    ``pool`` lets several series in one invocation share warm worker
-    processes.  The routing state is resolved through ``cache``, so a
+    again).  The routing state is resolved through ``cache``, so a
     series over an already-studied policy skips propagation entirely.
     """
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()
-    sharded = shards is not None or workers is not None or pool is not None
+    sharded = shards is not None or workers is not None
     with observer.tracer.span(
         "experiment.stability_series", rounds=rounds, sharded=sharded
     ):
@@ -135,7 +130,6 @@ def run_stability_series(
                 workers=workers,
                 interval_seconds=interval_seconds,
                 dataset_prefix="stability",
-                pool=pool,
             )
         else:
             scans = verfploeter.run_series(
@@ -209,39 +203,11 @@ class SiteFailureResult:
         return worst, self.overload_factor(worst)
 
 
-def _scan_and_weigh(
-    verfploeter: Verfploeter,
-    routing,
-    estimate: LoadEstimate,
-    dataset_id: str,
-    round_id: int,
-    pool,
-) -> Tuple[ScanResult, SiteLoad]:
-    """One scan of ``routing`` and its load join, over ``pool`` if given."""
-    observer = verfploeter.observer
-    if pool is None:
-        scan = verfploeter.run_scan(
-            routing=routing, round_id=round_id, dataset_id=dataset_id
-        )
-        return scan, weight_catchment(
-            scan.catchment, estimate, observer=observer
-        )
-    from repro.core.sharding import run_sharded_scan, sharded_weight_catchment
-
-    scan = run_sharded_scan(
-        verfploeter, routing, dataset_id, pool, round_id=round_id
-    )
-    return scan, sharded_weight_catchment(
-        scan.catchment, estimate, pool=pool, observer=observer
-    )
-
-
 def site_failure_study(
     verfploeter: Verfploeter,
     estimate: LoadEstimate,
     sites: Optional[Sequence[str]] = None,
     cache: Optional[RoutingCache] = None,
-    pool=None,
 ) -> List[SiteFailureResult]:
     """Withdraw each site in turn and predict the load redistribution.
 
@@ -249,10 +215,6 @@ def site_failure_study(
     catchment with Verfploeter, weight by historical load, and compare
     per-site daily load against the all-sites baseline.  Each
     withdrawal's routing is a delta against the all-sites baseline.
-
-    With an open :class:`repro.core.pool.ShardPool` as ``pool``, every
-    withdrawal's scan and load join fan over the pool's warm workers;
-    the results are bit-identical to the unpooled study.
     """
     service = verfploeter.service
     internet = verfploeter.internet
@@ -262,8 +224,11 @@ def site_failure_study(
         baseline_routing = routing_cache.get_or_compute(
             internet, service.default_policy()
         )
-        _, baseline_load = _scan_and_weigh(
-            verfploeter, baseline_routing, estimate, "failure-baseline", 0, pool
+        baseline_scan = verfploeter.run_scan(
+            routing=baseline_routing, dataset_id="failure-baseline"
+        )
+        baseline_load = weight_catchment(
+            baseline_scan.catchment, estimate, observer=observer
         )
         baseline = {
             code: baseline_load.daily_of(code)
@@ -279,9 +244,13 @@ def site_failure_study(
             with observer.tracer.span("failure.withdrawal", site=site_code):
                 policy = service.policy(withdrawn=[site_code])
                 routing = routing_cache.get_or_compute(internet, policy)
-                scan, after_load = _scan_and_weigh(
-                    verfploeter, routing, estimate, f"failure-{site_code}",
-                    100 + index, pool,
+                scan = verfploeter.run_scan(
+                    routing=routing,
+                    round_id=100 + index,
+                    dataset_id=f"failure-{site_code}",
+                )
+                after_load = weight_catchment(
+                    scan.catchment, estimate, observer=observer
                 )
             after = {
                 code: after_load.daily_of(code)

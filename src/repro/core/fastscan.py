@@ -28,12 +28,10 @@ and probe send offsets are recovered per shard through the inverse of
 the global Feistel permutation, so a :meth:`RoundState.shard` slice
 evaluates to exactly the rows the full state would.
 
-Results are columnar end-to-end by default: each round returns an
+Results are columnar end-to-end: each round returns an
 :class:`~repro.anycast.catchment.ArrayCatchmentMap` over the engine's
 shared block universe plus a :class:`BlockValueMap` of RTTs, so
 consumers (diffs, load weighting, stability series) stay in numpy.
-``columnar=False`` selects the dict-backed reference materialisation
-the equivalence suite compares against.
 """
 # reprolint: hot-path
 
@@ -44,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import ArrayCatchmentMap
 from repro.bgp import instability as _instability
 from repro.bgp.instability import FlipModelConfig
 from repro.bgp.propagation import RoutingOutcome
@@ -512,7 +510,6 @@ class FastScanEngine:
         self,
         verfploeter: Verfploeter,
         routing: Optional[RoutingOutcome] = None,
-        columnar: bool = True,
         observer: Optional[Observer] = None,
     ) -> None:
         self.verfploeter = verfploeter
@@ -520,12 +517,9 @@ class FastScanEngine:
             observer if observer is not None else verfploeter.observer
         )
         self.routing = routing if routing is not None else verfploeter.routing_for()
-        self.columnar = columnar
         self._prober = verfploeter._prober
         self.state = verfploeter.round_state()
-        with self.observer.tracer.span(
-            "fastscan.precompute", columnar=columnar
-        ) as span:
+        with self.observer.tracer.span("fastscan.precompute") as span:
             with self.observer.profile("fastscan.precompute"):
                 self.routes = self._precompute(verfploeter)
             span.set(blocks=self.state.rows, sites=len(self.routes.site_codes))
@@ -625,7 +619,7 @@ class FastScanEngine:
         start_time: float,
         dataset_id: Optional[str],
     ) -> ScanResult:
-        """Evaluate one round and materialise it (columnar or reference)."""
+        """Evaluate one round and materialise it."""
         state = self.state
         draws, hit = round_draws(state, round_id)
         self.observer.metrics.counter(
@@ -633,30 +627,8 @@ class FastScanEngine:
         ).inc()
         arrays = evaluate_round(state, self.routes, draws)
         label = dataset_id or f"fast-r{round_id}"
-        if self.columnar:
-            return materialise_columnar(
-                state, self.routes, arrays, round_id, start_time, label
-            )
-
-        # Dict-backed reference materialisation (equivalence baseline).
-        site_codes = self.routes.site_codes
-        mapping: Dict[int, str] = {}
-        rtt_dict: Dict[int, float] = {}
-        kept_blocks = state.blocks[arrays.kept_mask].astype(np.int64)
-        kept_sites = arrays.site[arrays.kept_mask]
-        kept_delays = arrays.delay[arrays.kept_mask]
-        for block, site_idx, block_delay in zip(kept_blocks, kept_sites, kept_delays):
-            mapping[int(block)] = site_codes[site_idx]  # reprolint: disable=D110 — reference path
-            rtt_dict[int(block)] = float(block_delay)  # reprolint: disable=D110 — reference path
-        catchment: CatchmentMap = CatchmentMap(site_codes, mapping)
-        return ScanResult(
-            dataset_id=label,
-            round_id=round_id,
-            start_time=start_time,
-            duration_seconds=state.rows * state.interval,
-            catchment=catchment,
-            stats=arrays.stats,
-            rtts=rtt_dict,
+        return materialise_columnar(
+            state, self.routes, arrays, round_id, start_time, label
         )
 
     def run_series(

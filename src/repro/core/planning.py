@@ -89,7 +89,6 @@ def evaluate_site_addition(
     test_prefix: Optional[Prefix] = None,
     upstream_asn: Optional[int] = None,
     cache: Optional[RoutingCache] = None,
-    pool=None,
 ) -> SiteAdditionResult:
     """Measure the effect of adding a site at (latitude, longitude).
 
@@ -99,11 +98,6 @@ def evaluate_site_addition(
     ``cache``: the test-prefix clone announces exactly what production
     does, so its baseline is typically already cached, and the trial
     propagates as a site-addition delta against it.
-
-    With an open :class:`repro.core.pool.ShardPool` as ``pool``, both
-    scans are sharded over the pool's warm workers — bit-identical to
-    the unpooled call; many candidates evaluated against one pool pay
-    the universe externalisation once.
     """
     test_prefix = test_prefix if test_prefix is not None else Prefix("192.88.99.0/24")
     routing_cache = cache if cache is not None else default_routing_cache()
@@ -140,15 +134,12 @@ def evaluate_site_addition(
         scenario.internet, trial_service.default_policy()
     )
 
-    def scan(vp: Verfploeter, routing, dataset_id: str) -> ScanResult:
-        if pool is None:
-            return vp.run_scan(routing=routing, dataset_id=dataset_id)
-        from repro.core.sharding import run_sharded_scan
-
-        return run_sharded_scan(vp, routing, dataset_id, pool)
-
-    baseline = scan(baseline_vp, baseline_routing, "addition-baseline")
-    trial = scan(trial_vp, trial_routing, f"addition-{site_code}")
+    baseline = baseline_vp.run_scan(
+        routing=baseline_routing, dataset_id="addition-baseline"
+    )
+    trial = trial_vp.run_scan(
+        routing=trial_routing, dataset_id=f"addition-{site_code}"
+    )
 
     captured = len(trial.catchment.blocks_of_site(site_code))
     return SiteAdditionResult(

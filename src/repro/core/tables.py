@@ -1,15 +1,11 @@
-"""Memory-mapped scenario tables, keyed by run-metadata fingerprint.
+"""Memory-mapped, content-addressed numpy tables.
 
-Building a paper-scale scenario pays a few big one-time costs: the
-per-record Python passes behind ``Internet.block_table()`` and
-``GeoDatabase.columnar()``, and the per-block loop behind a day of
-traffic logs.  Those tables are pure functions of the scenario
-identity ``(name, scale, seed)``, so this module persists them once as
-``.npy`` files under a directory named by the same blake2b fingerprint
-:func:`repro.obs.run_metadata` stamps on every run artefact, then
-re-attaches them as ``np.memmap`` arrays — a cold start touches only
-file metadata and costs milliseconds, and worker processes can attach
-the same files instead of rebuilding per-process caches.
+A :class:`TableStore` is a directory of ``.npy`` files the pool's
+worker processes attach as read-only ``np.memmap`` arrays instead of
+unpickling them per task.  Every entry is keyed by *content*: the
+fingerprint is a blake2b over dtype, shape, and raw bytes, so two runs
+that build the same arrays share one on-disk copy, and a stale cache
+entry is impossible by construction.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed run never
 leaves a half-written table under a valid fingerprint; the manifest is
@@ -24,31 +20,18 @@ import json
 import os
 import tempfile
 from collections import OrderedDict
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, DatasetError
-from repro.geo.geodb import GeoColumns
-from repro.obs import run_metadata
-from repro.traffic.logs import DayLoad
 
 _ENV_ROOT = "REPRO_TABLE_CACHE"
 _MANIFEST = "manifest.json"
 
-#: blake2b digest size matching :func:`repro.obs.run_metadata`'s
-#: fingerprints, so content keys and scenario keys look alike on disk.
+#: blake2b digest size, matching :func:`repro.obs.run_metadata`'s
+#: fingerprints.
 _DIGEST_SIZE = 8
-
-
-def scenario_fingerprint(name: str, scale: str, seed: int) -> str:
-    """The fingerprint a scenario's tables are stored under.
-
-    Identical to the ``fingerprint`` field of
-    :func:`repro.obs.run_metadata` for the same identity, so run
-    artefacts and persisted tables key the same way.
-    """
-    return str(run_metadata(scenario=name, scale=scale, seed=seed)["fingerprint"])
 
 
 class TableStore:
@@ -108,132 +91,6 @@ class TableStore:
             return json.load(handle)
 
 
-def _traffic_prefix(service_name: str, date_label: str) -> str:
-    return f"traffic.{service_name}.{date_label}"
-
-
-def persist_scenario_tables(
-    store: TableStore,
-    scenario,
-    day_loads: Sequence[DayLoad] = (),
-) -> str:
-    """Persist a scenario's round-invariant tables; returns the fingerprint.
-
-    Stores the block table (the block universe plus AS/PoP columns),
-    the geo database's columnar join arrays, and the traffic bins of
-    any given day loads.  ``scenario`` is a
-    :class:`repro.core.scenarios.Scenario` (typed loosely to keep this
-    module importable below the scenario builders).
-    """
-    fingerprint = scenario_fingerprint(
-        scenario.name, scenario.scale, scenario.internet.seed
-    )
-    blocks, asns, pop_ids = scenario.internet.block_table()
-    store.write_array(fingerprint, "block_table.blocks", blocks)
-    store.write_array(fingerprint, "block_table.asns", asns)
-    store.write_array(fingerprint, "block_table.pop_ids", pop_ids)
-    columns = scenario.internet.geodb.columnar()
-    store.write_array(fingerprint, "geo.blocks", columns.blocks)
-    store.write_array(fingerprint, "geo.latitudes", columns.latitudes)
-    store.write_array(fingerprint, "geo.longitudes", columns.longitudes)
-    store.write_array(fingerprint, "geo.country_index", columns.country_index)
-    traffic_entries: List[Dict[str, str]] = []
-    for load in day_loads:
-        prefix = _traffic_prefix(load.service_name, load.date_label)
-        store.write_array(fingerprint, f"{prefix}.blocks", load.blocks)
-        store.write_array(fingerprint, f"{prefix}.queries", load.queries)
-        store.write_array(fingerprint, f"{prefix}.good_fraction", load.good_fraction)
-        store.write_array(fingerprint, f"{prefix}.reply_fraction", load.reply_fraction)
-        traffic_entries.append(
-            {"service": load.service_name, "date": load.date_label}
-        )
-    store.write_manifest(
-        fingerprint,
-        {
-            "scenario": scenario.name,
-            "scale": scenario.scale,
-            "seed": scenario.internet.seed,
-            "blocks": int(blocks.size),
-            "countries": list(columns.countries),
-            "traffic": traffic_entries,
-        },
-    )
-    return fingerprint
-
-
-def attach_scenario_tables(store: TableStore, scenario) -> Dict[str, object]:
-    """Attach persisted tables to a rebuilt scenario; returns the manifest.
-
-    The internet's block table and the geo database's columnar snapshot
-    become read-only memmaps, so neither pays its Python rebuild pass
-    in this process (or in any worker that re-attaches).  Raises
-    :class:`~repro.errors.DatasetError` when the scenario was never
-    persisted.
-    """
-    fingerprint = scenario_fingerprint(
-        scenario.name, scenario.scale, scenario.internet.seed
-    )
-    manifest = store.read_manifest(fingerprint)
-    scenario.internet.attach_block_table(
-        store.read_array(fingerprint, "block_table.blocks"),
-        store.read_array(fingerprint, "block_table.asns"),
-        store.read_array(fingerprint, "block_table.pop_ids"),
-    )
-    scenario.internet.geodb.attach_columns(
-        GeoColumns(
-            blocks=store.read_array(fingerprint, "geo.blocks"),
-            latitudes=store.read_array(fingerprint, "geo.latitudes"),
-            longitudes=store.read_array(fingerprint, "geo.longitudes"),
-            country_index=store.read_array(fingerprint, "geo.country_index"),
-            countries=tuple(manifest["countries"]),
-        )
-    )
-    return manifest
-
-
-def attached_day_load(
-    store: TableStore,
-    scenario,
-    service_name: str,
-    date_label: str,
-) -> DayLoad:
-    """Rebuild a persisted day of traffic straight from its memmaps.
-
-    The heavy per-block synthesis loop is skipped entirely; the
-    returned :class:`DayLoad` is backed by the on-disk arrays.
-    """
-    fingerprint = scenario_fingerprint(
-        scenario.name, scenario.scale, scenario.internet.seed
-    )
-    manifest = store.read_manifest(fingerprint)
-    entries = [
-        entry
-        for entry in manifest.get("traffic", [])
-        if entry["service"] == service_name and entry["date"] == date_label
-    ]
-    if not entries:
-        raise DatasetError(
-            f"no persisted traffic for {service_name!r} on {date_label!r}"
-        )
-    prefix = _traffic_prefix(service_name, date_label)
-    return DayLoad(
-        service_name,
-        date_label,
-        store.read_array(fingerprint, f"{prefix}.blocks"),
-        store.read_array(fingerprint, f"{prefix}.queries"),
-        store.read_array(fingerprint, f"{prefix}.good_fraction"),
-        store.read_array(fingerprint, f"{prefix}.reply_fraction"),
-    )
-
-
-# -- content-addressed arrays and round state ------------------------------
-#
-# Scenario tables above key by *identity* (name, scale, seed); everything
-# below keys by *content*: the fingerprint is a blake2b over dtype, shape,
-# and raw bytes, so two runs that build the same arrays share one on-disk
-# copy, and a stale cache entry is impossible by construction.
-
-
 def content_fingerprint(
     arrays: Mapping[str, np.ndarray],
     scalars: Optional[Mapping[str, object]] = None,
@@ -241,9 +98,7 @@ def content_fingerprint(
     """Content hash of named arrays (plus optional JSON-able scalars).
 
     Arrays are hashed as ``name | dtype | shape | raw bytes`` in sorted
-    name order; the hash never copies a C-contiguous buffer.  Same
-    digest size as :func:`repro.obs.run_metadata` fingerprints, so the
-    two kinds of key are interchangeable as store directory names.
+    name order; the hash never copies a C-contiguous buffer.
     """
     digest = hashlib.blake2b(digest_size=_DIGEST_SIZE)
     if scalars:

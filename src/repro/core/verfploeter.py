@@ -34,7 +34,7 @@ from repro.probing.hitlist import Hitlist, build_hitlist
 from repro.probing.prober import ProbeSchedule, Prober, ProberConfig
 from repro.topology.internet import Internet
 
-CAPTURE_STYLES = ("streaming", "lander", "pcap", "pcapbin")
+CAPTURE_STYLES = ("streaming", "lander", "pcap")
 
 
 class Verfploeter:
@@ -95,14 +95,6 @@ class Verfploeter:
                 captures.append(StreamingCapture(site.code))
             elif self.capture_style == "lander":
                 captures.append(LanderCapture(site.code))
-            elif self.capture_style == "pcapbin":
-                from repro.collector.pcap import PcapCapture
-
-                captures.append(
-                    PcapCapture(
-                        site.code, io.BytesIO(), self.service.measurement_address
-                    )
-                )
             else:
                 captures.append(PcapLikeCapture(site.code, io.StringIO()))
         return captures

@@ -10,13 +10,7 @@ from repro.dns.message import (
     CLASS_CHAOS,
     CLASS_IN,
     EDNS_OPTION_NSID,
-    RCODE_NOERROR,
-    RCODE_NXDOMAIN,
-    RCODE_REFUSED,
-    TYPE_A,
-    TYPE_NS,
     TYPE_OPT,
-    TYPE_SOA,
     TYPE_TXT,
     DnsMessage,
     DnsQuestion,
@@ -24,9 +18,7 @@ from repro.dns.message import (
     decode_name,
     encode_name,
 )
-from repro.dns.root import RootServer, build_root_zone
 from repro.dns.server import SiteIdentityServer
-from repro.dns.zone import Zone, ZoneAnswer
 
 __all__ = [
     "CLASS_CHAOS",
@@ -40,14 +32,4 @@ __all__ = [
     "encode_name",
     "decode_name",
     "SiteIdentityServer",
-    "TYPE_A",
-    "TYPE_NS",
-    "TYPE_SOA",
-    "RCODE_NOERROR",
-    "RCODE_NXDOMAIN",
-    "RCODE_REFUSED",
-    "Zone",
-    "ZoneAnswer",
-    "RootServer",
-    "build_root_zone",
 ]

@@ -14,17 +14,11 @@ from typing import List, Optional, Tuple
 
 from repro.errors import DNSError
 
-TYPE_A = 1
-TYPE_NS = 2
-TYPE_SOA = 6
 TYPE_TXT = 16
 TYPE_OPT = 41
 CLASS_IN = 1
 CLASS_CHAOS = 3
 EDNS_OPTION_NSID = 3
-RCODE_NOERROR = 0
-RCODE_NXDOMAIN = 3
-RCODE_REFUSED = 5
 
 _FLAG_QR = 1 << 15
 _FLAG_AA = 1 << 10
@@ -144,49 +138,6 @@ class DnsRecord:
             strings.append(self.rdata[position : position + length].decode("utf-8"))
             position += length
         return strings
-
-    @staticmethod
-    def a(name: str, address: int, ttl: int = 3600) -> "DnsRecord":
-        """Build an A record from a 32-bit address."""
-        return DnsRecord(name, TYPE_A, CLASS_IN, ttl, address.to_bytes(4, "big"))
-
-    def a_address(self) -> int:
-        """Decode an A record's address."""
-        if self.rtype != TYPE_A or len(self.rdata) != 4:
-            raise DNSError("not a well-formed A record")
-        return int.from_bytes(self.rdata, "big")
-
-    @staticmethod
-    def ns(name: str, target: str, ttl: int = 3600) -> "DnsRecord":
-        """Build an NS record."""
-        return DnsRecord(name, TYPE_NS, CLASS_IN, ttl, encode_name(target))
-
-    def ns_target(self) -> str:
-        """Decode an NS record's nameserver name."""
-        if self.rtype != TYPE_NS:
-            raise DNSError("not an NS record")
-        target, _ = decode_name(self.rdata, 0)
-        return target
-
-    @staticmethod
-    def soa(
-        name: str,
-        mname: str,
-        rname: str,
-        serial: int,
-        refresh: int = 1800,
-        retry: int = 900,
-        expire: int = 604800,
-        minimum: int = 86400,
-        ttl: int = 86400,
-    ) -> "DnsRecord":
-        """Build an SOA record."""
-        rdata = (
-            encode_name(mname)
-            + encode_name(rname)
-            + struct.pack("!IIIII", serial, refresh, retry, expire, minimum)
-        )
-        return DnsRecord(name, TYPE_SOA, CLASS_IN, ttl, rdata)
 
     @staticmethod
     def nsid_opt(nsid: bytes = b"", udp_size: int = 4096) -> "DnsRecord":

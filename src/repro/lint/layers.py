@@ -6,7 +6,7 @@ a higher one.  Within-layer imports are allowed (e.g. ``bgp`` and
 layered-architecture reading of the DAG
 
     netaddr/rng/errors -> geo/topology -> bgp/icmp/dns/traffic
-        -> probing/collector/atlas/resolvers/load/analysis
+        -> probing/collector/atlas/load/analysis
         -> core -> cli
 
 with four additions reflecting the tree as it actually is:
@@ -43,7 +43,7 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("errors", "rng", "netaddr", "lint", "obs"),
     ("geo", "topology"),
     ("anycast", "bgp", "icmp", "dns", "traffic"),
-    ("probing", "collector", "atlas", "resolvers", "load", "analysis"),
+    ("probing", "collector", "atlas", "load", "analysis"),
     ("core",),
     ("datasets", "reporting", "service"),
     ("cli", "__init__", "__main__"),

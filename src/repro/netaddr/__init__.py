@@ -21,13 +21,11 @@ from repro.netaddr.blocks import (
     parse_block,
 )
 from repro.netaddr.prefix import Prefix
-from repro.netaddr.sets import PrefixSet
 from repro.netaddr.trie import LongestPrefixTrie
 
 __all__ = [
     "IPv4Address",
     "Prefix",
-    "PrefixSet",
     "LongestPrefixTrie",
     "parse_ipv4",
     "format_ipv4",

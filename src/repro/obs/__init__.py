@@ -90,7 +90,6 @@ class Observer:
         cls,
         clock: Optional[Callable[[], float]] = None,
         profile: bool = False,
-        cprofile: bool = False,
     ) -> "Observer":
         """A live observer: fresh tracer + registry, profiler on request.
 
@@ -98,11 +97,8 @@ class Observer:
         ``time.perf_counter`` for wall-clock span durations, at the
         cost of run-to-run artifact identity).
         """
-        profiler = (
-            Profiler(cprofile=cprofile) if (profile or cprofile) else None
-        )
         return cls(tracer=Tracer(clock=clock), metrics=MetricsRegistry(),
-                   profiler=profiler)
+                   profiler=Profiler() if profile else None)
 
     @classmethod
     def null(cls) -> "Observer":

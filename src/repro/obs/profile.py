@@ -1,15 +1,10 @@
 """Opt-in profiling hooks for the pipeline's hot paths.
 
-Two complementary modes, both off unless an operator asks:
-
-* **Section timing** — every instrumented hot path (the vectorised
-  round evaluation, load weighting, BGP propagation) is wrapped in
-  ``observer.profile("name")``; with a :class:`Profiler` attached the
-  wrapper accumulates ``time.perf_counter`` elapsed per section, which
-  is cheap enough to leave on for whole runs.
-* **cProfile sampling** — ``Profiler(cprofile=True)`` additionally
-  enables the deterministic function profiler inside each section, so
-  ``report()`` shows *which functions* dominate a hot section.
+Off unless an operator asks.  Every instrumented hot path (the
+vectorised round evaluation, load weighting, BGP propagation) is
+wrapped in ``observer.profile("name")``; with a :class:`Profiler`
+attached the wrapper accumulates ``time.perf_counter`` elapsed per
+section, which is cheap enough to leave on for whole runs.
 
 Profiling output is wall-clock by construction and therefore never part
 of the deterministic artifacts; it goes to the operator's terminal (the
@@ -18,9 +13,6 @@ CLI ``--profile`` flag), not into the trace/metrics JSON.
 
 from __future__ import annotations
 
-import cProfile
-import io
-import pstats
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -47,15 +39,11 @@ class _SectionContext:
         self._start = 0.0
 
     def __enter__(self) -> "_SectionContext":
-        if self._profiler._cprofile is not None:
-            self._profiler._cprofile.enable()
         self._start = self._profiler._clock()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         elapsed = self._profiler._clock() - self._start
-        if self._profiler._cprofile is not None:
-            self._profiler._cprofile.disable()
         timing = self._profiler._timings.setdefault(self._name, SectionTiming())
         timing.calls += 1
         timing.seconds += elapsed
@@ -63,21 +51,16 @@ class _SectionContext:
 
 
 class Profiler:
-    """Accumulates per-section wall time, optionally under cProfile.
+    """Accumulates per-section wall time.
 
     ``clock`` is injectable for tests (defaults to
     ``time.perf_counter``, which reprolint permits: it measures
     *elapsed* time and never enters deterministic artifacts).
     """
 
-    def __init__(
-        self,
-        cprofile: bool = False,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
         self._clock = clock if clock is not None else time.perf_counter
         self._timings: Dict[str, SectionTiming] = {}
-        self._cprofile = cProfile.Profile() if cprofile else None
 
     def section(self, name: str) -> _SectionContext:
         """Context manager accumulating elapsed time under ``name``."""
@@ -87,8 +70,8 @@ class Profiler:
         """Per-section accumulated timings (live view, do not mutate)."""
         return self._timings
 
-    def report(self, limit: int = 15) -> str:
-        """Human-readable summary: section table plus cProfile top-N."""
+    def report(self) -> str:
+        """Human-readable summary: the section table."""
         lines: List[str] = ["profile (wall clock, opt-in):"]
         if not self._timings:
             lines.append("  (no instrumented sections ran)")
@@ -103,9 +86,4 @@ class Profiler:
                     f"  {name.ljust(width)}  {timing.seconds:10.4f} s"
                     f"  ({timing.calls} calls)"
                 )
-        if self._cprofile is not None:
-            buffer = io.StringIO()
-            stats = pstats.Stats(self._cprofile, stream=buffer)
-            stats.sort_stats("cumulative").print_stats(limit)
-            lines.append(buffer.getvalue().rstrip())
         return "\n".join(lines)

@@ -114,23 +114,6 @@ class Internet:
             self._block_table_pid = os.getpid()
         return self._block_table
 
-    def attach_block_table(
-        self, blocks: np.ndarray, asns: np.ndarray, pop_ids: np.ndarray
-    ) -> None:
-        """Adopt a prebuilt (possibly memory-mapped) block table.
-
-        Lets a persisted scenario skip the Python rebuild pass: the
-        arrays come straight from :mod:`repro.core.tables` memmaps.
-        Shapes must match the populated block count; contents are
-        trusted (they are keyed by the scenario fingerprint).
-        """
-        if not (blocks.shape == asns.shape == pop_ids.shape == (len(self._blocks),)):
-            raise TopologyError(
-                "attached block table shapes do not match the populated blocks"
-            )
-        self._block_table = (blocks, asns, pop_ids)
-        self._block_table_pid = os.getpid()
-
     def asns_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Origin AS of each of ``blocks`` (vectorised ``asn_of_block``).
 

@@ -15,7 +15,6 @@ from repro.traffic.attack import (
 )
 from repro.traffic.ditl import build_day_load
 from repro.traffic.logs import DayLoad, LoadKind
-from repro.traffic.names import QueryNameSampler
 from repro.traffic.workload import WorkloadProfile, nl_profile, root_profile
 
 # NOTE: repro.traffic.rssac is imported directly (not re-exported here)
@@ -28,7 +27,6 @@ __all__ = [
     "root_profile",
     "nl_profile",
     "build_day_load",
-    "QueryNameSampler",
     "AttackProfile",
     "attack_day_load",
     "compose_attack",

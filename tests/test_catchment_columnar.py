@@ -14,11 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.anycast.catchment import (
-    ArrayCatchmentMap,
-    CatchmentMap,
-    columnar_catchment,
-)
+from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
 from repro.collector.results import BlockValueMap
 from repro.errors import BlockLookupError, ConfigurationError, DatasetError
 from repro.load.estimator import LoadEstimate
@@ -109,7 +105,9 @@ class TestMethodEquivalence:
                 sites[row] = rng.randrange(len(SITES))
         later = ArrayCatchmentMap(SITES, base.universe, sites, validate=False)
         assert later.universe is base.universe
-        expected = base.to_reference().diff(later.to_reference())
+        expected = CatchmentMap(SITES, dict(base.items())).diff(
+            CatchmentMap(SITES, dict(later.items()))
+        )
         assert base.diff(later) == expected
 
 
@@ -152,19 +150,6 @@ class TestConstructionAndValidation:
         assert columnar.site_of(2) is None
         assert list(columnar.blocks()) == [1, 3]
         assert columnar.mapped_block_array().tolist() == [1, 3]
-
-    def test_convenience_wrapper(self):
-        mapping = {10: "LAX", 20: "MIA"}
-        columnar = columnar_catchment(SITES, mapping)
-        assert dict(columnar.items()) == mapping
-
-    def test_to_reference_round_trip(self):
-        mapping = random_mapping(3, 80)
-        columnar = ArrayCatchmentMap.from_mapping(SITES, mapping)
-        reference = columnar.to_reference()
-        assert isinstance(reference, CatchmentMap)
-        assert not isinstance(reference, ArrayCatchmentMap)
-        assert dict(reference.items()) == mapping
 
 
 class TestSiteIndicesOf:
@@ -229,7 +214,9 @@ class TestWeightCatchmentEquivalence:
     def catchments(self, broot_scan):
         reference = broot_scan.catchment
         if isinstance(reference, ArrayCatchmentMap):
-            reference = reference.to_reference()
+            reference = CatchmentMap(
+                reference.site_codes, dict(reference.items())
+            )
         columnar = ArrayCatchmentMap.from_mapping(
             reference.site_codes, dict(reference.items())
         )

@@ -121,7 +121,7 @@ class TestEngineMemo:
 
 
 class TestCaptureStyles:
-    @pytest.mark.parametrize("style", ["streaming", "lander", "pcap", "pcapbin"])
+    @pytest.mark.parametrize("style", ["streaming", "lander", "pcap"])
     def test_styles_agree(self, broot_tiny, broot_routing, style):
         verfploeter = Verfploeter(
             broot_tiny.internet, broot_tiny.service, capture_style=style
@@ -133,7 +133,7 @@ class TestCaptureStyles:
         )
         assert dict(scan.catchment.items()) == dict(reference.catchment.items())
 
-    @pytest.mark.parametrize("style", ["streaming", "lander", "pcap", "pcapbin"])
+    @pytest.mark.parametrize("style", ["streaming", "lander", "pcap"])
     def test_style_is_oracle_only(self, broot_tiny, broot_routing, broot_scan, style):
         """``capture_style`` shapes the packet-level oracle's captures and
         nothing else: the default scan never touches a capture and is the

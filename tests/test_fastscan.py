@@ -102,35 +102,6 @@ class TestEquivalence:
 
 
 class TestColumnarResults:
-    def test_columnar_flag_flips_result_types(
-        self, broot_verfploeter, broot_routing, engine
-    ):
-        dict_engine = FastScanEngine(
-            broot_verfploeter, broot_routing, columnar=False
-        )
-        fast = engine.run_scan(round_id=3)
-        reference = dict_engine.run_scan(round_id=3)
-        assert isinstance(fast.catchment, ArrayCatchmentMap)
-        assert isinstance(fast.rtts, BlockValueMap)
-        assert isinstance(reference.catchment, CatchmentMap)
-        assert not isinstance(reference.catchment, ArrayCatchmentMap)
-        assert isinstance(reference.rtts, dict)
-
-    def test_columnar_equals_dict_engine_exactly(
-        self, broot_verfploeter, broot_routing, engine
-    ):
-        dict_engine = FastScanEngine(
-            broot_verfploeter, broot_routing, columnar=False
-        )
-        for round_id in (0, 5):
-            fast = engine.run_scan(round_id=round_id)
-            reference = dict_engine.run_scan(round_id=round_id)
-            assert fast.stats == reference.stats
-            assert dict(fast.catchment.items()) == dict(
-                reference.catchment.items()
-            )
-            assert dict(fast.rtts.items()) == reference.rtts
-
     def test_series_shares_one_universe(self, engine):
         scans = engine.run_series(rounds=3)
         universes = [scan.catchment.universe for scan in scans]
@@ -138,8 +109,12 @@ class TestColumnarResults:
 
     def test_median_rtt_fast_path_agrees(self, broot_verfploeter, engine):
         fast = engine.run_scan(round_id=1)
+        assert isinstance(fast.catchment, ArrayCatchmentMap)
+        assert isinstance(fast.rtts, BlockValueMap)
         reference_rtts = dict(fast.rtts.items())
-        reference_catchment = fast.catchment.to_reference()
+        reference_catchment = CatchmentMap(
+            fast.catchment.site_codes, dict(fast.catchment.items())
+        )
         for code in broot_verfploeter.service.site_codes:
             expected_values = sorted(
                 rtt
@@ -157,6 +132,5 @@ class TestColumnarResults:
     def test_fast_engine_convenience(self, broot_verfploeter, broot_routing):
         engine = broot_verfploeter.engine_for(broot_routing)
         assert isinstance(engine, FastScanEngine)
-        assert engine.columnar
         assert engine.routing is broot_routing
         assert broot_verfploeter.engine_for(broot_routing) is engine

@@ -16,8 +16,6 @@ from repro.dns.message import DnsMessage, decode_name
 from repro.errors import DNSError, PacketError, ReproError
 from repro.icmp.network import DeliveredReply
 from repro.icmp.packets import EchoMessage, IPv4Header, parse_packet
-from repro.netaddr.prefix import Prefix
-from repro.netaddr.sets import PrefixSet
 from repro.probing.order import PseudorandomOrder
 
 
@@ -138,46 +136,6 @@ class TestCatchmentProperties:
         assert a_earlier.diff(a_later) == reference
         assert a_earlier.diff(later) == reference
         assert earlier.diff(a_later) == reference
-
-
-@st.composite
-def aligned_prefix_lists(draw):
-    entries = draw(st.lists(
-        st.tuples(
-            st.integers(min_value=8, max_value=24),
-            st.integers(min_value=0, max_value=(1 << 16) - 1),
-        ),
-        min_size=1, max_size=20,
-    ))
-    prefixes = []
-    for length, seed in entries:
-        network = (seed << 16) & ((0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF)
-        prefixes.append(Prefix(network, length))
-    return prefixes
-
-
-class TestPrefixSetProperties:
-    @settings(max_examples=50)
-    @given(aligned_prefix_lists())
-    def test_aggregation_preserves_membership(self, prefixes):
-        original = PrefixSet(prefixes)
-        aggregated = original.aggregated()
-        for prefix in prefixes:
-            probe = prefix.network + prefix.size // 2
-            assert aggregated.covers_address(probe)
-
-    @settings(max_examples=50)
-    @given(aligned_prefix_lists())
-    def test_aggregation_never_grows(self, prefixes):
-        original = PrefixSet(prefixes)
-        assert len(original.aggregated()) <= len(original)
-
-    @settings(max_examples=50)
-    @given(aligned_prefix_lists())
-    def test_aggregation_idempotent(self, prefixes):
-        once = PrefixSet(prefixes).aggregated()
-        twice = once.aggregated()
-        assert sorted(once) == sorted(twice)
 
 
 class TestCleaningProperties:

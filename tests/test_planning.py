@@ -6,9 +6,6 @@ import pytest
 
 from repro.analysis.placement import suggest_sites
 from repro.core.planning import evaluate_site_addition, find_upstream_near
-from repro.core.pool import ShardPool
-from repro.core.sharding import assert_scan_results_identical
-from repro.core.tables import TableStore
 from repro.errors import ConfigurationError
 from repro.netaddr.prefix import Prefix
 
@@ -81,15 +78,3 @@ class TestEvaluateSiteAddition:
             broot_tiny, "NEW", 0.0, 0.0, upstream_asn=upstream
         )
         assert result.site.upstream_asn == upstream
-
-    def test_pool_does_not_change_the_answer(self, broot_tiny, result, tmp_path):
-        store = TableStore(root=str(tmp_path))
-        with ShardPool(workers=0, store=store) as pool:
-            pooled = evaluate_site_addition(
-                broot_tiny, "NEW", result.site.latitude, result.site.longitude,
-                pool=pool,
-            )
-        assert_scan_results_identical(pooled.baseline_scan, result.baseline_scan)
-        assert_scan_results_identical(pooled.trial_scan, result.trial_scan)
-        assert pooled.captured_blocks == result.captured_blocks
-        assert pooled.mean_rtt_after_ms == result.mean_rtt_after_ms

@@ -18,7 +18,6 @@ PACKAGES = [
     "repro.collector",
     "repro.dns",
     "repro.atlas",
-    "repro.resolvers",
     "repro.traffic",
     "repro.load",
     "repro.core",
@@ -88,6 +87,7 @@ def test_no_driver_takes_a_thread_fanout():
         site_failure_study,
     )
     from repro.core.fastscan import FastScanEngine
+    from repro.core.planning import evaluate_site_addition
     from repro.core.playbook import PlaybookPlanner
     from repro.core.verfploeter import Verfploeter
 
@@ -96,6 +96,10 @@ def test_no_driver_takes_a_thread_fanout():
         FastScanEngine.run_series, PlaybookPlanner.plan,
     ):
         assert "parallel" not in inspect.signature(function).parameters
+    for function in (
+        run_stability_series, site_failure_study, evaluate_site_addition,
+    ):
+        assert "pool" not in inspect.signature(function).parameters
     wire_level = inspect.signature(Verfploeter.run_scan).parameters["wire_level"]
     assert wire_level.default is False
     with pytest.raises(SystemExit) as usage:

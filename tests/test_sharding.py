@@ -20,12 +20,7 @@ from repro.core.sharding import (
     scan_payloads,
     sharded_weight_catchment,
 )
-from repro.core.tables import (
-    TableStore,
-    attach_scenario_tables,
-    attached_day_load,
-    persist_scenario_tables,
-)
+from repro.core.tables import TableStore
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
@@ -262,64 +257,7 @@ class TestVectorPermutationInverse:
             perm.positions_of(np.array([10]))
 
 
-class TestTableStore:
-    def test_persist_then_attach_is_bit_identical(self, tmp_path):
-        store = TableStore(root=str(tmp_path))
-        built = tangled_like(scale="tiny", seed=3)
-        day = built.day_load("table-day")
-        fingerprint = persist_scenario_tables(store, built, day_loads=[day])
-        assert store.has(fingerprint)
-
-        fresh = tangled_like(scale="tiny", seed=3)
-        manifest = attach_scenario_tables(store, fresh)
-        assert manifest["blocks"] == len(fresh.internet)
-        for attached, rebuilt in zip(
-            fresh.internet.block_table(), built.internet.block_table()
-        ):
-            assert_buffers_equal(attached, rebuilt)
-        attached_cols = fresh.internet.geodb.columnar()
-        rebuilt_cols = built.internet.geodb.columnar()
-        assert attached_cols.countries == rebuilt_cols.countries
-        assert_buffers_equal(attached_cols.blocks, rebuilt_cols.blocks)
-
-        restored = attached_day_load(store, fresh, day.service_name, day.date_label)
-        assert_buffers_equal(restored.blocks, day.blocks)
-        assert_buffers_equal(restored.queries, day.queries)
-        assert restored.row_of(int(day.blocks[0])) == 0
-
-    def test_attached_scenario_scans_identically(self, tmp_path):
-        store = TableStore(root=str(tmp_path))
-        built = tangled_like(scale="tiny", seed=3)
-        persist_scenario_tables(store, built)
-        fresh = tangled_like(scale="tiny", seed=3)
-        attach_scenario_tables(store, fresh)
-        baseline = FastScanEngine(
-            Verfploeter(built.internet, built.service)
-        ).run_scan(round_id=0)
-        attached = FastScanEngine(
-            Verfploeter(fresh.internet, fresh.service)
-        ).run_scan(round_id=0)
-        assert_scan_results_identical(attached, baseline)
-
-    def test_missing_tables_raise(self, tmp_path):
-        store = TableStore(root=str(tmp_path))
-        scenario = tangled_like(scale="tiny", seed=3)
-        with pytest.raises(DatasetError):
-            attach_scenario_tables(store, scenario)
-        persist_scenario_tables(store, scenario)
-        with pytest.raises(DatasetError):
-            attached_day_load(store, scenario, "nope", "never")
-
-
 class TestAttachValidation:
-    def test_block_table_shape_checked(self):
-        from repro.errors import TopologyError
-
-        scenario = tangled_like(scale="tiny", seed=3)
-        short = np.zeros(3, dtype=np.int64)
-        with pytest.raises(TopologyError):
-            scenario.internet.attach_block_table(short, short, short)
-
     def test_geo_columns_shape_checked(self):
         from repro.geo.geodb import GeoColumns
 

@@ -5,9 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.experiments import site_failure_study
-from repro.core.pool import ShardPool
-from repro.core.sharding import assert_scan_results_identical
-from repro.core.tables import TableStore
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import UNKNOWN
 
@@ -61,19 +58,3 @@ class TestSiteFailure:
         only_lax = site_failure_study(broot_verfploeter, estimate, sites=["LAX"])
         assert len(only_lax) == 1
         assert only_lax[0].withdrawn_site == "LAX"
-
-    def test_pool_does_not_change_the_answer(
-        self, broot_verfploeter, estimate, results, tmp_path
-    ):
-        """Regression: the pooled study used to scan every withdrawal at
-        round 0 while the unpooled one scanned withdrawal i at 100 + i."""
-        store = TableStore(root=str(tmp_path))
-        with ShardPool(workers=0, store=store) as pool:
-            pooled = site_failure_study(broot_verfploeter, estimate, pool=pool)
-        assert [r.scan.round_id for r in pooled] == [100, 101]
-        for with_pool, without in zip(pooled, results):
-            assert_scan_results_identical(with_pool.scan, without.scan)
-            assert with_pool.baseline == without.baseline
-            assert with_pool.after == without.after
-            assert with_pool.peak_baseline == without.peak_baseline
-            assert with_pool.peak_after == without.peak_after

@@ -1,16 +1,9 @@
-"""Tests for topology validation and figure-data export."""
+"""Tests for topology validation."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.export import (
-    export_grid,
-    export_hourly_series,
-    export_prefix_division_series,
-    export_prepend_series,
-    export_stability_series,
-)
 from repro.errors import TopologyError
 from repro.topology.validate import validate_internet
 
@@ -68,62 +61,3 @@ class TestValidateInternet:
         report = validate_internet(broken)
         assert any("foreign PoP" in error for error in report.errors)
 
-
-class TestExport:
-    def test_prepend_series(self, tmp_path, broot_tiny, broot_verfploeter):
-        from repro.core.experiments import prepend_sweep
-
-        sweep = prepend_sweep(
-            broot_verfploeter, broot_tiny.atlas, configs=(("equal", {}),)
-        )
-        path = tmp_path / "fig5.tsv"
-        export_prepend_series(sweep, "LAX", path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "config\tatlas_fraction\tverfploeter_fraction"
-        assert len(lines) == 2
-        fields = lines[1].split("\t")
-        assert fields[0] == "equal"
-        assert 0.0 <= float(fields[2]) <= 1.0
-
-    def test_stability_series(self, tmp_path, broot_verfploeter):
-        from repro.core.experiments import run_stability_series
-
-        series = run_stability_series(broot_verfploeter, rounds=4)
-        path = tmp_path / "fig9.tsv"
-        export_stability_series(series, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 3  # header + (rounds-1) transitions
-
-    def test_hourly_series(self, tmp_path):
-        import numpy as np
-
-        hourly = {"equal": {"LAX": np.arange(24.0), "MIA": np.ones(24)}}
-        path = tmp_path / "fig6.tsv"
-        export_hourly_series(hourly, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert len(lines[1].split("\t")) == 26
-
-    def test_prefix_division_series(self, tmp_path, broot_tiny, broot_scan):
-        path = tmp_path / "fig8.tsv"
-        export_prefix_division_series(
-            broot_scan.catchment, broot_tiny.internet, path
-        )
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("prefix_length\tprefixes")
-        assert len(lines) > 3
-        for line in lines[1:]:
-            fields = line.split("\t")
-            fractions = [float(value) for value in fields[2:]]
-            assert sum(fractions) == pytest.approx(1.0, abs=0.02)
-
-    def test_grid_export(self, tmp_path, broot_tiny, broot_scan):
-        from repro.analysis.maps import catchment_grid
-
-        grid = catchment_grid(broot_scan.catchment, broot_tiny.internet.geodb)
-        path = tmp_path / "fig2b.tsv"
-        export_grid(grid, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "lat\tlon\tsite\tweight"
-        total = sum(float(line.split("\t")[3]) for line in lines[1:])
-        assert total == pytest.approx(sum(grid.site_totals().values()))
