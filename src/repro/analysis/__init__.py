@@ -18,7 +18,6 @@ from repro.analysis.flips import (
     flip_table,
     format_flip_table,
     format_stability_table,
-    stability_rows,
 )
 from repro.analysis.containment import (
     containment_report,
@@ -51,7 +50,6 @@ __all__ = [
     "FlipTableRow",
     "flip_table",
     "format_flip_table",
-    "stability_rows",
     "format_stability_table",
     "sites_seen_per_as",
     "prefixes_by_sites_seen",

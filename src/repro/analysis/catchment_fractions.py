@@ -9,27 +9,9 @@ table; the bench assembles the rows from live measurements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
-
-import numpy as np
+from typing import List
 
 from repro.analysis.report import render_table
-from repro.collector.results import ScanResult
-
-
-def fraction_series(
-    scans: Sequence[ScanResult], site_code: str
-) -> np.ndarray:
-    """Per-round catchment fraction of ``site_code`` across ``scans``.
-
-    The time series behind the paper's day-over-day share comparisons
-    (Table 6's Verfploeter rows, tracked per round).  Array-backed
-    catchments answer each ``fraction_of`` with a vectorised count.
-    """
-    return np.array(
-        [scan.catchment.fraction_of(site_code) for scan in scans],
-        dtype=np.float64,
-    )
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from typing import Dict, List, Set, Tuple
 import numpy as np
 
 from repro.analysis.report import render_table
-from repro.analysis.results import StabilityRound, StabilitySeries
+from repro.analysis.results import StabilitySeries
 from repro.topology.internet import Internet
 
 
@@ -102,11 +102,6 @@ def format_flip_table(rows: List[FlipTableRow]) -> str:
         ],
         title="Table 7: top ASes involved in catchment flips",
     )
-
-
-def stability_rows(series: StabilitySeries) -> List[StabilityRound]:
-    """Per-round transition counts (the Figure 9 time series)."""
-    return list(series.rounds)
 
 
 def format_stability_table(series: StabilitySeries, every: int = 8) -> str:

@@ -13,7 +13,6 @@ Two interchangeable representations live here:
   ``flipped_blocks``.  Rounds of one measurement series share the same
   universe array, which makes per-round diffs pure array comparisons.
 """
-# reprolint: hot-path
 
 from __future__ import annotations
 
@@ -78,7 +77,7 @@ class CatchmentMap:
         """Blocks per site (sites with zero blocks included)."""
         counts = {code: 0 for code in self._site_codes}
         for site in self._mapping.values():
-            counts[site] = counts.get(site, 0) + 1  # reprolint: disable=D110 — reference path
+            counts[site] = counts.get(site, 0) + 1
         return counts
 
     def fractions(self) -> Dict[str, float]:

@@ -272,11 +272,6 @@ class RoutingOutcome:
         """The selected route at ``asn`` (None if the prefix never reached it)."""
         return self.selections.get(asn)
 
-    def site_of_asn(self, asn: int) -> Optional[str]:
-        """Primary site selected by ``asn``."""
-        selection = self.selections.get(asn)
-        return selection.primary_site if selection is not None else None
-
     def site_of_pop(self, pop: PoP) -> Optional[str]:
         """Site a given PoP egresses to (hot-potato over the candidate set)."""
         cached = self._pop_site_cache.get(pop.pop_id)

@@ -82,11 +82,6 @@ class UpdateOutcome:
         """The converged route at ``asn`` (None when unreachable)."""
         return self.selections.get(asn)
 
-    def site_of_asn(self, asn: int) -> Optional[str]:
-        """Converged site selected by ``asn``."""
-        selection = self.selections.get(asn)
-        return selection.site_code if selection is not None else None
-
     def block_weighted_fractions(self, internet) -> Dict[str, float]:
         """Per-site share weighted by each AS's populated /24 count.
 

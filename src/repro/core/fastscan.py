@@ -33,7 +33,6 @@ Results are columnar end-to-end: each round returns an
 shared block universe plus a :class:`BlockValueMap` of RTTs, so
 consumers (diffs, load weighting, stability series) stay in numpy.
 """
-# reprolint: hot-path
 
 from __future__ import annotations
 

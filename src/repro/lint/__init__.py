@@ -21,10 +21,9 @@ here rather than promised in docstrings.  Five rule families:
 Run it with ``python -m repro.lint`` or the ``reprolint`` console
 script.  Suppress a finding in place with ``# reprolint:
 disable=<rule>`` on the offending line.  Results are cached
-incrementally under ``.reprolint_cache/`` and file rules can fan out
-with ``--jobs N``; findings are byte-identical regardless.  New rules
-are added as one module under :mod:`repro.lint.rules` (see
-CONTRIBUTING.md).
+incrementally under ``.reprolint_cache/``; a cached replay is
+byte-identical to a fresh run.  New rules are added as one module
+under :mod:`repro.lint.rules` (see CONTRIBUTING.md).
 """
 
 from repro.lint.engine import LintResult, lint_paths

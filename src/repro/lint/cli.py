@@ -4,12 +4,11 @@
 script.  Exit status is 0 when no findings survive suppression, 1
 otherwise, and 2 for usage errors — so ``make lint`` can gate CI.
 
-Engine features surface here: ``--jobs N`` fans file rules over a
-process pool, the incremental cache is on by default (``--no-cache``
-to disable, ``--cache-dir`` to relocate), and ``--format sarif``
-emits SARIF 2.1.0 for CI annotation (``--output`` writes it to a
-file).  None of the options change the findings — output is
-byte-identical across serial, parallel, cold, and warm runs.
+The incremental cache is always on (``--cache-dir`` relocates it;
+``make lint-cold`` deletes it first), and ``--format sarif`` emits
+SARIF 2.1.0 for CI annotation (``--output`` writes it to a file).
+None of the options change the findings — output is byte-identical
+across cold and warm runs.
 """
 
 from __future__ import annotations
@@ -74,30 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this rule ID (repeatable)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "lint file-scoped rules across N worker processes "
-            "(default: serial; output is byte-identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
         help="incremental result cache location (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental result cache for this run",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache hit/miss counters to stderr after the run",
     )
     parser.add_argument(
         "--list-rules",
@@ -125,22 +104,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if options.list_rules:
         print(_list_rules())
         return 0
-    if options.jobs < 0:
-        parser.error("--jobs must be >= 0")
     if options.paths:
         paths: List[str] = list(options.paths)
     else:
         paths = [path for path in _DEFAULT_PATHS if os.path.isdir(path)]
         if not paths:
             parser.error("no default tree found; name files or directories")
-    cache_dir = None if options.no_cache else options.cache_dir
     try:
         result = lint_paths(
             paths,
             force_kind=options.kind,
             rule_ids=options.rules,
-            jobs=options.jobs,
-            cache_dir=cache_dir,
+            cache_dir=options.cache_dir,
         )
     except ConfigurationError as error:
         parser.error(str(error))
@@ -157,13 +132,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             handle.write(report + "\n")
     else:
         print(report)
-    if options.stats:
-        print(
-            f"reprolint cache: {result.cache_hits} hits, "
-            f"{result.cache_misses} misses, project "
-            f"{'hit' if result.project_cache_hit else 'miss'}",
-            file=sys.stderr,
-        )
     return 0 if result.ok else 1
 
 

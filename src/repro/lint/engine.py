@@ -6,16 +6,10 @@ disable=<rule>`` suppressions work, and how to render findings as text
 or machine-readable JSON.  Everything domain-specific lives in
 :mod:`repro.lint.rules`.
 
-Three engine features, all output-invariant (the findings of a run are
-byte-identical however they were produced):
-
-* **incremental caching** (``cache_dir=``) — per-file results keyed by
-  content digest and rule versions, the whole-program pass keyed over
-  the full file manifest; see :mod:`repro.lint.cache`;
-* **multiprocess linting** (``jobs=``) — file-scoped rules fan out over
-  a spawn-safe process pool; see :mod:`repro.lint.parallel`;
-* **observability** (``observer=``) — spans and counters around the
-  parse, per-file, and whole-program passes via :mod:`repro.obs`.
+Results are cached incrementally (``cache_dir=``): per-file results
+keyed by content digest and rule versions, the whole-program pass keyed
+over the full file manifest (see :mod:`repro.lint.cache`).  A cached
+replay renders byte-identically to a fresh run.
 """
 
 from __future__ import annotations
@@ -217,12 +211,7 @@ def parse_file(path: str, force_kind: Optional[str] = None) -> Tuple[Optional[So
 def run_file_rules(
     source: SourceFile, rules: Sequence[object]
 ) -> List[Violation]:
-    """File-scoped findings for one file, suppressions applied.
-
-    Shared by the serial path, the cache-fill path, and the
-    ``--jobs`` worker, so every execution mode produces identical
-    per-file results.
-    """
+    """File-scoped findings for one file, suppressions applied."""
     findings: List[Violation] = []
     for rule in rules:
         if rule.scope != "file" or source.kind not in rule.kinds:
@@ -285,23 +274,16 @@ def lint_paths(
     force_kind: Optional[str] = None,
     rule_ids: Optional[Sequence[str]] = None,
     *,
-    jobs: int = 0,
     cache_dir: Optional[str] = None,
-    observer=None,
 ) -> LintResult:
     """Lint ``paths`` and return every unsuppressed finding, sorted.
 
     ``force_kind`` overrides tree classification (the fixture tests use
     it to hold test-tree fixtures to library rules); ``rule_ids``
-    restricts the run to a subset of rules; ``jobs`` > 1 fans
-    file-scoped rules over a process pool; ``cache_dir`` enables the
-    incremental result cache.  Output is byte-identical across every
-    combination of those options.
+    restricts the run to a subset of rules; ``cache_dir`` enables the
+    incremental result cache, whose replays render byte-identically to
+    a fresh run.
     """
-    if observer is None:
-        from repro.obs import NULL_OBSERVER
-
-        observer = NULL_OBSERVER
     if force_kind is not None and force_kind not in ALL_KINDS:
         from repro.errors import ConfigurationError
 
@@ -311,94 +293,55 @@ def lint_paths(
     project_rules = [rule for rule in selected if rule.scope == "project"]
     cache = LintCache(cache_dir) if cache_dir else None
 
-    collected = collect_files(paths)
-    with observer.tracer.span(
-        "lint.run", files=len(collected), jobs=jobs, cached=cache is not None
-    ):
-        files: List[SourceFile] = []
-        findings: List[Violation] = []
-        digests: Dict[str, str] = {}
-        with observer.tracer.span("lint.parse", files=len(collected)):
-            for path in collected:
-                source, parse_violation = parse_file(path, force_kind=force_kind)
-                if parse_violation is not None:
-                    findings.append(parse_violation)
-                if source is not None:
-                    files.append(source)
-                    digests[source.path] = digest_text(source.text)
+    files: List[SourceFile] = []
+    findings: List[Violation] = []
+    digests: Dict[str, str] = {}
+    for path in collect_files(paths):
+        source, parse_violation = parse_file(path, force_kind=force_kind)
+        if parse_violation is not None:
+            findings.append(parse_violation)
+        if source is not None:
+            files.append(source)
+            digests[source.path] = digest_text(source.text)
 
-        # Per-file pass: replay cached results, lint the rest (in the
-        # parent, or across a process pool for jobs > 1).
-        file_fingerprint = rules_fingerprint(file_rules)
-        to_lint: List[SourceFile] = []
-        file_keys: Dict[str, str] = {}
-        for source in files:
-            key = LintCache.file_key(
-                source.path, digests[source.path], source.kind, file_fingerprint
-            )
-            file_keys[source.path] = key
-            cached = cache.load(key) if cache is not None else None
-            if cached is not None:
-                findings.extend(cached)
-            else:
-                to_lint.append(source)
-        with observer.tracer.span(
-            "lint.files",
-            linted=len(to_lint),
-            replayed=len(files) - len(to_lint),
-        ):
-            if jobs > 1 and to_lint:
-                from repro.lint.parallel import lint_files_parallel
-
-                produced = lint_files_parallel(
-                    [source.path for source in to_lint],
-                    force_kind,
-                    [rule.rule_id for rule in file_rules],
-                    jobs,
-                )
-                for path, file_findings in produced:
-                    findings.extend(file_findings)
-                    if cache is not None:
-                        cache.store(file_keys[path], file_findings)
-            else:
-                for source in to_lint:
-                    file_findings = run_file_rules(source, file_rules)
-                    findings.extend(file_findings)
-                    if cache is not None:
-                        cache.store(file_keys[source.path], file_findings)
-
-        # Whole-program pass: one cache entry over the full manifest.
-        project_cache_hit = False
-        if project_rules and files:
-            project_fingerprint = rules_fingerprint(project_rules)
-            manifest = [
-                (source.path, digests[source.path], source.kind)
-                for source in files
-            ]
-            project_key = LintCache.project_key(manifest, project_fingerprint)
-            cached = cache.load(project_key) if cache is not None else None
-            with observer.tracer.span(
-                "lint.project",
-                rules=len(project_rules),
-                replayed=cached is not None,
-            ):
-                if cached is not None:
-                    project_cache_hit = True
-                    findings.extend(cached)
-                else:
-                    produced = _run_project_rules(files, project_rules)
-                    findings.extend(produced)
-                    if cache is not None:
-                        cache.store(project_key, produced)
-
-        findings.sort(key=lambda violation: violation.sort_key())
-        if cache is not None:
-            observer.metrics.counter("lint.cache.hits").inc(cache.hits)
-            observer.metrics.counter("lint.cache.misses").inc(cache.misses)
-        return LintResult(
-            violations=findings,
-            files_scanned=len(files),
-            cache_hits=cache.hits if cache is not None else 0,
-            cache_misses=cache.misses if cache is not None else 0,
-            project_cache_hit=project_cache_hit,
+    # Per-file pass: replay cached results, lint the rest.
+    file_fingerprint = rules_fingerprint(file_rules)
+    for source in files:
+        key = LintCache.file_key(
+            source.path, digests[source.path], source.kind, file_fingerprint
         )
+        cached = cache.load(key) if cache is not None else None
+        if cached is not None:
+            findings.extend(cached)
+            continue
+        file_findings = run_file_rules(source, file_rules)
+        findings.extend(file_findings)
+        if cache is not None:
+            cache.store(key, file_findings)
+
+    # Whole-program pass: one cache entry over the full manifest.
+    project_cache_hit = False
+    if project_rules and files:
+        project_fingerprint = rules_fingerprint(project_rules)
+        manifest = [
+            (source.path, digests[source.path], source.kind) for source in files
+        ]
+        project_key = LintCache.project_key(manifest, project_fingerprint)
+        cached = cache.load(project_key) if cache is not None else None
+        if cached is not None:
+            project_cache_hit = True
+            findings.extend(cached)
+        else:
+            produced = _run_project_rules(files, project_rules)
+            findings.extend(produced)
+            if cache is not None:
+                cache.store(project_key, produced)
+
+    findings.sort(key=lambda violation: violation.sort_key())
+    return LintResult(
+        violations=findings,
+        files_scanned=len(files),
+        cache_hits=cache.hits if cache is not None else 0,
+        cache_misses=cache.misses if cache is not None else 0,
+        project_cache_hit=project_cache_hit,
+    )

@@ -16,9 +16,7 @@ with four additions reflecting the tree as it actually is:
   types (a within-layer import) to concentrate attack hotspots, while
   the planner consuming it (``core.playbook``) sits at layer 4 with
   the other experiment drivers;
-* ``lint`` (this tool) is layer 0 — it may import only ``errors`` and
-  its layer-0 sibling ``obs`` (the engine reports spans and cache
-  counters through an observer);
+* ``lint`` (this tool) is layer 0 — it imports only ``errors``;
 * ``obs`` (tracing spans, metrics, profiling hooks) is also layer 0:
   every pipeline layer above it reports into it, so it may import
   nothing but ``errors``;

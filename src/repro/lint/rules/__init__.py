@@ -10,7 +10,6 @@ below.
 from repro.lint.rules import determinism  # noqa: F401
 from repro.lint.rules import docstrings  # noqa: F401
 from repro.lint.rules import exceptions  # noqa: F401
-from repro.lint.rules import hotpath  # noqa: F401
 from repro.lint.rules import interproc  # noqa: F401
 from repro.lint.rules import layering  # noqa: F401
 from repro.lint.rules import pools  # noqa: F401

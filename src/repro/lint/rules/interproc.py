@@ -29,10 +29,10 @@ the engine) holding the :class:`~repro.lint.index.ProjectIndex` and
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.callgraph import CallGraph, CallSite, format_chain
+from repro.lint.callgraph import CallGraph, format_chain
 from repro.lint.index import FunctionInfo, ModuleInfo, ProjectIndex
 from repro.lint.rules.determinism import _ImportMap, _RANDOM_GLOBAL_FNS
 from repro.lint.rules.seeds import _HOLE, _template_regex
@@ -69,7 +69,7 @@ class WholeProgramContext:
         self.files = list(files)
         self._index: Optional[ProjectIndex] = None
         self._graph: Optional[CallGraph] = None
-        self._roots: Optional[Dict[str, "PoolRoot"]] = None
+        self._roots: Optional[Set[str]] = None
 
     @property
     def index(self) -> ProjectIndex:
@@ -84,19 +84,10 @@ class WholeProgramContext:
         return self._graph
 
     @property
-    def pool_roots(self) -> Dict[str, "PoolRoot"]:
+    def pool_roots(self) -> Set[str]:
         if self._roots is None:
             self._roots = _discover_pool_roots(self.index)
         return self._roots
-
-
-@dataclass(frozen=True)
-class PoolRoot:
-    """One function that executes as a pool submit/map target."""
-
-    qualname: str
-    path: str
-    line: int
 
 
 # -- pool-root discovery ---------------------------------------------------
@@ -136,6 +127,24 @@ def _nested_defs(root: ast.AST) -> Set[str]:
     return names
 
 
+def _pool_names(scope: ast.AST) -> Set[str]:
+    """Local names bound to a pool by assignment or ``with ... as``."""
+    pools: Set[str] = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign) and _constructs_pool(node.value):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    pools.add(target.id)
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            for item in node.items:
+                bound = item.optional_vars
+                if isinstance(bound, ast.Name) and _constructs_pool(
+                    item.context_expr
+                ):
+                    pools.add(bound.id)
+    return pools
+
+
 def _map_call_args(
     info: FunctionInfo, call: ast.Call
 ) -> Dict[str, ast.AST]:
@@ -153,21 +162,14 @@ def _map_call_args(
     return bound
 
 
-def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
-    """Every pool submit/map target in the project, resolved.
+def _discover_pool_roots(index: ProjectIndex) -> Set[str]:
+    """Qualnames of every function that runs as a pool submit/map target.
 
-    Targets that are nested ``def``s or lambdas attribute to the
-    enclosing function; targets that are *parameters* of the enclosing
-    function mark it as a higher-order pool host, and a second pass
-    promotes the callables its callers pass in.
+    A target is the first argument of ``pool.submit``/``pool.map`` on a
+    name bound to a pool.  Targets that are nested ``def``s or lambdas
+    attribute to the enclosing function.
     """
-    roots: Dict[str, PoolRoot] = {}
-    hosts: Dict[str, str] = {}  # host qualname -> parameter name
-
-    def add_root(qualname: str, path: str, line: int) -> None:
-        roots.setdefault(qualname, PoolRoot(qualname, path, line))
-
-    scopes: List[Tuple[ModuleInfo, ast.AST, str, Optional[str], Optional[FunctionInfo]]] = []
+    roots: Set[str] = set()
     for module in index.modules.values():
         module_level = ast.Module(
             body=[
@@ -179,93 +181,34 @@ def _discover_pool_roots(index: ProjectIndex) -> Dict[str, PoolRoot]:
             ],
             type_ignores=[],
         )
-        scopes.append((module, module_level, module.name, None, None))
-        for info in module.functions.values():
-            scopes.append((module, info.node, info.qualname, info.class_name, info))
-
-    for module, scope, owner, class_name, info in scopes:
-        pools: Set[str] = set()  # local names bound to a pool
-        submitters: Set[str] = set()  # names bound to pool.submit/pool.map
-        for node in ast.walk(scope):
-            if isinstance(node, ast.Assign):
-                if _constructs_pool(node.value):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            pools.add(target.id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    bound = item.optional_vars
-                    if isinstance(bound, ast.Name) and _constructs_pool(
-                        item.context_expr
-                    ):
-                        pools.add(bound.id)
-        for node in ast.walk(scope):
-            if (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr in ("submit", "map")
-                and isinstance(node.value.value, ast.Name)
-                and node.value.value.id in pools
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        submitters.add(target.id)
-        nested = _nested_defs(scope)
-        params = set(info.params) if info is not None else set()
-        for node in ast.walk(scope):
-            if not isinstance(node, ast.Call):
+        scopes: List[Tuple[ast.AST, Optional[FunctionInfo]]] = [(module_level, None)]
+        scopes.extend((info.node, info) for info in module.functions.values())
+        for scope, info in scopes:
+            pools = _pool_names(scope)
+            if not pools:
                 continue
-            func = node.func
-            submits = (
-                isinstance(func, ast.Attribute)
-                and func.attr in ("submit", "map")
-                and isinstance(func.value, ast.Name)
-                and func.value.id in pools
-            ) or (isinstance(func, ast.Name) and func.id in submitters)
-            if not (submits and node.args):
-                continue
-            target = node.args[0]
-            if isinstance(target, ast.Lambda):
-                if info is not None:
-                    add_root(owner, module.path, target.lineno)
-                continue
-            if isinstance(target, ast.Name):
-                if target.id in params:
-                    hosts[owner] = target.id
-                    add_root(owner, module.path, target.lineno)
-                    continue
-                if target.id in nested:
-                    if info is not None:
-                        add_root(owner, module.path, target.lineno)
-                    continue
-            resolved = index.resolve(module, target, class_name)
-            if resolved is not None and resolved in index.functions:
-                add_root(resolved, module.path, target.lineno)
-
-    # Second pass: promote callables passed into higher-order hosts.
-    if hosts:
-        for module, scope, owner, class_name, info in scopes:
             nested = _nested_defs(scope)
             for node in ast.walk(scope):
-                if not isinstance(node, ast.Call):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("submit", "map")
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id in pools
+                    and node.args
+                ):
                     continue
-                callee = index.resolve(index.modules[module.name], node.func, class_name)
-                if callee is None or callee not in hosts:
-                    continue
-                host_info = index.function_at(callee)
-                if host_info is None or callee not in roots:
-                    continue
-                bound = _map_call_args(host_info, node)
-                argument = bound.get(hosts[callee])
-                if argument is None:
-                    continue
-                if isinstance(argument, ast.Name) and argument.id in nested:
+                target = node.args[0]
+                if isinstance(target, ast.Lambda) or (
+                    isinstance(target, ast.Name) and target.id in nested
+                ):
                     if info is not None:
-                        add_root(owner, module.path, argument.lineno)
+                        roots.add(info.qualname)
                     continue
-                resolved = index.resolve(module, argument, class_name)
+                class_name = info.class_name if info is not None else None
+                resolved = index.resolve(module, target, class_name)
                 if resolved is not None and resolved in index.functions:
-                    add_root(resolved, module.path, argument.lineno)
+                    roots.add(resolved)
     return roots
 
 
@@ -750,14 +693,13 @@ class PoolEscapeRule:
     scope = "project"
     kinds = (LIBRARY,)
     wants_context = True
-    #: v2: ShardPool fan-outs count as process-pool roots.
-    version = 2
+    version = 3
 
     def check(self, files, context=None) -> Iterable[Violation]:
         context = _context_for(files, context)
         index = context.index
         graph = context.graph
-        roots = [root.qualname for root in context.pool_roots.values()]
+        roots = context.pool_roots
         if not roots:
             return []
         library_paths = {source.path for source in files}
@@ -907,15 +849,13 @@ class FloatAccumulationRule:
     scope = "project"
     kinds = (LIBRARY,)
     wants_context = True
-    #: v2: ShardPool fan-outs count as process-pool roots.
-    #: v3: thread pools are no longer roots (D112 bans them outright).
-    version = 3
+    version = 4
 
     def check(self, files, context=None) -> Iterable[Violation]:
         context = _context_for(files, context)
         index = context.index
         graph = context.graph
-        roots = [root.qualname for root in context.pool_roots.values()]
+        roots = context.pool_roots
         if not roots:
             return []
         library_paths = {source.path for source in files}

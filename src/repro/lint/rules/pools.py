@@ -1,19 +1,17 @@
 """Process-pool hygiene (rule ``D112``).
 
-Process-level fan-out lives in a short list of sanctioned homes —
-:mod:`repro.core.pool` for simulation work (the sharded paths all route
-through its ``ShardPool``) and :mod:`repro.lint.parallel` for
-``reprolint --jobs`` — because every
-pool carries the same two correctness obligations: results must merge
-bit-identically to the single-process path, and every target callable
-must be a *top-level* function so it pickles under the ``spawn`` start
-method (a lambda or a nested ``def`` imports fine under ``fork`` and
-then breaks on every other platform, or silently captures stale parent
-state).  This rule enforces both halves: no pool machinery outside the
-sanctioned homes, and no unpicklable submission targets anywhere.
-Thread pools get the first half only: ``ShardPool`` is the library's one
-fan-out mechanism, so a ``ThreadPoolExecutor`` import outside the pool
-homes is flagged too.
+Process-level fan-out lives in one sanctioned home,
+:mod:`repro.core.pool` (the sharded paths all route through its
+``ShardPool``), because every pool carries the same two correctness
+obligations: results must merge bit-identically to the single-process
+path, and every target callable must be a *top-level* function so it
+pickles under the ``spawn`` start method (a lambda or a nested ``def``
+imports fine under ``fork`` and then breaks on every other platform, or
+silently captures stale parent state).  This rule enforces both halves:
+no pool machinery outside the pool home, and no unpicklable submission
+targets anywhere.  Thread pools get the first half only: ``ShardPool``
+is the library's one fan-out mechanism, so a ``ThreadPoolExecutor``
+import outside the pool home is flagged too.
 """
 
 from __future__ import annotations
@@ -25,21 +23,13 @@ from typing import Iterable, List, Optional, Set, Tuple
 from repro.lint.rules.determinism import _violation
 from repro.lint.violations import ALL_KINDS, LIBRARY, Violation, register_rule
 
-#: Modules allowed to import pool machinery (as path suffixes, matched
-#: against the reported file path with separators normalised).
-_POOL_HOME_SUFFIXES = (
-    "repro/core/pool.py",
-    "repro/lint/parallel.py",
-)
-
-
-def _normalised(path: str) -> str:
-    return path.replace(os.sep, "/")
+#: The one module allowed to import pool machinery, as a path suffix
+#: matched against the reported file path with separators normalised.
+_POOL_HOME_SUFFIX = "repro/core/pool.py"
 
 
 def _is_pool_home(path: str) -> bool:
-    normalised = _normalised(path)
-    return any(normalised.endswith(suffix) for suffix in _POOL_HOME_SUFFIXES)
+    return path.replace(os.sep, "/").endswith(_POOL_HOME_SUFFIX)
 
 
 def _nested_def_names(tree: ast.Module) -> Set[str]:
@@ -109,8 +99,7 @@ class ProcessPoolHygieneRule:
     rule_id = "D112"
     name = "process-pool-hygiene"
     description = (
-        "process-level fan-out belongs in the sanctioned pool homes "
-        "(repro.core.pool, repro.lint.parallel); importing "
+        "process-level fan-out belongs in repro.core.pool; importing "
         "multiprocessing, ProcessPoolExecutor or ThreadPoolExecutor "
         "elsewhere in the library is flagged, and pool submit/map "
         "targets must be top-level functions — lambdas and nested defs "
@@ -118,11 +107,7 @@ class ProcessPoolHygieneRule:
     )
     scope = "file"
     kinds = ALL_KINDS
-    #: v2: repro.lint.parallel joined the sanctioned pool homes.
-    #: v3: repro.core.pool replaced repro.core.sharding as the library's
-    #: pool home, and ShardPool counts as a pool constructor.
-    #: v4: ThreadPoolExecutor imports are flagged like process pools.
-    version = 4
+    version = 5
 
     _POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool", "ShardPool"})
 

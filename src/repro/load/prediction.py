@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.bgp.propagation import RoutingOutcome
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import SiteLoad, UNKNOWN, weight_catchment
+from repro.load.weighting import SiteLoad, UNKNOWN
 from repro.traffic.logs import HOURS
 
 
@@ -67,10 +67,3 @@ def compare_prediction(
         predicted=predicted.fractions(),
         measured=measured.fractions(),
     )
-
-
-def predict_from_catchment(
-    catchment, estimate: LoadEstimate
-) -> SiteLoad:
-    """Convenience alias of :func:`~repro.load.weighting.weight_catchment`."""
-    return weight_catchment(catchment, estimate)

@@ -14,7 +14,6 @@ per hour) accumulate the loads.  ``bincount`` adds rows in input
 order, so the float64 sums are bit-identical to the dict-backed
 reference loop.
 """
-# reprolint: hot-path
 
 from __future__ import annotations
 
@@ -173,10 +172,10 @@ def _weight_reference(
     for row, block in enumerate(blocks):
         site: Optional[str] = catchment.site_of(int(block))
         bucket = site if site is not None else UNKNOWN
-        daily[bucket] = daily.get(bucket, 0.0) + float(daily_values[row])  # reprolint: disable=D110,W503 — per-call local accumulator, fixed row order
+        daily[bucket] = daily.get(bucket, 0.0) + float(daily_values[row])
         if hourly:
-            hourly_acc.setdefault(bucket, np.zeros(HOURS))  # reprolint: disable=D110 — reference path
-            hourly_acc[bucket] += estimate.hourly_of_block(int(block))  # reprolint: disable=D110 — reference path
+            hourly_acc.setdefault(bucket, np.zeros(HOURS))
+            hourly_acc[bucket] += estimate.hourly_of_block(int(block))
     return SiteLoad(site_codes, daily, hourly_acc)
 
 

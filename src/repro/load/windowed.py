@@ -14,9 +14,6 @@ addition in a fixed order, never a running total corrected by
 subtraction (subtracting the expired round would drift from the batch
 recompute).  ``tests/test_service.py`` pins this against a full batch
 replay.
-
-(Not marked as a hot path: the re-sum touches W × sites × 24 floats,
-bounded by the window configuration, not by the block universe.)
 """
 
 from __future__ import annotations

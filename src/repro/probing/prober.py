@@ -46,11 +46,6 @@ class ScheduledProbe:
     identifier: int
     sequence: int
 
-    @property
-    def destination_block(self) -> int:
-        """/24 block being probed."""
-        return self.destination >> 8
-
 
 class ProbeSchedule:
     """The complete, ordered probe schedule of one measurement round."""

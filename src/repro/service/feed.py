@@ -19,7 +19,6 @@ differ), so the streaming cleaner's equivalence contract holds (see
 bit-identical to a batch ``run_scan`` over the same rounds.  The
 generator is lazy — one round's columns are alive at a time.
 """
-# reprolint: hot-path
 
 from __future__ import annotations
 

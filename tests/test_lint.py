@@ -12,6 +12,7 @@ from repro.lint import all_rules, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import classify_kind, infer_package
 from repro.lint.layers import LAYERS, layer_of
+from repro.lint import violations
 from repro.lint.violations import register_rule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
@@ -27,7 +28,6 @@ FIXTURE_EXPECTATIONS = [
     ("d107_set_order.py", "D107", "# MARK", 1),
     ("d108_set_pop.py", "D108", "# MARK", 1),
     ("d109_instance_default.py", "D109", "# MARK", 2),  # call + literal
-    ("d110_hot_loop_accumulation.py", "D110", "# MARK", 2),  # dict + set; disabled line exempt
     ("d111_missing_docstring.py", "D111", "# MARK", 3),  # function + class + method
     ("d112_pool_hygiene.py", "D112", "# MARK", 3),  # two imports + nested-def target
     ("s201_duplicate_label.py", "S201", "# MARK", 2),  # both sites flagged
@@ -65,6 +65,17 @@ W_FIXTURE_EXPECTATIONS = [
     ("w503_accum_suppressed", "W503", None, 0),
     ("w503_accum_clean", "W503", None, 0),
 ]
+
+
+def test_every_rule_has_a_firing_fixture():
+    """The fixture corpus and the registry name the same rules.
+
+    A rule without a firing fixture is untested; a fixture row whose rule
+    is gone outlives the code it polices.
+    """
+    firing = {rule for _, rule, _, count in FIXTURE_EXPECTATIONS if count > 0}
+    firing |= {rule for _, rule, _, count in W_FIXTURE_EXPECTATIONS if count > 0}
+    assert {rule.rule_id for rule in all_rules()} == firing
 
 
 def _marker_line(path: str, marker: str) -> int:
@@ -177,17 +188,6 @@ def test_suppression_is_line_and_rule_scoped():
     assert not lint_paths([bad], force_kind="library", rule_ids=["D101"]).ok
 
 
-def test_d110_requires_hot_path_tag(tmp_path):
-    """The same accumulation loop in an untagged file passes D110."""
-    tagged = os.path.join(FIXTURES, "d110_hot_loop_accumulation.py")
-    with open(tagged, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    untagged = tmp_path / "cold_module.py"
-    untagged.write_text(text.replace("# reprolint: hot-path", ""), encoding="utf-8")
-    result = lint_paths([str(untagged)], force_kind="library", rule_ids=["D110"])
-    assert result.ok, result.to_text()
-
-
 def test_fixture_corpus_is_skipped_when_walking_tests():
     """Directory walks prune lint_fixtures; only explicit paths lint them."""
     result = lint_paths([os.path.dirname(__file__)])
@@ -291,8 +291,11 @@ def test_layer_dag_is_well_formed():
             seen.add(member)
 
 
-def test_rule_registry_rejects_duplicates_and_bad_rules():
+def test_rule_registry_rejects_duplicates_and_bad_rules(monkeypatch):
     rules = all_rules()
+    # Register into a copy, so the probe plugin below does not outlive
+    # this test.
+    monkeypatch.setattr(violations, "_REGISTRY", dict(violations._REGISTRY))
     assert len({rule.rule_id for rule in rules}) == len(rules)
     existing = rules[0].rule_id
 

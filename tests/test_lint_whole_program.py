@@ -1,12 +1,10 @@
-"""Whole-program lint engine: index, call graph, cache, --jobs, SARIF."""
+"""Whole-program lint engine: index, call graph, cache, SARIF."""
 
 from __future__ import annotations
 
 import json
 import os
 import textwrap
-
-import pytest
 
 from repro.lint import lint_paths
 from repro.lint.cache import LintCache, digest_text, rules_fingerprint
@@ -20,7 +18,6 @@ from repro.lint.rules.interproc import (
 )
 from repro.lint.sarif import to_sarif
 from repro.lint.violations import all_rules
-from repro.obs import Observer
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
 
@@ -186,13 +183,17 @@ def test_callgraph_edges_reachability_and_nested_attribution(tmp_path):
 
 
 def test_pool_root_discovery_covers_indirection_and_hosts(tmp_path):
+    """Direct targets resolve, a pool opened through ``ExitStack`` is
+    still a pool, and a nested-def or lambda target makes its enclosing
+    function the root."""
     paths = _write_tree(
         tmp_path,
         {
             "repro/fan.py": """
-                '''Pool-target shapes: direct, mapper alias, host param.'''
+                '''Pool-target shapes: direct, ExitStack, nested, lambda.'''
 
                 from concurrent.futures import ProcessPoolExecutor
+                from contextlib import ExitStack
 
 
                 def _direct(payload):
@@ -200,13 +201,8 @@ def test_pool_root_discovery_covers_indirection_and_hosts(tmp_path):
                     return payload
 
 
-                def _via_mapper(payload):
-                    '''Reached through a mapper alias.'''
-                    return payload
-
-
-                def _promoted(payload):
-                    '''Passed into a higher-order host.'''
+                def _stacked(payload):
+                    '''Submitted to a pool opened inside an ExitStack.'''
                     return payload
 
 
@@ -216,33 +212,37 @@ def test_pool_root_discovery_covers_indirection_and_hosts(tmp_path):
                         return list(pool.map(_direct, items))
 
 
-                def run_mapper(items):
-                    '''mapper = pool.map indirection.'''
+                def run_stacked(items):
+                    '''stack.enter_context(...) wraps the pool constructor.'''
+                    with ExitStack() as stack:
+                        pool = stack.enter_context(ProcessPoolExecutor())
+                        return list(pool.map(_stacked, items))
+
+
+                def run_nested(items):
+                    '''A nested def target attributes to this function.'''
+
+                    def work(payload):
+                        return payload
+
                     with ProcessPoolExecutor() as pool:
-                        mapper = pool.map
-                        return list(mapper(_via_mapper, items))
+                        return list(pool.map(work, items))
 
 
-                def host(worker, items):
-                    '''The pool target is a parameter.'''
+                def run_lambda(items):
+                    '''A lambda target attributes to this function.'''
                     with ProcessPoolExecutor() as pool:
-                        return list(pool.map(worker, items))
-
-
-                def run_promoted(items):
-                    '''Callers of host promote their argument to a root.'''
-                    return host(_promoted, items)
+                        return list(pool.map(lambda payload: payload, items))
             """,
         },
     )
     index = ProjectIndex.build(_parse_all(paths))
-    roots = _discover_pool_roots(index)
-    assert "repro.fan._direct" in roots
-    assert "repro.fan._via_mapper" in roots
-    assert "repro.fan._promoted" in roots
-    # The higher-order host itself is a root too (its param executes).
-    assert "repro.fan.host" in roots
-    assert "repro.fan.run_direct" not in roots
+    assert _discover_pool_roots(index) == {
+        "repro.fan._direct",
+        "repro.fan._stacked",
+        "repro.fan.run_nested",
+        "repro.fan.run_lambda",
+    }
 
 
 # -- incremental cache -----------------------------------------------------
@@ -351,18 +351,6 @@ def test_cache_survives_corrupt_entries(tmp_path):
     assert cache.misses == 1
 
 
-# -- --jobs parity ---------------------------------------------------------
-
-
-def test_jobs_output_byte_identical_to_serial():
-    tree = os.path.join(FIXTURES, "interproc")
-    serial = lint_paths([tree], force_kind="library")
-    parallel = lint_paths([tree], force_kind="library", jobs=2)
-    assert parallel.to_json() == serial.to_json()
-    assert parallel.to_text() == serial.to_text()
-    assert not serial.ok  # the corpus is not empty: parity is meaningful
-
-
 # -- SARIF -----------------------------------------------------------------
 
 
@@ -389,8 +377,8 @@ def test_cli_sarif_and_output_file(tmp_path, capsys):
     bad = os.path.join(FIXTURES, "d101_global_random.py")
     out = tmp_path / "report.sarif"
     code = lint_main(
-        [bad, "--kind=library", "--format=sarif", "--no-cache",
-         f"--output={out}"]
+        [bad, "--kind=library", "--format=sarif",
+         f"--cache-dir={tmp_path / 'cache'}", f"--output={out}"]
     )
     assert code == 1
     capsys.readouterr()
@@ -399,45 +387,20 @@ def test_cli_sarif_and_output_file(tmp_path, capsys):
 
 
 def test_cli_jobs_and_cache_flags(tmp_path, capsys):
+    """``--cache-dir`` round trip: the cold run writes one file entry and
+    one project entry there; the warm run replays them, byte-identical."""
     clean = os.path.join(FIXTURES, "clean.py")
     cache_dir = tmp_path / "cache"
-    assert (
-        lint_main(
-            [clean, "--kind=library", f"--cache-dir={cache_dir}", "--stats"]
-        )
-        == 0
-    )
-    captured = capsys.readouterr()
-    assert "misses" in captured.err
-    assert (
-        lint_main(
-            [clean, "--kind=library", f"--cache-dir={cache_dir}", "--stats",
-             "--jobs=2"]
-        )
-        == 0
-    )
-    captured = capsys.readouterr()
-    assert "2 hits, 0 misses" in captured.err  # file entry + project entry
-
-
-# -- observability ---------------------------------------------------------
-
-
-def test_lint_run_emits_spans_and_cache_counters(tmp_path):
-    observer = Observer.collecting()
-    tree = os.path.join(FIXTURES, "interproc", "w502_escape")
-    lint_paths(
-        [tree],
-        force_kind="library",
-        cache_dir=str(tmp_path / "cache"),
-        observer=observer,
-    )
-    names = observer.tracer.span_names()
-    for expected in ("lint.run", "lint.parse", "lint.files", "lint.project"):
-        assert expected in names, names
-    counters = observer.metrics.to_dict()["counters"]
-    assert "lint.cache.misses" in counters
-    assert counters["lint.cache.misses"] > 0
+    argv = [clean, "--kind=library", "--format=json", f"--cache-dir={cache_dir}"]
+    assert lint_main(argv) == 0
+    cold = capsys.readouterr().out
+    entries = sorted(cache_dir.glob("*/*.json"))
+    assert len(entries) == 2
+    stamps = [entry.stat().st_mtime_ns for entry in entries]
+    assert lint_main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert sorted(cache_dir.glob("*/*.json")) == entries
+    assert [entry.stat().st_mtime_ns for entry in entries] == stamps
 
 
 # -- whole-program context sharing ----------------------------------------
@@ -459,12 +422,7 @@ def test_context_is_lazy_and_shared():
 
 
 def test_real_tree_whole_program_rules_are_clean():
-    """W501/W502/W503 over the real tree: zero unsuppressed findings.
-
-    Regression anchor for the triage this PR performed: the one W503
-    hit (the dict-backed reference path in repro.load.weighting) is
-    suppressed in place with a justification, and nothing else fires.
-    """
+    """W501/W502/W503 over the real tree: zero unsuppressed findings."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = [
         os.path.join(root, name)
@@ -475,12 +433,3 @@ def test_real_tree_whole_program_rules_are_clean():
         rule_ids=["W501", "W502", "W503"],
     )
     assert result.ok, result.to_text()
-
-
-def test_weighting_reference_path_is_w503_suppressed_not_invisible():
-    """The suppressed W503 site resurfaces if its comment is removed."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    weighting = os.path.join(root, "src", "repro", "load", "weighting.py")
-    with open(weighting, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    assert "disable=D110,W503" in text
