@@ -12,11 +12,9 @@ here rather than promised in docstrings.  Five rule families:
   :mod:`repro.errors` hierarchy;
 * **import layering** (``L4xx``) — packages respect the declared layer
   DAG (see :mod:`repro.lint.layers`);
-* **whole-program dataflow** (``W5xx``) — seed labels, pool-escaping
-  state, and float accumulation tracked *across* call edges over a
-  project-wide symbol index and call graph (see
-  :mod:`repro.lint.index`, :mod:`repro.lint.callgraph`,
-  :mod:`repro.lint.rules.interproc`).
+* **pool-worker reach** (``W5xx``) — code a process-pool target reaches
+  in its own file neither mutates module globals nor grows float
+  accumulators in loops (see :mod:`repro.lint.rules.pools`).
 
 Run it with ``python -m repro.lint`` or the ``reprolint`` console
 script.  Suppress a finding in place with ``# reprolint:

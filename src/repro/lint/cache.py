@@ -6,10 +6,8 @@ exploits that — each per-file entry is keyed by the file's content
 digest, its tree kind, and a fingerprint of every *file-scoped* rule's
 ``(rule_id, version)`` pair, so editing a file or bumping a rule's
 ``version`` invalidates exactly the entries that could change.
-Project-scoped rules see every file at once, so their single entry is
-keyed over the full sorted ``(path, digest, kind)`` manifest plus the
-project-rule fingerprint: touching any one file re-runs the
-whole-program pass, which is the only sound option.
+Project-scoped rules (the seed-label pair) are not cached: they run in
+a few milliseconds over trees the run has already parsed.
 
 Entries are JSON files under ``<root>/<xx>/<digest>.json`` (two-level
 fan-out keeps directories small) and are written atomically via a
@@ -24,7 +22,8 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import astuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.lint.violations import Violation, rule_version
 
@@ -52,14 +51,7 @@ def rules_fingerprint(rules: Iterable[object]) -> str:
 
 
 def _violation_to_row(violation: Violation) -> List[object]:
-    return [
-        violation.rule,
-        violation.name,
-        violation.path,
-        violation.line,
-        violation.col,
-        violation.message,
-    ]
+    return list(astuple(violation))
 
 
 def _row_to_violation(row: Sequence[object]) -> Violation:
@@ -75,7 +67,7 @@ def _row_to_violation(row: Sequence[object]) -> Violation:
 
 
 class LintCache:
-    """Content-addressed store of per-file and project lint results."""
+    """Content-addressed store of per-file lint results."""
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -88,14 +80,6 @@ class LintCache:
     def file_key(path: str, text_digest: str, kind: str, fingerprint: str) -> str:
         raw = "\x1f".join(("file", path, text_digest, kind, fingerprint))
         return hashlib.blake2b(raw.encode("utf-8"), digest_size=16).hexdigest()
-
-    @staticmethod
-    def project_key(
-        manifest: Sequence[Tuple[str, str, str]], fingerprint: str
-    ) -> str:
-        rows = sorted(manifest)
-        payload = json.dumps(["project", fingerprint, rows], separators=(",", ":"))
-        return hashlib.blake2b(payload.encode("utf-8"), digest_size=16).hexdigest()
 
     # -- storage ----------------------------------------------------------
 

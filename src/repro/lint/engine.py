@@ -6,9 +6,9 @@ disable=<rule>`` suppressions work, and how to render findings as text
 or machine-readable JSON.  Everything domain-specific lives in
 :mod:`repro.lint.rules`.
 
-Results are cached incrementally (``cache_dir=``): per-file results
-keyed by content digest and rule versions, the whole-program pass keyed
-over the full file manifest (see :mod:`repro.lint.cache`).  A cached
+Per-file results are cached incrementally (``cache_dir=``), keyed by
+content digest and rule versions (see :mod:`repro.lint.cache`); the
+project-scope seed-label pass is cheap and always runs.  A cached
 replay renders byte-identically to a fresh run.
 """
 
@@ -18,7 +18,7 @@ import ast
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.cache import LintCache, digest_text, rules_fingerprint
@@ -30,7 +30,6 @@ from repro.lint.violations import (
     TESTS,
     Violation,
     all_rules,
-    rule_wants_context,
 )
 
 #: Directory names never descended into while walking.  ``lint_fixtures``
@@ -66,17 +65,15 @@ class SourceFile:
 class LintResult:
     """Outcome of one lint run.
 
-    ``cache_hits``/``cache_misses`` count per-file cache lookups and
-    ``project_cache_hit`` records whether the whole-program pass was
-    replayed; none of the three appear in :meth:`to_json` or
-    :meth:`to_text` — cached and uncached runs must render identically.
+    ``cache_hits``/``cache_misses`` count per-file cache lookups; neither
+    appears in :meth:`to_json` or :meth:`to_text` — cached and uncached
+    runs must render identically.
     """
 
     violations: List[Violation]
     files_scanned: int
     cache_hits: int = 0
     cache_misses: int = 0
-    project_cache_hit: bool = False
 
     @property
     def ok(self) -> bool:
@@ -88,17 +85,7 @@ class LintResult:
             "version": 1,
             "files_scanned": self.files_scanned,
             "violation_count": len(self.violations),
-            "violations": [
-                {
-                    "rule": violation.rule,
-                    "name": violation.name,
-                    "path": violation.path,
-                    "line": violation.line,
-                    "col": violation.col,
-                    "message": violation.message,
-                }
-                for violation in self.violations
-            ],
+            "violations": [asdict(violation) for violation in self.violations],
         }
         return json.dumps(payload, indent=2, sort_keys=False)
 
@@ -240,26 +227,14 @@ def _select_rules(rule_ids: Optional[Sequence[str]]) -> List[object]:
 def _run_project_rules(
     files: Sequence[SourceFile], rules: Sequence[object]
 ) -> List[Violation]:
-    """Project-scoped findings over the full file set, suppressed.
-
-    Rules declaring ``wants_context`` share one lazily-built
-    whole-program context (symbol index plus call graph) instead of
-    each constructing their own.
-    """
-    from repro.lint.rules.interproc import WholeProgramContext
-
-    context = WholeProgramContext(files)
+    """Project-scoped findings over the full file set, suppressed."""
     by_path = {source.path: source for source in files}
     findings: List[Violation] = []
     for rule in rules:
         applicable = [source for source in files if source.kind in rule.kinds]
         if not applicable:
             continue
-        if rule_wants_context(rule):
-            produced = list(rule.check(applicable, context))
-        else:
-            produced = list(rule.check(applicable))
-        for violation in produced:
+        for violation in rule.check(applicable):
             source = by_path.get(violation.path)
             if source is not None and source.suppressed(
                 violation.line, rule.rule_id, rule.name
@@ -295,20 +270,18 @@ def lint_paths(
 
     files: List[SourceFile] = []
     findings: List[Violation] = []
-    digests: Dict[str, str] = {}
     for path in collect_files(paths):
         source, parse_violation = parse_file(path, force_kind=force_kind)
         if parse_violation is not None:
             findings.append(parse_violation)
         if source is not None:
             files.append(source)
-            digests[source.path] = digest_text(source.text)
 
     # Per-file pass: replay cached results, lint the rest.
     file_fingerprint = rules_fingerprint(file_rules)
     for source in files:
         key = LintCache.file_key(
-            source.path, digests[source.path], source.kind, file_fingerprint
+            source.path, digest_text(source.text), source.kind, file_fingerprint
         )
         cached = cache.load(key) if cache is not None else None
         if cached is not None:
@@ -319,23 +292,9 @@ def lint_paths(
         if cache is not None:
             cache.store(key, file_findings)
 
-    # Whole-program pass: one cache entry over the full manifest.
-    project_cache_hit = False
-    if project_rules and files:
-        project_fingerprint = rules_fingerprint(project_rules)
-        manifest = [
-            (source.path, digests[source.path], source.kind) for source in files
-        ]
-        project_key = LintCache.project_key(manifest, project_fingerprint)
-        cached = cache.load(project_key) if cache is not None else None
-        if cached is not None:
-            project_cache_hit = True
-            findings.extend(cached)
-        else:
-            produced = _run_project_rules(files, project_rules)
-            findings.extend(produced)
-            if cache is not None:
-                cache.store(project_key, produced)
+    # Project pass (the seed-label rules): cheap next to parsing, so it
+    # always runs.
+    findings.extend(_run_project_rules(files, project_rules))
 
     findings.sort(key=lambda violation: violation.sort_key())
     return LintResult(
@@ -343,5 +302,4 @@ def lint_paths(
         files_scanned=len(files),
         cache_hits=cache.hits if cache is not None else 0,
         cache_misses=cache.misses if cache is not None else 0,
-        project_cache_hit=project_cache_hit,
     )

@@ -8,9 +8,9 @@ bug.  These rules collect every literal or f-string label passed to
 duplicates (S201) and literal/template collisions (S202).
 
 Labels that are plain variables are ignored: wrapper helpers such as
-``derive_rng`` legitimately forward a caller-supplied label, and the
-call sites that feed them are what get checked.  :mod:`repro.rng`
-itself is exempt for the same reason.
+``derive_rng`` legitimately forward a caller-supplied label; one that
+reaches two call sites that way fails the test suite's run-time
+``derive_seed`` recorder instead.  :mod:`repro.rng` is exempt too.
 """
 
 from __future__ import annotations

@@ -50,16 +50,10 @@ class Rule(Protocol):
     ``"project"`` (sees every collected file at once — needed for
     cross-module invariants such as seed-label uniqueness).
 
-    Two optional class attributes refine engine behaviour:
-
-    * ``version`` (int, default 1) — bump it whenever the rule's
-      findings can change for unchanged input; it is part of the
-      incremental cache key, so the bump invalidates stale entries.
-    * ``wants_context`` (bool, default False) — project-scoped rules
-      that set it receive the run's shared
-      :class:`~repro.lint.rules.interproc.WholeProgramContext` as a
-      second ``check`` argument, so the symbol index and call graph
-      are built once per run, not once per rule.
+    The optional ``version`` class attribute (int, default 1) must be
+    bumped whenever the rule's findings can change for unchanged input;
+    file-scope versions are part of the incremental cache key, so the
+    bump invalidates stale entries.
     """
 
     rule_id: str
@@ -76,11 +70,6 @@ class Rule(Protocol):
 def rule_version(rule: object) -> int:
     """A rule's declared ``version`` (cache key component), default 1."""
     return int(getattr(rule, "version", 1))
-
-
-def rule_wants_context(rule: object) -> bool:
-    """Whether a project rule asked for the shared whole-program context."""
-    return bool(getattr(rule, "wants_context", False))
 
 
 _REGISTRY: Dict[str, Rule] = {}

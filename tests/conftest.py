@@ -6,14 +6,52 @@ functions of their seeds — tests never mutate them.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 import pytest
 
+from repro import rng
 from repro.bgp.propagation import compute_routes
 from repro.core.scenarios import broot_like, tangled_like
 from repro.core.verfploeter import Verfploeter
 from repro.topology.generator import SeededAS, TopologyConfig, build_internet
+
+
+class SeedLabelRecorder:
+    """``derive_seed`` failing when two ``src/repro/`` call sites derive one
+    ``(parent_seed, label)``; a site is the nearest frame outside ``repro/rng.py``."""
+
+    def __init__(self, derive):
+        self.derive = derive
+        self.sites = {}
+
+    def __call__(self, parent_seed, label):
+        frame = sys._getframe(1)
+        while frame.f_code.co_filename.replace("\\", "/").endswith("repro/rng.py"):
+            frame = frame.f_back
+        path = frame.f_code.co_filename.replace("\\", "/")
+        if "/src/repro/" in path:
+            site = (path, frame.f_lineno)
+            first = self.sites.setdefault((parent_seed, label), site)
+            if first != site:
+                raise AssertionError(
+                    f"seed label {label!r} under seed {parent_seed} is derived at "
+                    f"{first[0]}:{first[1]} and {path}:{site[1]}; the streams are identical"
+                )
+        return self.derive(parent_seed, label)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def seed_label_recorder():
+    """Route every ``derive_seed`` (and so ``derive_rng``) through one recorder."""
+    recorder = SeedLabelRecorder(rng.derive_seed)
+    with pytest.MonkeyPatch.context() as patch:
+        for name, module in sorted(sys.modules.items()):
+            bound = getattr(module, "derive_seed", None)
+            if name.split(".")[0] == "repro" and bound is recorder.derive:
+                patch.setattr(module, "derive_seed", recorder)
+        yield recorder
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Whole-program lint engine: index, call graph, cache, SARIF."""
+"""Lint engine: pool reach, cache, SARIF."""
 
 from __future__ import annotations
 
@@ -8,14 +8,9 @@ import textwrap
 
 from repro.lint import lint_paths
 from repro.lint.cache import LintCache, digest_text, rules_fingerprint
-from repro.lint.callgraph import CallGraph, format_chain
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import collect_files, parse_file
-from repro.lint.index import ProjectIndex, module_name_of
-from repro.lint.rules.interproc import (
-    WholeProgramContext,
-    _discover_pool_roots,
-)
+from repro.lint.rules.pools import pool_reach, pool_roots
 from repro.lint.sarif import to_sarif
 from repro.lint.violations import all_rules
 
@@ -41,97 +36,20 @@ def _parse_all(paths):
     return sources
 
 
-# -- ProjectIndex ----------------------------------------------------------
+# -- pool reach ------------------------------------------------------------
 
 
-def test_module_name_anchors_at_last_repro_component():
-    assert module_name_of("src/repro/bgp/cache.py") == "repro.bgp.cache"
-    assert module_name_of("src/repro/rng.py") == "repro.rng"
-    assert module_name_of("src/repro/bgp/__init__.py") == "repro.bgp"
-    assert (
-        module_name_of("tests/lint_fixtures/interproc/w501_collision/repro/alpha.py")
-        == "repro.alpha"
-    )
-    assert module_name_of("tools/checkdocs.py") == "tools.checkdocs"
-
-
-def test_index_resolves_imports_methods_and_globals(tmp_path):
-    paths = _write_tree(
-        tmp_path,
-        {
-            "repro/first.py": """
-                '''Module one.'''
-
-                _TABLE = {}
-                LIMIT = 3
-
-
-                def top(value):
-                    '''Top-level.'''
-                    return value
-
-
-                class Engine:
-                    '''A class.'''
-
-                    def run(self):
-                        '''Method calling a sibling method.'''
-                        return self.step()
-
-                    def step(self):
-                        '''Sibling.'''
-                        return 1
-            """,
-            "repro/second.py": """
-                '''Module two.'''
-
-                from repro.first import top
-
-
-                def caller(value):
-                    '''Crosses the module boundary.'''
-                    return top(value)
-            """,
-        },
-    )
-    index = ProjectIndex.build(_parse_all(paths))
-    first = index.module_named("repro.first")
-    second = index.module_named("repro.second")
-    assert first is not None and second is not None
-    assert "repro.first.top" in index.functions
-    assert "repro.first.Engine.run" in index.functions
-    assert first.mutable_globals.keys() == {"_TABLE"}
-    assert "LIMIT" in first.global_names
-
-    import ast
-
-    call = next(
-        node
-        for node in ast.walk(second.tree)
-        if isinstance(node, ast.Call)
-    )
-    assert index.resolve(second, call.func) == "repro.first.top"
-    run_info = index.functions["repro.first.Engine.run"]
-    self_call = next(
-        node
-        for node in ast.walk(run_info.node)
-        if isinstance(node, ast.Call)
-    )
-    assert (
-        index.resolve(first, self_call.func, class_name="Engine")
-        == "repro.first.Engine.step"
-    )
-
-
-# -- CallGraph -------------------------------------------------------------
-
-
-def test_callgraph_edges_reachability_and_nested_attribution(tmp_path):
-    paths = _write_tree(
+def test_pool_reach_follows_calls_references_and_nested_defs(tmp_path):
+    """From a pool target, the walk follows direct calls, names passed as
+    arguments, and calls made inside nested defs, and records who found
+    each function."""
+    (path,) = _write_tree(
         tmp_path,
         {
             "repro/graph.py": """
-                '''Call-graph shapes: direct, reference, nested.'''
+                '''Reach shapes: direct, reference, nested.'''
+
+                from repro.core.pool import ShardPool
 
 
                 def leaf():
@@ -149,7 +67,7 @@ def test_callgraph_edges_reachability_and_nested_attribution(tmp_path):
                     return worker()
 
 
-                def outer():
+                def outer(payload):
                     '''Nested def calls leaf; host receives middle by name.'''
 
                     def inner():
@@ -157,29 +75,28 @@ def test_callgraph_edges_reachability_and_nested_attribution(tmp_path):
 
                     host(middle)
                     return inner()
+
+
+                def unrelated():
+                    '''Never reached from the pool target.'''
+                    return leaf()
+
+
+                def run(items):
+                    '''Submits outer.'''
+                    with ShardPool(workers=2) as pool:
+                        return pool.map(outer, items)
             """,
         },
     )
-    index = ProjectIndex.build(_parse_all(paths))
-    graph = CallGraph(index)
-    edges = {
-        (site.caller, site.callee, site.is_reference)
-        for sites in graph.edges.values()
-        for site in sites
+    (source,) = _parse_all([path])
+    reach = pool_reach(source.tree)
+    assert reach == {
+        "outer": None,
+        "host": "outer",
+        "middle": "outer",
+        "leaf": "outer",
     }
-    assert ("repro.graph.middle", "repro.graph.leaf", False) in edges
-    # Nested def's call attributes to the enclosing function.
-    assert ("repro.graph.outer", "repro.graph.leaf", False) in edges
-    # middle passed as an argument becomes a reference edge.
-    assert ("repro.graph.outer", "repro.graph.middle", True) in edges
-
-    reach = graph.reachable(["repro.graph.outer"])
-    assert "repro.graph.leaf" in reach
-    assert "repro.graph.middle" in reach
-    chain = graph.chain(reach, "repro.graph.leaf")
-    assert chain[0] == "repro.graph.outer"
-    assert chain[-1] == "repro.graph.leaf"
-    assert " -> " in format_chain(chain)
 
 
 def test_pool_root_discovery_covers_indirection_and_hosts(tmp_path):
@@ -236,13 +153,8 @@ def test_pool_root_discovery_covers_indirection_and_hosts(tmp_path):
             """,
         },
     )
-    index = ProjectIndex.build(_parse_all(paths))
-    assert _discover_pool_roots(index) == {
-        "repro.fan._direct",
-        "repro.fan._stacked",
-        "repro.fan.run_nested",
-        "repro.fan.run_lambda",
-    }
+    (source,) = _parse_all(paths)
+    assert pool_roots(source.tree) == {"_direct", "_stacked", "run_nested", "run_lambda"}
 
 
 # -- incremental cache -----------------------------------------------------
@@ -262,7 +174,6 @@ def test_cache_hits_after_cold_run_and_identical_output(tmp_path):
     assert cold.cache_hits == 0 and cold.cache_misses > 0
     assert warm.cache_misses == 0
     assert warm.cache_hits == cold.cache_misses
-    assert warm.project_cache_hit and not cold.project_cache_hit
     # Cached replay renders byte-identically.
     assert warm.to_json() == cold.to_json()
     assert warm.to_text() == cold.to_text()
@@ -310,23 +221,21 @@ def test_cache_invalidated_by_rule_version_bump(tmp_path, monkeypatch):
     )
     assert warm.cache_misses == 0
     # Bumping a file rule's version changes the file fingerprint, so
-    # the per-file entry written above no longer matches — but the
-    # project fingerprint covers only project-scope rules, so that
-    # entry still replays.
+    # the per-file entry written above no longer matches.
     file_rule = next(r for r in all_rules() if r.rule_id == "D101")
     monkeypatch.setattr(file_rule, "version", 99, raising=False)
     bumped = lint_paths(
         [str(source)], force_kind="library", cache_dir=str(cache_dir)
     )
     assert bumped.cache_misses == 1
-    assert bumped.project_cache_hit
-    # Bumping a project rule invalidates the project entry too.
-    project_rule = next(r for r in all_rules() if r.rule_id == "W501")
+    # Project rules are not cached, so bumping one leaves the per-file
+    # entry alone: the fingerprint covers file-scope rules only.
+    project_rule = next(r for r in all_rules() if r.rule_id == "S201")
     monkeypatch.setattr(project_rule, "version", 99, raising=False)
     rebumped = lint_paths(
         [str(source)], force_kind="library", cache_dir=str(cache_dir)
     )
-    assert not rebumped.project_cache_hit
+    assert rebumped.cache_misses == 0 and rebumped.cache_hits == 1
 
 
 def test_rules_fingerprint_tracks_versions():
@@ -387,15 +296,15 @@ def test_cli_sarif_and_output_file(tmp_path, capsys):
 
 
 def test_cli_jobs_and_cache_flags(tmp_path, capsys):
-    """``--cache-dir`` round trip: the cold run writes one file entry and
-    one project entry there; the warm run replays them, byte-identical."""
+    """``--cache-dir`` round trip: the cold run writes one file entry
+    there; the warm run replays it, byte-identical."""
     clean = os.path.join(FIXTURES, "clean.py")
     cache_dir = tmp_path / "cache"
     argv = [clean, "--kind=library", "--format=json", f"--cache-dir={cache_dir}"]
     assert lint_main(argv) == 0
     cold = capsys.readouterr().out
     entries = sorted(cache_dir.glob("*/*.json"))
-    assert len(entries) == 2
+    assert len(entries) == 1
     stamps = [entry.stat().st_mtime_ns for entry in entries]
     assert lint_main(argv) == 0
     assert capsys.readouterr().out == cold
@@ -403,26 +312,9 @@ def test_cli_jobs_and_cache_flags(tmp_path, capsys):
     assert [entry.stat().st_mtime_ns for entry in entries] == stamps
 
 
-# -- whole-program context sharing ----------------------------------------
-
-
-def test_context_is_lazy_and_shared():
-    tree = os.path.join(FIXTURES, "interproc", "w502_escape")
-    sources = []
-    for path in collect_files([tree]):
-        source, _ = parse_file(path, force_kind="library")
-        sources.append(source)
-    context = WholeProgramContext(sources)
-    assert context._index is None
-    index = context.index
-    assert context.index is index  # built once
-    graph = context.graph
-    assert context.graph is graph
-    assert context.pool_roots  # the fixture has a process pool
-
-
 def test_real_tree_whole_program_rules_are_clean():
-    """W501/W502/W503 over the real tree: zero unsuppressed findings."""
+    """W502/W503 over the real tree: zero unsuppressed findings, and the
+    sharded drivers' ``ExitStack``-bound pools give them roots to walk."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     paths = [
         os.path.join(root, name)
@@ -430,6 +322,8 @@ def test_real_tree_whole_program_rules_are_clean():
     ]
     result = lint_paths(
         [path for path in paths if os.path.isdir(path)],
-        rule_ids=["W501", "W502", "W503"],
+        rule_ids=["W502", "W503"],
     )
     assert result.ok, result.to_text()
+    (sharding,) = _parse_all([os.path.join(root, "src", "repro", "core", "sharding.py")])
+    assert pool_roots(sharding.tree)

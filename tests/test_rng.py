@@ -2,10 +2,40 @@
 
 from __future__ import annotations
 
+import os
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import rng
 from repro.rng import derive_rng, derive_seed, mix64, splitmix64, uniform_unit
+
+#: A library module body whose one call site derives a fixed stream.
+PLANTED = (
+    "from repro.rng import derive_rng, derive_seed\n"
+    "\n"
+    "def draw():\n"
+    "    return {call}(7, 'planted/collision')\n"
+)
+
+
+def test_seed_label_recorder_flags_a_second_library_site(seed_label_recorder, monkeypatch):
+    """Two ``src/repro`` call sites deriving one ``(seed, label)`` fail the
+    run, whether through ``derive_seed`` or ``derive_rng``; one site
+    deriving it twice does not."""
+    monkeypatch.setattr(seed_label_recorder, "sites", {})
+    home = os.path.dirname(rng.__file__)
+    draws = []
+    for name, call in (("planted_a.py", "derive_seed"), ("planted_b.py", "derive_rng")):
+        namespace = {}
+        exec(compile(PLANTED.format(call=call), os.path.join(home, name), "exec"), namespace)
+        draws.append(namespace["draw"])
+    first, second = draws
+    first()
+    first()
+    with pytest.raises(AssertionError, match="planted/collision"):
+        second()
 
 
 class TestDeriveSeed:
