@@ -8,13 +8,19 @@ objects by *content* — the internet's identity, the policy's complete
 announcement tuple, the :class:`RoutingConfig` and the flip model — so
 a repeated scenario is a dictionary hit rather than a propagation.
 
-On a miss the cache prefers an **incremental** compute: if any cached
-outcome shares the same internet object, config and flip model, it is
-used as a :class:`~repro.bgp.delta.DeltaPropagator` baseline and only
-the affected route selections are rebuilt.  Delta reuse requires object
-identity on the internet (``is``), not just an equal fingerprint: the
-delta engine splices baseline selection objects, which is only sound
-against the very topology they were built from.
+On a single-policy miss the cache prefers an **incremental** compute:
+if any cached outcome shares the same internet object, config and flip
+model, it is used as a :class:`~repro.bgp.delta.DeltaPropagator`
+baseline and only the affected route selections are rebuilt.  Delta
+reuse requires object identity on the internet (``is``), not just an
+equal fingerprint: the delta engine splices baseline selection objects,
+which is only sound against the very topology they were built from.
+A baseline that came from the array propagation first runs the scalar
+reference once to get the selections and working maps delta splices.
+
+:meth:`RoutingCache.get_or_compute_many` serves a whole batch — a
+playbook lattice — instead: its misses propagate together as one array
+program (:func:`~repro.bgp.propagation.compute_lattice`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bgp.delta import DeltaPropagator
 from repro.bgp.instability import FlipModel
@@ -31,6 +37,7 @@ from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import (
     RoutingConfig,
     RoutingOutcome,
+    compute_lattice,
     compute_routes,
 )
 from repro.errors import ConfigurationError
@@ -89,7 +96,7 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total number of get_or_compute calls."""
+        """Total number of policies looked up."""
         return self.hits + self.full_computes + self.delta_computes
 
     @property
@@ -106,7 +113,8 @@ class _Entry:
 
 
 class RoutingCache:
-    """LRU cache of routing outcomes with delta-based miss handling."""
+    """LRU cache of routing outcomes: delta-based single misses, array
+    propagation for batches."""
 
     def __init__(
         self, maxsize: int = 64, observer: Optional[Observer] = None
@@ -139,17 +147,40 @@ class RoutingCache:
     def _find_baseline(
         self, internet: Internet, config: RoutingConfig, flip_fingerprint: tuple
     ) -> Optional[RoutingOutcome]:
-        """Most recently used cached outcome usable as a delta baseline."""
+        """Most recently used cached outcome usable as a delta baseline.
+
+        Every cached outcome has, or derives on first use, the working
+        maps a baseline needs; deriving them is left to the delta run,
+        outside the lock.
+        """
         for entry in reversed(self._entries.values()):
             outcome = entry.outcome
             if (
                 outcome.internet is internet
-                and outcome.state is not None
                 and entry.config == config
                 and entry.flip_fingerprint == flip_fingerprint
             ):
                 return outcome
         return None
+
+    def _store(
+        self,
+        key: tuple,
+        outcome: RoutingOutcome,
+        config: RoutingConfig,
+        flip_fingerprint: tuple,
+    ) -> RoutingOutcome:
+        """Insert ``outcome`` under ``key`` (the lock is held); returns the
+        entry's outcome — an earlier concurrent insert wins."""
+        if key not in self._entries:
+            self._entries[key] = _Entry(outcome, config, flip_fingerprint)
+            while len(self._entries) > self.maxsize:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+                self.observer.metrics.counter("routing.cache.evictions").inc()
+            return outcome
+        self._entries.move_to_end(key)
+        return self._entries[key].outcome
 
     def get_or_compute(
         self,
@@ -197,15 +228,64 @@ class RoutingCache:
             with self._lock:
                 self.stats.full_computes += 1
         with self._lock:
-            if key not in self._entries:
-                self._entries[key] = _Entry(outcome, resolved_config, flip_fp)
-                while len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-                    self.stats.evictions += 1
-                    observer.metrics.counter("routing.cache.evictions").inc()
-            else:
-                self._entries.move_to_end(key)
-            return self._entries[key].outcome
+            return self._store(key, outcome, resolved_config, flip_fp)
+
+    def get_or_compute_many(
+        self,
+        internet: Internet,
+        policies: Sequence[AnnouncementPolicy],
+        flip_model: Optional[FlipModel] = None,
+        config: Optional[RoutingConfig] = None,
+    ) -> List[RoutingOutcome]:
+        """The outcome of every policy, in input order.
+
+        Hits come from the LRU.  The distinct missed policies propagate
+        in one :func:`~repro.bgp.propagation.compute_lattice` call and
+        count as full computes; a policy repeated in the batch counts
+        as a hit after its first sight, as it would one call at a time.
+        Every outcome is returned even when the batch outgrows
+        ``maxsize``.
+        """
+        resolved_config = config or RoutingConfig()
+        resolved_flip = flip_model or FlipModel(internet.seed)
+        flip_fp = resolved_flip.fingerprint()
+        keys = [
+            self._key(internet, policy, resolved_config, flip_fp) for policy in policies
+        ]
+        found: Dict[tuple, RoutingOutcome] = {}
+        missing: Dict[tuple, AnnouncementPolicy] = {}
+        hits = 0
+        with self._lock:
+            for key, policy in zip(keys, policies):
+                entry = self._entries.get(key)
+                if entry is not None:
+                    self._entries.move_to_end(key)
+                    found[key] = entry.outcome
+                    hits += 1
+                elif key in missing:
+                    hits += 1
+                else:
+                    missing[key] = policy
+            self.stats.hits += hits
+        metrics = self.observer.metrics
+        if hits:
+            metrics.counter("routing.cache.hits").inc(hits)
+        if missing:
+            with self.observer.tracer.span(
+                "bgp.propagate.lattice", configs=len(missing)
+            ) as span:
+                outcomes, levels = compute_lattice(
+                    internet, list(missing.values()), flip_model=resolved_flip,
+                    config=resolved_config,
+                )
+                span.set(levels=levels)
+            metrics.counter("routing.cache.full_computes").inc(len(missing))
+            metrics.counter("routing.lattice_configs").inc(len(missing))
+            with self._lock:
+                self.stats.full_computes += len(missing)
+                for key, outcome in zip(missing, outcomes):
+                    found[key] = self._store(key, outcome, resolved_config, flip_fp)
+        return [found[key] for key in keys]
 
     def clear(self) -> None:
         """Drop all entries (stats are kept)."""

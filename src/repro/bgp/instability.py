@@ -13,14 +13,11 @@ background rate (transient routing changes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.rng import uniform_unit
 from repro.topology.asys import AutonomousSystem
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.bgp.propagation import RouteSelection
 
 _PARTICIPATE_SALT = 0x464C4950
 _FLIP_SALT = 0x0F11BB11
@@ -84,13 +81,13 @@ class FlipModel:
     def site_for(
         self,
         asys: AutonomousSystem,
-        selection: "RouteSelection",
+        alternate: Optional[str],
         base_site: str,
         block: int,
         round_id: int,
     ) -> str:
-        """Resolve the per-round site for ``block`` given its AS's routes."""
-        alternate = selection.alternate_site
+        """Resolve the per-round site for ``block`` given its AS's
+        alternate site (None: the AS has none)."""
         if alternate is None or alternate == base_site:
             return base_site
         if asys.flipper:

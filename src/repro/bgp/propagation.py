@@ -35,12 +35,26 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.anycast.catchment import CatchmentMap
 from repro.bgp.instability import FlipModel
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.route import CandidateRoute, RouteClass
+from repro.bgp.sweep import (
+    DRIFT_SALT,
+    EDGE_SALT,
+    PIN_SALT,
+    PopRoutes,
+    RouteTable,
+    as_columns,
+    pop_routes,
+    propagate,
+    site_hash,
+    table_from_selections,
+)
 from repro.errors import ConfigurationError, RoutingError
 from repro.rng import mix64, uniform_unit
 from repro.topology.asys import PoP
@@ -48,9 +62,6 @@ from repro.topology.internet import Internet
 
 _SERVICE_NEIGHBOR = 0  # sentinel neighbour ASN for routes heard from the service
 _INF = 1 << 30
-_EDGE_SALT = 0x45444745
-_PIN_SALT = 0x50494E53
-_DRIFT_SALT = 0x44524946
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,8 @@ class RouteSelection:
         Weight halves per unit of extra cost (8/4/2/1), so closer
         routes win most of the time and prepending — which changes the
         deltas — shifts the distribution *monotonically* instead of
-        reshuffling a uniform choice.
+        reshuffling a uniform choice.  :func:`repro.bgp.sweep.weighted_pick`
+        is the array twin.
         """
         if not self.near_routes:
             return self.primary_site
@@ -154,12 +166,12 @@ def edge_cost(seed: int, config: RoutingConfig, importer: int, exporter: int) ->
     this function, so their route costs are comparable.
     """
     edge_id = importer * 131071 + exporter
-    draw = uniform_unit(seed, _EDGE_SALT, edge_id)
+    draw = uniform_unit(seed, EDGE_SALT, edge_id)
     era = config.era
     if era and (
-        uniform_unit(seed, _DRIFT_SALT, edge_id) < config.era_drift_probability
+        uniform_unit(seed, DRIFT_SALT, edge_id) < config.era_drift_probability
     ):
-        draw = uniform_unit(seed, _DRIFT_SALT, edge_id, era)
+        draw = uniform_unit(seed, DRIFT_SALT, edge_id, era)
     jitter = len(config.jitter_weights) - 1
     cumulative = 0.0
     for level, weight in enumerate(config.jitter_weights):
@@ -173,7 +185,7 @@ def edge_cost(seed: int, config: RoutingConfig, importer: int, exporter: int) ->
 def is_pinned(seed: int, config: RoutingConfig, customer: int, provider: int) -> bool:
     """Whether ``customer`` pins ``provider`` for the anycast prefix (shared)."""
     return (
-        uniform_unit(seed, _PIN_SALT, customer * 524287 + provider)
+        uniform_unit(seed, PIN_SALT, customer * 524287 + provider)
         < config.pin_probability
     )
 
@@ -184,8 +196,7 @@ def _near_tuple(near: Dict[str, int]) -> Tuple[Tuple[int, str], ...]:
 
 
 def _tie_hash(asn: int, neighbor: int, site_code: str) -> int:
-    site_hash = int.from_bytes(site_code.encode("utf-8")[:8].ljust(8, b"\0"), "little")
-    return mix64(mix64(asn * 0x9E37 + neighbor) ^ site_hash)
+    return mix64(mix64(asn * 0x9E37 + neighbor) ^ site_hash(site_code))
 
 
 def _alternate_for(
@@ -195,15 +206,13 @@ def _alternate_for(
 
     A pure function of the selection's own routes, the announcing site
     list, and the AS's flipper flag — shared by the full propagator and
-    the delta engine so both assign identical alternates.
+    the delta engine so both assign identical alternates.  Every exact
+    candidate has delta 0, within any slack, so ``candidate_sites`` is a
+    subset of ``pop_sites`` and the near sites alone are the pool.
     """
-    pool = [
-        site
-        for site in (*selection.pop_sites, *selection.candidate_sites)
-        if site != selection.primary_site
-    ]
-    if pool:
-        return pool[0]
+    for site in selection.pop_sites:
+        if site != selection.primary_site:
+            return site
     if len(site_codes) > 1 and internet.ases[selection.asn].flipper:
         # Per-packet load balancing across unequal paths: a flipper
         # with one equal-cost route still oscillates toward a
@@ -248,41 +257,89 @@ class _PropagationState:
 
 
 class RoutingOutcome:
-    """Result of one propagation: per-AS selections and catchment queries."""
+    """Result of one propagation: per-AS routes and catchment queries.
+
+    Two constructions share one interface.  :func:`compute_routes` and
+    :func:`compute_lattice` pass a propagated
+    :class:`~repro.bgp.sweep.RouteTable` (``table=`` with its
+    ``config=``); ``selections`` and ``state`` come from one run of the
+    scalar reference on first use (RIB dumps, validation, a delta
+    baseline — none of them on the scan path).  Delta propagation and
+    tests pass a ``selections`` dict; :attr:`table` is then derived from
+    it in one pass.  Either way PoP and block queries read the per-PoP
+    columns of :meth:`pop_routes`.
+    """
 
     def __init__(
         self,
         internet: Internet,
         policy: AnnouncementPolicy,
-        selections: Dict[int, RouteSelection],
+        selections: Optional[Dict[int, RouteSelection]],
         flip_model: FlipModel,
         state: Optional[_PropagationState] = None,
+        table: Optional[RouteTable] = None,
+        config: Optional[RoutingConfig] = None,
     ) -> None:
+        if selections is None and (table is None or config is None):
+            raise ConfigurationError(
+                "a routing outcome needs selections or a propagated table and its config"
+            )
         self.internet = internet
         self.policy = policy
-        self.selections = selections
         self.flip_model = flip_model
-        #: Propagation working maps, kept so DeltaPropagator can use
-        #: this outcome as the baseline of an incremental recomputation.
-        self.state = state
-        self._pop_site_cache: Dict[int, str] = {}
+        self._selections = selections
+        self._state = state
+        self._table = table
+        self._config = config
+        self._pop_routes: Optional[PopRoutes] = None
         self._catchment_cache: Dict[Optional[int], CatchmentMap] = {}
+
+    @property
+    def selections(self) -> Dict[int, RouteSelection]:
+        """ASN -> selected route (the scalar reference run on first use)."""
+        if self._selections is None:
+            self._run_reference()
+        return self._selections
+
+    @property
+    def state(self) -> Optional[_PropagationState]:
+        """Propagation working maps, so DeltaPropagator can use this
+        outcome as a baseline (from the same run as ``selections``;
+        None for an outcome built from bare selections)."""
+        if self._state is None and self._config is not None:
+            self._run_reference()
+        return self._state
+
+    def _run_reference(self) -> None:
+        propagator = _Propagator(self.internet, self.policy, self._config)
+        self._selections = propagator.run()
+        self._state = propagator._state
+
+    @property
+    def table(self) -> RouteTable:
+        """Per-AS route columns (derived from the selections on first use)."""
+        if self._table is None:
+            self._table = table_from_selections(
+                as_columns(self.internet), self.policy.site_codes, self._selections
+            )
+        return self._table
+
+    def pop_routes(self) -> PopRoutes:
+        """Per-PoP site, alternate and flipper columns, gathered once."""
+        if self._pop_routes is None:
+            self._pop_routes = pop_routes(as_columns(self.internet), self.table)
+        return self._pop_routes
 
     def selection_of(self, asn: int) -> Optional[RouteSelection]:
         """The selected route at ``asn`` (None if the prefix never reached it)."""
         return self.selections.get(asn)
 
+    def _site_code(self, index: int) -> Optional[str]:
+        return None if index < 0 else self.table.site_codes[index]
+
     def site_of_pop(self, pop: PoP) -> Optional[str]:
-        """Site a given PoP egresses to (hot-potato over the candidate set)."""
-        cached = self._pop_site_cache.get(pop.pop_id)
-        if cached is not None:
-            return cached
-        selection = self.selections.get(pop.asn)
-        if selection is None:
-            return None
-        site = selection.site_for_pop(pop.pop_id)
-        self._pop_site_cache[pop.pop_id] = site
-        return site
+        """Site a given PoP egresses to (hot-potato over the near sites)."""
+        return self._site_code(int(self.pop_routes().site[pop.pop_id]))
 
     def site_of_block(self, block: int, round_id: Optional[int] = None) -> Optional[str]:
         """Site that traffic from ``block`` reaches.
@@ -295,13 +352,11 @@ class RoutingOutcome:
             return None
         pop = self.internet.pop_of_block(block)
         base_site = self.site_of_pop(pop)
-        if base_site is None:
-            return None
-        if round_id is None:
+        if base_site is None or round_id is None:
             return base_site
-        selection = self.selections[pop.asn]
+        alternate = self._site_code(int(self.pop_routes().alternate[pop.pop_id]))
         asys = self.internet.ases[pop.asn]
-        return self.flip_model.site_for(asys, selection, base_site, block, round_id)
+        return self.flip_model.site_for(asys, alternate, base_site, block, round_id)
 
     def catchment_map(self, round_id: Optional[int] = None) -> CatchmentMap:
         """Catchment of every populated block (site per block).
@@ -327,7 +382,7 @@ class RoutingOutcome:
         """Fraction of ASes that received any route (sanity metric)."""
         if not self.internet.ases:
             return 0.0
-        return len(self.selections) / len(self.internet.ases)
+        return int(np.count_nonzero(self.table.route_class >= 0)) / len(self.internet.ases)
 
 
 class _Propagator:
@@ -679,16 +734,30 @@ class _Propagator:
                 selection.alternate_site = alternate
 
 
+def compute_lattice(
+    internet: Internet,
+    policies: Sequence[AnnouncementPolicy],
+    flip_model: Optional[FlipModel] = None,
+    config: Optional[RoutingConfig] = None,
+) -> Tuple[List[RoutingOutcome], int]:
+    """Routes of every policy in one array propagation, in input order,
+    and the number of level-synchronous sweeps it took."""
+    config = config or RoutingConfig()
+    flip_model = flip_model or FlipModel(internet.seed)
+    lattice = propagate(internet, policies, config)
+    outcomes = [
+        RoutingOutcome(internet, policy, None, flip_model, table=table, config=config)
+        for policy, table in zip(policies, lattice.tables)
+    ]
+    return outcomes, lattice.levels
+
+
 def compute_routes(
     internet: Internet,
     policy: AnnouncementPolicy,
     flip_model: Optional[FlipModel] = None,
     config: Optional[RoutingConfig] = None,
 ) -> RoutingOutcome:
-    """Run Gao-Rexford propagation of ``policy`` over ``internet``."""
-    propagator = _Propagator(internet, policy, config or RoutingConfig())
-    selections = propagator.run()
-    flip_model = flip_model or FlipModel(internet.seed)
-    return RoutingOutcome(
-        internet, policy, selections, flip_model, state=propagator._state
-    )
+    """Run Gao-Rexford propagation of ``policy`` over ``internet`` (a
+    lattice of one)."""
+    return compute_lattice(internet, [policy], flip_model, config)[0][0]

@@ -542,33 +542,28 @@ class FastScanEngine:
         return fingerprint
 
     def _precompute(self, verfploeter: Verfploeter) -> RouteColumns:
-        """Build the per-PoP route columns (one pass per routing state)."""
-        internet = verfploeter.internet
+        """Build the per-PoP route columns (one gather per routing state)."""
         service = verfploeter.service
-        site_codes = tuple(self.routing.policy.site_codes)
+        routing = self.routing
+        site_codes = tuple(routing.policy.site_codes)
         site_index = {code: i for i, code in enumerate(site_codes)}
         site_rows = [service.sites.index(service.site(code)) for code in site_codes]
-
-        size = len(internet.pops) + 1  # the sentinel: unrouted, no alternate, no flips
-        pop_base = np.full(size, -1, dtype=np.int16)
-        pop_alternate = np.full(size, -1, dtype=np.int16)
-        pop_flipper = np.zeros(size, dtype=bool)
-        for pop in internet.pops:
-            site = self.routing.site_of_pop(pop)
-            if site is None:
-                continue
-            pop_base[pop.pop_id] = site_index[site]
-            pop_flipper[pop.pop_id] = internet.ases[pop.asn].flipper
-            alternate = self.routing.selections[pop.asn].alternate_site
-            if alternate is not None and alternate != site and alternate in site_index:
-                pop_alternate[pop.pop_id] = site_index[alternate]
+        # Routing-table site index -> this policy's site index; the
+        # trailing -1 is where "no site" (index -1) lands.
+        remap = np.array(
+            [site_index.get(code, -1) for code in routing.table.site_codes] + [-1],
+            dtype=np.int16,
+        )
+        pops = routing.pop_routes()
+        flips = np.where(pops.alternate != pops.site, pops.alternate, -1)
+        # Each column gains the sentinel entry: unrouted, no alternate, no flips.
         return RouteColumns(
             site_codes=site_codes,
             site_rows=np.array(site_rows, dtype=np.intp),
-            pop_base=pop_base,
-            pop_alternate=pop_alternate,
-            pop_flipper=pop_flipper,
-            flip_config=self.routing.flip_model.config,
+            pop_base=np.append(remap[pops.site], np.int16(-1)),
+            pop_alternate=np.append(remap[flips], np.int16(-1)),
+            pop_flipper=np.append(pops.flipper, False),
+            flip_config=routing.flip_model.config,
         )
 
     # -- per-round evaluation ---------------------------------------------

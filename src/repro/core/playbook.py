@@ -9,10 +9,11 @@ overwhelmed.  This module is that search over our substrate:
    around an attacked site (prepend it 1..N, withdraw it, and at depth
    2 pair each of those with a second site's prepend to steer where the
    displaced traffic lands);
-2. :class:`PlaybookPlanner` evaluates every candidate through the
-   fingerprint-keyed :class:`~repro.bgp.cache.RoutingCache` (delta
-   propagation on first sight, dictionary hits after), a memoised
-   vectorised catchment scan per distinct policy, and the columnar
+2. :class:`PlaybookPlanner` routes every candidate not yet measured
+   through the fingerprint-keyed :class:`~repro.bgp.cache.RoutingCache`
+   in one batch (the lattice propagates as one array program on first
+   sight, dictionary hits after), runs a memoised vectorised catchment
+   scan per distinct policy, and the columnar
    :func:`~repro.load.weighting.weight_catchment` join against the
    attack-day load — optionally fanned over a
    :class:`~repro.core.pool.ShardPool`;
@@ -41,6 +42,7 @@ from repro.bgp.cache import (
     policy_fingerprint,
 )
 from repro.bgp.policy import AnnouncementPolicy
+from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import ScanResult
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError
@@ -311,14 +313,19 @@ class PlaybookPlanner:
         self._catchments: Dict[tuple, CatchmentMap] = {}
         self._memo_lock = Lock()
 
-    def catchment_for(self, policy: AnnouncementPolicy, pool=None) -> CatchmentMap:
+    def catchment_for(
+        self,
+        policy: AnnouncementPolicy,
+        pool=None,
+        routing: Optional[RoutingOutcome] = None,
+    ) -> CatchmentMap:
         """The measured catchment of ``policy``, memoised per fingerprint.
 
-        Misses resolve routing through the cache (delta against the
-        baseline after the first config) and run one vectorised scan
-        round — sharded over ``pool`` when given.  The memo write is
-        idempotent (deterministic values), so concurrent misses for the
-        same policy are safe.
+        Misses run one vectorised scan round — sharded over ``pool``
+        when given — over ``routing``, or over the cache's outcome for
+        ``policy`` when none is handed in.  The memo write is idempotent
+        (deterministic values), so concurrent misses for the same policy
+        are safe.
         """
         key = policy_fingerprint(policy)
         metrics = self.observer.metrics
@@ -328,7 +335,8 @@ class PlaybookPlanner:
             metrics.counter("playbook.catchment_memo.hits").inc()
             return cached
         metrics.counter("playbook.catchment_memo.misses").inc()
-        routing = self.cache.get_or_compute(self.verfploeter.internet, policy)
+        if routing is None:
+            routing = self.cache.get_or_compute(self.verfploeter.internet, policy)
         dataset_id = f"playbook-{policy_digest(policy)}"
         if pool is not None:
             from repro.core.sharding import run_sharded_scan
@@ -451,16 +459,29 @@ class PlaybookPlanner:
             depth=depth,
             max_prepend=max_prepend,
         ) as span:
-            # Seed the all-sites baseline first (mirroring prepend_sweep)
-            # so every variant propagates as a delta, not from scratch.
-            self.cache.get_or_compute(internet, service.default_policy())
+            policies = [entry.policy_for(service) for entry in entries]
+            # Every policy not yet measured routes in one lattice call.
+            with self._memo_lock:
+                unmeasured = [
+                    policy
+                    for policy in policies
+                    if policy_fingerprint(policy) not in self._catchments
+                ]
+            routings = {
+                policy_fingerprint(routing.policy): routing
+                for routing in self.cache.get_or_compute_many(internet, unmeasured)
+            }
 
-            def evaluate(entry: PlaybookEntry) -> ConfigOutcome:
+            def evaluate(
+                entry: PlaybookEntry, policy: AnnouncementPolicy
+            ) -> ConfigOutcome:
                 with observer.tracer.span(
                     "playbook.candidate", label=entry.label
                 ):
-                    policy = entry.policy_for(service)
-                    catchment = self.catchment_for(policy, pool=pool)
+                    catchment = self.catchment_for(
+                        policy, pool=pool,
+                        routing=routings.get(policy_fingerprint(policy)),
+                    )
                     if pool is not None:
                         from repro.core.sharding import sharded_weight_catchment
 
@@ -474,7 +495,9 @@ class PlaybookPlanner:
                 observer.metrics.counter("playbook.configs_evaluated").inc()
                 return self._outcome(entry, load, capacities)
 
-            outcomes = [evaluate(entry) for entry in entries]
+            outcomes = [
+                evaluate(entry, policy) for entry, policy in zip(entries, policies)
+            ]
             baseline = outcomes[0]
             ranked = sorted(outcomes, key=ConfigOutcome.sort_key)
             span.set(configs=len(entries))

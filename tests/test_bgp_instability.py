@@ -5,21 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp.instability import FlipModel, FlipModelConfig
-from repro.bgp.propagation import RouteSelection
 from repro.errors import ConfigurationError
 from repro.topology.asys import ASTier, AutonomousSystem
-
-
-def make_selection(alternate="B"):
-    return RouteSelection(
-        asn=1,
-        route_class=0,
-        path_length=2,
-        primary_site="A",
-        candidates=(),
-        near_routes=((0, "A"),),
-        alternate_site=alternate,
-    )
 
 
 @pytest.fixture
@@ -35,25 +22,22 @@ def normal_as():
 class TestFlipModel:
     def test_no_alternate_never_flips(self, flipper_as):
         model = FlipModel(seed=1)
-        selection = make_selection(alternate=None)
         for round_id in range(50):
-            assert model.site_for(flipper_as, selection, "A", 7, round_id) == "A"
+            assert model.site_for(flipper_as, None, "A", 7, round_id) == "A"
 
     def test_flipper_blocks_flip_sometimes(self, flipper_as):
         model = FlipModel(seed=1, config=FlipModelConfig(
             flipper_block_fraction=1.0, flipper_flip_probability=0.5))
-        selection = make_selection()
         outcomes = {
-            model.site_for(flipper_as, selection, "A", 7, round_id)
+            model.site_for(flipper_as, "B", "A", 7, round_id)
             for round_id in range(100)
         }
         assert outcomes == {"A", "B"}
 
     def test_nonparticipating_blocks_stay(self, flipper_as):
         model = FlipModel(seed=1, config=FlipModelConfig(flipper_block_fraction=0.0))
-        selection = make_selection()
         for round_id in range(50):
-            assert model.site_for(flipper_as, selection, "A", 7, round_id) == "A"
+            assert model.site_for(flipper_as, "B", "A", 7, round_id) == "A"
 
     def test_participation_rate(self, flipper_as):
         model = FlipModel(seed=3, config=FlipModelConfig(flipper_block_fraction=0.25))
@@ -64,18 +48,16 @@ class TestFlipModel:
 
     def test_background_flips_rare(self, normal_as):
         model = FlipModel(seed=1)
-        selection = make_selection()
         flips = sum(
-            model.site_for(normal_as, selection, "A", block, 1) == "B"
+            model.site_for(normal_as, "B", "A", block, 1) == "B"
             for block in range(5000)
         )
         assert 0 < flips < 30  # ~0.15% background
 
     def test_deterministic(self, flipper_as):
         model = FlipModel(seed=9)
-        selection = make_selection()
-        first = [model.site_for(flipper_as, selection, "A", 7, r) for r in range(20)]
-        second = [model.site_for(flipper_as, selection, "A", 7, r) for r in range(20)]
+        first = [model.site_for(flipper_as, "B", "A", 7, r) for r in range(20)]
+        second = [model.site_for(flipper_as, "B", "A", 7, r) for r in range(20)]
         assert first == second
 
     def test_config_validation(self):

@@ -298,6 +298,9 @@ class TestPlannerDeterminism:
         assert playbook.top.sort_key() == min(keys)
         # the do-nothing baseline is the first enumerated entry
         assert playbook.baseline.entry.label == "equal"
+        # the lattice routed as one batch: full computes, never deltas
+        assert planner.cache.stats.delta_computes == 0
+        assert planner.cache.stats.full_computes == len(playbook.ranked)
         # a second search on the same planner is served from the memo:
         # no new propagations, byte-identical artifact
         before = (
