@@ -78,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="time the instrumented hot paths and print a profile",
+        help="print calls, total and self wall time per traced span",
     )
 
 
@@ -106,7 +106,7 @@ def _observer_for(args: argparse.Namespace) -> Observer:
     if injected is not None:
         return injected
     if args.metrics_out or args.trace_out or args.profile:
-        return Observer.collecting(profile=args.profile)
+        return Observer.collecting()
     return NULL_OBSERVER
 
 
@@ -117,7 +117,8 @@ def _emit_observability(
 
     Both artifacts embed the shared run-metadata block (scenario, scale,
     seed, fingerprint) so they are joinable with each other and with the
-    ``BENCH_*.json`` baselines offline.
+    ``BENCH_*.json`` baselines offline.  The profile is the trace's own
+    spans with their wall durations, which no artifact carries.
     """
     if observer is NULL_OBSERVER or not observer.enabled:
         return
@@ -134,8 +135,8 @@ def _emit_observability(
         with open(args.trace_out, "w", encoding="utf-8") as stream:
             stream.write(observer.tracer.to_json(meta=meta) + "\n")
         print(f"wrote trace to {args.trace_out}")
-    if observer.profiler is not None:
-        print(observer.profiler.report())
+    if args.profile:
+        print(observer.tracer.render_wall())
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

@@ -383,37 +383,33 @@ def evaluate_round(
 
 def materialise_columnar(
     state: RoundState,
-    routes: RouteColumns,
-    arrays: RoundArrays,
+    site_codes: Tuple[str, ...],
+    sites: np.ndarray,
+    kept_delays: np.ndarray,
+    stats: ScanStats,
     round_id: int,
     start_time: float,
     dataset_id: str,
 ) -> ScanResult:
     """Columnar ScanResult over ``state``'s block universe.
 
+    ``sites`` is the full-universe int16 site column, ``-1`` wherever a
+    row was not kept, and ``kept_delays`` the kept rows' first-reply
+    delays in row order.  The engine and the sharded merge
+    (:mod:`repro.core.sharding`) both build their results here.
     ``state.blocks`` becomes the shared universe array of every round
     materialised from the same state, so same-universe diffs stay pure
     array compares and pickling a list of rounds serialises the
     universe once (pickle memoises the shared ndarray).
     """
-    catchment = ArrayCatchmentMap(
-        routes.site_codes,
-        state.blocks,
-        np.where(arrays.kept_mask, arrays.site, np.int16(-1)).astype(np.int16),
-        validate=False,
-    )
-    rtts = BlockValueMap(
-        state.blocks[arrays.kept_mask].astype(np.int64),
-        arrays.delay[arrays.kept_mask],
-    )
     return ScanResult(
         dataset_id=dataset_id,
         round_id=round_id,
         start_time=start_time,
         duration_seconds=state.rows * state.interval,
-        catchment=catchment,
-        stats=arrays.stats,
-        rtts=rtts,
+        catchment=ArrayCatchmentMap(site_codes, state.blocks, sites, validate=False),
+        stats=stats,
+        rtts=BlockValueMap(state.blocks[sites >= 0].astype(np.int64), kept_delays),
     )
 
 
@@ -519,8 +515,7 @@ class FastScanEngine:
         self._prober = verfploeter._prober
         self.state = verfploeter.round_state()
         with self.observer.tracer.span("fastscan.precompute") as span:
-            with self.observer.profile("fastscan.precompute"):
-                self.routes = self._precompute(verfploeter)
+            self.routes = self._precompute(verfploeter)
             span.set(blocks=self.state.rows, sites=len(self.routes.site_codes))
 
     def externalize(self, store) -> str:
@@ -578,8 +573,7 @@ class FastScanEngine:
         with self.observer.tracer.span(
             "fastscan.round", round_id=round_id
         ) as span:
-            with self.observer.profile("fastscan.round"):
-                result = self._evaluate_round(round_id, start_time, dataset_id)
+            result = self._evaluate_round(round_id, start_time, dataset_id)
             span.set(
                 probes_sent=result.stats.probes_sent,
                 replies_received=result.stats.replies_received,
@@ -620,9 +614,16 @@ class FastScanEngine:
             "fastscan.round_draws.hit" if hit else "fastscan.round_draws.miss"
         ).inc()
         arrays = evaluate_round(state, self.routes, draws)
-        label = dataset_id or f"fast-r{round_id}"
+        kept = arrays.kept_mask
         return materialise_columnar(
-            state, self.routes, arrays, round_id, start_time, label
+            state,
+            self.routes.site_codes,
+            np.where(kept, arrays.site, np.int16(-1)),
+            arrays.delay[kept],
+            arrays.stats,
+            round_id,
+            start_time,
+            dataset_id or f"fast-r{round_id}",
         )
 
     def run_series(

@@ -5,8 +5,10 @@ millions of /24 blocks — which wants more than one core.  This module
 partitions the shared uint64 block universe into contiguous ranges
 (:class:`ShardPlan`) and fans :func:`repro.core.fastscan.evaluate_round`
 and the load-weighting join across a persistent
-:class:`repro.core.pool.ShardPool`, then deterministically concatenates
-the per-shard columns back into full-universe results.
+:class:`repro.core.pool.ShardPool`.  The parent keeps only the
+fan-out: per-shard columns go back through the single-process code —
+:func:`repro.core.fastscan.materialise_columnar` builds each round,
+:func:`repro.load.weighting.accumulate_site_load` sums each join.
 
 Workers are zero-copy: the parent externalises the deployment's
 routing-invariant columns once through
@@ -34,9 +36,9 @@ construction rather than by luck:
   (float addition is not associative).  Workers return exact integers
   (int16 site indices, packed bool masks, per-row float64 delays that
   are copied, never summed); the parent owns **all** float
-  accumulation, running each daily/hourly ``bincount`` as one full
-  pass in fixed order — the identical sequence of additions the
-  single-process join performs.
+  accumulation, handing the joined indices to the very
+  ``accumulate_site_load`` the single-process join runs — the
+  identical sequence of additions.
 
 Process-pool construction lives in `repro.core.pool` (reprolint rule
 D112); every pool target here is a module-level function resolving
@@ -47,24 +49,28 @@ from __future__ import annotations
 
 import os
 import pickle
-from contextlib import ExitStack
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.anycast.catchment import ArrayCatchmentMap
 from repro.bgp.propagation import RoutingOutcome
-from repro.collector.results import BlockValueMap, ScanResult, ScanStats
-from repro.core.fastscan import FastScanEngine, evaluate_round, round_draws
+from repro.collector.results import ScanResult, ScanStats
+from repro.core.fastscan import (
+    FastScanEngine,
+    evaluate_round,
+    materialise_columnar,
+    round_draws,
+)
 from repro.core.pool import ShardPool, attached_array, attached_round_state
 from repro.core.tables import ensure_array
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import UNKNOWN, SiteLoad
+from repro.load.weighting import UNKNOWN, SiteLoad, accumulate_site_load
 from repro.obs import NULL_OBSERVER, Observer
-from repro.traffic.logs import HOURS
 
 
 @dataclass(frozen=True)
@@ -229,6 +235,24 @@ def resolve_fanout(shards: Optional[int], workers: Optional[int]) -> Tuple[int, 
     return shards, workers
 
 
+@contextmanager
+def _fanout(
+    pool: Optional[ShardPool],
+    shards: Optional[int],
+    workers: Optional[int],
+    store,
+    observer: Observer,
+) -> Iterator[Tuple[ShardPool, int]]:
+    """``(pool, shards)`` for one fan-out: the caller's open pool, or a
+    temporary one (closed on exit) sized by :func:`resolve_fanout`."""
+    if pool is not None:
+        yield pool, resolve_fanout(shards, pool.workers)[0]
+        return
+    shards, workers = resolve_fanout(shards, workers)
+    with ShardPool(workers=workers, store=store, observer=observer) as pool:
+        yield pool, shards
+
+
 def _payload_bytes(payloads: Sequence[object]) -> int:
     """Total pickled size of a fan-out's payloads (instrumentation)."""
     return sum(len(pickle.dumps(payload)) for payload in payloads)
@@ -306,42 +330,25 @@ def _merge_round(
 ) -> ScanResult:
     """Rebuild one round's full-universe result from compact shard columns.
 
-    Exactly mirrors :func:`repro.core.fastscan.materialise_columnar`
-    per shard — full site column is ``-1`` except where the keep mask
-    is set, RTT rows are the kept blocks in shard order — then
-    concatenates, so the result is bit-identical to evaluating the
-    full universe in one pass.
+    Each shard's kept site indices scatter into one full-universe site
+    column (``-1`` where its keep mask is clear) and its kept delays
+    follow in shard order; the engine's own builder,
+    :func:`repro.core.fastscan.materialise_columnar`, makes the result,
+    so it is bit-identical to evaluating the full universe in one pass.
     """
-    state = engine.state
-    site_parts: List[np.ndarray] = []
-    block_parts: List[np.ndarray] = []
-    value_parts: List[np.ndarray] = []
-    for (start, stop), (kept_sites, packed_mask, kept_delays, _) in zip(
-        bounds, shard_rounds
-    ):
-        rows = stop - start
-        mask = np.unpackbits(packed_mask, count=rows).view(np.bool_)
-        sites = np.full(rows, -1, dtype=np.int16)
-        sites[mask] = kept_sites
-        site_parts.append(sites)
-        block_parts.append(state.blocks[start:stop][mask].astype(np.int64))
-        value_parts.append(kept_delays)
-    sites = site_parts[0] if len(site_parts) == 1 else np.concatenate(site_parts)
-    catchment = ArrayCatchmentMap(
-        engine.routes.site_codes, state.blocks, sites, validate=False
-    )
-    rtts = BlockValueMap(
-        block_parts[0] if len(block_parts) == 1 else np.concatenate(block_parts),
-        value_parts[0] if len(value_parts) == 1 else np.concatenate(value_parts),
-    )
-    return ScanResult(
-        dataset_id=f"{dataset_prefix}-r{round_id:03d}",
-        round_id=round_id,
-        start_time=round_id * interval_seconds,
-        duration_seconds=state.n_total * state.interval,
-        catchment=catchment,
-        stats=merge_stats([part[3] for part in shard_rounds]),
-        rtts=rtts,
+    sites = np.full(engine.state.rows, -1, dtype=np.int16)
+    for (start, stop), (kept_sites, packed_mask, _, _) in zip(bounds, shard_rounds):
+        mask = np.unpackbits(packed_mask, count=stop - start).view(np.bool_)
+        sites[start:stop][mask] = kept_sites
+    return materialise_columnar(
+        engine.state,
+        engine.routes.site_codes,
+        sites,
+        np.concatenate([part[2] for part in shard_rounds]),
+        merge_stats([part[3] for part in shard_rounds]),
+        round_id,
+        round_id * interval_seconds,
+        f"{dataset_prefix}-r{round_id:03d}",
     )
 
 
@@ -376,14 +383,7 @@ def run_sharded_series(
     if observer is None:
         observer = engine.observer
     state = engine.state
-    with ExitStack() as stack:
-        if pool is None:
-            shards, workers = resolve_fanout(shards, workers)
-            pool = stack.enter_context(
-                ShardPool(workers=workers, store=store, observer=observer)
-            )
-        else:
-            shards, _ = resolve_fanout(shards, pool.workers)
+    with _fanout(pool, shards, workers, store, observer) as (pool, shards):
         plan = ShardPlan.split(state.rows, shards)
         with observer.tracer.span(
             "scan.sharded_series",
@@ -473,17 +473,8 @@ def sharded_weight_catchment(
         )
     if len(estimate) == 0:
         raise DatasetError("load estimate is empty")
-    site_codes = catchment.site_codes
-    unknown_bucket = len(site_codes)
     traffic_blocks = estimate.blocks
-    with ExitStack() as stack:
-        if pool is None:
-            shards, workers = resolve_fanout(shards, workers)
-            pool = stack.enter_context(
-                ShardPool(workers=workers, store=store, observer=observer)
-            )
-        else:
-            shards, _ = resolve_fanout(shards, pool.workers)
+    with _fanout(pool, shards, workers, store, observer) as (pool, shards):
         plan = ShardPlan.split(traffic_blocks.size, shards)
         with observer.tracer.span(
             "load.weight.sharded", shards=plan.shard_count, workers=pool.workers
@@ -494,7 +485,7 @@ def sharded_weight_catchment(
             join_payloads = [
                 (
                     pool.store.root,
-                    site_codes,
+                    catchment.site_codes,
                     universe_fp,
                     sites_fp,
                     blocks_fp,
@@ -507,39 +498,12 @@ def sharded_weight_catchment(
             index_parts = pool.map(
                 _join_shard_worker, join_payloads, observer=observer
             )
-            buckets = _buckets_of(index_parts, unknown_bucket)
-            daily_values = estimate.source.daily_of_kind(estimate.kind)
-            daily_sums = np.bincount(
-                buckets, weights=daily_values, minlength=unknown_bucket + 1
+            load = accumulate_site_load(
+                catchment.site_codes, np.concatenate(index_parts), estimate, hourly
             )
-            hourly_sums = np.zeros((unknown_bucket + 1, HOURS))
-            if hourly:
-                matrix = estimate.hourly_matrix()
-                for hour in range(HOURS):
-                    hourly_sums[:, hour] = np.bincount(
-                        buckets,
-                        weights=matrix[:, hour],
-                        minlength=unknown_bucket + 1,
-                    )
-            daily = {code: float(daily_sums[i]) for i, code in enumerate(site_codes)}
-            daily[UNKNOWN] = float(daily_sums[unknown_bucket])
-            hourly_acc: Dict[str, np.ndarray] = {
-                code: hourly_sums[i] for i, code in enumerate(site_codes)
-            }
-            hourly_acc[UNKNOWN] = hourly_sums[unknown_bucket]
             span.set(join_rows=len(estimate), payload_bytes=payload_bytes)
     metrics = observer.metrics
     metrics.counter("scan.shard.payload_bytes").inc(payload_bytes)
     metrics.gauge("load.join_rows").set(len(estimate))
-    return SiteLoad(site_codes, daily, hourly_acc)
+    return load
 
-
-def _buckets_of(index_parts: Sequence[np.ndarray], unknown_bucket: int) -> np.ndarray:
-    """Concatenate per-shard site indices into daily/hourly bucket ids."""
-    joined = (
-        index_parts[0]
-        if len(index_parts) == 1
-        else np.concatenate(index_parts)
-    )
-    indices = joined.astype(np.int64)
-    return np.where(indices >= 0, indices, unknown_bucket)

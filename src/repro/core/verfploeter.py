@@ -122,8 +122,7 @@ class Verfploeter:
 
                 observer = self.observer
                 with observer.tracer.span("fastscan.invariant") as span:
-                    with observer.profile("fastscan.invariant"):
-                        self._round_state = build_round_state(self)
+                    self._round_state = build_round_state(self)
                     span.set(blocks=self._round_state.rows)
                 observer.metrics.counter("fastscan.invariant.builds").inc()
             return self._round_state

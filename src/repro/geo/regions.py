@@ -52,14 +52,6 @@ class Country:
     internet_weight: float
     atlas_weight: float
 
-    @property
-    def centroid(self) -> Tuple[float, float]:
-        """Approximate (lat, lon) centre of the bounding box."""
-        return (
-            (self.lat_range[0] + self.lat_range[1]) / 2.0,
-            (self.lon_range[0] + self.lon_range[1]) / 2.0,
-        )
-
 
 def _country(
     code: str,

@@ -85,15 +85,3 @@ class LatencyModel:
         )
         return propagation + self.access_delay_ms(block) + jitter
 
-    def best_site_for(self, block: int, round_id: int = 0) -> Optional[str]:
-        """The latency-optimal site for ``block`` (not where BGP sends it).
-
-        The gap between this and the BGP catchment is the latency
-        inflation anycast operators hunt for.
-        """
-        best: Optional[Tuple[float, str]] = None
-        for site_code in self._site_locations:
-            rtt = self.rtt_ms(block, site_code, round_id)
-            if rtt is not None and (best is None or rtt < best[0]):
-                best = (rtt, site_code)
-        return best[1] if best is not None else None

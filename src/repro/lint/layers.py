@@ -17,7 +17,7 @@ with four additions reflecting the tree as it actually is:
   the planner consuming it (``core.playbook``) sits at layer 4 with
   the other experiment drivers;
 * ``lint`` (this tool) is layer 0 — it imports only ``errors``;
-* ``obs`` (tracing spans, metrics, profiling hooks) is also layer 0:
+* ``obs`` (tracing spans and their wall times, metrics) is also layer 0:
   every pipeline layer above it reports into it, so it may import
   nothing but ``errors``;
 * ``datasets`` and ``reporting`` sit between ``core`` and ``cli``:

@@ -179,21 +179,24 @@ def _weight_reference(
     return SiteLoad(site_codes, daily, hourly_acc)
 
 
-def _weight_columnar(
-    catchment: ArrayCatchmentMap,
+def accumulate_site_load(
+    site_codes: List[str],
+    site_indices: np.ndarray,
     estimate: LoadEstimate,
     hourly: bool,
 ) -> SiteLoad:
-    """One-pass array join and accumulation.
+    """Sum ``estimate``'s rows into per-site buckets (``-1`` = ``UNK``).
 
-    ``bincount`` processes input rows in order, so each per-bucket
-    (and, hourly, per-hour) accumulator sees the identical sequence of
-    float64 additions as the reference loop — the results are
-    bit-equal, not just close.
+    ``site_indices`` holds one site index per traffic row, as
+    :meth:`ArrayCatchmentMap.site_indices_of` returns it.  ``bincount``
+    processes input rows in order, so each per-bucket (and, hourly,
+    per-hour) accumulator sees the identical sequence of float64
+    additions as the reference loop — the results are bit-equal, not
+    just close.  The sharded join passes its worker-joined indices here
+    too, so the parent owns every float addition.
     """
-    site_codes = catchment.site_codes
     unknown_bucket = len(site_codes)
-    indices = catchment.site_indices_of(estimate.blocks).astype(np.int64)
+    indices = site_indices.astype(np.int64)
     buckets = np.where(indices >= 0, indices, unknown_bucket)
     daily_values = estimate.source.daily_of_kind(estimate.kind)
     daily_sums = np.bincount(
@@ -231,11 +234,15 @@ def weight_catchment(
         raise DatasetError("load estimate is empty")
     columnar = isinstance(catchment, ArrayCatchmentMap)
     with observer.tracer.span("load.weight", columnar=columnar) as span:
-        with observer.profile("load.weight"):
-            if columnar:
-                load = _weight_columnar(catchment, estimate, hourly)
-            else:
-                load = _weight_reference(catchment, estimate, hourly)
+        if columnar:
+            load = accumulate_site_load(
+                catchment.site_codes,
+                catchment.site_indices_of(estimate.blocks),
+                estimate,
+                hourly,
+            )
+        else:
+            load = _weight_reference(catchment, estimate, hourly)
         span.set(join_rows=len(estimate))
     observer.metrics.gauge("load.join_rows").set(len(estimate))
     return load

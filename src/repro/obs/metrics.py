@@ -145,12 +145,12 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def _get_or_create(self, factory, name: str, labels: Dict[str, object]):
+    def _get_or_create(self, factory, name: str, labels: Dict[str, object], *args):
         key = _full_name(name, labels)
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = factory(key)
+                metric = factory(key, *args)
                 self._metrics[key] = metric
             elif not isinstance(metric, factory):
                 raise ConfigurationError(
@@ -173,17 +173,7 @@ class MetricsRegistry:
         **labels: object,
     ) -> Histogram:
         """The histogram for ``name`` + ``labels`` (created on first use)."""
-        key = _full_name(name, labels)
-        with self._lock:
-            metric = self._metrics.get(key)
-            if metric is None:
-                metric = Histogram(key, buckets)
-                self._metrics[key] = metric
-            elif not isinstance(metric, Histogram):
-                raise ConfigurationError(
-                    f"metric {key!r} already registered as {metric.kind}"
-                )
-            return metric
+        return self._get_or_create(Histogram, name, labels, buckets)
 
     def value_of(self, name: str, **labels: object) -> object:
         """Snapshot of one metric's value (0 for a never-touched name)."""

@@ -6,21 +6,24 @@ BGP propagation, cleaning, load weighting).  Timestamps come from an
 injected monotonic clock; the default :class:`TickClock` advances one
 tick per reading, so the emitted trace of a seeded run is bit-identical
 across reruns — tests pin trace *shape* without depending on wall
-time.  Operators who want wall-clock durations inject
-``time.perf_counter`` instead.
+time.  Wall-clock time is kept beside the ticks, never in them: every
+closed span also carries its ``time.perf_counter`` duration in
+``span.wall``, which :meth:`Tracer.to_dict` leaves out and
+:meth:`Tracer.render_wall` (the CLI's ``--profile``) sums per span name.
 
-The tracer keeps one span stack per thread: spans opened on another
-thread (the daemon's ingest thread, a library user's own threads)
-become additional roots in completion order.  Deterministic artifacts
-therefore come from sequential runs, which is what the CLI and the
-report generator do.
+The tracer keeps one span stack per thread: a span opened on another
+thread (the daemon's ingest thread, a library user's own threads) with
+nothing open there becomes an additional root, appended when it
+*opens*.  Deterministic artifacts therefore come from sequential runs,
+which is what the CLI and the report generator do.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from typing import Callable, Dict, Iterator, List, Optional
+import time
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["TickClock", "Span", "Tracer", "NullTracer", "NULL_SPAN"]
 
@@ -30,7 +33,8 @@ class TickClock:
 
     Spans timed with a ``TickClock`` measure *events*, not seconds: a
     span's duration is the number of clock readings taken while it was
-    open.  That is exactly what makes seeded traces reproducible.
+    open.  That is exactly what makes seeded traces reproducible; for
+    seconds, read ``span.wall``.
     """
 
     __slots__ = ("_now", "_step")
@@ -47,9 +51,13 @@ class TickClock:
 
 
 class Span:
-    """One traced operation: name, start/end ticks, attributes, children."""
+    """One traced operation: name, start/end ticks, attributes, children.
 
-    __slots__ = ("name", "start", "end", "attributes", "children")
+    ``wall`` is the span's ``perf_counter`` duration in seconds (0.0
+    until it closes); it is not part of :meth:`to_dict`.
+    """
+
+    __slots__ = ("name", "start", "end", "attributes", "children", "wall", "_opened")
 
     def __init__(self, name: str, **attributes: object) -> None:
         self.name = name
@@ -57,6 +65,8 @@ class Span:
         self.end: Optional[float] = None
         self.attributes: Dict[str, object] = dict(attributes)
         self.children: List["Span"] = []
+        self.wall = 0.0
+        self._opened = 0.0
 
     def set(self, **attributes: object) -> "Span":
         """Attach (or overwrite) attributes; returns self for chaining."""
@@ -69,6 +79,11 @@ class Span:
         if self.start is None or self.end is None:
             return 0.0
         return self.end - self.start
+
+    @property
+    def self_wall(self) -> float:
+        """Wall seconds spent in this span outside its children."""
+        return self.wall - sum(child.wall for child in self.children)
 
     def walk(self) -> Iterator["Span"]:
         """This span, then every descendant, depth-first in record order."""
@@ -119,7 +134,8 @@ class Tracer:
 
     ``clock`` is any zero-argument callable returning a float; it is
     read once when a span opens and once when it closes.  The default
-    is a fresh :class:`TickClock`.
+    is a fresh :class:`TickClock`.  ``time.perf_counter`` is read beside
+    it, into ``span.wall``.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
@@ -146,6 +162,7 @@ class Tracer:
     def _open(self, span: Span) -> None:
         stack = self._stack()
         span.start = self._clock()
+        span._opened = time.perf_counter()
         if stack:
             stack[-1].children.append(span)
         else:
@@ -154,6 +171,7 @@ class Tracer:
         stack.append(span)
 
     def _close(self, span: Span) -> None:
+        span.wall = time.perf_counter() - span._opened
         span.end = self._clock()
         stack = self._stack()
         if stack and stack[-1] is span:
@@ -175,6 +193,28 @@ class Tracer:
     def span_names(self) -> List[str]:
         """Every recorded span name, depth-first in record order."""
         return [span.name for root in self.roots for span in root.walk()]
+
+    def wall_by_name(self) -> Dict[str, Tuple[int, float, float]]:
+        """Per span name: calls, total and self wall seconds."""
+        table: Dict[str, Tuple[int, float, float]] = {}
+        for root in self.roots:
+            for span in root.walk():
+                calls, total, own = table.get(span.name, (0, 0.0, 0.0))
+                table[span.name] = (calls + 1, total + span.wall, own + span.self_wall)
+        return table
+
+    def render_wall(self) -> str:
+        """The ``--profile`` table: one row per span name, by self time."""
+        table = self.wall_by_name()
+        lines = ["profile (wall clock, opt-in):"]
+        if not table:
+            return "\n".join([*lines, "  (no spans recorded)"])
+        width = max(len(name) for name in table)
+        lines.append(f"  {'span'.ljust(width)}  {'calls':>7}  {'total s':>10}  {'self s':>10}")
+        for name in sorted(table, key=lambda key: (-table[key][2], key)):
+            calls, total, own = table[name]
+            lines.append(f"  {name.ljust(width)}  {calls:7d}  {total:10.4f}  {own:10.4f}")
+        return "\n".join(lines)
 
     def to_dict(self, meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
         """JSON-ready trace document, optionally embedding a metadata block."""

@@ -95,10 +95,6 @@ class Hitlist:
             return self[row]
         return None
 
-    def top_scoring(self, count: int) -> List[HitlistEntry]:
-        """The ``count`` entries with the highest scores."""
-        return self._entries(np.argsort(-self.scores, kind="stable")[:count])
-
 
 def build_hitlist(
     internet: Internet, blocks: Optional[Sequence[int]] = None

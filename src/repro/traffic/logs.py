@@ -8,7 +8,7 @@ fractions of queries that produced good replies and any reply at all
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -113,22 +113,6 @@ class DayLoad:
         """Total queries per hour (length-24 vector)."""
         return self.queries.sum(axis=0)
 
-    def queries_of_block(self, block: int) -> float:
-        """Queries/day from ``block`` (0.0 if absent)."""
-        row = self._index.get(block)
-        return float(self.queries[row].sum()) if row is not None else 0.0
-
-    def top_blocks(self, count: int) -> List[Tuple[int, float]]:
-        """The heaviest ``count`` blocks as ``(block, queries/day)``.
-
-        Ties break toward the lower block id via a stable ``lexsort``;
-        an unkeyed float ``argsort`` would leave tied blocks in
-        quicksort-partition order, which varies across numpy builds.
-        """
-        daily = self.daily_queries()
-        order = np.lexsort((self.blocks, -daily))[:count]
-        return [(int(self.blocks[i]), float(daily[i])) for i in order]
-
     # -- transforms ---------------------------------------------------------
 
     def scaled(self, factor: float) -> "DayLoad":
@@ -142,67 +126,4 @@ class DayLoad:
             self.queries * factor,
             self.good_fraction,
             self.reply_fraction,
-        )
-
-    def restrict(self, blocks: Iterable[int]) -> "DayLoad":
-        """A copy containing only the given blocks (those present)."""
-        keep = sorted(set(blocks) & set(self._index))
-        rows = [self._index[block] for block in keep]
-        return DayLoad(
-            self.service_name,
-            self.date_label,
-            keep,
-            self.queries[rows],
-            self.good_fraction[rows],
-            self.reply_fraction[rows],
-        )
-
-    # -- serialisation -------------------------------------------------------
-
-    def write_tsv(self, stream: TextIO) -> None:
-        """Write as TSV: block, good_frac, reply_frac, then 24 hourly counts."""
-        stream.write(f"# service={self.service_name} date={self.date_label}\n")
-        for row, block in enumerate(self.blocks):
-            hours = "\t".join(f"{value:.3f}" for value in self.queries[row])
-            stream.write(
-                f"{int(block)}\t{self.good_fraction[row]:.6f}\t"
-                f"{self.reply_fraction[row]:.6f}\t{hours}\n"
-            )
-
-    @classmethod
-    def read_tsv(cls, stream: TextIO) -> "DayLoad":
-        """Parse the format produced by :meth:`write_tsv`."""
-        header = stream.readline().strip()
-        if not header.startswith("# service="):
-            raise DatasetError("missing DayLoad header line")
-        try:
-            service_part, date_part = header[2:].split(" ")
-            service_name = service_part.split("=", 1)[1]
-            date_label = date_part.split("=", 1)[1]
-        except (ValueError, IndexError) as error:
-            raise DatasetError(f"malformed DayLoad header: {header!r}") from error
-        blocks: List[int] = []
-        rows: List[List[float]] = []
-        good: List[float] = []
-        reply: List[float] = []
-        for line_number, line in enumerate(stream, 2):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 + HOURS:
-                raise DatasetError(
-                    f"line {line_number}: expected {3 + HOURS} fields, got {len(fields)}"
-                )
-            blocks.append(int(fields[0]))
-            good.append(float(fields[1]))
-            reply.append(float(fields[2]))
-            rows.append([float(value) for value in fields[3:]])
-        return cls(
-            service_name,
-            date_label,
-            blocks,
-            np.asarray(rows, dtype=np.float64).reshape(len(blocks), HOURS),
-            np.asarray(good),
-            np.asarray(reply),
         )

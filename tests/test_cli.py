@@ -179,24 +179,55 @@ class TestObservability:
         assert "profile (wall clock, opt-in):" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv,rounds",
-        [(["scan", *TINY], 1), (["stability", *TINY, "--rounds", "3"], 3)],
+        "argv,engine_calls",
+        [
+            (["scan", *TINY], (1, 1, 1)),
+            (["stability", *TINY, "--rounds", "3"], (1, 1, 3)),
+            (["playbook", *TANGLED_TINY, "--depth", "2"], (1, 101, 101)),
+            (["report", *TINY], None),
+        ],
+        ids=["scan", "stability", "playbook", "report"],
+    )
+    def test_profile_lists_the_engine_sections(self, argv, engine_calls, capsys):
+        """One row per span name of the run's own trace, calls = count."""
+        from collections import Counter
+
+        from repro.obs import Observer
+
+        observer = Observer.collecting()
+        assert main([*argv, "--profile"], observer=observer) == 0
+        report = capsys.readouterr().out.split("profile (wall clock, opt-in):\n")[1]
+        header, *rows = report.strip().splitlines()
+        assert header.split() == ["span", "calls", "total", "s", "self", "s"]
+        calls = {row.split()[0]: int(row.split()[1]) for row in rows}
+        assert calls == Counter(observer.tracer.span_names())
+        engine = ("fastscan.invariant", "fastscan.precompute", "fastscan.round")
+        if engine_calls is None:
+            assert {"hitlist.build", "bgp.propagate.full"} <= set(calls)
+            assert not set(engine) & set(calls)
+        else:
+            assert tuple(calls[name] for name in engine) == engine_calls
+        for row in rows:
+            total, own = (float(value) for value in row.split()[2:])
+            assert 0.0 <= own <= total + 1e-4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["scan", *TINY], ["stability", *TINY, "--rounds", "3"]],
         ids=["scan", "stability"],
     )
-    def test_profile_lists_the_engine_sections(self, argv, rounds, capsys):
-        """Regression: the default path ran no instrumented section."""
-        assert main([*argv, "--profile"]) == 0
-        report = capsys.readouterr().out.split("profile (wall clock, opt-in):")[1]
-        assert "(no instrumented sections ran)" not in report
-        calls = {
-            line.split()[0]: int(line.split("(")[1].split()[0])
-            for line in report.strip().splitlines()
-        }
-        assert calls == {
-            "fastscan.invariant": 1,
-            "fastscan.precompute": 1,
-            "fastscan.round": rounds,
-        }
+    def test_profile_leaves_the_artifacts_unchanged(self, argv, tmp_path, capsys):
+        def run(tag, extra):
+            metrics_out = tmp_path / f"m-{tag}.json"
+            trace_out = tmp_path / f"t-{tag}.json"
+            assert main(
+                [*argv, "--metrics-out", str(metrics_out),
+                 "--trace-out", str(trace_out), *extra]
+            ) == 0
+            return metrics_out.read_bytes(), trace_out.read_bytes()
+
+        assert run("plain", []) == run("profiled", ["--profile"])
+        assert "profile (wall clock, opt-in):" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "argv,scans,draw_hits",

@@ -57,16 +57,6 @@ class TestParserRobustness:
             pass
 
     @given(st.text(max_size=200))
-    def test_dayload_read_total(self, text):
-        from repro.errors import DatasetError
-        from repro.traffic.logs import DayLoad
-
-        try:
-            DayLoad.read_tsv(io.StringIO(text))
-        except (DatasetError, ValueError):
-            pass
-
-    @given(st.text(max_size=200))
     def test_scan_read_total(self, text):
         from repro.datasets import read_scan
 

@@ -57,12 +57,6 @@ class TestRegions:
         assert density("DE") > 10 * density("CN")
         assert density("NL") > 10 * density("IN")
 
-    def test_centroid_inside_box(self):
-        for country in COUNTRIES:
-            lat, lon = country.centroid
-            assert country.lat_range[0] <= lat <= country.lat_range[1]
-            assert country.lon_range[0] <= lon <= country.lon_range[1]
-
 
 class TestHaversine:
     def test_zero_distance(self):

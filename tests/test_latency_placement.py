@@ -51,17 +51,6 @@ class TestLatencyModel:
         block = list(broot_tiny.internet.blocks)[0]
         assert latency.rtt_ms(block, "XXX") is None
 
-    def test_best_site(self, broot_tiny, latency):
-        for block in list(broot_tiny.internet.blocks)[:30]:
-            best = latency.best_site_for(block)
-            if best is None:
-                continue
-            rtts = {
-                code: latency.rtt_ms(block, code)
-                for code in broot_tiny.service.site_codes
-            }
-            assert best == min(rtts, key=rtts.get)
-
     def test_access_delay_in_range(self, latency):
         for block in range(100):
             assert 2.0 <= latency.access_delay_ms(block) <= 25.0

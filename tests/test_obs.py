@@ -1,4 +1,4 @@
-"""The observability substrate: tracer, metrics, profiler, metadata.
+"""The observability substrate: tracer, metrics, metadata.
 
 Covers the primitives in isolation and then the observer threaded
 through a real (tiny) pipeline — the two-run byte-identity of the
@@ -14,9 +14,9 @@ import pytest
 from repro import NULL_OBSERVER, Observer, Verfploeter, broot_like
 from repro.bgp.cache import RoutingCache
 from repro.core.experiments import prepend_sweep
+from repro.errors import ConfigurationError
 from repro.obs import (
     MetricsRegistry,
-    Profiler,
     TickClock,
     Tracer,
     metadata_fingerprint,
@@ -78,6 +78,28 @@ class TestTracer:
         assert payload["meta"] == {"seed": 1}
         assert payload["spans"][0]["name"] == "a"
 
+    def test_closed_spans_carry_wall_time(self):
+        tracer = Tracer()
+        with tracer.span("outer"):
+            with tracer.span("inner"):
+                sum(range(1000))
+            with tracer.span("inner"):
+                pass
+        outer = tracer.find("outer")
+        assert outer.wall > 0.0
+        assert all(span.wall >= 0.0 for span in outer.walk())
+        assert 0.0 <= outer.self_wall <= outer.wall
+        calls, total, own = tracer.wall_by_name()["inner"]
+        assert calls == 2
+        assert total == own == sum(child.wall for child in outer.children)
+
+    def test_wall_time_stays_out_of_to_dict(self):
+        tracer = Tracer()
+        with tracer.span("a", x=1):
+            pass
+        (span,) = tracer.to_dict()["spans"]
+        assert set(span) == {"name", "start", "end", "attributes", "children"}
+
 
 class TestMetrics:
     def test_counter_gauge_histogram_roundtrip(self):
@@ -114,24 +136,14 @@ class TestMetrics:
         assert len(metrics) == 0
         assert metrics.value_of("x") == 0
 
-
-class TestProfiler:
-    def test_sections_accumulate(self):
-        profiler = Profiler()
-        with profiler.section("work"):
-            pass
-        with profiler.section("work"):
-            pass
-        timing = profiler.timings()["work"]
-        assert timing.calls == 2
-        assert timing.seconds >= 0.0
-        assert "work" in profiler.report()
-
-    def test_observer_profile_is_noop_without_profiler(self):
-        observer = Observer.collecting()
-        with observer.profile("anything"):
-            pass
-        assert observer.profiler is None
+    def test_kind_clash_is_a_configuration_error(self):
+        registry = MetricsRegistry()
+        registry.counter("x").inc()
+        with pytest.raises(ConfigurationError, match="already registered as counter"):
+            registry.histogram("x")
+        hist = registry.histogram("h", buckets=(1.0, 2.0))
+        assert registry.histogram("h") is hist
+        assert hist.buckets == (1.0, 2.0)
 
 
 class TestRunMetadata:

@@ -52,14 +52,6 @@ class TestHitlist:
         with pytest.raises(DatasetError):
             Hitlist(entries)
 
-    def test_top_scoring(self, tiny_internet):
-        hitlist = build_hitlist(tiny_internet)
-        top = hitlist.top_scoring(5)
-        assert len(top) == 5
-        assert all(
-            top[i].score >= top[i + 1].score for i in range(len(top) - 1)
-        )
-
     def test_deterministic(self, tiny_internet):
         first = [(e.block, e.address) for e in build_hitlist(tiny_internet)]
         second = [(e.block, e.address) for e in build_hitlist(tiny_internet)]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 import pytest
 
@@ -37,63 +35,16 @@ class TestDayLoad:
         with pytest.raises(DatasetError):
             load.daily_of_kind("bogus")
 
-    def test_queries_of_block(self):
-        load = make_day_load()
-        assert load.queries_of_block(20) == pytest.approx(240.0)
-        assert load.queries_of_block(99) == 0.0
-
-    def test_top_blocks(self):
-        load = make_day_load()
-        assert load.top_blocks(1)[0][0] == 20
-
-    @pytest.mark.parametrize("kind", ["quicksort", "stable"])
-    def test_top_blocks_ties_break_by_block_id(self, kind):
-        # Dense ties (three distinct values over 64 blocks) are where
-        # an unkeyed argsort falls back to quicksort partition order.
-        n = 64
-        blocks = list(range(1, n + 1))
-        queries = np.zeros((n, HOURS))
-        for i in range(n):
-            queries[i, 0] = float(i % 3)
-        load = DayLoad("svc", "d", blocks, queries, np.ones(n), np.ones(n))
-        daily = load.daily_queries()
-        # Unique composite key -> the same reference under any kind:
-        # load descending, block id ascending.
-        reference = np.argsort(daily * -1000.0 + load.blocks, kind=kind)
-        expected = [(int(load.blocks[i]), float(daily[i])) for i in reference]
-        assert load.top_blocks(n) == expected
-        assert [block for block, _ in load.top_blocks(4)] == [3, 6, 9, 12]
-
     def test_scaled(self):
         load = make_day_load().scaled(2.0)
         assert load.total_queries() == pytest.approx(2 * 24 * 12)
         with pytest.raises(DatasetError):
             load.scaled(0)
 
-    def test_restrict(self):
-        load = make_day_load().restrict([10, 30, 999])
-        assert len(load) == 2
-        assert 20 not in load
-
     def test_hourly_totals(self):
         totals = make_day_load().hourly_totals()
         assert totals.shape == (HOURS,)
         assert totals[0] == pytest.approx(12.0)
-
-    def test_tsv_roundtrip(self):
-        load = make_day_load()
-        buffer = io.StringIO()
-        load.write_tsv(buffer)
-        buffer.seek(0)
-        restored = DayLoad.read_tsv(buffer)
-        assert restored.service_name == "svc"
-        assert restored.date_label == "2017-05-15"
-        assert list(restored.blocks) == [10, 20, 30]
-        assert restored.total_queries() == pytest.approx(load.total_queries(), rel=1e-3)
-
-    def test_tsv_rejects_missing_header(self):
-        with pytest.raises(DatasetError):
-            DayLoad.read_tsv(io.StringIO("garbage\n"))
 
     def test_rejects_unsorted_blocks(self):
         with pytest.raises(DatasetError):

@@ -29,7 +29,7 @@ NOT_OPERATOR = {
     "collector.capture": "oracle: the paper's three per-site capture styles (§3.1)",
     "bgp.updates": "oracle: message-level BGP convergence that pins compute_routes",
     "topology.validate": "oracle: structural checks tests and benchmarks/e2e run on an Internet",
-    "bgp.ribdump": "library: the §4 Route Views stage (ROADMAP items 3 and 9 consume it)",
+    "bgp.ribdump": "library: the §4 Route Views stage (RIB and AS-path dumps)",
     "errors": "types: the ReproError hierarchy",
     "bgp.route": "types: the Route value type",
     "topology.prefixes": "types: the AnnouncedPrefix value type",
