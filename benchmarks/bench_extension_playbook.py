@@ -120,7 +120,9 @@ def test_extension_playbook(benchmark, tangled):
         "playbook.catchment_memo.misses": 0,
     }, f"warm search did work it should have memoised: {moved}"
     replan_spans = {span.name for span in observer.tracer.roots[-1].walk()}
-    assert not replan_spans & {"fastscan.precompute", "fastscan.round"}, (
+    assert not replan_spans & {
+        "fastscan.precompute", "fastscan.round", "fastscan.lattice"
+    }, (
         f"warm search scanned: {sorted(replan_spans)}"
     )
     assert replanned.to_json() == cold.to_json(), "observed replan diverged"

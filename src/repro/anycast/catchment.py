@@ -220,16 +220,28 @@ class ArrayCatchmentMap(CatchmentMap):
         except ValueError:
             return None
 
-    def site_indices_of(self, blocks: np.ndarray) -> np.ndarray:
-        """Site index for each of ``blocks`` (``-1`` = absent or unmapped)."""
+    def join(self, blocks: np.ndarray) -> np.ndarray:
+        """Universe row of each of ``blocks`` (``-1`` = absent).
+
+        Depends only on the universe, so maps sharing one universe can
+        share one join (:meth:`site_indices_at`).
+        """
         blocks = np.asarray(blocks)
         if self._universe.size == 0 or blocks.size == 0:
-            return np.full(blocks.shape, -1, dtype=np.int16)
+            return np.full(blocks.shape, -1, dtype=np.intp)
         keys = blocks.astype(np.uint64)
         pos = np.searchsorted(self._universe, keys)
         pos = np.minimum(pos, self._universe.size - 1)
-        found = self._universe[pos] == keys
-        return np.where(found, self._sites[pos], np.int16(-1)).astype(np.int16)
+        return np.where(self._universe[pos] == keys, pos, -1)
+
+    def site_indices_at(self, rows: np.ndarray) -> np.ndarray:
+        """Site index at each of ``rows`` from :meth:`join` (``-1`` =
+        absent or unmapped); the appended ``-1`` is where row ``-1`` lands."""
+        return np.append(self._sites, np.int16(-1))[rows]
+
+    def site_indices_of(self, blocks: np.ndarray) -> np.ndarray:
+        """Site index for each of ``blocks`` (``-1`` = absent or unmapped)."""
+        return self.site_indices_at(self.join(blocks))
 
     # -- dict-API equivalents ----------------------------------------------
 

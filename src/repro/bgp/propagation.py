@@ -326,9 +326,7 @@ class RoutingOutcome:
 
     def pop_routes(self) -> PopRoutes:
         """Per-PoP site, alternate and flipper columns, gathered once."""
-        if self._pop_routes is None:
-            self._pop_routes = pop_routes(as_columns(self.internet), self.table)
-        return self._pop_routes
+        return pop_routes_of([self])[0]
 
     def selection_of(self, asn: int) -> Optional[RouteSelection]:
         """The selected route at ``asn`` (None if the prefix never reached it)."""
@@ -732,6 +730,20 @@ class _Propagator:
             alternate = _alternate_for(self.internet, site_codes, selection)
             if alternate is not None:
                 selection.alternate_site = alternate
+
+
+def pop_routes_of(outcomes: Sequence[RoutingOutcome]) -> List[PopRoutes]:
+    """Per-PoP routes of every outcome over one Internet, memoised on each;
+    the ones not gathered yet share one stacked weighted pick."""
+    missing = [outcome for outcome in outcomes if outcome._pop_routes is None]
+    if missing:
+        internet = missing[0].internet
+        if any(outcome.internet is not internet for outcome in missing):
+            raise ConfigurationError("pop routes gather outcomes of one Internet")
+        gathered = pop_routes(as_columns(internet), [outcome.table for outcome in missing])
+        for outcome, pops in zip(missing, gathered):
+            outcome._pop_routes = pops
+    return [outcome._pop_routes for outcome in outcomes]
 
 
 def compute_lattice(

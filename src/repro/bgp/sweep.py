@@ -276,17 +276,40 @@ def weighted_pick(near: np.ndarray, hashes: np.ndarray, fallback: np.ndarray) ->
     return picked
 
 
-def pop_routes(columns: AsColumns, table: RouteTable) -> PopRoutes:
-    """Gather per-PoP routes: one PoP->AS join and one weighted pick."""
+def pop_routes(columns: AsColumns, tables: Sequence[RouteTable]) -> List[PopRoutes]:
+    """Gather every table's per-PoP routes: one PoP->AS join per table and
+    one weighted pick over all of their routed PoPs, stacked.
+
+    A table with fewer sites (a withdrawal routed on its own) pads its
+    near columns with the absent value.  A padded column weighs nothing,
+    so it never changes a pick, and each pick stays an index into its
+    own table's ``site_codes``.
+    """
     as_of_pop = columns.pop_as
-    routed = table.route_class[as_of_pop] >= 0
-    site = np.full(as_of_pop.size, NO_ROUTE, dtype=np.int16)
-    routed_as = as_of_pop[routed]
-    site[routed] = weighted_pick(
-        table.near[routed_as], columns.pop_hash[routed], table.primary[routed_as]
+    routed = [table.route_class[as_of_pop] >= 0 for table in tables]
+    routed_as = [as_of_pop[mask] for mask in routed]
+    dtype = np.result_type(*(table.near.dtype for table in tables))
+    absent = np.iinfo(dtype).max
+    sizes = [rows.size for rows in routed_as]
+    near = np.full((sum(sizes), max(table.near.shape[1] for table in tables)), absent, dtype=dtype)
+    bounds = np.cumsum([0, *sizes])
+    for table, rows, start, stop in zip(tables, routed_as, bounds, bounds[1:]):
+        part = table.near[rows]
+        if part.dtype != dtype:
+            part = np.where(part == np.iinfo(part.dtype).max, absent, part)
+        near[start:stop, : part.shape[1]] = part
+    picked = weighted_pick(
+        near,
+        np.concatenate([columns.pop_hash[mask] for mask in routed]),
+        np.concatenate([table.primary[rows] for table, rows in zip(tables, routed_as)]),
     )
-    alternate = np.where(routed, table.alternate[as_of_pop], NO_ROUTE).astype(np.int16)
-    return PopRoutes(site, alternate, routed & columns.flipper[as_of_pop])
+    gathered = []
+    for table, mask, start, stop in zip(tables, routed, bounds, bounds[1:]):
+        site = np.full(as_of_pop.size, NO_ROUTE, dtype=np.int16)
+        site[mask] = picked[start:stop]
+        alternate = np.where(mask, table.alternate[as_of_pop], NO_ROUTE).astype(np.int16)
+        gathered.append(PopRoutes(site, alternate, mask & columns.flipper[as_of_pop]))
+    return gathered
 
 
 def table_from_selections(

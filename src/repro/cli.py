@@ -356,8 +356,9 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
         capacities = derive_capacities(
             baseline_load, site_codes, headroom=args.headroom
         )
+        attack_estimate = LoadEstimate(attack_day)
         playbook = planner.plan(
-            LoadEstimate(attack_day),
+            attack_estimate,
             attacked,
             capacities,
             max_prepend=args.max_prepend,
@@ -369,7 +370,6 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
     finally:
         if pool is not None:
             pool.shutdown()
-    attack_estimate = LoadEstimate(attack_day)
     print(
         f"attack on {attacked}: {len(attackers)} attacker /24s, "
         f"{profile.intensity:g}x peak-hour rate for "

@@ -18,11 +18,27 @@ routing-independent draws of its last round (:func:`round_draws`).  A
 routing state adds a :class:`RouteColumns`: routing facts vary per PoP,
 so they are computed once per PoP and broadcast at evaluation time.
 
-Round evaluation is a module-level pure function over the two halves
-(:func:`evaluate_round`), so the same code path serves both the
-in-process engine and the multiprocess shard workers in
-:mod:`repro.core.sharding` — bit-identity between the two is by
-construction, not by parallel maintenance of two implementations.
+Round evaluation is module-level pure functions over the two halves, so
+the same code path serves both the in-process engine and the
+multiprocess shard workers in :mod:`repro.core.sharding` — bit-identity
+between the two is by construction, not by parallel maintenance of two
+implementations.  A round is site selection (:func:`_route_sites`:
+each row's base site, or its alternate where it flips) followed by the
+§4 cleaning arithmetic (:func:`_clean`), which takes site rows of any
+leading shape.  Two evaluators call it, chosen by what the caller holds:
+
+* :func:`evaluate_round` cleans one routing state's own (n,) column.
+  A stability series draws a new round per call, so this is its path.
+* :func:`evaluate_lattice` serves many routing states at one round id
+  (the playbook planner's lattice).  Within a round a row's cleaned
+  outcome depends only on (row, site), so it cleans once on the
+  *outcome grid* — every row at every service site plus "unrouted",
+  (sites + 1, n) — and each config then costs its site selection and
+  three gathers (kept, late, duplicates) from the grid.  A series gains
+  nothing from the grid: it would clean (sites + 1)x the rows per round.
+  Nor does a lattice of at most sites + 1 configs (a playbook's
+  baseline, a depth-1 search): those clean each config's own column.
+
 Every stochastic draw depends only on ``(seed, salt, block, round)``,
 and probe send offsets are recovered per shard through the inverse of
 the global Feistel permutation, so a :meth:`RoundState.shard` slice
@@ -37,14 +53,14 @@ consumers (diffs, load weighting, stability series) stay in numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.anycast.catchment import ArrayCatchmentMap
 from repro.bgp import instability as _instability
 from repro.bgp.instability import FlipModelConfig
-from repro.bgp.propagation import RoutingOutcome
+from repro.bgp.propagation import RoutingOutcome, pop_routes_of
 from repro.collector.results import BlockValueMap
 from repro.core.verfploeter import ScanResult, ScanStats, Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
@@ -313,18 +329,27 @@ def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
     return draws, False
 
 
-def evaluate_round(
-    state: RoundState, routes: RouteColumns, draws: RoundDraws
-) -> RoundArrays:
-    """One measurement round of ``routes`` over ``state`` (pure array passes).
+class ConfigRound(NamedTuple):
+    """One routing state's round in a lattice: what its catchment needs."""
 
-    Module-level so process-pool workers evaluate attached shard states
-    with the very code the in-process engine runs.
-    """
-    n = state.rows
+    sites: np.ndarray  # int16 kept site per row, -1 where not kept
+    stats: ScanStats
+
+
+class Cleaned(NamedTuple):
+    """Per-row §4 cleaning outcome; every array has the input's shape."""
+
+    delay: np.ndarray  # float64 first-reply delay (ms)
+    counts: np.ndarray  # int64 replies delivered, before cleaning
+    kept: np.ndarray  # bool: the row survives cleaning
+    late: np.ndarray  # int64 countable replies past the cut-off
+    duplicates: np.ndarray  # int64 in-time replies after a kept row's first
+
+
+def _route_sites(state: RoundState, routes: RouteColumns, draws: RoundDraws) -> np.ndarray:
+    """Site index per row this round: the PoP's base site, or its
+    alternate where the block flips (-1 = unrouted)."""
     flip_config = routes.flip_config
-
-    # Site selection with per-round flips.
     base = routes.pop_base[state.block_pops]
     alternate = routes.pop_alternate[state.block_pops]
     flipper = routes.pop_flipper[state.block_pops]
@@ -336,21 +361,28 @@ def evaluate_round(
         (participates & (flip_draw < flip_config.flipper_flip_probability))
         | (~flipper & (flip_draw < flip_config.background_flip_probability))
     )
-    site = np.where(flips, alternate, base)
-    delivered = draws.responds & (site >= 0)
+    return np.where(flips, alternate, base)
+
+
+def _clean(
+    state: RoundState, draws: RoundDraws, path_rtt: np.ndarray, routed: np.ndarray
+) -> Cleaned:
+    """Clean each row's replies given the site they reached.
+
+    ``path_rtt`` is the RTT (ms) to that site and ``routed`` whether
+    there is one; any leading shape broadcasts over the rows — a round's
+    own (n,) column or a lattice's (sites + 1, n) outcome grid.
+    """
+    delivered = draws.responds & routed
     counts = np.where(delivered, draws.counts, 0)
 
     # First-reply delay (milliseconds), mirroring the dataplane.
-    site_clamped = np.clip(site, 0, len(routes.site_codes) - 1)
-    path_delay = (
-        state.site_rtt[routes.site_rows[site_clamped], np.arange(n)]
-        + state.access
-        + draws.jitter
+    use_path = state.lat_ok & ~draws.late_replier & routed
+    delay = np.where(
+        use_path, path_rtt + state.access + draws.jitter, draws.host_delay
     )
-    use_path = state.lat_ok & ~draws.late_replier & (site >= 0)
-    delay = np.where(use_path, path_delay, draws.host_delay)
 
-    # Cleaning: how many of each block's replies beat the cut-off?
+    # How many of each block's replies beat the cut-off?
     first_rel = draws.offsets + delay / 1000.0
     dup_gap = 0.1 / 1000.0  # duplicates trail by 0.1 ms
     within = np.floor((state.late_cutoff - first_rel) / dup_gap) + 1
@@ -358,27 +390,103 @@ def evaluate_round(
     within = np.where(first_rel <= state.late_cutoff, within, 0)
     within = np.where(delivered, within, 0)
 
-    received = int(counts.sum())
-    unsolicited_mask = delivered & state.off_address
-    unsolicited = int(counts[unsolicited_mask].sum())
     countable = delivered & ~state.off_address
-    late = int((counts[countable] - within[countable]).sum())
-    kept_mask = countable & (within >= 1)
-    duplicates = int((within[kept_mask] - 1).sum())
-    kept = int(kept_mask.sum())
+    kept = countable & (within >= 1)
+    return Cleaned(
+        delay=delay,
+        counts=counts,
+        kept=kept,
+        late=np.where(countable, counts - within, 0),
+        duplicates=np.where(kept, within - 1, 0),
+    )
 
+
+def evaluate_round(
+    state: RoundState, routes: RouteColumns, draws: RoundDraws
+) -> RoundArrays:
+    """One measurement round of ``routes`` over ``state`` (pure array passes).
+
+    Module-level so process-pool workers evaluate attached shard states
+    with the very code the in-process engine runs.
+    """
+    n = state.rows
+    site = _route_sites(state, routes, draws)
+    site_clamped = np.clip(site, 0, len(routes.site_codes) - 1)
+    path_rtt = state.site_rtt[routes.site_rows[site_clamped], np.arange(n)]
+    cleaned = _clean(state, draws, path_rtt, site >= 0)
+    counts = cleaned.counts
     stats = ScanStats(
         probes_sent=n,
-        replies_received=received,
+        replies_received=int(counts.sum()),
         wrong_round=0,
-        unsolicited=unsolicited,
-        late=late,
-        duplicates=duplicates,
-        kept=kept,
+        unsolicited=int(counts[state.off_address].sum()),
+        late=int(cleaned.late.sum()),
+        duplicates=int(cleaned.duplicates.sum()),
+        kept=int(cleaned.kept.sum()),
     )
     return RoundArrays(
-        site=site, delay=delay, kept_mask=kept_mask, counts=counts, stats=stats
+        site=site, delay=cleaned.delay, kept_mask=cleaned.kept, counts=counts,
+        stats=stats,
     )
+
+
+def outcome_grid(state: RoundState, draws: RoundDraws) -> Cleaned:
+    """Every row's cleaned outcome at every service site (grid row =
+    ``RoundState.site_rtt`` row) and, in the last grid row, unrouted."""
+    sites = state.site_rtt.shape[0]
+    path_rtt = np.concatenate([state.site_rtt, np.zeros((1, state.rows))])
+    routed = (np.arange(sites + 1) < sites)[:, None]
+    return _clean(state, draws, path_rtt, routed)
+
+
+def evaluate_lattice(
+    state: RoundState, routes_seq: Sequence[RouteColumns], draws: RoundDraws
+) -> List[ConfigRound]:
+    """One round of every routing state in ``routes_seq`` over ``state``.
+
+    Equals :func:`evaluate_round` per config (kept sites and stats) but
+    cleans once, on :func:`outcome_grid`; each config gathers from it
+    one at a time, so nothing of shape (configs x rows) is ever built.
+    A lattice no larger than the grid's sites + 1 rows is cheaper to
+    clean config by config, so it is.
+    """
+    unrouted = state.site_rtt.shape[0]  # the grid's last row
+    if len(routes_seq) <= unrouted + 1:
+        rounds = []
+        for routes in routes_seq:
+            arrays = evaluate_round(state, routes, draws)
+            rounds.append(ConfigRound((arrays.site + 1) * arrays.kept_mask - 1, arrays.stats))
+        return rounds
+    n = state.rows
+    grid = outcome_grid(state, draws)
+    kept_grid = grid.kept.ravel()
+    late_grid = grid.late.ravel()
+    duplicates_grid = grid.duplicates.ravel()
+    received = np.where(draws.responds, draws.counts, 0)
+    unsolicited = np.where(state.off_address, received, 0)
+    columns = np.arange(n)
+    rounds = []
+    for routes in routes_seq:
+        site = _route_sites(state, routes, draws)
+        routed = site >= 0
+        # Site index -> first grid cell of its row; index -1 lands on
+        # the trailing "unrouted" row.
+        row_starts = np.append(routes.site_rows, unrouted) * n
+        flat = row_starts[site.astype(np.intp)] + columns
+        kept = kept_grid[flat]
+        stats = ScanStats(
+            probes_sent=n,
+            replies_received=int(received[routed].sum()),
+            wrong_round=0,
+            unsolicited=int(unsolicited[routed].sum()),
+            late=int(late_grid[flat].sum()),
+            duplicates=int(duplicates_grid[flat].sum()),
+            kept=int(np.count_nonzero(kept)),
+        )
+        # The site where kept, else -1: arithmetic, as a where on a mask
+        # this irregular mispredicts its way to 10x slower.
+        rounds.append(ConfigRound((site + 1) * kept - 1, stats))
+    return rounds
 
 
 def materialise_columnar(
@@ -498,6 +606,112 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
     return state
 
 
+def route_columns(
+    verfploeter: Verfploeter, routings: Sequence[RoutingOutcome]
+) -> List[RouteColumns]:
+    """The per-PoP route columns of each routing state (one stacked
+    weighted pick for every state whose PoP routes are not gathered yet)."""
+    service_rows = {code: row for row, code in enumerate(verfploeter.service.site_codes)}
+    columns = []
+    for routing, pops in zip(routings, pop_routes_of(routings)):
+        site_codes = tuple(routing.policy.site_codes)
+        site_index = {code: i for i, code in enumerate(site_codes)}
+        site_rows = [service_rows[code] for code in site_codes]
+        # Routing-table site index -> this policy's site index; the
+        # trailing -1 is where "no site" (index -1) lands.
+        remap = np.array(
+            [site_index.get(code, -1) for code in routing.table.site_codes] + [-1],
+            dtype=np.int16,
+        )
+        flips = np.where(pops.alternate != pops.site, pops.alternate, -1)
+        # Each column gains the sentinel entry: unrouted, no alternate, no flips.
+        columns.append(
+            RouteColumns(
+                site_codes=site_codes,
+                site_rows=np.array(site_rows, dtype=np.intp),
+                pop_base=np.append(remap[pops.site], np.int16(-1)),
+                pop_alternate=np.append(remap[flips], np.int16(-1)),
+                pop_flipper=np.append(pops.flipper, False),
+                flip_config=routing.flip_model.config,
+            )
+        )
+    return columns
+
+
+def externalize(state: RoundState, store, observer: Observer) -> str:
+    """Persist ``state`` through ``store``; returns the content
+    fingerprint workers attach by.
+
+    Memoised per store root on the state, so everything scanning one
+    deployment fingerprints and persists it at most once between them.
+    """
+    from repro.core.tables import persist_round_state
+
+    cached = state.external.get(store.root)
+    if cached is not None:
+        return cached
+    with observer.tracer.span("fastscan.externalize") as span:
+        fingerprint = persist_round_state(store, state)
+        span.set(fingerprint=fingerprint, blocks=state.rows)
+    state.external[store.root] = fingerprint
+    return fingerprint
+
+
+def count_draws(observer: Observer, hit: bool, rounds: int = 1) -> None:
+    """Count ``rounds`` evaluations served by one :func:`round_draws`
+    lookup: the first hits or misses the slot, the rest find it full."""
+    metrics = observer.metrics
+    hits = rounds if hit else rounds - 1
+    if not hit:
+        metrics.counter("fastscan.round_draws.miss").inc()
+    if hits:
+        metrics.counter("fastscan.round_draws.hit").inc(hits)
+
+
+def record_round(observer: Observer, stats: ScanStats, catchment: ArrayCatchmentMap) -> None:
+    """Count one evaluated in-process round: probes, replies, cleaning
+    drops and (when collecting) each site's catchment fraction."""
+    metrics = observer.metrics
+    metrics.counter("probe.rounds_scheduled").inc()
+    metrics.counter("probe.probes_sent").inc(stats.probes_sent)
+    metrics.counter("collector.replies_received").inc(stats.replies_received)
+    metrics.counter("cleaning.kept").inc(stats.kept)
+    metrics.counter("cleaning.dropped", rule="wrong_round").inc(stats.wrong_round)
+    metrics.counter("cleaning.dropped", rule="unsolicited").inc(stats.unsolicited)
+    metrics.counter("cleaning.dropped", rule="late").inc(stats.late)
+    metrics.counter("cleaning.dropped", rule="duplicate").inc(stats.duplicates)
+    if observer.enabled:
+        for code, fraction in sorted(catchment.fractions().items()):
+            metrics.gauge("catchment.fraction", site=code).set(fraction)
+
+
+def scan_lattice(
+    verfploeter: Verfploeter, routings: Sequence[RoutingOutcome]
+) -> List[ArrayCatchmentMap]:
+    """The catchment of every routing state at round 0, evaluated
+    in-process as one lattice (:func:`evaluate_lattice`).
+
+    Each catchment equals ``verfploeter.run_scan(routing=...).catchment``,
+    and every routing state is counted as that scan would count it.
+    """
+    observer = verfploeter.observer
+    state = verfploeter.round_state()
+    with observer.tracer.span("fastscan.precompute", configs=len(routings)):
+        routes_seq = route_columns(verfploeter, routings)
+    with observer.tracer.span(
+        "fastscan.lattice", configs=len(routes_seq), blocks=state.rows
+    ):
+        draws, hit = round_draws(state, 0)
+        rounds = evaluate_lattice(state, routes_seq, draws)
+    count_draws(observer, hit, len(routes_seq))
+    catchments = []
+    for routes, (sites, stats) in zip(routes_seq, rounds):
+        catchment = ArrayCatchmentMap(routes.site_codes, state.blocks, sites, validate=False)
+        record_round(observer, stats, catchment)
+        catchments.append(catchment)
+    return catchments
+
+
 class FastScanEngine:
     """Vectorised equivalent of repeated wire-level ``run_scan`` calls."""
 
@@ -515,51 +729,13 @@ class FastScanEngine:
         self._prober = verfploeter._prober
         self.state = verfploeter.round_state()
         with self.observer.tracer.span("fastscan.precompute") as span:
-            self.routes = self._precompute(verfploeter)
+            self.routes = route_columns(verfploeter, [self.routing])[0]
             span.set(blocks=self.state.rows, sites=len(self.routes.site_codes))
 
     def externalize(self, store) -> str:
-        """Persist the deployment's round state through ``store``; returns
-        the content fingerprint workers attach by.
-
-        Memoised per store root on the shared state, so the engines of
-        one deployment fingerprint and persist at most once between them.
-        """
-        from repro.core.tables import persist_round_state
-
-        cached = self.state.external.get(store.root)
-        if cached is not None:
-            return cached
-        with self.observer.tracer.span("fastscan.externalize") as span:
-            fingerprint = persist_round_state(store, self.state)
-            span.set(fingerprint=fingerprint, blocks=self.state.rows)
-        self.state.external[store.root] = fingerprint
-        return fingerprint
-
-    def _precompute(self, verfploeter: Verfploeter) -> RouteColumns:
-        """Build the per-PoP route columns (one gather per routing state)."""
-        service = verfploeter.service
-        routing = self.routing
-        site_codes = tuple(routing.policy.site_codes)
-        site_index = {code: i for i, code in enumerate(site_codes)}
-        site_rows = [service.sites.index(service.site(code)) for code in site_codes]
-        # Routing-table site index -> this policy's site index; the
-        # trailing -1 is where "no site" (index -1) lands.
-        remap = np.array(
-            [site_index.get(code, -1) for code in routing.table.site_codes] + [-1],
-            dtype=np.int16,
-        )
-        pops = routing.pop_routes()
-        flips = np.where(pops.alternate != pops.site, pops.alternate, -1)
-        # Each column gains the sentinel entry: unrouted, no alternate, no flips.
-        return RouteColumns(
-            site_codes=site_codes,
-            site_rows=np.array(site_rows, dtype=np.intp),
-            pop_base=np.append(remap[pops.site], np.int16(-1)),
-            pop_alternate=np.append(remap[flips], np.int16(-1)),
-            pop_flipper=np.append(pops.flipper, False),
-            flip_config=routing.flip_model.config,
-        )
+        """Persist the deployment's round state through ``store`` (see
+        :func:`externalize`); returns the fingerprint workers attach by."""
+        return externalize(self.state, store, self.observer)
 
     # -- per-round evaluation ---------------------------------------------
 
@@ -579,26 +755,7 @@ class FastScanEngine:
                 replies_received=result.stats.replies_received,
                 kept=result.stats.kept,
             )
-        metrics = self.observer.metrics
-        metrics.counter("probe.rounds_scheduled").inc()
-        metrics.counter("probe.probes_sent").inc(result.stats.probes_sent)
-        metrics.counter("collector.replies_received").inc(
-            result.stats.replies_received
-        )
-        metrics.counter("cleaning.kept").inc(result.stats.kept)
-        metrics.counter("cleaning.dropped", rule="wrong_round").inc(
-            result.stats.wrong_round
-        )
-        metrics.counter("cleaning.dropped", rule="unsolicited").inc(
-            result.stats.unsolicited
-        )
-        metrics.counter("cleaning.dropped", rule="late").inc(result.stats.late)
-        metrics.counter("cleaning.dropped", rule="duplicate").inc(
-            result.stats.duplicates
-        )
-        if self.observer.enabled:
-            for code, fraction in sorted(result.catchment.fractions().items()):
-                metrics.gauge("catchment.fraction", site=code).set(fraction)
+        record_round(self.observer, result.stats, result.catchment)
         return result
 
     def _evaluate_round(
@@ -610,9 +767,7 @@ class FastScanEngine:
         """Evaluate one round and materialise it."""
         state = self.state
         draws, hit = round_draws(state, round_id)
-        self.observer.metrics.counter(
-            "fastscan.round_draws.hit" if hit else "fastscan.round_draws.miss"
-        ).inc()
+        count_draws(self.observer, hit)
         arrays = evaluate_round(state, self.routes, draws)
         kept = arrays.kept_mask
         return materialise_columnar(

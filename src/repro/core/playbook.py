@@ -12,11 +12,17 @@ overwhelmed.  This module is that search over our substrate:
 2. :class:`PlaybookPlanner` routes every candidate not yet measured
    through the fingerprint-keyed :class:`~repro.bgp.cache.RoutingCache`
    in one batch (the lattice propagates as one array program on first
-   sight, dictionary hits after), runs a memoised vectorised catchment
-   scan per distinct policy, and the columnar
-   :func:`~repro.load.weighting.weight_catchment` join against the
-   attack-day load — optionally fanned over a
-   :class:`~repro.core.pool.ShardPool`;
+   sight, dictionary hits after), builds their per-PoP route columns in
+   one stacked weighted pick, and scans them as one lattice
+   (:func:`~repro.core.fastscan.scan_lattice`): §4 cleaning runs once
+   on the round's outcome grid and each config gathers from it.  With
+   a :class:`~repro.core.pool.ShardPool` that scan is one ``pool.map``
+   with one task per shard.  Catchments are memoised per policy (a
+   single one, :meth:`PlaybookPlanner.catchment_for`, is a lattice of
+   one); one
+   :func:`~repro.load.weighting.weight_catchments` call joins the
+   attack-day traffic to the shared block universe once and weighs
+   every config;
 3. the result ranks configs by (capacity violations, worst peak
    utilisation, config id) — byte-identically across runs, in-process
    or pooled — and renders to a canonical JSON artifact with per-config
@@ -42,8 +48,7 @@ from repro.bgp.cache import (
     policy_fingerprint,
 )
 from repro.bgp.policy import AnnouncementPolicy
-from repro.bgp.propagation import RoutingOutcome
-from repro.collector.results import ScanResult
+from repro.core.fastscan import scan_lattice
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError
 from repro.load.estimator import LoadEstimate
@@ -51,7 +56,7 @@ from repro.load.weighting import (
     UNKNOWN,
     SiteLoad,
     capacity_violations,
-    weight_catchment,
+    weight_catchments,
 )
 from repro.traffic.attack import AttackProfile
 
@@ -313,44 +318,52 @@ class PlaybookPlanner:
         self._catchments: Dict[tuple, CatchmentMap] = {}
         self._memo_lock = Lock()
 
-    def catchment_for(
-        self,
-        policy: AnnouncementPolicy,
-        pool=None,
-        routing: Optional[RoutingOutcome] = None,
-    ) -> CatchmentMap:
-        """The measured catchment of ``policy``, memoised per fingerprint.
+    def catchment_for(self, policy: AnnouncementPolicy, pool=None) -> CatchmentMap:
+        """The measured catchment of ``policy``, memoised per fingerprint:
+        a lattice of one (:meth:`_measure_lattice`)."""
+        return self._measure_lattice([policy], [policy_fingerprint(policy)], pool)[0]
 
-        Misses run one vectorised scan round — sharded over ``pool``
-        when given — over ``routing``, or over the cache's outcome for
-        ``policy`` when none is handed in.  The memo write is idempotent
-        (deterministic values), so concurrent misses for the same policy
-        are safe.
+    def _measure_lattice(
+        self, policies: Sequence[AnnouncementPolicy], keys: Sequence[tuple], pool
+    ) -> List[CatchmentMap]:
+        """The catchment of every policy (``keys`` are their fingerprints).
+
+        Memo hits are returned as they are; the misses route through the
+        cache — a lone one as its single-policy call (a delta from a
+        cached baseline), several in one lattice call — and scan as one
+        lattice: in-process, or as one ``pool.map`` over ``pool``'s
+        shards.  The memo write is idempotent (deterministic values), so
+        concurrent misses for the same policy are safe.
         """
-        key = policy_fingerprint(policy)
+        with self._memo_lock:
+            known = {key: self._catchments[key] for key in keys if key in self._catchments}
+        missing: Dict[tuple, AnnouncementPolicy] = {}
+        for key, policy in zip(keys, policies):
+            if key not in known:
+                missing.setdefault(key, policy)
         metrics = self.observer.metrics
-        with self._memo_lock:
-            cached = self._catchments.get(key)
-        if cached is not None:
-            metrics.counter("playbook.catchment_memo.hits").inc()
-            return cached
-        metrics.counter("playbook.catchment_memo.misses").inc()
-        if routing is None:
-            routing = self.cache.get_or_compute(self.verfploeter.internet, policy)
-        dataset_id = f"playbook-{policy_digest(policy)}"
-        if pool is not None:
-            from repro.core.sharding import run_sharded_scan
+        # A policy repeated after a miss is served from the memo, as it
+        # would be one call at a time.
+        hits = len(keys) - len(missing)
+        if hits:
+            metrics.counter("playbook.catchment_memo.hits").inc(hits)
+        if missing:
+            metrics.counter("playbook.catchment_memo.misses").inc(len(missing))
+            internet = self.verfploeter.internet
+            if len(missing) == 1:
+                routings = [self.cache.get_or_compute(internet, *missing.values())]
+            else:
+                routings = self.cache.get_or_compute_many(internet, list(missing.values()))
+            if pool is not None:
+                from repro.core.sharding import sharded_lattice
 
-            scan: ScanResult = run_sharded_scan(
-                self.verfploeter, routing, dataset_id, pool
-            )
-        else:
-            scan = self.verfploeter.run_scan(
-                routing=routing, dataset_id=dataset_id
-            )
-        with self._memo_lock:
-            self._catchments.setdefault(key, scan.catchment)
-            return self._catchments[key]
+                scanned = sharded_lattice(self.verfploeter, routings, pool)
+            else:
+                scanned = scan_lattice(self.verfploeter, routings)
+            with self._memo_lock:
+                for key, catchment in zip(missing, scanned):
+                    known[key] = self._catchments.setdefault(key, catchment)
+        return [known[key] for key in keys]
 
     def _outcome(
         self,
@@ -444,11 +457,11 @@ class PlaybookPlanner:
         :func:`repro.traffic.attack.compose_attack`); ``capacities``
         come from :func:`derive_capacities` over the normal day.
         An open :class:`~repro.core.pool.ShardPool` as ``pool`` shards
-        each scan and load join over warm worker processes; the ranked
-        result is byte-identical to the in-process search.
+        the lattice scan over warm worker processes (one task per
+        shard); the ranked result is byte-identical to the in-process
+        search.
         """
         service = self.verfploeter.service
-        internet = self.verfploeter.internet
         observer = self.observer
         entries = enumerate_lattice(
             service, attacked_site, max_prepend=max_prepend, depth=depth
@@ -460,43 +473,13 @@ class PlaybookPlanner:
             max_prepend=max_prepend,
         ) as span:
             policies = [entry.policy_for(service) for entry in entries]
-            # Every policy not yet measured routes in one lattice call.
-            with self._memo_lock:
-                unmeasured = [
-                    policy
-                    for policy in policies
-                    if policy_fingerprint(policy) not in self._catchments
-                ]
-            routings = {
-                policy_fingerprint(routing.policy): routing
-                for routing in self.cache.get_or_compute_many(internet, unmeasured)
-            }
-
-            def evaluate(
-                entry: PlaybookEntry, policy: AnnouncementPolicy
-            ) -> ConfigOutcome:
-                with observer.tracer.span(
-                    "playbook.candidate", label=entry.label
-                ):
-                    catchment = self.catchment_for(
-                        policy, pool=pool,
-                        routing=routings.get(policy_fingerprint(policy)),
-                    )
-                    if pool is not None:
-                        from repro.core.sharding import sharded_weight_catchment
-
-                        load = sharded_weight_catchment(
-                            catchment, estimate, pool=pool, observer=observer
-                        )
-                    else:
-                        load = weight_catchment(
-                            catchment, estimate, observer=observer
-                        )
-                observer.metrics.counter("playbook.configs_evaluated").inc()
-                return self._outcome(entry, load, capacities)
-
+            keys = [policy_fingerprint(policy) for policy in policies]
+            catchments = self._measure_lattice(policies, keys, pool)
+            loads = weight_catchments(catchments, estimate, observer=observer)
+            observer.metrics.counter("playbook.configs_evaluated").inc(len(entries))
             outcomes = [
-                evaluate(entry, policy) for entry, policy in zip(entries, policies)
+                self._outcome(entry, load, capacities)
+                for entry, load in zip(entries, loads)
             ]
             baseline = outcomes[0]
             ranked = sorted(outcomes, key=ConfigOutcome.sort_key)

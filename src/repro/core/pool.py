@@ -47,9 +47,10 @@ from repro.errors import ConfigurationError, PoolError
 from repro.obs import NULL_OBSERVER, Observer
 
 
-#: Attachments a process keeps before dropping its oldest: above a depth-2
-#: playbook's 101 ``sites`` columns, so a replan on a warm pool re-attaches
-#: nothing, yet a daemon joining a new catchment every round stays bounded.
+#: Attachments a process keeps before dropping its oldest: far above what
+#: one CLI run attaches (a round state and a few joined columns; a pooled
+#: playbook lattice ships route columns, not ``sites`` columns), yet a
+#: daemon joining a new catchment every round stays bounded.
 _ATTACH_CACHE_LIMIT = 128
 
 

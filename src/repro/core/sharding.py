@@ -4,7 +4,8 @@ The paper maps catchments for the whole responsive IPv4 Internet —
 millions of /24 blocks — which wants more than one core.  This module
 partitions the shared uint64 block universe into contiguous ranges
 (:class:`ShardPlan`) and fans :func:`repro.core.fastscan.evaluate_round`
-and the load-weighting join across a persistent
+— or, for a playbook lattice, :func:`repro.core.fastscan.evaluate_lattice`
+in one task per shard — and the load-weighting join across a persistent
 :class:`repro.core.pool.ShardPool`.  The parent keeps only the
 fan-out: per-shard columns go back through the single-process code —
 :func:`repro.core.fastscan.materialise_columnar` builds each round,
@@ -60,9 +61,12 @@ from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import ScanResult, ScanStats
 from repro.core.fastscan import (
     FastScanEngine,
+    evaluate_lattice,
     evaluate_round,
+    externalize,
     materialise_columnar,
     round_draws,
+    route_columns,
 )
 from repro.core.pool import ShardPool, attached_array, attached_round_state
 from repro.core.tables import ensure_array
@@ -299,6 +303,25 @@ def _scan_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray
     return results
 
 
+def _lattice_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, ScanStats]]:
+    """Evaluate one shard's rows under every routing state of a lattice.
+
+    The payload (:func:`sharded_lattice`) is the round state's
+    fingerprint, every config's per-PoP route columns, the shard bounds
+    and the round id.  Each config comes back as ``(kept site indices,
+    packed keep mask, stats)``, the compact encoding of
+    :func:`_scan_shard_worker` without delays.
+    """
+    store_root, fingerprint, routes_seq, start, stop, round_id = payload
+    state = attached_round_state(store_root, fingerprint).shard(start, stop)
+    draws = round_draws(state, round_id)[0]
+    results = []
+    for sites, stats in evaluate_lattice(state, routes_seq, draws):
+        kept = sites >= 0
+        results.append((sites[kept], np.packbits(kept), stats))
+    return results
+
+
 def _join_shard_worker(payload) -> np.ndarray:
     """Resolve one slice of traffic blocks to site indices (int16).
 
@@ -320,6 +343,17 @@ def _join_shard_worker(payload) -> np.ndarray:
 # -- sharded scan series ---------------------------------------------------
 
 
+def _merge_sites(rows: int, bounds: Sequence[Tuple[int, int]], shard_parts) -> np.ndarray:
+    """One full-universe int16 site column (``-1`` where not kept) from
+    each shard's kept site indices and packed keep mask, the first two
+    fields of every part in ``shard_parts``."""
+    sites = np.full(rows, -1, dtype=np.int16)
+    for (start, stop), (kept_sites, packed_mask, *_) in zip(bounds, shard_parts):
+        mask = np.unpackbits(packed_mask, count=stop - start).view(np.bool_)
+        sites[start:stop][mask] = kept_sites
+    return sites
+
+
 def _merge_round(
     engine: FastScanEngine,
     shard_rounds: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, ScanStats]],
@@ -336,14 +370,10 @@ def _merge_round(
     :func:`repro.core.fastscan.materialise_columnar`, makes the result,
     so it is bit-identical to evaluating the full universe in one pass.
     """
-    sites = np.full(engine.state.rows, -1, dtype=np.int16)
-    for (start, stop), (kept_sites, packed_mask, _, _) in zip(bounds, shard_rounds):
-        mask = np.unpackbits(packed_mask, count=stop - start).view(np.bool_)
-        sites[start:stop][mask] = kept_sites
     return materialise_columnar(
         engine.state,
         engine.routes.site_codes,
-        sites,
+        _merge_sites(engine.state.rows, bounds, shard_rounds),
         np.concatenate([part[2] for part in shard_rounds]),
         merge_stats([part[3] for part in shard_rounds]),
         round_id,
@@ -438,6 +468,55 @@ def run_sharded_scan(
         first_round=round_id,
     )[0]
     return replace(scan, dataset_id=dataset_id, start_time=0.0)
+
+
+def sharded_lattice(
+    verfploeter: Verfploeter,
+    routings: Sequence[RoutingOutcome],
+    pool: ShardPool,
+) -> List[ArrayCatchmentMap]:
+    """The catchment of every routing state at round 0, as one
+    ``pool.map`` with one task per shard (one shard per worker).
+
+    Bit-identical to :func:`repro.core.fastscan.scan_lattice`: every
+    shard runs :func:`~repro.core.fastscan.evaluate_lattice` over its
+    rows and the parent scatters each config's kept sites back into a
+    full-universe column.  Like the sharded series it counts no engine
+    rounds: the draws and cleaning happen in the workers.
+    """
+    observer = verfploeter.observer
+    state = verfploeter.round_state()
+    with observer.tracer.span("fastscan.precompute", configs=len(routings)):
+        routes_seq = route_columns(verfploeter, routings)
+    plan = ShardPlan.split(state.rows, resolve_fanout(None, pool.workers)[0])
+    with observer.tracer.span(
+        "fastscan.lattice",
+        configs=len(routes_seq),
+        blocks=state.rows,
+        shards=plan.shard_count,
+        workers=pool.workers,
+    ) as span:
+        fingerprint = externalize(state, pool.store, observer)
+        payloads = [
+            (pool.store.root, fingerprint, routes_seq, start, stop, 0)
+            for start, stop in plan.bounds
+        ]
+        payload_bytes = _payload_bytes(payloads)
+        per_shard = pool.map(_lattice_shard_worker, payloads, observer=observer)
+        span.set(payload_bytes=payload_bytes)
+    metrics = observer.metrics
+    metrics.counter("scan.shard.payload_bytes").inc(payload_bytes)
+    metrics.gauge("scan.shards").set(plan.shard_count)
+    metrics.gauge("scan.shard_imbalance").set(plan.imbalance())
+    return [
+        ArrayCatchmentMap(
+            routes.site_codes,
+            state.blocks,
+            _merge_sites(state.rows, plan.bounds, [shard[index] for shard in per_shard]),
+            validate=False,
+        )
+        for index, routes in enumerate(routes_seq)
+    ]
 
 
 # -- sharded load weighting ------------------------------------------------

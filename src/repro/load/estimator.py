@@ -35,6 +35,12 @@ class LoadEstimate:
         """Blocks with recorded traffic."""
         return self.source.blocks
 
+    @property
+    def daily(self) -> np.ndarray:
+        """Daily load of every block, rows aligned with :attr:`blocks`
+        (computed once per estimate; do not mutate)."""
+        return self._daily
+
     def of_block(self, block: int) -> float:
         """Daily load of ``block`` (0.0 when it sent nothing)."""
         row = self._row_of(block)

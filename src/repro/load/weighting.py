@@ -8,11 +8,12 @@ bucket — the paper shows their traffic splits like the mapped blocks'
 (§5.5), so predictions normalise over known sites.
 
 Array-backed catchments take a columnar path: one ``searchsorted`` join
-(inside :meth:`ArrayCatchmentMap.site_indices_of`) resolves every
-traffic block's site at once, then ``bincount`` passes (one daily, one
-per hour) accumulate the loads.  ``bincount`` adds rows in input
-order, so the float64 sums are bit-identical to the dict-backed
-reference loop.
+(:meth:`ArrayCatchmentMap.join`) per block universe resolves every
+traffic block's row at once — :func:`weight_catchments` shares it
+between catchments over one universe — then two ``bincount`` passes
+accumulate the loads: one daily, one over ``bucket * 24 + hour`` keys.
+``bincount`` adds rows in input order, so the float64 sums are
+bit-identical to the dict-backed reference loop.
 """
 
 from __future__ import annotations
@@ -198,22 +199,67 @@ def accumulate_site_load(
     unknown_bucket = len(site_codes)
     indices = site_indices.astype(np.int64)
     buckets = np.where(indices >= 0, indices, unknown_bucket)
-    daily_values = estimate.source.daily_of_kind(estimate.kind)
     daily_sums = np.bincount(
-        buckets, weights=daily_values, minlength=unknown_bucket + 1
+        buckets, weights=estimate.daily, minlength=unknown_bucket + 1
     )
     daily = {code: float(daily_sums[i]) for i, code in enumerate(site_codes)}
     daily[UNKNOWN] = float(daily_sums[unknown_bucket])
-    hourly_sums = np.zeros((unknown_bucket + 1, HOURS))
     if hourly:
-        matrix = estimate.hourly_matrix()
-        for hour in range(HOURS):
-            hourly_sums[:, hour] = np.bincount(
-                buckets, weights=matrix[:, hour], minlength=unknown_bucket + 1
-            )
+        # One pass over (row, hour) keys in row-major order: each
+        # (bucket, hour) bin still adds its rows in row order.
+        keys = (buckets * HOURS)[:, None] + np.arange(HOURS)
+        hourly_sums = np.bincount(
+            keys.ravel(),
+            weights=estimate.hourly_matrix().ravel(),
+            minlength=(unknown_bucket + 1) * HOURS,
+        ).reshape(unknown_bucket + 1, HOURS)
+    else:
+        hourly_sums = np.zeros((unknown_bucket + 1, HOURS))
     hourly_acc = {code: hourly_sums[i] for i, code in enumerate(site_codes)}
     hourly_acc[UNKNOWN] = hourly_sums[unknown_bucket]
     return SiteLoad(site_codes, daily, hourly_acc)
+
+
+def weight_catchments(
+    catchments: Sequence[CatchmentMap],
+    estimate: LoadEstimate,
+    hourly: bool = True,
+    observer: Optional[Observer] = None,
+) -> List[SiteLoad]:
+    """Attribute every traffic-sending block's load to its mapped site,
+    once per catchment.
+
+    Blocks absent from a catchment land in ``UNK``.  Array-backed
+    catchments take the columnar path: the traffic blocks join each
+    distinct universe once (a playbook lattice shares one), and every
+    catchment then gathers its site column through that join — loads
+    bit-identical to the per-block reference.
+    """
+    if observer is None:
+        observer = NULL_OBSERVER
+    if len(estimate) == 0:
+        raise DatasetError("load estimate is empty")
+    columnar = all(isinstance(catchment, ArrayCatchmentMap) for catchment in catchments)
+    with observer.tracer.span("load.weight", columnar=columnar) as span:
+        joins: Dict[int, np.ndarray] = {}
+        loads = []
+        for catchment in catchments:
+            if not isinstance(catchment, ArrayCatchmentMap):
+                loads.append(_weight_reference(catchment, estimate, hourly))
+                continue
+            rows = joins.get(id(catchment.universe))
+            if rows is None:
+                rows = joins[id(catchment.universe)] = catchment.join(estimate.blocks)
+            loads.append(
+                accumulate_site_load(
+                    catchment.site_codes, catchment.site_indices_at(rows), estimate, hourly
+                )
+            )
+        span.set(join_rows=len(estimate))
+        if len(catchments) > 1:  # one catchment keeps the single-join span shape
+            span.set(catchments=len(catchments))
+    observer.metrics.gauge("load.join_rows").set(len(estimate))
+    return loads
 
 
 def weight_catchment(
@@ -222,27 +268,6 @@ def weight_catchment(
     hourly: bool = True,
     observer: Optional[Observer] = None,
 ) -> SiteLoad:
-    """Attribute every traffic-sending block's load to its mapped site.
-
-    Blocks absent from the catchment map land in ``UNK``.  Array-backed
-    catchments dispatch to the columnar fast path, which produces
-    bit-identical loads.
-    """
-    if observer is None:
-        observer = NULL_OBSERVER
-    if len(estimate) == 0:
-        raise DatasetError("load estimate is empty")
-    columnar = isinstance(catchment, ArrayCatchmentMap)
-    with observer.tracer.span("load.weight", columnar=columnar) as span:
-        if columnar:
-            load = accumulate_site_load(
-                catchment.site_codes,
-                catchment.site_indices_of(estimate.blocks),
-                estimate,
-                hourly,
-            )
-        else:
-            load = _weight_reference(catchment, estimate, hourly)
-        span.set(join_rows=len(estimate))
-    observer.metrics.gauge("load.join_rows").set(len(estimate))
-    return load
+    """Attribute every traffic-sending block's load to its mapped site
+    (:func:`weight_catchments` of one catchment)."""
+    return weight_catchments([catchment], estimate, hourly, observer)[0]

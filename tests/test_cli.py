@@ -181,9 +181,10 @@ class TestObservability:
     @pytest.mark.parametrize(
         "argv,engine_calls",
         [
-            (["scan", *TINY], (1, 1, 1)),
-            (["stability", *TINY, "--rounds", "3"], (1, 1, 3)),
-            (["playbook", *TANGLED_TINY, "--depth", "2"], (1, 101, 101)),
+            (["scan", *TINY], (1, 1, 1, 0)),
+            (["stability", *TINY, "--rounds", "3"], (1, 1, 3, 0)),
+            # The baseline as a lattice of one, then the other 100 configs.
+            (["playbook", *TANGLED_TINY, "--depth", "2"], (1, 2, 0, 2)),
             (["report", *TINY], None),
         ],
         ids=["scan", "stability", "playbook", "report"],
@@ -201,12 +202,15 @@ class TestObservability:
         assert header.split() == ["span", "calls", "total", "s", "self", "s"]
         calls = {row.split()[0]: int(row.split()[1]) for row in rows}
         assert calls == Counter(observer.tracer.span_names())
-        engine = ("fastscan.invariant", "fastscan.precompute", "fastscan.round")
+        engine = (
+            "fastscan.invariant", "fastscan.precompute", "fastscan.round",
+            "fastscan.lattice",
+        )
         if engine_calls is None:
             assert {"hitlist.build", "bgp.propagate.full"} <= set(calls)
             assert not set(engine) & set(calls)
         else:
-            assert tuple(calls[name] for name in engine) == engine_calls
+            assert tuple(calls.get(name, 0) for name in engine) == engine_calls
         for row in rows:
             total, own = (float(value) for value in row.split()[2:])
             assert 0.0 <= own <= total + 1e-4
@@ -241,18 +245,23 @@ class TestObservability:
     def test_counters_show_the_hoist(self, argv, scans, draw_hits, capsys):
         """One invariant build per deployment; one draw per run of equal
         round ids — a playbook scans every policy at round 0, a
-        stability series never repeats a round."""
+        stability series never repeats a round.  A playbook scans its
+        baseline as a lattice of one, then the rest of its lattice in one
+        precompute and one lattice evaluation, counted per config."""
         from repro.obs import Observer
 
         observer = Observer.collecting()
         assert main(argv, observer=observer) == 0
         metrics = observer.metrics
         names = observer.tracer.span_names()
-        routings = scans if argv[0] == "playbook" else 1
+        playbook = argv[0] == "playbook"
         assert metrics.value_of("fastscan.invariant.builds") == 1
         assert names.count("fastscan.invariant") == 1
-        assert names.count("fastscan.precompute") == routings
-        assert names.count("fastscan.round") == scans
+        assert names.count("fastscan.precompute") == (2 if playbook else 1)
+        assert names.count("fastscan.round") == (0 if playbook else scans)
+        assert names.count("fastscan.lattice") == (2 if playbook else 0)
+        assert "playbook.candidate" not in names
+        assert metrics.value_of("probe.rounds_scheduled") == scans
         assert metrics.value_of("fastscan.round_draws.hit") == draw_hits
         assert metrics.value_of("fastscan.round_draws.miss") == scans - draw_hits
 
