@@ -147,20 +147,12 @@ def test_extension_sharded_scan(benchmark):
             # joins hit) is the warm join on the same pool.
             weight_cold_seconds, actual_load = _timed(
                 lambda: sharded_weight_catchment(
-                    baseline[0].catchment,
-                    estimate,
-                    shards=SHARDS,
-                    pool=pool,
-                    observer=observer,
+                    baseline[0].catchment, estimate, pool, observer=observer
                 )
             )
             sharded_weight_seconds, warm_load = _timed(
                 lambda: sharded_weight_catchment(
-                    baseline[0].catchment,
-                    estimate,
-                    shards=SHARDS,
-                    pool=pool,
-                    observer=observer,
+                    baseline[0].catchment, estimate, pool, observer=observer
                 )
             )
             assert_site_loads_identical(warm_load, actual_load)

@@ -7,7 +7,7 @@ each populated cell shows the dominant site's symbol.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.anycast.catchment import CatchmentMap
 from repro.atlas.platform import AtlasMeasurement
@@ -117,7 +117,3 @@ def render_ascii_map(
     legend = "  ".join(f"{symbols[site]}={site}" for site in sites_in_grid)
     return "\n".join([*lines, "", f"legend: {legend}"])
 
-
-def grid_site_summary(grid: GeoGrid) -> Dict[str, float]:
-    """Total weight per site (sanity totals printed next to the maps)."""
-    return grid.site_totals()

@@ -82,19 +82,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sharding(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the block universe into N contiguous shards "
-             "(bit-identical to the default run)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="evaluate shards across N worker processes "
-             "(0 runs the shards inline in this process)",
-    )
-
-
 def _observer_for(args: argparse.Namespace) -> Observer:
     """The observer this invocation runs under.
 
@@ -145,21 +132,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
-    routing = verfploeter.routing_for()
-    if args.shards is not None or args.workers is not None:
-        # The same engine round, evaluated shard by shard (optionally
-        # across worker processes).  One ShardPool spans the whole
-        # invocation, so its workers attach the memmapped universe once.
-        from repro.core.pool import ShardPool
-        from repro.core.sharding import resolve_fanout, run_sharded_scan
-
-        shards, workers = resolve_fanout(args.shards, args.workers)
-        with ShardPool(workers=workers, observer=observer) as pool:
-            scan = run_sharded_scan(
-                verfploeter, routing, "cli-scan", pool, shards=shards
-            )
-    else:
-        scan = verfploeter.run_scan(routing=routing, dataset_id="cli-scan")
+    scan = verfploeter.run_scan(
+        routing=verfploeter.routing_for(), dataset_id="cli-scan"
+    )
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
             write_scan(scan, stream)
@@ -445,22 +420,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     routing = verfploeter.routing_for()
     estimate = LoadEstimate(scenario.day_load("serve-day"))
     universe = verfploeter.hitlist.blocks.astype(np.uint64)
-    pool = None
-    weighter = None
-    if args.workers is not None:
-        # Daemon-lifetime pool: every round-end load join fans over the
-        # same warm workers (bit-identical to the in-process join).
-        from repro.core.pool import ShardPool
-        from repro.core.sharding import sharded_weight_catchment
-
-        pool = ShardPool(workers=args.workers, observer=observer)
-
-        def weighter(catchment, estimate, hourly=True, observer=None):
-            return sharded_weight_catchment(
-                catchment, estimate, hourly=hourly, observer=observer,
-                pool=pool,
-            )
-
     state = MeasurementState(
         routing.policy.site_codes,
         universe,
@@ -469,7 +428,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ring_size=args.ring,
         cleaning=verfploeter.cleaning,
         observer=observer,
-        weighter=weighter,
     )
     feed = replay_feed(
         verfploeter,
@@ -500,8 +458,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         status = 130
     finally:
         service.shutdown()
-        if pool is not None:
-            pool.shutdown()
     _emit_observability(args, observer, scenario)
     return status
 
@@ -547,7 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = commands.add_parser("scan", help="run one Verfploeter round")
     _add_common(scan)
-    _add_sharding(scan)
     scan.add_argument("--map", action="store_true", help="print ASCII map")
     scan.add_argument("--rtt", action="store_true", help="print RTT summary")
     scan.add_argument("--output", default=None,
@@ -561,7 +516,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     stability = commands.add_parser("stability", help="repeated-round stability study")
     _add_common(stability)
-    _add_sharding(stability)
+    stability.add_argument(
+        "--shards", type=int, default=None, metavar="N",
+        help="partition the block universe into N contiguous shards "
+             "(bit-identical to the default run)",
+    )
+    stability.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="evaluate shards across N worker processes "
+             "(0 runs the shards inline in this process)",
+    )
     stability.add_argument("--rounds", type=int, default=16)
     stability.set_defaults(handler=_cmd_stability)
 
@@ -661,10 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first measurement id (65535 exercises rollover)")
     serve.add_argument("--linger-seconds", type=float, default=0.0,
                        help="keep serving this long after ingest finishes")
-    serve.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="fan round-end load joins over N worker "
-                            "processes held for the daemon's lifetime "
-                            "(0 runs the sharded join inline)")
     serve.set_defaults(handler=_cmd_serve)
 
     report = commands.add_parser(

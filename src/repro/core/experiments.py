@@ -16,7 +16,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.atlas.platform import AtlasPlatform
 from repro.bgp.cache import RoutingCache, default_routing_cache
 from repro.bgp.policy import AnnouncementPolicy
-from repro.bgp.propagation import RoutingConfig
 from repro.analysis.results import (
     PrependMeasurement,
     StabilityRound,
@@ -270,74 +269,3 @@ def site_failure_study(
             )
 
         return [withdraw_site(index) for index in range(len(study_sites))]
-
-
-@dataclass(frozen=True)
-class DecayPoint:
-    """Prediction error after ``era`` units of routing/load drift."""
-
-    era: int
-    predicted: Dict[str, float]
-    actual: Dict[str, float]
-
-    def max_error(self) -> float:
-        """Worst per-site absolute error at this age."""
-        return max(
-            abs(self.predicted.get(code, 0.0) - self.actual.get(code, 0.0))
-            for code in self.predicted
-        )
-
-
-def prediction_decay_study(
-    verfploeter: Verfploeter,
-    day_load_builder,
-    eras: Sequence[int] = (0, 1, 2, 3),
-    cache: Optional[RoutingCache] = None,
-) -> List[DecayPoint]:
-    """How fast do Verfploeter load predictions go stale (paper §5.5)?
-
-    A single prediction is made from era-0 data (catchment scan plus
-    historical load); each later era re-rolls a fraction of routing
-    adjacencies and drifts the workload, and the prediction is compared
-    against that era's actual per-site load.  The paper observes the
-    April prediction (76.2%) was notably worse than the same-day one
-    (81.6% vs 81.4% measured); this study generalises that to a curve.
-
-    ``day_load_builder(era)`` must return the era's
-    :class:`~repro.traffic.logs.DayLoad`.
-    """
-    from repro.load.prediction import measured_site_load
-
-    service = verfploeter.service
-    observer = verfploeter.observer
-    routing_cache = cache if cache is not None else default_routing_cache()
-    with observer.tracer.span(
-        "experiment.prediction_decay", eras=len(eras)
-    ):
-        base_policy = service.default_policy()
-        base_routing = routing_cache.get_or_compute(
-            verfploeter.internet, base_policy, config=RoutingConfig(era=eras[0])
-        )
-        base_scan = verfploeter.run_scan(
-            routing=base_routing, dataset_id="decay-base"
-        )
-        base_estimate = LoadEstimate(day_load_builder(eras[0]))
-        prediction = weight_catchment(
-            base_scan.catchment, base_estimate, observer=observer
-        )
-        predicted = prediction.fractions()
-
-        points: List[DecayPoint] = []
-        for era in eras:
-            # Per-era RoutingConfig keys differ, so eras never delta into
-            # each other — but the first era is a cache hit (it is the
-            # prediction baseline computed above).
-            era_routing = routing_cache.get_or_compute(
-                verfploeter.internet, base_policy, config=RoutingConfig(era=era)
-            )
-            era_estimate = LoadEstimate(day_load_builder(era))
-            actual = measured_site_load(era_routing, era_estimate).fractions()
-            points.append(
-                DecayPoint(era=era, predicted=predicted, actual=actual)
-            )
-        return points

@@ -51,7 +51,7 @@ from __future__ import annotations
 import os
 import pickle
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -266,14 +266,14 @@ def _payload_bytes(payloads: Sequence[object]) -> int:
 
 
 def scan_payloads(
-    engine: FastScanEngine, store, bounds, first_round: int, rounds: int
+    engine: FastScanEngine, store, bounds, rounds: int
 ) -> List[tuple]:
     """One :func:`_scan_shard_worker` payload per ``(start, stop)`` in
     ``bounds``: block-sized state travels as a fingerprint into ``store``,
     routing as the engine's per-PoP columns — never O(blocks)."""
     fingerprint = engine.externalize(store)
     return [
-        (store.root, fingerprint, engine.routes, start, stop, first_round, rounds)
+        (store.root, fingerprint, engine.routes, start, stop, rounds)
         for start, stop in bounds
     ]
 
@@ -287,10 +287,10 @@ def _scan_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray
     kept delays, stats)``: the parent rebuilds full-universe columns
     from its own copy, so result pickling scales with *kept* rows only.
     """
-    store_root, fingerprint, routes, start, stop, first_round, rounds = payload
+    store_root, fingerprint, routes, start, stop, rounds = payload
     state = attached_round_state(store_root, fingerprint).shard(start, stop)
     results = []
-    for round_id in range(first_round, first_round + rounds):
+    for round_id in range(rounds):
         arrays = evaluate_round(state, routes, round_draws(state, round_id)[0])
         results.append(
             (
@@ -392,14 +392,12 @@ def run_sharded_series(
     observer: Optional[Observer] = None,
     pool: Optional[ShardPool] = None,
     store=None,
-    first_round: int = 0,
 ) -> List[ScanResult]:
     """A stability series fanned across block shards and worker processes.
 
     Equivalent to ``engine.run_series(rounds, ...)`` — same dataset
     ids, same start times, bit-identical catchments, RTTs, and stats —
-    but each shard of the block universe is evaluated independently
-    (``first_round`` starts the round ids elsewhere than 0).
+    but each shard of the block universe is evaluated independently.
     Pass an open :class:`~repro.core.pool.ShardPool` to reuse warm
     workers (and their attach caches) across calls; otherwise a
     temporary pool is created for this series (``workers >= 1`` in
@@ -421,21 +419,19 @@ def run_sharded_series(
             shards=plan.shard_count,
             workers=pool.workers,
         ) as span:
-            payloads = scan_payloads(
-                engine, pool.store, plan.bounds, first_round, rounds
-            )
+            payloads = scan_payloads(engine, pool.store, plan.bounds, rounds)
             payload_bytes = _payload_bytes(payloads)
             per_shard = pool.map(_scan_shard_worker, payloads, observer=observer)
             merged = [
                 _merge_round(
                     engine,
-                    [shard_rounds[index] for shard_rounds in per_shard],
+                    [shard_rounds[round_id] for shard_rounds in per_shard],
                     plan.bounds,
-                    first_round + index,
+                    round_id,
                     interval_seconds,
                     dataset_prefix,
                 )
-                for index in range(rounds)
+                for round_id in range(rounds)
             ]
             span.set(blocks=state.rows, payload_bytes=payload_bytes)
     metrics = observer.metrics
@@ -443,31 +439,6 @@ def run_sharded_series(
     metrics.gauge("scan.shards").set(plan.shard_count)
     metrics.gauge("scan.shard_imbalance").set(plan.imbalance())
     return merged
-
-
-def run_sharded_scan(
-    verfploeter: Verfploeter,
-    routing: RoutingOutcome,
-    dataset_id: str,
-    pool: ShardPool,
-    round_id: int = 0,
-    shards: Optional[int] = None,
-) -> ScanResult:
-    """One scan of ``routing`` fanned over ``pool``'s warm workers.
-
-    Bit-identical to ``verfploeter.run_scan(routing=routing,
-    round_id=round_id, dataset_id=dataset_id)`` — the
-    engine comes from the same per-deployment memo and the lone round
-    starts at time 0 — so passing a pool never changes a driver's answer.
-    """
-    scan = run_sharded_series(
-        verfploeter.engine_for(routing),
-        rounds=1,
-        shards=shards,
-        pool=pool,
-        first_round=round_id,
-    )[0]
-    return replace(scan, dataset_id=dataset_id, start_time=0.0)
 
 
 def sharded_lattice(
@@ -525,14 +496,11 @@ def sharded_lattice(
 def sharded_weight_catchment(
     catchment: ArrayCatchmentMap,
     estimate: LoadEstimate,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
-    hourly: bool = True,
+    pool: ShardPool,
     observer: Optional[Observer] = None,
-    pool: Optional[ShardPool] = None,
-    store=None,
 ) -> SiteLoad:
-    """Load weighting with the exact-int join fanned over workers.
+    """Load weighting with the exact-int join fanned over ``pool``'s
+    workers, one shard per worker.
 
     Bit-identical to :func:`repro.load.weighting.weight_catchment` on
     the same array-backed catchment: workers resolve slices of the
@@ -541,8 +509,7 @@ def sharded_weight_catchment(
     slices shipped back), while the parent owns every float
     accumulation — the daily ``bincount`` and each hour column run as
     full single passes in fixed order, exactly as the single-process
-    join performs them.  Pass an open ``ShardPool`` to share warm
-    workers with a scan series.
+    join performs them.
     """
     if observer is None:
         observer = NULL_OBSERVER
@@ -553,36 +520,32 @@ def sharded_weight_catchment(
     if len(estimate) == 0:
         raise DatasetError("load estimate is empty")
     traffic_blocks = estimate.blocks
-    with _fanout(pool, shards, workers, store, observer) as (pool, shards):
-        plan = ShardPlan.split(traffic_blocks.size, shards)
-        with observer.tracer.span(
-            "load.weight.sharded", shards=plan.shard_count, workers=pool.workers
-        ) as span:
-            universe_fp = ensure_array(pool.store, catchment.universe)
-            sites_fp = ensure_array(pool.store, catchment.site_index_array)
-            blocks_fp = ensure_array(pool.store, traffic_blocks)
-            join_payloads = [
-                (
-                    pool.store.root,
-                    catchment.site_codes,
-                    universe_fp,
-                    sites_fp,
-                    blocks_fp,
-                    start,
-                    stop,
-                )
-                for start, stop in plan.bounds
-            ]
-            payload_bytes = _payload_bytes(join_payloads)
-            index_parts = pool.map(
-                _join_shard_worker, join_payloads, observer=observer
+    plan = ShardPlan.split(traffic_blocks.size, resolve_fanout(None, pool.workers)[0])
+    with observer.tracer.span(
+        "load.weight.sharded", shards=plan.shard_count, workers=pool.workers
+    ) as span:
+        universe_fp = ensure_array(pool.store, catchment.universe)
+        sites_fp = ensure_array(pool.store, catchment.site_index_array)
+        blocks_fp = ensure_array(pool.store, traffic_blocks)
+        join_payloads = [
+            (
+                pool.store.root,
+                catchment.site_codes,
+                universe_fp,
+                sites_fp,
+                blocks_fp,
+                start,
+                stop,
             )
-            load = accumulate_site_load(
-                catchment.site_codes, np.concatenate(index_parts), estimate, hourly
-            )
-            span.set(join_rows=len(estimate), payload_bytes=payload_bytes)
+            for start, stop in plan.bounds
+        ]
+        payload_bytes = _payload_bytes(join_payloads)
+        index_parts = pool.map(_join_shard_worker, join_payloads, observer=observer)
+        load = accumulate_site_load(
+            catchment.site_codes, np.concatenate(index_parts), estimate, hourly=True
+        )
+        span.set(join_rows=len(estimate), payload_bytes=payload_bytes)
     metrics = observer.metrics
     metrics.counter("scan.shard.payload_bytes").inc(payload_bytes)
     metrics.gauge("load.join_rows").set(len(estimate))
     return load
-

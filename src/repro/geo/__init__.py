@@ -15,7 +15,6 @@ from repro.geo.regions import (
     Country,
     Region,
     country_by_code,
-    countries_in_region,
 )
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "Region",
     "COUNTRIES",
     "country_by_code",
-    "countries_in_region",
     "GeoDatabase",
     "GeoRecord",
     "GeoGrid",

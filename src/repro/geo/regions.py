@@ -125,10 +125,3 @@ def country_by_code(code: str) -> Country:
         return _BY_CODE[code]
     except KeyError:
         raise ConfigurationError(f"unknown country code {code!r}") from None
-
-
-def countries_in_region(region: str) -> List[Country]:
-    """All modelled countries inside a continental region."""
-    if region not in Region.ALL:
-        raise ConfigurationError(f"unknown region {region!r}")
-    return [country for country in COUNTRIES if country.region == region]

@@ -91,18 +91,9 @@ class LoadEstimate:
         compares **peaks** against provisioned capacity
         (:func:`repro.load.weighting.capacity_violations`), because
         diurnal days and volumetric attacks concentrate load into a few
-        bins.  :meth:`mean_qph` exists for reporting ratios only — it
-        must never be the quantity compared against a capacity.
+        bins.
         """
         return float(self.hourly_totals().max())
-
-    def mean_qph(self) -> float:
-        """Mean queries/hour over the day (total / 24).
-
-        Reporting-only companion to :meth:`peak_qph` — see the
-        peak-vs-mean note there.
-        """
-        return self.total() / 24.0
 
     def heaviest(self, count: int) -> List[Tuple[int, float]]:
         """Heaviest ``count`` blocks as ``(block, daily load)``.

@@ -9,14 +9,11 @@ matching the paper's use of /24 as the smallest BGP-routable prefix.
 from repro.netaddr.address import (
     IPv4Address,
     format_ipv4,
-    is_valid_ipv4,
     parse_ipv4,
 )
 from repro.netaddr.blocks import (
     BLOCK_COUNT,
     block_base_address,
-    block_of_address,
-    block_to_prefix,
     format_block,
     parse_block,
 )
@@ -29,11 +26,8 @@ __all__ = [
     "LongestPrefixTrie",
     "parse_ipv4",
     "format_ipv4",
-    "is_valid_ipv4",
     "BLOCK_COUNT",
-    "block_of_address",
     "block_base_address",
-    "block_to_prefix",
     "format_block",
     "parse_block",
 ]

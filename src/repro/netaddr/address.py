@@ -44,15 +44,6 @@ def format_ipv4(value: int) -> str:
     )
 
 
-def is_valid_ipv4(text: str) -> bool:
-    """Return True if ``text`` parses as a strict dotted-quad address."""
-    try:
-        parse_ipv4(text)
-    except AddressError:
-        return False
-    return True
-
-
 @functools.total_ordering
 class IPv4Address:
     """An immutable IPv4 address.

@@ -10,16 +10,8 @@ from __future__ import annotations
 
 from repro.errors import AddressError
 from repro.netaddr.address import format_ipv4, parse_ipv4
-from repro.netaddr.prefix import Prefix
 
 BLOCK_COUNT = 1 << 24
-
-
-def block_of_address(address: int) -> int:
-    """Return the block id containing 32-bit ``address``."""
-    if not 0 <= address <= 0xFFFFFFFF:
-        raise AddressError(f"address {address:#x} out of 32-bit range")
-    return address >> 8
 
 
 def block_base_address(block: int) -> int:
@@ -27,11 +19,6 @@ def block_base_address(block: int) -> int:
     if not 0 <= block < BLOCK_COUNT:
         raise AddressError(f"block id {block} out of range")
     return block << 8
-
-
-def block_to_prefix(block: int) -> Prefix:
-    """Return the /24 :class:`Prefix` for ``block``."""
-    return Prefix(block_base_address(block), 24)
 
 
 def format_block(block: int) -> str:

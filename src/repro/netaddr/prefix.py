@@ -101,24 +101,6 @@ class Prefix:
         start = self._network >> 8
         yield from range(start, start + self.block_count)
 
-    def subnets(self, new_length: int) -> Iterator["Prefix"]:
-        """Yield the subnets of this prefix at ``new_length``."""
-        if new_length < self._length or new_length > 32:
-            raise AddressError(
-                f"cannot subnet /{self._length} into /{new_length}"
-            )
-        step = 1 << (32 - new_length)
-        for network in range(self._network, self._network + self.size, step):
-            yield Prefix(network, new_length)
-
-    def supernet(self) -> "Prefix":
-        """Return the parent prefix one bit shorter."""
-        if self._length == 0:
-            raise AddressError("/0 has no supernet")
-        parent_length = self._length - 1
-        mask = self._mask_for(parent_length)
-        return Prefix(self._network & mask, parent_length)
-
     def __str__(self) -> str:
         return f"{format_ipv4(self._network)}/{self._length}"
 

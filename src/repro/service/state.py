@@ -102,16 +102,11 @@ class MeasurementState:
         ring_size: int = 8,
         cleaning: Optional[CleaningConfig] = None,
         observer: Optional[Observer] = None,
-        weighter=None,
     ) -> None:
         if ring_size < 1:
             raise ServiceError("ring_size must be >= 1")
         self._site_codes = list(site_codes)
         self._estimate = estimate
-        # The round-end load join, replaceable so a daemon can route it
-        # through a ShardPool (same signature and bit-identical output
-        # as weight_catchment when the pool-backed join is used).
-        self._weighter = weighter if weighter is not None else weight_catchment
         self._cleaning = cleaning if cleaning is not None else CleaningConfig()
         self._observer = observer if observer is not None else NULL_OBSERVER
         self._accumulator = CatchmentAccumulator(self._site_codes, universe)
@@ -222,7 +217,7 @@ class MeasurementState:
             "service.round_end", round_id=self._round_id
         ) as span:
             snapshot = self._accumulator.snapshot()
-            load = self._weighter(
+            load = weight_catchment(
                 snapshot, self._estimate, hourly=True, observer=self._observer
             )
             self._window.push(load)

@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.maps import (
     atlas_grid,
     catchment_grid,
-    grid_site_summary,
     load_grid,
     render_ascii_map,
     server_load_grid,
@@ -91,8 +90,3 @@ class TestAsciiMap:
         )
         text = render_ascii_map(grid, site_symbols={"LAX": "l", "MIA": "m"})
         assert "l=LAX" in text
-
-    def test_summary(self, broot_tiny, broot_scan):
-        grid = catchment_grid(broot_scan.catchment, broot_tiny.internet.geodb)
-        summary = grid_site_summary(grid)
-        assert sum(summary.values()) > 0

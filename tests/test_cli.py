@@ -36,6 +36,21 @@ class TestParser:
             ))
             assert args.command == command
 
+    @pytest.mark.parametrize("command", ["scan", "serve"])
+    def test_only_the_fanout_commands_take_workers(self, command, capsys):
+        """``scan`` and ``serve`` run in-process; ``stability`` and
+        ``playbook`` are the commands that hold a pool."""
+        parser = build_parser()
+        with pytest.raises(SystemExit) as usage:
+            parser.parse_args([command, *TINY, "--workers", "1"])
+        assert usage.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        stability = parser.parse_args(
+            ["stability", *TINY, "--shards", "2", "--workers", "1"]
+        )
+        assert (stability.shards, stability.workers) == (2, 1)
+        assert parser.parse_args(["playbook", *TINY, "--workers", "1"]).workers == 1
+
 
 class TestCommands:
     def test_scan(self, capsys):

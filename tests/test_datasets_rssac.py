@@ -1,4 +1,4 @@
-"""Tests for scan serialisation, RSSAC reports, and prediction decay."""
+"""Tests for scan serialisation and RSSAC reports."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import io
 
 import pytest
 
-from repro.core.experiments import prediction_decay_study
 from repro.datasets import read_scan, write_scan
 from repro.errors import DatasetError
-from repro.load.estimator import LoadEstimate
 from repro.load.rssac import build_rssac_report
 
 
@@ -82,19 +80,3 @@ class TestRssacReport:
         assert "dns-udp-queries-received" in text
         assert "  - site: LAX" in text
 
-
-class TestPredictionDecay:
-    def test_decay_curve(self, broot_tiny, broot_verfploeter):
-        points = prediction_decay_study(
-            broot_verfploeter,
-            lambda era: broot_tiny.day_load(f"era-{era}", day_index=era),
-            eras=(0, 1, 2),
-        )
-        assert [point.era for point in points] == [0, 1, 2]
-        for point in points:
-            assert 0.0 <= point.max_error() <= 1.0
-        # The same-era prediction should not be the *worst* of the set
-        # (the paper: stale data degrades predictions).
-        errors = [point.max_error() for point in points]
-        assert errors[0] <= max(errors) + 1e-12
-        assert errors[0] == min(errors) or errors[0] < 0.12

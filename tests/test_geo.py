@@ -14,7 +14,6 @@ from repro.geo.regions import (
     COUNTRIES,
     Region,
     country_by_code,
-    countries_in_region,
 )
 
 
@@ -33,15 +32,6 @@ class TestRegions:
     def test_regions_valid(self):
         for country in COUNTRIES:
             assert country.region in Region.ALL
-
-    def test_countries_in_region(self):
-        europe = countries_in_region(Region.EUROPE)
-        assert country_by_code("DE") in europe
-        assert country_by_code("CN") not in europe
-
-    def test_unknown_region(self):
-        with pytest.raises(ConfigurationError):
-            countries_in_region("XX")
 
     def test_bounding_boxes_sane(self):
         for country in COUNTRIES:

@@ -95,32 +95,6 @@ class TestContainment:
         assert prefix.contains_address(prefix.broadcast)
 
 
-class TestSubnetting:
-    def test_subnets(self):
-        children = list(Prefix("10.0.0.0/8").subnets(10))
-        assert len(children) == 4
-        assert children[0] == Prefix("10.0.0.0/10")
-        assert children[-1] == Prefix("10.192.0.0/10")
-
-    def test_subnets_same_length(self):
-        assert list(Prefix("10.0.0.0/8").subnets(8)) == [Prefix("10.0.0.0/8")]
-
-    def test_subnets_shorter_rejected(self):
-        with pytest.raises(AddressError):
-            list(Prefix("10.0.0.0/8").subnets(7))
-
-    def test_supernet(self):
-        assert Prefix("10.128.0.0/9").supernet() == Prefix("10.0.0.0/8")
-
-    def test_supernet_of_default_rejected(self):
-        with pytest.raises(AddressError):
-            Prefix("0.0.0.0/0").supernet()
-
-    @given(aligned_prefixes().filter(lambda p: p.length > 0))
-    def test_supernet_contains_child(self, prefix):
-        assert prefix.supernet().contains_prefix(prefix)
-
-
 class TestOrderingAndHash:
     def test_sort_order(self):
         prefixes = [Prefix("10.0.0.0/16"), Prefix("10.0.0.0/8"), Prefix("9.0.0.0/8")]

@@ -75,23 +75,27 @@ class TestPoolReuse:
         store = TableStore(root=str(tmp_path))
         with ShardPool(workers=0, store=store) as pool:
             series = run_sharded_series(engine, rounds=2, shards=3, pool=pool)
-            load = sharded_weight_catchment(
-                series[-1].catchment, estimate, shards=2, pool=pool
-            )
+            load = sharded_weight_catchment(series[-1].catchment, estimate, pool)
         for merged, expected in zip(series, baseline):
             assert_scan_results_identical(merged, expected)
         assert_site_loads_identical(load, expected_load)
 
     def test_process_pool_reuse_bit_identical(self, tmp_path):
-        engine = _engine_for(17)
+        scenario = tangled_like(scale="tiny", seed=17)
+        engine = FastScanEngine(Verfploeter(scenario.internet, scenario.service))
+        estimate = LoadEstimate(scenario.day_load("pool-day"))
         baseline = engine.run_series(rounds=2, interval_seconds=900.0)
         store = TableStore(root=str(tmp_path))
         with ShardPool(workers=2, store=store) as pool:
             first = run_sharded_series(engine, rounds=2, shards=2, pool=pool)
             second = run_sharded_series(engine, rounds=2, shards=2, pool=pool)
+            load = sharded_weight_catchment(second[-1].catchment, estimate, pool)
         for series in (first, second):
             for merged, expected in zip(series, baseline):
                 assert_scan_results_identical(merged, expected)
+        assert_site_loads_identical(
+            load, weight_catchment(baseline[-1].catchment, estimate)
+        )
 
     def test_attach_cache_hits_on_reuse(self, tmp_path):
         engine = _engine_for(3)

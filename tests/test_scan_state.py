@@ -14,6 +14,7 @@ import math
 import sys
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.cli import main
 from repro.core.fastscan import FastScanEngine, round_draws
 from repro.core.playbook import PlaybookPlanner, enumerate_lattice
 from repro.core.pool import ShardPool
-from repro.core.sharding import assert_scan_results_identical, run_sharded_scan
+from repro.core.sharding import assert_scan_results_identical, run_sharded_series
 from repro.core.tables import TableStore
 from repro.core.verfploeter import Verfploeter
 from repro.obs import Observer
@@ -191,9 +192,14 @@ class TestInterleavedScans:
                         round_id, dataset_id="memo"
                     )
                 else:
-                    actual = run_sharded_scan(
-                        self.shared, routing, "memo", self.pool,
-                        round_id=round_id, shards=2,
+                    # The pooled series' last round, renamed and restarted
+                    # at time 0 as a lone scan of that round id is.
+                    series = run_sharded_series(
+                        self.shared.engine_for(routing), rounds=round_id + 1,
+                        shards=2, pool=self.pool,
+                    )
+                    actual = replace(
+                        series[-1], dataset_id="memo", start_time=0.0
                     )
                 assert_scan_results_identical(actual, recompute(which, round_id))
 

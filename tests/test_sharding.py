@@ -8,11 +8,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.anycast.catchment import ArrayCatchmentMap
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
+from repro.core.pool import ShardPool
 from repro.core.scenarios import tangled_like
 from repro.core.sharding import (
     ShardPlan,
+    _join_shard_worker,
     assert_buffers_equal,
     assert_scan_results_identical,
     assert_site_loads_identical,
@@ -20,11 +21,11 @@ from repro.core.sharding import (
     scan_payloads,
     sharded_weight_catchment,
 )
-from repro.core.tables import TableStore
+from repro.core.tables import TableStore, ensure_array
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import weight_catchment
+from repro.load.weighting import accumulate_site_load, weight_catchment
 from repro.probing.hitlist import Hitlist
 
 
@@ -117,7 +118,7 @@ class TestShardedSeriesEquivalence:
         from repro.core.sharding import _merge_round, _scan_shard_worker
 
         payloads = scan_payloads(
-            engine, TableStore(root=str(tmp_path)), plan.bounds, 0, 1
+            engine, TableStore(root=str(tmp_path)), plan.bounds, 1
         )
         shard_rounds = [_scan_shard_worker(payload)[0] for payload in payloads]
         merged = _merge_round(
@@ -139,24 +140,32 @@ class TestShardedSeriesEquivalence:
 
 
 class TestShardedWeighting:
-    @pytest.mark.parametrize("shards,workers", [(1, 0), (4, 0), (3, 2)])
-    def test_bit_identical_to_weight_catchment(self, shards, workers):
+    @pytest.mark.parametrize("shards", [1, 2, 7])
+    def test_bit_identical_to_weight_catchment(self, shards, tmp_path):
         scenario = tangled_like(scale="tiny", seed=3)
         verfploeter = Verfploeter(scenario.internet, scenario.service)
-        engine = FastScanEngine(verfploeter)
-        scan = engine.run_scan(round_id=0)
+        catchment = FastScanEngine(verfploeter).run_scan(round_id=0).catchment
         estimate = LoadEstimate(scenario.day_load("shard-day"))
-        expected = weight_catchment(scan.catchment, estimate)
-        actual = sharded_weight_catchment(
-            scan.catchment, estimate, shards=shards, workers=workers
+        store = TableStore(root=str(tmp_path))
+        fingerprints = [
+            ensure_array(store, column)
+            for column in (catchment.universe, catchment.site_index_array, estimate.blocks)
+        ]
+        parts = [
+            _join_shard_worker((store.root, catchment.site_codes, *fingerprints, start, stop))
+            for start, stop in ShardPlan.split(len(estimate), shards).bounds
+        ]
+        actual = accumulate_site_load(
+            catchment.site_codes, np.concatenate(parts), estimate, hourly=True
         )
-        assert_site_loads_identical(actual, expected)
+        assert_site_loads_identical(actual, weight_catchment(catchment, estimate))
 
-    def test_requires_array_catchment(self):
+    def test_requires_array_catchment(self, tmp_path):
         scenario = tangled_like(scale="tiny", seed=3)
         estimate = LoadEstimate(scenario.day_load("shard-day"))
-        with pytest.raises(ConfigurationError):
-            sharded_weight_catchment({"LAX": [1]}, estimate, workers=0)
+        with ShardPool(workers=0, store=TableStore(root=str(tmp_path))) as pool:
+            with pytest.raises(ConfigurationError):
+                sharded_weight_catchment({"LAX": [1]}, estimate, pool)
 
 
 class TestPickling:
@@ -193,7 +202,7 @@ class TestPickling:
             engine = FastScanEngine(verfploeter, routing)
             (payload,) = scan_payloads(
                 engine, TableStore(root=str(tmp_path)),
-                [(0, engine.state.rows)], 0, 96,
+                [(0, engine.state.rows)], 96,
             )
             pickled.append((pickle.dumps(payload), pickle.dumps(engine.routes)))
         (half_payload, half_routes), (full_payload, full_routes) = pickled
@@ -209,7 +218,7 @@ class TestPickling:
         engine = _engine_for(3)
         plan = ShardPlan.split(engine.state.rows, 3)
         payloads = scan_payloads(
-            engine, TableStore(root=str(tmp_path)), plan.bounds, 0, 4
+            engine, TableStore(root=str(tmp_path)), plan.bounds, 4
         )
         pops = len(engine.verfploeter.internet.pops)
         assert pops + 1 < engine.state.rows

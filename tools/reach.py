@@ -1,9 +1,10 @@
 """Reach audit: which of ``src/repro`` does an operator path actually run?
 
 Runs ``MATRIX`` (each CLI subcommand, each option family that selects another code
-path) and every ``examples/`` script in-process at ``tiny`` under ``sys.setprofile``
-+ ``threading.setprofile``; prints per package: lines, function-body lines, those
-of functions that ran / of declared / of orphan modules.  ``--check`` exits 1 on an
+path), every ``examples/`` script and ``tools/serve_smoke.py`` (the daemon's HTTP
+handlers) in-process at ``tiny`` under ``sys.setprofile`` + ``threading.setprofile``;
+prints per package: lines, function-body lines, those of functions that ran / of
+declared / of orphan modules.  ``--check`` exits 1 on an
 orphan (a module outside ``lint/`` that ran nothing and is not in ``NOT_OPERATOR``)
 and on a declared module that ran or is gone; ``--matrix`` lists the runs.
 """
@@ -30,24 +31,24 @@ NOT_OPERATOR = {
     "bgp.updates": "oracle: message-level BGP convergence that pins compute_routes",
     "topology.validate": "oracle: structural checks tests and benchmarks/e2e run on an Internet",
     "bgp.ribdump": "library: the §4 Route Views stage (RIB and AS-path dumps)",
-    "errors": "types: the ReproError hierarchy",
     "bgp.route": "types: the Route value type",
     "topology.prefixes": "types: the AnnouncedPrefix value type",
 }
 
 #: Run as ``repro <line> --scale tiny``, ``TMP`` replaced by a scratch directory.
 MATRIX = [
-    "scan --rtt --map --output TMP/s.tsv", "scan --shards 2 --workers 0", "scan --workers 1",
-    "sweep", "sweep --scenario nl", "coverage", "loadmap --scenario nl", "failure", "suggest",
+    "scan --rtt --map --output TMP/s.tsv", "sweep", "sweep --scenario nl", "coverage",
+    "loadmap --scenario nl", "failure", "suggest",
     "stability --rounds 4 --metrics-out TMP/m.json --trace-out TMP/t.json --profile", "report",
     "stability --rounds 3 --shards 2 --workers 0", "stability --rounds 3 --workers 1",
     "playbook --scenario tangled --out TMP/p.json", "playbook --scenario cdn --workers 0",
-    "serve --rounds 2", "serve --rounds 2 --workers 0", "paper --rounds 4 --outdir TMP/paper",
+    "serve --rounds 2", "paper --rounds 4 --outdir TMP/paper",
 ]
 
 
 def operator_reach() -> set:
-    """``(file, co_firstlineno)`` of each function the matrix and the examples run."""
+    """``(file, co_firstlineno)`` of each function the matrix, the examples and the
+    serve smoke run."""
     from repro.cli import main as repro
     ran = set()
 
@@ -64,6 +65,11 @@ def operator_reach() -> set:
         for script in sorted(ROOT.glob("examples/*.py")):
             sys.argv = [str(script)]  # the examples read their own argv, not this tool's
             runpy.run_path(str(script), run_name="__main__")
+        try:
+            runpy.run_path(str(ROOT / "tools" / "serve_smoke.py"), run_name="__main__")
+        except SystemExit as done:  # the smoke's own exit status
+            if done.code != 0:
+                sys.exit("reach: tools/serve_smoke.py failed")
     sys.setprofile(None)
     return ran
 
