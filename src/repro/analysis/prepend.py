@@ -9,7 +9,7 @@ import numpy as np
 from repro.analysis.report import render_table
 from repro.analysis.results import PrependMeasurement
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import UNKNOWN, weight_catchment
+from repro.load.weighting import UNKNOWN, weight_catchments
 
 
 def prepend_rows(
@@ -48,16 +48,16 @@ def hourly_load_by_config(
 
     Combines each prepending configuration's measured catchment with the
     historical per-block load, exactly as the paper does with SBV-4-21
-    catchments and LB-4-12 DITL load.
+    catchments and LB-4-12 DITL load: every config in one traffic join.
     """
-    result: Dict[str, Dict[str, np.ndarray]] = {}
-    for entry in measurements:
-        site_load = weight_catchment(entry.scan.catchment, estimate, hourly=True)
-        series: Dict[str, np.ndarray] = {}
-        for site in (*entry.scan.catchment.site_codes, UNKNOWN):
-            series[site] = site_load.hourly_of(site) / 3600.0
-        result[entry.label] = series
-    return result
+    loads = weight_catchments([entry.catchment for entry in measurements], estimate)
+    return {
+        entry.label: {
+            site: load.hourly_of(site) / 3600.0
+            for site in (*entry.catchment.site_codes, UNKNOWN)
+        }
+        for entry, load in zip(measurements, loads)
+    }
 
 
 def format_hourly_load_table(

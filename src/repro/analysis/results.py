@@ -27,7 +27,7 @@ class PrependMeasurement:
     policy: AnnouncementPolicy
     atlas_fractions: Dict[str, float]
     verfploeter_fractions: Dict[str, float]
-    scan: ScanResult
+    catchment: CatchmentMap
 
     def atlas_fraction_of(self, site_code: str) -> float:
         """Share of Atlas VPs at ``site_code``."""

@@ -8,19 +8,22 @@ objects by *content* — the internet's identity, the policy's complete
 announcement tuple, the :class:`RoutingConfig` and the flip model — so
 a repeated scenario is a dictionary hit rather than a propagation.
 
-On a single-policy miss the cache prefers an **incremental** compute:
-if any cached outcome shares the same internet object, config and flip
-model, it is used as a :class:`~repro.bgp.delta.DeltaPropagator`
-baseline and only the affected route selections are rebuilt.  Delta
+:meth:`RoutingCache.get_or_compute_many` is how every what-if routes —
+a playbook lattice, a prepend sweep, a site-failure study, a site
+addition: the batch's misses propagate together as one array program
+(:func:`~repro.bgp.propagation.compute_lattice`).
+
+:meth:`RoutingCache.get_or_compute` serves one policy.  A cold miss
+propagates in full; a miss with a cached outcome over the same internet
+object, config and flip model propagates **incrementally**, with that
+outcome as a :class:`~repro.bgp.delta.DeltaPropagator` baseline.  Delta
 reuse requires object identity on the internet (``is``), not just an
 equal fingerprint: the delta engine splices baseline selection objects,
 which is only sound against the very topology they were built from.
 A baseline that came from the array propagation first runs the scalar
 reference once to get the selections and working maps delta splices.
-
-:meth:`RoutingCache.get_or_compute_many` serves a whole batch — a
-playbook lattice — instead: its misses propagate together as one array
-program (:func:`~repro.bgp.propagation.compute_lattice`).
+No subcommand takes the delta path any more (a stability series makes
+one cold lookup); it stays for the operator benchmark's traced probe.
 """
 
 from __future__ import annotations
@@ -113,8 +116,8 @@ class _Entry:
 
 
 class RoutingCache:
-    """LRU cache of routing outcomes: delta-based single misses, array
-    propagation for batches."""
+    """LRU cache of routing outcomes: array propagation for batches,
+    delta-based warm single misses."""
 
     def __init__(
         self, maxsize: int = 64, observer: Optional[Observer] = None

@@ -181,8 +181,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # byte-identical in their hit/miss counters (the process-wide
     # default cache would serve the second invocation from memory).
     cache = RoutingCache(observer=observer)
-    site = args.site or scenario.service.site_codes[0]
     if args.scenario != "broot":
+        site = args.site or scenario.service.site_codes[0]
         configs = [("equal", {})] + [
             (f"+{n} {site}", {site: n}) for n in range(1, 4)
         ]
@@ -190,8 +190,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             verfploeter, scenario.atlas, configs=configs, cache=cache
         )
     else:
+        # B-Root sweeps the paper's fixed configs and tracks --site.
+        site = scenario.service.site(args.site or "LAX").code
         sweep = prepend_sweep(verfploeter, scenario.atlas, cache=cache)
-        site = "LAX"
     print(format_prepend_table(sweep, site))
     _emit_observability(args, observer, scenario)
     return 0

@@ -1,18 +1,21 @@
-"""Experiment drivers: prepending sweeps and 24-hour stability series.
+"""Experiment drivers: prepending sweeps, site-failure studies and
+24-hour stability series.
 
-All drivers evaluate routing through a :class:`RoutingCache`: the first
-configuration propagates in full, every later one is an incremental
-delta against it, and repeated configurations are dictionary hits.
-Results are bit-identical to scratch propagation either way.  Every
-scan runs on the deployment's columnar engine
-(:meth:`Verfploeter.engine_for`).
+All drivers resolve routing through a :class:`RoutingCache`.  A sweep
+and a failure study are what-if lattices, like the playbook planner's:
+their configs route as one batch
+(:meth:`RoutingCache.get_or_compute_many`) and scan as one lattice
+(:func:`~repro.core.fastscan.scan_lattice`), each config at its own
+round id.  A stability series is one routing state over many rounds on
+the deployment's columnar engine (:meth:`Verfploeter.engine_for`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.anycast.catchment import CatchmentMap
 from repro.atlas.platform import AtlasPlatform
 from repro.bgp.cache import RoutingCache, default_routing_cache
 from repro.bgp.policy import AnnouncementPolicy
@@ -22,14 +25,10 @@ from repro.analysis.results import (
     StabilitySeries,
     build_stability_series,
 )
-from repro.collector.results import ScanResult
+from repro.core.fastscan import scan_lattice
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import (
-    UNKNOWN,
-    capacity_violations,
-    weight_catchment,
-)
+from repro.load.weighting import UNKNOWN, capacity_violations, weight_catchments
 
 #: The paper's Figure 5/6 x-axis for B-Root.
 BROOT_PREPEND_CONFIGS: Tuple[Tuple[str, Mapping[str, int]], ...] = (
@@ -50,44 +49,28 @@ def prepend_sweep(
     """Measure each prepending configuration with Atlas and Verfploeter.
 
     The paper measures each configuration on a different day against a
-    test prefix (§6.1); we measure each under its own routing state.
-    Routing states come from ``cache``: the equal-announcement baseline
-    is seeded first and each prepend variant propagates as a delta
-    against it.
+    test prefix (§6.1); we measure each under its own routing state, at
+    the config's index as round and Atlas measurement id.  The configs
+    route as one batch through ``cache`` and scan as one lattice.
     """
     service = verfploeter.service
-    internet = verfploeter.internet
-    observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()
-    with observer.tracer.span(
-        "experiment.prepend_sweep", configs=len(configs)
-    ):
-        # Seed the unprepended baseline first so every variant finds a
-        # delta baseline instead of propagating from scratch.
-        routing_cache.get_or_compute(internet, service.default_policy())
-
-        def measure_config(index: int) -> PrependMeasurement:
-            label, prepends = configs[index]
-            with observer.tracer.span("prepend.config", label=label):
-                policy = service.policy(prepends=prepends)
-                routing = routing_cache.get_or_compute(internet, policy)
-                scan = verfploeter.run_scan(
-                    routing=routing,
-                    round_id=index,
-                    dataset_id=f"prepend-{label.replace(' ', '')}",
-                )
-                atlas_measurement = atlas.measure(
-                    routing, service, measurement_id=index
-                )
-            return PrependMeasurement(
+    with verfploeter.observer.tracer.span("experiment.prepend_sweep", configs=len(configs)):
+        policies = [service.policy(prepends=prepends) for _, prepends in configs]
+        routings = routing_cache.get_or_compute_many(verfploeter.internet, policies)
+        catchments = scan_lattice(verfploeter, routings, range(len(configs)))
+        return [
+            PrependMeasurement(
                 label=label,
                 policy=policy,
-                atlas_fractions=atlas_measurement.fractions(),
-                verfploeter_fractions=scan.catchment.fractions(),
-                scan=scan,
+                atlas_fractions=atlas.measure(routing, service, measurement_id=index).fractions(),
+                verfploeter_fractions=catchment.fractions(),
+                catchment=catchment,
             )
-
-        return [measure_config(index) for index in range(len(configs))]
+            for index, ((label, _), policy, routing, catchment) in enumerate(
+                zip(configs, policies, routings, catchments)
+            )
+        ]
 
 
 def run_stability_series(
@@ -152,9 +135,9 @@ class SiteFailureResult:
     withdrawn_site: str
     baseline: Dict[str, float]
     after: Dict[str, float]
-    scan: ScanResult
-    peak_baseline: Dict[str, float] = field(default_factory=dict)
-    peak_after: Dict[str, float] = field(default_factory=dict)
+    catchment: CatchmentMap
+    peak_baseline: Dict[str, float]
+    peak_after: Dict[str, float]
 
     def overloaded_sites(self, capacities: Mapping[str, float]) -> List[str]:
         """Survivors pushed past capacity by this withdrawal.
@@ -212,60 +195,24 @@ def site_failure_study(
 
     For every site: announce the service without it, measure the new
     catchment with Verfploeter, weight by historical load, and compare
-    per-site daily load against the all-sites baseline.  Each
-    withdrawal's routing is a delta against the all-sites baseline.
+    per-site daily load against the all-sites baseline.  The baseline
+    and every withdrawal route as one batch through ``cache``, scan as
+    one lattice (the baseline at round 0, the ``i``-th withdrawal at
+    round ``100 + i``) and weigh in one traffic join.
     """
     service = verfploeter.service
-    internet = verfploeter.internet
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()
+    study_sites = list(sites or service.site_codes)
     with observer.tracer.span("experiment.site_failure"):
-        baseline_routing = routing_cache.get_or_compute(
-            internet, service.default_policy()
-        )
-        baseline_scan = verfploeter.run_scan(
-            routing=baseline_routing, dataset_id="failure-baseline"
-        )
-        baseline_load = weight_catchment(
-            baseline_scan.catchment, estimate, observer=observer
-        )
-        baseline = {
-            code: baseline_load.daily_of(code)
-            for code in (*service.site_codes, UNKNOWN)
-        }
-        peak_baseline = {
-            code: baseline_load.peak_of(code) for code in service.site_codes
-        }
-        study_sites = list(sites or service.site_codes)
-
-        def withdraw_site(index: int) -> SiteFailureResult:
-            site_code = study_sites[index]
-            with observer.tracer.span("failure.withdrawal", site=site_code):
-                policy = service.policy(withdrawn=[site_code])
-                routing = routing_cache.get_or_compute(internet, policy)
-                scan = verfploeter.run_scan(
-                    routing=routing,
-                    round_id=100 + index,
-                    dataset_id=f"failure-{site_code}",
-                )
-                after_load = weight_catchment(
-                    scan.catchment, estimate, observer=observer
-                )
-            after = {
-                code: after_load.daily_of(code)
-                for code in (*service.site_codes, UNKNOWN)
-            }
-            peak_after = {
-                code: after_load.peak_of(code)
-                for code in service.site_codes
-            }
-            return SiteFailureResult(
-                withdrawn_site=site_code,
-                baseline=baseline,
-                after=after,
-                scan=scan,
-                peak_baseline=peak_baseline,
-                peak_after=peak_after,
-            )
-
-        return [withdraw_site(index) for index in range(len(study_sites))]
+        policies = [service.default_policy()] + [
+            service.policy(withdrawn=[code]) for code in study_sites
+        ]
+        routings = routing_cache.get_or_compute_many(verfploeter.internet, policies)
+        catchments = scan_lattice(verfploeter, routings, [0, *range(100, 100 + len(study_sites))])
+        loads = weight_catchments(catchments, estimate, observer=observer)
+    (baseline, peak_baseline), *tables = [load.tables(service.site_codes) for load in loads]
+    return [
+        SiteFailureResult(code, baseline, after, catchment, peak_baseline, peak_after)
+        for code, catchment, (after, peak_after) in zip(study_sites, catchments[1:], tables)
+    ]

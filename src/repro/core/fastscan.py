@@ -30,14 +30,16 @@ leading shape.  Two evaluators call it, chosen by what the caller holds:
 * :func:`evaluate_round` cleans one routing state's own (n,) column.
   A stability series draws a new round per call, so this is its path.
 * :func:`evaluate_lattice` serves many routing states at one round id
-  (the playbook planner's lattice).  Within a round a row's cleaned
+  (each round-id group of :func:`scan_lattice`: a playbook lattice, a
+  prepend sweep, a site-failure study).  Within a round a row's cleaned
   outcome depends only on (row, site), so it cleans once on the
   *outcome grid* — every row at every service site plus "unrouted",
   (sites + 1, n) — and each config then costs its site selection and
   three gathers (kept, late, duplicates) from the grid.  A series gains
   nothing from the grid: it would clean (sites + 1)x the rows per round.
   Nor does a lattice of at most sites + 1 configs (a playbook's
-  baseline, a depth-1 search): those clean each config's own column.
+  baseline, a depth-1 search, a sweep's one config per round id):
+  those clean each config's own column.
 
 Every stochastic draw depends only on ``(seed, salt, block, round)``,
 and probe send offsets are recovered per shard through the inverse of
@@ -686,26 +688,39 @@ def record_round(observer: Observer, stats: ScanStats, catchment: ArrayCatchment
 
 
 def scan_lattice(
-    verfploeter: Verfploeter, routings: Sequence[RoutingOutcome]
+    verfploeter: Verfploeter,
+    routings: Sequence[RoutingOutcome],
+    round_ids: Optional[Sequence[int]] = None,
 ) -> List[ArrayCatchmentMap]:
-    """The catchment of every routing state at round 0, evaluated
-    in-process as one lattice (:func:`evaluate_lattice`).
+    """The catchment of every routing state, each at its round id
+    (default 0), evaluated in-process as one lattice.
 
-    Each catchment equals ``verfploeter.run_scan(routing=...).catchment``,
-    and every routing state is counted as that scan would count it.
+    Configs sharing a round id form one :func:`evaluate_lattice` group,
+    in order of first appearance.  Each catchment equals
+    ``verfploeter.run_scan(routing=..., round_id=...).catchment``, and
+    every routing state is counted as that scan would count it.
     """
     observer = verfploeter.observer
     state = verfploeter.round_state()
+    if round_ids is None:
+        round_ids = [0] * len(routings)
     with observer.tracer.span("fastscan.precompute", configs=len(routings)):
         routes_seq = route_columns(verfploeter, routings)
+    groups: Dict[int, List[int]] = {}
+    for index, round_id in enumerate(round_ids):
+        groups.setdefault(round_id, []).append(index)
+    rounds: Dict[int, ConfigRound] = {}
     with observer.tracer.span(
         "fastscan.lattice", configs=len(routes_seq), blocks=state.rows
     ):
-        draws, hit = round_draws(state, 0)
-        rounds = evaluate_lattice(state, routes_seq, draws)
-    count_draws(observer, hit, len(routes_seq))
+        for round_id, members in groups.items():
+            draws, hit = round_draws(state, round_id)
+            group = [routes_seq[index] for index in members]
+            rounds.update(zip(members, evaluate_lattice(state, group, draws)))
+            count_draws(observer, hit, len(members))
     catchments = []
-    for routes, (sites, stats) in zip(routes_seq, rounds):
+    for index, routes in enumerate(routes_seq):
+        sites, stats = rounds[index]
         catchment = ArrayCatchmentMap(routes.site_codes, state.blocks, sites, validate=False)
         record_round(observer, stats, catchment)
         catchments.append(catchment)

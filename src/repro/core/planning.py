@@ -95,9 +95,9 @@ def evaluate_site_addition(
     Announces the enlarged deployment on ``test_prefix`` (never touching
     the production service, per paper §3.1) and scans both the baseline
     and the trial configuration.  Both routing states resolve through
-    ``cache``: the test-prefix clone announces exactly what production
-    does, so its baseline is typically already cached, and the trial
-    propagates as a site-addition delta against it.
+    ``cache`` in one batch: the test-prefix clone announces exactly what
+    production does, so its baseline is typically already cached, and
+    the misses propagate together as one array program.
     """
     test_prefix = test_prefix if test_prefix is not None else Prefix("192.88.99.0/24")
     routing_cache = cache if cache is not None else default_routing_cache()
@@ -125,19 +125,14 @@ def evaluate_site_addition(
         [*service.sites, new_site],
     )
 
-    baseline_vp = Verfploeter(scenario.internet, baseline_service)
-    baseline_routing = routing_cache.get_or_compute(
-        scenario.internet, baseline_service.default_policy()
+    baseline_routing, trial_routing = routing_cache.get_or_compute_many(
+        scenario.internet,
+        [baseline_service.default_policy(), trial_service.default_policy()],
     )
-    trial_vp = Verfploeter(scenario.internet, trial_service)
-    trial_routing = routing_cache.get_or_compute(
-        scenario.internet, trial_service.default_policy()
-    )
-
-    baseline = baseline_vp.run_scan(
+    baseline = Verfploeter(scenario.internet, baseline_service).run_scan(
         routing=baseline_routing, dataset_id="addition-baseline"
     )
-    trial = trial_vp.run_scan(
+    trial = Verfploeter(scenario.internet, trial_service).run_scan(
         routing=trial_routing, dataset_id=f"addition-{site_code}"
     )
 

@@ -52,12 +52,7 @@ from repro.core.fastscan import scan_lattice
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import (
-    UNKNOWN,
-    SiteLoad,
-    capacity_violations,
-    weight_catchments,
-)
+from repro.load.weighting import SiteLoad, capacity_violations, weight_catchments
 from repro.traffic.attack import AttackProfile
 
 
@@ -329,10 +324,8 @@ class PlaybookPlanner:
         """The catchment of every policy (``keys`` are their fingerprints).
 
         Memo hits are returned as they are; the misses route through the
-        cache — a lone one as its single-policy call (a delta from a
-        cached baseline), several in one lattice call — and scan as one
-        lattice: in-process, or as one ``pool.map`` over ``pool``'s
-        shards.  The memo write is idempotent (deterministic values), so
+        cache in one lattice call and scan as one lattice: in-process, or
+        as one ``pool.map`` over ``pool``'s shards.  The memo write is idempotent (deterministic values), so
         concurrent misses for the same policy are safe.
         """
         with self._memo_lock:
@@ -349,11 +342,9 @@ class PlaybookPlanner:
             metrics.counter("playbook.catchment_memo.hits").inc(hits)
         if missing:
             metrics.counter("playbook.catchment_memo.misses").inc(len(missing))
-            internet = self.verfploeter.internet
-            if len(missing) == 1:
-                routings = [self.cache.get_or_compute(internet, *missing.values())]
-            else:
-                routings = self.cache.get_or_compute_many(internet, list(missing.values()))
+            routings = self.cache.get_or_compute_many(
+                self.verfploeter.internet, list(missing.values())
+            )
             if pool is not None:
                 from repro.core.sharding import sharded_lattice
 
@@ -373,11 +364,7 @@ class PlaybookPlanner:
     ) -> ConfigOutcome:
         """Check one config's loads against the pinned capacity semantics."""
         service = self.verfploeter.service
-        daily = {
-            code: load.daily_of(code)
-            for code in (*service.site_codes, UNKNOWN)
-        }
-        peaks = {code: load.peak_of(code) for code in service.site_codes}
+        daily, peaks = load.tables(service.site_codes)
         announcing = [
             code
             for code in service.site_codes

@@ -542,7 +542,7 @@ def sharded_weight_catchment(
         payload_bytes = _payload_bytes(join_payloads)
         index_parts = pool.map(_join_shard_worker, join_payloads, observer=observer)
         load = accumulate_site_load(
-            catchment.site_codes, np.concatenate(index_parts), estimate, hourly=True
+            catchment.site_codes, np.concatenate(index_parts), estimate
         )
         span.set(join_rows=len(estimate), payload_bytes=payload_bytes)
     metrics = observer.metrics

@@ -131,8 +131,9 @@ class Verfploeter:
         """The columnar engine for ``routing``, memoised in a single slot.
 
         Keyed by the identity of the routing outcome: a series pays one
-        precompute, a sweep over routing states one set of per-PoP route
-        columns each (the block columns are :meth:`round_state`'s).  The
+        precompute (the block columns are :meth:`round_state`'s).
+        What-if lattices skip the slot: :func:`~repro.core.fastscan.scan_lattice`
+        builds all their route columns in one stacked pick.  The
         slot is assigned only after construction, so concurrent callers
         at worst build an engine each — never observe one bound to
         another routing.  Imported lazily because

@@ -18,7 +18,7 @@ bit-identical to the dict-backed reference loop.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,16 @@ class SiteLoad:
     def peaks(self) -> Dict[str, float]:
         """Peak hourly load per site (``UNK`` excluded)."""
         return {code: self.peak_of(code) for code in self.site_codes}
+
+    def tables(
+        self, site_codes: Sequence[str]
+    ) -> Tuple[Dict[str, float], Dict[str, float]]:
+        """(daily load of each of ``site_codes`` and ``UNK``, peak hourly
+        load of each of ``site_codes``); a site this load never saw reads
+        0.0.  The site-failure study and the playbook planner tabulate
+        every config this way."""
+        daily = {code: self.daily_of(code) for code in (*site_codes, UNKNOWN)}
+        return daily, {code: self.peak_of(code) for code in site_codes}
 
     def total(self, include_unknown: bool = True) -> float:
         """Total daily load."""
@@ -156,11 +166,7 @@ def capacity_violations(
     ]
 
 
-def _weight_reference(
-    catchment: CatchmentMap,
-    estimate: LoadEstimate,
-    hourly: bool,
-) -> SiteLoad:
+def _weight_reference(catchment: CatchmentMap, estimate: LoadEstimate) -> SiteLoad:
     """Dict-backed per-block accumulation (small-scale reference path)."""
     site_codes = catchment.site_codes
     daily: Dict[str, float] = {code: 0.0 for code in site_codes}
@@ -174,9 +180,8 @@ def _weight_reference(
         site: Optional[str] = catchment.site_of(int(block))
         bucket = site if site is not None else UNKNOWN
         daily[bucket] = daily.get(bucket, 0.0) + float(daily_values[row])
-        if hourly:
-            hourly_acc.setdefault(bucket, np.zeros(HOURS))
-            hourly_acc[bucket] += estimate.hourly_of_block(int(block))
+        hourly_acc.setdefault(bucket, np.zeros(HOURS))
+        hourly_acc[bucket] += estimate.hourly_of_block(int(block))
     return SiteLoad(site_codes, daily, hourly_acc)
 
 
@@ -184,14 +189,13 @@ def accumulate_site_load(
     site_codes: List[str],
     site_indices: np.ndarray,
     estimate: LoadEstimate,
-    hourly: bool,
 ) -> SiteLoad:
     """Sum ``estimate``'s rows into per-site buckets (``-1`` = ``UNK``).
 
     ``site_indices`` holds one site index per traffic row, as
     :meth:`ArrayCatchmentMap.site_indices_of` returns it.  ``bincount``
-    processes input rows in order, so each per-bucket (and, hourly,
-    per-hour) accumulator sees the identical sequence of float64
+    processes input rows in order, so each per-bucket (and per-hour)
+    accumulator sees the identical sequence of float64
     additions as the reference loop — the results are bit-equal, not
     just close.  The sharded join passes its worker-joined indices here
     too, so the parent owns every float addition.
@@ -204,17 +208,14 @@ def accumulate_site_load(
     )
     daily = {code: float(daily_sums[i]) for i, code in enumerate(site_codes)}
     daily[UNKNOWN] = float(daily_sums[unknown_bucket])
-    if hourly:
-        # One pass over (row, hour) keys in row-major order: each
-        # (bucket, hour) bin still adds its rows in row order.
-        keys = (buckets * HOURS)[:, None] + np.arange(HOURS)
-        hourly_sums = np.bincount(
-            keys.ravel(),
-            weights=estimate.hourly_matrix().ravel(),
-            minlength=(unknown_bucket + 1) * HOURS,
-        ).reshape(unknown_bucket + 1, HOURS)
-    else:
-        hourly_sums = np.zeros((unknown_bucket + 1, HOURS))
+    # One pass over (row, hour) keys in row-major order: each
+    # (bucket, hour) bin still adds its rows in row order.
+    keys = (buckets * HOURS)[:, None] + np.arange(HOURS)
+    hourly_sums = np.bincount(
+        keys.ravel(),
+        weights=estimate.hourly_matrix().ravel(),
+        minlength=(unknown_bucket + 1) * HOURS,
+    ).reshape(unknown_bucket + 1, HOURS)
     hourly_acc = {code: hourly_sums[i] for i, code in enumerate(site_codes)}
     hourly_acc[UNKNOWN] = hourly_sums[unknown_bucket]
     return SiteLoad(site_codes, daily, hourly_acc)
@@ -223,7 +224,6 @@ def accumulate_site_load(
 def weight_catchments(
     catchments: Sequence[CatchmentMap],
     estimate: LoadEstimate,
-    hourly: bool = True,
     observer: Optional[Observer] = None,
 ) -> List[SiteLoad]:
     """Attribute every traffic-sending block's load to its mapped site,
@@ -245,14 +245,14 @@ def weight_catchments(
         loads = []
         for catchment in catchments:
             if not isinstance(catchment, ArrayCatchmentMap):
-                loads.append(_weight_reference(catchment, estimate, hourly))
+                loads.append(_weight_reference(catchment, estimate))
                 continue
             rows = joins.get(id(catchment.universe))
             if rows is None:
                 rows = joins[id(catchment.universe)] = catchment.join(estimate.blocks)
             loads.append(
                 accumulate_site_load(
-                    catchment.site_codes, catchment.site_indices_at(rows), estimate, hourly
+                    catchment.site_codes, catchment.site_indices_at(rows), estimate
                 )
             )
         span.set(join_rows=len(estimate))
@@ -265,9 +265,8 @@ def weight_catchments(
 def weight_catchment(
     catchment: CatchmentMap,
     estimate: LoadEstimate,
-    hourly: bool = True,
     observer: Optional[Observer] = None,
 ) -> SiteLoad:
     """Attribute every traffic-sending block's load to its mapped site
     (:func:`weight_catchments` of one catchment)."""
-    return weight_catchments([catchment], estimate, hourly, observer)[0]
+    return weight_catchments([catchment], estimate, observer)[0]

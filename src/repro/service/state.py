@@ -217,9 +217,7 @@ class MeasurementState:
             "service.round_end", round_id=self._round_id
         ) as span:
             snapshot = self._accumulator.snapshot()
-            load = weight_catchment(
-                snapshot, self._estimate, hourly=True, observer=self._observer
-            )
+            load = weight_catchment(snapshot, self._estimate, observer=self._observer)
             self._window.push(load)
             aggregate = self._window.aggregate()
             record = RoundRecord(

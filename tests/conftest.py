@@ -102,6 +102,22 @@ def broot_scan(broot_verfploeter, broot_routing):
     return broot_verfploeter.run_scan(routing=broot_routing, dataset_id="SBV-test")
 
 
+def scan_each(verfploeter, routings, round_ids=None):
+    """``scan_lattice``'s per-config twin: one ``run_scan`` per routing
+    state at its round id (default 0), catchments in input order."""
+    round_ids = [0] * len(routings) if round_ids is None else round_ids
+    return [
+        verfploeter.run_scan(routing=routing, round_id=round_id).catchment
+        for routing, round_id in zip(routings, round_ids)
+    ]
+
+
+@pytest.fixture
+def per_config_scans():
+    """:func:`scan_each`, the oracle a lattice scan is held to."""
+    return scan_each
+
+
 @pytest.fixture
 def wire_oracle():
     """``with wire_oracle():`` forces every scan through the wire path.
@@ -109,8 +125,11 @@ def wire_oracle():
     ``Verfploeter.run_scan`` runs on the columnar engine unless asked
     for the packet-level oracle, and the drivers above it offer no
     switch — so the equivalence suites patch the dispatch itself to
-    compare a whole driver against its wire-level twin.
+    compare a whole driver against its wire-level twin.  Lattice
+    drivers (sweep, failure study, planner) scan config by config
+    through that patched dispatch instead of :func:`scan_lattice`.
     """
+    from repro.core import experiments, playbook
 
     @contextmanager
     def forced():
@@ -122,6 +141,8 @@ def wire_oracle():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Verfploeter, "run_scan", wire_scan)
+            for module in (experiments, playbook):
+                patch.setattr(module, "scan_lattice", scan_each)
             yield
 
     return forced

@@ -239,8 +239,11 @@ class TestSweepIntegration:
         cache = RoutingCache()
         verfploeter = Verfploeter(broot.internet, broot.service)
         prepend_sweep(verfploeter, broot.atlas, cache=cache)
-        # One full propagation (the seeded baseline), one hit (the
-        # "equal" configuration is that baseline), deltas for the rest.
-        assert cache.stats.full_computes == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.delta_computes == len(BROOT_PREPEND_CONFIGS) - 1
+        # Every config propagates in the one batch; none is a delta.
+        assert cache.stats.full_computes == len(BROOT_PREPEND_CONFIGS)
+        assert cache.stats.hits == 0
+        assert cache.stats.delta_computes == 0
+        # The same sweep again is served from the cache.
+        prepend_sweep(verfploeter, broot.atlas, cache=cache)
+        assert cache.stats.hits == len(BROOT_PREPEND_CONFIGS)
+        assert cache.stats.full_computes == len(BROOT_PREPEND_CONFIGS)

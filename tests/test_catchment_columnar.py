@@ -223,12 +223,11 @@ class TestWeightCatchmentEquivalence:
         return reference, columnar
 
     @pytest.mark.parametrize("kind", sorted(LoadKind.ALL))
-    @pytest.mark.parametrize("hourly", [True, False])
-    def test_bit_identical_site_load(self, catchments, broot_tiny, kind, hourly):
+    def test_bit_identical_site_load(self, catchments, broot_tiny, kind):
         reference_map, columnar_map = catchments
         estimate = LoadEstimate(broot_tiny.day_load("2017-04-12"), kind=kind)
-        expected = weight_catchment(reference_map, estimate, hourly=hourly)
-        actual = weight_catchment(columnar_map, estimate, hourly=hourly)
+        expected = weight_catchment(reference_map, estimate)
+        actual = weight_catchment(columnar_map, estimate)
         for code in (*reference_map.site_codes, UNKNOWN):
             assert actual.daily_of(code) == expected.daily_of(code)
             assert np.array_equal(actual.hourly_of(code), expected.hourly_of(code))

@@ -97,6 +97,24 @@ class TestCommands:
         ) == 0
         assert "Figure 5" in capsys.readouterr().out
 
+    def test_sweep_broot_tracks_the_site(self, capsys):
+        """On B-Root ``--site`` picks the tracked column (default LAX)."""
+        assert main(["sweep", *TINY]) == 0
+        assert "Atlas VPs to LAX" in capsys.readouterr().out
+        assert main(["sweep", *TINY, "--site", "MIA"]) == 0
+        output = capsys.readouterr().out
+        assert "Atlas VPs to MIA" in output
+        assert "LAX" in output  # the paper's configs still run
+
+    @pytest.mark.parametrize("scenario", ["broot", "tangled"])
+    def test_sweep_rejects_an_unknown_site(self, scenario, capsys):
+        argv = ["sweep", "--scenario", scenario, "--scale", "tiny", "--site", "XYZ"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("repro: error: ")
+        assert "XYZ" in captured.err
+
     def test_seed_override_changes_topology(self, capsys):
         main(["scan", *TINY, "--seed", "1"])
         first = capsys.readouterr().out
@@ -188,6 +206,24 @@ class TestObservability:
             return metrics_out.read_bytes(), trace_out.read_bytes()
 
         assert run("first") == run("second")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", *TINY],
+            ["failure", *TANGLED_TINY],
+            ["stability", *TINY, "--rounds", "2"],
+            ["playbook", *TANGLED_TINY, "--depth", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_subcommand_routes_by_delta(self, argv, tmp_path, capsys):
+        """What-ifs route as one lattice batch, a series by one lookup."""
+        out = tmp_path / "m.json"
+        assert main([*argv, "--metrics-out", str(out)]) == 0
+        counters = json.loads(out.read_text())["counters"]
+        assert "routing.cache.delta_computes" not in counters
+        assert counters["routing.cache.full_computes"] >= 1
 
     def test_profile_flag_prints_report(self, capsys):
         assert main(["scan", *TINY, "--profile"]) == 0

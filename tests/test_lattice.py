@@ -21,6 +21,7 @@ from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
 from repro.bgp.cache import RoutingCache
 from repro.bgp.propagation import RoutingConfig, compute_lattice, compute_routes
 from repro.bgp.sweep import as_columns, pop_routes
+from repro.core.experiments import BROOT_PREPEND_CONFIGS, prepend_sweep, site_failure_study
 from repro.core.fastscan import (
     evaluate_lattice,
     evaluate_round,
@@ -32,7 +33,7 @@ from repro.core.fastscan import (
 )
 from repro.core.playbook import PlaybookPlanner, derive_capacities, enumerate_lattice
 from repro.core.pool import ShardPool
-from repro.core.scenarios import tangled_like
+from repro.core.scenarios import broot_like, tangled_like
 from repro.core.sharding import (
     ShardPlan,
     _lattice_shard_worker,
@@ -43,7 +44,8 @@ from repro.core.sharding import (
 from repro.core.tables import TableStore
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import UNKNOWN, SiteLoad, weight_catchments
+from repro.load.weighting import UNKNOWN, SiteLoad, weight_catchment, weight_catchments
+from repro.obs import Observer
 from repro.traffic.attack import AttackProfile, compose_attack
 from repro.traffic.logs import HOURS
 
@@ -131,6 +133,103 @@ class TestEvaluateLattice:
             for prepends, withdrawn in policies
         ]
         assert_lattice_equals_rounds(verfploeter, routings, round_id)
+
+
+def assert_catchments_identical(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got.site_codes == want.site_codes
+        assert got.universe.tobytes() == want.universe.tobytes()
+        assert got.site_index_array.tobytes() == want.site_index_array.tobytes()
+
+
+class TestScanLatticeRoundIds:
+    def test_mixed_round_ids_equal_per_config_scans(self, lattice, per_config_scans):
+        """Round 0 holds 13 configs (past sites + 1: the outcome grid),
+        round 5 two and round 7 one (each config's own column); catchments
+        and every scan counter equal one ``run_scan`` per config."""
+        deployed, routings = lattice
+        round_ids = [0, 5, 0, 0, 7, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0]
+        routings = routings[: len(round_ids)]
+
+        def run(scan):
+            observer = Observer.collecting()
+            verfploeter = Verfploeter(deployed.internet, deployed.service, observer=observer)
+            catchments = scan(verfploeter, routings, round_ids)
+            # Draw reuse differs by design: the lattice draws once per round id.
+            document = observer.metrics.to_dict()
+            counters = {
+                name: value for name, value in document["counters"].items()
+                if not name.startswith("fastscan.round_draws")
+            }
+            return catchments, document["gauges"], counters
+
+        catchments, gauges, counters = run(scan_lattice)
+        expected, expected_gauges, expected_counters = run(per_config_scans)
+        assert_catchments_identical(catchments, expected)
+        assert counters == expected_counters
+        assert gauges == expected_gauges
+
+    def test_one_draw_per_round_id(self, lattice):
+        deployed, routings = lattice
+        observer = Observer.collecting()
+        verfploeter = Verfploeter(deployed.internet, deployed.service, observer=observer)
+        scan_lattice(verfploeter, routings[:6], [4, 9, 4, 4, 9, 2])
+        metrics = observer.metrics
+        assert metrics.value_of("fastscan.round_draws.miss") == 3
+        assert metrics.value_of("fastscan.round_draws.hit") == 3
+        assert observer.tracer.span_names().count("fastscan.lattice") == 1
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, seed) for name in ("broot", "tangled") for seed in (3, 17, 123)],
+    ids=lambda param: f"{param[0]}-{param[1]}",
+)
+def deployment(request):
+    name, seed = request.param
+    scenario = {"broot": broot_like, "tangled": tangled_like}[name](scale="tiny", seed=seed)
+    return scenario, Verfploeter(scenario.internet, scenario.service)
+
+
+class TestLatticeDrivers:
+    """The sweep and the failure study against one ``run_scan`` per config
+    at the round ids they have always used."""
+
+    def test_prepend_sweep_equals_per_config_scans(self, deployment, per_config_scans):
+        scenario, verfploeter = deployment
+        site = scenario.service.site_codes[0]
+        configs = BROOT_PREPEND_CONFIGS if "LAX" in scenario.service.site_codes else [
+            ("equal", {}), *((f"+{n} {site}", {site: n}) for n in range(1, 4))
+        ]
+        sweep = prepend_sweep(verfploeter, scenario.atlas, configs, cache=RoutingCache())
+        assert [entry.label for entry in sweep] == [label for label, _ in configs]
+        routings = [compute_routes(scenario.internet, entry.policy) for entry in sweep]
+        expected = per_config_scans(verfploeter, routings, range(len(configs)))
+        assert_catchments_identical([entry.catchment for entry in sweep], expected)
+        for entry, catchment in zip(sweep, expected):
+            assert entry.verfploeter_fractions == catchment.fractions()
+
+    def test_site_failure_study_equals_per_config_scans(self, deployment, per_config_scans):
+        scenario, verfploeter = deployment
+        service = scenario.service
+        estimate = LoadEstimate(scenario.day_load("lattice-failure-day"))
+        results = site_failure_study(verfploeter, estimate, cache=RoutingCache())
+        assert [result.withdrawn_site for result in results] == service.site_codes
+        policies = [service.default_policy()] + [
+            service.policy(withdrawn=[code]) for code in service.site_codes
+        ]
+        routings = [compute_routes(scenario.internet, policy) for policy in policies]
+        baseline, *after = per_config_scans(
+            verfploeter, routings, [0, *range(100, 100 + len(results))]
+        )
+        assert_catchments_identical([result.catchment for result in results], after)
+        daily, peaks = weight_catchment(baseline, estimate).tables(service.site_codes)
+        for result, catchment in zip(results, after):
+            assert (result.baseline, result.peak_baseline) == (daily, peaks)
+            assert (result.after, result.peak_after) == weight_catchment(
+                catchment, estimate
+            ).tables(service.site_codes)
 
 
 class TestStackedPopRoutes:

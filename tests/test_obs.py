@@ -245,7 +245,7 @@ class TestPipelineInstrumentation:
 
 
 class TestRoutingCacheCounters:
-    def test_sweep_counts_one_full_then_deltas(self):
+    def test_sweep_routes_in_one_lattice_batch(self):
         scenario = broot_like(scale="tiny")
         observer = Observer.collecting()
         vp = Verfploeter(
@@ -258,7 +258,10 @@ class TestRoutingCacheCounters:
             cache=cache,
         )
         metrics = observer.metrics
-        assert metrics.value_of("routing.cache.full_computes") == 1
-        # The explicit baseline config is a cache hit; +1 MIA is a delta.
-        assert metrics.value_of("routing.cache.delta_computes") == 1
-        assert metrics.value_of("routing.cache.hits") >= 1
+        # Both configs are full computes of one lattice propagation.
+        assert metrics.value_of("routing.cache.full_computes") == 2
+        assert metrics.value_of("routing.lattice_configs") == 2
+        assert metrics.value_of("routing.cache.delta_computes") == 0
+        names = observer.tracer.span_names()
+        assert names.count("bgp.propagate.lattice") == 1
+        assert "bgp.propagate.delta" not in names

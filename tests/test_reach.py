@@ -31,7 +31,7 @@ def test_every_declared_module_imports(reach):
 
 def test_every_reason_names_its_stratum(reach):
     for key, reason in reach.NOT_OPERATOR.items():
-        assert reason.startswith(("oracle: ", "library: ", "types: ")), key
+        assert reason.startswith(("oracle: ", "library: ", "types: ", "ledger: ")), key
 
 
 def test_the_linter_is_not_declared(reach):

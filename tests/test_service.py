@@ -112,9 +112,7 @@ class TestIncrementalEquivalence:
         merged = {}
         for record, scan in zip(served.state.view.rounds, batch_rounds):
             merged.update(dict(scan.catchment.items()))
-            reference = weight_catchment(
-                CatchmentMap(site_codes, merged), estimate, hourly=True
-            )
+            reference = weight_catchment(CatchmentMap(site_codes, merged), estimate)
             for code in [*site_codes, UNKNOWN]:
                 assert record.load.daily_of(code) == reference.daily_of(code)
                 assert np.array_equal(

@@ -156,7 +156,7 @@ class TestShardedWeighting:
             for start, stop in ShardPlan.split(len(estimate), shards).bounds
         ]
         actual = accumulate_site_load(
-            catchment.site_codes, np.concatenate(parts), estimate, hourly=True
+            catchment.site_codes, np.concatenate(parts), estimate
         )
         assert_site_loads_identical(actual, weight_catchment(catchment, estimate))
 

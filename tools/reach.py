@@ -30,6 +30,8 @@ NOT_OPERATOR = {
     "collector.capture": "oracle: the paper's three per-site capture styles (§3.1)",
     "bgp.updates": "oracle: message-level BGP convergence that pins compute_routes",
     "topology.validate": "oracle: structural checks tests and benchmarks/e2e run on an Internet",
+    "bgp.delta": "ledger: single-policy delta misses, kept only for the benchmarks/e2e "
+                 "traced probe until routing has one implementation",
     "bgp.ribdump": "library: the §4 Route Views stage (RIB and AS-path dumps)",
     "bgp.route": "types: the Route value type",
     "topology.prefixes": "types: the AnnouncedPrefix value type",
