@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-verbose bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach report serve-smoke all
+.PHONY: install test lint lint-cold lint-sarif bench bench-verbose bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach determinism report serve-smoke all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -75,6 +75,12 @@ reach:
 	PYTHONPATH=src python tools/reach.py --check
 	PYTHONPATH=src python -m pytest tests/test_reach.py -m reach -q
 
+# Execution check of the determinism contract: every reach-matrix form at
+# tiny and small, in two fresh interpreters (PYTHONHASHSEED=0 and =1),
+# byte-identical, and every pooled form equal to its in-process form.
+determinism:
+	PYTHONPATH=src python tools/determinism.py
+
 report:
 	PYTHONPATH=src python -m repro paper --scenario broot --scale small --outdir repro-report
 
@@ -83,4 +89,4 @@ report:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-all: lint docs examples reach test serve-smoke bench-e2e-smoke bench
+all: lint docs examples reach determinism test serve-smoke bench-e2e-smoke bench

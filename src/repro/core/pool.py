@@ -20,8 +20,8 @@ fingerprint)``, and fingerprints are content hashes — a stale hit is
 impossible by construction.  Workers never write an
 attached array, so no locking is needed.  Nothing a worker runs writes
 a module global either: the cache mutates only attributes of one
-private instance.  Reprolint's W502 checks that only within the file
-that submits to the pool, so for this module it is kept by review.
+private instance.  ``make determinism`` checks the consequence: every
+pooled CLI form writes the bytes of its in-process form.
 
 Determinism: the pool changes *where* tasks run, never what they
 return; ``map`` yields results in submission order, and all

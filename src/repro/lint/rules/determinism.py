@@ -1,16 +1,17 @@
 """Determinism-hygiene rules (family ``D1xx``).
 
 Everything stochastic in this library must flow from explicit integer
-seeds through :mod:`repro.rng`; everything ordered must be ordered on
-purpose.  These rules ban the ambient-state escape hatches: the global
-``random`` module, wall clocks, OS entropy, ``PYTHONHASHSEED``-keyed
-``hash()``, and set-iteration order leaking into ordered outputs.
+seeds through :mod:`repro.rng`.  These rules ban the ambient-state
+escape hatches: the global ``random`` module, numpy's global state,
+wall clocks and OS entropy.  ``PYTHONHASHSEED`` leaks (``hash()``, set
+order) are not guessed at here: ``tools/determinism.py`` runs every
+subcommand under two hash seeds and compares the bytes.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from repro.lint.violations import (
     ALL_KINDS,
@@ -31,14 +32,6 @@ _RANDOM_GLOBAL_FNS = frozenset(
 
 _WALL_CLOCK_TIME_FNS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns"})
 _WALL_CLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
-_ORDER_NEUTRAL_WRAPPERS = frozenset(
-    {"sorted", "min", "max", "sum", "len", "any", "all", "set", "frozenset"}
-)
-_SEQUENCE_LEAK_METHODS = frozenset({"append", "extend", "appendleft", "insert"})
-_SET_METHODS_RETURNING_SET = frozenset(
-    {"union", "difference", "intersection", "symmetric_difference", "copy"}
-)
-_SET_OPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 
 class _ImportMap:
@@ -366,236 +359,6 @@ class OsEntropyRule:
                 )
 
 
-@register_rule
-class BuiltinHashRule:
-    """D106: ``hash()`` outside ``__hash__`` in library code."""
-
-    rule_id = "D106"
-    name = "builtin-hash"
-    description = (
-        "builtin hash() is salted per-process for str/bytes "
-        "(PYTHONHASHSEED); use repro.rng.mix64 or hashlib for stable "
-        "values.  Allowed only inside __hash__ implementations."
-    )
-    scope = "file"
-    kinds = (LIBRARY,)
-
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
-        for violation_node in self._find(source.tree, inside_hash=False):
-            yield _violation(
-                self, source, violation_node,
-                "hash() is process-salted for strings; use repro.rng.mix64 "
-                "or hashlib.blake2b for stable draws",
-            )
-
-    def _find(self, node: ast.AST, inside_hash: bool):
-        for child in ast.iter_child_nodes(node):
-            child_inside = inside_hash
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_inside = child.name == "__hash__"
-            if (
-                not child_inside
-                and isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "hash"
-            ):
-                yield child
-            yield from self._find(child, child_inside)
-
-
-class _SetTypes:
-    """Flow-insensitive local inference of set-typed names in one scope."""
-
-    def __init__(self, scope: ast.AST) -> None:
-        self.set_names: Set[str] = set()
-        self.dict_of_set_names: Set[str] = set()
-        self._collect_params(scope)
-        for node in _walk_scope(scope):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    self._record(target, node.value)
-            elif isinstance(node, ast.AnnAssign) and node.target is not None:
-                self._record_annotation(node.target, node.annotation)
-                if node.value is not None:
-                    self._record(node.target, node.value)
-
-    def _collect_params(self, scope: ast.AST) -> None:
-        args = getattr(scope, "args", None)
-        if args is None:
-            return
-        for arg in list(args.args) + list(args.kwonlyargs):
-            if arg.annotation is not None:
-                self._record_annotation(ast.Name(id=arg.arg), arg.annotation)
-
-    def _record(self, target: ast.AST, value: ast.AST) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        if self.is_set_expr(value):
-            self.set_names.add(target.id)
-        elif self._is_dict_of_set_value(value):
-            self.dict_of_set_names.add(target.id)
-
-    def _record_annotation(self, target: ast.AST, annotation: ast.AST) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        label = _annotation_head(annotation)
-        if label in ("set", "Set", "FrozenSet", "frozenset", "AbstractSet", "MutableSet"):
-            self.set_names.add(target.id)
-        elif label in ("dict", "Dict", "Mapping", "MutableMapping", "DefaultDict"):
-            if isinstance(annotation, ast.Subscript):
-                value_annotation = annotation.slice
-                if isinstance(value_annotation, ast.Tuple) and value_annotation.elts:
-                    inner = _annotation_head(value_annotation.elts[-1])
-                    if inner in ("set", "Set", "FrozenSet", "frozenset"):
-                        self.dict_of_set_names.add(target.id)
-
-    def _is_dict_of_set_value(self, value: ast.AST) -> bool:
-        if isinstance(value, ast.DictComp):
-            return self.is_set_expr(value.value)
-        if isinstance(value, ast.Dict) and value.values:
-            return all(self.is_set_expr(entry) for entry in value.values)
-        return False
-
-    def is_set_expr(self, node: ast.AST) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-                return True
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _SET_METHODS_RETURNING_SET
-                and self.is_set_expr(func.value)
-            ):
-                return True
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "get"
-                and isinstance(func.value, ast.Name)
-                and func.value.id in self.dict_of_set_names
-            ):
-                return True
-            return False
-        if isinstance(node, ast.Name):
-            return node.id in self.set_names
-        if isinstance(node, ast.Subscript):
-            return (
-                isinstance(node.value, ast.Name)
-                and node.value.id in self.dict_of_set_names
-            )
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_OPS):
-            return self.is_set_expr(node.left) or self.is_set_expr(node.right)
-        return False
-
-
-def _annotation_head(annotation: ast.AST) -> Optional[str]:
-    if isinstance(annotation, ast.Subscript):
-        annotation = annotation.value
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        head = annotation.value.split("[")[0].strip()
-        return head.split(".")[-1] if head else None
-    return None
-
-
-def _walk_scope(scope: ast.AST):
-    """Walk a function/module body without descending into nested defs."""
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _scopes(tree: ast.Module):
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-@register_rule
-class SetIterationOrderRule:
-    """D107: set iteration order escaping into ordered output."""
-
-    rule_id = "D107"
-    name = "set-order-leak"
-    description = (
-        "iterating a set into a yield/return/list leaks unordered "
-        "iteration order into results; sort first (or keep an ordered "
-        "structure)"
-    )
-    scope = "file"
-    kinds = (LIBRARY,)
-
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
-        parents = _parent_map(source.tree)
-        for scope in _scopes(source.tree):
-            types = _SetTypes(scope)
-            for node in _walk_scope(scope):
-                if isinstance(node, ast.For) and types.is_set_expr(node.iter):
-                    leak = _loop_order_leak(node)
-                    if leak is not None:
-                        yield _violation(
-                            self, source, node,
-                            f"for-loop over a set {leak}; iterate "
-                            "sorted(...) instead",
-                        )
-                elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
-                    if any(
-                        types.is_set_expr(gen.iter) for gen in node.generators
-                    ) and not _order_neutral_context(node, parents):
-                        yield _violation(
-                            self, source, node,
-                            "comprehension materialises set iteration order; "
-                            "wrap the set in sorted(...)",
-                        )
-
-    # (list(...)/tuple(...) over a bare set is covered by the
-    # comprehension-free case below)
-
-
-@register_rule
-class SetPopRule:
-    """D108: ``set.pop()`` removes an arbitrary element."""
-
-    rule_id = "D108"
-    name = "set-pop"
-    description = (
-        "set.pop() removes an arbitrary (hash-order) element; pop from a "
-        "sorted list or use an explicit ordering"
-    )
-    scope = "file"
-    kinds = (LIBRARY,)
-
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
-        for scope in _scopes(source.tree):
-            types = _SetTypes(scope)
-            for node in _walk_scope(scope):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "pop"
-                    and not node.args
-                    and not node.keywords
-                    and types.is_set_expr(node.func.value)
-                ):
-                    yield _violation(
-                        self, source, node,
-                        "set.pop() removes an arbitrary element; order the "
-                        "elements explicitly first",
-                    )
-
-
 _MUTABLE_LITERAL_DEFAULTS = (
     ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp,
 )
@@ -666,52 +429,3 @@ class InstanceDefaultRule:
                     "time, freezing its configuration for every caller"
                 )
         return None
-
-
-def _parent_map(tree: ast.Module) -> Dict[int, ast.AST]:
-    parents: Dict[int, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[id(child)] = node
-    return parents
-
-
-def _order_neutral_context(node: ast.AST, parents: Dict[int, ast.AST]) -> bool:
-    """True when a comprehension's order cannot be observed.
-
-    Direct argument to sorted()/min()/sum()/set()/... — anything that
-    either re-orders or collapses the sequence.
-    """
-    parent = parents.get(id(node))
-    return (
-        isinstance(parent, ast.Call)
-        and isinstance(parent.func, ast.Name)
-        and parent.func.id in _ORDER_NEUTRAL_WRAPPERS
-        and any(argument is node for argument in parent.args)
-    )
-
-
-def _loop_order_leak(loop: ast.For) -> Optional[str]:
-    """How (if at all) a for-loop over a set leaks its order."""
-    for node in _walk_statements(loop.body + loop.orelse):
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return "reaches a yield"
-        if isinstance(node, ast.Return) and node.value is not None:
-            return "reaches a return"
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _SEQUENCE_LEAK_METHODS
-        ):
-            return f"feeds .{node.func.attr}() on an ordered container"
-    return None
-
-
-def _walk_statements(body: Sequence[ast.stmt]):
-    stack: List[ast.AST] = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))

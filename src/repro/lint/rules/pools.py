@@ -1,4 +1,4 @@
-"""Process-pool rules: hygiene (``D112``) and worker reach (``W502``/``W503``).
+"""Process-pool rules: hygiene (``D112``) and shard float sums (``W503``).
 
 Process-level fan-out lives in one sanctioned home,
 :mod:`repro.core.pool` (the sharded paths all route through its
@@ -13,17 +13,16 @@ targets anywhere.  Thread pools get the first half only: ``ShardPool``
 is the library's one fan-out mechanism, so a ``ThreadPoolExecutor``
 import outside the pool home is flagged too.
 
-W502 and W503 look at what a pool target runs.  Their roots are the
+W503 looks at what a pool target runs.  Its roots are the
 ``submit``/``map`` targets of pools bound in the file (the same binding
 logic as D112); from there a plain-name walk over the file's top-level
-``def``\\ s finds everything a worker reaches without leaving the file:
-
-* **W502** — reachable code must not rebind or mutate module globals,
-  nor synchronise on module-global locks: under ``spawn`` each worker
-  re-imports the module, so parent and worker copies diverge silently.
-* **W503** — reachable code must not grow float accumulators in loops:
-  float addition is non-associative, so an accumulation whose order can
-  depend on shard boundaries breaks bit-identity.
+``def``\\ s finds everything a worker reaches without leaving the file,
+and no reached loop may grow a float accumulator: float addition is
+non-associative, so a sum whose order depends on shard boundaries breaks
+bit-identity.  It stays a static rule because a run cannot see that
+hazard: every artifact rounds the loads a per-shard sum would move.
+A module global a worker reads is left to ``tools/determinism.py``,
+which compares every pooled form's bytes with its in-process form's.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import os
 from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.rules.determinism import _MUTABLE_LITERAL_DEFAULTS, _callee_name, _violation
+from repro.lint.rules.determinism import _callee_name, _violation
 from repro.lint.violations import ALL_KINDS, LIBRARY, Violation, register_rule
 
 #: The one module allowed to import pool machinery, as a path suffix
@@ -44,25 +43,6 @@ _POOL_CTORS = frozenset({"ProcessPoolExecutor", "Pool", "ShardPool"})
 
 _OUTSIDE_HOME = (
     "outside a sanctioned pool home; route process fan-out through repro.core.pool"
-)
-
-_MUTATOR_METHODS = frozenset(
-    {
-        "append", "extend", "insert", "add", "update", "setdefault", "pop",
-        "popitem", "remove", "discard", "clear", "appendleft", "move_to_end",
-    }
-)
-
-#: Module-level bindings to these callables count as *mutable* globals.
-_MUTABLE_FACTORIES = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "OrderedDict"}
-)
-
-#: Module-level bindings to these constructors are synchronisation
-#: primitives: unpicklable, and re-created per spawn worker on module
-#: re-import, so cross-process exclusion through them silently fails.
-_LOCK_FACTORIES = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore", "Event", "Barrier"}
 )
 
 _FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -295,178 +275,8 @@ class ProcessPoolHygieneRule:
                 )
 
 
-class _PoolReachRule:
-    """Shared shape of W502/W503: hazards in defs a pool target reaches."""
-
-    scope = "file"
-    kinds = (LIBRARY,)
-
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
-        reach = pool_reach(source.tree)
-        defs = _top_level_defs(source.tree)
-        for name in sorted(reach):
-            where = f"'{name}' is reachable from a process-pool target ({_chain(reach, name)})"
-            for line, col, message in self._hazards(defs[name], source.tree, where):
-                yield Violation(self.rule_id, self.name, source.path, line, col, message)
-
-
 @register_rule
-class PoolEscapeRule(_PoolReachRule):
-    """W502: module-global state mutated by process-pool-reachable code."""
-
-    rule_id = "W502"
-    name = "pool-escape"
-    description = (
-        "functions a process-pool submit/map target reaches within its "
-        "file must not rebind or mutate module globals: under the spawn "
-        "start method every worker re-imports the module, so parent and "
-        "worker copies diverge silently"
-    )
-    version = 4
-
-    def _hazards(self, node: ast.AST, tree: ast.Module, where: str):
-        global_names, mutable_globals = _module_globals(tree)
-        for line, col, message in self._mutations(node, global_names, mutable_globals):
-            yield (
-                line, col,
-                f"{message}; {where} — under spawn each worker re-imports "
-                "the module, so parent and worker copies diverge silently",
-            )
-        for line, col, name in self._lock_reads(node, tree):
-            yield (
-                line, col,
-                f"synchronises on module-global lock '{name}'; {where} — "
-                "each spawn worker re-imports the module and gets its own "
-                "lock, so the exclusion is ineffective across processes",
-            )
-
-    @staticmethod
-    def _lock_reads(function: ast.AST, tree: ast.Module):
-        lock_globals: Set[str] = set()
-        for node in tree.body:
-            if not (
-                isinstance(node, ast.Assign)
-                and isinstance(node.value, ast.Call)
-            ):
-                continue
-            ctor = _callee_name(node.value.func)
-            if ctor in _LOCK_FACTORIES:
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        lock_globals.add(target.id)
-        if not lock_globals:
-            return
-        for node in ast.walk(function):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in lock_globals
-            ):
-                yield (node.lineno, node.col_offset, node.id)
-
-    @staticmethod
-    def _mutations(
-        function: ast.AST, global_names: Set[str], mutable_globals: Set[str]
-    ):
-        declared_global: Set[str] = set()
-        local_binds: Set[str] = set()
-        for node in ast.walk(function):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        local_binds.add(target.id)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node.target, ast.Name):
-                    local_binds.add(node.target.id)
-            elif isinstance(node, ast.For):
-                if isinstance(node.target, ast.Name):
-                    local_binds.add(node.target.id)
-        local_binds -= declared_global
-
-        def is_global_mutable(name: str) -> bool:
-            return name in mutable_globals and name not in local_binds
-
-        for node in ast.walk(function):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Name)
-                        and target.id in declared_global
-                        and target.id in global_names
-                    ):
-                        yield (
-                            node.lineno, node.col_offset,
-                            f"rebinds module global '{target.id}'",
-                        )
-                    elif (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and is_global_mutable(target.value.id)
-                    ):
-                        yield (
-                            node.lineno, node.col_offset,
-                            f"writes into mutable module global "
-                            f"'{target.value.id}'",
-                        )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and is_global_mutable(target.value.id)
-                    ):
-                        yield (
-                            node.lineno, node.col_offset,
-                            f"deletes from mutable module global "
-                            f"'{target.value.id}'",
-                        )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and is_global_mutable(node.func.value.id)
-            ):
-                yield (
-                    node.lineno, node.col_offset,
-                    f"mutates module global '{node.func.value.id}' via "
-                    f".{node.func.attr}()",
-                )
-
-
-def _module_globals(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
-    """Names bound at module level, and the subset bound to mutable values."""
-    names: Set[str] = set()
-    mutable: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets, value = list(node.targets), node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-                if value is not None and _is_mutable_value(value):
-                    mutable.add(target.id)
-    return names, mutable
-
-
-def _is_mutable_value(value: ast.AST) -> bool:
-    if isinstance(value, _MUTABLE_LITERAL_DEFAULTS):
-        return True
-    return isinstance(value, ast.Call) and _callee_name(value.func) in _MUTABLE_FACTORIES
-
-
-@register_rule
-class FloatAccumulationRule(_PoolReachRule):
+class FloatAccumulationRule:
     """W503: float accumulators grown in loops by pool-reachable code."""
 
     rule_id = "W503"
@@ -478,15 +288,23 @@ class FloatAccumulationRule(_PoolReachRule):
         "breaks bit-identity; accumulate integers, or sum in the parent "
         "in a fixed order"
     )
+    scope = "file"
+    kinds = (LIBRARY,)
     version = 5
 
-    def _hazards(self, node: ast.AST, tree: ast.Module, where: str):
-        for line, col, target in self._float_loops(node):
-            yield (
-                line, col,
-                f"float accumulation into '{target}' inside a loop; {where}, "
-                "where accumulation order can depend on sharding",
-            )
+    def check(self, files) -> Iterable[Violation]:
+        source = files[0]
+        reach = pool_reach(source.tree)
+        defs = _top_level_defs(source.tree)
+        for name in sorted(reach):
+            for line, col, target in self._float_loops(defs[name]):
+                yield Violation(
+                    self.rule_id, self.name, source.path, line, col,
+                    f"float accumulation into '{target}' inside a loop; "
+                    f"'{name}' is reachable from a process-pool target "
+                    f"({_chain(reach, name)}), where accumulation order can "
+                    "depend on sharding",
+                )
 
     def _float_loops(self, function: ast.AST):
         float_names = self._float_named(function)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import runpy
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.cli import build_parser, main
 
 TINY = ["--scenario", "broot", "--scale", "tiny"]
 TANGLED_TINY = ["--scenario", "tangled", "--scale", "tiny"]
+DETERMINISM_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "determinism.py"
 
 
 class TestParser:
@@ -195,17 +198,19 @@ class TestObservability:
         assert "pipeline metrics:" in output
         assert "probe.probes_sent" in output
 
-    def test_two_seeded_runs_write_identical_artifacts(self, tmp_path, capsys):
-        def run(tag):
-            metrics_out = tmp_path / f"m-{tag}.json"
-            trace_out = tmp_path / f"t-{tag}.json"
-            assert main(
-                ["sweep", *TINY, "--metrics-out", str(metrics_out),
-                 "--trace-out", str(trace_out)]
-            ) == 0
-            return metrics_out.read_bytes(), trace_out.read_bytes()
-
-        assert run("first") == run("second")
+    def test_two_seeded_runs_write_identical_artifacts(self, tmp_path):
+        """Fresh interpreters under ``PYTHONHASHSEED=0`` and ``=1`` write the
+        same stdout and files, through ``tools/determinism.py``'s runner."""
+        tool = runpy.run_path(str(DETERMINISM_TOOL))
+        pairs = [
+            ("sweep --metrics-out TMP/m.json --trace-out TMP/t.json", "small",
+             {"stdout", "TMP/m.json", "TMP/t.json"}),
+            ("scan --map", "tiny", {"stdout"}),
+        ]
+        for form, scale, names in pairs:
+            first, second = (tool["run"](form, scale, seed, tmp_path) for seed in (0, 1))
+            assert set(first) == names, first.get("exit")
+            assert tool["differ"](first, second) == [], form
 
     @pytest.mark.parametrize(
         "argv",
@@ -382,8 +387,9 @@ class TestEngineIdentity:
         argv = ["stability", *TANGLED_TINY, "--rounds", "4"]
         assert main(argv) == 0
         default = capsys.readouterr().out
-        assert main([*argv, "--shards", "2", "--workers", "0"]) == 0
-        assert capsys.readouterr().out == default
+        for fanout in (["--shards", "2", "--workers", "0"], ["--workers", "1"]):
+            assert main([*argv, *fanout]) == 0
+            assert capsys.readouterr().out == default
 
     def test_the_two_paths_really_differ(self, capsys, wire_oracle):
         """Guards the suite itself: default = engine, oracle = wire."""

@@ -25,9 +25,6 @@ FIXTURE_EXPECTATIONS = [
     ("d103_numpy_random.py", "D103", "# MARK", 1),
     ("d104_wall_clock.py", "D104", "# MARK", 1),
     ("d105_os_entropy.py", "D105", "# MARK", 1),
-    ("d106_builtin_hash.py", "D106", "# MARK", 1),
-    ("d107_set_order.py", "D107", "# MARK", 1),
-    ("d108_set_pop.py", "D108", "# MARK", 1),
     ("d109_instance_default.py", "D109", "# MARK", 2),  # call + literal
     ("d111_missing_docstring.py", "D111", "# MARK", 3),  # function + class + method
     ("d112_pool_hygiene.py", "D112", "# MARK", 3),  # two imports + nested-def target
@@ -54,9 +51,6 @@ FIXTURE_EXPECTATIONS = [
 #: Pool-reach fixture trees: (case dir, rule id, file carrying the
 #: marker (positive cases) or None (suppressed/clean), expected count).
 W_FIXTURE_EXPECTATIONS = [
-    ("w502_escape", "W502", os.path.join("repro", "pool.py"), 1),
-    ("w502_escape_suppressed", "W502", None, 0),
-    ("w502_escape_clean", "W502", None, 0),
     ("w503_accum", "W503", os.path.join("repro", "pool.py"), 1),
     ("w503_accum_suppressed", "W503", None, 0),
     ("w503_accum_clean", "W503", None, 0),

@@ -37,13 +37,15 @@ NOT_OPERATOR = {
     "topology.prefixes": "types: the AnnouncedPrefix value type",
 }
 
-#: Run as ``repro <line> --scale tiny``, ``TMP`` replaced by a scratch directory.
+#: Run as ``repro <line> --scale tiny``, ``TMP`` replaced by a scratch directory; the one
+#: list of subcommand forms, which ``tools/determinism.py`` also runs at ``small``.
 MATRIX = [
     "scan --rtt --map --output TMP/s.tsv", "sweep", "sweep --scenario nl", "coverage",
     "loadmap --scenario nl", "failure", "suggest",
     "stability --rounds 4 --metrics-out TMP/m.json --trace-out TMP/t.json --profile", "report",
     "stability --rounds 3 --shards 2 --workers 0", "stability --rounds 3 --workers 1",
     "playbook --scenario tangled --out TMP/p.json", "playbook --scenario cdn --workers 0",
+    "playbook --scenario tangled --workers 2 --out TMP/p.json",
     "serve --rounds 2", "paper --rounds 4 --outdir TMP/paper",
 ]
 
