@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-verbose bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach determinism report serve-smoke all
+.PHONY: install test lint lint-cold lint-sarif bench bench-verbose bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach determinism coldstart report serve-smoke all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -81,6 +81,11 @@ reach:
 determinism:
 	PYTHONPATH=src python tools/determinism.py
 
+# Cold-start gate: in a fresh interpreter per form, `--help` loads no
+# numpy, and stability/scan/playbook load no oracle or ledger module.
+coldstart:
+	PYTHONPATH=src python -m pytest tests/test_cold_start.py -q
+
 report:
 	PYTHONPATH=src python -m repro paper --scenario broot --scale small --outdir repro-report
 
@@ -89,4 +94,4 @@ report:
 serve-smoke:
 	PYTHONPATH=src python tools/serve_smoke.py
 
-all: lint docs examples reach determinism test serve-smoke bench-e2e-smoke bench
+all: lint docs examples reach determinism coldstart test serve-smoke bench-e2e-smoke bench

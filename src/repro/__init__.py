@@ -15,26 +15,7 @@ Quickstart::
     print(scan.catchment.fractions())
 """
 
-from repro.anycast import AnycastService, AnycastSite, CatchmentMap
-from repro.bgp import AnnouncementPolicy, compute_routes
-from repro.core import (
-    PlaybookPlanner,
-    Scenario,
-    ScanResult,
-    Verfploeter,
-    broot_like,
-    compare_coverage,
-    nl_like,
-    prepend_sweep,
-    run_stability_series,
-    tangled_like,
-)
-from repro.core.scenarios import cdn_like
-from repro.errors import ReproError
-from repro.load import LoadEstimate, weight_catchment
-from repro.obs import NULL_OBSERVER, Observer
-from repro.topology import Internet, TopologyConfig, build_internet
-from repro.traffic import AttackProfile, DayLoad, LoadKind, build_day_load
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -69,3 +50,35 @@ __all__ = [
     "Observer",
     "NULL_OBSERVER",
 ]
+
+_EXPORTS = {
+    "ReproError": "repro.errors",
+    "AnycastService": "repro.anycast.service",
+    "AnycastSite": "repro.anycast.site",
+    "CatchmentMap": "repro.anycast.catchment",
+    "AnnouncementPolicy": "repro.bgp.policy",
+    "compute_routes": "repro.bgp.propagation",
+    "Internet": "repro.topology.internet",
+    "TopologyConfig": "repro.topology.generator",
+    "build_internet": "repro.topology.generator",
+    "Verfploeter": "repro.core.verfploeter",
+    "ScanResult": "repro.collector.results",
+    "Scenario": "repro.core.scenarios",
+    "broot_like": "repro.core.scenarios",
+    "tangled_like": "repro.core.scenarios",
+    "nl_like": "repro.core.scenarios",
+    "cdn_like": "repro.core.scenarios",
+    "compare_coverage": "repro.core.comparison",
+    "prepend_sweep": "repro.core.experiments",
+    "run_stability_series": "repro.core.experiments",
+    "DayLoad": "repro.traffic.logs",
+    "LoadKind": "repro.traffic.logs",
+    "build_day_load": "repro.traffic.ditl",
+    "AttackProfile": "repro.traffic.attack",
+    "PlaybookPlanner": "repro.core.playbook",
+    "LoadEstimate": "repro.load.estimator",
+    "weight_catchment": "repro.load.weighting",
+    "Observer": "repro.obs",
+    "NULL_OBSERVER": "repro.obs",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

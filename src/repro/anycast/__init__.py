@@ -1,12 +1,6 @@
 """Anycast service model: sites, the service itself, and catchment maps."""
 
-from repro.anycast.catchment import (
-    ArrayCatchmentMap,
-    CatchmentAccumulator,
-    CatchmentMap,
-)
-from repro.anycast.service import AnycastService
-from repro.anycast.site import AnycastSite
+from repro.lazy import lazy_exports
 
 __all__ = [
     "AnycastSite",
@@ -15,3 +9,12 @@ __all__ = [
     "ArrayCatchmentMap",
     "CatchmentAccumulator",
 ]
+
+_EXPORTS = {
+    "AnycastSite": "repro.anycast.site",
+    "AnycastService": "repro.anycast.service",
+    "CatchmentMap": "repro.anycast.catchment",
+    "ArrayCatchmentMap": "repro.anycast.catchment",
+    "CatchmentAccumulator": "repro.anycast.catchment",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

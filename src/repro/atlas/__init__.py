@@ -7,7 +7,14 @@ querying the anycast service with CHAOS TXT ``hostname.bind`` to learn
 their serving site.
 """
 
-from repro.atlas.platform import AtlasMeasurement, AtlasPlatform, AtlasResult
-from repro.atlas.vp import AtlasVP
+from repro.lazy import lazy_exports
 
 __all__ = ["AtlasVP", "AtlasPlatform", "AtlasMeasurement", "AtlasResult"]
+
+_EXPORTS = {
+    "AtlasVP": "repro.atlas.vp",
+    "AtlasPlatform": "repro.atlas.platform",
+    "AtlasMeasurement": "repro.atlas.platform",
+    "AtlasResult": "repro.atlas.platform",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

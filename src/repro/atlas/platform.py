@@ -10,8 +10,6 @@ import numpy as np
 from repro.anycast.service import AnycastService
 from repro.atlas.vp import AtlasVP
 from repro.bgp.propagation import RoutingOutcome
-from repro.dns.message import CLASS_CHAOS, TYPE_TXT, DnsMessage
-from repro.dns.server import SiteIdentityServer
 from repro.errors import ConfigurationError, MeasurementError
 from repro.geo.regions import COUNTRIES
 from repro.rng import derive_rng, uniform_unit
@@ -163,6 +161,9 @@ class AtlasPlatform:
         Each available VP sends a CHAOS TXT query that BGP delivers to
         its catchment site's nameserver; the TXT answer names the site.
         """
+        from repro.dns.message import CLASS_CHAOS, TYPE_TXT, DnsMessage
+        from repro.dns.server import SiteIdentityServer
+
         servers = {
             site.code: SiteIdentityServer(site.code, service.name)
             for site in service.sites

@@ -7,25 +7,7 @@ the per-packet load-balancing instability model behind the paper's
 catchment-flip observations (§6.3, Table 7).
 """
 
-from repro.bgp.cache import (
-    CacheStats,
-    RoutingCache,
-    default_routing_cache,
-    internet_fingerprint,
-    policy_fingerprint,
-)
-from repro.bgp.delta import DeltaPropagator, DeltaStats, delta_routes
-from repro.bgp.instability import FlipModel, FlipModelConfig
-from repro.bgp.policy import AnnouncementPolicy, SiteAnnouncement
-from repro.bgp.propagation import (
-    RoutingConfig,
-    RoutingOutcome,
-    RouteSelection,
-    compute_routes,
-)
-from repro.bgp.ribdump import OriginLookup, read_rib_dump, write_rib_dump
-from repro.bgp.updates import BgpUpdateSimulator, UpdateOutcome
-from repro.bgp.route import CandidateRoute, RouteClass
+from repro.lazy import lazy_exports
 
 __all__ = [
     "RouteClass",
@@ -52,3 +34,30 @@ __all__ = [
     "BgpUpdateSimulator",
     "UpdateOutcome",
 ]
+
+_EXPORTS = {
+    "RouteClass": "repro.bgp.route",
+    "CandidateRoute": "repro.bgp.route",
+    "SiteAnnouncement": "repro.bgp.policy",
+    "AnnouncementPolicy": "repro.bgp.policy",
+    "RouteSelection": "repro.bgp.propagation",
+    "RoutingOutcome": "repro.bgp.propagation",
+    "compute_routes": "repro.bgp.propagation",
+    "DeltaPropagator": "repro.bgp.delta",
+    "DeltaStats": "repro.bgp.delta",
+    "delta_routes": "repro.bgp.delta",
+    "RoutingCache": "repro.bgp.cache",
+    "CacheStats": "repro.bgp.cache",
+    "default_routing_cache": "repro.bgp.cache",
+    "internet_fingerprint": "repro.bgp.cache",
+    "policy_fingerprint": "repro.bgp.cache",
+    "FlipModel": "repro.bgp.instability",
+    "FlipModelConfig": "repro.bgp.instability",
+    "RoutingConfig": "repro.bgp.propagation",
+    "OriginLookup": "repro.bgp.ribdump",
+    "read_rib_dump": "repro.bgp.ribdump",
+    "write_rib_dump": "repro.bgp.ribdump",
+    "BgpUpdateSimulator": "repro.bgp.updates",
+    "UpdateOutcome": "repro.bgp.updates",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -34,7 +34,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.bgp.delta import DeltaPropagator
 from repro.bgp.instability import FlipModel
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import (
@@ -216,6 +215,8 @@ class RoutingCache:
         # same key both compute, but results are deterministic and
         # identical, so whichever insert wins is indistinguishable.
         if baseline is not None:
+            from repro.bgp.delta import DeltaPropagator
+
             with observer.tracer.span("bgp.propagate.delta"):
                 outcome = DeltaPropagator(baseline).propagate(policy)
             observer.metrics.counter("routing.cache.delta_computes").inc()

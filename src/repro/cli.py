@@ -13,30 +13,8 @@ import argparse
 import sys
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.coverage import format_coverage_table
-from repro.analysis.flips import flip_table, format_flip_table, format_stability_table
-from repro.analysis.maps import catchment_grid, load_grid, render_ascii_map
-from repro.analysis.placement import rtt_summary_by_site, suggest_sites
-from repro.analysis.prepend import format_prepend_table
-from repro.analysis.report import render_table
-from repro.bgp.cache import RoutingCache
-from repro.core.comparison import compare_coverage
-from repro.core.experiments import (
-    prepend_sweep,
-    run_stability_series,
-    site_failure_study,
-)
-from repro.core.playbook import (
-    PlaybookPlanner,
-    derive_capacities,
-    format_playbook_table,
-)
 from repro.core.scenarios import SCALES, Scenario, broot_like, cdn_like, nl_like, tangled_like
-from repro.core.verfploeter import Verfploeter
-from repro.datasets import write_scan
 from repro.errors import ReproError
-from repro.load.estimator import LoadEstimate
-from repro.load.rssac import build_rssac_report
 from repro.obs import NULL_OBSERVER, Observer, run_metadata
 
 _SCENARIOS: Dict[str, Callable[..., Scenario]] = {
@@ -127,6 +105,9 @@ def _emit_observability(
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.core.verfploeter import Verfploeter
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -136,6 +117,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         routing=verfploeter.routing_for(), dataset_id="cli-scan"
     )
     if args.output:
+        from repro.datasets import write_scan
+
         with open(args.output, "w", encoding="utf-8") as stream:
             write_scan(scan, stream)
         print(f"wrote dataset to {args.output}")
@@ -155,9 +138,13 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     ]
     print(render_table(["site", "/24s", "share"], rows, title="catchment"))
     if args.map:
+        from repro.analysis.maps import catchment_grid, render_ascii_map
+
         grid = catchment_grid(scan.catchment, scenario.internet.geodb, 4.0)
         print(render_ascii_map(grid))
     if args.rtt:
+        from repro.analysis.placement import rtt_summary_by_site
+
         summary = rtt_summary_by_site(scan)
         print(render_table(
             ["site", "blocks", "median RTT (ms)"],
@@ -172,6 +159,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.prepend import format_prepend_table
+    from repro.bgp.cache import RoutingCache
+    from repro.core.experiments import prepend_sweep
+    from repro.core.verfploeter import Verfploeter
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -199,6 +191,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_stability(args: argparse.Namespace) -> int:
+    from repro.analysis.flips import flip_table, format_flip_table, format_stability_table
+    from repro.bgp.cache import RoutingCache
+    from repro.core.experiments import run_stability_series
+    from repro.core.verfploeter import Verfploeter
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -217,6 +214,10 @@ def _cmd_stability(args: argparse.Namespace) -> int:
 
 
 def _cmd_coverage(args: argparse.Namespace) -> int:
+    from repro.analysis.coverage import format_coverage_table
+    from repro.core.comparison import compare_coverage
+    from repro.core.verfploeter import Verfploeter
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -233,6 +234,11 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadmap(args: argparse.Namespace) -> int:
+    from repro.analysis.maps import load_grid, render_ascii_map
+    from repro.analysis.report import render_table
+    from repro.core.verfploeter import Verfploeter
+    from repro.load.estimator import LoadEstimate
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -253,6 +259,12 @@ def _cmd_loadmap(args: argparse.Namespace) -> int:
 
 
 def _cmd_failure(args: argparse.Namespace) -> int:
+    from repro.analysis.report import render_table
+    from repro.bgp.cache import RoutingCache
+    from repro.core.experiments import site_failure_study
+    from repro.core.verfploeter import Verfploeter
+    from repro.load.estimator import LoadEstimate
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -281,8 +293,16 @@ def _cmd_failure(args: argparse.Namespace) -> int:
 
 
 def _cmd_playbook(args: argparse.Namespace) -> int:
-    from repro.traffic.attack import AttackProfile, compose_attack
+    from repro.bgp.cache import RoutingCache
+    from repro.core.playbook import (
+        PlaybookPlanner,
+        derive_capacities,
+        format_playbook_table,
+    )
+    from repro.core.verfploeter import Verfploeter
+    from repro.load.estimator import LoadEstimate
     from repro.load.weighting import weight_catchment
+    from repro.traffic.attack import AttackProfile, compose_attack
 
     scenario = _build_scenario(args)
     observer = _observer_for(args)
@@ -377,6 +397,11 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
 
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
+    from repro.analysis.placement import suggest_sites
+    from repro.analysis.report import render_table
+    from repro.core.verfploeter import Verfploeter
+    from repro.load.estimator import LoadEstimate
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(
@@ -407,6 +432,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     import numpy as np
 
+    from repro.core.verfploeter import Verfploeter
+    from repro.load.estimator import LoadEstimate
     from repro.service import MappingService, MeasurementState, replay_feed
 
     scenario = _build_scenario(args)
@@ -464,6 +491,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.core.verfploeter import Verfploeter
+    from repro.load.rssac import build_rssac_report
+
     scenario = _build_scenario(args)
     observer = _observer_for(args)
     verfploeter = Verfploeter(

@@ -7,15 +7,7 @@ cleaning stage then removes duplicates, unsolicited replies, and late
 replies exactly as §4 describes.
 """
 
-from repro.collector.aggregate import CentralCollector
-from repro.collector.capture import (
-    LanderCapture,
-    PcapLikeCapture,
-    SiteCapture,
-    StreamingCapture,
-)
-from repro.collector.cleaning import CleaningConfig, CleaningResult, clean_replies
-from repro.collector.stream import ReplyColumns, StreamingCleaner
+from repro.lazy import lazy_exports
 
 __all__ = [
     "ReplyColumns",
@@ -29,3 +21,17 @@ __all__ = [
     "CleaningResult",
     "clean_replies",
 ]
+
+_EXPORTS = {
+    "ReplyColumns": "repro.collector.stream",
+    "StreamingCleaner": "repro.collector.stream",
+    "SiteCapture": "repro.collector.capture",
+    "StreamingCapture": "repro.collector.capture",
+    "LanderCapture": "repro.collector.capture",
+    "PcapLikeCapture": "repro.collector.capture",
+    "CentralCollector": "repro.collector.aggregate",
+    "CleaningConfig": "repro.collector.cleaning",
+    "CleaningResult": "repro.collector.cleaning",
+    "clean_replies": "repro.collector.cleaning",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -15,11 +15,13 @@ Removes, in order:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
 from repro.errors import ConfigurationError
-from repro.icmp.network import DeliveredReply
 from repro.obs import NULL_OBSERVER, Observer
+
+if TYPE_CHECKING:
+    from repro.icmp.network import DeliveredReply
 
 
 @dataclass(frozen=True)

@@ -28,14 +28,16 @@ service stages, applies the kept rows to its catchment, then commits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.collector.cleaning import CleaningConfig, CleaningResult
 from repro.errors import MeasurementError
-from repro.icmp.network import DeliveredReply
 from repro.obs import NULL_OBSERVER, Observer
+
+if TYPE_CHECKING:
+    from repro.icmp.network import DeliveredReply
 
 _COLUMNS = dict(
     site=np.int16, source_address=np.int64, identifier=np.int64,
@@ -65,6 +67,8 @@ class ReplyColumns:
         return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
 
     def __iter__(self) -> Iterator[DeliveredReply]:
+        from repro.icmp.network import DeliveredReply
+
         columns = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
         for site, *fields in columns:
             yield DeliveredReply(self.site_codes[site], *fields)

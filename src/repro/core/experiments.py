@@ -13,10 +13,9 @@ the deployment's columnar engine (:meth:`Verfploeter.engine_for`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.anycast.catchment import CatchmentMap
-from repro.atlas.platform import AtlasPlatform
+from repro.anycast.catchment import UNKNOWN_SITE, CatchmentMap
 from repro.bgp.cache import RoutingCache, default_routing_cache
 from repro.bgp.policy import AnnouncementPolicy
 from repro.analysis.results import (
@@ -27,8 +26,10 @@ from repro.analysis.results import (
 )
 from repro.core.fastscan import scan_lattice
 from repro.core.verfploeter import Verfploeter
-from repro.load.estimator import LoadEstimate
-from repro.load.weighting import UNKNOWN, capacity_violations, weight_catchments
+
+if TYPE_CHECKING:
+    from repro.atlas.platform import AtlasPlatform
+    from repro.load.estimator import LoadEstimate
 
 #: The paper's Figure 5/6 x-axis for B-Root.
 BROOT_PREPEND_CONFIGS: Tuple[Tuple[str, Mapping[str, int]], ...] = (
@@ -150,6 +151,8 @@ class SiteFailureResult:
         study calls safe is exactly one the planner would rank
         violation-free.
         """
+        from repro.load.weighting import capacity_violations
+
         return capacity_violations(
             self.peak_after, dict(capacities), exclude=(self.withdrawn_site,)
         )
@@ -177,7 +180,7 @@ class SiteFailureResult:
         survivors = [
             code
             for code in self.baseline
-            if code != self.withdrawn_site and code != UNKNOWN
+            if code != self.withdrawn_site and code != UNKNOWN_SITE
         ]
         loaded = [code for code in survivors if self.baseline[code] > 0]
         candidates = loaded or survivors
@@ -200,6 +203,8 @@ def site_failure_study(
     one lattice (the baseline at round 0, the ``i``-th withdrawal at
     round ``100 + i``) and weigh in one traffic join.
     """
+    from repro.load.weighting import weight_catchments
+
     service = verfploeter.service
     observer = verfploeter.observer
     routing_cache = cache if cache is not None else default_routing_cache()

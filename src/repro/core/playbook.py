@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from threading import Lock
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.anycast.catchment import CatchmentMap
@@ -311,7 +310,6 @@ class PlaybookPlanner:
         self.cache = cache if cache is not None else default_routing_cache()
         self.observer = verfploeter.observer
         self._catchments: Dict[tuple, CatchmentMap] = {}
-        self._memo_lock = Lock()
 
     def catchment_for(self, policy: AnnouncementPolicy, pool=None) -> CatchmentMap:
         """The measured catchment of ``policy``, memoised per fingerprint:
@@ -325,11 +323,9 @@ class PlaybookPlanner:
 
         Memo hits are returned as they are; the misses route through the
         cache in one lattice call and scan as one lattice: in-process, or
-        as one ``pool.map`` over ``pool``'s shards.  The memo write is idempotent (deterministic values), so
-        concurrent misses for the same policy are safe.
+        as one ``pool.map`` over ``pool``'s shards.
         """
-        with self._memo_lock:
-            known = {key: self._catchments[key] for key in keys if key in self._catchments}
+        known = {key: self._catchments[key] for key in keys if key in self._catchments}
         missing: Dict[tuple, AnnouncementPolicy] = {}
         for key, policy in zip(keys, policies):
             if key not in known:
@@ -351,9 +347,9 @@ class PlaybookPlanner:
                 scanned = sharded_lattice(self.verfploeter, routings, pool)
             else:
                 scanned = scan_lattice(self.verfploeter, routings)
-            with self._memo_lock:
-                for key, catchment in zip(missing, scanned):
-                    known[key] = self._catchments.setdefault(key, catchment)
+            fresh = dict(zip(missing, scanned))
+            self._catchments.update(fresh)
+            known.update(fresh)
         return [known[key] for key in keys]
 
     def _outcome(

@@ -9,18 +9,20 @@ Builders come in several scales (``tiny`` for unit tests up to
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.anycast.service import AnycastService
 from repro.anycast.site import AnycastSite
-from repro.atlas.platform import AtlasPlatform
 from repro.errors import ConfigurationError
 from repro.netaddr.prefix import Prefix
-from repro.topology.generator import SeededAS, TopologyConfig, build_internet
-from repro.topology.internet import Internet
-from repro.traffic.ditl import build_day_load
-from repro.traffic.logs import DayLoad
+from repro.topology.asys import SeededAS
 from repro.traffic.workload import WorkloadProfile, nl_profile, root_profile
+
+if TYPE_CHECKING:
+    from repro.atlas.platform import AtlasPlatform
+    from repro.topology.internet import Internet
+    from repro.traffic.logs import DayLoad
 
 #: Scale presets: (tier1, transit, stub, max_blocks_per_prefix,
 #: block_density_scale).  ``xlarge`` pushes the populated universe
@@ -73,14 +75,30 @@ _GIANTS = (
 
 @dataclass
 class Scenario:
-    """One fully assembled measurement scenario."""
+    """One fully assembled measurement scenario.
+
+    The Atlas deployment is built on first use of :attr:`atlas` (only
+    the Atlas comparisons read it); ``vp_count`` sizes it, and ``None``
+    keeps the paper's ~430x coverage ratio to Verfploeter.
+    """
 
     name: str
     scale: str
     internet: Internet
     service: AnycastService
-    atlas: AtlasPlatform
     profile: WorkloadProfile
+    vp_count: Optional[int] = None
+
+    @cached_property
+    def atlas(self) -> AtlasPlatform:
+        """The scenario's RIPE Atlas deployment."""
+        from repro.atlas.platform import AtlasPlatform
+
+        vp_count = self.vp_count
+        if not vp_count:
+            responsive = int(self.internet.stable_mask().sum())
+            vp_count = max(_MIN_ATLAS_VPS, int(responsive / _ATLAS_COVERAGE_RATIO))
+        return AtlasPlatform(self.internet, vp_count)
 
     def day_load(
         self,
@@ -89,6 +107,8 @@ class Scenario:
         target_total_queries: Optional[float] = None,
     ) -> DayLoad:
         """One day of service logs for this scenario's workload."""
+        from repro.traffic.ditl import build_day_load
+
         return build_day_load(
             self.internet,
             self.profile,
@@ -107,9 +127,25 @@ def _scale_params(scale: str) -> Tuple[int, int, int, int, float]:
         ) from None
 
 
-def _atlas_vp_count(internet: Internet) -> int:
-    responsive = int(internet.stable_mask().sum())
-    return max(_MIN_ATLAS_VPS, int(responsive / _ATLAS_COVERAGE_RATIO))
+def _build_internet(
+    scale: str, seed: int, seeded_ases: Tuple[SeededAS, ...]
+) -> Internet:
+    """The scenario's seeded topology at ``scale``."""
+    from repro.topology.generator import TopologyConfig, build_internet
+
+    tier1, transit, stub, blocks_cap, density = _scale_params(scale)
+    return build_internet(
+        TopologyConfig(
+            seed=seed,
+            tier1_count=tier1,
+            transit_count=transit,
+            stub_count=stub,
+            max_blocks_per_prefix=blocks_cap,
+            block_density_scale=density,
+            address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL),
+            seeded_ases=seeded_ases,
+        )
+    )
 
 
 def _site(code: str, name: str, country: str, lat: float, lon: float,
@@ -127,7 +163,6 @@ def broot_like(scale: str = "small", seed: int = 42,
     the paper notes AMPATH "is very well connected in Brazil and
     Argentina").
     """
-    tier1, transit, stub, blocks_cap, density = _scale_params(scale)
     seeded = _GIANTS + (
         SeededAS(
             # LAX's upstream (modelled on AS226/Los Nettos): multihomed
@@ -145,18 +180,7 @@ def broot_like(scale: str = "small", seed: int = 42,
             peer_regions=("SA",),
         ),
     )
-    internet = build_internet(
-        TopologyConfig(
-            seed=seed,
-            tier1_count=tier1,
-            transit_count=transit,
-            stub_count=stub,
-            max_blocks_per_prefix=blocks_cap,
-            block_density_scale=density,
-            address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL),
-            seeded_ases=seeded,
-        )
-    )
+    internet = _build_internet(scale, seed, seeded)
     lax_upstream = internet.find_asn_by_name("ISI-NET")
     mia_upstream = internet.find_asn_by_name("AMPATH")
     service = AnycastService(
@@ -167,8 +191,7 @@ def broot_like(scale: str = "small", seed: int = 42,
             _site("MIA", "Miami (FIU/AMPATH)", "US", 25.76, -80.19, mia_upstream),
         ],
     )
-    atlas = AtlasPlatform(internet, vp_count or _atlas_vp_count(internet))
-    return Scenario("b-root", scale, internet, service, atlas, root_profile())
+    return Scenario("b-root", scale, internet, service, root_profile(), vp_count)
 
 
 def tangled_like(scale: str = "small", seed: int = 1337,
@@ -181,7 +204,6 @@ def tangled_like(scale: str = "small", seed: int = 1337,
     Tokyo site's upstream (WIDE) is weakly connected, so it attracts
     little traffic.
     """
-    tier1, transit, stub, blocks_cap, density = _scale_params(scale)
     seeded = _GIANTS + (
         SeededAS("VULTR", "transit", "US", ("AU", "FR", "GB"), ((19, 1),),
                  provider_names=("TIER1-0", "TIER1-1")),
@@ -196,18 +218,7 @@ def tangled_like(scale: str = "small", seed: int = 1337,
         SeededAS("DKHOST", "transit", "DK", ("DK",), ((19, 1),),
                  provider_names=("TIER1-3",)),
     )
-    internet = build_internet(
-        TopologyConfig(
-            seed=seed,
-            tier1_count=tier1,
-            transit_count=transit,
-            stub_count=stub,
-            max_blocks_per_prefix=blocks_cap,
-            block_density_scale=density,
-            address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL),
-            seeded_ases=seeded,
-        )
-    )
+    internet = _build_internet(scale, seed, seeded)
     vultr = internet.find_asn_by_name("VULTR")
     fiu = internet.find_asn_by_name("FIU")
     service = AnycastService(
@@ -229,8 +240,7 @@ def tangled_like(scale: str = "small", seed: int = 1337,
                   internet.find_asn_by_name("DKHOST")),
         ],
     )
-    atlas = AtlasPlatform(internet, vp_count or _atlas_vp_count(internet))
-    return Scenario("tangled", scale, internet, service, atlas, root_profile())
+    return Scenario("tangled", scale, internet, service, root_profile(), vp_count)
 
 
 def nl_like(scale: str = "small", seed: int = 2017,
@@ -241,25 +251,13 @@ def nl_like(scale: str = "small", seed: int = 2017,
     "service" is a two-site stand-in whose interest is purely its
     NL-centric workload profile.
     """
-    tier1, transit, stub, blocks_cap, density = _scale_params(scale)
     seeded = _GIANTS + (
         SeededAS("SIDN-NET", "transit", "NL", ("NL",), ((19, 1),),
                  provider_names=("TIER1-0",)),
         SeededAS("SIDN-US", "transit", "US", ("US",), ((19, 1),),
                  provider_names=("TIER1-1",)),
     )
-    internet = build_internet(
-        TopologyConfig(
-            seed=seed,
-            tier1_count=tier1,
-            transit_count=transit,
-            stub_count=stub,
-            max_blocks_per_prefix=blocks_cap,
-            block_density_scale=density,
-            address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL),
-            seeded_ases=seeded,
-        )
-    )
+    internet = _build_internet(scale, seed, seeded)
     service = AnycastService(
         "nl-anycast.example.net",
         Prefix("203.0.113.0/24"),
@@ -270,8 +268,7 @@ def nl_like(scale: str = "small", seed: int = 2017,
                   internet.find_asn_by_name("SIDN-US")),
         ],
     )
-    atlas = AtlasPlatform(internet, vp_count or _atlas_vp_count(internet))
-    return Scenario("nl", scale, internet, service, atlas, nl_profile())
+    return Scenario("nl", scale, internet, service, nl_profile(), vp_count)
 
 
 #: CDN deployment plan: (site code, city, country, lat, lon, upstream AS name).
@@ -325,19 +322,7 @@ def cdn_like(scale: str = "small", seed: int = 4242,
     seven regional upstream ASes, so shared-upstream dynamics (several
     sites per upstream, hot-potato splits) occur at CDN scale.
     """
-    tier1, transit, stub, blocks_cap, density = _scale_params(scale)
-    internet = build_internet(
-        TopologyConfig(
-            seed=seed,
-            tier1_count=tier1,
-            transit_count=transit,
-            stub_count=stub,
-            max_blocks_per_prefix=blocks_cap,
-            block_density_scale=density,
-            address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL),
-            seeded_ases=_GIANTS + _CDN_UPSTREAMS,
-        )
-    )
+    internet = _build_internet(scale, seed, _GIANTS + _CDN_UPSTREAMS)
     sites = [
         _site(code, f"{city} (CDN)", country, lat, lon,
               internet.find_asn_by_name(upstream))
@@ -346,5 +331,4 @@ def cdn_like(scale: str = "small", seed: int = 4242,
     service = AnycastService(
         "cdn.example.net", Prefix("192.0.2.0/24"), sites
     )
-    atlas = AtlasPlatform(internet, vp_count or _atlas_vp_count(internet))
-    return Scenario("cdn", scale, internet, service, atlas, root_profile())
+    return Scenario("cdn", scale, internet, service, root_profile(), vp_count)

@@ -9,30 +9,24 @@ site, aggregate centrally, clean, and emit a measured catchment map.
 from __future__ import annotations
 
 import io
-from threading import Lock
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.anycast.catchment import CatchmentMap
 from repro.anycast.service import AnycastService
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import RoutingOutcome, compute_routes
-from repro.collector.aggregate import CentralCollector
-from repro.collector.capture import (
-    LanderCapture,
-    PcapLikeCapture,
-    SiteCapture,
-    StreamingCapture,
-)
 from repro.collector.cleaning import CleaningConfig, clean_replies
 from repro.collector.results import ScanResult, ScanStats
 from repro.errors import ConfigurationError, MeasurementError
 from repro.icmp.latency import LatencyModel
-from repro.icmp.network import DeliveredReply, SimulatedDataplane
-from repro.icmp.packets import build_probe
 from repro.obs import NULL_OBSERVER, Observer
 from repro.probing.hitlist import Hitlist, build_hitlist
 from repro.probing.prober import ProbeSchedule, Prober, ProberConfig
 from repro.topology.internet import Internet
+
+if TYPE_CHECKING:
+    from repro.collector.capture import SiteCapture
+    from repro.icmp.network import DeliveredReply
 
 CAPTURE_STYLES = ("streaming", "lander", "pcap")
 
@@ -86,9 +80,14 @@ class Verfploeter:
         )
         self._engine: Optional["FastScanEngine"] = None
         self._round_state: Optional["RoundState"] = None
-        self._round_state_lock = Lock()
 
     def _make_captures(self) -> List[SiteCapture]:
+        from repro.collector.capture import (
+            LanderCapture,
+            PcapLikeCapture,
+            StreamingCapture,
+        )
+
         captures: List[SiteCapture] = []
         for site in self.service.sites:
             if self.capture_style == "streaming":
@@ -114,18 +113,16 @@ class Verfploeter:
     def round_state(self) -> "RoundState":
         """The routing-invariant scan state, built once per deployment and
         shared read-only by every engine on it (the :meth:`engine_for`
-        slot and directly built ones alike).  Locked, so concurrent
-        callers still build it once."""
-        with self._round_state_lock:
-            if self._round_state is None:
-                from repro.core.fastscan import build_round_state
+        slot and directly built ones alike)."""
+        if self._round_state is None:
+            from repro.core.fastscan import build_round_state
 
-                observer = self.observer
-                with observer.tracer.span("fastscan.invariant") as span:
-                    self._round_state = build_round_state(self)
-                    span.set(blocks=self._round_state.rows)
-                observer.metrics.counter("fastscan.invariant.builds").inc()
-            return self._round_state
+            observer = self.observer
+            with observer.tracer.span("fastscan.invariant") as span:
+                self._round_state = build_round_state(self)
+                span.set(blocks=self._round_state.rows)
+            observer.metrics.counter("fastscan.invariant.builds").inc()
+        return self._round_state
 
     def engine_for(self, routing: RoutingOutcome) -> "FastScanEngine":
         """The columnar engine for ``routing``, memoised in a single slot.
@@ -133,11 +130,8 @@ class Verfploeter:
         Keyed by the identity of the routing outcome: a series pays one
         precompute (the block columns are :meth:`round_state`'s).
         What-if lattices skip the slot: :func:`~repro.core.fastscan.scan_lattice`
-        builds all their route columns in one stacked pick.  The
-        slot is assigned only after construction, so concurrent callers
-        at worst build an engine each — never observe one bound to
-        another routing.  Imported lazily because
-        :mod:`repro.core.fastscan` imports this module.
+        builds all their route columns in one stacked pick.  Imported
+        lazily because :mod:`repro.core.fastscan` imports this module.
         """
         engine = self._engine
         if engine is None or engine.routing is not routing:
@@ -153,6 +147,10 @@ class Verfploeter:
         schedule, each probed address's send time and the collector's
         sorted drain *before* cleaning (what ``wire_level=True`` cleans
         and the daemon's columnar feed is compared against)."""
+        from repro.collector.aggregate import CentralCollector
+        from repro.icmp.network import SimulatedDataplane
+        from repro.icmp.packets import build_probe
+
         observer = self.observer
         dataplane = SimulatedDataplane(routing, self.latency_model)
         collector = CentralCollector(self._make_captures(), observer=observer)

@@ -6,19 +6,7 @@ technique the paper compares against: CHAOS-class TXT queries for
 per-site authoritative responder that identifies the site.
 """
 
-from repro.dns.message import (
-    CLASS_CHAOS,
-    CLASS_IN,
-    EDNS_OPTION_NSID,
-    TYPE_OPT,
-    TYPE_TXT,
-    DnsMessage,
-    DnsQuestion,
-    DnsRecord,
-    decode_name,
-    encode_name,
-)
-from repro.dns.server import SiteIdentityServer
+from repro.lazy import lazy_exports
 
 __all__ = [
     "CLASS_CHAOS",
@@ -33,3 +21,18 @@ __all__ = [
     "decode_name",
     "SiteIdentityServer",
 ]
+
+_EXPORTS = {
+    "CLASS_CHAOS": "repro.dns.message",
+    "CLASS_IN": "repro.dns.message",
+    "TYPE_TXT": "repro.dns.message",
+    "TYPE_OPT": "repro.dns.message",
+    "EDNS_OPTION_NSID": "repro.dns.message",
+    "DnsMessage": "repro.dns.message",
+    "DnsQuestion": "repro.dns.message",
+    "DnsRecord": "repro.dns.message",
+    "encode_name": "repro.dns.message",
+    "decode_name": "repro.dns.message",
+    "SiteIdentityServer": "repro.dns.server",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

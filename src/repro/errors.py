@@ -95,3 +95,12 @@ class EquivalenceError(ReproError, AssertionError):
     ``AssertionError`` so test harnesses report it as a failed
     assertion rather than an error.
     """
+
+
+class ExportError(ReproError, AttributeError):
+    """A package was asked for a name it does not export.
+
+    Raised by the lazy re-export hook (:mod:`repro.lazy`); subclasses
+    :class:`AttributeError` so ``hasattr`` and ``from package import
+    submodule`` behave as for any module.
+    """

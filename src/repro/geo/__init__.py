@@ -7,15 +7,7 @@ two-degree geographic grid used by the paper's coverage maps
 (Figures 2-4).
 """
 
-from repro.geo.distance import haversine_km
-from repro.geo.geodb import GeoDatabase, GeoRecord
-from repro.geo.grid import GeoGrid, GridCell
-from repro.geo.regions import (
-    COUNTRIES,
-    Country,
-    Region,
-    country_by_code,
-)
+from repro.lazy import lazy_exports
 
 __all__ = [
     "Country",
@@ -28,3 +20,16 @@ __all__ = [
     "GridCell",
     "haversine_km",
 ]
+
+_EXPORTS = {
+    "Country": "repro.geo.regions",
+    "Region": "repro.geo.regions",
+    "COUNTRIES": "repro.geo.regions",
+    "country_by_code": "repro.geo.regions",
+    "GeoDatabase": "repro.geo.geodb",
+    "GeoRecord": "repro.geo.geodb",
+    "GeoGrid": "repro.geo.grid",
+    "GridCell": "repro.geo.grid",
+    "haversine_km": "repro.geo.distance",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

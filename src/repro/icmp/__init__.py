@@ -8,18 +8,7 @@ off-address replies, latency), and the dataplane that delivers replies
 to the catchment site.
 """
 
-from repro.icmp.network import DeliveredReply, SimulatedDataplane
-from repro.icmp.packets import (
-    ICMP_ECHO_REPLY,
-    ICMP_ECHO_REQUEST,
-    EchoMessage,
-    IPv4Header,
-    build_probe,
-    build_reply,
-    internet_checksum,
-    parse_packet,
-)
-from repro.icmp.responder import HostResponder, ReplyEvent
+from repro.lazy import lazy_exports
 
 __all__ = [
     "ICMP_ECHO_REQUEST",
@@ -35,3 +24,19 @@ __all__ = [
     "SimulatedDataplane",
     "DeliveredReply",
 ]
+
+_EXPORTS = {
+    "ICMP_ECHO_REQUEST": "repro.icmp.packets",
+    "ICMP_ECHO_REPLY": "repro.icmp.packets",
+    "EchoMessage": "repro.icmp.packets",
+    "IPv4Header": "repro.icmp.packets",
+    "internet_checksum": "repro.icmp.packets",
+    "build_probe": "repro.icmp.packets",
+    "build_reply": "repro.icmp.packets",
+    "parse_packet": "repro.icmp.packets",
+    "HostResponder": "repro.icmp.responder",
+    "ReplyEvent": "repro.icmp.responder",
+    "SimulatedDataplane": "repro.icmp.network",
+    "DeliveredReply": "repro.icmp.network",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,8 +26,7 @@ byte-identical to a fresh run.  New rules are added as one module
 under :mod:`repro.lint.rules` (see CONTRIBUTING.md).
 """
 
-from repro.lint.engine import LintResult, lint_paths
-from repro.lint.violations import Violation, all_rules, register_rule
+from repro.lazy import lazy_exports
 
 __all__ = [
     "LintResult",
@@ -36,3 +35,12 @@ __all__ = [
     "lint_paths",
     "register_rule",
 ]
+
+_EXPORTS = {
+    "LintResult": "repro.lint.engine",
+    "Violation": "repro.lint.violations",
+    "all_rules": "repro.lint.violations",
+    "lint_paths": "repro.lint.engine",
+    "register_rule": "repro.lint.violations",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,10 +16,13 @@ with four additions reflecting the tree as it actually is:
   types (a within-layer import) to concentrate attack hotspots, while
   the planner consuming it (``core.playbook``) sits at layer 4 with
   the other experiment drivers;
-* ``lint`` (this tool) is layer 0 — it imports only ``errors``;
+* ``lint`` (this tool) is layer 0 — it imports only ``errors`` (and
+  ``lazy`` for its package re-exports);
 * ``obs`` (tracing spans and their wall times, metrics) is also layer 0:
   every pipeline layer above it reports into it, so it may import
   nothing but ``errors``;
+* ``lazy`` (the PEP 562 re-export hook every package ``__init__`` but
+  ``obs`` uses) is layer 0 too, so any package may use it;
 * ``datasets`` and ``reporting`` sit between ``core`` and ``cli``:
   they serialise and render *outputs* of the core drivers;
 * ``service`` (the always-on mapping daemon) sits with them: it drives
@@ -38,7 +41,7 @@ from typing import Dict, Optional, Tuple
 
 #: Index in this tuple == layer number (0 is the bottom).
 LAYERS: Tuple[Tuple[str, ...], ...] = (
-    ("errors", "rng", "netaddr", "lint", "obs"),
+    ("errors", "rng", "netaddr", "lint", "obs", "lazy"),
     ("geo", "topology"),
     ("anycast", "bgp", "icmp", "dns", "traffic"),
     ("probing", "collector", "atlas", "load", "analysis"),

@@ -22,13 +22,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import UNKNOWN_SITE, ArrayCatchmentMap, CatchmentMap
 from repro.errors import DatasetError
 from repro.load.estimator import LoadEstimate
 from repro.obs import NULL_OBSERVER, Observer
 from repro.traffic.logs import HOURS
 
-UNKNOWN = "UNK"
+UNKNOWN = UNKNOWN_SITE
 
 #: Shared read-only zero vector returned for sites with no hourly state.
 _ZERO_HOURS = np.zeros(HOURS)

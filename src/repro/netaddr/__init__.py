@@ -6,19 +6,7 @@ them with parsing, formatting, and containment logic.  The /24 *block*
 matching the paper's use of /24 as the smallest BGP-routable prefix.
 """
 
-from repro.netaddr.address import (
-    IPv4Address,
-    format_ipv4,
-    parse_ipv4,
-)
-from repro.netaddr.blocks import (
-    BLOCK_COUNT,
-    block_base_address,
-    format_block,
-    parse_block,
-)
-from repro.netaddr.prefix import Prefix
-from repro.netaddr.trie import LongestPrefixTrie
+from repro.lazy import lazy_exports
 
 __all__ = [
     "IPv4Address",
@@ -31,3 +19,16 @@ __all__ = [
     "format_block",
     "parse_block",
 ]
+
+_EXPORTS = {
+    "IPv4Address": "repro.netaddr.address",
+    "Prefix": "repro.netaddr.prefix",
+    "LongestPrefixTrie": "repro.netaddr.trie",
+    "parse_ipv4": "repro.netaddr.address",
+    "format_ipv4": "repro.netaddr.address",
+    "BLOCK_COUNT": "repro.netaddr.blocks",
+    "block_base_address": "repro.netaddr.blocks",
+    "format_block": "repro.netaddr.blocks",
+    "parse_block": "repro.netaddr.blocks",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,8 +1,6 @@
 """The Verfploeter prober: hitlists, probe ordering, and scheduling."""
 
-from repro.probing.hitlist import Hitlist, HitlistEntry, build_hitlist
-from repro.probing.order import PseudorandomOrder
-from repro.probing.prober import ProbeSchedule, Prober, ProberConfig
+from repro.lazy import lazy_exports
 
 __all__ = [
     "Hitlist",
@@ -13,3 +11,14 @@ __all__ = [
     "ProberConfig",
     "ProbeSchedule",
 ]
+
+_EXPORTS = {
+    "Hitlist": "repro.probing.hitlist",
+    "HitlistEntry": "repro.probing.hitlist",
+    "build_hitlist": "repro.probing.hitlist",
+    "PseudorandomOrder": "repro.probing.order",
+    "Prober": "repro.probing.prober",
+    "ProberConfig": "repro.probing.prober",
+    "ProbeSchedule": "repro.probing.prober",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -9,22 +9,7 @@ JSON API (:mod:`repro.service.http`: routing plus a one-thread
 daemon (:mod:`repro.service.daemon`), also reachable as ``repro serve``.
 """
 
-from repro.service.daemon import MappingService
-from repro.service.feed import (
-    FeedEvent,
-    ReplyBatch,
-    RoundEnd,
-    RoundStart,
-    replay_feed,
-)
-from repro.service.routes import build_app
-from repro.service.state import (
-    MeasurementState,
-    RoundRecord,
-    StateView,
-    batch_replay,
-)
-from repro.service.http import JsonApp, Request
+from repro.lazy import lazy_exports
 
 __all__ = [
     "MappingService",
@@ -41,3 +26,20 @@ __all__ = [
     "RoundEnd",
     "replay_feed",
 ]
+
+_EXPORTS = {
+    "MappingService": "repro.service.daemon",
+    "MeasurementState": "repro.service.state",
+    "StateView": "repro.service.state",
+    "RoundRecord": "repro.service.state",
+    "batch_replay": "repro.service.state",
+    "build_app": "repro.service.routes",
+    "JsonApp": "repro.service.http",
+    "Request": "repro.service.http",
+    "FeedEvent": "repro.service.feed",
+    "RoundStart": "repro.service.feed",
+    "ReplyBatch": "repro.service.feed",
+    "RoundEnd": "repro.service.feed",
+    "replay_feed": "repro.service.feed",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

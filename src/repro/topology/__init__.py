@@ -6,13 +6,7 @@ relationships, points of presence (PoPs) for large ASes, BGP-announced
 prefixes, and populated /24 blocks with a host-responsiveness model.
 """
 
-from repro.topology.asys import ASTier, AutonomousSystem, PoP
-from repro.topology.allocator import PrefixAllocator
-from repro.topology.generator import SeededAS, TopologyConfig, build_internet
-from repro.topology.hosts import HostModel, HostModelConfig
-from repro.topology.internet import Internet
-from repro.topology.prefixes import AnnouncedPrefix
-from repro.topology.relationships import Relationship, RelationshipGraph
+from repro.lazy import lazy_exports
 
 __all__ = [
     "ASTier",
@@ -29,3 +23,20 @@ __all__ = [
     "TopologyConfig",
     "build_internet",
 ]
+
+_EXPORTS = {
+    "ASTier": "repro.topology.asys",
+    "AutonomousSystem": "repro.topology.asys",
+    "PoP": "repro.topology.asys",
+    "PrefixAllocator": "repro.topology.allocator",
+    "AnnouncedPrefix": "repro.topology.prefixes",
+    "Relationship": "repro.topology.relationships",
+    "RelationshipGraph": "repro.topology.relationships",
+    "HostModel": "repro.topology.hosts",
+    "HostModelConfig": "repro.topology.hosts",
+    "Internet": "repro.topology.internet",
+    "SeededAS": "repro.topology.asys",
+    "TopologyConfig": "repro.topology.generator",
+    "build_internet": "repro.topology.generator",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -59,3 +59,34 @@ class AutonomousSystem:
     def __post_init__(self) -> None:
         if self.tier not in ASTier.ALL:
             raise ConfigurationError(f"unknown AS tier {self.tier!r}")
+
+
+@dataclass(frozen=True)
+class SeededAS:
+    """An AS the caller requires to exist with exact properties.
+
+    ``prefix_plan`` lists ``(prefix_length, count)`` pairs to announce;
+    ``pop_countries`` creates one PoP per listed country (repeats allowed
+    for multiple PoPs in one country).
+    """
+
+    name: str
+    tier: str
+    country_code: str
+    pop_countries: Tuple[str, ...]
+    prefix_plan: Tuple[Tuple[int, int], ...]
+    flipper: bool = False
+    block_density: float = 0.5
+    provider_names: Tuple[str, ...] = ()
+    peer_regions: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.tier not in ASTier.ALL:
+            raise ConfigurationError(f"seeded AS {self.name!r}: bad tier {self.tier!r}")
+        if not self.pop_countries:
+            raise ConfigurationError(f"seeded AS {self.name!r}: needs >= 1 PoP")
+        for length, count in self.prefix_plan:
+            if not 8 <= length <= 24 or count < 1:
+                raise ConfigurationError(
+                    f"seeded AS {self.name!r}: bad prefix plan entry ({length}, {count})"
+                )

@@ -30,43 +30,11 @@ from repro.geo.regions import COUNTRIES, Country, country_by_code
 from repro.netaddr.prefix import Prefix
 from repro.rng import derive_rng
 from repro.topology.allocator import PrefixAllocator
-from repro.topology.asys import ASTier, AutonomousSystem, PoP
+from repro.topology.asys import ASTier, AutonomousSystem, PoP, SeededAS
 from repro.topology.hosts import HostModel, HostModelConfig
 from repro.topology.internet import Internet
 from repro.topology.prefixes import AnnouncedPrefix
 from repro.topology.relationships import RelationshipGraph
-
-
-
-@dataclass(frozen=True)
-class SeededAS:
-    """An AS the caller requires to exist with exact properties.
-
-    ``prefix_plan`` lists ``(prefix_length, count)`` pairs to announce;
-    ``pop_countries`` creates one PoP per listed country (repeats allowed
-    for multiple PoPs in one country).
-    """
-
-    name: str
-    tier: str
-    country_code: str
-    pop_countries: Tuple[str, ...]
-    prefix_plan: Tuple[Tuple[int, int], ...]
-    flipper: bool = False
-    block_density: float = 0.5
-    provider_names: Tuple[str, ...] = ()
-    peer_regions: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.tier not in ASTier.ALL:
-            raise ConfigurationError(f"seeded AS {self.name!r}: bad tier {self.tier!r}")
-        if not self.pop_countries:
-            raise ConfigurationError(f"seeded AS {self.name!r}: needs >= 1 PoP")
-        for length, count in self.prefix_plan:
-            if not 8 <= length <= 24 or count < 1:
-                raise ConfigurationError(
-                    f"seeded AS {self.name!r}: bad prefix plan entry ({length}, {count})"
-                )
 
 
 @dataclass(frozen=True)

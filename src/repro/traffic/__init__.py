@@ -7,15 +7,7 @@ heavy-tailed rates, NAT-dense regions, and ping-unresponsive blocks
 that still send real traffic.
 """
 
-from repro.traffic.attack import (
-    AttackProfile,
-    attack_day_load,
-    compose_attack,
-    hotspot_blocks,
-)
-from repro.traffic.ditl import build_day_load
-from repro.traffic.logs import DayLoad, LoadKind
-from repro.traffic.workload import WorkloadProfile, nl_profile, root_profile
+from repro.lazy import lazy_exports
 
 # NOTE: repro.traffic.rssac is imported directly (not re-exported here)
 # because it builds on repro.load, which itself builds on this package.
@@ -32,3 +24,17 @@ __all__ = [
     "compose_attack",
     "hotspot_blocks",
 ]
+
+_EXPORTS = {
+    "DayLoad": "repro.traffic.logs",
+    "LoadKind": "repro.traffic.logs",
+    "WorkloadProfile": "repro.traffic.workload",
+    "root_profile": "repro.traffic.workload",
+    "nl_profile": "repro.traffic.workload",
+    "build_day_load": "repro.traffic.ditl",
+    "AttackProfile": "repro.traffic.attack",
+    "attack_day_load": "repro.traffic.attack",
+    "compose_attack": "repro.traffic.attack",
+    "hotspot_blocks": "repro.traffic.attack",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

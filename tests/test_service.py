@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import http.client
+import inspect
 import json
 import threading
 import urllib.request
@@ -433,6 +435,53 @@ class TestEdgeCases:
             assert document["rounds_completed"] == 1
         finally:
             service.shutdown()
+
+
+class TestThreadConfinement:
+    """The deployment and the planner hold no locks: while the daemon
+    runs, only its ingest thread enters them; its HTTP thread never does."""
+
+    def test_only_the_ingest_thread_enters_the_deployment(
+        self, broot_verfploeter, broot_routing, universe, estimate
+    ):
+        from repro.core.playbook import PlaybookPlanner
+
+        watched = {
+            inspect.getsourcefile(Verfploeter),
+            inspect.getsourcefile(PlaybookPlanner),
+        }
+        calls = []  # (thread name, entered a watched file); append is atomic
+
+        def hook(frame, event, arg):
+            if event == "call":
+                calls.append((
+                    threading.current_thread().name,
+                    frame.f_code.co_filename in watched,
+                ))
+
+        service = MappingService(
+            build_state(broot_routing, universe, estimate),
+            replay_feed(
+                broot_verfploeter, routing=broot_routing, rounds=ROUNDS,
+                batch_size=BATCH,
+            ),
+        )
+        threading.setprofile(hook)
+        try:
+            connection = http.client.HTTPConnection(*service.serve_http(), timeout=30)
+            service.start_ingest()
+            for path in ("/v1/health", "/v1/load", "/v1/diff?rounds=1",
+                         "/v1/metrics") * 3:  # 409s until a round completes
+                connection.request("GET", path)
+                connection.getresponse().read()
+            service.wait_ingest()
+            connection.close()
+        finally:
+            service.shutdown()
+            threading.setprofile(None)
+        threads = {name for name, _ in calls}
+        assert {"repro-serve-ingest", "repro-serve-http"} <= threads
+        assert {name for name, inside in calls if inside} == {"repro-serve-ingest"}
 
 
 class TestWsgiLayer:

@@ -289,6 +289,7 @@ def test_synthesis_scalar_draws_do_not_scale_with_blocks():
     sys.setprofile(count)
     try:
         scenario = tangled_like("tiny")
+        scenario.atlas  # deployed on first use
         Verfploeter(scenario.internet, scenario.service)
         scenario.day_load("guard")
     finally:
