@@ -7,8 +7,9 @@ fingerprints instead of arrays: with `core.tables` externalising every
 round-invariant column, the expensive part of a worker task is no
 longer unpickling state but *attaching* it — and attaching is cacheable
 per process.  The pool therefore (a) keeps its worker processes alive
-across calls, so `repro scan` series, stability series, and sharded
-load joins in one invocation reuse warm workers, and (b) runs every
+across calls, so the sharded stability series of `repro stability` and
+the lattice and load join of `repro playbook` reuse warm workers within
+one invocation, and (b) runs every
 task through :func:`run_attached`, which resolves fingerprints through
 a per-process cache before invoking the real worker function.
 
@@ -50,8 +51,16 @@ from repro.obs import NULL_OBSERVER, Observer
 #: Attachments a process keeps before dropping its oldest: far above what
 #: one CLI run attaches (a round state and a few joined columns; a pooled
 #: playbook lattice ships route columns, not ``sites`` columns), yet a
-#: daemon joining a new catchment every round stays bounded.
+#: caller that keeps one pool open across many joins stays bounded.
 _ATTACH_CACHE_LIMIT = 128
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (Linux), else ``os.cpu_count()``; at least 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class _ProcessCache:
@@ -165,7 +174,7 @@ class ShardPool:
         observer: Optional[Observer] = None,
     ) -> None:
         if workers is None:
-            workers = len(os.sched_getaffinity(0))
+            workers = available_cpus()
         if workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         self.workers = workers

@@ -43,12 +43,15 @@ construction rather than by luck:
 
 Process-pool construction lives in `repro.core.pool` (reprolint rule
 D112); every pool target here is a module-level function resolving
-fingerprints through that module's per-process attach cache.
+fingerprints through that module's per-process attach cache.  A target
+that does not pickle fails the real-worker tests
+(``tests/test_pool.py``, ``tests/test_sharding.py``,
+``tests/test_lattice.py``): ``ShardPool`` pickles it on every start
+method.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -68,7 +71,12 @@ from repro.core.fastscan import (
     round_draws,
     route_columns,
 )
-from repro.core.pool import ShardPool, attached_array, attached_round_state
+from repro.core.pool import (
+    ShardPool,
+    attached_array,
+    attached_round_state,
+    available_cpus,
+)
 from repro.core.tables import ensure_array
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, DatasetError, EquivalenceError
@@ -231,7 +239,7 @@ def resolve_fanout(shards: Optional[int], workers: Optional[int]) -> Tuple[int, 
     if shards is None:
         shards = workers if workers else 1
     if workers is None:
-        workers = min(shards, len(os.sched_getaffinity(0)))
+        workers = min(shards, available_cpus())
     if shards < 1:
         raise ConfigurationError("shards must be >= 1")
     if workers < 0:

@@ -3,11 +3,9 @@
 Linting is a pure function of (file content, rule set): the same bytes
 checked by the same rules always produce the same findings.  The cache
 exploits that — each per-file entry is keyed by the file's content
-digest, its tree kind, and a fingerprint of every *file-scoped* rule's
+digest, its tree kind, and a fingerprint of every selected rule's
 ``(rule_id, version)`` pair, so editing a file or bumping a rule's
 ``version`` invalidates exactly the entries that could change.
-Project-scoped rules (the seed-label pair) are not cached: they run in
-a few milliseconds over trees the run has already parsed.
 
 Entries are JSON files under ``<root>/<xx>/<digest>.json`` (two-level
 fan-out keeps directories small) and are written atomically via a

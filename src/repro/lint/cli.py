@@ -92,7 +92,7 @@ def _list_rules() -> str:
         kinds = ",".join(rule.kinds)
         lines.append(
             f"{rule.rule_id}  {rule.name}  "
-            f"[{rule.scope}; v{rule_version(rule)}; {kinds}]"
+            f"[v{rule_version(rule)}; {kinds}]"
         )
         lines.append(f"      {rule.description}")
     return "\n".join(lines)

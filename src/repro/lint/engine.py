@@ -6,10 +6,10 @@ disable=<rule>`` suppressions work, and how to render findings as text
 or machine-readable JSON.  Everything domain-specific lives in
 :mod:`repro.lint.rules`.
 
-Per-file results are cached incrementally (``cache_dir=``), keyed by
-content digest and rule versions (see :mod:`repro.lint.cache`); the
-project-scope seed-label pass is cheap and always runs.  A cached
-replay renders byte-identically to a fresh run.
+Every rule checks one file at a time, so every result is cached
+incrementally (``cache_dir=``), keyed by content digest and rule
+versions (see :mod:`repro.lint.cache`).  A cached replay renders
+byte-identically to a fresh run.
 """
 
 from __future__ import annotations
@@ -198,12 +198,12 @@ def parse_file(path: str, force_kind: Optional[str] = None) -> Tuple[Optional[So
 def run_file_rules(
     source: SourceFile, rules: Sequence[object]
 ) -> List[Violation]:
-    """File-scoped findings for one file, suppressions applied."""
+    """Findings for one file, suppressions applied."""
     findings: List[Violation] = []
     for rule in rules:
-        if rule.scope != "file" or source.kind not in rule.kinds:
+        if source.kind not in rule.kinds:
             continue
-        for violation in rule.check([source]):
+        for violation in rule.check(source):
             if source.suppressed(violation.line, rule.rule_id, rule.name):
                 continue
             findings.append(violation)
@@ -222,26 +222,6 @@ def _select_rules(rule_ids: Optional[Sequence[str]]) -> List[object]:
         raise ConfigurationError(f"unknown rule id(s): {', '.join(unknown)}")
     wanted = set(rule_ids)
     return [rule for rule in selected if rule.rule_id in wanted]
-
-
-def _run_project_rules(
-    files: Sequence[SourceFile], rules: Sequence[object]
-) -> List[Violation]:
-    """Project-scoped findings over the full file set, suppressed."""
-    by_path = {source.path: source for source in files}
-    findings: List[Violation] = []
-    for rule in rules:
-        applicable = [source for source in files if source.kind in rule.kinds]
-        if not applicable:
-            continue
-        for violation in rule.check(applicable):
-            source = by_path.get(violation.path)
-            if source is not None and source.suppressed(
-                violation.line, rule.rule_id, rule.name
-            ):
-                continue
-            findings.append(violation)
-    return findings
 
 
 def lint_paths(
@@ -263,43 +243,36 @@ def lint_paths(
         from repro.errors import ConfigurationError
 
         raise ConfigurationError(f"unknown tree kind {force_kind!r}")
-    selected = _select_rules(rule_ids)
-    file_rules = [rule for rule in selected if rule.scope == "file"]
-    project_rules = [rule for rule in selected if rule.scope == "project"]
+    rules = _select_rules(rule_ids)
     cache = LintCache(cache_dir) if cache_dir else None
 
-    files: List[SourceFile] = []
+    fingerprint = rules_fingerprint(rules)
+    files_scanned = 0
     findings: List[Violation] = []
     for path in collect_files(paths):
         source, parse_violation = parse_file(path, force_kind=force_kind)
         if parse_violation is not None:
             findings.append(parse_violation)
-        if source is not None:
-            files.append(source)
-
-    # Per-file pass: replay cached results, lint the rest.
-    file_fingerprint = rules_fingerprint(file_rules)
-    for source in files:
+        if source is None:
+            continue
+        files_scanned += 1
+        # Replay a cached result, or lint the file and store it.
         key = LintCache.file_key(
-            source.path, digest_text(source.text), source.kind, file_fingerprint
+            source.path, digest_text(source.text), source.kind, fingerprint
         )
         cached = cache.load(key) if cache is not None else None
         if cached is not None:
             findings.extend(cached)
             continue
-        file_findings = run_file_rules(source, file_rules)
+        file_findings = run_file_rules(source, rules)
         findings.extend(file_findings)
         if cache is not None:
             cache.store(key, file_findings)
 
-    # Project pass (the seed-label rules): cheap next to parsing, so it
-    # always runs.
-    findings.extend(_run_project_rules(files, project_rules))
-
     findings.sort(key=lambda violation: violation.sort_key())
     return LintResult(
         violations=findings,
-        files_scanned=len(files),
+        files_scanned=files_scanned,
         cache_hits=cache.hits if cache is not None else 0,
         cache_misses=cache.misses if cache is not None else 0,
     )

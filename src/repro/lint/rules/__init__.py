@@ -12,4 +12,3 @@ from repro.lint.rules import docstrings  # noqa: F401
 from repro.lint.rules import exceptions  # noqa: F401
 from repro.lint.rules import layering  # noqa: F401
 from repro.lint.rules import pools  # noqa: F401
-from repro.lint.rules import seeds  # noqa: F401

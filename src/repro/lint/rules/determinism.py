@@ -126,11 +126,9 @@ class GlobalRandomRule:
         "random.shuffle, ...) use interpreter-wide hidden state; derive a "
         "stream with repro.rng.derive_rng instead"
     )
-    scope = "file"
     kinds = ALL_KINDS
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         imports = _ImportMap(source.tree)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -169,11 +167,9 @@ class UnseededRandomRule:
         "random.Random() without an explicit seed (and SystemRandom at "
         "all) is seeded from OS entropy; pass a derived seed"
     )
-    scope = "file"
     kinds = ALL_KINDS
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         imports = _ImportMap(source.tree)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -220,11 +216,9 @@ class NumpyGlobalRandomRule:
         "numpy.random.* uses numpy's global (or OS-seeded) state; use "
         "repro.rng.uniform_unit_np or a generator seeded from derive_seed"
     )
-    scope = "file"
     kinds = ALL_KINDS
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         imports = _ImportMap(source.tree)
         for node in ast.walk(source.tree):
             if (
@@ -261,11 +255,9 @@ class WallClockRule:
         "time.time()/datetime.now() make results depend on when the code "
         "runs; thread simulated time through parameters instead"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         imports = _ImportMap(source.tree)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -325,11 +317,9 @@ class OsEntropyRule:
         "os.urandom/uuid4/secrets pull OS entropy, which can never be "
         "replayed; derive identifiers from seeds"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         imports = _ImportMap(source.tree)
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.Call):
@@ -386,11 +376,9 @@ class InstanceDefaultRule:
         "evaluated once at import time and shared by every call, freezing "
         "its configuration; default to None and construct inside"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         for node in ast.walk(source.tree):
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)

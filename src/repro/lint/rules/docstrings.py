@@ -33,12 +33,10 @@ class MissingDocstringRule:
         "underscore-prefixed names, nested functions, and the lint "
         "package are exempt"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
+    def check(self, source) -> Iterable[Violation]:
         """Flag every undocumented public definition in one file."""
-        source = files[0]
         if source.package == "lint":
             return
         for node in source.tree.body:

@@ -63,11 +63,9 @@ class ForeignRaiseRule:
         "NotImplementedError excepted), so ReproError is the one boundary "
         "callers need"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         if source.package == "errors":
             return
         allowed = _errors_hierarchy() | _ALWAYS_ALLOWED
@@ -102,11 +100,9 @@ class BroadExceptRule:
         "bare except / except Exception without a re-raise swallows "
         "unexpected failures; catch the narrowest repro.errors type"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         for node in ast.walk(source.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue

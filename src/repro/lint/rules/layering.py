@@ -67,11 +67,9 @@ class LayerViolationRule:
         "(see repro.lint.layers); move the shared type down or invert "
         "the dependency"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         package = source.package
         if package is None:
             return
@@ -113,11 +111,9 @@ class UndeclaredPackageRule:
         "a repro.* package is absent from repro.lint.layers.LAYERS; new "
         "packages must declare their layer so L401 can see them"
     )
-    scope = "file"
     kinds = (LIBRARY,)
 
-    def check(self, files) -> Iterable[Violation]:
-        source = files[0]
+    def check(self, source) -> Iterable[Violation]:
         package = source.package
         if package is not None and layer_of(package) is None:
             yield Violation(

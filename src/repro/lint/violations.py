@@ -46,24 +46,22 @@ class Violation:
 class Rule(Protocol):
     """The plugin protocol every reprolint rule implements.
 
-    ``scope`` is ``"file"`` (checked one file at a time) or
-    ``"project"`` (sees every collected file at once — needed for
-    cross-module invariants such as seed-label uniqueness).
+    A rule checks one parsed file at a time, and only files whose tree
+    kind is in ``kinds``.
 
     The optional ``version`` class attribute (int, default 1) must be
     bumped whenever the rule's findings can change for unchanged input;
-    file-scope versions are part of the incremental cache key, so the
-    bump invalidates stale entries.
+    versions are part of the incremental cache key, so the bump
+    invalidates stale entries.
     """
 
     rule_id: str
     name: str
     description: str
-    scope: str  # "file" | "project"
     kinds: Sequence[str]
 
-    def check(self, files: Sequence["SourceFile"]) -> Iterable[Violation]:  # noqa: F821
-        """Yield violations. File-scoped rules receive a single file."""
+    def check(self, source: "SourceFile") -> Iterable[Violation]:  # noqa: F821
+        """Yield the violations in one file."""
         ...
 
 
@@ -82,7 +80,7 @@ def register_rule(rule_class):
     IDs so two plugins can never silently shadow each other.
     """
     rule = rule_class()
-    for attribute in ("rule_id", "name", "description", "scope", "kinds"):
+    for attribute in ("rule_id", "name", "description", "kinds"):
         if not hasattr(rule, attribute):
             raise ConfigurationError(
                 f"lint rule {rule_class.__name__} lacks required attribute "

@@ -4,8 +4,7 @@ from concurrent.futures import ThreadPoolExecutor  # MARK
 
 
 def fan_out(items):
-    """Fan work out on threads; only the import is the finding (thread
-    targets need not pickle, so the nested target is not a second one)."""
+    """Fan work out on threads; only the import is the finding."""
 
     def _work(item):
         return item + 1

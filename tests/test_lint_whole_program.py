@@ -1,167 +1,24 @@
-"""Lint engine: pool reach, cache, SARIF."""
+"""Lint engine: cache, SARIF."""
 
 from __future__ import annotations
 
 import json
 import os
-import textwrap
 
 from repro.lint import lint_paths
 from repro.lint.cache import LintCache, digest_text, rules_fingerprint
 from repro.lint.cli import main as lint_main
-from repro.lint.engine import collect_files, parse_file
-from repro.lint.rules.pools import pool_reach, pool_roots
 from repro.lint.sarif import to_sarif
 from repro.lint.violations import all_rules
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
 
 
-def _write_tree(root, files):
-    paths = []
-    for relative, body in files.items():
-        path = root / relative
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(body), encoding="utf-8")
-        paths.append(str(path))
-    return sorted(paths)
-
-
-def _parse_all(paths):
-    sources = []
-    for path in collect_files(paths):
-        source, _ = parse_file(path, force_kind="library")
-        if source is not None:
-            sources.append(source)
-    return sources
-
-
-# -- pool reach ------------------------------------------------------------
-
-
-def test_pool_reach_follows_calls_references_and_nested_defs(tmp_path):
-    """From a pool target, the walk follows direct calls, names passed as
-    arguments, and calls made inside nested defs, and records who found
-    each function."""
-    (path,) = _write_tree(
-        tmp_path,
-        {
-            "repro/graph.py": """
-                '''Reach shapes: direct, reference, nested.'''
-
-                from repro.core.pool import ShardPool
-
-
-                def leaf():
-                    '''Bottom.'''
-                    return 0
-
-
-                def middle():
-                    '''Calls leaf directly.'''
-                    return leaf()
-
-
-                def host(worker):
-                    '''Higher-order: receives a callable.'''
-                    return worker()
-
-
-                def outer(payload):
-                    '''Nested def calls leaf; host receives middle by name.'''
-
-                    def inner():
-                        return leaf()
-
-                    host(middle)
-                    return inner()
-
-
-                def unrelated():
-                    '''Never reached from the pool target.'''
-                    return leaf()
-
-
-                def run(items):
-                    '''Submits outer.'''
-                    with ShardPool(workers=2) as pool:
-                        return pool.map(outer, items)
-            """,
-        },
-    )
-    (source,) = _parse_all([path])
-    reach = pool_reach(source.tree)
-    assert reach == {
-        "outer": None,
-        "host": "outer",
-        "middle": "outer",
-        "leaf": "outer",
-    }
-
-
-def test_pool_root_discovery_covers_indirection_and_hosts(tmp_path):
-    """Direct targets resolve, a pool opened through ``ExitStack`` is
-    still a pool, and a nested-def or lambda target makes its enclosing
-    function the root."""
-    paths = _write_tree(
-        tmp_path,
-        {
-            "repro/fan.py": """
-                '''Pool-target shapes: direct, ExitStack, nested, lambda.'''
-
-                from concurrent.futures import ProcessPoolExecutor
-                from contextlib import ExitStack
-
-
-                def _direct(payload):
-                    '''Submitted directly.'''
-                    return payload
-
-
-                def _stacked(payload):
-                    '''Submitted to a pool opened inside an ExitStack.'''
-                    return payload
-
-
-                def run_direct(items):
-                    '''pool.map with a resolved name.'''
-                    with ProcessPoolExecutor() as pool:
-                        return list(pool.map(_direct, items))
-
-
-                def run_stacked(items):
-                    '''stack.enter_context(...) wraps the pool constructor.'''
-                    with ExitStack() as stack:
-                        pool = stack.enter_context(ProcessPoolExecutor())
-                        return list(pool.map(_stacked, items))
-
-
-                def run_nested(items):
-                    '''A nested def target attributes to this function.'''
-
-                    def work(payload):
-                        return payload
-
-                    with ProcessPoolExecutor() as pool:
-                        return list(pool.map(work, items))
-
-
-                def run_lambda(items):
-                    '''A lambda target attributes to this function.'''
-                    with ProcessPoolExecutor() as pool:
-                        return list(pool.map(lambda payload: payload, items))
-            """,
-        },
-    )
-    (source,) = _parse_all(paths)
-    assert pool_roots(source.tree) == {"_direct", "_stacked", "run_nested", "run_lambda"}
-
-
 # -- incremental cache -----------------------------------------------------
 
 
 def _lint_fixture_dir(cache_dir):
-    tree = os.path.join(FIXTURES, "interproc", "w503_accum")
+    tree = os.path.join(FIXTURES, "layering")
     return lint_paths(
         [tree], force_kind="library", cache_dir=str(cache_dir)
     )
@@ -220,7 +77,7 @@ def test_cache_invalidated_by_rule_version_bump(tmp_path, monkeypatch):
         [str(source)], force_kind="library", cache_dir=str(cache_dir)
     )
     assert warm.cache_misses == 0
-    # Bumping a file rule's version changes the file fingerprint, so
+    # Bumping a rule's version changes the fingerprint, so
     # the per-file entry written above no longer matches.
     file_rule = next(r for r in all_rules() if r.rule_id == "D101")
     monkeypatch.setattr(file_rule, "version", 99, raising=False)
@@ -228,14 +85,6 @@ def test_cache_invalidated_by_rule_version_bump(tmp_path, monkeypatch):
         [str(source)], force_kind="library", cache_dir=str(cache_dir)
     )
     assert bumped.cache_misses == 1
-    # Project rules are not cached, so bumping one leaves the per-file
-    # entry alone: the fingerprint covers file-scope rules only.
-    project_rule = next(r for r in all_rules() if r.rule_id == "S201")
-    monkeypatch.setattr(project_rule, "version", 99, raising=False)
-    rebumped = lint_paths(
-        [str(source)], force_kind="library", cache_dir=str(cache_dir)
-    )
-    assert rebumped.cache_misses == 0 and rebumped.cache_hits == 1
 
 
 def test_rules_fingerprint_tracks_versions():
@@ -317,20 +166,3 @@ def test_cli_jobs_and_cache_flags(tmp_path, capsys):
     assert capsys.readouterr().out == cold
     assert sorted(cache_dir.glob("*/*.json")) == entries
     assert [entry.stat().st_mtime_ns for entry in entries] == stamps
-
-
-def test_real_tree_whole_program_rules_are_clean():
-    """W503 over the real tree: zero unsuppressed findings, and the
-    sharded drivers' ``ExitStack``-bound pools give it roots to walk."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    paths = [
-        os.path.join(root, name)
-        for name in ("src", "tests", "benchmarks", "examples", "tools")
-    ]
-    result = lint_paths(
-        [path for path in paths if os.path.isdir(path)],
-        rule_ids=["W503"],
-    )
-    assert result.ok, result.to_text()
-    (sharding,) = _parse_all([os.path.join(root, "src", "repro", "core", "sharding.py")])
-    assert pool_roots(sharding.tree)

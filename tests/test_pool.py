@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.core.sharding import (
     assert_buffers_equal,
     assert_scan_results_identical,
     assert_site_loads_identical,
+    resolve_fanout,
     run_sharded_series,
     sharded_weight_catchment,
 )
@@ -206,6 +208,15 @@ class TestPoolLifecycle:
     def test_rejects_negative_workers(self):
         with pytest.raises(ConfigurationError):
             ShardPool(workers=-1)
+
+    def test_default_workers_without_sched_getaffinity(self, monkeypatch):
+        """``os.sched_getaffinity`` exists only on Linux; elsewhere the
+        default worker counts come from ``os.cpu_count()``."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        with ShardPool() as pool:
+            assert pool.workers >= 1
+        shards, workers = resolve_fanout(2, None)
+        assert shards == 2 and 1 <= workers <= 2
 
     def test_context_manager_shuts_down(self, tmp_path):
         with ShardPool(workers=0, store=TableStore(root=str(tmp_path))) as pool:

@@ -11,25 +11,38 @@ from hypothesis import strategies as st
 from repro import rng
 from repro.rng import derive_rng, derive_seed, mix64, splitmix64, uniform_unit
 
-#: A library module body whose one call site derives a fixed stream.
+#: A library module body whose one call site derives one stream; ``label``
+#: is the label expression, which may read the ``kind`` argument.
 PLANTED = (
     "from repro.rng import derive_rng, derive_seed\n"
     "\n"
-    "def draw():\n"
-    "    return {call}(7, 'planted/collision')\n"
+    "def draw(kind='collision'):\n"
+    "    return {call}(7, {label})\n"
 )
 
 
-def test_seed_label_recorder_flags_a_second_library_site(seed_label_recorder, monkeypatch):
+@pytest.mark.parametrize(
+    "second_label",
+    ["'planted/collision'", "f'planted/{kind}'"],
+    ids=["literal", "fstring"],
+)
+def test_seed_label_recorder_flags_a_second_library_site(
+    seed_label_recorder, monkeypatch, second_label
+):
     """Two ``src/repro`` call sites deriving one ``(seed, label)`` fail the
-    run, whether through ``derive_seed`` or ``derive_rng``; one site
-    deriving it twice does not."""
+    run, whether through ``derive_seed`` or ``derive_rng``, and whether the
+    second site spells the label as a literal or as an f-string expanding
+    to the first site's literal; one site deriving it twice does not."""
     monkeypatch.setattr(seed_label_recorder, "sites", {})
     home = os.path.dirname(rng.__file__)
     draws = []
-    for name, call in (("planted_a.py", "derive_seed"), ("planted_b.py", "derive_rng")):
+    for name, call, label in (
+        ("planted_a.py", "derive_seed", "'planted/collision'"),
+        ("planted_b.py", "derive_rng", second_label),
+    ):
         namespace = {}
-        exec(compile(PLANTED.format(call=call), os.path.join(home, name), "exec"), namespace)
+        source = PLANTED.format(call=call, label=label)
+        exec(compile(source, os.path.join(home, name), "exec"), namespace)
         draws.append(namespace["draw"])
     first, second = draws
     first()
