@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.bgp.policy import AnnouncementPolicy
 from repro.collector.results import ScanResult
 
@@ -89,26 +89,19 @@ class StabilitySeries:
         """
         last = self.scans[-1].catchment
         flipping = self.flipping_blocks()
-        if isinstance(last, ArrayCatchmentMap):
-            mapped = last.mapped_block_array()
-            if flipping:
-                excluded = np.fromiter(
-                    flipping, dtype=np.int64, count=len(flipping)
-                )
-                mapped = mapped[~np.isin(mapped, excluded)]
-            return last.restrict(mapped)
-        return last.restrict(
-            block for block in last.blocks() if block not in flipping
-        )
+        mapped = last.mapped_block_array()
+        if flipping:
+            excluded = np.fromiter(flipping, dtype=np.int64, count=len(flipping))
+            mapped = mapped[~np.isin(mapped, excluded)]
+        return last.restrict(mapped)
 
 
 def build_stability_series(scans: Sequence[ScanResult]) -> StabilitySeries:
     """Assemble a :class:`StabilitySeries` from consecutive-round scans.
 
     Each adjacent pair is diffed via :meth:`CatchmentMap.diff`; when the
-    scans carry array-backed catchments over a shared block universe
-    (the vectorised engine's output), every per-round diff reduces to
-    elementwise array comparisons instead of dict walks.
+    scans share one block universe (the engine's output), every
+    per-round diff reduces to elementwise array comparisons.
     """
     series = StabilitySeries(scans=list(scans))
     for index in range(1, len(series.scans)):

@@ -6,7 +6,6 @@ __all__ = [
     "AnycastSite",
     "AnycastService",
     "CatchmentMap",
-    "ArrayCatchmentMap",
     "CatchmentAccumulator",
 ]
 
@@ -14,7 +13,6 @@ _EXPORTS = {
     "AnycastSite": "repro.anycast.site",
     "AnycastService": "repro.anycast.service",
     "CatchmentMap": "repro.anycast.catchment",
-    "ArrayCatchmentMap": "repro.anycast.catchment",
     "CatchmentAccumulator": "repro.anycast.catchment",
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,23 +1,18 @@
 """Catchment maps: which /24 block is served by which site.
 
-Two interchangeable representations live here:
-
-- :class:`CatchmentMap` — the dict-backed reference implementation,
-  one ``{block: site}`` entry per mapped block.  Simple, obviously
-  correct, and the behavioural contract for the columnar path.
-- :class:`ArrayCatchmentMap` — the columnar implementation: a shared
-  sorted ``uint64`` *block universe* plus one ``int16`` site index per
-  universe block (``-1`` = unmapped).  All public methods are
-  vectorised (``bincount``/``searchsorted``/boolean masks) and
-  bit-equal to the reference, including ``diff``'s sorted
-  ``flipped_blocks``.  Rounds of one measurement series share the same
-  universe array, which makes per-round diffs pure array comparisons.
+:class:`CatchmentMap` is columnar: a shared sorted ``uint64`` *block
+universe* plus one ``int16`` site index per universe block (``-1`` =
+unmapped).  Every method is vectorised (``bincount``/``searchsorted``/
+boolean masks), including ``diff``'s sorted ``flipped_blocks``.  Rounds
+of one measurement series share the same universe array, which makes
+per-round diffs pure array comparisons.  :meth:`CatchmentMap.from_mapping`
+builds one from a plain ``{block: site}`` dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,93 +35,8 @@ class CatchmentDiff:
 
 
 class CatchmentMap:
-    """Immutable-ish mapping of /24 block -> anycast site code."""
-
-    def __init__(self, site_codes: Iterable[str], mapping: Mapping[int, str]) -> None:
-        self._site_codes: List[str] = list(site_codes)
-        self._mapping: Dict[int, str] = dict(mapping)
-
-    @property
-    def site_codes(self) -> List[str]:
-        """All site codes this map may reference."""
-        return list(self._site_codes)
-
-    def __len__(self) -> int:
-        return len(self._mapping)
-
-    def __contains__(self, block: int) -> bool:
-        return block in self._mapping
-
-    def site_of(self, block: int) -> Optional[str]:
-        """Site serving ``block``, or None when unmapped."""
-        return self._mapping.get(block)
-
-    def blocks(self) -> Iterator[int]:
-        """All mapped blocks."""
-        return iter(self._mapping)
-
-    def items(self) -> Iterator[Tuple[int, str]]:
-        """All ``(block, site)`` pairs."""
-        return iter(self._mapping.items())
-
-    def blocks_of_site(self, site_code: str) -> List[int]:
-        """Blocks in the catchment of ``site_code``."""
-        return [block for block, site in self._mapping.items() if site == site_code]
-
-    def counts(self) -> Dict[str, int]:
-        """Blocks per site (sites with zero blocks included)."""
-        counts = {code: 0 for code in self._site_codes}
-        for site in self._mapping.values():
-            counts[site] = counts.get(site, 0) + 1
-        return counts
-
-    def fractions(self) -> Dict[str, float]:
-        """Share of mapped blocks per site."""
-        total = len(self._mapping)
-        if total == 0:
-            return {code: 0.0 for code in self._site_codes}
-        return {code: count / total for code, count in self.counts().items()}
-
-    def fraction_of(self, site_code: str) -> float:
-        """Share of mapped blocks served by ``site_code``."""
-        return self.fractions().get(site_code, 0.0)
-
-    def restrict(self, blocks: Iterable[int]) -> "CatchmentMap":
-        """A new map containing only ``blocks`` (those that are mapped)."""
-        keep = set(blocks)
-        return CatchmentMap(
-            self._site_codes,
-            {block: site for block, site in self._mapping.items() if block in keep},
-        )
-
-    def diff(self, later: "CatchmentMap") -> CatchmentDiff:
-        """Compare with a ``later`` map: stable/flipped/appeared/disappeared.
-
-        Matches the paper's Figure 9 categories: *flipped* blocks are
-        mapped in both rounds but to different sites; *appeared*
-        (from-NR) are only in the later round; *disappeared* (to-NR)
-        only in the earlier.
-        """
-        stable = 0
-        flipped: List[int] = []
-        earlier_blocks: Set[int] = set(self._mapping)
-        later_blocks: Set[int] = set(later._mapping)
-        for block in sorted(earlier_blocks & later_blocks):
-            if self._mapping[block] == later._mapping[block]:
-                stable += 1
-            else:
-                flipped.append(block)
-        return CatchmentDiff(
-            stable=stable,
-            flipped=len(flipped),
-            appeared=len(later_blocks - earlier_blocks),
-            disappeared=len(earlier_blocks - later_blocks),
-            flipped_blocks=tuple(flipped),
-        )
-
-
-class ArrayCatchmentMap(CatchmentMap):
-    """Columnar catchment map over a shared, sorted block universe.
+    """Mapping of /24 block -> anycast site code over a shared, sorted
+    block universe.
 
     ``universe`` is a strictly-ascending ``uint64`` array of candidate
     blocks; ``sites`` holds one ``int16`` index into ``site_codes`` per
@@ -157,31 +67,12 @@ class ArrayCatchmentMap(CatchmentMap):
                 raise ConfigurationError("site index out of range for site_codes")
         self._universe = universe
         self._sites = sites
-        self._mapping_cache: Optional[Dict[int, str]] = None
-        self._mapped_count: Optional[int] = None
-
-    def __getstate__(self) -> Tuple[List[str], np.ndarray, np.ndarray]:
-        """Pickle only the columns, never the lazy dict caches.
-
-        Shard workers ship catchments across process boundaries; the
-        caches are derived data that would bloat the payload (and a
-        fully-materialised dict cache dwarfs the arrays themselves).
-        """
-        return (self._site_codes, self._universe, self._sites)
-
-    def __setstate__(
-        self, state: Tuple[List[str], np.ndarray, np.ndarray]
-    ) -> None:
-        """Restore columns with cold caches (rebuilt lazily on demand)."""
-        self._site_codes, self._universe, self._sites = state
-        self._mapping_cache = None
-        self._mapped_count = None
 
     @classmethod
     def from_mapping(
         cls, site_codes: Iterable[str], mapping: Mapping[int, str]
-    ) -> "ArrayCatchmentMap":
-        """Build a columnar map from a plain ``{block: site}`` mapping."""
+    ) -> "CatchmentMap":
+        """Build a map from a plain ``{block: site}`` mapping."""
         codes = list(site_codes)
         index = {code: i for i, code in enumerate(codes)}
         blocks = sorted(mapping)
@@ -197,7 +88,10 @@ class ArrayCatchmentMap(CatchmentMap):
             codes, np.asarray(blocks, dtype=np.uint64), sites, validate=False
         )
 
-    # -- columnar accessors ------------------------------------------------
+    @property
+    def site_codes(self) -> List[str]:
+        """All site codes this map may reference."""
+        return list(self._site_codes)
 
     @property
     def universe(self) -> np.ndarray:
@@ -243,23 +137,8 @@ class ArrayCatchmentMap(CatchmentMap):
         """Site index for each of ``blocks`` (``-1`` = absent or unmapped)."""
         return self.site_indices_at(self.join(blocks))
 
-    # -- dict-API equivalents ----------------------------------------------
-
-    @property
-    def _mapping(self) -> Dict[int, str]:  # cross-representation interop
-        if self._mapping_cache is None:
-            self._mapping_cache = {
-                int(block): self._site_codes[site]
-                for block, site in zip(
-                    self._universe[self._sites >= 0], self._sites[self._sites >= 0]
-                )
-            }
-        return self._mapping_cache
-
     def __len__(self) -> int:
-        if self._mapped_count is None:
-            self._mapped_count = int(np.count_nonzero(self._sites >= 0))
-        return self._mapped_count
+        return int(np.count_nonzero(self._sites >= 0))
 
     def __contains__(self, block: int) -> bool:
         return self._index_of_block(block) is not None
@@ -318,7 +197,7 @@ class ArrayCatchmentMap(CatchmentMap):
             return 0.0
         return int(np.count_nonzero(self._sites == index)) / total
 
-    def restrict(self, blocks: Iterable[int]) -> "ArrayCatchmentMap":
+    def restrict(self, blocks: Iterable[int]) -> "CatchmentMap":
         """A new map keeping only ``blocks``; the universe stays shared."""
         if isinstance(blocks, np.ndarray):
             keep = np.unique(blocks.astype(np.uint64))
@@ -326,7 +205,7 @@ class ArrayCatchmentMap(CatchmentMap):
             valid = [block for block in blocks if 0 <= block <= _UINT64_MAX]
             keep = np.unique(np.asarray(valid, dtype=np.uint64))
         member = np.isin(self._universe, keep, assume_unique=True)
-        return ArrayCatchmentMap(
+        return CatchmentMap(
             self._site_codes,
             self._universe,
             np.where(member, self._sites, np.int16(-1)),
@@ -334,20 +213,20 @@ class ArrayCatchmentMap(CatchmentMap):
         )
 
     def diff(self, later: "CatchmentMap") -> CatchmentDiff:
-        """Vectorised diff; bit-equal to the dict reference.
+        """Compare with a ``later`` map: stable/flipped/appeared/disappeared.
 
-        Equal universes (the series case: the exact same array object,
-        or equal contents) compare element-wise; different universes
-        join on the sorted block arrays; anything else — a dict-backed
-        ``later``, differing site vocabularies — falls back to the
-        reference implementation.
+        Matches the paper's Figure 9 categories: *flipped* blocks are
+        mapped in both rounds but to different sites; *appeared*
+        (from-NR) are only in the later round; *disappeared* (to-NR)
+        only in the earlier.  Equal universes (the series case: the
+        exact same array object, or equal contents) compare
+        element-wise; different universes join on the sorted block
+        arrays.  When the site vocabularies differ, ``later``'s indices
+        are first recoded into this map's codes.
         """
-        if (
-            not isinstance(later, ArrayCatchmentMap)
-            or self._site_codes != later._site_codes
-        ):
-            return super().diff(later)
         a_sites, b_sites = self._sites, later._sites
+        if later._site_codes != self._site_codes:
+            b_sites = _recode(b_sites, later._site_codes, self._site_codes)
         if self._universe is later._universe or (
             self._universe.shape == later._universe.shape
             and np.array_equal(self._universe, later._universe)
@@ -376,6 +255,15 @@ class ArrayCatchmentMap(CatchmentMap):
             disappeared=len(self) - stable - flipped,
             flipped_blocks=tuple(int(block) for block in np.sort(flipped_blocks)),
         )
+
+
+def _recode(sites: np.ndarray, codes: List[str], target: List[str]) -> np.ndarray:
+    """``sites`` (indices into ``codes``) as indices into ``target``; a
+    code ``target`` lacks gets its own index past ``target``'s end and
+    ``-1`` (unmapped) stays ``-1``."""
+    position = {code: i for i, code in enumerate(target)}
+    table = [position.get(code, len(target) + i) for i, code in enumerate(codes)]
+    return np.array([*table, -1], dtype=np.int32)[sites]
 
 
 class CatchmentAccumulator:
@@ -461,7 +349,7 @@ class CatchmentAccumulator:
         self._generation += 1
         return changed
 
-    def apply_catchment(self, round_map: ArrayCatchmentMap) -> int:
+    def apply_catchment(self, round_map: CatchmentMap) -> int:
         """Fold one round's map in: its mapped rows overwrite, the rest keep.
 
         Requires the round to share this accumulator's universe (the
@@ -497,9 +385,9 @@ class CatchmentAccumulator:
             return -1
         return int(self._sites[pos])
 
-    def snapshot(self) -> ArrayCatchmentMap:
+    def snapshot(self) -> CatchmentMap:
         """An immutable copy of the current state (universe stays shared)."""
-        return ArrayCatchmentMap(
+        return CatchmentMap(
             self._site_codes,
             self._universe,
             self._sites.copy(),

@@ -360,7 +360,7 @@ class RoutingOutcome:
         """Catchment of every populated block (site per block).
 
         Memoised per ``round_id``: the outcome is immutable once built,
-        so the block->site dict is derived at most once per round and
+        so the block->site map is derived at most once per round and
         repeated calls return the same :class:`CatchmentMap` instance
         (which has no mutators).
         """
@@ -372,7 +372,7 @@ class RoutingOutcome:
             site = self.site_of_block(block, round_id)
             if site is not None:
                 mapping[block] = site
-        result = CatchmentMap(self.policy.site_codes, mapping)
+        result = CatchmentMap.from_mapping(self.policy.site_codes, mapping)
         self._catchment_cache[round_id] = result
         return result
 

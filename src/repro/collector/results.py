@@ -7,8 +7,8 @@ collector layer) to keep analysis below core in the layer DAG.
 
 ``BlockValueMap`` is the columnar companion of the catchment map: an
 immutable ``Mapping[int, float]`` backed by a sorted block array plus a
-value array, so the vectorised scan engine can hand per-block RTTs to
-the analysis layer without materialising a Python dict per round.
+value array, so a scan hands per-block RTTs to the analysis layer
+without materialising a Python dict per round.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.errors import BlockLookupError, DatasetError
 
 _PROBE_BYTES = 28 + 11  # IPv4 + ICMP headers + default payload
@@ -44,6 +44,15 @@ class BlockValueMap(MappingABC):
             raise DatasetError("blocks must be strictly ascending")
         self._blocks = blocks
         self._values = values
+
+    @classmethod
+    def from_mapping(cls, mapping: Mapping[int, float]) -> "BlockValueMap":
+        """Build one from a plain ``{block: value}`` mapping."""
+        blocks = sorted(mapping)
+        return cls(
+            np.asarray(blocks, dtype=np.int64),
+            np.asarray([mapping[block] for block in blocks], dtype=np.float64),
+        )
 
     def block_array(self) -> np.ndarray:
         """The sorted block keys (do not mutate)."""
@@ -119,9 +128,7 @@ class ScanResult:
 
     ``rtts`` maps each mapped block to the measured round-trip time in
     milliseconds (probe transmission to first kept reply) — the raw
-    material for latency analysis and site-placement suggestions.  The
-    scalar engine supplies a plain dict; the vectorised engine supplies
-    a :class:`BlockValueMap` with identical contents.
+    material for latency analysis and site-placement suggestions.
     """
 
     dataset_id: str
@@ -130,7 +137,7 @@ class ScanResult:
     duration_seconds: float
     catchment: CatchmentMap
     stats: ScanStats
-    rtts: Optional[Mapping[int, float]] = None
+    rtts: Optional[BlockValueMap] = None
 
     @property
     def mapped_blocks(self) -> int:
@@ -139,24 +146,11 @@ class ScanResult:
 
     def median_rtt_of_site(self, site_code: str) -> Optional[float]:
         """Median measured RTT (ms) of blocks in ``site_code``'s catchment."""
-        if not self.rtts:
+        site_index = self.catchment.index_of_site(site_code)
+        if not self.rtts or site_index is None:
             return None
-        if isinstance(self.rtts, BlockValueMap) and isinstance(
-            self.catchment, ArrayCatchmentMap
-        ):
-            site_index = self.catchment.index_of_site(site_code)
-            if site_index is None:
-                return None
-            indices = self.catchment.site_indices_of(self.rtts.block_array())
-            values = np.sort(self.rtts.value_array()[indices == site_index])
-            if values.size == 0:
-                return None
-            return float(values[values.size // 2])
-        values = sorted(
-            rtt
-            for block, rtt in self.rtts.items()
-            if self.catchment.site_of(block) == site_code
-        )
-        if not values:
+        indices = self.catchment.site_indices_of(self.rtts.block_array())
+        values = np.sort(self.rtts.value_array()[indices == site_index])
+        if values.size == 0:
             return None
-        return values[len(values) // 2]
+        return float(values[values.size // 2])

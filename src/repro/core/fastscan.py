@@ -1,10 +1,10 @@
 """Vectorised scan engine — what every default scan runs on.
 
-Replays the wire-level :meth:`Verfploeter.run_scan` loop with numpy
-over all blocks at once — bit-exact (same hash draws, same cleaning
-rules, same RTTs), asserted by the equivalence tests — at ~100x the
-speed.  ``Verfploeter.run_scan`` dispatches here for every call that
-is not the wire-level oracle (one engine memoised per routing state,
+Replays the wire-level oracle :func:`repro.core.oracle.wire_scan` with
+numpy over all blocks at once — bit-exact (same hash draws, same
+cleaning rules, same RTTs), asserted by the equivalence tests — at ~100x
+the speed.  ``Verfploeter.run_scan`` dispatches here for every call
+(one engine memoised per routing state,
 :meth:`Verfploeter.engine_for`): the paper's 96-round day over millions
 of blocks is a pure Python non-starter, but perfectly tractable
 vectorised.
@@ -47,7 +47,7 @@ the global Feistel permutation, so a :meth:`RoundState.shard` slice
 evaluates to exactly the rows the full state would.
 
 Results are columnar end-to-end: each round returns an
-:class:`~repro.anycast.catchment.ArrayCatchmentMap` over the engine's
+:class:`~repro.anycast.catchment.CatchmentMap` over the engine's
 shared block universe plus a :class:`BlockValueMap` of RTTs, so
 consumers (diffs, load weighting, stability series) stay in numpy.
 """
@@ -59,7 +59,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.bgp import instability as _instability
 from repro.bgp.instability import FlipModelConfig
 from repro.bgp.propagation import RoutingOutcome, pop_routes_of
@@ -517,7 +517,7 @@ def materialise_columnar(
         round_id=round_id,
         start_time=start_time,
         duration_seconds=state.rows * state.interval,
-        catchment=ArrayCatchmentMap(site_codes, state.blocks, sites, validate=False),
+        catchment=CatchmentMap(site_codes, state.blocks, sites, validate=False),
         stats=stats,
         rtts=BlockValueMap(state.blocks[sites >= 0].astype(np.int64), kept_delays),
     )
@@ -599,7 +599,7 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
         host_config=cfg,
         late_cutoff=verfploeter.cleaning.late_cutoff_seconds,
         interval=1.0 / verfploeter.prober_config.rate_pps,
-        order_parent_seed=verfploeter._prober._seed,
+        order_parent_seed=seed,
         n_total=n,
     )
     for value in (*vars(state).values(), *state.prefixes.values()):
@@ -670,7 +670,7 @@ def count_draws(observer: Observer, hit: bool, rounds: int = 1) -> None:
         metrics.counter("fastscan.round_draws.hit").inc(hits)
 
 
-def record_round(observer: Observer, stats: ScanStats, catchment: ArrayCatchmentMap) -> None:
+def record_round(observer: Observer, stats: ScanStats, catchment: CatchmentMap) -> None:
     """Count one evaluated in-process round: probes, replies, cleaning
     drops and (when collecting) each site's catchment fraction."""
     metrics = observer.metrics
@@ -691,7 +691,7 @@ def scan_lattice(
     verfploeter: Verfploeter,
     routings: Sequence[RoutingOutcome],
     round_ids: Optional[Sequence[int]] = None,
-) -> List[ArrayCatchmentMap]:
+) -> List[CatchmentMap]:
     """The catchment of every routing state, each at its round id
     (default 0), evaluated in-process as one lattice.
 
@@ -721,14 +721,14 @@ def scan_lattice(
     catchments = []
     for index, routes in enumerate(routes_seq):
         sites, stats = rounds[index]
-        catchment = ArrayCatchmentMap(routes.site_codes, state.blocks, sites, validate=False)
+        catchment = CatchmentMap(routes.site_codes, state.blocks, sites, validate=False)
         record_round(observer, stats, catchment)
         catchments.append(catchment)
     return catchments
 
 
 class FastScanEngine:
-    """Vectorised equivalent of repeated wire-level ``run_scan`` calls."""
+    """Vectorised equivalent of repeated :func:`~repro.core.oracle.wire_scan` calls."""
 
     def __init__(
         self,
@@ -741,7 +741,6 @@ class FastScanEngine:
             observer if observer is not None else verfploeter.observer
         )
         self.routing = routing if routing is not None else verfploeter.routing_for()
-        self._prober = verfploeter._prober
         self.state = verfploeter.round_state()
         with self.observer.tracer.span("fastscan.precompute") as span:
             self.routes = route_columns(verfploeter, [self.routing])[0]
@@ -760,7 +759,7 @@ class FastScanEngine:
         start_time: float = 0.0,
         dataset_id: Optional[str] = None,
     ) -> ScanResult:
-        """One vectorised measurement round (equals the wire-level scan)."""
+        """One vectorised measurement round (equals :func:`~repro.core.oracle.wire_scan`)."""
         with self.observer.tracer.span(
             "fastscan.round", round_id=round_id
         ) as span:

@@ -59,7 +59,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import ScanResult, ScanStats
 from repro.core.fastscan import (
@@ -338,7 +338,7 @@ def _join_shard_worker(payload) -> np.ndarray:
     attached memmaps; only the int16 result slice is shipped back.
     """
     store_root, site_codes, universe_fp, sites_fp, blocks_fp, start, stop = payload
-    catchment = ArrayCatchmentMap(
+    catchment = CatchmentMap(
         site_codes,
         attached_array(store_root, universe_fp),
         attached_array(store_root, sites_fp),
@@ -453,7 +453,7 @@ def sharded_lattice(
     verfploeter: Verfploeter,
     routings: Sequence[RoutingOutcome],
     pool: ShardPool,
-) -> List[ArrayCatchmentMap]:
+) -> List[CatchmentMap]:
     """The catchment of every routing state at round 0, as one
     ``pool.map`` with one task per shard (one shard per worker).
 
@@ -488,7 +488,7 @@ def sharded_lattice(
     metrics.gauge("scan.shards").set(plan.shard_count)
     metrics.gauge("scan.shard_imbalance").set(plan.imbalance())
     return [
-        ArrayCatchmentMap(
+        CatchmentMap(
             routes.site_codes,
             state.blocks,
             _merge_sites(state.rows, plan.bounds, [shard[index] for shard in per_shard]),
@@ -502,7 +502,7 @@ def sharded_lattice(
 
 
 def sharded_weight_catchment(
-    catchment: ArrayCatchmentMap,
+    catchment: CatchmentMap,
     estimate: LoadEstimate,
     pool: ShardPool,
     observer: Optional[Observer] = None,
@@ -511,7 +511,7 @@ def sharded_weight_catchment(
     workers, one shard per worker.
 
     Bit-identical to :func:`repro.load.weighting.weight_catchment` on
-    the same array-backed catchment: workers resolve slices of the
+    the same catchment: workers resolve slices of the
     traffic-row join to exact int16 site indices over memmapped
     columns (nothing but fingerprints and bounds is shipped out, int16
     slices shipped back), while the parent owns every float
@@ -521,10 +521,6 @@ def sharded_weight_catchment(
     """
     if observer is None:
         observer = NULL_OBSERVER
-    if not isinstance(catchment, ArrayCatchmentMap):
-        raise ConfigurationError(
-            "sharded weighting requires an array-backed catchment"
-        )
     if len(estimate) == 0:
         raise DatasetError("load estimate is empty")
     traffic_blocks = estimate.blocks

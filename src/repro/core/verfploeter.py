@@ -1,59 +1,53 @@
 """The Verfploeter measurement system (paper §3.1).
 
-Ties the pieces together: schedule a round of pings from the anycast
-measurement address over the hitlist, deliver replies through the
-simulated dataplane to whichever site BGP selects, capture at every
-site, aggregate centrally, clean, and emit a measured catchment map.
+Ties the pieces together: a deployment holds the hitlist, computes the
+routing of the service's announcement, and measures each round's
+catchment on the columnar engine (:mod:`repro.core.fastscan`), one
+engine per routing state.  The paper's packet-by-packet walk — schedule
+the pings, deliver replies to whichever site BGP selects, capture at
+every site, aggregate centrally, clean — is the test oracle
+:mod:`repro.core.oracle`.
 """
 
 from __future__ import annotations
 
-import io
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.anycast.catchment import CatchmentMap
 from repro.anycast.service import AnycastService
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import RoutingOutcome, compute_routes
-from repro.collector.cleaning import CleaningConfig, clean_replies
-from repro.collector.results import ScanResult, ScanStats
+from repro.collector.cleaning import CleaningConfig
+from repro.collector.results import ScanResult, ScanStats  # noqa: F401 (served by repro.core)
 from repro.errors import ConfigurationError, MeasurementError
 from repro.icmp.latency import LatencyModel
 from repro.obs import NULL_OBSERVER, Observer
 from repro.probing.hitlist import Hitlist, build_hitlist
-from repro.probing.prober import ProbeSchedule, Prober, ProberConfig
+from repro.probing.prober import ProberConfig
 from repro.topology.internet import Internet
 
 if TYPE_CHECKING:
-    from repro.collector.capture import SiteCapture
-    from repro.icmp.network import DeliveredReply
-
-CAPTURE_STYLES = ("streaming", "lander", "pcap")
+    from repro.core.fastscan import FastScanEngine, RoundState
 
 
 class Verfploeter:
-    """A Verfploeter deployment on one anycast service."""
+    """A Verfploeter deployment on one anycast service.
+
+    Probes go out from the service's measurement address at the default
+    :class:`ProberConfig` rate, and replies are cleaned under the
+    default :class:`CleaningConfig` (paper §4).
+    """
 
     def __init__(
         self,
         internet: Internet,
         service: AnycastService,
-        capture_style: str = "streaming",
-        prober_config: Optional[ProberConfig] = None,
         hitlist: Optional[Hitlist] = None,
-        cleaning: Optional[CleaningConfig] = None,
-        latency_model: Optional[LatencyModel] = None,
         observer: Optional[Observer] = None,
     ) -> None:
-        if capture_style not in CAPTURE_STYLES:
-            raise ConfigurationError(
-                f"capture_style must be one of {CAPTURE_STYLES}, got {capture_style!r}"
-            )
         self.internet = internet
         self.service = service
-        self.capture_style = capture_style
         self.observer = observer if observer is not None else NULL_OBSERVER
-        self.cleaning = cleaning if cleaning is not None else CleaningConfig()
+        self.cleaning = CleaningConfig()
         if hitlist is not None:
             self.hitlist = hitlist
         else:
@@ -61,42 +55,10 @@ class Verfploeter:
                 self.hitlist = build_hitlist(internet)
                 span.set(entries=len(self.hitlist))
         self.observer.metrics.gauge("hitlist.entries").set(len(self.hitlist))
-        self.latency_model = (
-            latency_model
-            if latency_model is not None
-            else LatencyModel(internet, service)
-        )
-        self.prober_config = prober_config or ProberConfig(
-            source_address=service.measurement_address
-        )
-        if not service.prefix.contains_address(self.prober_config.source_address):
-            raise ConfigurationError(
-                "prober source address must be inside the service prefix "
-                f"{service.prefix}"
-            )
-        self._prober = Prober(
-            self.hitlist, self.prober_config, internet.seed,
-            observer=self.observer,
-        )
+        self.latency_model = LatencyModel(internet, service)
+        self.prober_config = ProberConfig(source_address=service.measurement_address)
         self._engine: Optional["FastScanEngine"] = None
         self._round_state: Optional["RoundState"] = None
-
-    def _make_captures(self) -> List[SiteCapture]:
-        from repro.collector.capture import (
-            LanderCapture,
-            PcapLikeCapture,
-            StreamingCapture,
-        )
-
-        captures: List[SiteCapture] = []
-        for site in self.service.sites:
-            if self.capture_style == "streaming":
-                captures.append(StreamingCapture(site.code))
-            elif self.capture_style == "lander":
-                captures.append(LanderCapture(site.code))
-            else:
-                captures.append(PcapLikeCapture(site.code, io.StringIO()))
-        return captures
 
     def routing_for(
         self, policy: Optional[AnnouncementPolicy] = None
@@ -140,36 +102,6 @@ class Verfploeter:
             self._engine = engine = FastScanEngine(self, routing)
         return engine
 
-    def wire_round(
-        self, routing: RoutingOutcome, round_id: int, start_time: float
-    ) -> Tuple[ProbeSchedule, Dict[int, float], List[DeliveredReply]]:
-        """The oracle's probe → reply → collect walk of one round: its
-        schedule, each probed address's send time and the collector's
-        sorted drain *before* cleaning (what ``wire_level=True`` cleans
-        and the daemon's columnar feed is compared against)."""
-        from repro.collector.aggregate import CentralCollector
-        from repro.icmp.network import SimulatedDataplane
-        from repro.icmp.packets import build_probe
-
-        observer = self.observer
-        dataplane = SimulatedDataplane(routing, self.latency_model)
-        collector = CentralCollector(self._make_captures(), observer=observer)
-        schedule = self._prober.schedule_round(round_id, start_time)
-        send_times: Dict[int, float] = {}
-        config = self.prober_config
-        with observer.tracer.span("scan.probe_replies"):
-            for probe in schedule:
-                send_times[probe.destination] = probe.send_time
-                packet = build_probe(
-                    config.source_address, probe.destination, probe.identifier,
-                    probe.sequence, config.payload,
-                )
-                for reply in dataplane.send_probe_packet(
-                    packet, probe.send_time, round_id
-                ):
-                    collector.ingest(reply)
-        return schedule, send_times, collector.collect()
-
     def run_scan(
         self,
         routing: Optional[RoutingOutcome] = None,
@@ -181,80 +113,24 @@ class Verfploeter:
     ) -> ScanResult:
         """Run one measurement round and return the cleaned catchment.
 
-        ``wire_level=True`` walks the paper's Figure 1 packet by packet
-        — full ICMP encode/decode, per-site captures, central merge,
-        cleaning — and is the oracle the equivalence suites compare
-        against.  Every other call, whatever the hitlist size, evaluates
-        the round on the columnar :meth:`engine_for` this routing state:
-        same catchment, same stats, RTTs equal to 1e-9.
+        Whatever the hitlist size, the round is evaluated on the
+        columnar :meth:`engine_for` this routing state.  The paper's
+        packet-by-packet walk is the test oracle
+        :func:`repro.core.oracle.wire_scan`; ``wire_level=True`` raises
+        :class:`ConfigurationError` naming it.
         """
+        if wire_level:
+            raise ConfigurationError(
+                "the wire-level walk is not a scan mode: call "
+                "repro.core.oracle.wire_scan(verfploeter, routing, ...)"
+            )
         if routing is not None and policy is not None:
             raise MeasurementError("pass either routing or policy, not both")
         if routing is None:
             routing = self.routing_for(policy)
-        dataset_id = dataset_id or f"scan-r{round_id}"
-        if not wire_level:
-            return self.engine_for(routing).run_scan(
-                round_id, start_time, dataset_id
-            )
-        observer = self.observer
-        with observer.tracer.span("scan.round", round_id=round_id) as scan_span:
-            schedule, send_times, collected = self.wire_round(
-                routing, round_id, start_time
-            )
-            replies_received = len(collected)
-            cleaned = clean_replies(
-                collected,
-                set(send_times),
-                schedule.identifier,
-                start_time,
-                self.cleaning,
-                observer=observer,
-            )
-            with observer.tracer.span("catchment.map") as map_span:
-                mapping: Dict[int, str] = {
-                    reply.source_block: reply.site_code for reply in cleaned.kept
-                }
-                rtts: Dict[int, float] = {
-                    reply.source_block: (
-                        reply.timestamp - send_times[reply.source_address]
-                    ) * 1000.0
-                    for reply in cleaned.kept
-                }
-                catchment = CatchmentMap(routing.policy.site_codes, mapping)
-                map_span.set(mapped_blocks=len(mapping))
-            observer.metrics.counter("probe.probes_sent").inc(len(schedule))
-            observer.metrics.counter("collector.replies_received").inc(
-                replies_received
-            )
-            scan_span.set(
-                probes_sent=len(schedule),
-                replies_received=replies_received,
-                kept=len(cleaned.kept),
-            )
-            if observer.enabled:
-                for code, fraction in sorted(catchment.fractions().items()):
-                    observer.metrics.gauge(
-                        "catchment.fraction", site=code
-                    ).set(fraction)
-            stats = ScanStats(
-                probes_sent=len(schedule),
-                replies_received=replies_received,
-                wrong_round=cleaned.wrong_round,
-                unsolicited=cleaned.unsolicited,
-                late=cleaned.late,
-                duplicates=cleaned.duplicates,
-                kept=len(cleaned.kept),
-            )
-            return ScanResult(
-                dataset_id=dataset_id,
-                round_id=round_id,
-                start_time=start_time,
-                duration_seconds=schedule.duration_seconds,
-                catchment=catchment,
-                stats=stats,
-                rtts=rtts,
-            )
+        return self.engine_for(routing).run_scan(
+            round_id, start_time, dataset_id or f"scan-r{round_id}"
+        )
 
     def run_series(
         self,

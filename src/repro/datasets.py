@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import TextIO
 
 from repro.anycast.catchment import CatchmentMap
+from repro.collector.results import BlockValueMap
 from repro.core.verfploeter import ScanResult, ScanStats
 from repro.errors import DatasetError
 from repro.netaddr.blocks import format_block, parse_block
@@ -101,7 +102,7 @@ def read_scan(stream: TextIO) -> ScanResult:
         round_id=int(meta["round"]),
         start_time=float(meta["start"]),
         duration_seconds=float(meta["duration"]),
-        catchment=CatchmentMap(site_codes, mapping),
+        catchment=CatchmentMap.from_mapping(site_codes, mapping),
         stats=stats,
-        rtts=rtts,
+        rtts=BlockValueMap.from_mapping(rtts),
     )

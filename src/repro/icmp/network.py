@@ -5,7 +5,7 @@ request is sent *from* the anycast measurement address, so the reply is
 addressed to the anycast prefix and lands at whichever site BGP selects
 for the *replying* network — identifying its catchment.
 
-Only the wire oracle (``run_scan(wire_level=True)``) walks this module
+Only the wire oracle (:func:`repro.core.oracle.wire_scan`) walks this module
 probe by probe; default scans and the daemon's feed compute the same
 replies as columns (:mod:`repro.core.fastscan`, :mod:`repro.service.feed`).
 """

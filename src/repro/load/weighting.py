@@ -7,13 +7,13 @@ send traffic but were not mapped (no ping reply) go to the ``UNK``
 bucket — the paper shows their traffic splits like the mapped blocks'
 (§5.5), so predictions normalise over known sites.
 
-Array-backed catchments take a columnar path: one ``searchsorted`` join
-(:meth:`ArrayCatchmentMap.join`) per block universe resolves every
-traffic block's row at once — :func:`weight_catchments` shares it
-between catchments over one universe — then two ``bincount`` passes
-accumulate the loads: one daily, one over ``bucket * 24 + hour`` keys.
-``bincount`` adds rows in input order, so the float64 sums are
-bit-identical to the dict-backed reference loop.
+One ``searchsorted`` join (:meth:`CatchmentMap.join`) per block universe
+resolves every traffic block's row at once — :func:`weight_catchments`
+shares it between catchments over one universe — then two ``bincount``
+passes accumulate the loads: one daily, one over ``bucket * 24 + hour``
+keys.  ``bincount`` adds rows in input order, so the float64 sums are
+bit-identical to a per-block loop that adds each block's load in
+traffic-row order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import UNKNOWN_SITE, ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import UNKNOWN_SITE, CatchmentMap
 from repro.errors import DatasetError
 from repro.load.estimator import LoadEstimate
 from repro.obs import NULL_OBSERVER, Observer
@@ -166,25 +166,6 @@ def capacity_violations(
     ]
 
 
-def _weight_reference(catchment: CatchmentMap, estimate: LoadEstimate) -> SiteLoad:
-    """Dict-backed per-block accumulation (small-scale reference path)."""
-    site_codes = catchment.site_codes
-    daily: Dict[str, float] = {code: 0.0 for code in site_codes}
-    daily[UNKNOWN] = 0.0
-    hourly_acc: Dict[str, np.ndarray] = {
-        code: np.zeros(HOURS) for code in (*site_codes, UNKNOWN)
-    }
-    blocks = estimate.blocks
-    daily_values = estimate.source.daily_of_kind(estimate.kind)
-    for row, block in enumerate(blocks):
-        site: Optional[str] = catchment.site_of(int(block))
-        bucket = site if site is not None else UNKNOWN
-        daily[bucket] = daily.get(bucket, 0.0) + float(daily_values[row])
-        hourly_acc.setdefault(bucket, np.zeros(HOURS))
-        hourly_acc[bucket] += estimate.hourly_of_block(int(block))
-    return SiteLoad(site_codes, daily, hourly_acc)
-
-
 def accumulate_site_load(
     site_codes: List[str],
     site_indices: np.ndarray,
@@ -193,10 +174,10 @@ def accumulate_site_load(
     """Sum ``estimate``'s rows into per-site buckets (``-1`` = ``UNK``).
 
     ``site_indices`` holds one site index per traffic row, as
-    :meth:`ArrayCatchmentMap.site_indices_of` returns it.  ``bincount``
+    :meth:`CatchmentMap.site_indices_of` returns it.  ``bincount``
     processes input rows in order, so each per-bucket (and per-hour)
     accumulator sees the identical sequence of float64
-    additions as the reference loop — the results are bit-equal, not
+    additions as a per-block loop — the results are bit-equal, not
     just close.  The sharded join passes its worker-joined indices here
     too, so the parent owns every float addition.
     """
@@ -229,24 +210,20 @@ def weight_catchments(
     """Attribute every traffic-sending block's load to its mapped site,
     once per catchment.
 
-    Blocks absent from a catchment land in ``UNK``.  Array-backed
-    catchments take the columnar path: the traffic blocks join each
-    distinct universe once (a playbook lattice shares one), and every
-    catchment then gathers its site column through that join — loads
-    bit-identical to the per-block reference.
+    Blocks absent from a catchment land in ``UNK``.  The traffic
+    blocks join each distinct universe once (a playbook lattice shares
+    one), and every catchment then gathers its site column through that
+    join.
     """
     if observer is None:
         observer = NULL_OBSERVER
     if len(estimate) == 0:
         raise DatasetError("load estimate is empty")
-    columnar = all(isinstance(catchment, ArrayCatchmentMap) for catchment in catchments)
-    with observer.tracer.span("load.weight", columnar=columnar) as span:
+    # Always ``columnar=True``: the attribute is part of the documented span.
+    with observer.tracer.span("load.weight", columnar=True) as span:
         joins: Dict[int, np.ndarray] = {}
         loads = []
         for catchment in catchments:
-            if not isinstance(catchment, ArrayCatchmentMap):
-                loads.append(_weight_reference(catchment, estimate))
-                continue
             rows = joins.get(id(catchment.universe))
             if rows is None:
                 rows = joins[id(catchment.universe)] = catchment.join(estimate.blocks)

@@ -12,7 +12,7 @@ from scratch:
   :class:`~repro.load.windowed.LoadWindow` (the expensive
   catchment×load join runs once per round, never per query);
 - a **ring of round snapshots** — the last N rounds'
-  :class:`~repro.anycast.catchment.ArrayCatchmentMap` copies, for the
+  :class:`~repro.anycast.catchment.CatchmentMap` copies, for the
   diff endpoint.
 
 Concurrency contract: the ingest thread mutates state freely *between*
@@ -42,7 +42,7 @@ from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentAccumulator
+from repro.anycast.catchment import CatchmentAccumulator, CatchmentMap
 from repro.collector.cleaning import CleaningConfig, CleaningResult
 from repro.collector.stream import ReplyColumns, StreamingCleaner
 from repro.errors import ServiceError
@@ -58,7 +58,7 @@ class RoundRecord:
 
     round_id: int
     start_time: float
-    catchment: ArrayCatchmentMap
+    catchment: CatchmentMap
     load: SiteLoad
     kept: int
     wrong_round: int
@@ -81,7 +81,7 @@ class StateView:
 
     site_codes: Tuple[str, ...]
     rounds: Tuple[RoundRecord, ...]
-    catchment: Optional[ArrayCatchmentMap]
+    catchment: Optional[CatchmentMap]
     window_load: Optional[SiteLoad]
     window_size: int
     rounds_completed: int
@@ -258,8 +258,8 @@ class MeasurementState:
 def batch_replay(
     state_site_codes: Sequence[str],
     universe: np.ndarray,
-    rounds: Sequence[ArrayCatchmentMap],
-) -> ArrayCatchmentMap:
+    rounds: Sequence[CatchmentMap],
+) -> CatchmentMap:
     """Batch reference for the accumulator: merge whole rounds in order.
 
     Rebuilds the "current catchment" the slow, obviously-correct way —

@@ -122,23 +122,24 @@ def per_config_scans():
 def wire_oracle():
     """``with wire_oracle():`` forces every scan through the wire path.
 
-    ``Verfploeter.run_scan`` runs on the columnar engine unless asked
-    for the packet-level oracle, and the drivers above it offer no
-    switch — so the equivalence suites patch the dispatch itself to
+    ``Verfploeter.run_scan`` always runs the columnar engine, and the
+    drivers above it offer no switch — so the equivalence suites patch
+    the dispatch itself to :func:`repro.core.oracle.wire_scan` to
     compare a whole driver against its wire-level twin.  Lattice
     drivers (sweep, failure study, planner) scan config by config
     through that patched dispatch instead of :func:`scan_lattice`.
     """
-    from repro.core import experiments, playbook
+    from repro.core import experiments, oracle, playbook
+
+    def wire_scan(
+        self, routing=None, policy=None, round_id=0, start_time=0.0, dataset_id=None
+    ):
+        if routing is None:
+            routing = self.routing_for(policy)
+        return oracle.wire_scan(self, routing, round_id, start_time, dataset_id)
 
     @contextmanager
     def forced():
-        dispatch = Verfploeter.run_scan
-
-        def wire_scan(self, *args, **kwargs):
-            kwargs["wire_level"] = True
-            return dispatch(self, *args, **kwargs)
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(Verfploeter, "run_scan", wire_scan)
             for module in (experiments, playbook):

@@ -74,7 +74,7 @@ class TestTrafficCoverage:
         assert "Table 5" in format_traffic_coverage(coverage)
 
     def test_empty_catchment(self, estimate):
-        empty = CatchmentMap(["LAX"], {})
+        empty = CatchmentMap.from_mapping(["LAX"], {})
         coverage = traffic_coverage(empty, estimate)
         assert coverage.blocks_mapped == 0
         assert coverage.query_coverage == 0.0

@@ -78,34 +78,34 @@ class TestService:
 
 class TestCatchmentMap:
     def test_counts_and_fractions(self):
-        catchment = CatchmentMap(["A", "B"], {1: "A", 2: "A", 3: "B", 4: "A"})
+        catchment = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "A", 3: "B", 4: "A"})
         assert catchment.counts() == {"A": 3, "B": 1}
         assert catchment.fraction_of("A") == 0.75
 
     def test_empty_fractions(self):
-        catchment = CatchmentMap(["A"], {})
+        catchment = CatchmentMap.from_mapping(["A"], {})
         assert catchment.fractions() == {"A": 0.0}
 
     def test_site_of(self):
-        catchment = CatchmentMap(["A"], {1: "A"})
+        catchment = CatchmentMap.from_mapping(["A"], {1: "A"})
         assert catchment.site_of(1) == "A"
         assert catchment.site_of(2) is None
         assert 1 in catchment
         assert 2 not in catchment
 
     def test_blocks_of_site(self):
-        catchment = CatchmentMap(["A", "B"], {1: "A", 2: "B", 3: "A"})
+        catchment = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "B", 3: "A"})
         assert sorted(catchment.blocks_of_site("A")) == [1, 3]
 
     def test_restrict(self):
-        catchment = CatchmentMap(["A", "B"], {1: "A", 2: "B", 3: "A"})
+        catchment = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "B", 3: "A"})
         restricted = catchment.restrict([1, 2, 99])
         assert len(restricted) == 2
         assert restricted.site_of(3) is None
 
     def test_diff_categories(self):
-        earlier = CatchmentMap(["A", "B"], {1: "A", 2: "A", 3: "B"})
-        later = CatchmentMap(["A", "B"], {1: "A", 2: "B", 4: "A"})
+        earlier = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "A", 3: "B"})
+        later = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "B", 4: "A"})
         diff = earlier.diff(later)
         assert diff.stable == 1          # block 1
         assert diff.flipped == 1         # block 2
@@ -114,7 +114,7 @@ class TestCatchmentMap:
         assert diff.flipped_blocks == (2,)
 
     def test_diff_identical(self):
-        catchment = CatchmentMap(["A"], {1: "A", 2: "A"})
+        catchment = CatchmentMap.from_mapping(["A"], {1: "A", 2: "A"})
         diff = catchment.diff(catchment)
         assert diff.stable == 2
         assert diff.flipped == diff.appeared == diff.disappeared == 0

@@ -1,10 +1,11 @@
-"""Array-backed catchment maps must be bit-equal to the dict reference.
+"""The columnar catchment map against a plain-dict model.
 
-Every public method is exercised against :class:`CatchmentMap` on the
-same data — seeded random mappings, scan output, and hand-picked edge
-cases — plus the columnar-only extras (``site_indices_of``, shared
-universes, ``BlockValueMap``) and the columnar ``weight_catchment``
-path, which must produce float-identical :class:`SiteLoad` results.
+Every public method is exercised against :mod:`tests.catchment_model`
+on the same data — seeded random mappings, scan output, and hand-picked
+edge cases — plus the columnar extras (``site_indices_of``, shared
+universes, ``BlockValueMap``) and the ``weight_catchment`` join, which
+must produce float-identical :class:`SiteLoad` results to a per-block
+loop.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import random
 import numpy as np
 import pytest
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.collector.results import BlockValueMap
 from repro.errors import BlockLookupError, ConfigurationError, DatasetError
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import UNKNOWN, weight_catchment
 from repro.traffic.logs import LoadKind
+from tests import catchment_model as model
 
 SITES = ["LAX", "MIA", "ARI"]
 
@@ -32,69 +34,63 @@ def random_mapping(seed: int, size: int, span: int = 5000) -> dict:
 
 def pair_for(seed: int, size: int = 120):
     mapping = random_mapping(seed, size)
-    return (
-        CatchmentMap(SITES, mapping),
-        ArrayCatchmentMap.from_mapping(SITES, mapping),
-    )
+    return mapping, CatchmentMap.from_mapping(SITES, mapping)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 7])
 class TestMethodEquivalence:
     def test_len_contains_site_of(self, seed):
-        reference, columnar = pair_for(seed)
-        assert len(columnar) == len(reference)
-        probes = list(reference.blocks())[:20] + [-1, 10**9, 2**64 + 5]
+        mapping, columnar = pair_for(seed)
+        assert len(columnar) == len(mapping)
+        probes = list(mapping)[:20] + [-1, 10**9, 2**64 + 5]
         for block in probes:
-            assert (block in columnar) == (block in reference)
-            assert columnar.site_of(block) == reference.site_of(block)
+            assert (block in columnar) == (block in mapping)
+            assert columnar.site_of(block) == mapping.get(block)
 
     def test_blocks_items_are_sorted_dict_contents(self, seed):
-        reference, columnar = pair_for(seed)
-        assert list(columnar.blocks()) == sorted(reference.blocks())
-        assert dict(columnar.items()) == dict(reference.items())
+        mapping, columnar = pair_for(seed)
+        assert list(columnar.blocks()) == sorted(mapping)
+        assert list(columnar.items()) == sorted(mapping.items())
 
     def test_blocks_of_site_counts_fractions(self, seed):
-        reference, columnar = pair_for(seed)
+        mapping, columnar = pair_for(seed)
+        expected = model.fractions(SITES, mapping)
         for code in (*SITES, "NOPE"):
-            assert columnar.blocks_of_site(code) == sorted(
-                reference.blocks_of_site(code)
-            )
-            assert columnar.fraction_of(code) == reference.fraction_of(code)
-        assert columnar.counts() == reference.counts()
-        assert columnar.fractions() == reference.fractions()
+            assert columnar.blocks_of_site(code) == model.blocks_of_site(mapping, code)
+            assert columnar.fraction_of(code) == expected.get(code, 0.0)
+        assert columnar.counts() == model.counts(SITES, mapping)
+        assert columnar.fractions() == expected
 
     def test_restrict_round_trip(self, seed):
-        reference, columnar = pair_for(seed)
+        mapping, columnar = pair_for(seed)
         rng = random.Random(seed + 1000)
-        keep = rng.sample(sorted(reference.blocks()), len(reference) // 2)
-        keep += [999_999_999]  # absent blocks are ignored by both
-        restricted_ref = reference.restrict(keep)
-        restricted_col = columnar.restrict(keep)
-        assert dict(restricted_col.items()) == dict(restricted_ref.items())
+        keep = rng.sample(sorted(mapping), len(mapping) // 2)
+        keep += [999_999_999]  # absent blocks are ignored
+        restricted = columnar.restrict(keep)
+        assert dict(restricted.items()) == model.restrict(mapping, keep)
         # The universe is shared, not copied, and a full restrict round-trips.
-        assert restricted_col.universe is columnar.universe
+        assert restricted.universe is columnar.universe
         full = columnar.restrict(list(columnar.blocks()))
-        assert dict(full.items()) == dict(columnar.items())
+        assert dict(full.items()) == mapping
 
     def test_diff_matches_reference_exactly(self, seed):
-        ref_a, col_a = pair_for(seed)
+        mapping_a, col_a = pair_for(seed)
         later_mapping = random_mapping(seed + 500, 110)
-        ref_b = CatchmentMap(SITES, later_mapping)
-        col_b = ArrayCatchmentMap.from_mapping(SITES, later_mapping)
-        expected = ref_a.diff(ref_b)
-        for earlier, later in [
-            (col_a, col_b),  # array/array (different universes)
-            (col_a, ref_b),  # array/dict fallback
-            (ref_a, col_b),  # dict/array via the lazy mapping
+        expected = model.diff(mapping_a, later_mapping)
+        for later in [
+            CatchmentMap.from_mapping(SITES, later_mapping),  # another universe
+            # Another site vocabulary: later's indices are recoded.
+            CatchmentMap.from_mapping(SITES[::-1], later_mapping),
+            CatchmentMap.from_mapping([*SITES, "AMS"], later_mapping),
         ]:
-            diff = earlier.diff(later)
+            diff = col_a.diff(later)
             assert diff == expected
             assert diff.flipped_blocks == tuple(sorted(diff.flipped_blocks))
 
     def test_diff_on_shared_universe(self, seed):
         """The series case: same universe object, sites flip per round."""
         mapping = random_mapping(seed, 150)
-        base = ArrayCatchmentMap.from_mapping(SITES, mapping)
+        base = CatchmentMap.from_mapping(SITES, mapping)
         rng = random.Random(seed + 2000)
         sites = base.site_index_array.copy()
         for row in range(sites.size):
@@ -103,48 +99,45 @@ class TestMethodEquivalence:
                 sites[row] = -1
             elif roll < 0.5:
                 sites[row] = rng.randrange(len(SITES))
-        later = ArrayCatchmentMap(SITES, base.universe, sites, validate=False)
+        later = CatchmentMap(SITES, base.universe, sites, validate=False)
         assert later.universe is base.universe
-        expected = CatchmentMap(SITES, dict(base.items())).diff(
-            CatchmentMap(SITES, dict(later.items()))
-        )
+        expected = model.diff(dict(base.items()), dict(later.items()))
         assert base.diff(later) == expected
 
 
 class TestConstructionAndValidation:
     def test_from_mapping_rejects_unknown_site(self):
         with pytest.raises(ConfigurationError):
-            ArrayCatchmentMap.from_mapping(["LAX"], {1: "MIA"})
+            CatchmentMap.from_mapping(["LAX"], {1: "MIA"})
 
     def test_validate_rejects_malformed_arrays(self):
         with pytest.raises(ConfigurationError):
-            ArrayCatchmentMap(SITES, np.array([1, 2]), np.array([0], dtype=np.int16))
+            CatchmentMap(SITES, np.array([1, 2]), np.array([0], dtype=np.int16))
         with pytest.raises(ConfigurationError):
-            ArrayCatchmentMap(
+            CatchmentMap(
                 SITES,
                 np.array([5, 3], dtype=np.uint64),
                 np.array([0, 0], dtype=np.int16),
             )
         with pytest.raises(ConfigurationError):
-            ArrayCatchmentMap(
+            CatchmentMap(
                 SITES,
                 np.array([1, 2], dtype=np.uint64),
                 np.array([0, len(SITES)], dtype=np.int16),
             )
 
     def test_empty_maps_agree(self):
-        reference = CatchmentMap(SITES, {})
-        columnar = ArrayCatchmentMap.from_mapping(SITES, {})
+        columnar = CatchmentMap.from_mapping(SITES, {})
         assert len(columnar) == 0
-        assert columnar.counts() == reference.counts()
-        assert columnar.fractions() == reference.fractions()
-        assert columnar.diff(columnar) == reference.diff(reference)
+        assert columnar.counts() == model.counts(SITES, {})
+        assert columnar.fractions() == model.fractions(SITES, {})
+        assert columnar.diff(columnar) == model.diff({}, {})
         assert columnar.site_of(3) is None
 
     def test_unmapped_universe_entries_are_invisible(self):
         universe = np.array([1, 2, 3, 4], dtype=np.uint64)
         sites = np.array([0, -1, 1, -1], dtype=np.int16)
-        columnar = ArrayCatchmentMap(SITES, universe, sites)
+        columnar = CatchmentMap(SITES, universe, sites)
         assert len(columnar) == 2
         assert 2 not in columnar
         assert columnar.site_of(2) is None
@@ -154,7 +147,7 @@ class TestConstructionAndValidation:
 
 class TestSiteIndicesOf:
     def test_join_semantics(self):
-        columnar = ArrayCatchmentMap(
+        columnar = CatchmentMap(
             SITES,
             np.array([10, 20, 30], dtype=np.uint64),
             np.array([0, -1, 2], dtype=np.int16),
@@ -165,9 +158,9 @@ class TestSiteIndicesOf:
         assert indices.tolist() == [-1, 0, -1, -1, 2, -1]
 
     def test_empty_inputs(self):
-        columnar = ArrayCatchmentMap.from_mapping(SITES, {})
+        columnar = CatchmentMap.from_mapping(SITES, {})
         assert columnar.site_indices_of(np.array([1, 2])).tolist() == [-1, -1]
-        full = ArrayCatchmentMap.from_mapping(SITES, {7: "LAX"})
+        full = CatchmentMap.from_mapping(SITES, {7: "LAX"})
         assert full.site_indices_of(np.array([], dtype=np.int64)).size == 0
 
 
@@ -212,23 +205,18 @@ class TestWeightCatchmentEquivalence:
 
     @pytest.fixture(scope="class")
     def catchments(self, broot_scan):
-        reference = broot_scan.catchment
-        if isinstance(reference, ArrayCatchmentMap):
-            reference = CatchmentMap(
-                reference.site_codes, dict(reference.items())
-            )
-        columnar = ArrayCatchmentMap.from_mapping(
-            reference.site_codes, dict(reference.items())
-        )
-        return reference, columnar
+        """The scan's map as a plain dict, and rebuilt from that dict."""
+        mapping = dict(broot_scan.catchment.items())
+        site_codes = broot_scan.catchment.site_codes
+        return (site_codes, mapping), CatchmentMap.from_mapping(site_codes, mapping)
 
     @pytest.mark.parametrize("kind", sorted(LoadKind.ALL))
     def test_bit_identical_site_load(self, catchments, broot_tiny, kind):
-        reference_map, columnar_map = catchments
+        (site_codes, mapping), columnar_map = catchments
         estimate = LoadEstimate(broot_tiny.day_load("2017-04-12"), kind=kind)
-        expected = weight_catchment(reference_map, estimate)
+        expected = model.site_load(site_codes, mapping, estimate)
         actual = weight_catchment(columnar_map, estimate)
-        for code in (*reference_map.site_codes, UNKNOWN):
+        for code in (*site_codes, UNKNOWN):
             assert actual.daily_of(code) == expected.daily_of(code)
             assert np.array_equal(actual.hourly_of(code), expected.hourly_of(code))
         assert actual.fractions() == expected.fractions()

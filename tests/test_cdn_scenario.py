@@ -37,7 +37,7 @@ class TestCdnScenario:
 
     def test_scan_spreads_over_sites(self, cdn):
         verfploeter = Verfploeter(cdn.internet, cdn.service)
-        scan = verfploeter.run_scan(wire_level=False)
+        scan = verfploeter.run_scan()
         active = [
             site for site, fraction in scan.catchment.fractions().items()
             if fraction > 0.01

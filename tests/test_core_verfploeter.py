@@ -7,11 +7,11 @@ import math
 import pytest
 
 from repro.core.fastscan import FastScanEngine
+from repro.core.oracle import wire_scan
 from repro.core.sharding import assert_scan_results_identical
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
 from repro.obs import Observer
-from repro.probing.prober import ProberConfig
 
 
 class TestScan:
@@ -43,12 +43,8 @@ class TestScan:
         )
 
     def test_wire_level_equals_fast_path(self, broot_verfploeter, broot_routing):
-        wire = broot_verfploeter.run_scan(
-            routing=broot_routing, round_id=3, wire_level=True
-        )
-        fast = broot_verfploeter.run_scan(
-            routing=broot_routing, round_id=3, wire_level=False
-        )
+        wire = wire_scan(broot_verfploeter, broot_routing, round_id=3)
+        fast = broot_verfploeter.run_scan(routing=broot_routing, round_id=3)
         assert dict(wire.catchment.items()) == dict(fast.catchment.items())
         assert wire.stats == fast.stats
         assert set(wire.rtts) == set(fast.rtts)
@@ -85,9 +81,7 @@ class TestEngineMemo:
             broot_tiny.internet, broot_tiny.service, observer=observer
         )
         for round_id in range(5):
-            verfploeter.run_scan(
-                routing=broot_routing, round_id=round_id, wire_level=False
-            )
+            verfploeter.run_scan(routing=broot_routing, round_id=round_id)
         names = observer.tracer.span_names()
         assert names.count("fastscan.precompute") == 1
         assert names.count("fastscan.round") == 5
@@ -109,7 +103,7 @@ class TestEngineMemo:
             which = round_id % 2
             scan = verfploeter.run_scan(
                 routing=routings[which], round_id=round_id,
-                dataset_id="alternating", wire_level=False,
+                dataset_id="alternating",
             )
             assert_scan_results_identical(
                 scan,
@@ -122,26 +116,20 @@ class TestEngineMemo:
 
 class TestCaptureStyles:
     @pytest.mark.parametrize("style", ["streaming", "lander", "pcap"])
-    def test_styles_agree(self, broot_tiny, broot_routing, style):
-        verfploeter = Verfploeter(
-            broot_tiny.internet, broot_tiny.service, capture_style=style
-        )
-        scan = verfploeter.run_scan(routing=broot_routing, wire_level=True)
+    def test_styles_agree(self, broot_verfploeter, broot_routing, style):
+        scan = wire_scan(broot_verfploeter, broot_routing, capture_style=style)
         assert scan.mapped_blocks > 0
-        reference = Verfploeter(broot_tiny.internet, broot_tiny.service).run_scan(
-            routing=broot_routing, wire_level=True
-        )
+        reference = wire_scan(broot_verfploeter, broot_routing)
         assert dict(scan.catchment.items()) == dict(reference.catchment.items())
 
     @pytest.mark.parametrize("style", ["streaming", "lander", "pcap"])
     def test_style_is_oracle_only(self, broot_tiny, broot_routing, broot_scan, style):
         """``capture_style`` shapes the packet-level oracle's captures and
-        nothing else: the default scan never touches a capture and is the
-        same scan under all four styles."""
+        nothing else: the default scan never touches a capture, and the
+        oracle under every style is that same scan."""
         observer = Observer.collecting()
         verfploeter = Verfploeter(
-            broot_tiny.internet, broot_tiny.service, capture_style=style,
-            observer=observer,
+            broot_tiny.internet, broot_tiny.service, observer=observer
         )
         default = verfploeter.run_scan(
             routing=broot_routing, dataset_id=broot_scan.dataset_id
@@ -156,7 +144,7 @@ class TestCaptureStyles:
             )
 
         assert captured() == 0
-        wire = verfploeter.run_scan(routing=broot_routing, wire_level=True)
+        wire = wire_scan(verfploeter, broot_routing, capture_style=style)
         assert captured() == wire.stats.replies_received > 0
         assert wire.stats == default.stats
         assert dict(wire.catchment.items()) == dict(default.catchment.items())
@@ -166,9 +154,9 @@ class TestCaptureStyles:
         for block, rtt in wire.rtts.items():
             assert math.isclose(default.rtts[block], rtt, abs_tol=tolerance)
 
-    def test_unknown_style_rejected(self, broot_tiny):
+    def test_unknown_style_rejected(self, broot_verfploeter, broot_routing):
         with pytest.raises(ConfigurationError):
-            Verfploeter(broot_tiny.internet, broot_tiny.service, capture_style="nfs")
+            wire_scan(broot_verfploeter, broot_routing, capture_style="nfs")
 
 
 class TestSeries:
@@ -181,12 +169,3 @@ class TestSeries:
         with pytest.raises(MeasurementError):
             broot_verfploeter.run_series(rounds=0)
 
-
-class TestConfigValidation:
-    def test_source_outside_prefix_rejected(self, broot_tiny):
-        with pytest.raises(ConfigurationError):
-            Verfploeter(
-                broot_tiny.internet,
-                broot_tiny.service,
-                prober_config=ProberConfig(source_address=0x01020304),
-            )

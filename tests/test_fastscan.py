@@ -6,10 +6,10 @@ import math
 
 import pytest
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
 from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
+from repro.core.oracle import wire_scan
 from repro.core.sharding import assert_scan_results_identical, run_sharded_series
 from repro.errors import ConfigurationError, MeasurementError
 from repro.probing.order import PseudorandomOrder
@@ -37,9 +37,7 @@ class TestEquivalence:
     def test_catchment_stats_rtts_identical(
         self, broot_verfploeter, broot_routing, engine, round_id
     ):
-        wire = broot_verfploeter.run_scan(
-            routing=broot_routing, round_id=round_id, wire_level=True
-        )
+        wire = wire_scan(broot_verfploeter, broot_routing, round_id=round_id)
         fast = engine.run_scan(round_id=round_id)
         assert dict(fast.catchment.items()) == dict(wire.catchment.items())
         assert fast.stats == wire.stats
@@ -88,15 +86,12 @@ class TestEquivalence:
 
     def test_wire_level_also_agrees(self, broot_verfploeter, broot_routing, engine):
         """The default dispatch lands on the same engine round."""
-        wire = broot_verfploeter.run_scan(
-            routing=broot_routing, round_id=2, wire_level=True
-        )
+        wire = wire_scan(broot_verfploeter, broot_routing, round_id=2)
         fast = engine.run_scan(round_id=2)
         assert dict(wire.catchment.items()) == dict(fast.catchment.items())
         assert wire.stats == fast.stats
         default = broot_verfploeter.run_scan(
             routing=broot_routing, round_id=2, dataset_id=fast.dataset_id,
-            wire_level=False,
         )
         assert_scan_results_identical(default, fast)
 
@@ -109,17 +104,14 @@ class TestColumnarResults:
 
     def test_median_rtt_fast_path_agrees(self, broot_verfploeter, engine):
         fast = engine.run_scan(round_id=1)
-        assert isinstance(fast.catchment, ArrayCatchmentMap)
         assert isinstance(fast.rtts, BlockValueMap)
         reference_rtts = dict(fast.rtts.items())
-        reference_catchment = CatchmentMap(
-            fast.catchment.site_codes, dict(fast.catchment.items())
-        )
+        reference_catchment = dict(fast.catchment.items())
         for code in broot_verfploeter.service.site_codes:
             expected_values = sorted(
                 rtt
                 for block, rtt in reference_rtts.items()
-                if reference_catchment.site_of(block) == code
+                if reference_catchment.get(block) == code
             )
             expected = (
                 expected_values[len(expected_values) // 2]

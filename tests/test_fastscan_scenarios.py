@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.core.fastscan import FastScanEngine
+from repro.core.oracle import wire_scan
 from repro.core.scenarios import cdn_like
 from repro.core.verfploeter import Verfploeter
 
@@ -18,9 +19,7 @@ def test_tangled_equivalence(scenario_fixture, request):
     routing = verfploeter.routing_for()
     engine = FastScanEngine(verfploeter, routing)
     for round_id in (0, 4):
-        wire = verfploeter.run_scan(
-            routing=routing, round_id=round_id, wire_level=True
-        )
+        wire = wire_scan(verfploeter, routing, round_id=round_id)
         fast = engine.run_scan(round_id=round_id)
         assert dict(fast.catchment.items()) == dict(wire.catchment.items())
         assert fast.stats == wire.stats
@@ -33,7 +32,7 @@ def test_cdn_equivalence():
     verfploeter = Verfploeter(scenario.internet, scenario.service)
     routing = verfploeter.routing_for()
     engine = FastScanEngine(verfploeter, routing)
-    wire = verfploeter.run_scan(routing=routing, round_id=3, wire_level=True)
+    wire = wire_scan(verfploeter, routing, round_id=3)
     fast = engine.run_scan(round_id=3)
     assert dict(fast.catchment.items()) == dict(wire.catchment.items())
     assert fast.stats == wire.stats
@@ -45,7 +44,7 @@ def test_withdrawn_site_policy_equivalence(broot_tiny):
     policy = broot_tiny.service.policy(withdrawn=["MIA"])
     routing = verfploeter.routing_for(policy)
     engine = FastScanEngine(verfploeter, routing)
-    wire = verfploeter.run_scan(routing=routing, round_id=1, wire_level=True)
+    wire = wire_scan(verfploeter, routing, round_id=1)
     fast = engine.run_scan(round_id=1)
     assert dict(fast.catchment.items()) == dict(wire.catchment.items())
     assert set(fast.catchment.fractions()) == {"LAX"}

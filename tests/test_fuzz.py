@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.collector.cleaning import clean_replies
 from repro.dns.message import DnsMessage, decode_name
 from repro.errors import DNSError, PacketError, ReproError
 from repro.icmp.network import DeliveredReply
 from repro.icmp.packets import EchoMessage, IPv4Header, parse_packet
 from repro.probing.order import PseudorandomOrder
+from tests import catchment_model as model
 
 
 class TestParserRobustness:
@@ -66,18 +67,35 @@ class TestParserRobustness:
             pass
 
 
+#: Non-empty site vocabularies in any order, some sharing no code.
+site_lists = st.lists(
+    st.sampled_from(["A", "B", "C", "D"]), min_size=1, max_size=4, unique=True
+)
+
+
 @st.composite
-def catchment_pairs(draw):
-    sites = ["A", "B", "C"]
+def mapping_pairs(draw):
+    """Two plain ``{block: site}`` dicts over overlapping blocks, each with
+    its own site vocabulary (they may differ in order and in membership)."""
+    earlier_sites, later_sites = draw(site_lists), draw(site_lists)
     blocks = draw(st.lists(st.integers(min_value=0, max_value=500),
                            unique=True, max_size=40))
-    first = {b: draw(st.sampled_from(sites)) for b in blocks}
+    first = {b: draw(st.sampled_from(earlier_sites)) for b in blocks}
     second = {
-        b: draw(st.sampled_from(sites))
-        for b in blocks
+        b: draw(st.sampled_from(later_sites))
+        for b in blocks + draw(st.lists(st.integers(min_value=0, max_value=500)))
         if draw(st.booleans())
     }
-    return (CatchmentMap(sites, first), CatchmentMap(sites, second))
+    return earlier_sites, first, later_sites, second
+
+
+@st.composite
+def catchment_pairs(draw):
+    earlier_sites, first, later_sites, second = draw(mapping_pairs())
+    return (
+        CatchmentMap.from_mapping(earlier_sites, first),
+        CatchmentMap.from_mapping(later_sites, second),
+    )
 
 
 class TestCatchmentProperties:
@@ -107,25 +125,26 @@ class TestCatchmentProperties:
         if len(earlier):
             assert sum(earlier.fractions().values()) == pytest.approx(1.0)
 
-    @settings(max_examples=60)
-    @given(catchment_pairs())
-    def test_array_map_equivalent_to_dict_map(self, pair):
-        """Columnar maps agree with the dict reference on arbitrary input,
-        including diff counts, flipped-block ordering, and mixed-type diffs."""
-        earlier, later = pair
-        a_earlier = ArrayCatchmentMap.from_mapping(
-            earlier.site_codes, dict(earlier.items())
-        )
-        a_later = ArrayCatchmentMap.from_mapping(
-            later.site_codes, dict(later.items())
-        )
-        assert dict(a_earlier.items()) == dict(earlier.items())
-        assert a_earlier.counts() == earlier.counts()
-        assert a_earlier.fractions() == earlier.fractions()
-        reference = earlier.diff(later)
-        assert a_earlier.diff(a_later) == reference
-        assert a_earlier.diff(later) == reference
-        assert earlier.diff(a_later) == reference
+    @settings(max_examples=100)
+    @given(mapping_pairs(), st.lists(st.integers(min_value=-5, max_value=505)))
+    def test_array_map_equivalent_to_dict_map(self, pair, keep):
+        """Columnar maps agree with the plain-dict model on arbitrary input:
+        items, ``counts``, ``fractions``, ``restrict`` and ``diff`` (counts
+        and flipped-block order), also when the two maps' site vocabularies
+        differ in order or in membership (``diff`` recodes ``later``'s
+        indices)."""
+        earlier_sites, first, later_sites, second = pair
+        earlier = CatchmentMap.from_mapping(earlier_sites, first)
+        later = CatchmentMap.from_mapping(later_sites, second)
+        assert list(earlier.items()) == sorted(first.items())
+        assert earlier.counts() == model.counts(earlier_sites, first)
+        assert earlier.fractions() == model.fractions(earlier_sites, first)
+        kept = model.restrict(first, keep)
+        restricted = earlier.restrict(keep)
+        assert dict(restricted.items()) == kept
+        assert restricted.counts() == model.counts(earlier_sites, kept)
+        assert earlier.diff(later) == model.diff(first, second)
+        assert later.diff(earlier) == model.diff(second, first)
 
 
 class TestCleaningProperties:

@@ -71,7 +71,7 @@ def _toy_world():
         geodb.add(block, GeoRecord("CN", 30.0, 100.0))
     for block in (5, 6):
         geodb.add(block, GeoRecord("US", 40.0, -100.0))
-    catchment = CatchmentMap(
+    catchment = CatchmentMap.from_mapping(
         ["BEIJING", "OTHER"],
         {1: "BEIJING", 2: "BEIJING", 3: "OTHER", 4: "BEIJING",
          5: "BEIJING", 6: "OTHER", 7: "BEIJING"},

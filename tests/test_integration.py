@@ -51,10 +51,8 @@ class TestBRootPipeline:
 
         clone = broot_tiny.service.test_prefix_clone(Prefix("199.9.15.0/24"))
         verfploeter = Verfploeter(broot_tiny.internet, clone)
-        scan = verfploeter.run_scan(wire_level=False)
-        reference = Verfploeter(broot_tiny.internet, broot_tiny.service).run_scan(
-            wire_level=False
-        )
+        scan = verfploeter.run_scan()
+        reference = Verfploeter(broot_tiny.internet, broot_tiny.service).run_scan()
         # Same sites and announcements, so identical catchments.
         assert dict(scan.catchment.items()) == dict(reference.catchment.items())
 
@@ -67,7 +65,7 @@ class TestTangledPipeline:
         return Verfploeter(tangled_tiny.internet, tangled_tiny.service)
 
     def test_nine_site_catchments(self, tangled_tiny, verfploeter):
-        scan = verfploeter.run_scan(wire_level=False)
+        scan = verfploeter.run_scan()
         fractions = scan.catchment.fractions()
         populated = [code for code, value in fractions.items() if value > 0.01]
         assert len(populated) >= 5, f"too few active sites: {fractions}"

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anycast.catchment import ArrayCatchmentMap, CatchmentMap
+from repro.anycast.catchment import CatchmentMap
 from repro.bgp.cache import RoutingCache
 from repro.bgp.propagation import RoutingConfig, compute_lattice, compute_routes
 from repro.bgp.sweep import as_columns, pop_routes
@@ -48,6 +48,7 @@ from repro.load.weighting import UNKNOWN, SiteLoad, weight_catchment, weight_cat
 from repro.obs import Observer
 from repro.traffic.attack import AttackProfile, compose_attack
 from repro.traffic.logs import HOURS
+from tests import catchment_model as model
 
 _SCENARIOS: dict = {}
 
@@ -256,7 +257,7 @@ class TestStackedPopRoutes:
                 np.testing.assert_array_equal(actual, expected)
 
 
-def _reference_load(catchment: ArrayCatchmentMap, estimate: LoadEstimate) -> SiteLoad:
+def _reference_load(catchment: CatchmentMap, estimate: LoadEstimate) -> SiteLoad:
     """One ``bincount`` per hour column, as the join summed before."""
     codes = catchment.site_codes
     unknown = len(codes)
@@ -283,7 +284,7 @@ class TestWeightCatchments:
         # A second universe (one scan's mapped blocks only) joins apart.
         other = catchments[0]
         catchments.append(
-            ArrayCatchmentMap(
+            CatchmentMap(
                 other.site_codes,
                 other.universe[other.site_index_array >= 0],
                 other.site_index_array[other.site_index_array >= 0],
@@ -298,15 +299,24 @@ class TestWeightCatchments:
             assert_site_loads_identical(load, _reference_load(catchment, estimate))
 
     def test_dict_catchment_takes_the_reference_path(self, lattice):
+        """A map rebuilt from a plain dict (its own universe) weighs in
+        one call with a lattice map, and both equal the per-block loop."""
         verfploeter, routings = lattice
         columnar = scan_lattice(verfploeter, routings[:2])
-        as_dict = CatchmentMap(columnar[1].site_codes, dict(columnar[1].items()))
+        site_codes = columnar[1].site_codes
+        as_dict = dict(columnar[1].items())
         estimate = LoadEstimate(
             tangled_like(scale="tiny", seed=3).day_load("lattice-weight-day")
         )
-        mixed = weight_catchments([columnar[0], as_dict], estimate)
-        for actual, expected in zip(mixed, weight_catchments(columnar, estimate)):
-            assert_site_loads_identical(actual, expected)
+        mixed = weight_catchments(
+            [columnar[0], CatchmentMap.from_mapping(site_codes, as_dict)], estimate
+        )
+        assert_site_loads_identical(
+            mixed[0], weight_catchments(columnar, estimate)[0]
+        )
+        assert_site_loads_identical(
+            mixed[1], model.site_load(site_codes, as_dict, estimate)
+        )
 
 
 class TestPooledLattice:

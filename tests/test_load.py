@@ -105,25 +105,25 @@ class TestHeaviestTies:
 
 class TestWeighting:
     def test_attribution(self):
-        catchment = CatchmentMap(["A", "B"], {1: "A", 2: "B", 3: "A"})
+        catchment = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "B", 3: "A"})
         site_load = weight_catchment(catchment, LoadEstimate(make_load()))
         assert site_load.daily_of("A") == pytest.approx(2400 + 24)
         assert site_load.daily_of("B") == pytest.approx(24)
         assert site_load.daily_of(UNKNOWN) == pytest.approx(24)  # block 4
 
     def test_unknown_fraction(self):
-        catchment = CatchmentMap(["A"], {1: "A"})
+        catchment = CatchmentMap.from_mapping(["A"], {1: "A"})
         site_load = weight_catchment(catchment, LoadEstimate(make_load()))
         assert site_load.unknown_fraction() == pytest.approx(72 / 2472)
 
     def test_fractions_exclude_unknown_by_default(self):
-        catchment = CatchmentMap(["A", "B"], {1: "A", 2: "B"})
+        catchment = CatchmentMap.from_mapping(["A", "B"], {1: "A", 2: "B"})
         site_load = weight_catchment(catchment, LoadEstimate(make_load()))
         fractions = site_load.fractions()
         assert fractions["A"] + fractions["B"] == pytest.approx(1.0)
 
     def test_hourly_sums_match_daily(self):
-        catchment = CatchmentMap(["A"], {1: "A", 2: "A", 3: "A", 4: "A"})
+        catchment = CatchmentMap.from_mapping(["A"], {1: "A", 2: "A", 3: "A", 4: "A"})
         site_load = weight_catchment(catchment, LoadEstimate(make_load()))
         assert site_load.hourly_of("A").sum() == pytest.approx(
             site_load.daily_of("A")
@@ -134,7 +134,7 @@ class TestWeighting:
 
         empty = DayLoad("s", "d", [], np.zeros((0, HOURS)), np.zeros(0), np.zeros(0))
         with pytest.raises(DatasetError):
-            weight_catchment(CatchmentMap(["A"], {}), LoadEstimate(empty))
+            weight_catchment(CatchmentMap.from_mapping(["A"], {}), LoadEstimate(empty))
 
 
 class TestPrediction:
@@ -153,7 +153,7 @@ class TestPrediction:
         estimate = LoadEstimate(load)
         truth = two_site_routing.catchment_map()
         # Drop every 5th block to simulate unmappable blocks.
-        partial = CatchmentMap(
+        partial = CatchmentMap.from_mapping(
             truth.site_codes,
             {b: s for i, (b, s) in enumerate(sorted(truth.items())) if i % 5},
         )

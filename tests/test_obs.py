@@ -14,6 +14,7 @@ import pytest
 from repro import NULL_OBSERVER, Observer, Verfploeter, broot_like
 from repro.bgp.cache import RoutingCache
 from repro.core.experiments import prepend_sweep
+from repro.core.oracle import wire_scan
 from repro.errors import ConfigurationError
 from repro.obs import (
     MetricsRegistry,
@@ -176,7 +177,7 @@ class TestPipelineInstrumentation:
         scenario = broot_like(scale="tiny")
         observer = Observer.collecting()
         vp = Verfploeter(scenario.internet, scenario.service, observer=observer)
-        vp.run_scan(wire_level=True)
+        wire_scan(vp, vp.routing_for())
         root = observer.tracer.find("scan.round")
         children = [child.name for child in root.children]
         assert children == [

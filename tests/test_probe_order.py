@@ -66,9 +66,14 @@ def test_fastscan_consumes_the_prober_stream(broot_verfploeter):
     from repro.core.fastscan import FastScanEngine, send_offsets
 
     engine = FastScanEngine(broot_verfploeter)
-    assert engine._prober is broot_verfploeter._prober
+    # The oracle's prober: the deployment's config, seeded by the Internet.
+    prober = Prober(
+        broot_verfploeter.hitlist, broot_verfploeter.prober_config,
+        broot_verfploeter.internet.seed,
+    )
+    assert engine.state.order_parent_seed == broot_verfploeter.internet.seed
     offsets = send_offsets(engine.state, round_id=1)
-    schedule = broot_verfploeter._prober.schedule_round(round_id=1)
+    schedule = prober.schedule_round(round_id=1)
     index_of = {
         entry.address: index
         for index, entry in enumerate(broot_verfploeter.hitlist)

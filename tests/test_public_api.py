@@ -76,8 +76,8 @@ def test_quickstart_snippet_works():
 
 
 def test_no_driver_takes_a_thread_fanout():
-    """``pool=`` / ``--shards`` / ``--workers`` is the one fan-out and
-    ``wire_level=True`` the one engine switch, asked for by name."""
+    """``pool=`` / ``--shards`` / ``--workers`` is the one fan-out, and
+    no driver offers an engine switch."""
     import inspect
 
     from repro.cli import build_parser
@@ -89,7 +89,6 @@ def test_no_driver_takes_a_thread_fanout():
     from repro.core.fastscan import FastScanEngine
     from repro.core.planning import evaluate_site_addition
     from repro.core.playbook import PlaybookPlanner
-    from repro.core.verfploeter import Verfploeter
 
     for function in (
         prepend_sweep, run_stability_series, site_failure_study,
@@ -100,8 +99,31 @@ def test_no_driver_takes_a_thread_fanout():
         run_stability_series, site_failure_study, evaluate_site_addition,
     ):
         assert "pool" not in inspect.signature(function).parameters
-    wire_level = inspect.signature(Verfploeter.run_scan).parameters["wire_level"]
-    assert wire_level.default is False
     with pytest.raises(SystemExit) as usage:
         build_parser().parse_args(["playbook", "--parallel", "2"])
     assert usage.value.code == 2
+
+
+def test_deployment_takes_no_oracle_options():
+    """A deployment is an Internet, a service, a hitlist and an observer;
+    the wire walk's options belong to :func:`repro.core.oracle.wire_scan`."""
+    import inspect
+
+    from repro.core.verfploeter import Verfploeter
+
+    parameters = list(inspect.signature(Verfploeter.__init__).parameters)
+    assert parameters == ["self", "internet", "service", "hitlist", "observer"]
+
+
+def test_one_catchment_type():
+    import repro.anycast
+
+    maps = [name for name in repro.anycast.__all__ if name.endswith("CatchmentMap")]
+    assert maps == ["CatchmentMap"]
+
+
+def test_wire_level_scan_names_the_oracle(broot_verfploeter, broot_routing):
+    from repro.errors import ConfigurationError
+
+    with pytest.raises(ConfigurationError, match="repro.core.oracle.wire_scan"):
+        broot_verfploeter.run_scan(routing=broot_routing, wire_level=True)

@@ -72,7 +72,7 @@ class TestSharedStateEqualsFresh:
             assert fresh.state is not shared.round_state()
             assert_scan_results_identical(
                 shared.run_scan(
-                    routing=routing, dataset_id=entry.config_id, wire_level=False
+                    routing=routing, dataset_id=entry.config_id
                 ),
                 fresh.run_scan(dataset_id=entry.config_id),
             )
@@ -83,14 +83,14 @@ class TestSharedStateEqualsFresh:
     ):
         shared = _deployment(tangled_tiny, hitlist)
         for _, routing in lattice:  # leave the memos as a full sweep does
-            shared.run_scan(routing=routing, wire_level=False)
+            shared.run_scan(routing=routing)
         withdrawn_only = next(
             pair for pair in lattice if pair[0].withdrawn and not pair[0].prepends
         )
         picks = [lattice[0], lattice[2], withdrawn_only, lattice[50], lattice[-1]]
         assert lattice[-1][0].withdrawn and lattice[-1][0].prepends
         for entry, routing in picks:
-            fast = shared.run_scan(routing=routing, wire_level=False)
+            fast = shared.run_scan(routing=routing)
             with wire_oracle():
                 wire = shared.run_scan(routing=routing)
             assert dict(fast.catchment.items()) == dict(wire.catchment.items())
@@ -143,7 +143,6 @@ class TestInterleavedScans:
                 if path == "run_scan":
                     actual = self.shared.run_scan(
                         routing=routing, round_id=round_id, dataset_id="memo",
-                        wire_level=False,
                     )
                 elif path == "engine":
                     actual = FastScanEngine(self.shared, routing).run_scan(
@@ -178,7 +177,7 @@ class TestCounters:
         round_ids = [0, 0, 0, 1, 1, 0, 2]  # four runs of equal ids
         for index, round_id in enumerate(round_ids):
             shared.run_scan(
-                routing=lattice[index][1], round_id=round_id, wire_level=False
+                routing=lattice[index][1], round_id=round_id
             )
         FastScanEngine(shared, lattice[9][1]).run_scan(round_id=2)
         metrics = observer.metrics
@@ -220,7 +219,7 @@ class TestPooledStore:
 class TestReadOnly:
     def test_writing_to_shared_state_raises(self, tangled_tiny, hitlist, lattice):
         shared = _deployment(tangled_tiny, hitlist)
-        shared.run_scan(routing=lattice[0][1], wire_level=False)
+        shared.run_scan(routing=lattice[0][1])
         state = shared.round_state()
         arrays = [
             value for value in vars(state).values() if isinstance(value, np.ndarray)

@@ -12,11 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.anycast.catchment import CatchmentAccumulator, CatchmentMap
+from repro.anycast.catchment import CatchmentAccumulator
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, ServiceError
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import UNKNOWN, weight_catchment
+from repro.load.weighting import UNKNOWN
 from repro.load.windowed import LoadWindow
 from repro.obs import Observer
 from repro.service import (
@@ -29,6 +29,7 @@ from repro.service import (
     replay_feed,
 )
 from repro.service.http import JsonApp, render_json
+from tests import catchment_model as model
 
 ROUNDS = 4
 WINDOW = 3
@@ -74,7 +75,6 @@ def batch_rounds(broot_verfploeter, broot_routing):
             routing=broot_routing,
             round_id=round_id,
             start_time=round_id * 900.0,
-            wire_level=False,
         )
         for round_id in range(ROUNDS)
     ]
@@ -107,14 +107,14 @@ class TestIncrementalEquivalence:
     def test_round_load_bit_identical_to_reference_join(
         self, served, batch_rounds, broot_routing, estimate
     ):
-        # Reference: fold rounds 0..r into a dict map, join on the slow
-        # dict-backed path.  The service's columnar join over its
+        # Reference: fold rounds 0..r into a plain dict and weigh it
+        # block by block.  The service's columnar join over its
         # accumulator snapshot must produce the very same floats.
         site_codes = broot_routing.policy.site_codes
         merged = {}
         for record, scan in zip(served.state.view.rounds, batch_rounds):
             merged.update(dict(scan.catchment.items()))
-            reference = weight_catchment(CatchmentMap(site_codes, merged), estimate)
+            reference = model.site_load(site_codes, merged, estimate)
             for code in [*site_codes, UNKNOWN]:
                 assert record.load.daily_of(code) == reference.daily_of(code)
                 assert np.array_equal(
@@ -224,7 +224,6 @@ class TestEdgeCases:
         assert all(record.kept > 0 for record in view.rounds)
         scan = broot_verfploeter.run_scan(
             routing=broot_routing, round_id=65536, start_time=900.0,
-            wire_level=False,
         )
         assert view.rounds[-1].kept == scan.stats.kept
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
-from repro.core.pool import ShardPool
 from repro.core.scenarios import tangled_like
 from repro.core.sharding import (
     ShardPlan,
@@ -19,7 +18,6 @@ from repro.core.sharding import (
     assert_site_loads_identical,
     run_sharded_series,
     scan_payloads,
-    sharded_weight_catchment,
 )
 from repro.core.tables import TableStore, ensure_array
 from repro.core.verfploeter import Verfploeter
@@ -160,23 +158,16 @@ class TestShardedWeighting:
         )
         assert_site_loads_identical(actual, weight_catchment(catchment, estimate))
 
-    def test_requires_array_catchment(self, tmp_path):
-        scenario = tangled_like(scale="tiny", seed=3)
-        estimate = LoadEstimate(scenario.day_load("shard-day"))
-        with ShardPool(workers=0, store=TableStore(root=str(tmp_path))) as pool:
-            with pytest.raises(ConfigurationError):
-                sharded_weight_catchment({"LAX": [1]}, estimate, pool)
-
 
 class TestPickling:
     def test_catchment_drops_lazy_caches(self):
         engine = _engine_for(3)
         scan = engine.run_scan(round_id=0)
         catchment = scan.catchment
-        catchment.counts()  # populate the lazy dict caches
+        catchment.counts()
         clone = pickle.loads(pickle.dumps(catchment))
-        assert clone._mapping_cache is None
-        assert clone._mapped_count is None
+        # A map is its three columns: nothing derived is cached or pickled.
+        assert sorted(vars(clone)) == ["_site_codes", "_sites", "_universe"]
         assert_buffers_equal(clone.universe, catchment.universe)
         assert_buffers_equal(clone.site_index_array, catchment.site_index_array)
         assert clone.counts() == catchment.counts()

@@ -1,7 +1,7 @@
 """The daemon's columnar reply stream against its two oracles.
 
-(a) ``replay_feed`` against the wire walk ``run_scan(wire_level=True)``
-cleans (``Verfploeter.wire_round``), reply by reply; (b) the columnar
+(a) ``replay_feed`` against the wire walk ``wire_scan`` cleans
+(:func:`repro.core.oracle.wire_round`), reply by reply; (b) the columnar
 ``StreamingCleaner`` against ``clean_replies`` on generated streams;
 (c) malformed batches, which must raise while staging and leave no
 trace.
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.collector.cleaning import clean_replies
 from repro.collector.stream import ReplyColumns, StreamingCleaner
+from repro.core.oracle import wire_round
 from repro.core.verfploeter import Verfploeter
 from repro.icmp.network import DeliveredReply
 from repro.load.estimator import LoadEstimate
@@ -69,8 +70,8 @@ def test_stream_equals_the_wire_walk(request, scenario_name, rounds, start_round
     shared = feed[0][0].probed_addresses
     for index, (start, batches) in enumerate(feed):
         round_id, start_time = start_round + index, index * INTERVAL
-        schedule, send_times, collected = verfploeter.wire_round(
-            routing, round_id, start_time
+        schedule, send_times, collected = wire_round(
+            verfploeter, routing, round_id, start_time
         )
         assert (start.round_id, start.start_time) == (round_id, start_time)
         assert start.probes_sent == len(schedule)

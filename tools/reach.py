@@ -5,8 +5,9 @@ path), every ``examples/`` script and ``tools/serve_smoke.py`` (the daemon's HTT
 handlers) in-process at ``tiny`` under ``sys.setprofile`` + ``threading.setprofile``;
 prints per package: lines, function-body lines, those of functions that ran / of
 declared / of orphan modules.  ``--check`` exits 1 on an
-orphan (a module outside ``lint/`` that ran nothing and is not in ``NOT_OPERATOR``)
-and on a declared module that ran or is gone; ``--matrix`` lists the runs.
+orphan (a module outside ``lint/`` that ran nothing and is not in ``NOT_OPERATOR``),
+on a declared module that ran or is gone, and when more functions of operator
+modules ran on no path than ``IDLE_CEILING``; ``--matrix`` lists the runs.
 """
 
 import ast
@@ -23,7 +24,8 @@ SRC = ROOT / "src" / "repro"
 
 #: Each module no operator path runs, and why it is kept (``make reach`` gates on it).
 NOT_OPERATOR = {
-    "icmp.network": "oracle: the per-packet dataplane run_scan(wire_level=True) walks",
+    "core.oracle": "oracle: the paper's Figure 1 walk, packet by packet (wire_scan, wire_round)",
+    "icmp.network": "oracle: the per-packet dataplane wire_scan walks",
     "icmp.packets": "oracle: ICMP echo encode/decode of the wire-level scan",
     "icmp.responder": "oracle: per-host reply behaviour the engine's columns replay",
     "collector.aggregate": "oracle: the wire-level scan's central collector",
@@ -36,6 +38,10 @@ NOT_OPERATOR = {
     "bgp.route": "types: the Route value type",
     "topology.prefixes": "types: the AnnouncedPrefix value type",
 }
+
+#: The most functions of operator modules that may run on no operator path: a ratchet,
+#: lowered whenever a change removes some, so dead operator code cannot grow back.
+IDLE_CEILING = 178
 
 #: Run as ``repro <line> --scale tiny``, ``TMP`` replaced by a scratch directory; the one
 #: list of subcommand forms, which ``tools/determinism.py`` also runs at ``small``.
@@ -79,7 +85,8 @@ def operator_reach() -> set:
 
 
 def main(argv: list) -> int:
-    """Print the reach table; with ``--check``, gate on ``NOT_OPERATOR``."""
+    """Print the reach table; with ``--check``, gate on ``NOT_OPERATOR`` and
+    ``IDLE_CEILING``."""
     if "--matrix" in argv:
         print(*(f"repro {line}" for line in MATRIX), sep="\n")
         return 0
@@ -98,6 +105,8 @@ def main(argv: list) -> int:
             table[package] = [a + b for a, b in zip(table.get(package, [0] * 5), row)]
     problems = [f"orphan: repro.{m} ran nothing" for m, kind in kinds.items() if kind == 4]
     problems += [f"stale: repro.{m} ran or is gone" for m in NOT_OPERATOR if kinds.get(m) != 3]
+    if len(idle) > IDLE_CEILING:
+        problems.append(f"ratchet: {len(idle)} idle functions exceed IDLE_CEILING {IDLE_CEILING}")
     print(("%-10s" + "%10s" * 5) % ("package", "lines", "fn-body", "ran", "declared", "orphan"))
     print(*(("%-10s" + "%10s" * 5) % (p, *row) for p, row in sorted(table.items())), sep="\n")
     print(*(f"declared  repro.{module}: {why}" for module, why in NOT_OPERATOR.items()), sep="\n")
