@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+import numpy as np
+
 from repro.analysis.report import render_table
 from repro.anycast.catchment import CatchmentMap
 from repro.geo.geodb import GeoDatabase
@@ -54,35 +56,37 @@ def containment_report(
     country_code: str,
 ) -> ContainmentReport:
     """Measure how well ``site_code``'s catchment aligns with a country."""
-    inside_at_site = inside_elsewhere = outside_at_site = 0
-    for block, site in catchment.items():
-        country = geodb.country_of(block)
-        if country is None:
-            continue
-        if country == country_code:
-            if site == site_code:
-                inside_at_site += 1
-            else:
-                inside_elsewhere += 1
-        elif site == site_code:
-            outside_at_site += 1
+    sites, inside = _sites_and_inside(catchment, geodb, country_code)
+    index = catchment.index_of_site(site_code)
+    at_site = sites == (-1 if index is None else index)  # mapped sites are >= 0
     return ContainmentReport(
         site_code=site_code,
         country_code=country_code,
-        inside_at_site=inside_at_site,
-        inside_elsewhere=inside_elsewhere,
-        outside_at_site=outside_at_site,
+        inside_at_site=int(np.count_nonzero((inside == 1) & at_site)),
+        inside_elsewhere=int(np.count_nonzero((inside == 1) & ~at_site)),
+        outside_at_site=int(np.count_nonzero((inside == 0) & at_site)),
     )
+
+
+def _sites_and_inside(catchment: CatchmentMap, geodb: GeoDatabase, country_code: str):
+    """Site index of each mapped block, and whether it lies in the country:
+    1 inside, 0 outside, -1 unlocatable (one join over the mapped blocks)."""
+    sites = catchment.site_index_array
+    inside = geodb.country_values(
+        catchment.mapped_block_array(), lambda code: int(code == country_code), -1
+    )
+    return sites[sites >= 0], inside
 
 
 def country_site_matrix(
     catchment: CatchmentMap, geodb: GeoDatabase, country_code: str
 ) -> Dict[str, int]:
     """How a country's blocks distribute over sites (who serves them)."""
+    sites, inside = _sites_and_inside(catchment, geodb, country_code)
+    codes = catchment.site_codes
     counts: Dict[str, int] = {}
-    for block, site in catchment.items():
-        if geodb.country_of(block) == country_code:
-            counts[site] = counts.get(site, 0) + 1
+    for site in sites[inside == 1].tolist():
+        counts[codes[site]] = counts.get(codes[site], 0) + 1
     return counts
 
 

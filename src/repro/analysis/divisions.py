@@ -10,18 +10,26 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.analysis.report import render_table
 from repro.anycast.catchment import CatchmentMap
 from repro.topology.internet import Internet
+
+
+def _mapped(catchment: CatchmentMap) -> Tuple[np.ndarray, List[str]]:
+    """The mapped blocks, ascending, and the site code of each."""
+    codes, sites = catchment.site_codes, catchment.site_index_array
+    return catchment.mapped_block_array(), [codes[site] for site in sites[sites >= 0].tolist()]
 
 
 def sites_seen_per_as(
     catchment: CatchmentMap, internet: Internet
 ) -> Dict[int, int]:
     """Distinct sites seen by each AS's mapped blocks (ASN -> site count)."""
+    blocks, sites = _mapped(catchment)
     sites_by_as: Dict[int, set] = {}
-    for block, site in catchment.items():
-        asn = internet.asn_of_block(block)
+    for asn, site in zip(internet.asns_of_blocks(blocks).tolist(), sites):
         sites_by_as.setdefault(asn, set()).add(site)
     return {asn: len(sites) for asn, sites in sites_by_as.items()}
 
@@ -88,17 +96,16 @@ def prefix_site_distribution(
     Only prefixes with at least one mapped block are counted, matching
     the paper's per-announced-prefix analysis.
     """
-    sites_by_prefix: Dict[Tuple[int, int], set] = {}
-    for block, site in catchment.items():
-        announced = internet.announced_prefix_of(block)
-        if announced is None:
-            continue
-        key = (announced.prefix.network, announced.prefix.length)
-        sites_by_prefix.setdefault(key, set()).add(site)
+    blocks, sites = _mapped(catchment)
+    sites_by_prefix: Dict[int, set] = {}
+    for index, site in zip(internet.announced_index_of(blocks).tolist(), sites):
+        if index >= 0:
+            sites_by_prefix.setdefault(index, set()).add(site)
     distribution: Dict[int, Dict[int, int]] = {}
-    for (_, length), sites in sites_by_prefix.items():
+    for index, seen in sites_by_prefix.items():
+        length = internet.announced[index].prefix.length
         bucket = distribution.setdefault(length, {})
-        bucket[len(sites)] = bucket.get(len(sites), 0) + 1
+        bucket[len(seen)] = bucket.get(len(seen), 0) + 1
     return distribution
 
 

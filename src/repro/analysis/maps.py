@@ -22,11 +22,13 @@ def catchment_grid(
 ) -> GeoGrid:
     """Figure 2b/3b: one unit of weight per mapped /24 block."""
     grid = GeoGrid(cell_degrees)
-    for block, site in catchment.items():
-        record = geodb.locate(block)
-        if record is None:
-            continue  # the paper discards unlocatable blocks (678 of 3.8M)
-        grid.add(record.latitude, record.longitude, site)
+    sites = catchment.site_index_array
+    sites = sites[sites >= 0]
+    # The paper discards unlocatable blocks (678 of 3.8M).
+    located, lats, lons = geodb.coordinates(catchment.mapped_block_array())
+    codes = catchment.site_codes
+    for lat, lon, site in zip(lats, lons, sites[located].tolist()):
+        grid.add(lat, lon, codes[site])
     return grid
 
 
@@ -40,6 +42,15 @@ def atlas_grid(
     return grid
 
 
+def _loaded(estimate: LoadEstimate, geodb: GeoDatabase):
+    """The located blocks with positive load: ``(blocks, volumes,
+    latitudes, longitudes)``, in the estimate's block order."""
+    daily = estimate.source.daily_of_kind(estimate.kind)
+    loaded = daily > 0
+    located, lats, lons = geodb.coordinates(estimate.blocks[loaded])
+    return estimate.blocks[loaded][located], daily[loaded][located].tolist(), lats, lons
+
+
 def load_grid(
     catchment: CatchmentMap,
     estimate: LoadEstimate,
@@ -48,16 +59,11 @@ def load_grid(
 ) -> GeoGrid:
     """Figure 4a: load-weighted map; unmapped-but-loaded blocks are UNK."""
     grid = GeoGrid(cell_degrees)
-    daily = estimate.source.daily_of_kind(estimate.kind)
-    for row, block in enumerate(estimate.blocks):
-        volume = float(daily[row])
-        if volume <= 0:
-            continue
-        record = geodb.locate(int(block))
-        if record is None:
-            continue
-        site = catchment.site_of(int(block)) or UNKNOWN
-        grid.add(record.latitude, record.longitude, site, weight=volume)
+    blocks, volumes, lats, lons = _loaded(estimate, geodb)
+    codes = [*catchment.site_codes, UNKNOWN]  # site index -1 picks UNKNOWN
+    sites = catchment.site_indices_of(blocks).tolist()
+    for lat, lon, site, volume in zip(lats, lons, sites, volumes):
+        grid.add(lat, lon, codes[site], weight=volume)
     return grid
 
 
@@ -69,15 +75,9 @@ def server_load_grid(
 ) -> GeoGrid:
     """Figure 4b: load map keyed by an arbitrary block->server function."""
     grid = GeoGrid(cell_degrees)
-    daily = estimate.source.daily_of_kind(estimate.kind)
-    for row, block in enumerate(estimate.blocks):
-        volume = float(daily[row])
-        if volume <= 0:
-            continue
-        record = geodb.locate(int(block))
-        if record is None:
-            continue
-        grid.add(record.latitude, record.longitude, server_of_block(int(block)), volume)
+    blocks, volumes, lats, lons = _loaded(estimate, geodb)
+    for lat, lon, block, volume in zip(lats, lons, blocks.tolist(), volumes):
+        grid.add(lat, lon, server_of_block(block), volume)
     return grid
 
 

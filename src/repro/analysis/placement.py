@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.collector.results import ScanResult
 from repro.errors import ConfigurationError
 from repro.geo.geodb import GeoDatabase
@@ -68,18 +70,14 @@ def suggest_sites(
         return []
     grid = GeoGrid(cell_degrees)
     cell_blocks: Dict[Tuple[int, int], List[Tuple[int, float]]] = {}
-    for block, rtt in slow.items():
-        record = geodb.locate(block)
-        if record is None:
-            continue
+    located, lats, lons = geodb.coordinates(np.fromiter(slow, dtype=np.int64, count=len(slow)))
+    placed = [item for item, here in zip(slow.items(), located.tolist()) if here]
+    for (block, rtt), lat, lon in zip(placed, lats, lons):
         weight = estimate.of_block(block) if estimate is not None else 1.0
         if weight <= 0:
             weight = 0.01  # quiet blocks still deserve some pull
-        grid.add(record.latitude, record.longitude, "slow", weight)
-        key = (
-            int((record.latitude + 90.0) // cell_degrees),
-            int((record.longitude + 180.0) // cell_degrees),
-        )
+        grid.add(lat, lon, "slow", weight)
+        key = (int((lat + 90.0) // cell_degrees), int((lon + 180.0) // cell_degrees))
         cell_blocks.setdefault(key, []).append((block, rtt))
     suggestions: List[PlacementSuggestion] = []
     for cell in grid.top_cells(count):

@@ -1,16 +1,16 @@
 """Block-level geolocation database (MaxMind GeoLite stand-in).
 
 The paper geolocates responding /24 blocks with MaxMind, noting accuracy
-is reasonable at country level.  Our database maps block ids to
-``GeoRecord`` entries and deliberately leaves a small fraction of blocks
-unlocatable (the paper discards 678 of 3.8M blocks for this reason).
+is reasonable at country level.  Our database holds the located block
+ids and their locations as sorted columns, and deliberately leaves a
+small fraction of blocks unlocatable (the paper discards 678 of 3.8M
+blocks for this reason).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,13 @@ def join_sorted(table: np.ndarray, blocks: np.ndarray) -> Tuple[np.ndarray, np.n
     return rows, table[rows] == keys
 
 
+def row_of(table: np.ndarray, block: int) -> int:
+    """Row of ``block`` in the ascending ``table``, or -1 when absent
+    (:func:`join_sorted` for one block, at a quarter of its cost)."""
+    row = int(table.searchsorted(block)) if 0 <= block < 2**63 else table.size
+    return row if row < table.size and table[row] == block else -1
+
+
 @dataclass(frozen=True)
 class GeoRecord:
     """Geolocation of one /24 block."""
@@ -38,7 +45,7 @@ class GeoRecord:
 
 @dataclass(frozen=True)
 class GeoColumns:
-    """Columnar snapshot of a :class:`GeoDatabase`.
+    """The columns a :class:`GeoDatabase` holds.
 
     ``blocks`` ascend; ``latitudes``/``longitudes``/``country_index``
     align row-for-row.  ``country_index`` indexes into ``countries``
@@ -52,107 +59,79 @@ class GeoColumns:
     country_index: np.ndarray
     countries: Tuple[str, ...]
 
-    @classmethod
-    def from_rows(
-        cls,
-        blocks: Sequence[int],
-        country_codes: Sequence[str],
-        latitudes: Sequence[float],
-        longitudes: Sequence[float],
-    ) -> "GeoColumns":
-        """Columns from parallel per-block sequences (``blocks`` ascending)."""
-        countries = tuple(sorted(set(country_codes)))
-        country_row = {code: row for row, code in enumerate(countries)}
-        return cls(
-            blocks=np.asarray(blocks, dtype=np.int64),
-            latitudes=np.asarray(latitudes, dtype=np.float64),
-            longitudes=np.asarray(longitudes, dtype=np.float64),
-            country_index=np.fromiter(
-                map(country_row.__getitem__, country_codes),
-                dtype=np.int32,
-                count=len(country_codes),
-            ),
-            countries=countries,
-        )
-
 
 class GeoDatabase:
-    """Maps /24 block ids to :class:`GeoRecord` entries."""
+    """Maps /24 block ids to their geolocation, held as :class:`GeoColumns`."""
 
-    def __init__(self) -> None:
-        self._records: Dict[int, GeoRecord] = {}
-        self._columns: Optional[GeoColumns] = None
-        self._columns_pid: Optional[int] = None
+    def __init__(self, columns: Optional[GeoColumns] = None) -> None:
+        if columns is None:
+            empty = np.zeros(0)
+            columns = GeoColumns(empty.astype(np.int64), empty, empty, empty.astype(np.int32), ())
+        aligned = (columns.latitudes, columns.longitudes, columns.country_index)
+        if columns.blocks.ndim != 1 or any(c.shape != columns.blocks.shape for c in aligned):
+            raise DatasetError("geo columns do not align row for row")
+        for column in (columns.blocks, *aligned):
+            column.setflags(write=False)
+        self._columns = columns
 
     def __len__(self) -> int:
-        return len(self._records)
+        return int(self._columns.blocks.size)
 
     def __contains__(self, block: int) -> bool:
-        return block in self._records
+        return row_of(self._columns.blocks, block) >= 0
 
     def add(self, block: int, record: GeoRecord) -> None:
         """Register the location of ``block`` (replacing any previous one)."""
-        self._records[block] = record
-        self._columns = None
-        self._columns_pid = None
+        self.add_many([(block, record)])
 
     def add_many(self, entries: Iterable[Tuple[int, GeoRecord]]) -> None:
-        """Bulk insert ``(block, record)`` pairs."""
-        self._records.update(entries)
-        self._columns = None
-        self._columns_pid = None
+        """Bulk insert ``(block, record)`` pairs; rebuilds the columns."""
+        records = dict(self.items())
+        records.update(entries)
+        blocks = sorted(records)
+        rows = [records[block] for block in blocks]
+        countries = tuple(sorted({record.country_code for record in rows}))
+        self._columns = GeoColumns(
+            np.array(blocks, dtype=np.int64),
+            np.array([record.latitude for record in rows], dtype=np.float64),
+            np.array([record.longitude for record in rows], dtype=np.float64),
+            np.array([countries.index(record.country_code) for record in rows], dtype=np.int32),
+            countries,
+        )
+
+    def _record(self, row: int) -> GeoRecord:
+        columns = self._columns
+        return GeoRecord(
+            columns.countries[columns.country_index[row]],
+            float(columns.latitudes[row]),
+            float(columns.longitudes[row]),
+        )
 
     def locate(self, block: int) -> Optional[GeoRecord]:
         """Return the record for ``block`` or None when unlocatable."""
-        return self._records.get(block)
+        row = row_of(self._columns.blocks, block)
+        return self._record(row) if row >= 0 else None
 
     def country_of(self, block: int) -> Optional[str]:
         """Country code for ``block`` or None when unlocatable."""
-        record = self._records.get(block)
+        record = self.locate(block)
         return record.country_code if record is not None else None
 
     def items(self) -> Iterator[Tuple[int, GeoRecord]]:
-        """Yield all ``(block, record)`` pairs."""
-        return iter(self._records.items())
+        """Yield all ``(block, record)`` pairs, ascending by block."""
+        blocks = self._columns.blocks.tolist()
+        return ((block, self._record(row)) for row, block in enumerate(blocks))
 
     def require(self, block: int) -> GeoRecord:
         """Return the record for ``block`` or raise :class:`DatasetError`."""
-        record = self._records.get(block)
+        record = self.locate(block)
         if record is None:
             raise DatasetError(f"block {block} has no geolocation")
         return record
 
     def columnar(self) -> GeoColumns:
-        """Cached columnar snapshot, rebuilt after any insert.
-
-        One Python pass over the records; every later consumer joins
-        against the sorted block array with ``searchsorted`` instead of
-        issuing a dict probe per block.
-        """
-        if self._columns is None or self._columns_pid != os.getpid():
-            records = sorted(self._records.items())
-            self._columns = GeoColumns.from_rows(
-                [block for block, _ in records],
-                [record.country_code for _, record in records],
-                [record.latitude for _, record in records],
-                [record.longitude for _, record in records],
-            )
-            self._columns_pid = os.getpid()
+        """The database itself: ascending blocks and their aligned columns."""
         return self._columns
-
-    def attach_columns(self, columns: GeoColumns) -> None:
-        """Adopt a prebuilt (possibly memory-mapped) columnar snapshot.
-
-        Persisted scenarios re-attach their snapshot instead of paying
-        the per-record Python rebuild.  The row count must match the
-        database; contents are trusted (fingerprint-keyed).
-        """
-        if columns.blocks.shape != (len(self._records),):
-            raise DatasetError(
-                "attached geo columns do not match the database size"
-            )
-        self._columns = columns
-        self._columns_pid = os.getpid()
 
     def join(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Locate many blocks at once.
@@ -161,12 +140,19 @@ class GeoDatabase:
         the :meth:`columnar` arrays (meaningless where ``located`` is
         False) and whether the database knows it.
         """
-        return join_sorted(self.columnar().blocks, blocks)
+        return join_sorted(self._columns.blocks, blocks)
+
+    def coordinates(self, blocks: np.ndarray) -> Tuple[np.ndarray, list, list]:
+        """:meth:`locate` for many blocks: whether each is located, and
+        the latitudes and longitudes (floats) of those that are."""
+        rows, located = self.join(blocks)
+        columns, rows = self._columns, rows[located]
+        return located, columns.latitudes[rows].tolist(), columns.longitudes[rows].tolist()
 
     def country_values(self, blocks: np.ndarray, value_of, unlocated) -> np.ndarray:
         """``value_of(country code)`` per block, ``unlocated`` where the
         database has no row: a per-country scalar broadcast over blocks."""
-        columns = self.columnar()
+        columns = self._columns
         rows, located = self.join(blocks)
         table = np.array([value_of(code) for code in columns.countries] + [unlocated])
         index = np.full(rows.shape, -1)  # the appended ``unlocated`` entry

@@ -19,13 +19,14 @@ so two runs with equal configs produce identical Internets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError
-from repro.geo.geodb import GeoColumns, GeoDatabase, GeoRecord
+from repro.errors import ConfigurationError, TopologyError
+from repro.geo.geodb import GeoColumns, GeoDatabase
 from repro.geo.regions import COUNTRIES, Country, country_by_code
 from repro.netaddr.prefix import Prefix
 from repro.rng import derive_rng
@@ -112,8 +113,9 @@ class _Builder:
         self.pops: List[PoP] = []
         self.graph = RelationshipGraph()
         self.announced: List[AnnouncedPrefix] = []
-        self.block_assignment: Dict[int, Tuple[int, int]] = {}
-        self.geodb = GeoDatabase()
+        # Populated blocks and their PoPs, appended prefix by prefix.
+        self._blocks = array("q")
+        self._pop_ids = array("q")
         self.allocator = PrefixAllocator(Prefix(self.config.address_pool))
         self.next_asn = 1
         self.tier1_asns: List[int] = []
@@ -320,7 +322,6 @@ class _Builder:
         self, asys: AutonomousSystem, length: int, density: float, rng
     ) -> None:
         prefix = self.allocator.allocate(length)
-        entry = AnnouncedPrefix(prefix, asys.asn)
         span = prefix.block_count
         target = max(
             1,
@@ -331,13 +332,10 @@ class _Builder:
         )
         target = min(target, span)
         start_block = prefix.network >> 8
-        offsets = rng.sample(range(span), target) if target < span else list(range(span))
-        for offset in sorted(offsets):
-            block = start_block + offset
-            pop_id = rng.choice(asys.pop_ids)
-            self.block_assignment[block] = (asys.asn, pop_id)
-            entry.populated_blocks.append(block)
-        self.announced.append(entry)
+        offsets = sorted(rng.sample(range(span), target)) if target < span else range(span)
+        self._blocks.extend([start_block + offset for offset in offsets])
+        self._pop_ids.extend([rng.choice(asys.pop_ids) for _ in offsets])
+        self.announced.append(AnnouncedPrefix(prefix, asys.asn))
 
     def build_prefixes(self) -> None:
         rng = derive_rng(self.config.seed, "prefix")
@@ -358,45 +356,53 @@ class _Builder:
                 length = rng.choices(lengths, weights=weights, k=1)[0]
                 self._announce(asys, length, _BLOCK_DENSITY[asys.tier], rng)
 
-    def build_geo(self) -> None:
+    def build_geo(self, blocks: np.ndarray, pop_ids: np.ndarray) -> GeoDatabase:
+        """Locate each block near its PoP, in ascending block order."""
         rng = derive_rng(self.config.seed, "geo")
-        blocks: List[int] = []
-        pop_ids: List[int] = []
-        lats: List[float] = []
-        lons: List[float] = []
-        for block in sorted(self.block_assignment):
-            if rng.random() < self.config.unlocatable_fraction:
+        random, gauss, unlocatable = rng.random, rng.gauss, self.config.unlocatable_fraction
+        rows, lats, lons = array("q"), array("d"), array("d")
+        for row, pop_id in enumerate(pop_ids.tolist()):
+            if random() < unlocatable:
                 continue
-            pop = self.pops[self.block_assignment[block][1]]
-            blocks.append(block)
-            pop_ids.append(pop.pop_id)
-            lats.append(rng.gauss(pop.latitude, 1.5))
-            lons.append(rng.gauss(pop.longitude, 1.5))
+            pop = self.pops[pop_id]
+            rows.append(row)
+            lats.append(gauss(pop.latitude, 1.5))
+            lons.append(gauss(pop.longitude, 1.5))
+        rows = np.frombuffer(rows, dtype=np.int64)
+        located = pop_ids[rows]
         # Clamp each draw into its PoP's country, then onto the globe.
         homes = [country_by_code(pop.country_code) for pop in self.pops]
         bounds = np.array([(*home.lat_range, *home.lon_range) for home in homes])
-        lat_low, lat_high, lon_low, lon_high = bounds[pop_ids].T
-        latitudes = np.clip(np.clip(lats, lat_low, lat_high), -89.9, 89.9)
-        longitudes = np.clip(np.clip(lons, lon_low, lon_high), -179.9, 179.9)
-        codes = [self.pops[pop_id].country_code for pop_id in pop_ids]
-        self.geodb.add_many(
-            zip(blocks, map(GeoRecord, codes, latitudes.tolist(), longitudes.tolist()))
-        )
-        self.geodb.attach_columns(GeoColumns.from_rows(blocks, codes, latitudes, longitudes))
+        lat_low, lat_high, lon_low, lon_high = bounds[located].T
+        codes = np.array([home.code for home in homes])
+        countries, country_index = np.unique(codes[located], return_inverse=True)
+        return GeoDatabase(GeoColumns(
+            blocks[rows],
+            np.clip(np.clip(np.frombuffer(lats), lat_low, lat_high), -89.9, 89.9),
+            np.clip(np.clip(np.frombuffer(lons), lon_low, lon_high), -179.9, 179.9),
+            country_index.astype(np.int32),
+            tuple(countries.tolist()),
+        ))
 
     def finish(self) -> Internet:
-        host_model = HostModel(self.config.seed, self.config.host_config)
-        internet = Internet(
-            self.config.seed,
-            self.ases,
-            self.pops,
-            self.graph,
-            self.announced,
-            self.block_assignment,
-            self.geodb,
-            host_model,
+        # The allocator hands prefixes out upward and offsets are sorted,
+        # so the blocks arrive ascending; each prefix's are a contiguous run.
+        blocks = np.frombuffer(self._blocks, dtype=np.int64)
+        blocks.setflags(write=False)  # before any view of it is taken
+        if not np.all(np.diff(blocks) > 0):
+            raise TopologyError("populated blocks are not strictly ascending")
+        pop_ids = np.frombuffer(self._pop_ids, dtype=np.int64)
+        starts = np.array([entry.prefix.network >> 8 for entry in self.announced], dtype=np.int64)
+        spans = np.array([entry.prefix.block_count for entry in self.announced], dtype=np.int64)
+        lows, highs = (np.searchsorted(blocks, edge).tolist() for edge in (starts, starts + spans))
+        for entry, low, high in zip(self.announced, lows, highs):
+            entry.populated = blocks[low:high]
+        asns = np.array([pop.asn for pop in self.pops], dtype=np.int64)[pop_ids]
+        return Internet(
+            self.config.seed, self.ases, self.pops, self.graph, self.announced,
+            (blocks, asns, pop_ids), self.build_geo(blocks, pop_ids),
+            HostModel(self.config.seed, self.config.host_config),
         )
-        return internet
 
 
 def build_internet(config: Optional[TopologyConfig] = None) -> Internet:
@@ -408,5 +414,4 @@ def build_internet(config: Optional[TopologyConfig] = None) -> Internet:
     builder.build_stubs()
     builder.build_seeded()
     builder.build_prefixes()
-    builder.build_geo()
     return builder.finish()

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geo.geodb import GeoDatabase, join_sorted
-from repro.netaddr.trie import LongestPrefixTrie
+from repro.geo.geodb import GeoDatabase, join_sorted, row_of
 from repro.topology.asys import AutonomousSystem, PoP
 from repro.topology.hosts import HostModel
 from repro.topology.prefixes import AnnouncedPrefix
@@ -19,9 +17,10 @@ from repro.topology.relationships import RelationshipGraph
 class Internet:
     """Container for a generated topology.
 
-    Holds the AS graph, PoPs, announced prefixes (with a longest-prefix-
-    match trie), the populated /24 blocks with their AS/PoP assignment,
-    the geolocation database, and the host-responsiveness model.
+    Holds the AS graph, PoPs, announced prefixes, the populated /24
+    blocks as read-only ``(blocks, asns, pop_ids)`` columns (blocks
+    ascending), the geolocation database, and the host-responsiveness
+    model.  Scalar lookups are one ``searchsorted`` over those columns.
     """
 
     def __init__(
@@ -31,7 +30,7 @@ class Internet:
         pops: List[PoP],
         graph: RelationshipGraph,
         announced: List[AnnouncedPrefix],
-        block_assignment: Dict[int, Tuple[int, int]],
+        block_table: Tuple[Sequence[int], Sequence[int], Sequence[int]],
         geodb: GeoDatabase,
         host_model: HostModel,
     ) -> None:
@@ -42,76 +41,66 @@ class Internet:
         self.announced = announced
         self.geodb = geodb
         self.host_model = host_model
-        self._block_assignment = block_assignment
-        self._blocks: List[int] = sorted(block_assignment)
-        self._trie: LongestPrefixTrie[AnnouncedPrefix] = LongestPrefixTrie()
-        for entry in announced:
-            self._trie.insert(entry.prefix, entry)
-        self._blocks_by_asn: Dict[int, List[int]] = {}
-        for block in self._blocks:
-            asn = block_assignment[block][0]
-            self._blocks_by_asn.setdefault(asn, []).append(block)
-        self._block_table: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._block_table_pid: Optional[int] = None
+        columns = tuple(np.asarray(column, dtype=np.int64) for column in block_table)
+        for column in columns:
+            column.setflags(write=False)
+        self._block_table: Tuple[np.ndarray, np.ndarray, np.ndarray] = columns
+        # (start, end address, index) of the announced prefixes, by start,
+        # after a sentinel row covering nothing.  Prefixes never overlap,
+        # so the last one starting at or before an address is the only
+        # one that can cover it.
+        table = sorted((e.prefix.network, e.prefix.broadcast, i) for i, e in enumerate(announced))
+        self._prefix_table = np.array([(-1, -1, -1), *table], dtype=np.int64).T.copy()
+        self._asn_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._stable_mask: Optional[np.ndarray] = None
 
     # -- blocks ---------------------------------------------------------
 
     @property
     def blocks(self) -> Sequence[int]:
-        """All populated /24 block ids, ascending."""
-        return self._blocks
+        """All populated /24 block ids, ascending: a read-only view of the
+        block column whose items are plain ints (the scalar hashes in
+        :mod:`repro.rng` overflow on numpy integers)."""
+        return memoryview(self._block_table[0])
 
     def __len__(self) -> int:
-        return len(self._blocks)
+        return int(self._block_table[0].size)
+
+    def _row(self, block: int) -> int:
+        row = row_of(self._block_table[0], block)
+        if row < 0:
+            raise TopologyError(f"block {block} is not populated")
+        return row
 
     def has_block(self, block: int) -> bool:
         """True if ``block`` is populated in this topology."""
-        return block in self._block_assignment
+        return row_of(self._block_table[0], block) >= 0
 
     def asn_of_block(self, block: int) -> int:
         """Origin AS of ``block``."""
-        try:
-            return self._block_assignment[block][0]
-        except KeyError:
-            raise TopologyError(f"block {block} is not populated") from None
+        return int(self._block_table[1][self._row(block)])
 
     def pop_of_block(self, block: int) -> PoP:
         """The PoP serving ``block``."""
-        try:
-            pop_id = self._block_assignment[block][1]
-        except KeyError:
-            raise TopologyError(f"block {block} is not populated") from None
-        return self.pops[pop_id]
+        return self.pops[int(self._block_table[2][self._row(block)])]
 
-    def blocks_of_asn(self, asn: int) -> List[int]:
-        """All populated blocks originated by ``asn``."""
-        return self._blocks_by_asn.get(asn, [])
+    def blocks_of_asn(self, asn: int) -> Sequence[int]:
+        """All populated blocks originated by ``asn``, ascending."""
+        if self._asn_index is None:
+            blocks, asns, _ = self._block_table
+            order = np.argsort(asns, kind="stable")
+            self._asn_index = (asns[order], blocks[order])
+        asns, blocks = self._asn_index
+        low, high = np.searchsorted(asns, asn), np.searchsorted(asns, asn, side="right")
+        return memoryview(blocks[low:high])
 
     def block_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar ``(blocks, asns, pop_ids)`` view of the block assignment.
+        """The read-only ``(blocks, asns, pop_ids)`` columns.
 
-        Blocks ascend; the arrays align row-for-row.  Built once and
-        cached — the assignment is immutable after construction — so
-        vectorised consumers (the fast scan engine, bulk AS lookups)
-        join against it with ``searchsorted`` instead of per-block dict
-        probes.
+        Blocks ascend; the arrays align row-for-row.  Vectorised
+        consumers (the fast scan engine, bulk AS lookups) join against
+        them with ``searchsorted``.
         """
-        if self._block_table is None or self._block_table_pid != os.getpid():
-            count = len(self._blocks)
-            blocks = np.asarray(self._blocks, dtype=np.int64)
-            asns = np.fromiter(
-                (self._block_assignment[block][0] for block in self._blocks),
-                dtype=np.int64,
-                count=count,
-            )
-            pop_ids = np.fromiter(
-                (self._block_assignment[block][1] for block in self._blocks),
-                dtype=np.int64,
-                count=count,
-            )
-            self._block_table = (blocks, asns, pop_ids)
-            self._block_table_pid = os.getpid()
         return self._block_table
 
     def asns_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
@@ -124,12 +113,12 @@ class Internet:
         if not np.all(populated):
             missing = int(np.asarray(blocks)[~populated][0])
             raise TopologyError(f"block {missing} is not populated")
-        return self.block_table()[1][rows]
+        return self._block_table[1][rows]
 
     def join(self, blocks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Rows of ``blocks`` in :meth:`block_table` and whether each is
         populated (rows are meaningless where it is not)."""
-        return join_sorted(self.block_table()[0], blocks)
+        return join_sorted(self._block_table[0], blocks)
 
     def stable_mask(self) -> np.ndarray:
         """Which :meth:`block_table` rows host a ping responder at all.
@@ -138,7 +127,7 @@ class Internet:
         read-only by every consumer of the responder column.
         """
         if self._stable_mask is None:
-            mask = self.host_model.stable_mask(self.block_table()[0], self.geodb)
+            mask = self.host_model.stable_mask(self._block_table[0], self.geodb)
             mask.setflags(write=False)
             self._stable_mask = mask
         return self._stable_mask
@@ -149,9 +138,18 @@ class Internet:
 
     # -- prefixes -------------------------------------------------------
 
+    def announced_index_of(self, blocks: np.ndarray) -> np.ndarray:
+        """Index into :attr:`announced` of the prefix covering each of
+        ``blocks``, ``-1`` where none does."""
+        starts, ends, index = self._prefix_table
+        addresses = np.asarray(blocks, dtype=np.int64) << 8
+        row = np.searchsorted(starts, addresses, side="right") - 1
+        return np.where(addresses <= ends[row], index[row], -1)
+
     def announced_prefix_of(self, block: int) -> Optional[AnnouncedPrefix]:
-        """The BGP-announced prefix covering ``block`` (LPM), or None."""
-        return self._trie.lookup_value(block << 8)
+        """The BGP-announced prefix covering ``block``, or None."""
+        index = int(self.announced_index_of(np.array([block]))[0])
+        return self.announced[index] if index >= 0 else None
 
     def prefixes_of_asn(self, asn: int) -> List[AnnouncedPrefix]:
         """Prefixes announced by ``asn``."""
@@ -187,5 +185,5 @@ class Internet:
             "ases": len(self.ases),
             "pops": len(self.pops),
             "announced_prefixes": len(self.announced),
-            "blocks": len(self._blocks),
+            "blocks": len(self),
         }

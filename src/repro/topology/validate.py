@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.topology.asys import ASTier
 from repro.topology.internet import Internet
 from repro.topology.relationships import Relationship
@@ -93,29 +95,29 @@ def validate_internet(internet: Internet) -> ValidationReport:
     for entry in announced:
         if entry.origin_asn not in internet.ases:
             report.errors.append(f"{entry.prefix} originated by unknown AS")
-        if not entry.populated_blocks:
+        populated = np.asarray(entry.populated, dtype=np.int64)
+        if not populated.size:
             report.warnings.append(f"{entry.prefix} has no populated blocks")
-        for block in entry.populated_blocks:
-            if not entry.prefix.contains_address(block << 8):
-                report.errors.append(
-                    f"block {block:#x} outside its prefix {entry.prefix}"
-                )
+        addresses = populated << 8
+        outside = (addresses < entry.prefix.network) | (addresses > entry.prefix.broadcast)
+        for block in populated[outside].tolist():
+            report.errors.append(f"block {block:#x} outside its prefix {entry.prefix}")
 
     # -- block invariants ------------------------------------------------------
-    unlocated = 0
-    for block in internet.blocks:
-        asn = internet.asn_of_block(block)
-        if asn not in internet.ases:
-            report.errors.append(f"block {block:#x} assigned to unknown AS{asn}")
-            continue
-        pop = internet.pop_of_block(block)
-        if pop.asn != asn:
-            report.errors.append(f"block {block:#x} served by foreign PoP")
-        if block not in internet.geodb:
-            unlocated += 1
-    if internet.blocks and unlocated / len(internet.blocks) > 0.01:
+    blocks, asns, pop_ids = internet.block_table()
+    known = np.isin(asns, np.fromiter(internet.ases, dtype=np.int64))
+    pop_asns = np.array([pop.asn for pop in internet.pops], dtype=np.int64)
+    foreign = known & (pop_asns[pop_ids] != asns)
+    bad = ~known | foreign
+    for block, asn, unknown in zip(*(c[bad].tolist() for c in (blocks, asns, ~known))):
+        report.errors.append(
+            f"block {block:#x} assigned to unknown AS{asn}" if unknown
+            else f"block {block:#x} served by foreign PoP"
+        )
+    unlocated = int(np.count_nonzero(known & ~internet.geodb.join(blocks)[1]))
+    if blocks.size and unlocated / blocks.size > 0.01:
         report.warnings.append(
-            f"{unlocated} blocks ({unlocated / len(internet.blocks):.1%}) "
+            f"{unlocated} blocks ({unlocated / blocks.size:.1%}) "
             "have no geolocation"
         )
 

@@ -74,6 +74,12 @@ def test_operator_path_loads_no_oracle_or_ledger_module(form):
     assert sorted(declared & loaded(form)) == []
 
 
+@pytest.mark.parametrize("form", ["stability", "scan", "playbook"])
+def test_operator_path_builds_no_trie(form):
+    """Prefix lookups are a ``searchsorted`` over the block columns."""
+    assert "repro.netaddr.trie" not in loaded(form)
+
+
 def test_stability_loads_no_other_subcommand_module():
     stray = [
         module for module in loaded("stability")

@@ -259,15 +259,14 @@ class TestVectorPermutationInverse:
 
 class TestAttachValidation:
     def test_geo_columns_shape_checked(self):
-        from repro.geo.geodb import GeoColumns
+        from repro.geo.geodb import GeoColumns, GeoDatabase
 
-        scenario = tangled_like(scale="tiny", seed=3)
         bad = GeoColumns(
             blocks=np.zeros(1, dtype=np.int64),
-            latitudes=np.zeros(1),
+            latitudes=np.zeros(2),
             longitudes=np.zeros(1),
             country_index=np.zeros(1, dtype=np.int64),
             countries=("US",),
         )
         with pytest.raises(DatasetError):
-            scenario.internet.geodb.attach_columns(bad)
+            GeoDatabase(bad)

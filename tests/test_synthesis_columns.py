@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,16 @@ COLUMNS_CONFIG = TopologyConfig(
         SeededAS("PK-NET", "transit", "PK", ("PK",), ((22, 2),)),
         SeededAS("JP-EDGE", "stub", "JP", ("JP",), ((23, 1),)),
     ),
+)
+#: The ``build_synth`` benchmark's full-size topology, at seed 1.
+SYNTH_CONFIG = TopologyConfig(
+    seed=1,
+    tier1_count=10,
+    transit_count=200,
+    stub_count=1500,
+    max_blocks_per_prefix=128,
+    block_density_scale=2.0,
+    address_pool="64.0.0.0/2",
 )
 _FOREIGN_SEED = 0xD17
 _TARGET_TOTAL = 2.2e6
@@ -93,6 +104,32 @@ PINNED = {
     "edges/columns": "e3219cac072b3b3e",
 }
 
+#: The block universe itself: ``(blocks, asns, pop_ids)``, the geo
+#: columns, and each announced prefix with its populated blocks.
+#: Recorded on the last commit that held the universe as per-block
+#: dicts and lists (the same ``__main__`` run prints it); never
+#: regenerated from column code.
+UNIVERSE_PINNED = {
+    "universe/tangled/tiny/blocks": "a602ec440ba3f49a",
+    "universe/tangled/tiny/geo": "5394a79388229fac",
+    "universe/tangled/tiny/prefixes": "1df55884d0b2c15e",
+    "universe/tangled/small/blocks": "b8020862eaf681aa",
+    "universe/tangled/small/geo": "9f5a6279bfb329ac",
+    "universe/tangled/small/prefixes": "199c3957f1de9ad9",
+    "universe/broot/tiny/blocks": "6a8c16ad8b0411ef",
+    "universe/broot/tiny/geo": "7d66d18d75ee07bb",
+    "universe/broot/tiny/prefixes": "d5e1f126208d531d",
+    "universe/broot/small/blocks": "5fcc4d0f7cf5aa38",
+    "universe/broot/small/geo": "ac73dadff9555467",
+    "universe/broot/small/prefixes": "4f85fba0502b2cbb",
+    "universe/columns/blocks": "efd53a20b741f3a6",
+    "universe/columns/geo": "c002627e6c5f07e3",
+    "universe/columns/prefixes": "cecb918840444a54",
+    "universe/synth/seed=1/blocks": "6bd39dbe8f5fc1ce",
+    "universe/synth/seed=1/geo": "ca41dcece147c378",
+    "universe/synth/seed=1/prefixes": "3c465af979c9a845",
+}
+
 
 def _digest(*parts) -> str:
     state = hashlib.blake2b(digest_size=8)
@@ -128,6 +165,47 @@ def _geo_digest(internet) -> str:
         np.array([record.latitude for _, record in records], dtype=np.float64),
         np.array([record.longitude for _, record in records], dtype=np.float64),
     )
+
+
+def _universe_digests(internet) -> dict:
+    blocks, asns, pop_ids = internet.block_table()
+    geo = internet.geodb.columnar()
+    return {
+        "blocks": _digest(*(np.asarray(c, dtype=np.int64) for c in (blocks, asns, pop_ids))),
+        "geo": _digest(
+            np.asarray(geo.blocks, dtype=np.int64),
+            np.asarray(geo.latitudes, dtype=np.float64),
+            np.asarray(geo.longitudes, dtype=np.float64),
+            [geo.countries[index] for index in geo.country_index.tolist()],
+        ),
+        "prefixes": _digest(
+            [
+                (str(entry.prefix), entry.origin_asn, [int(b) for b in entry.populated_blocks])
+                for entry in internet.announced
+            ]
+        ),
+    }
+
+
+def _universes(tangled_tiny, broot_tiny) -> dict:
+    from repro.core.scenarios import broot_like
+
+    return {
+        "tangled/tiny": lambda: tangled_tiny.internet,
+        "tangled/small": lambda: tangled_like(scale="small").internet,
+        "broot/tiny": lambda: broot_tiny.internet,
+        "broot/small": lambda: broot_like(scale="small").internet,
+        "columns": lambda: build_internet(COLUMNS_CONFIG),
+        "synth/seed=1": lambda: build_internet(SYNTH_CONFIG),
+    }
+
+
+def _observed_universes(tangled_tiny, broot_tiny) -> dict:
+    observed = {}
+    for name, build in _universes(tangled_tiny, broot_tiny).items():
+        for part, value in _universe_digests(build()).items():
+            observed[f"universe/{name}/{part}"] = value
+    return observed
 
 
 def _atlas_digest(platform) -> str:
@@ -187,6 +265,20 @@ def test_pinned_digest(observed, key):
 
 def test_every_observed_digest_is_pinned(observed):
     assert sorted(observed) == sorted(PINNED)
+
+
+@pytest.fixture(scope="module")
+def observed_universes(tangled_tiny, broot_tiny):
+    return _observed_universes(tangled_tiny, broot_tiny)
+
+
+@pytest.mark.parametrize("key", sorted(UNIVERSE_PINNED))
+def test_universe_digest(observed_universes, key):
+    assert observed_universes[key] == UNIVERSE_PINNED[key]
+
+
+def test_every_universe_digest_is_pinned(observed_universes):
+    assert sorted(observed_universes) == sorted(UNIVERSE_PINNED)
 
 
 def test_stable_mask_is_the_scalar_draw(columns_internet):
@@ -297,12 +389,42 @@ def test_synthesis_scalar_draws_do_not_scale_with_blocks():
     assert 0 < calls < len(scenario.internet.blocks)
 
 
+def test_build_memory_does_not_scale_with_python_objects():
+    """Bytes per extra block retained by, and at the peak of, a build.
+
+    Doubling the block density at fixed AS counts isolates the per-block
+    cost.  Per-block Python objects (dict entries, tuples, boxed ints
+    and floats) cost about 400 B retained and 530 B at the peak; the
+    columns, a few int64/float64 cells per block, about 55 B and 140 B.
+    """
+
+    def traced(block_density_scale):
+        config = TopologyConfig(
+            seed=1, tier1_count=6, transit_count=50, stub_count=400,
+            max_blocks_per_prefix=64, block_density_scale=block_density_scale,
+        )
+        tracemalloc.start()
+        try:
+            internet = build_internet(config)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return len(internet), retained, peak
+
+    traced(1.0)  # a first build also fills import-time and module caches
+    sparse, dense = traced(1.0), traced(2.0)
+    extra = dense[0] - sparse[0]
+    assert extra > 2_000
+    retained, peak = ((dense[i] - sparse[i]) / extra for i in (1, 2))
+    assert retained <= 96, f"{retained:.0f} B retained per block"
+    assert peak <= 200, f"{peak:.0f} B peak per block"
+
+
 if __name__ == "__main__":
     from repro.core.scenarios import broot_like
 
-    for key, value in _observed(
-        build_internet(COLUMNS_CONFIG),
-        tangled_like(scale="tiny", seed=11),
-        broot_like(scale="tiny", seed=7),
-    ).items():
+    tangled, broot = tangled_like(scale="tiny", seed=11), broot_like(scale="tiny", seed=7)
+    for key, value in _observed(build_internet(COLUMNS_CONFIG), tangled, broot).items():
+        print(f'    "{key}": "{value}",')
+    for key, value in _observed_universes(tangled, broot).items():
         print(f'    "{key}": "{value}",')

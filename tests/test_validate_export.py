@@ -29,7 +29,7 @@ class TestValidateInternet:
         ases = {1: AutonomousSystem(1, "stub", "LONELY", "US", [0])}
         broken = Internet(
             seed=1, ases=ases, pops=pops, graph=RelationshipGraph(),
-            announced=[], block_assignment={}, geodb=GeoDatabase(),
+            announced=[], block_table=([], [], []), geodb=GeoDatabase(),
             host_model=HostModel(1),
         )
         report = validate_internet(broken)
@@ -55,7 +55,7 @@ class TestValidateInternet:
         }
         broken = Internet(
             seed=1, ases=ases, pops=pops, graph=graph, announced=[],
-            block_assignment={100: (2, 0)},  # block of AS2 on AS1's PoP
+            block_table=([100], [2], [0]),  # block of AS2 on AS1's PoP
             geodb=GeoDatabase(), host_model=HostModel(1),
         )
         report = validate_internet(broken)
