@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from repro.analysis.divisions import multi_site_fraction
 from repro.bgp.propagation import compute_routes
+from repro.bgp.reference import catchment_map
 from repro.core.scenarios import tangled_like
 
 
 def _split_fraction(scenario):
     routing = compute_routes(scenario.internet, scenario.service.default_policy())
-    return multi_site_fraction(routing.catchment_map(), scenario.internet)
+    return multi_site_fraction(catchment_map(routing), scenario.internet)
 
 
 def test_ablation_pop_model(benchmark):
@@ -56,7 +57,7 @@ def test_ablation_pop_model(benchmark):
     ]
     single_service = AnycastService(service.name, service.prefix, sites)
     routing = compute_routes(single_internet, single_service.default_policy())
-    split_single = multi_site_fraction(routing.catchment_map(), single_internet)
+    split_single = multi_site_fraction(catchment_map(routing), single_internet)
 
     print()
     print("Ablation: intra-AS catchment splits")

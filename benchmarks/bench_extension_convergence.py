@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.analysis.report import render_table
 from repro.bgp.propagation import RoutingConfig, compute_routes
+from repro.bgp.reference import selection_of
 from repro.bgp.updates import BgpUpdateSimulator
 from repro.core.experiments import BROOT_PREPEND_CONFIGS
 
@@ -33,7 +34,7 @@ def test_extension_convergence_cost(benchmark, broot):
         # Cross-check against the analytic fixed point.
         analytic = compute_routes(broot.internet, policy, config=config)
         for asn in broot.internet.asns():
-            a = analytic.selection_of(asn)
+            a = selection_of(analytic, asn)
             s = outcome.selection_of(asn)
             assert a.route_class == s.route_class
             assert a.path_length == s.cost

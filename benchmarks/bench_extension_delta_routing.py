@@ -22,7 +22,8 @@ import time
 
 from repro.bgp.cache import RoutingCache
 from repro.bgp.delta import DeltaPropagator
-from repro.bgp.propagation import RoutingConfig, _Propagator, compute_routes
+from repro.bgp.propagation import RoutingConfig, compute_routes
+from repro.bgp.reference import _Propagator, catchment_map
 from repro.core.experiments import BROOT_PREPEND_CONFIGS
 from repro.obs import run_metadata
 
@@ -88,8 +89,8 @@ def test_extension_delta_routing(benchmark, broot):
 
     # Equivalence spot-check: the speed must not buy a different answer.
     for (label, _), fast, slow in zip(policies, deltas, scratch):
-        assert dict(fast.catchment_map().items()) == dict(
-            slow.catchment_map().items()
+        assert dict(catchment_map(fast).items()) == dict(
+            catchment_map(slow).items()
         ), f"delta diverged from scratch at {label}"
 
     # -- cached: the same sweep served entirely from the LRU ---------------

@@ -8,6 +8,7 @@ both distributions from a (stability-filtered) catchment map.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -47,10 +48,10 @@ def prefixes_by_sites_seen(
 ) -> Dict[int, List[int]]:
     """Figure 7 input: sites-seen -> announced-prefix counts of those ASes."""
     site_counts = sites_seen_per_as(catchment, internet)
+    announced = Counter(entry.origin_asn for entry in internet.announced)
     result: Dict[int, List[int]] = {}
     for asn, sites in site_counts.items():
-        announced = len(internet.prefixes_of_asn(asn))
-        result.setdefault(sites, []).append(announced)
+        result.setdefault(sites, []).append(announced[asn])
     return result
 
 

@@ -40,7 +40,7 @@ _EXPORTS = {
     "CandidateRoute": "repro.bgp.route",
     "SiteAnnouncement": "repro.bgp.policy",
     "AnnouncementPolicy": "repro.bgp.policy",
-    "RouteSelection": "repro.bgp.propagation",
+    "RouteSelection": "repro.bgp.reference",
     "RoutingOutcome": "repro.bgp.propagation",
     "compute_routes": "repro.bgp.propagation",
     "DeltaPropagator": "repro.bgp.delta",

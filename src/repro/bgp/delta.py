@@ -40,14 +40,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Set
 
-from repro.bgp.instability import FlipModel
 from repro.bgp.policy import AnnouncementPolicy
-from repro.bgp.propagation import (
+from repro.bgp.propagation import RoutingOutcome
+from repro.bgp.reference import (
     RouteSelection,
-    RoutingOutcome,
     _alternate_for,
     _PropagationState,
     _Propagator,
+    outcome_from_selections,
+    selections as reference_selections,
+    state as reference_state,
 )
 from repro.bgp.route import RouteClass
 from repro.errors import ConfigurationError
@@ -98,7 +100,7 @@ class DeltaPropagator:
     """
 
     def __init__(self, baseline: RoutingOutcome) -> None:
-        if baseline.state is None:
+        if reference_state(baseline) is None:
             raise ConfigurationError(
                 "baseline outcome lacks propagation state; it was not built "
                 "by compute_routes"
@@ -109,11 +111,11 @@ class DeltaPropagator:
     def propagate(self, policy: AnnouncementPolicy) -> RoutingOutcome:
         """Routes for ``policy``, bit-identical to a scratch propagation."""
         baseline = self.baseline
-        base_state = baseline.state
+        base_state = reference_state(baseline)
         assert base_state is not None  # checked in __init__
         internet = baseline.internet
         graph = internet.graph
-        base_selections = baseline.selections
+        base_selections = reference_selections(baseline)
         stats = DeltaStats()
 
         propagator = _Propagator(
@@ -256,8 +258,8 @@ class DeltaPropagator:
             origin_entries=propagator._origin_entries,
             caches=propagator._caches,
         )
-        return RoutingOutcome(
-            internet, policy, selections, baseline.flip_model, state=state
+        return outcome_from_selections(
+            internet, policy, selections, baseline.flip_model, base_state.config, state
         )
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TextIO
 
 from repro.bgp.propagation import RoutingOutcome
+from repro.bgp.reference import selections
 from repro.errors import DatasetError
 from repro.netaddr.prefix import Prefix
 from repro.netaddr.trie import LongestPrefixTrie
@@ -80,10 +81,10 @@ def write_path_dump(routing: RoutingOutcome, stream: TextIO) -> None:
     would record for the service prefix.
     """
     stream.write(f"# paths to {routing.policy.site_codes}\n")
-    for asn in sorted(routing.selections):
-        selection = routing.selections[asn]
+    chosen = selections(routing)
+    for asn in sorted(chosen):
         hops = " ".join(
-            "ORIGIN" if hop == 0 else str(hop) for hop in selection.as_path
+            "ORIGIN" if hop == 0 else str(hop) for hop in chosen[asn].as_path
         )
         stream.write(f"{asn}: {hops}\n")
 

@@ -4,9 +4,9 @@
 playbook lattice, or the single policy of
 :func:`~repro.bgp.propagation.compute_routes` — as one flattened
 (configs x ASes) problem of integer array passes.  Every column it
-yields equals the one :func:`table_from_selections` derives from the
-scalar reference (``repro.bgp.propagation._Propagator``);
-``tests/test_bgp_sweep.py`` holds the two together.
+yields equals the one the scalar oracle in :mod:`repro.bgp.reference`
+derives from its per-AS route objects; ``tests/test_bgp_sweep.py``
+holds the two together.
 
 **Edge tables.**  One CSR table per relationship class, rows grouped by
 the *importing* AS in ascending-ASN order and each row in the graph's
@@ -136,7 +136,7 @@ def as_columns(internet: "Internet") -> AsColumns:
 
 
 def _edge_costs(seed: int, config: "RoutingConfig", edge_ids: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`~repro.bgp.propagation.edge_cost`, same float buckets."""
+    """Vectorised :func:`~repro.bgp.reference.edge_cost`, same float buckets."""
     draw = uniform_unit_np(seed, EDGE_SALT, edge_ids)
     if config.era:
         drifted = uniform_unit_np(seed, DRIFT_SALT, edge_ids) < config.era_drift_probability
@@ -245,7 +245,7 @@ class Lattice:
 
 
 def weighted_pick(near: np.ndarray, hashes: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Vectorised ``RouteSelection._weighted_pick``: one site per row.
+    """Vectorised weighted pick of the scalar reference: one site per row.
 
     Weights ``8 >> min(delta, 3)`` are laid out in (delta, site) order
     — one block of site columns per delta — and the site whose
@@ -310,32 +310,6 @@ def pop_routes(columns: AsColumns, tables: Sequence[RouteTable]) -> List[PopRout
         alternate = np.where(mask, table.alternate[as_of_pop], NO_ROUTE).astype(np.int16)
         gathered.append(PopRoutes(site, alternate, mask & columns.flipper[as_of_pop]))
     return gathered
-
-
-def table_from_selections(
-    columns: AsColumns, site_codes: Sequence[str], selections: Dict[int, object]
-) -> RouteTable:
-    """Route columns of a ``selections`` dict (delta outcomes, tests), one pass."""
-    codes = tuple(sorted(site_codes))
-    site_of = {code: i for i, code in enumerate(codes)}
-    count = columns.asns.size
-    route_class = np.full(count, NO_ROUTE, dtype=np.int8)
-    path_length = np.zeros(count, dtype=np.int16)
-    primary = np.full(count, NO_ROUTE, dtype=np.int16)
-    pinned = np.zeros(count, dtype=bool)
-    alternate = np.full(count, NO_ROUTE, dtype=np.int16)
-    near = np.full((count, len(codes)), np.iinfo(np.int8).max, dtype=np.int8)
-    for asn, selection in selections.items():
-        i = columns.index[asn]
-        route_class[i] = selection.route_class
-        path_length[i] = selection.path_length
-        primary[i] = site_of[selection.primary_site]
-        pinned[i] = selection.pinned
-        if selection.alternate_site is not None:
-            alternate[i] = site_of[selection.alternate_site]
-        for delta, site in selection.near_routes:
-            near[i, site_of[site]] = delta
-    return RouteTable(codes, route_class, path_length, primary, pinned, alternate, near)
 
 
 # -- propagation ------------------------------------------------------------
@@ -613,7 +587,7 @@ def _alternates(
     site_position: np.ndarray,
     count: int,
 ) -> np.ndarray:
-    """Vectorised ``_alternate_for``: the first near site in (delta,
+    """Vectorised ``reference._alternate_for``: the first near site in (delta,
     site) order other than the primary; else, for flippers of a policy
     with two or more sites, a hashed pick among the others."""
     sites = near.shape[1]

@@ -1,9 +1,9 @@
 """Event-driven BGP update simulation.
 
-The analytic propagator (:mod:`repro.bgp.propagation`) computes the
-routing fixed point directly; this module reaches the same state the
-way the real protocol does — session by session, UPDATE by UPDATE —
-with Gao-Rexford export filters:
+The analytic propagators (:mod:`repro.bgp.sweep` and its scalar oracle
+:mod:`repro.bgp.reference`) compute the routing fixed point directly;
+this module reaches the same state the way the real protocol does —
+session by session, UPDATE by UPDATE — with Gao-Rexford export filters:
 
 * routes learned from customers are exported to everyone;
 * routes learned from peers or providers are exported to customers only.
@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
 from repro.bgp.policy import AnnouncementPolicy
-from repro.bgp.propagation import (
-    RoutingConfig,
-    _tie_hash,
-    edge_cost,
-    is_pinned,
-)
+from repro.bgp.propagation import RoutingConfig
+from repro.bgp.reference import _tie_hash, edge_cost, is_pinned
 from repro.bgp.route import RouteClass
 from repro.errors import RoutingError
 from repro.topology.internet import Internet

@@ -9,7 +9,7 @@ cleaning statistics, round-trippable through
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from repro.anycast.catchment import CatchmentMap
 from repro.collector.results import BlockValueMap
@@ -18,6 +18,11 @@ from repro.errors import DatasetError
 from repro.netaddr.blocks import format_block, parse_block
 
 _FORMAT_VERSION = 1
+
+_T = TypeVar("_T")
+
+#: The stats header's keys, in :class:`ScanStats` field order.
+_STATS_FIELDS = ("sent", "received", "wrong_round", "unsolicited", "late", "duplicates", "kept")
 
 
 def write_scan(scan: ScanResult, stream: TextIO) -> None:
@@ -44,14 +49,25 @@ def write_scan(scan: ScanResult, stream: TextIO) -> None:
         stream.write(f"{format_block(block)}\t{site}\t{rtt_text}\n")
 
 
-def _parse_kv(text: str) -> dict:
+def _parse_kv(text: str, where: str, required: Sequence[str]) -> dict:
     pairs = {}
     for field in text.split():
         key, _, value = field.partition("=")
         if not value:
             raise DatasetError(f"malformed header field {field!r}")
         pairs[key] = value
+    for key in required:
+        if key not in pairs:
+            raise DatasetError(f"{where} lacks {key}=")
     return pairs
+
+
+def _convert(convert: Callable[[str], _T], text: str, what: str) -> _T:
+    """``convert(text)``, or a :class:`DatasetError` naming ``what``."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise DatasetError(f"{what}: bad value {text!r}") from None
 
 
 def read_scan(stream: TextIO) -> ScanResult:
@@ -62,7 +78,7 @@ def read_scan(stream: TextIO) -> ScanResult:
     meta_line = stream.readline().strip()
     if not meta_line.startswith("# "):
         raise DatasetError("missing metadata header")
-    meta = _parse_kv(meta_line[2:])
+    meta = _parse_kv(meta_line[2:], "metadata header", ("dataset", "round", "start", "duration"))
     sites_line = stream.readline().strip()
     if not sites_line.startswith("# sites="):
         raise DatasetError("missing sites header")
@@ -70,7 +86,7 @@ def read_scan(stream: TextIO) -> ScanResult:
     stats_line = stream.readline().strip()
     if not stats_line.startswith("# stats "):
         raise DatasetError("missing stats header")
-    stats_fields = _parse_kv(stats_line[len("# stats "):])
+    stats_fields = _parse_kv(stats_line[len("# stats "):], "stats header", _STATS_FIELDS)
 
     mapping = {}
     rtts = {}
@@ -86,23 +102,17 @@ def read_scan(stream: TextIO) -> ScanResult:
         block = parse_block(fields[0])
         mapping[block] = fields[1]
         if fields[2] != "-":
-            rtts[block] = float(fields[2])
+            rtts[block] = _convert(float, fields[2], f"line {line_number} RTT")
 
-    stats = ScanStats(
-        probes_sent=int(stats_fields["sent"]),
-        replies_received=int(stats_fields["received"]),
-        wrong_round=int(stats_fields["wrong_round"]),
-        unsolicited=int(stats_fields["unsolicited"]),
-        late=int(stats_fields["late"]),
-        duplicates=int(stats_fields["duplicates"]),
-        kept=int(stats_fields["kept"]),
-    )
+    counts = [
+        _convert(int, stats_fields[key], f"stats header {key}=") for key in _STATS_FIELDS
+    ]
     return ScanResult(
         dataset_id=meta["dataset"],
-        round_id=int(meta["round"]),
-        start_time=float(meta["start"]),
-        duration_seconds=float(meta["duration"]),
+        round_id=_convert(int, meta["round"], "metadata header round="),
+        start_time=_convert(float, meta["start"], "metadata header start="),
+        duration_seconds=_convert(float, meta["duration"], "metadata header duration="),
         catchment=CatchmentMap.from_mapping(site_codes, mapping),
-        stats=stats,
+        stats=ScanStats(*counts),
         rtts=BlockValueMap.from_mapping(rtts),
     )

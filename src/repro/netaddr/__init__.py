@@ -9,7 +9,6 @@ matching the paper's use of /24 as the smallest BGP-routable prefix.
 from repro.lazy import lazy_exports
 
 __all__ = [
-    "IPv4Address",
     "Prefix",
     "LongestPrefixTrie",
     "parse_ipv4",
@@ -21,7 +20,6 @@ __all__ = [
 ]
 
 _EXPORTS = {
-    "IPv4Address": "repro.netaddr.address",
     "Prefix": "repro.netaddr.prefix",
     "LongestPrefixTrie": "repro.netaddr.trie",
     "parse_ipv4": "repro.netaddr.address",

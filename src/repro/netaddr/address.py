@@ -1,9 +1,6 @@
-"""IPv4 address parsing, formatting, and a lightweight wrapper type."""
+"""IPv4 address parsing and formatting (addresses are 32-bit ints)."""
 
 from __future__ import annotations
-
-import functools
-from typing import Union
 
 from repro.errors import AddressError
 
@@ -42,68 +39,3 @@ def format_ipv4(value: int) -> str:
     return ".".join(
         str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
     )
-
-
-@functools.total_ordering
-class IPv4Address:
-    """An immutable IPv4 address.
-
-    Thin wrapper over an int; ints and other ``IPv4Address`` objects
-    compare and hash interchangeably where the library accepts either.
-    """
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: Union[int, str, "IPv4Address"]):
-        if isinstance(value, IPv4Address):
-            self._value = value._value
-        elif isinstance(value, str):
-            self._value = parse_ipv4(value)
-        elif isinstance(value, int):
-            if not 0 <= value <= MAX_ADDRESS:
-                raise AddressError(f"address {value:#x} out of 32-bit range")
-            self._value = value
-        else:
-            raise AddressError(f"cannot build IPv4Address from {type(value).__name__}")
-
-    @property
-    def value(self) -> int:
-        """The address as a 32-bit integer."""
-        return self._value
-
-    @property
-    def block(self) -> int:
-        """The /24 block id containing this address (``value >> 8``)."""
-        return self._value >> 8
-
-    def __int__(self) -> int:
-        return self._value
-
-    def __index__(self) -> int:
-        return self._value
-
-    def __str__(self) -> str:
-        return format_ipv4(self._value)
-
-    def __repr__(self) -> str:
-        return f"IPv4Address({format_ipv4(self._value)!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, IPv4Address):
-            return self._value == other._value
-        if isinstance(other, int):
-            return self._value == other
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, IPv4Address):
-            return self._value < other._value
-        if isinstance(other, int):
-            return self._value < other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._value)
-
-    def __add__(self, offset: int) -> "IPv4Address":
-        return IPv4Address(self._value + offset)

@@ -12,7 +12,7 @@ import functools
 from typing import Iterator, Tuple, Union
 
 from repro.errors import AddressError
-from repro.netaddr.address import IPv4Address, format_ipv4, parse_ipv4
+from repro.netaddr.address import format_ipv4, parse_ipv4
 
 
 @functools.total_ordering
@@ -21,14 +21,19 @@ class Prefix:
 
     __slots__ = ("_network", "_length")
 
-    def __init__(self, network: Union[int, str, IPv4Address], length: int = None):
+    def __init__(self, network: Union[int, str], length: int = None):
         if isinstance(network, str) and length is None:
             network, length = self._split_cidr(network)
         if length is None:
             raise AddressError("prefix length is required")
         if not 0 <= length <= 32:
             raise AddressError(f"prefix length {length} out of range 0-32")
-        value = int(IPv4Address(network)) if not isinstance(network, int) else network
+        if isinstance(network, str):
+            value = parse_ipv4(network)
+        elif isinstance(network, int):
+            value = network
+        else:
+            raise AddressError(f"cannot build a prefix from {type(network).__name__}")
         if not 0 <= value <= 0xFFFFFFFF:
             raise AddressError(f"network {value:#x} out of 32-bit range")
         mask = self._mask_for(length)
@@ -82,7 +87,7 @@ class Prefix:
             return 0
         return 1 << (24 - self._length)
 
-    def contains_address(self, address: Union[int, IPv4Address]) -> bool:
+    def contains_address(self, address: int) -> bool:
         """Return True if ``address`` falls inside this prefix."""
         return (int(address) & self.netmask) == self._network
 

@@ -151,10 +151,6 @@ class Internet:
         index = int(self.announced_index_of(np.array([block]))[0])
         return self.announced[index] if index >= 0 else None
 
-    def prefixes_of_asn(self, asn: int) -> List[AnnouncedPrefix]:
-        """Prefixes announced by ``asn``."""
-        return [entry for entry in self.announced if entry.origin_asn == asn]
-
     # -- ASes -----------------------------------------------------------
 
     def autonomous_system(self, asn: int) -> AutonomousSystem:

@@ -11,7 +11,7 @@ hand-built topologies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -171,14 +171,16 @@ def _valley_free_error(internet: Internet, as_path: Tuple[int, ...]) -> Optional
 
 def validate_rib(
     internet: Internet,
-    routing,
+    site_codes: Iterable[str],
+    selections: Mapping[int, object],
     rib_entries: Optional[Iterable[Tuple["Prefix", int]]] = None,  # noqa: F821
 ) -> ValidationReport:
-    """Check a computed routing outcome (and optional RIB dump) for sanity.
+    """Check computed route selections (and an optional RIB dump) for sanity.
 
-    ``routing`` is duck-typed (any object with ``selections`` mapping
-    ASN -> selection and ``policy.site_codes``) so this layer-1 module
-    never imports the BGP layer above it.  Three invariant families:
+    ``selections`` maps ASN -> selection, each with ``primary_site`` and
+    ``as_path`` (:func:`repro.bgp.reference.selections` of an outcome),
+    and ``site_codes`` are its policy's sites; this layer-1 module never
+    imports the BGP layer above it.  Three invariant families:
 
     * every selected best path is **valley-free** (Gao-Rexford: routes
       learned from peers/providers are never re-exported upward);
@@ -189,16 +191,16 @@ def validate_rib(
       ``internet.announced`` with the same origin AS.
     """
     report = ValidationReport()
-    site_codes = set(routing.policy.site_codes)
+    declared = set(site_codes)
 
-    for asn in sorted(routing.selections):
-        selection = routing.selections[asn]
+    for asn in sorted(selections):
+        selection = selections[asn]
         if selection is None:
             continue
         if asn not in internet.ases:
             report.errors.append(f"selection for unknown AS{asn}")
             continue
-        if selection.primary_site not in site_codes:
+        if selection.primary_site not in declared:
             report.errors.append(
                 f"AS{asn} selected undeclared site {selection.primary_site!r}"
             )

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.reference import selection_of
 from repro.bgp.route import RouteClass
 
 
 @pytest.fixture(scope="module")
 def selections(tiny_internet, two_site_routing):
     return {
-        asn: two_site_routing.selection_of(asn) for asn in tiny_internet.asns()
+        asn: selection_of(two_site_routing, asn) for asn in tiny_internet.asns()
     }
 
 
@@ -27,7 +28,7 @@ class TestPathStructure:
         upstream = tiny_internet.find_asn_by_name("UP-A")
         policy = AnnouncementPolicy.uniform({"A": upstream}, prepends={"A": 2})
         routing = compute_routes(tiny_internet, policy)
-        origin_path = routing.selection_of(upstream).as_path
+        origin_path = selection_of(routing, upstream).as_path
         assert origin_path == (upstream, 0, 0, 0)  # 1 + 2 prepends
 
     def test_no_as_loops(self, selections):

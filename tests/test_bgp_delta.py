@@ -20,7 +20,8 @@ from repro.bgp.cache import (
 )
 from repro.bgp.delta import DeltaPropagator, delta_routes
 from repro.bgp.instability import FlipModel
-from repro.bgp.propagation import RoutingConfig, RoutingOutcome, compute_routes
+from repro.bgp.propagation import RoutingConfig, compute_routes
+from repro.bgp.reference import catchment_map, outcome_from_selections, selections
 from repro.core.experiments import BROOT_PREPEND_CONFIGS, prepend_sweep
 from repro.core.scenarios import broot_like, tangled_like
 from repro.core.verfploeter import Verfploeter
@@ -43,13 +44,13 @@ def selection_identity(selection):
 
 
 def assert_bit_identical(delta_outcome, scratch_outcome):
-    assert set(delta_outcome.selections) == set(scratch_outcome.selections)
-    for asn, scratch in scratch_outcome.selections.items():
-        assert selection_identity(delta_outcome.selections[asn]) == (
+    assert set(selections(delta_outcome)) == set(selections(scratch_outcome))
+    for asn, scratch in selections(scratch_outcome).items():
+        assert selection_identity(selections(delta_outcome)[asn]) == (
             selection_identity(scratch)
         ), f"AS{asn} diverged"
-    assert dict(delta_outcome.catchment_map().items()) == dict(
-        scratch_outcome.catchment_map().items()
+    assert dict(catchment_map(delta_outcome).items()) == dict(
+        catchment_map(scratch_outcome).items()
     )
 
 
@@ -114,8 +115,8 @@ class TestEquivalence:
         assert 0.0 < stats.reuse_fraction < 1.0
         shared = sum(
             1
-            for asn, selection in outcome.selections.items()
-            if selection is broot_baseline.selections.get(asn)
+            for asn, selection in selections(outcome).items()
+            if selection is selections(broot_baseline).get(asn)
         )
         # Spliced selections (and rebuilt-but-equal ones) are the very
         # same objects as the baseline's — structural sharing, not copies.
@@ -124,21 +125,22 @@ class TestEquivalence:
     def test_baseline_never_mutated(self, broot, broot_baseline):
         before = {
             asn: selection_identity(selection)
-            for asn, selection in broot_baseline.selections.items()
+            for asn, selection in selections(broot_baseline).items()
         }
         delta_routes(broot_baseline, broot.service.policy(withdrawn=["LAX"]))
         after = {
             asn: selection_identity(selection)
-            for asn, selection in broot_baseline.selections.items()
+            for asn, selection in selections(broot_baseline).items()
         }
         assert before == after
 
     def test_requires_propagation_state(self, broot, broot_baseline):
-        bare = RoutingOutcome(
+        bare = outcome_from_selections(
             broot.internet,
             broot_baseline.policy,
-            dict(broot_baseline.selections),
+            dict(selections(broot_baseline)),
             broot_baseline.flip_model,
+            broot_baseline.config,
         )
         with pytest.raises(ConfigurationError):
             DeltaPropagator(bare)

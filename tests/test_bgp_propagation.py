@@ -6,6 +6,7 @@ import pytest
 
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import RoutingConfig, compute_routes
+from repro.bgp.reference import catchment_map, selection_of
 from repro.bgp.route import RouteClass
 from repro.errors import ConfigurationError, RoutingError
 
@@ -30,7 +31,7 @@ class TestReachability:
 class TestGaoRexford:
     def test_upstreams_hold_customer_routes(self, tiny_internet, two_site_routing):
         upstream_a = tiny_internet.find_asn_by_name("UP-A")
-        selection = two_site_routing.selection_of(upstream_a)
+        selection = selection_of(two_site_routing, upstream_a)
         assert selection.route_class == RouteClass.CUSTOMER
         assert selection.primary_site == "A"
         assert selection.path_length == 1
@@ -40,7 +41,7 @@ class TestGaoRexford:
     ):
         upstream_a = tiny_internet.find_asn_by_name("UP-A")
         for provider in tiny_internet.graph.providers_of(upstream_a):
-            selection = two_site_routing.selection_of(provider)
+            selection = selection_of(two_site_routing, provider)
             assert selection.route_class == RouteClass.CUSTOMER
 
     def test_customer_class_sticky_under_prepending(self, tiny_internet):
@@ -59,7 +60,7 @@ class TestGaoRexford:
         # route; unless they also reach B via a customer chain, they
         # must stick with A despite 5 prepends.
         for provider in providers:
-            selection = routing.selection_of(provider)
+            selection = selection_of(routing, provider)
             if selection.route_class == RouteClass.CUSTOMER:
                 customer_sites = {
                     route.site_code for route in selection.candidates
@@ -69,10 +70,10 @@ class TestGaoRexford:
 
     def test_path_lengths_monotone_from_origin(self, tiny_internet, two_site_routing):
         upstream_a = tiny_internet.find_asn_by_name("UP-A")
-        origin_length = two_site_routing.selection_of(upstream_a).path_length
+        origin_length = selection_of(two_site_routing, upstream_a).path_length
         for provider in tiny_internet.graph.providers_of(upstream_a):
             assert (
-                two_site_routing.selection_of(provider).path_length > origin_length
+                selection_of(two_site_routing, provider).path_length > origin_length
             )
 
 
@@ -85,7 +86,7 @@ class TestPrepending:
         fractions = []
         for prepend in range(4):
             policy = AnnouncementPolicy.uniform(upstreams, prepends={"A": prepend})
-            catchment = compute_routes(tiny_internet, policy).catchment_map()
+            catchment = catchment_map(compute_routes(tiny_internet, policy))
             fractions.append(catchment.fraction_of("A"))
         assert all(
             later <= earlier + 1e-9 for earlier, later in zip(fractions, fractions[1:])
@@ -98,7 +99,7 @@ class TestPrepending:
             "B": tiny_internet.find_asn_by_name("UP-B"),
         }
         policy = AnnouncementPolicy.uniform(upstreams, withdrawn=["A"])
-        catchment = compute_routes(tiny_internet, policy).catchment_map()
+        catchment = catchment_map(compute_routes(tiny_internet, policy))
         assert catchment.fraction_of("B") == 1.0
 
 
@@ -109,31 +110,31 @@ class TestDeterminismAndStability:
             "B": tiny_internet.find_asn_by_name("UP-B"),
         }
         policy = AnnouncementPolicy.uniform(upstreams)
-        first = compute_routes(tiny_internet, policy).catchment_map()
-        second = compute_routes(tiny_internet, policy).catchment_map()
+        first = catchment_map(compute_routes(tiny_internet, policy))
+        second = catchment_map(compute_routes(tiny_internet, policy))
         assert dict(first.items()) == dict(second.items())
 
     def test_round_none_is_flip_free(self, tiny_internet, two_site_routing):
-        baseline = two_site_routing.catchment_map()
-        again = two_site_routing.catchment_map()
+        baseline = catchment_map(two_site_routing)
+        again = catchment_map(two_site_routing)
         assert baseline.diff(again).flipped == 0
 
     def test_catchment_map_memoized_per_round(self, two_site_routing):
         # The outcome is immutable, so repeated calls must return the
         # cached instance (identity proves the block->site dict was not
         # re-derived) while different rounds get their own entries.
-        first = two_site_routing.catchment_map(round_id=3)
-        second = two_site_routing.catchment_map(round_id=3)
+        first = catchment_map(two_site_routing, round_id=3)
+        second = catchment_map(two_site_routing, round_id=3)
         assert first is second
         assert dict(first.items()) == dict(second.items())
-        other_round = two_site_routing.catchment_map(round_id=4)
+        other_round = catchment_map(two_site_routing, round_id=4)
         assert other_round is not first
-        unrounded = two_site_routing.catchment_map()
-        assert unrounded is two_site_routing.catchment_map()
+        unrounded = catchment_map(two_site_routing)
+        assert unrounded is catchment_map(two_site_routing)
 
     def test_pop_site_within_candidates(self, tiny_internet, two_site_routing):
         for asn in tiny_internet.asns():
-            selection = two_site_routing.selection_of(asn)
+            selection = selection_of(two_site_routing, asn)
             for pop in tiny_internet.pops_of_asn(asn):
                 site = two_site_routing.site_of_pop(pop)
                 assert site in selection.pop_sites or site == selection.primary_site
@@ -159,11 +160,11 @@ class TestRoutingConfig:
         }
         config = RoutingConfig(pin_probability=0.0, jitter_weights=(1.0,))
         heavy = AnnouncementPolicy.uniform(upstreams, prepends={"A": 10})
-        catchment = compute_routes(tiny_internet, heavy, config=config).catchment_map()
+        catchment = catchment_map(compute_routes(tiny_internet, heavy, config=config))
         no_pin_fraction = catchment.fraction_of("A")
         config_pinned = RoutingConfig(pin_probability=0.5, jitter_weights=(1.0,))
-        pinned_catchment = compute_routes(
-            tiny_internet, heavy, config=config_pinned
-        ).catchment_map()
+        pinned_catchment = catchment_map(
+            compute_routes(tiny_internet, heavy, config=config_pinned)
+        )
         # Pinned ASes ignore the prepended length, so A keeps more.
         assert pinned_catchment.fraction_of("A") >= no_pin_fraction

@@ -3,8 +3,8 @@
 The lattice engine's contract is *column identity*: every route
 column of a ``compute_lattice`` outcome — route class, path length,
 primary site, pin, alternate and per-site near deltas — equals the
-column ``table_from_selections`` derives from what
-``_Propagator(...).run()`` builds for the same policy, however many
+column ``reference.table_from_selections`` derives from what
+``reference._Propagator(...).run()`` builds for the same policy, however many
 policies share the one propagation.  The engine's per-PoP gather is held
 to the per-PoP loop it replaced, which is kept here as the reference.
 """
@@ -18,13 +18,9 @@ from hypothesis import strategies as st
 
 from repro.bgp.cache import RoutingCache
 from repro.bgp.delta import delta_routes
-from repro.bgp.propagation import (
-    RoutingConfig,
-    _Propagator,
-    compute_lattice,
-    compute_routes,
-)
-from repro.bgp.sweep import as_columns, table_from_selections
+from repro.bgp.propagation import RoutingConfig, compute_lattice, compute_routes
+from repro.bgp.reference import _Propagator, selections, table_from_selections
+from repro.bgp.sweep import as_columns
 from repro.core.experiments import BROOT_PREPEND_CONFIGS
 from repro.core.fastscan import FastScanEngine
 from repro.core.playbook import enumerate_lattice
@@ -81,7 +77,7 @@ def reference_pop_columns(verfploeter, routing):
     pop_alternate = np.full(size, -1, dtype=np.int16)
     pop_flipper = np.zeros(size, dtype=bool)
     for pop in internet.pops:
-        selection = routing.selections.get(pop.asn)
+        selection = selections(routing).get(pop.asn)
         if selection is None:
             continue
         site = selection.site_for_pop(pop.pop_id)
@@ -190,7 +186,9 @@ class TestColumns:
     def test_every_lattice_outcome_validates(self, tangled_lattice):
         scenario, outcomes, _ = tangled_lattice
         for outcome in outcomes:
-            assert validate_rib(scenario.internet, outcome).ok
+            assert validate_rib(
+                scenario.internet, outcome.policy.site_codes, selections(outcome)
+            ).ok
 
     def test_gather_equals_the_per_pop_loop(self, tangled_lattice):
         scenario, outcomes, _ = tangled_lattice
@@ -218,7 +216,7 @@ def test_exact_candidates_are_near(make, scale):
     pool (and its array twin) need only the near sites."""
     scenario = make(scale=scale)
     routing = compute_routes(scenario.internet, scenario.service.default_policy())
-    for selection in routing.selections.values():
+    for selection in selections(routing).values():
         assert set(selection.candidate_sites) <= set(selection.pop_sites)
 
 

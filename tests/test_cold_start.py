@@ -27,6 +27,8 @@ FORMS = {
     "stability": ["stability", "--scale", "tiny", "--rounds", "2"],
     "scan": ["scan", "--scale", "tiny"],
     "playbook": ["playbook", "--scenario", "tangled", "--scale", "tiny"],
+    "sweep": ["sweep", "--scale", "tiny"],
+    "failure": ["failure", "--scale", "tiny"],
 }
 
 #: Modules of other subcommands, which ``stability`` must not import.
@@ -63,7 +65,7 @@ def test_help_loads_no_numpy():
     assert "numpy" not in loaded("help")
 
 
-@pytest.mark.parametrize("form", ["stability", "scan", "playbook"])
+@pytest.mark.parametrize("form", ["stability", "scan", "playbook", "sweep", "failure"])
 def test_operator_path_loads_no_oracle_or_ledger_module(form):
     declared = {
         f"repro.{key}"

@@ -37,6 +37,29 @@ class TestScanSerialisation:
         with pytest.raises(DatasetError):
             read_scan(io.StringIO("\n".join(text)))
 
+    @staticmethod
+    def _dataset(round_text="1", kept="kept=1 ", rtt="12.5"):
+        return io.StringIO(
+            "# verfploeter-scan v1\n"
+            f"# dataset=d round={round_text} start=0.0 duration=1.0\n"
+            "# sites=A\n"
+            "# stats sent=1 received=1 wrong_round=0 unsolicited=0 late=0 "
+            f"duplicates=0 {kept}\n"
+            f"192.0.2.0/24\tA\t{rtt}\n"
+        )
+
+    def test_stats_without_kept_names_the_field(self):
+        with pytest.raises(DatasetError, match="kept="):
+            read_scan(self._dataset(kept=""))
+
+    def test_bad_round_names_the_field(self):
+        with pytest.raises(DatasetError, match="round="):
+            read_scan(self._dataset(round_text="zero"))
+
+    def test_bad_rtt_names_the_line(self):
+        with pytest.raises(DatasetError, match="line 5"):
+            read_scan(self._dataset(rtt="fast"))
+
     def test_human_readable(self, broot_scan):
         buffer = io.StringIO()
         write_scan(broot_scan, buffer)

@@ -63,7 +63,7 @@ class TestParserRobustness:
 
         try:
             read_scan(io.StringIO(text))
-        except (ReproError, ValueError):
+        except ReproError:
             pass
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.anycast.catchment import CatchmentMap
+from repro.bgp.reference import catchment_map
 from repro.load.estimator import LoadEstimate
 from repro.load.prediction import compare_prediction, measured_site_load
 from repro.load.weighting import UNKNOWN, weight_catchment
@@ -142,7 +143,7 @@ class TestPrediction:
         load = build_day_load(tiny_internet, root_profile(), "d")
         estimate = LoadEstimate(load)
         # "Perfect" catchment: ground truth for every block.
-        truth = two_site_routing.catchment_map()
+        truth = catchment_map(two_site_routing)
         predicted = weight_catchment(truth, estimate)
         measured = measured_site_load(two_site_routing, estimate)
         comparison = compare_prediction(predicted, measured)
@@ -151,7 +152,7 @@ class TestPrediction:
     def test_partial_catchment_close(self, tiny_internet, two_site_routing):
         load = build_day_load(tiny_internet, root_profile(), "d")
         estimate = LoadEstimate(load)
-        truth = two_site_routing.catchment_map()
+        truth = catchment_map(two_site_routing)
         # Drop every 5th block to simulate unmappable blocks.
         partial = CatchmentMap.from_mapping(
             truth.site_codes,

@@ -45,6 +45,11 @@ class TestConstruction:
     def test_zero_length(self):
         assert Prefix("0.0.0.0/0").size == 1 << 32
 
+    def test_network_as_text_or_int_only(self):
+        assert Prefix("10.0.0.0", 8) == Prefix(0x0A000000, 8)
+        with pytest.raises(AddressError):
+            Prefix(1.5, 24)  # type: ignore[arg-type]
+
 
 class TestProperties:
     def test_netmask(self):

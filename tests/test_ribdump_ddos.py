@@ -6,6 +6,7 @@ import io
 
 import pytest
 
+from repro.bgp.reference import selection_of, selections
 from repro.bgp.ribdump import read_rib_dump, write_rib_dump
 from repro.errors import DatasetError
 
@@ -60,9 +61,9 @@ class TestPathDump:
         write_path_dump(two_site_routing, buffer)
         buffer.seek(0)
         paths = read_path_dump(buffer)
-        assert len(paths) == len(two_site_routing.selections)
+        assert len(paths) == len(selections(two_site_routing))
         for asn, hops in paths.items():
-            assert tuple(hops) == two_site_routing.selection_of(asn).as_path
+            assert tuple(hops) == selection_of(two_site_routing, asn).as_path
 
     def test_rejects_garbage(self):
         import io

@@ -108,7 +108,7 @@ class TestPrefixes:
 
     def test_seeded_prefix_plan_respected(self, internet):
         giant = internet.find_asn_by_name("GIANT")
-        plans = internet.prefixes_of_asn(giant)
+        plans = [entry for entry in internet.announced if entry.origin_asn == giant]
         assert len(plans) == 2
         assert all(entry.length == 16 for entry in plans)
 

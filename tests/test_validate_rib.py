@@ -6,25 +6,33 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.bgp.reference import selections
 from repro.errors import TopologyError
 from repro.netaddr.prefix import Prefix
 from repro.topology.validate import validate_rib
 
 
+def validate_outcome(internet, routing, rib_entries=None):
+    """``validate_rib`` of an outcome's reference selections."""
+    return validate_rib(
+        internet, routing.policy.site_codes, selections(routing), rib_entries
+    )
+
+
 def test_computed_routing_is_valid(broot_tiny, broot_routing):
-    report = validate_rib(broot_tiny.internet, broot_routing)
+    report = validate_outcome(broot_tiny.internet, broot_routing)
     assert report.ok, report.errors
 
 
 def test_two_site_routing_is_valid(tiny_internet, two_site_routing):
-    report = validate_rib(tiny_internet, two_site_routing)
+    report = validate_outcome(tiny_internet, two_site_routing)
     assert report.ok, report.errors
 
 
 def test_rib_entries_matching_announcements_pass(broot_tiny, broot_routing):
     internet = broot_tiny.internet
     entries = [(entry.prefix, entry.origin_asn) for entry in internet.announced]
-    report = validate_rib(internet, broot_routing, rib_entries=entries)
+    report = validate_outcome(internet, broot_routing, rib_entries=entries)
     assert report.ok, report.errors
 
 
@@ -32,7 +40,7 @@ def test_unannounced_rib_prefix_is_an_error(broot_tiny, broot_routing):
     internet = broot_tiny.internet
     bogus = Prefix("203.0.113.0", 24)
     assert all(entry.prefix != bogus for entry in internet.announced)
-    report = validate_rib(internet, broot_routing, rib_entries=[(bogus, 1)])
+    report = validate_outcome(internet, broot_routing, rib_entries=[(bogus, 1)])
     assert not report.ok
     assert "not announced" in report.errors[0]
     with pytest.raises(TopologyError):
@@ -42,18 +50,11 @@ def test_unannounced_rib_prefix_is_an_error(broot_tiny, broot_routing):
 def test_wrong_origin_is_an_error(broot_tiny, broot_routing):
     internet = broot_tiny.internet
     entry = sorted(internet.announced, key=lambda e: e.prefix)[0]
-    report = validate_rib(
+    report = validate_outcome(
         internet, broot_routing, rib_entries=[(entry.prefix, entry.origin_asn + 1)]
     )
     assert not report.ok
     assert "originated by" in report.errors[0]
-
-
-def _fake_routing(site_codes, selections):
-    return SimpleNamespace(
-        policy=SimpleNamespace(site_codes=tuple(site_codes)),
-        selections=selections,
-    )
 
 
 def _fake_selection(asn, site, as_path):
@@ -72,11 +73,11 @@ def test_valley_path_is_rejected(tiny_internet):
             stub, provider_a, provider_b = asn, providers[0], providers[1]
             break
     assert stub is not None, "topology has no multi-homed AS"
-    routing = _fake_routing(
+    report = validate_rib(
+        tiny_internet,
         ["A"],
         {provider_a: _fake_selection(provider_a, "A", (provider_a, stub, provider_b, 0))},
     )
-    report = validate_rib(tiny_internet, routing)
     assert not report.ok
     assert "valley-free" in report.errors[0]
 
@@ -88,14 +89,14 @@ def test_non_adjacent_hop_is_rejected(tiny_internet):
     b = next(
         asn for asn in ases if asn != a and not graph.has_link(a, asn)
     )
-    routing = _fake_routing(["A"], {a: _fake_selection(a, "A", (a, b, 0))})
-    report = validate_rib(tiny_internet, routing)
+    report = validate_rib(tiny_internet, ["A"], {a: _fake_selection(a, "A", (a, b, 0))})
     assert not report.ok
     assert "no adjacency" in report.errors[0]
 
 
 def test_undeclared_site_and_unknown_as_are_rejected(tiny_internet):
-    routing = _fake_routing(
+    report = validate_rib(
+        tiny_internet,
         ["A"],
         {
             999_999: _fake_selection(999_999, "A", ()),
@@ -104,6 +105,5 @@ def test_undeclared_site_and_unknown_as_are_rejected(tiny_internet):
             ),
         },
     )
-    report = validate_rib(tiny_internet, routing)
     assert any("unknown AS" in error for error in report.errors)
     assert any("undeclared site" in error for error in report.errors)
