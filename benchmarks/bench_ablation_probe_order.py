@@ -8,20 +8,21 @@ Sequential probing concentrates whole seconds into single prefixes.
 
 from __future__ import annotations
 
+from repro.oracle.schedule import ProbeSchedule
 from repro.probing.hitlist import build_hitlist
-from repro.probing.prober import Prober, ProberConfig
+from repro.probing.prober import ProberConfig
 
 
 def test_ablation_probe_order(benchmark, broot):
     hitlist = build_hitlist(broot.internet)
     rate = 500.0
-    prober = Prober(
+    schedule = ProbeSchedule(
         hitlist,
         ProberConfig(source_address=broot.service.measurement_address,
                      rate_pps=rate),
         seed=broot.internet.seed,
+        round_id=0,
     )
-    schedule = prober.schedule_round(0)
     _, shuffled_worst = benchmark.pedantic(
         lambda: schedule.max_burst_per_prefix(prefix_bits=16),
         rounds=1,
@@ -31,8 +32,8 @@ def test_ablation_probe_order(benchmark, broot):
     # Sequential baseline: hitlist order at the same rate.
     per_second: dict = {}
     sequential_worst = 0
-    for position, entry in enumerate(hitlist):
-        key = (int(position / rate), entry.address >> 16)
+    for position, address in enumerate(hitlist.addresses.tolist()):
+        key = (int(position / rate), address >> 16)
         per_second[key] = per_second.get(key, 0) + 1
         sequential_worst = max(sequential_worst, per_second[key])
 

@@ -12,10 +12,10 @@ import numpy as np
 from repro.bgp.propagation import compute_routes
 from repro.core.fastscan import FastScanEngine
 from repro.core.verfploeter import Verfploeter
-from repro.icmp.packets import build_probe, internet_checksum, parse_packet
 from repro.netaddr.prefix import Prefix
 from repro.netaddr.trie import LongestPrefixTrie
-from repro.probing.order import PseudorandomOrder
+from repro.oracle.packets import build_probe, internet_checksum, parse_packet
+from repro.oracle.schedule import PseudorandomOrder
 from repro.rng import uniform_unit_np
 
 

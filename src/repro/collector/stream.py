@@ -1,10 +1,12 @@
-"""Streaming reply cleaning: :func:`clean_replies` fed batch by batch.
+"""Streaming reply cleaning: the §4 rules fed batch by batch, in columns.
 
-The batch cleaner sorts a whole round's replies and makes one pass; an
-always-on collector never *has* the whole round — replies arrive as the
-dataplane delivers them.  :class:`StreamingCleaner` applies the same §4
-rules (wrong round → unsolicited → late → duplicates, first matching
-rule counts) incrementally and in columns only: a batch is a
+The wire oracle's batch cleaner
+(:func:`repro.oracle.cleaning.clean_replies`) sorts a whole round's
+replies and makes one pass; an always-on collector never *has* the
+whole round — replies arrive as the dataplane delivers them.
+:class:`StreamingCleaner` applies the same §4 rules (wrong round →
+unsolicited → late → duplicates, first matching rule counts)
+incrementally and in columns only: a batch is a
 :class:`ReplyColumns`, each rule one mask over it, the probed set a
 sorted address array and the addresses kept by earlier batches a bool
 column over that array.  Only a batch whose timestamps are not already
@@ -14,7 +16,7 @@ Equivalence contract: when the concatenation of the fed batches is in
 the batch cleaner's global sort order (timestamp, source, site,
 identifier, sequence) — which it is for slices of one sorted round —
 the cumulative :attr:`~StreamingCleaner.totals` are *identical* to one
-:func:`clean_replies` call over all replies at once, kept sequence
+``clean_replies`` call over all replies at once, kept sequence
 included (``tests/test_collector.py`` for every batch size,
 ``tests/test_stream_equivalence.py`` for generated streams).
 
@@ -28,16 +30,13 @@ service stages, applies the kept rows to its catchment, then commits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.collector.cleaning import CleaningConfig, CleaningResult
 from repro.errors import MeasurementError
 from repro.obs import NULL_OBSERVER, Observer
-
-if TYPE_CHECKING:
-    from repro.icmp.network import DeliveredReply
 
 _COLUMNS = dict(
     site=np.int16, source_address=np.int64, identifier=np.int64,
@@ -48,9 +47,9 @@ _COLUMNS = dict(
 @dataclass(frozen=True, eq=False)
 class ReplyColumns:
     """A reply stream, or any slice of one (slices are views): one row
-    per reply, :class:`~repro.icmp.network.DeliveredReply`'s fields as
-    parallel arrays.  Iteration and :meth:`from_replies` convert to and
-    from the object form, for comparisons with the wire oracle."""
+    per reply, :class:`~repro.oracle.network.DeliveredReply`'s fields as
+    parallel arrays (:mod:`repro.oracle.cleaning` converts to and from
+    the object form, for comparisons with the wire oracle)."""
 
     site_codes: Tuple[str, ...]
     site: np.ndarray  # index into site_codes
@@ -66,29 +65,10 @@ class ReplyColumns:
         """The rows a slice, index array or mask selects."""
         return replace(self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
 
-    def __iter__(self) -> Iterator[DeliveredReply]:
-        from repro.icmp.network import DeliveredReply
-
-        columns = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
-        for site, *fields in columns:
-            yield DeliveredReply(self.site_codes[site], *fields)
-
-    @classmethod
-    def from_replies(cls, replies: Iterable[DeliveredReply]) -> "ReplyColumns":
-        """Columns of ``replies``, in their order, over their own site codes."""
-        replies = list(replies)
-        codes = tuple(sorted({reply.site_code for reply in replies}))
-        rows = [
-            (codes.index(r.site_code), r.source_address, r.identifier, r.sequence, r.timestamp)
-            for r in replies
-        ]
-        columns = zip(*rows) if rows else [()] * len(_COLUMNS)
-        return cls(codes, *map(np.array, columns, _COLUMNS.values()))
-
     @classmethod
     def concat(cls, parts: Sequence["ReplyColumns"]) -> "ReplyColumns":
         """``parts`` end to end, re-indexed over the union of their site codes."""
-        parts = [cls.from_replies(()), *parts]
+        parts = [cls((), *(np.empty(0, dtype) for dtype in _COLUMNS.values())), *parts]
         codes = tuple(sorted({code for part in parts for code in part.site_codes}))
         site = [part.site_over(codes) for part in parts]
         rest = [[getattr(part, name) for part in parts] for name in list(_COLUMNS)[1:]]

@@ -1,6 +1,6 @@
 """Vectorised scan engine — what every default scan runs on.
 
-Replays the wire-level oracle :func:`repro.core.oracle.wire_scan` with
+Replays the wire-level oracle :func:`repro.oracle.scan.wire_scan` with
 numpy over all blocks at once — bit-exact (same hash draws, same
 cleaning rules, same RTTs), asserted by the equivalence tests — at ~100x
 the speed.  ``Verfploeter.run_scan`` dispatches here for every call
@@ -69,16 +69,16 @@ from repro.errors import ConfigurationError, MeasurementError
 from repro.geo.distance import EARTH_RADIUS_KM
 from repro.icmp import latency as _latency
 from repro.obs import Observer
-from repro.probing.order import round_order_seed
+from repro.probing.prober import round_order_seed
 from repro.rng import hash_prefix_np, uniform_from_prefix_np, uniform_unit_np
 from repro.topology import hosts as _hosts
 from repro.topology.hosts import HostModelConfig
 
-_ROUNDS = 4  # Feistel rounds; must match probing.order
+_ROUNDS = 4  # Feistel rounds; must match oracle.schedule
 
 
 class _VectorPermutation:
-    """Vectorised twin of :class:`repro.probing.order.PseudorandomOrder`."""
+    """Vectorised twin of :class:`repro.oracle.schedule.PseudorandomOrder`."""
 
     def __init__(self, n: int, seed: int) -> None:
         self._n = n
@@ -728,7 +728,7 @@ def scan_lattice(
 
 
 class FastScanEngine:
-    """Vectorised equivalent of repeated :func:`~repro.core.oracle.wire_scan` calls."""
+    """Vectorised equivalent of repeated :func:`~repro.oracle.scan.wire_scan` calls."""
 
     def __init__(
         self,
@@ -759,7 +759,7 @@ class FastScanEngine:
         start_time: float = 0.0,
         dataset_id: Optional[str] = None,
     ) -> ScanResult:
-        """One vectorised measurement round (equals :func:`~repro.core.oracle.wire_scan`)."""
+        """One vectorised measurement round (equals :func:`~repro.oracle.scan.wire_scan`)."""
         with self.observer.tracer.span(
             "fastscan.round", round_id=round_id
         ) as span:

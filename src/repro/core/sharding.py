@@ -236,14 +236,14 @@ def merge_stats(parts: Sequence[ScanStats]) -> ScanStats:
 
 def resolve_fanout(shards: Optional[int], workers: Optional[int]) -> Tuple[int, int]:
     """Fill in the shard/worker defaults (workers=0 means run inline)."""
+    if workers is not None and workers < 0:
+        raise ConfigurationError("workers must be >= 0")
     if shards is None:
         shards = workers if workers else 1
-    if workers is None:
-        workers = min(shards, available_cpus())
     if shards < 1:
         raise ConfigurationError("shards must be >= 1")
-    if workers < 0:
-        raise ConfigurationError("workers must be >= 0")
+    if workers is None:
+        workers = min(shards, available_cpus())
     return shards, workers
 
 

@@ -6,7 +6,7 @@ catchment on the columnar engine (:mod:`repro.core.fastscan`), one
 engine per routing state.  The paper's packet-by-packet walk — schedule
 the pings, deliver replies to whichever site BGP selects, capture at
 every site, aggregate centrally, clean — is the test oracle
-:mod:`repro.core.oracle`.
+:mod:`repro.oracle.scan`.
 """
 
 from __future__ import annotations
@@ -116,13 +116,13 @@ class Verfploeter:
         Whatever the hitlist size, the round is evaluated on the
         columnar :meth:`engine_for` this routing state.  The paper's
         packet-by-packet walk is the test oracle
-        :func:`repro.core.oracle.wire_scan`; ``wire_level=True`` raises
+        :func:`repro.oracle.scan.wire_scan`; ``wire_level=True`` raises
         :class:`ConfigurationError` naming it.
         """
         if wire_level:
             raise ConfigurationError(
                 "the wire-level walk is not a scan mode: call "
-                "repro.core.oracle.wire_scan(verfploeter, routing, ...)"
+                "repro.oracle.scan.wire_scan(verfploeter, routing, ...)"
             )
         if routing is not None and policy is not None:
             raise MeasurementError("pass either routing or policy, not both")

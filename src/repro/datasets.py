@@ -9,6 +9,7 @@ cleaning statistics, round-trippable through
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from repro.anycast.catchment import CatchmentMap
@@ -71,7 +72,13 @@ def _convert(convert: Callable[[str], _T], text: str, what: str) -> _T:
 
 
 def read_scan(stream: TextIO) -> ScanResult:
-    """Parse a dataset produced by :func:`write_scan`."""
+    """Parse a dataset produced by :func:`write_scan`.
+
+    Anything :func:`write_scan` never writes raises :class:`DatasetError`
+    naming the line: a malformed row, a block listed twice, a site
+    missing from the ``# sites=`` header, an RTT that is not a finite
+    number.
+    """
     magic = stream.readline().strip()
     if magic != f"# verfploeter-scan v{_FORMAT_VERSION}":
         raise DatasetError(f"not a verfploeter scan dataset: {magic!r}")
@@ -88,6 +95,7 @@ def read_scan(stream: TextIO) -> ScanResult:
         raise DatasetError("missing stats header")
     stats_fields = _parse_kv(stats_line[len("# stats "):], "stats header", _STATS_FIELDS)
 
+    sites = set(site_codes)
     mapping = {}
     rtts = {}
     for line_number, line in enumerate(stream, 5):
@@ -100,9 +108,18 @@ def read_scan(stream: TextIO) -> ScanResult:
                 f"line {line_number}: expected 3 fields, got {len(fields)}"
             )
         block = parse_block(fields[0])
+        if block in mapping:
+            raise DatasetError(f"line {line_number}: block {fields[0]} listed twice")
+        if fields[1] not in sites:
+            raise DatasetError(
+                f"line {line_number}: site {fields[1]!r} not in the sites header"
+            )
         mapping[block] = fields[1]
         if fields[2] != "-":
-            rtts[block] = _convert(float, fields[2], f"line {line_number} RTT")
+            rtt = _convert(float, fields[2], f"line {line_number} RTT")
+            if not math.isfinite(rtt):
+                raise DatasetError(f"line {line_number} RTT: bad value {fields[2]!r}")
+            rtts[block] = rtt
 
     counts = [
         _convert(int, stats_fields[key], f"stats header {key}=") for key in _STATS_FIELDS

@@ -1,42 +1,16 @@
-"""ICMP layer: wire format, host responder behaviour, simulated dataplane.
+"""ICMP path latency: the RTT model behind every scan's reply timings.
 
 Verfploeter's probes are ICMP Echo Requests sent from the anycast
 measurement address; replies return to whichever anycast site BGP
-selects for the replying network.  This package implements the packet
-encoding (checksums and all), the behaviour of probed hosts (duplicates,
-off-address replies, latency), and the dataplane that delivers replies
-to the catchment site.
+selects for the replying network.  The packet encoding, the probed
+hosts' behaviour and the per-packet dataplane are the wire oracle's
+(:mod:`repro.oracle`); this package keeps the geographic latency model
+both the engine and the oracle read.
 """
 
 from repro.lazy import lazy_exports
 
-__all__ = [
-    "ICMP_ECHO_REQUEST",
-    "ICMP_ECHO_REPLY",
-    "EchoMessage",
-    "IPv4Header",
-    "internet_checksum",
-    "build_probe",
-    "build_reply",
-    "parse_packet",
-    "HostResponder",
-    "ReplyEvent",
-    "SimulatedDataplane",
-    "DeliveredReply",
-]
+__all__ = ["LatencyModel"]
 
-_EXPORTS = {
-    "ICMP_ECHO_REQUEST": "repro.icmp.packets",
-    "ICMP_ECHO_REPLY": "repro.icmp.packets",
-    "EchoMessage": "repro.icmp.packets",
-    "IPv4Header": "repro.icmp.packets",
-    "internet_checksum": "repro.icmp.packets",
-    "build_probe": "repro.icmp.packets",
-    "build_reply": "repro.icmp.packets",
-    "parse_packet": "repro.icmp.packets",
-    "HostResponder": "repro.icmp.responder",
-    "ReplyEvent": "repro.icmp.responder",
-    "SimulatedDataplane": "repro.icmp.network",
-    "DeliveredReply": "repro.icmp.network",
-}
+_EXPORTS = {"LatencyModel": "repro.icmp.latency"}
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,7 +5,7 @@ in one table and serves it through a module ``__getattr__``::
 
     _EXPORTS = {
         "Hitlist": "repro.probing.hitlist",
-        "Prober": "repro.probing.prober",
+        "ProberConfig": "repro.probing.prober",
     }
     __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 

@@ -7,9 +7,9 @@ layered-architecture reading of the DAG
 
     netaddr/rng/errors -> geo/topology -> bgp/icmp/dns/traffic
         -> probing/collector/atlas/load/analysis
-        -> core -> cli
+        -> core -> cli -> oracle
 
-with four additions reflecting the tree as it actually is:
+with these additions reflecting the tree as it actually is:
 
 * ``anycast`` (sites, service, catchment value types) sits with ``bgp``
   — and ``traffic.attack`` leans on this: it reads catchment value
@@ -27,7 +27,12 @@ with four additions reflecting the tree as it actually is:
   they serialise and render *outputs* of the core drivers;
 * ``service`` (the always-on mapping daemon) sits with them: it drives
   ``core`` deployments and the layer-3 collector/load machinery, and
-  only ``cli`` sits above it.
+  only ``cli`` sits above it among the operator packages;
+* ``oracle`` (the paper's packet-by-packet scan, kept as the test
+  oracle of the columnar engine) is the top layer, alone: it builds on
+  ``core`` deployments and every layer below, and since no package may
+  import upward, L401 keeps every operator package — ``cli`` and the
+  package root included — from importing it.
 
 ``analysis`` is kept below ``core`` by construction: the result types
 it consumes (:class:`~repro.collector.results.ScanResult`,
@@ -48,6 +53,7 @@ LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("core",),
     ("datasets", "reporting", "service"),
     ("cli", "__init__", "__main__"),
+    ("oracle",),
 )
 
 _LAYER_OF: Dict[str, int] = {}

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.collector.capture import SiteCapture
 from repro.errors import MeasurementError
-from repro.icmp.network import DeliveredReply
 from repro.obs import NULL_OBSERVER, Observer
+from repro.oracle.capture import SiteCapture
+from repro.oracle.network import DeliveredReply
 
 
 class CentralCollector:

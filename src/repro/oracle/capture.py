@@ -1,4 +1,9 @@
-"""Per-site reply capture implementations."""
+"""Per-site reply capture: the paper's three collection systems (§3.1).
+
+A custom near-real-time forwarder (Tangled), the LANDER
+continuous-capture system (B-Root), and plain tcpdump, behind one
+interface.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +11,8 @@ import abc
 from typing import Callable, List, Optional, TextIO
 
 from repro.errors import DatasetError, MeasurementError
-from repro.icmp.network import DeliveredReply
 from repro.netaddr.address import format_ipv4, parse_ipv4
+from repro.oracle.network import DeliveredReply
 
 
 class SiteCapture(abc.ABC):

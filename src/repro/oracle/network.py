@@ -5,7 +5,7 @@ request is sent *from* the anycast measurement address, so the reply is
 addressed to the anycast prefix and lands at whichever site BGP selects
 for the *replying* network — identifying its catchment.
 
-Only the wire oracle (:func:`repro.core.oracle.wire_scan`) walks this module
+Only the wire oracle (:func:`repro.oracle.scan.wire_scan`) walks this module
 probe by probe; default scans and the daemon's feed compute the same
 replies as columns (:mod:`repro.core.fastscan`, :mod:`repro.service.feed`).
 """
@@ -18,8 +18,8 @@ from typing import List, Optional
 from repro.bgp.propagation import RoutingOutcome
 from repro.errors import MeasurementError
 from repro.icmp.latency import LatencyModel
-from repro.icmp.packets import build_reply, parse_packet
-from repro.icmp.responder import HostResponder, ReplyEvent
+from repro.oracle.packets import build_reply, parse_packet
+from repro.oracle.responder import HostResponder, ReplyEvent
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,3 @@ class SimulatedDataplane:
         return self._deliver(
             events, message.identifier, message.sequence, timestamp, round_id
         )
-
-    def site_of_block(self, block: int, round_id: Optional[int] = None) -> Optional[str]:
-        """Ground-truth catchment of ``block`` (for validation)."""
-        return self.routing.site_of_block(block, round_id)

@@ -5,7 +5,8 @@ address, encodes every probe as an ICMP echo, delivers the replies
 through the simulated dataplane to whichever site BGP selects, captures
 them per site, merges them centrally, cleans them (§4) and maps the
 kept replies to a catchment.  Nothing on an operator path runs this
-module: every scan there is the columnar engine
+package — :mod:`repro.lint.layers` puts it above every operator package,
+so none may import it: every scan there is the columnar engine
 (:meth:`Verfploeter.run_scan`).  The equivalence suites hold the engine
 to :func:`wire_scan`, and the daemon's columnar feed to
 :func:`wire_round`.
@@ -18,20 +19,20 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.anycast.catchment import CatchmentMap
 from repro.bgp.propagation import RoutingOutcome
-from repro.collector.aggregate import CentralCollector
-from repro.collector.capture import (
+from repro.collector.results import BlockValueMap, ScanResult, ScanStats
+from repro.core.verfploeter import Verfploeter
+from repro.errors import ConfigurationError
+from repro.oracle.aggregate import CentralCollector
+from repro.oracle.capture import (
     LanderCapture,
     PcapLikeCapture,
     SiteCapture,
     StreamingCapture,
 )
-from repro.collector.cleaning import clean_replies
-from repro.collector.results import BlockValueMap, ScanResult, ScanStats
-from repro.core.verfploeter import Verfploeter
-from repro.errors import ConfigurationError
-from repro.icmp.network import DeliveredReply, SimulatedDataplane
-from repro.icmp.packets import build_probe
-from repro.probing.prober import ProbeSchedule, Prober
+from repro.oracle.cleaning import clean_replies
+from repro.oracle.network import DeliveredReply, SimulatedDataplane
+from repro.oracle.packets import build_probe
+from repro.oracle.schedule import ProbeSchedule
 
 CAPTURE_STYLES = ("streaming", "lander", "pcap")
 
@@ -65,10 +66,12 @@ def wire_round(
     dataplane = SimulatedDataplane(routing, verfploeter.latency_model)
     collector = CentralCollector(captures, observer=observer)
     config = verfploeter.prober_config
-    prober = Prober(
-        verfploeter.hitlist, config, verfploeter.internet.seed, observer=observer
-    )
-    schedule = prober.schedule_round(round_id, start_time)
+    with observer.tracer.span("probe.schedule", round_id=round_id) as span:
+        schedule = ProbeSchedule(
+            verfploeter.hitlist, config, verfploeter.internet.seed, round_id, start_time
+        )
+        span.set(probes=len(schedule))
+    observer.metrics.counter("probe.rounds_scheduled").inc()
     send_times: Dict[int, float] = {}
     with observer.tracer.span("scan.probe_replies"):
         for probe in schedule:

@@ -95,17 +95,35 @@ def replay_feed(
     batch_size: int = 512,
     start_round: int = 0,
 ) -> Iterator[FeedEvent]:
-    """Generate the event stream of ``rounds`` measurement rounds.
+    """The event stream of ``rounds`` measurement rounds.
 
     ``start_round`` offsets the measurement ids (``start_round=65535``
     exercises the 16-bit ICMP identifier rollover mid-stream).  Round
     ``r`` starts at ``(r - start_round) * interval_seconds``, matching
-    a series begun when the daemon came up.
+    a series begun when the daemon came up.  The arguments are checked
+    here, at the call, so a bad one raises before a daemon serves; the
+    rounds are computed lazily, as the stream is consumed.
     """
     if rounds < 1:
         raise ServiceError("rounds must be >= 1")
     if batch_size < 1:
         raise ServiceError("batch_size must be >= 1")
+    if interval_seconds < 0:
+        raise ServiceError("interval_seconds must be >= 0")
+    if start_round < 0:
+        raise ServiceError("start_round must be >= 0")
+    return _feed(verfploeter, routing, rounds, interval_seconds, batch_size, start_round)
+
+
+def _feed(
+    verfploeter: Verfploeter,
+    routing: Optional[RoutingOutcome],
+    rounds: int,
+    interval_seconds: float,
+    batch_size: int,
+    start_round: int,
+) -> Iterator[FeedEvent]:
+    """The generator behind :func:`replay_feed`, over checked arguments."""
     if routing is None:
         routing = verfploeter.routing_for()
     observer = verfploeter.observer

@@ -8,6 +8,10 @@ hosts replying from a different source address (§4 "data cleaning").
 Everything here is a *deterministic function* of (seed, block, round),
 computed on demand via stateless hashing, so no per-block state needs
 to be stored and results are reproducible for any subset of blocks.
+This module keeps the configuration, the time-invariant responder draw
+and the salts; the per-(block, round) draws are read as columns by the
+engine (:mod:`repro.core.fastscan`) and one host at a time by the wire
+oracle (:mod:`repro.oracle.responder`).
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ class HostModel:
     """Deterministic per-(block, round) host behaviour."""
 
     def __init__(self, seed: int, config: Optional[HostModelConfig] = None) -> None:
-        self._seed = seed
+        self.seed = seed
         self.config = config or HostModelConfig()
 
     def responsiveness_for(self, country_code: Optional[str]) -> float:
@@ -87,7 +91,7 @@ class HostModel:
     def is_stable_responder(self, block: int, country_code: Optional[str] = None) -> bool:
         """Whether ``block`` hosts a ping responder at all (time-invariant)."""
         threshold = self.responsiveness_for(country_code)
-        return uniform_unit(self._seed, _STABLE_SALT, block) < threshold
+        return uniform_unit(self.seed, _STABLE_SALT, block) < threshold
 
     def stable_mask(self, blocks: np.ndarray, geodb: GeoDatabase) -> np.ndarray:
         """:meth:`is_stable_responder` of every block, countries from ``geodb``.
@@ -99,57 +103,4 @@ class HostModel:
         threshold = geodb.country_values(
             blocks, self.responsiveness_for, self.responsiveness_for(None)
         )
-        return uniform_unit_np(self._seed, _STABLE_SALT, np.asarray(blocks, np.uint64)) < threshold
-
-    def responds_in_round(
-        self, block: int, round_id: int, country_code: Optional[str] = None
-    ) -> bool:
-        """Whether ``block`` replies in measurement round ``round_id``.
-
-        A stable responder goes temporarily silent with the churn
-        probability, independently per round — this produces the paper's
-        to-NR / from-NR bands in Figure 9.
-        """
-        if not self.is_stable_responder(block, country_code):
-            return False
-        churn_draw = uniform_unit(self._seed, _CHURN_SALT, block, round_id)
-        return churn_draw >= self.config.churn_probability
-
-    def reply_count(self, block: int, round_id: int) -> int:
-        """Number of replies sent to a single echo request (>= 1).
-
-        ~2% of responders duplicate; duplicate counts are heavy-tailed
-        (the paper observed up to thousands; we cap for tractability).
-        """
-        if uniform_unit(self._seed, _DUP_SALT, block) >= self.config.duplicate_fraction:
-            return 1
-        # Most duplicating hosts send one extra reply; a small heavy
-        # tail sends many (the paper saw up to thousands; we cap).
-        tail = uniform_unit(self._seed, _DUPN_SALT, block, round_id)
-        if tail >= self.config.heavy_duplicate_fraction:
-            return 2
-        heaviness = tail / self.config.heavy_duplicate_fraction
-        return 3 + int((self.config.max_duplicates - 3) * heaviness)
-
-    def replies_from_other_address(self, block: int) -> bool:
-        """True when the responder replies from an address we never probed."""
-        return uniform_unit(self._seed, _OFFADDR_SALT, block) < self.config.off_address_fraction
-
-    def is_late_replier(self, block: int, round_id: int) -> bool:
-        """True when the reply arrives after the collection cut-off."""
-        return (
-            uniform_unit(self._seed, _LATE_SALT, block, round_id)
-            < self.config.late_fraction
-        )
-
-    def reply_latency_ms(self, block: int, round_id: int) -> float:
-        """Reply latency in milliseconds.
-
-        Normal replies fall in tens to a few hundred ms; late repliers
-        (stale NAT bindings, queued boxes) exceed the cleaning cut-off.
-        """
-        if self.is_late_replier(block, round_id):
-            extra = uniform_unit(self._seed, _LATENCY_SALT, block, round_id)
-            return self.config.late_threshold_ms * (1.0 + 4.0 * extra)
-        base = uniform_unit(self._seed, _LATENCY_SALT, block, round_id)
-        return 10.0 + 390.0 * base
+        return uniform_unit_np(self.seed, _STABLE_SALT, np.asarray(blocks, np.uint64)) < threshold

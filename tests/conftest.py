@@ -124,12 +124,13 @@ def wire_oracle():
 
     ``Verfploeter.run_scan`` always runs the columnar engine, and the
     drivers above it offer no switch — so the equivalence suites patch
-    the dispatch itself to :func:`repro.core.oracle.wire_scan` to
+    the dispatch itself to :func:`repro.oracle.scan.wire_scan` to
     compare a whole driver against its wire-level twin.  Lattice
     drivers (sweep, failure study, planner) scan config by config
     through that patched dispatch instead of :func:`scan_lattice`.
     """
-    from repro.core import experiments, oracle, playbook
+    from repro.core import experiments, playbook
+    from repro.oracle import scan as oracle
 
     def wire_scan(
         self, routing=None, policy=None, round_id=0, start_time=0.0, dataset_id=None

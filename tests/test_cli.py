@@ -128,16 +128,19 @@ class TestCommands:
 
 class TestTypedErrors:
     @pytest.mark.parametrize(
-        "extra,message",
+        "argv,message",
         [
-            (["--rounds", "0"], "rounds must be >= 1"),
-            (["--rounds", "2", "--shards", "0"], "shards must be >= 1"),
+            (["stability", "--rounds", "0"], "rounds must be >= 1"),
+            (["stability", "--rounds", "2", "--shards", "0"], "shards must be >= 1"),
+            (["stability", "--rounds", "2", "--workers", "-1"], "workers must be >= 0"),
+            (["serve", "--rounds", "0"], "rounds must be >= 1"),
         ],
-        ids=["zero-rounds", "zero-shards"],
+        ids=["zero-rounds", "zero-shards", "negative-workers", "serve-zero-rounds"],
     )
-    def test_repro_errors_exit_2_with_one_stderr_line(self, extra, message, capsys):
-        """A ``ReproError`` reaches the operator as a message, not a traceback."""
-        assert main(["stability", *TANGLED_TINY, *extra]) == 2
+    def test_repro_errors_exit_2_with_one_stderr_line(self, argv, message, capsys):
+        """A ``ReproError`` reaches the operator as a message, not a traceback
+        (and before ``serve`` binds a port or prints its address)."""
+        assert main([*argv, *TANGLED_TINY]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"repro: error: {message}\n"

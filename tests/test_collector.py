@@ -6,12 +6,12 @@ import io
 
 import pytest
 
-from repro.collector.aggregate import CentralCollector
-from repro.collector.capture import LanderCapture, PcapLikeCapture, StreamingCapture
-from repro.collector.cleaning import CleaningConfig, clean_replies
-from repro.collector.stream import ReplyColumns
+from repro.collector.cleaning import CleaningConfig
 from repro.errors import ConfigurationError, MeasurementError
-from repro.icmp.network import DeliveredReply
+from repro.oracle.aggregate import CentralCollector
+from repro.oracle.capture import LanderCapture, PcapLikeCapture, StreamingCapture
+from repro.oracle.cleaning import clean_replies, columns_of, replies_of
+from repro.oracle.network import DeliveredReply
 
 
 def reply(site="LAX", address=0x0A000001, identifier=1, sequence=0, timestamp=1.0):
@@ -286,12 +286,12 @@ class TestStreamingCleaner:
         expected = clean_replies(replies, self.PROBED, 1, 0.0)
         cleaner = StreamingCleaner(self.PROBED, 1, 0.0)
         batches = [
-            ReplyColumns.from_replies(replies[i:i + batch_size])
+            columns_of(replies[i:i + batch_size])
             for i in range(0, len(replies), batch_size)
         ]
         increments = [cleaner.feed(batch) for batch in batches]
         totals = cleaner.totals
-        assert list(totals.kept) == expected.kept
+        assert replies_of(totals.kept) == expected.kept
         assert totals.wrong_round == expected.wrong_round
         assert totals.unsolicited == expected.unsolicited
         assert totals.late == expected.late
@@ -305,9 +305,9 @@ class TestStreamingCleaner:
         from repro.collector.stream import StreamingCleaner
 
         cleaner = StreamingCleaner(self.PROBED, 1, 0.0)
-        first = cleaner.feed(ReplyColumns.from_replies([reply(timestamp=1.0)]))
+        first = cleaner.feed(columns_of([reply(timestamp=1.0)]))
         second = cleaner.feed(
-            ReplyColumns.from_replies([reply(timestamp=2.0, sequence=1)])
+            columns_of([reply(timestamp=2.0, sequence=1)])
         )
         assert len(first.kept) == 1
         assert second.duplicates == 1
@@ -317,9 +317,9 @@ class TestStreamingCleaner:
         from repro.collector.stream import StreamingCleaner
 
         cleaner = StreamingCleaner(self.PROBED, 1, 0.0)
-        cleaner.feed(ReplyColumns.from_replies([reply(timestamp=1.0)]))
+        cleaner.feed(columns_of([reply(timestamp=1.0)]))
         before = (
-            list(cleaner.totals.kept),
+            replies_of(cleaner.totals.kept),
             cleaner.totals.removed,
             cleaner.batches,
         )
@@ -329,14 +329,14 @@ class TestStreamingCleaner:
         with pytest.raises(AttributeError):
             cleaner.feed([reply(address=0x0A000002, timestamp=2.0), object()])
         after = (
-            list(cleaner.totals.kept),
+            replies_of(cleaner.totals.kept),
             cleaner.totals.removed,
             cleaner.batches,
         )
         assert before == after
         # And the cleaner still works afterwards.
         result = cleaner.feed(
-            ReplyColumns.from_replies([reply(address=0x0A000002, timestamp=2.0)])
+            columns_of([reply(address=0x0A000002, timestamp=2.0)])
         )
         assert len(result.kept) == 1
 
@@ -344,5 +344,5 @@ class TestStreamingCleaner:
         from repro.collector.stream import StreamingCleaner
 
         cleaner = StreamingCleaner(self.PROBED, 0x1_0001, 0.0)
-        result = cleaner.feed(ReplyColumns.from_replies([reply(identifier=1)]))
+        result = cleaner.feed(columns_of([reply(identifier=1)]))
         assert len(result.kept) == 1

@@ -7,11 +7,11 @@ import math
 import pytest
 
 from repro.core.fastscan import FastScanEngine
-from repro.core.oracle import wire_scan
 from repro.core.sharding import assert_scan_results_identical
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
 from repro.obs import Observer
+from repro.oracle.scan import wire_scan
 
 
 class TestScan:

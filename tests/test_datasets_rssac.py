@@ -38,14 +38,15 @@ class TestScanSerialisation:
             read_scan(io.StringIO("\n".join(text)))
 
     @staticmethod
-    def _dataset(round_text="1", kept="kept=1 ", rtt="12.5"):
+    def _dataset(round_text="1", kept="kept=1 ", rtt="12.5", site="A", more=""):
         return io.StringIO(
             "# verfploeter-scan v1\n"
             f"# dataset=d round={round_text} start=0.0 duration=1.0\n"
             "# sites=A\n"
             "# stats sent=1 received=1 wrong_round=0 unsolicited=0 late=0 "
             f"duplicates=0 {kept}\n"
-            f"192.0.2.0/24\tA\t{rtt}\n"
+            f"192.0.2.0/24\t{site}\t{rtt}\n"
+            f"{more}"
         )
 
     def test_stats_without_kept_names_the_field(self):
@@ -59,6 +60,19 @@ class TestScanSerialisation:
     def test_bad_rtt_names_the_line(self):
         with pytest.raises(DatasetError, match="line 5"):
             read_scan(self._dataset(rtt="fast"))
+
+    def test_block_listed_twice_names_the_line(self):
+        with pytest.raises(DatasetError, match="line 6: block 192.0.2.0/24 listed twice"):
+            read_scan(self._dataset(more="192.0.2.0/24\tA\t13.0\n"))
+
+    def test_site_outside_the_sites_header_names_the_line(self):
+        with pytest.raises(DatasetError, match="line 5: site 'B' not in the sites header"):
+            read_scan(self._dataset(site="B"))
+
+    @pytest.mark.parametrize("rtt", ["nan", "inf", "-inf"])
+    def test_non_finite_rtt_names_the_line(self, rtt):
+        with pytest.raises(DatasetError, match="line 5 RTT"):
+            read_scan(self._dataset(rtt=rtt))
 
     def test_human_readable(self, broot_scan):
         buffer = io.StringIO()

@@ -9,10 +9,10 @@ import pytest
 from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
-from repro.core.oracle import wire_scan
 from repro.core.sharding import assert_scan_results_identical, run_sharded_series
 from repro.errors import ConfigurationError, MeasurementError
-from repro.probing.order import PseudorandomOrder
+from repro.oracle.scan import wire_scan
+from repro.oracle.schedule import PseudorandomOrder
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,9 @@ import math
 import pytest
 
 from repro.core.fastscan import FastScanEngine
-from repro.core.oracle import wire_scan
 from repro.core.scenarios import cdn_like
 from repro.core.verfploeter import Verfploeter
+from repro.oracle.scan import wire_scan
 
 
 @pytest.mark.parametrize("scenario_fixture", ["tangled_tiny"])

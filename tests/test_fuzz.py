@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anycast.catchment import CatchmentMap
-from repro.collector.cleaning import clean_replies
 from repro.dns.message import DnsMessage, decode_name
 from repro.errors import DNSError, PacketError, ReproError
-from repro.icmp.network import DeliveredReply
-from repro.icmp.packets import EchoMessage, IPv4Header, parse_packet
-from repro.probing.order import PseudorandomOrder
+from repro.oracle.cleaning import clean_replies
+from repro.oracle.network import DeliveredReply
+from repro.oracle.packets import EchoMessage, IPv4Header, parse_packet
+from repro.oracle.schedule import PseudorandomOrder
 from tests import catchment_model as model
 
 

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import MeasurementError
-from repro.icmp.network import SimulatedDataplane
-from repro.icmp.packets import EchoMessage, ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, build_probe, build_reply
-from repro.icmp.responder import HostResponder
+from repro.oracle.network import SimulatedDataplane
+from repro.oracle.packets import EchoMessage, ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, build_probe, build_reply
+from repro.oracle.responder import HostResponder, replies_from_other_address
 
 SOURCE = 0xC0000201
 
@@ -56,7 +56,7 @@ class TestHostResponder:
         model = tiny_internet.host_model
         off_blocks = [
             block for block in tiny_internet.blocks
-            if model.replies_from_other_address(block)
+            if replies_from_other_address(model, block)
         ]
         found_off = False
         for block in off_blocks:

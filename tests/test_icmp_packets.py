@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import PacketError
-from repro.icmp.packets import (
+from repro.oracle.packets import (
     ICMP_ECHO_REPLY,
     ICMP_ECHO_REQUEST,
     EchoMessage,

@@ -37,6 +37,12 @@ FIXTURE_EXPECTATIONS = [
         1,
     ),
     (
+        os.path.join("layering", "repro", "service", "l401_oracle_import.py"),
+        "L401",
+        "# MARK",
+        1,
+    ),
+    (
         os.path.join("layering", "repro", "mystery", "l402_undeclared.py"),
         "L402",
         None,  # reported at line 1 (the package itself is undeclared)

@@ -14,7 +14,6 @@ import pytest
 from repro import NULL_OBSERVER, Observer, Verfploeter, broot_like
 from repro.bgp.cache import RoutingCache
 from repro.core.experiments import prepend_sweep
-from repro.core.oracle import wire_scan
 from repro.errors import ConfigurationError
 from repro.obs import (
     MetricsRegistry,
@@ -23,6 +22,7 @@ from repro.obs import (
     metadata_fingerprint,
     run_metadata,
 )
+from repro.oracle.scan import wire_scan
 
 
 class TestTickClock:

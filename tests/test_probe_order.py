@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.probing.hitlist import Hitlist, HitlistEntry
-from repro.probing.order import PseudorandomOrder, round_order_seed
-from repro.probing.prober import Prober, ProberConfig
+from repro.oracle.schedule import ProbeSchedule, PseudorandomOrder
+from repro.probing.hitlist import Hitlist
+from repro.probing.prober import ProberConfig, round_order_seed
 from repro.rng import derive_seed
 
 
 def _hitlist(n: int) -> Hitlist:
-    return Hitlist(
-        HitlistEntry(block=i, address=(i << 8) | 1, score=1.0) for i in range(n)
-    )
+    blocks = np.arange(n, dtype=np.int64)
+    return Hitlist(blocks, (blocks << 8) | 1, np.ones(n))
 
 
 def test_round_order_seed_distinct_across_rounds():
@@ -44,19 +44,20 @@ def test_round_order_label_is_namespaced():
 
 
 def test_prober_exposes_the_same_stream():
-    prober = Prober(_hitlist(50), ProberConfig(source_address=0x01010101), seed=77)
+    config = ProberConfig(source_address=0x01010101)
     for round_id in (0, 1, 5):
-        assert prober.order_seed(round_id) == round_order_seed(77, round_id)
+        schedule = ProbeSchedule(_hitlist(50), config, seed=77, round_id=round_id)
+        assert schedule.order_seed == round_order_seed(77, round_id)
 
 
 def test_schedule_uses_the_shared_stream():
     """The schedule's permutation comes from ``order_seed`` — the same
     entry point the vectorized engine consumes."""
     hitlist = _hitlist(40)
-    prober = Prober(hitlist, ProberConfig(source_address=0x01010101), seed=3)
-    schedule = prober.schedule_round(round_id=2)
-    order = PseudorandomOrder(len(hitlist), prober.order_seed(2))
-    reference = [hitlist[index].address for index in order]
+    config = ProberConfig(source_address=0x01010101)
+    schedule = ProbeSchedule(hitlist, config, seed=3, round_id=2)
+    order = PseudorandomOrder(len(hitlist), schedule.order_seed)
+    reference = [int(hitlist.addresses[index]) for index in order]
     scheduled = [probe.destination for probe in schedule]
     assert scheduled == reference
 
@@ -66,17 +67,16 @@ def test_fastscan_consumes_the_prober_stream(broot_verfploeter):
     from repro.core.fastscan import FastScanEngine, send_offsets
 
     engine = FastScanEngine(broot_verfploeter)
-    # The oracle's prober: the deployment's config, seeded by the Internet.
-    prober = Prober(
+    # The oracle's schedule: the deployment's config, seeded by the Internet.
+    schedule = ProbeSchedule(
         broot_verfploeter.hitlist, broot_verfploeter.prober_config,
-        broot_verfploeter.internet.seed,
+        broot_verfploeter.internet.seed, round_id=1,
     )
     assert engine.state.order_parent_seed == broot_verfploeter.internet.seed
     offsets = send_offsets(engine.state, round_id=1)
-    schedule = prober.schedule_round(round_id=1)
     index_of = {
-        entry.address: index
-        for index, entry in enumerate(broot_verfploeter.hitlist)
+        address: index
+        for index, address in enumerate(broot_verfploeter.hitlist.addresses.tolist())
     }
     # The k-th hitlist entry is probed at the same offset in both engines.
     for probe in list(schedule)[:100]:

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DatasetError, MeasurementError
-from repro.probing.hitlist import Hitlist, HitlistEntry, build_hitlist
-from repro.probing.order import PseudorandomOrder
-from repro.probing.prober import Prober, ProberConfig
+from repro.oracle.schedule import ProbeSchedule, PseudorandomOrder
+from repro.probing.hitlist import Hitlist, build_hitlist
+from repro.probing.prober import ProberConfig
 
 
 class TestHitlist:
@@ -18,25 +19,20 @@ class TestHitlist:
         assert hitlist.blocks.tolist() == sorted(tiny_internet.blocks)
 
     def test_addresses_inside_blocks(self, tiny_internet):
-        for entry in build_hitlist(tiny_internet):
-            assert entry.address >> 8 == entry.block
-            assert 1 <= entry.address & 0xFF <= 254
-
-    def test_entry_for(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        block = hitlist.blocks[3]
-        assert hitlist.entry_for(block).block == block
-        assert hitlist.entry_for(0xFFFFFF) is None
+        assert (hitlist.addresses >> 8 == hitlist.blocks).all()
+        octets = hitlist.addresses & 0xFF
+        assert ((1 <= octets) & (octets <= 254)).all()
 
     def test_scores_track_responsiveness(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
         model = tiny_internet.host_model
-        for entry in hitlist:
-            country = tiny_internet.country_of_block(entry.block)
-            if model.is_stable_responder(entry.block, country):
-                assert entry.score >= 0.55
+        for block, score in zip(hitlist.blocks.tolist(), hitlist.scores.tolist()):
+            country = tiny_internet.country_of_block(block)
+            if model.is_stable_responder(block, country):
+                assert score >= 0.55
             else:
-                assert entry.score < 0.55
+                assert score < 0.55
 
     def test_subset(self, tiny_internet):
         subset = list(tiny_internet.blocks)[:10]
@@ -48,14 +44,14 @@ class TestHitlist:
             build_hitlist(tiny_internet, [0xFFFFFF])
 
     def test_duplicate_blocks_rejected(self):
-        entries = [HitlistEntry(1, 256 + 1, 0.5), HitlistEntry(1, 256 + 2, 0.5)]
+        blocks, addresses = np.array([1, 1]), np.array([256 + 1, 256 + 2])
         with pytest.raises(DatasetError):
-            Hitlist(entries)
+            Hitlist(blocks, addresses, np.array([0.5, 0.5]))
 
     def test_deterministic(self, tiny_internet):
-        first = [(e.block, e.address) for e in build_hitlist(tiny_internet)]
-        second = [(e.block, e.address) for e in build_hitlist(tiny_internet)]
-        assert first == second
+        first, second = build_hitlist(tiny_internet), build_hitlist(tiny_internet)
+        assert first.blocks.tolist() == second.blocks.tolist()
+        assert first.addresses.tolist() == second.addresses.tolist()
 
 
 class TestPseudorandomOrder:
@@ -99,45 +95,43 @@ class TestPseudorandomOrder:
 class TestProber:
     def test_rate_spacing(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        prober = Prober(hitlist, ProberConfig(source_address=1, rate_pps=100.0), seed=1)
-        schedule = prober.schedule_round(0)
+        config = ProberConfig(source_address=1, rate_pps=100.0)
+        schedule = ProbeSchedule(hitlist, config, seed=1, round_id=0)
         probes = list(schedule)
         assert probes[1].send_time - probes[0].send_time == pytest.approx(0.01)
         assert schedule.duration_seconds == pytest.approx(len(hitlist) / 100.0)
 
     def test_identifier_tracks_round(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        prober = Prober(hitlist, ProberConfig(source_address=1), seed=1)
-        assert prober.schedule_round(5).identifier == 5
-        assert prober.schedule_round(0x1_0005).identifier == 5  # wraps to 16 bits
+        config = ProberConfig(source_address=1)
+        assert ProbeSchedule(hitlist, config, 1, 5).identifier == 5
+        assert ProbeSchedule(hitlist, config, 1, 0x1_0005).identifier == 5  # wraps to 16 bits
 
     def test_each_block_probed_once(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        prober = Prober(hitlist, ProberConfig(source_address=1), seed=1)
-        destinations = [probe.destination for probe in prober.schedule_round(0)]
+        schedule = ProbeSchedule(hitlist, ProberConfig(source_address=1), 1, 0)
+        destinations = [probe.destination for probe in schedule]
         assert len(destinations) == len(set(destinations)) == len(hitlist)
 
     def test_rounds_have_different_orders(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        prober = Prober(hitlist, ProberConfig(source_address=1), seed=1)
-        first = [probe.destination for probe in prober.schedule_round(0)]
-        second = [probe.destination for probe in prober.schedule_round(1)]
+        config = ProberConfig(source_address=1)
+        first = [probe.destination for probe in ProbeSchedule(hitlist, config, 1, 0)]
+        second = [probe.destination for probe in ProbeSchedule(hitlist, config, 1, 1)]
         assert first != second
         assert sorted(first) == sorted(second)
 
     def test_pseudorandom_order_spreads_bursts(self, tiny_internet):
         hitlist = build_hitlist(tiny_internet)
-        prober = Prober(
-            hitlist, ProberConfig(source_address=1, rate_pps=500.0), seed=1
+        schedule = ProbeSchedule(
+            hitlist, ProberConfig(source_address=1, rate_pps=500.0), seed=1, round_id=0
         )
-        _, shuffled_worst = prober.schedule_round(0).max_burst_per_prefix(
-            prefix_bits=16
-        )
+        _, shuffled_worst = schedule.max_burst_per_prefix(prefix_bits=16)
         # Sequential-order baseline: probes sorted by address, same rate.
         sequential_worst = 0
         per_second_prefix: dict = {}
-        for position, entry in enumerate(hitlist):
-            key = (int(position / 500.0), entry.address >> 16)
+        for position, address in enumerate(hitlist.addresses.tolist()):
+            key = (int(position / 500.0), address >> 16)
             per_second_prefix[key] = per_second_prefix.get(key, 0) + 1
             sequential_worst = max(sequential_worst, per_second_prefix[key])
         assert shuffled_worst < sequential_worst
@@ -149,7 +143,6 @@ class TestProber:
             ProberConfig(source_address=-1)
 
     def test_empty_hitlist_rejected(self, tiny_internet):
-        empty = Hitlist([])
-        prober = Prober(empty, ProberConfig(source_address=1), seed=1)
+        empty = Hitlist(np.array([], np.int64), np.array([], np.int64), np.array([]))
         with pytest.raises(MeasurementError):
-            prober.schedule_round(0)
+            ProbeSchedule(empty, ProberConfig(source_address=1), seed=1, round_id=0)

@@ -106,7 +106,7 @@ def test_no_driver_takes_a_thread_fanout():
 
 def test_deployment_takes_no_oracle_options():
     """A deployment is an Internet, a service, a hitlist and an observer;
-    the wire walk's options belong to :func:`repro.core.oracle.wire_scan`."""
+    the wire walk's options belong to :func:`repro.oracle.scan.wire_scan`."""
     import inspect
 
     from repro.core.verfploeter import Verfploeter
@@ -125,5 +125,5 @@ def test_one_catchment_type():
 def test_wire_level_scan_names_the_oracle(broot_verfploeter, broot_routing):
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError, match="repro.core.oracle.wire_scan"):
+    with pytest.raises(ConfigurationError, match="repro.oracle.scan.wire_scan"):
         broot_verfploeter.run_scan(routing=broot_routing, wire_level=True)

@@ -415,6 +415,24 @@ class TestEdgeCases:
         with pytest.raises(ServiceError):
             state.begin_round(1, 900.0, set())
 
+    @pytest.mark.parametrize(
+        "argument,message",
+        [
+            (dict(rounds=0), "rounds must be >= 1"),
+            (dict(batch_size=0), "batch_size must be >= 1"),
+            (dict(interval_seconds=-5.0), "interval_seconds must be >= 0"),
+            (dict(start_round=-1), "start_round must be >= 0"),
+        ],
+        ids=["zero-rounds", "zero-batch", "negative-interval", "negative-start-round"],
+    )
+    def test_replay_feed_checks_its_arguments_at_the_call(
+        self, broot_verfploeter, argument, message
+    ):
+        """Raised by the call itself, not by the first ``next()`` on an
+        ingest thread after the daemon already serves."""
+        with pytest.raises(ServiceError, match=message):
+            replay_feed(broot_verfploeter, **argument)
+
     def test_http_server_round_trip(
         self, broot_verfploeter, broot_routing, universe, estimate
     ):

@@ -179,9 +179,10 @@ class TestPickling:
         # when the same PoPs carry twice the blocks.
         scenario = tangled_like(scale="tiny", seed=3)
         full = Verfploeter(scenario.internet, scenario.service)
+        rows = full.hitlist
         half = Verfploeter(
             scenario.internet, scenario.service,
-            hitlist=Hitlist(list(full.hitlist)[::2]),
+            hitlist=Hitlist(rows.blocks[::2], rows.addresses[::2], rows.scores[::2]),
         )
         routing = full.routing_for()
         # One shard each, and both universes inside pickle's two-byte

@@ -1,7 +1,7 @@
 """The daemon's columnar reply stream against its two oracles.
 
 (a) ``replay_feed`` against the wire walk ``wire_scan`` cleans
-(:func:`repro.core.oracle.wire_round`), reply by reply; (b) the columnar
+(:func:`repro.oracle.scan.wire_round`), reply by reply; (b) the columnar
 ``StreamingCleaner`` against ``clean_replies`` on generated streams;
 (c) malformed batches, which must raise while staging and leave no
 trace.
@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collector.cleaning import clean_replies
 from repro.collector.stream import ReplyColumns, StreamingCleaner
-from repro.core.oracle import wire_round
 from repro.core.verfploeter import Verfploeter
-from repro.icmp.network import DeliveredReply
 from repro.load.estimator import LoadEstimate
+from repro.oracle.cleaning import clean_replies, columns_of, replies_of
+from repro.oracle.network import DeliveredReply
+from repro.oracle.scan import wire_round
 from repro.service import (
     MappingService,
     MeasurementState,
@@ -80,7 +80,7 @@ def test_stream_equals_the_wire_walk(request, scenario_name, rounds, start_round
         assert set(shared.tolist()) == set(send_times)
 
         assert all(len(batch) == BATCH for batch in batches[:-1])
-        streamed = [reply for batch in batches for reply in batch]
+        streamed = [reply for batch in batches for reply in replies_of(batch)]
         assert len(streamed) == len(collected) > 0
         for ours, theirs in zip(streamed, collected):
             assert replace(ours, timestamp=theirs.timestamp) == theirs
@@ -173,13 +173,11 @@ def test_columnar_cleaner_equals_batch_cleaner(replies, cuts, scramble):
     kept = []
     for low, high in zip(bounds, bounds[1:]):
         batch = ordered[low:high]
-        columns = _recode(
-            ReplyColumns.from_replies(batch[::-1] if scramble else batch)
-        )
-        assert sorted(columns, key=_sort_key) == batch
-        kept.extend(cleaner.feed(columns).kept)
+        columns = _recode(columns_of(batch[::-1] if scramble else batch))
+        assert sorted(replies_of(columns), key=_sort_key) == batch
+        kept.extend(replies_of(cleaner.feed(columns).kept))
     totals = cleaner.totals
-    assert kept == list(totals.kept) == expected.kept
+    assert kept == replies_of(totals.kept) == expected.kept
     assert (
         totals.wrong_round, totals.unsolicited, totals.late, totals.duplicates
     ) == (
@@ -193,9 +191,7 @@ def test_columnar_cleaner_equals_batch_cleaner(replies, cuts, scramble):
 
 
 def _good(address=PROBED[0], timestamp=1.0):
-    return ReplyColumns.from_replies(
-        [DeliveredReply("LAX", address, 1, 0, timestamp)]
-    )
+    return columns_of([DeliveredReply("LAX", address, 1, 0, timestamp)])
 
 
 def _poisons():
@@ -217,7 +213,7 @@ def test_poisoned_columns_raise_in_feed_and_commit_nothing(form):
 
     def snapshot():
         totals = cleaner.totals
-        return list(totals.kept), totals.removed, cleaner.batches
+        return replies_of(totals.kept), totals.removed, cleaner.batches
 
     before = snapshot()
     with pytest.raises(Exception):

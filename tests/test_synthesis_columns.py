@@ -151,11 +151,8 @@ def _day_digest(internet, profile, day_index, seed, target) -> str:
 
 
 def _hitlist_digest(internet) -> str:
-    entries = list(build_hitlist(internet))
-    return _digest(
-        np.array([entry.address for entry in entries], dtype=np.int64),
-        np.array([entry.score for entry in entries], dtype=np.float64),
-    )
+    hitlist = build_hitlist(internet)
+    return _digest(hitlist.addresses, hitlist.scores)
 
 
 def _geo_digest(internet) -> str:
@@ -348,20 +345,17 @@ def test_hitlist_columns_and_subsets(columns_internet):
     internet = columns_internet
     full = build_hitlist(internet)
     assert np.array_equal(full.blocks, np.asarray(internet.blocks))
-    assert not full.blocks.flags.writeable
-    entries = list(full)
-    assert [entry.block for entry in entries] == full.blocks.tolist()
-    assert [entry.address for entry in entries] == full.addresses.tolist()
-    assert [entry.score for entry in entries] == full.scores.tolist()
-    assert full[7] == entries[7] and full[-1] == entries[-1]
-    assert type(full[7].block) is int and type(full[7].score) is float
+    for column in (full.blocks, full.addresses, full.scores):
+        assert not column.flags.writeable
+    assert (full.blocks.dtype, full.addresses.dtype) == (np.int64, np.int64)
+    assert full.scores.dtype == np.float64 and len(full.scores) == len(full)
     chosen = [internet.blocks[40], internet.blocks[3], internet.blocks[11]]
     subset = build_hitlist(internet, chosen)
-    assert [entry.block for entry in subset] == sorted(chosen)
-    for entry in subset:
-        assert entry == full.entry_for(entry.block)
-    assert full.entry_for(internet.blocks[-1] + 1) is None
-    assert full.entry_for(0) is None
+    assert subset.blocks.tolist() == sorted(chosen)
+    rows = full.blocks.searchsorted(subset.blocks)
+    assert full.addresses[rows].tolist() == subset.addresses.tolist()
+    assert full.scores[rows].tolist() == subset.scores.tolist()
+    assert not np.isin([internet.blocks[-1] + 1, 0], full.blocks).any()
     with pytest.raises(DatasetError):
         build_hitlist(internet, [internet.blocks[0], 0xFFFFFF])
     with pytest.raises(DatasetError):

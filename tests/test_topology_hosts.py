@@ -5,6 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.oracle.responder import (
+    is_late_replier,
+    replies_from_other_address,
+    reply_count,
+    reply_latency_ms,
+    responds_in_round,
+)
 from repro.topology.hosts import HostModel, HostModelConfig
 
 
@@ -41,19 +48,19 @@ class TestChurn:
         nonresponders = [b for b in BLOCKS if not model.is_stable_responder(b)][:50]
         for block in nonresponders:
             for round_id in range(5):
-                assert not model.responds_in_round(block, round_id)
+                assert not responds_in_round(model, block, round_id)
 
     def test_churn_rate(self, model):
         responders = [b for b in BLOCKS if model.is_stable_responder(b)]
         silent = sum(
-            not model.responds_in_round(b, round_id=3) for b in responders
+            not responds_in_round(model, b, round_id=3) for b in responders
         ) / len(responders)
         assert 0.01 < silent < 0.05
 
     def test_churn_varies_by_round(self, model):
         responders = [b for b in BLOCKS if model.is_stable_responder(b)]
-        round_a = {b for b in responders if model.responds_in_round(b, 1)}
-        round_b = {b for b in responders if model.responds_in_round(b, 2)}
+        round_a = {b for b in responders if responds_in_round(model, b, 1)}
+        round_b = {b for b in responders if responds_in_round(model, b, 2)}
         assert round_a != round_b
         # But the overwhelming majority is stable.
         assert len(round_a & round_b) > 0.9 * len(responders)
@@ -62,37 +69,37 @@ class TestChurn:
 class TestDuplicates:
     def test_reply_count_at_least_one(self, model):
         for block in range(300):
-            assert model.reply_count(block, 0) >= 1
+            assert reply_count(model, block, 0) >= 1
 
     def test_duplicate_rate_small(self, model):
-        extra = sum(model.reply_count(b, 0) - 1 for b in BLOCKS)
+        extra = sum(reply_count(model, b, 0) - 1 for b in BLOCKS)
         # ~2% of replies should be duplicates (paper §4).
         assert 0.005 < extra / len(BLOCKS) < 0.08
 
     def test_heavy_tail_capped(self, model):
         assert all(
-            model.reply_count(b, 0) <= model.config.max_duplicates for b in BLOCKS
+            reply_count(model, b, 0) <= model.config.max_duplicates for b in BLOCKS
         )
 
 
 class TestOffAddressAndLatency:
     def test_off_address_rate(self, model):
-        rate = sum(model.replies_from_other_address(b) for b in BLOCKS) / len(BLOCKS)
+        rate = sum(replies_from_other_address(model, b) for b in BLOCKS) / len(BLOCKS)
         assert 0.001 < rate < 0.02
 
     def test_latency_normal_range(self, model):
         normal = [
-            model.reply_latency_ms(b, 0)
+            reply_latency_ms(model, b, 0)
             for b in range(500)
-            if not model.is_late_replier(b, 0)
+            if not is_late_replier(model, b, 0)
         ]
         assert all(10.0 <= value <= 400.0 for value in normal)
 
     def test_late_replier_exceeds_cutoff(self, model):
-        late = [b for b in BLOCKS if model.is_late_replier(b, 0)]
+        late = [b for b in BLOCKS if is_late_replier(model, b, 0)]
         assert late, "expected some late repliers in 4000 blocks"
         for block in late[:20]:
-            assert model.reply_latency_ms(block, 0) > model.config.late_threshold_ms
+            assert reply_latency_ms(model, block, 0) > model.config.late_threshold_ms
 
 
 class TestConfigValidation:
