@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analysis.report import render_table
 from repro.anycast.catchment import CatchmentMap
 from repro.load.estimator import LoadEstimate
@@ -43,21 +45,19 @@ def traffic_coverage(
     catchment: CatchmentMap, estimate: LoadEstimate
 ) -> TrafficCoverage:
     """Compute Table 5 from a measured catchment and a day of logs."""
-    blocks_seen = 0
-    blocks_mapped = 0
-    queries_seen = 0.0
-    queries_mapped = 0.0
-    daily = estimate.source.daily_of_kind(estimate.kind)
-    for row, block in enumerate(estimate.blocks):
-        volume = float(daily[row])
-        if volume <= 0:
-            continue
-        blocks_seen += 1
-        queries_seen += volume
-        if catchment.site_of(int(block)) is not None:
-            blocks_mapped += 1
-            queries_mapped += volume
-    return TrafficCoverage(blocks_seen, blocks_mapped, queries_seen, queries_mapped)
+    daily = estimate.daily
+    sending = daily > 0
+    volume = daily[sending]
+    mapped = (catchment.site_indices_of(estimate.blocks[sending]) >= 0).astype(np.intp)
+    # ``bincount`` adds each bin's volumes in row order: the same float
+    # sums as a running total over the traffic rows.
+    mapped_queries = np.bincount(mapped, volume, minlength=2)
+    return TrafficCoverage(
+        blocks_seen=int(volume.size),
+        blocks_mapped=int(mapped.sum()),
+        queries_seen=float(np.bincount(np.zeros_like(mapped), volume, minlength=1)[0]),
+        queries_mapped=float(mapped_queries[1]),
+    )
 
 
 def format_traffic_coverage(coverage: TrafficCoverage) -> str:

@@ -12,10 +12,15 @@ from repro.atlas.vp import AtlasVP
 from repro.bgp.propagation import RoutingOutcome
 from repro.errors import ConfigurationError, MeasurementError
 from repro.geo.regions import COUNTRIES
-from repro.rng import derive_rng, uniform_unit
+from repro.rng import derive_rng, uniform_unit_np
 from repro.topology.internet import Internet
 
 _DOWN_SALT = 0x444F574E
+
+
+def site_hostname(site_code: str, service_name: str) -> str:
+    """The hostname a site's nameserver reports, e.g. ``lax1.b.example``."""
+    return f"{site_code.lower()}1.{service_name.lower()}"
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,8 @@ class AtlasPlatform:
         if not 0.0 <= unavailable_fraction < 1.0:
             raise ConfigurationError("unavailable_fraction must be in [0, 1)")
         self.internet = internet
-        self._seed = internet.seed if seed is None else seed
-        self._unavailable_fraction = unavailable_fraction
+        self.seed = internet.seed if seed is None else seed
+        self.unavailable_fraction = unavailable_fraction
         self.vps = self._deploy(vp_count)
 
     def _deploy(self, vp_count: int) -> List[AtlasVP]:
@@ -109,7 +114,7 @@ class AtlasPlatform:
         ``atlas_weight`` in the world model; countries with Internet
         users but few probes (China, Korea, ...) get almost none.
         """
-        rng = derive_rng(self._seed, "atlas-deploy")
+        rng = derive_rng(self.seed, "atlas-deploy")
         columns = self.internet.geodb.columnar()
         populated = self.internet.join(columns.blocks)[1]
         country_index = columns.country_index[populated]
@@ -143,55 +148,28 @@ class AtlasPlatform:
             )
         return vps
 
-    def is_vp_down(self, vp: AtlasVP, measurement_id: int) -> bool:
-        """Deterministic per-(VP, measurement) downtime draw."""
-        return (
-            uniform_unit(self._seed, _DOWN_SALT, vp.vp_id, measurement_id)
-            < self._unavailable_fraction
-        )
-
     def measure(
         self,
         routing: RoutingOutcome,
         service: AnycastService,
         measurement_id: int = 0,
     ) -> AtlasMeasurement:
-        """Run a platform-wide ``hostname.bind`` CHAOS measurement.
-
-        Each available VP sends a CHAOS TXT query that BGP delivers to
-        its catchment site's nameserver; the TXT answer names the site.
-        """
-        from repro.dns.message import CLASS_CHAOS, TYPE_TXT, DnsMessage
-        from repro.dns.server import SiteIdentityServer
-
-        servers = {
-            site.code: SiteIdentityServer(site.code, service.name)
-            for site in service.sites
-        }
-        hostname_to_site = {server.hostname: code for code, server in servers.items()}
-        results: List[AtlasResult] = []
-        for vp in self.vps:
-            if self.is_vp_down(vp, measurement_id):
-                results.append(AtlasResult(vp, None, None))
-                continue
-            site_code = routing.site_of_block(vp.block, measurement_id)
-            if site_code is None:
-                results.append(AtlasResult(vp, None, None))
-                continue
-            query = DnsMessage.query(
-                message_id=(vp.vp_id + measurement_id) & 0xFFFF,
-                name="hostname.bind",
-                qtype=TYPE_TXT,
-                qclass=CLASS_CHAOS,
-            )
-            wire = query.encode()
-            response = servers[site_code].handle(DnsMessage.decode(wire))
-            decoded = DnsMessage.decode(response.encode())
-            if decoded.rcode != 0 or not decoded.answers:
-                results.append(AtlasResult(vp, None, None))
-                continue
-            hostname = decoded.answers[0].txt_strings()[0]
-            results.append(
-                AtlasResult(vp, hostname_to_site.get(hostname), hostname)
-            )
+        """Run a platform-wide ``hostname.bind`` CHAOS measurement: each VP
+        not down (a per-(VP, measurement) draw) learns the hostname of its
+        catchment site this round (:func:`site_hostname`).
+        :func:`repro.oracle.chaos.wire_measure` makes the same queries on
+        the DNS wire."""
+        vp_ids = np.array([vp.vp_id for vp in self.vps], dtype=np.uint64)
+        down = (
+            uniform_unit_np(self.seed, _DOWN_SALT, vp_ids, measurement_id)
+            < self.unavailable_fraction
+        )
+        sites = routing.sites_of([vp.block for vp in self.vps], measurement_id)
+        codes = routing.policy.site_codes
+        hostnames = [site_hostname(code, service.name) for code in codes]
+        results = [
+            AtlasResult(vp, None, None) if is_down or site < 0
+            else AtlasResult(vp, codes[site], hostnames[site])
+            for vp, is_down, site in zip(self.vps, down.tolist(), sites.tolist())
+        ]
         return AtlasMeasurement(results, service.site_codes)

@@ -8,6 +8,9 @@ sites.  We model exactly that: ASes marked ``flipper`` have a subset of
 blocks on load-balanced paths which oscillate between the AS's primary
 and alternate route; all other multi-path ASes flip at a tiny
 background rate (transient routing changes).
+
+:func:`flip_sites` is that decision over arrays, for the scan engine and
+``RoutingOutcome.sites_of``; :mod:`repro.bgp.reference` is its oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.rng import uniform_unit
-from repro.topology.asys import AutonomousSystem
 
 _PARTICIPATE_SALT = 0x464C4950
 _FLIP_SALT = 0x0F11BB11
@@ -50,10 +53,10 @@ class FlipModelConfig:
 
 
 class FlipModel:
-    """Deterministic per-(block, round) flip decisions."""
+    """Deterministic per-(block, round) flip decisions: a seed and rates."""
 
     def __init__(self, seed: int, config: Optional[FlipModelConfig] = None) -> None:
-        self._seed = seed
+        self.seed = seed
         self.config = config or FlipModelConfig()
 
     def fingerprint(self) -> tuple:
@@ -63,39 +66,28 @@ class FlipModel:
         decisions for every (block, round) pair.
         """
         return (
-            self._seed,
+            self.seed,
             self.config.flipper_block_fraction,
             self.config.flipper_flip_probability,
             self.config.background_flip_probability,
         )
 
-    def participates(self, asys: AutonomousSystem, block: int) -> bool:
-        """Whether ``block`` of flipper ``asys`` sits on a load-balanced path."""
-        if not asys.flipper:
-            return False
-        return (
-            uniform_unit(self._seed, _PARTICIPATE_SALT, block)
-            < self.config.flipper_block_fraction
-        )
 
-    def site_for(
-        self,
-        asys: AutonomousSystem,
-        alternate: Optional[str],
-        base_site: str,
-        block: int,
-        round_id: int,
-    ) -> str:
-        """Resolve the per-round site for ``block`` given its AS's
-        alternate site (None: the AS has none)."""
-        if alternate is None or alternate == base_site:
-            return base_site
-        if asys.flipper:
-            if not self.participates(asys, block):
-                return base_site
-            probability = self.config.flipper_flip_probability
-        else:
-            probability = self.config.background_flip_probability
-        if uniform_unit(self._seed, _FLIP_SALT, block, round_id) < probability:
-            return alternate
-        return base_site
+def flip_sites(
+    base: np.ndarray,
+    alternate: np.ndarray,
+    flipper: np.ndarray,
+    participate_draw: np.ndarray,
+    flip_draw: np.ndarray,
+    config: FlipModelConfig,
+) -> np.ndarray:
+    """Site index per block this round: ``base``, or ``alternate`` (-1 =
+    none) where the block flips.  The draws are ``uniform_unit(seed,
+    _PARTICIPATE_SALT, block)`` and ``uniform_unit(seed, _FLIP_SALT,
+    block, round)``."""
+    participates = flipper & (participate_draw < config.flipper_block_fraction)
+    flips = (alternate >= 0) & (
+        (participates & (flip_draw < config.flipper_flip_probability))
+        | (~flipper & (flip_draw < config.background_flip_probability))
+    )
+    return np.where(flips, alternate, base)

@@ -41,11 +41,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bgp.instability import FlipModel
+from repro.bgp.instability import _FLIP_SALT, _PARTICIPATE_SALT, FlipModel, flip_sites
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.sweep import PopRoutes, RouteTable, as_columns, pop_routes, propagate
 from repro.errors import ConfigurationError
-from repro.topology.asys import PoP
+from repro.rng import uniform_unit_np
 from repro.topology.internet import Internet
 
 
@@ -74,8 +74,9 @@ class RoutingOutcome:
     """Result of one propagation: a policy's propagated
     :class:`~repro.bgp.sweep.RouteTable` under its :class:`RoutingConfig`.
 
-    PoP and block queries read the per-PoP columns of :meth:`pop_routes`.
-    The scalar reference's reads of an outcome (per-AS route objects, a
+    Block queries read the per-PoP columns of :meth:`pop_routes`
+    (:meth:`sites_of`).  The scalar reference's reads of an outcome
+    (per-AS route objects, the site of one block or PoP, a
     block-by-block catchment) are functions in :mod:`repro.bgp.reference`.
     """
 
@@ -98,35 +99,42 @@ class RoutingOutcome:
         """Per-PoP site, alternate and flipper columns, gathered once."""
         return pop_routes_of([self])[0]
 
-    def _site_code(self, index: int) -> Optional[str]:
-        return None if index < 0 else self.table.site_codes[index]
+    def site_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-PoP base site, flip alternate (-1 = none) and flipper flag in
+        ``policy.site_codes`` indexes, each ending in a sentinel entry
+        (unrouted, no flips) where blocks outside the topology point."""
+        pops = self.pop_routes()
+        site_index = {code: i for i, code in enumerate(self.policy.site_codes)}
+        # Routing-table site index -> policy site index; the trailing -1
+        # is where "no site" (index -1) lands.
+        remap = np.array(
+            [site_index.get(code, -1) for code in self.table.site_codes] + [-1],
+            dtype=np.int16,
+        )
+        flips = np.where(pops.alternate != pops.site, pops.alternate, -1)
+        return (
+            np.append(remap[pops.site], np.int16(-1)),
+            np.append(remap[flips], np.int16(-1)),
+            np.append(pops.flipper, False),
+        )
 
-    def site_of_pop(self, pop: PoP) -> Optional[str]:
-        """Site a given PoP egresses to (hot-potato over the near sites)."""
-        return self._site_code(int(self.pop_routes().site[pop.pop_id]))
-
-    def site_of_block(self, block: int, round_id: Optional[int] = None) -> Optional[str]:
-        """Site that traffic from ``block`` reaches.
-
-        With ``round_id`` given, flipper ASes may divert individual
-        blocks to their alternate route for that round (per-packet load
-        balancing, paper §6.3).
-        """
-        if not self.internet.has_block(block):
-            return None
-        pop = self.internet.pop_of_block(block)
-        base_site = self.site_of_pop(pop)
-        if base_site is None or round_id is None:
-            return base_site
-        alternate = self._site_code(int(self.pop_routes().alternate[pop.pop_id]))
-        asys = self.internet.ases[pop.asn]
-        return self.flip_model.site_for(asys, alternate, base_site, block, round_id)
-
-    def reachable_fraction(self) -> float:
-        """Fraction of ASes that received any route (sanity metric)."""
-        if not self.internet.ases:
-            return 0.0
-        return int(np.count_nonzero(self.table.route_class >= 0)) / len(self.internet.ases)
+    def sites_of(self, blocks: np.ndarray, round_id: Optional[int] = None) -> np.ndarray:
+        """Site each of ``blocks`` reaches, as an int16 ``policy.site_codes``
+        index (-1 = unrouted or not populated); with ``round_id``, after
+        that round's flips (per-packet load balancing, paper §6.3)."""
+        blocks = np.asarray(blocks, dtype=np.int64)
+        rows, populated = self.internet.join(blocks)
+        base, alternate, flipper = self.site_columns()
+        pops = np.where(populated, self.internet.block_table()[2][rows], base.size - 1)
+        if round_id is None:
+            return base[pops]
+        seed, keys = self.flip_model.seed, blocks.astype(np.uint64)
+        return flip_sites(
+            base[pops], alternate[pops], flipper[pops],
+            uniform_unit_np(seed, _PARTICIPATE_SALT, keys),
+            uniform_unit_np(seed, _FLIP_SALT, keys, round_id),
+            self.flip_model.config,
+        )
 
 
 def pop_routes_of(outcomes: Sequence[RoutingOutcome]) -> List[PopRoutes]:

@@ -17,6 +17,10 @@ The reads here — :func:`selections`, :func:`state`,
 outcome: the first one on an outcome runs the reference once for it,
 unless the outcome came from :func:`outcome_from_selections`, which
 keeps the selections (and working maps) it was built from.
+
+:func:`site_of_block` (one block's PoP, then :func:`site_for`'s flip
+decision) is the scalar twin of ``RoutingOutcome.sites_of``; it and
+:func:`reachable_fraction` read the table without running the reference.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.anycast.catchment import CatchmentMap
-from repro.bgp.instability import FlipModel
+from repro.bgp.instability import _FLIP_SALT, _PARTICIPATE_SALT, FlipModel
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import RoutingConfig, RoutingOutcome
 from repro.bgp.route import CandidateRoute, RouteClass
@@ -45,6 +49,7 @@ from repro.bgp.sweep import (
 )
 from repro.errors import RoutingError
 from repro.rng import mix64, uniform_unit
+from repro.topology.asys import AutonomousSystem, PoP
 from repro.topology.internet import Internet
 
 _SERVICE_NEIGHBOR = 0  # sentinel neighbour ASN for routes heard from the service
@@ -650,9 +655,66 @@ def selection_of(outcome: RoutingOutcome, asn: int) -> Optional[RouteSelection]:
     return selections(outcome).get(asn)
 
 
+def reachable_fraction(outcome: RoutingOutcome) -> float:
+    """Fraction of ASes that received any route (sanity metric)."""
+    if not outcome.internet.ases:
+        return 0.0
+    return int(np.count_nonzero(outcome.table.route_class >= 0)) / len(outcome.internet.ases)
+
+
+def site_of_pop(outcome: RoutingOutcome, pop: PoP) -> Optional[str]:
+    """Site a given PoP egresses to (hot-potato over the near sites)."""
+    index = int(outcome.pop_routes().site[pop.pop_id])
+    return None if index < 0 else outcome.table.site_codes[index]
+
+
+def site_of_block(
+    outcome: RoutingOutcome, block: int, round_id: Optional[int] = None
+) -> Optional[str]:
+    """Site that traffic from ``block`` reaches; with ``round_id`` given,
+    after the flip model's decision for that round (paper §6.3)."""
+    internet = outcome.internet
+    if not internet.has_block(block):
+        return None
+    pop = internet.pop_of_block(block)
+    base_site = site_of_pop(outcome, pop)
+    if base_site is None or round_id is None:
+        return base_site
+    index = int(outcome.pop_routes().alternate[pop.pop_id])
+    alternate = None if index < 0 else outcome.table.site_codes[index]
+    asys = internet.ases[pop.asn]
+    return site_for(outcome.flip_model, asys, alternate, base_site, block, round_id)
+
+
+def participates(model: FlipModel, asys: AutonomousSystem, block: int) -> bool:
+    """Whether ``block`` of flipper ``asys`` sits on a load-balanced path."""
+    return asys.flipper and (
+        uniform_unit(model.seed, _PARTICIPATE_SALT, block) < model.config.flipper_block_fraction
+    )
+
+
+def site_for(
+    model: FlipModel, asys: AutonomousSystem, alternate: Optional[str], base_site: str,
+    block: int, round_id: int,
+) -> str:
+    """Resolve the per-round site for ``block`` given its AS's
+    alternate site (None: the AS has none)."""
+    if alternate is None or alternate == base_site:
+        return base_site
+    if asys.flipper:
+        if not participates(model, asys, block):
+            return base_site
+        probability = model.config.flipper_flip_probability
+    else:
+        probability = model.config.background_flip_probability
+    if uniform_unit(model.seed, _FLIP_SALT, block, round_id) < probability:
+        return alternate
+    return base_site
+
+
 def catchment_map(outcome: RoutingOutcome, round_id: Optional[int] = None) -> CatchmentMap:
     """Catchment of every populated block (site per block), one
-    :meth:`~repro.bgp.propagation.RoutingOutcome.site_of_block` at a time.
+    :func:`site_of_block` at a time.
 
     Memoised per (outcome, ``round_id``): the outcome is immutable once
     built, so repeated calls return the same :class:`CatchmentMap`
@@ -663,7 +725,7 @@ def catchment_map(outcome: RoutingOutcome, round_id: Optional[int] = None) -> Ca
     if cached is None:
         mapping: Dict[int, str] = {}
         for block in outcome.internet.blocks:
-            site = outcome.site_of_block(block, round_id)
+            site = site_of_block(outcome, block, round_id)
             if site is not None:
                 mapping[block] = site
         cached = per_round[round_id] = CatchmentMap.from_mapping(

@@ -33,8 +33,3 @@ class CandidateRoute:
     site_code: str
     path_length: int
     route_class: int
-
-    @property
-    def class_name(self) -> str:
-        """Human-readable route class."""
-        return RouteClass.NAMES[self.route_class]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Set
 
+import numpy as np
+
 from repro.analysis.results import CoverageComparison
 from repro.atlas.platform import AtlasMeasurement
 from repro.collector.results import ScanResult
@@ -17,7 +19,9 @@ def compare_coverage(
     atlas_blocks: Set[int] = atlas.responding_blocks()
     verf_blocks: Set[int] = set(scan.catchment.blocks())
     overlap = atlas_blocks & verf_blocks
-    verf_geolocatable = sum(1 for block in verf_blocks if block in internet.geodb)
+    verf_geolocatable = int(
+        np.count_nonzero(internet.geodb.join(scan.catchment.mapped_block_array())[1])
+    )
     return CoverageComparison(
         atlas_considered_vps=atlas.considered_vps,
         atlas_considered_blocks=len(atlas.considered_blocks()),

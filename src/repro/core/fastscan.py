@@ -351,19 +351,11 @@ class Cleaned(NamedTuple):
 def _route_sites(state: RoundState, routes: RouteColumns, draws: RoundDraws) -> np.ndarray:
     """Site index per row this round: the PoP's base site, or its
     alternate where the block flips (-1 = unrouted)."""
-    flip_config = routes.flip_config
-    base = routes.pop_base[state.block_pops]
-    alternate = routes.pop_alternate[state.block_pops]
-    flipper = routes.pop_flipper[state.block_pops]
-    participates = flipper & (
-        state.participate_draw < flip_config.flipper_block_fraction
+    pops = state.block_pops
+    return _instability.flip_sites(
+        routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
+        state.participate_draw, draws.flip_draw, routes.flip_config,
     )
-    flip_draw = draws.flip_draw
-    flips = (alternate >= 0) & (
-        (participates & (flip_draw < flip_config.flipper_flip_probability))
-        | (~flipper & (flip_draw < flip_config.background_flip_probability))
-    )
-    return np.where(flips, alternate, base)
 
 
 def _clean(
@@ -614,26 +606,18 @@ def route_columns(
     """The per-PoP route columns of each routing state (one stacked
     weighted pick for every state whose PoP routes are not gathered yet)."""
     service_rows = {code: row for row, code in enumerate(verfploeter.service.site_codes)}
+    pop_routes_of(routings)
     columns = []
-    for routing, pops in zip(routings, pop_routes_of(routings)):
+    for routing in routings:
         site_codes = tuple(routing.policy.site_codes)
-        site_index = {code: i for i, code in enumerate(site_codes)}
-        site_rows = [service_rows[code] for code in site_codes]
-        # Routing-table site index -> this policy's site index; the
-        # trailing -1 is where "no site" (index -1) lands.
-        remap = np.array(
-            [site_index.get(code, -1) for code in routing.table.site_codes] + [-1],
-            dtype=np.int16,
-        )
-        flips = np.where(pops.alternate != pops.site, pops.alternate, -1)
-        # Each column gains the sentinel entry: unrouted, no alternate, no flips.
+        pop_base, pop_alternate, pop_flipper = routing.site_columns()
         columns.append(
             RouteColumns(
                 site_codes=site_codes,
-                site_rows=np.array(site_rows, dtype=np.intp),
-                pop_base=np.append(remap[pops.site], np.int16(-1)),
-                pop_alternate=np.append(remap[flips], np.int16(-1)),
-                pop_flipper=np.append(pops.flipper, False),
+                site_rows=np.array([service_rows[code] for code in site_codes], dtype=np.intp),
+                pop_base=pop_base,
+                pop_alternate=pop_alternate,
+                pop_flipper=pop_flipper,
                 flip_config=routing.flip_model.config,
             )
         )

@@ -43,8 +43,7 @@ def write_scan(scan: ScanResult, stream: TextIO) -> None:
         f"late={stats.late} duplicates={stats.duplicates} kept={stats.kept}\n"
     )
     rtts = scan.rtts or {}
-    for block in sorted(scan.catchment.blocks()):
-        site = scan.catchment.site_of(block)
+    for block, site in scan.catchment.items():
         rtt = rtts.get(block)
         rtt_text = f"{rtt:.3f}" if rtt is not None else "-"
         stream.write(f"{format_block(block)}\t{site}\t{rtt_text}\n")

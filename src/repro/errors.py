@@ -15,14 +15,6 @@ class AddressError(ReproError, ValueError):
     """An IPv4 address or prefix was malformed or out of range."""
 
 
-class PrefixLookupError(ReproError, KeyError):
-    """A prefix/address lookup found no covering entry.
-
-    Subclasses :class:`KeyError` so callers treating prefix sets as
-    mappings keep working.
-    """
-
-
 class BlockLookupError(ReproError, KeyError):
     """A block key was absent from a columnar block mapping.
 

@@ -5,7 +5,7 @@ a higher one.  Within-layer imports are allowed (e.g. ``bgp`` and
 ``anycast`` reference each other's value types), which is the standard
 layered-architecture reading of the DAG
 
-    netaddr/rng/errors -> geo/topology -> bgp/icmp/dns/traffic
+    netaddr/rng/errors -> geo/topology -> bgp/icmp/traffic
         -> probing/collector/atlas/load/analysis
         -> core -> cli -> oracle
 
@@ -28,8 +28,9 @@ with these additions reflecting the tree as it actually is:
 * ``service`` (the always-on mapping daemon) sits with them: it drives
   ``core`` deployments and the layer-3 collector/load machinery, and
   only ``cli`` sits above it among the operator packages;
-* ``oracle`` (the paper's packet-by-packet scan, kept as the test
-  oracle of the columnar engine) is the top layer, alone: it builds on
+* ``oracle`` (the paper's packet-by-packet scan and Atlas's CHAOS
+  queries on the DNS wire, kept as the test oracles of the columnar
+  engine and of the Atlas measurement) is the top layer, alone: it builds on
   ``core`` deployments and every layer below, and since no package may
   import upward, L401 keeps every operator package — ``cli`` and the
   package root included — from importing it.
@@ -48,7 +49,7 @@ from typing import Dict, Optional, Tuple
 LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("errors", "rng", "netaddr", "lint", "obs", "lazy"),
     ("geo", "topology"),
-    ("anycast", "bgp", "icmp", "dns", "traffic"),
+    ("anycast", "bgp", "icmp", "traffic"),
     ("probing", "collector", "atlas", "load", "analysis"),
     ("core",),
     ("datasets", "reporting", "service"),

@@ -97,12 +97,3 @@ def all_rules() -> List[Rule]:
     import repro.lint.rules  # noqa: F401  (importing registers built-ins)
 
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
-
-
-def rule_identifiers() -> Dict[str, str]:
-    """Map of every accepted suppression token to its rule ID."""
-    tokens: Dict[str, str] = {}
-    for rule in all_rules():
-        tokens[rule.rule_id] = rule.rule_id
-        tokens[rule.name] = rule.rule_id
-    return tokens

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-import numpy as np
-
 from repro.bgp.propagation import RoutingOutcome
 from repro.load.estimator import LoadEstimate
-from repro.load.weighting import SiteLoad, UNKNOWN
-from repro.traffic.logs import HOURS
+from repro.load.weighting import SiteLoad, accumulate_site_load
 
 
 @dataclass
@@ -45,16 +42,7 @@ def measured_site_load(routing: RoutingOutcome, estimate: LoadEstimate) -> SiteL
     the block answers pings.
     """
     site_codes = routing.policy.site_codes
-    daily: Dict[str, float] = {code: 0.0 for code in site_codes}
-    daily[UNKNOWN] = 0.0
-    blocks = estimate.blocks
-    daily_values = estimate.source.daily_of_kind(estimate.kind)
-    for row, block in enumerate(blocks):
-        site = routing.site_of_block(int(block))
-        bucket = site if site is not None else UNKNOWN
-        daily[bucket] = daily.get(bucket, 0.0) + float(daily_values[row])
-    hourly = {code: np.zeros(HOURS) for code in (*site_codes, UNKNOWN)}
-    return SiteLoad(site_codes, daily, hourly)
+    return accumulate_site_load(site_codes, routing.sites_of(estimate.blocks), estimate)
 
 
 def compare_prediction(

@@ -8,11 +8,10 @@ needs the load estimator and therefore sits in the ``load`` layer.
 
 from __future__ import annotations
 
-from typing import Dict
+import numpy as np
 
 from repro.bgp.propagation import RoutingOutcome
 from repro.load.estimator import LoadEstimate
-from repro.load.prediction import measured_site_load
 from repro.traffic.logs import DayLoad, LoadKind
 from repro.traffic.rssac import Rssac002Report, SiteTrafficReport
 
@@ -31,24 +30,25 @@ def build_rssac_report(
     """
     queries = LoadEstimate(load, LoadKind.QUERIES)
     responses = LoadEstimate(load, LoadKind.ALL_REPLIES)
-    per_site_queries = measured_site_load(routing, queries)
-    per_site_responses = measured_site_load(routing, responses)
     site_codes = routing.policy.site_codes
+    site_indices = routing.sites_of(load.blocks)
+    routed = site_indices >= 0
 
-    sources_by_site: Dict[str, int] = {code: 0 for code in site_codes}
-    for block in load.blocks:
-        site = routing.site_of_block(int(block))
-        if site is not None:
-            sources_by_site[site] += 1
+    def per_site(weights=None) -> np.ndarray:
+        """Each site's sum of ``weights`` (default 1) in log-row order."""
+        return np.bincount(site_indices[routed], weights, minlength=len(site_codes))
 
+    per_site_queries = per_site(queries.daily[routed])
+    per_site_responses = per_site(responses.daily[routed])
+    sources = per_site()
     sites = [
         SiteTrafficReport(
             site_code=code,
-            queries=per_site_queries.daily_of(code),
-            responses=per_site_responses.daily_of(code),
-            unique_sources=sources_by_site[code],
+            queries=float(per_site_queries[index]),
+            responses=float(per_site_responses[index]),
+            unique_sources=int(sources[index]),
         )
-        for code in site_codes
+        for index, code in enumerate(site_codes)
     ]
     return Rssac002Report(
         service_name=service_name,

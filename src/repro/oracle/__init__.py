@@ -1,4 +1,5 @@
-"""The wire oracle: the paper's Figure 1 scan, packet by packet (§3.1, §4).
+"""The wire oracles: the paper's Figure 1 scan, packet by packet (§3.1,
+§4), and Atlas's CHAOS measurement, message by message (§2, §5.3).
 
 Feistel-ordered pings (:mod:`~repro.oracle.schedule`), the ICMP echo
 codec (:mod:`~repro.oracle.packets`), per-host replies
@@ -7,15 +8,22 @@ catchment site (:mod:`~repro.oracle.network`), the three per-site
 captures (:mod:`~repro.oracle.capture`), the central merge
 (:mod:`~repro.oracle.aggregate`) and §4 cleaning over reply objects
 (:mod:`~repro.oracle.cleaning`), walked by :func:`wire_scan` and
-:func:`wire_round`.  No operator path runs it: every scan is the
-columnar engine (:mod:`repro.core.fastscan`), which the equivalence
-suites hold to this walk.  It is the top layer of
+:func:`wire_round`; the DNS codec (:mod:`~repro.oracle.dns`) and the
+sites' identity nameservers, walked by :func:`wire_measure`
+(:mod:`~repro.oracle.chaos`).  No operator path runs them: every scan
+is the columnar engine (:mod:`repro.core.fastscan`) and every Atlas
+measurement a column read, which the equivalence suites hold to these
+walks.  It is the top layer of
 :mod:`repro.lint.layers`, so no other ``repro`` package may import it.
 """
 
 from repro.lazy import lazy_exports
 
-__all__ = ["wire_scan", "wire_round"]
+__all__ = ["wire_scan", "wire_round", "wire_measure"]
 
-_EXPORTS = {"wire_scan": "repro.oracle.scan", "wire_round": "repro.oracle.scan"}
+_EXPORTS = {
+    "wire_scan": "repro.oracle.scan",
+    "wire_round": "repro.oracle.scan",
+    "wire_measure": "repro.oracle.chaos",
+}
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -3,7 +3,8 @@
 Covers what catchment mapping needs — CHAOS TXT ``hostname.bind``
 queries and NSID — with RFC 1035-conformant encoding.  Name
 *decompression* (pointer chasing) is supported for robustness; we never
-emit pointers ourselves.
+emit pointers ourselves.  Only the CHAOS oracle
+(:mod:`repro.oracle.chaos`) speaks it.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.bgp.propagation import RoutingOutcome
+from repro.bgp.reference import site_of_block
 from repro.errors import MeasurementError
 from repro.icmp.latency import LatencyModel
 from repro.oracle.packets import build_reply, parse_packet
@@ -69,7 +70,7 @@ class SimulatedDataplane:
     ) -> List[DeliveredReply]:
         delivered: List[DeliveredReply] = []
         for index, event in enumerate(events):
-            site = self.routing.site_of_block(event.source_block, round_id)
+            site = site_of_block(self.routing, event.source_block, round_id)
             if site is None:
                 continue  # network unreachable from the anycast prefix
             delay_ms = event.delay_ms

@@ -13,7 +13,7 @@ import pytest
 
 from repro import rng
 from repro.bgp.propagation import compute_routes
-from repro.core.scenarios import broot_like, tangled_like
+from repro.core.scenarios import broot_like, cdn_like, nl_like, tangled_like
 from repro.core.verfploeter import Verfploeter
 from repro.topology.generator import SeededAS, TopologyConfig, build_internet
 
@@ -100,6 +100,32 @@ def broot_routing(broot_verfploeter):
 def broot_scan(broot_verfploeter, broot_routing):
     """One completed scan of the tiny B-Root scenario."""
     return broot_verfploeter.run_scan(routing=broot_routing, dataset_id="SBV-test")
+
+
+#: Every canonical scenario at both test scales: the grid the column reads
+#: are held to their scalar oracles on (``canonical_routing``).
+CANONICAL_GRID = [
+    (builder, scale)
+    for builder in ("broot", "tangled", "nl", "cdn")
+    for scale in ("tiny", "small")
+]
+
+
+@pytest.fixture(scope="session")
+def canonical_routing():
+    """``get(builder, scale)`` -> (scenario, default routing) of one
+    :data:`CANONICAL_GRID` point, built once per session."""
+    builders = {"broot": broot_like, "tangled": tangled_like, "nl": nl_like, "cdn": cdn_like}
+    built = {}
+
+    def get(builder, scale):
+        if (builder, scale) not in built:
+            scenario = builders[builder](scale=scale)
+            routing = Verfploeter(scenario.internet, scenario.service).routing_for()
+            built[builder, scale] = (scenario, routing)
+        return built[builder, scale]
+
+    return get
 
 
 def scan_each(verfploeter, routings, round_ids=None):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,11 @@ from repro.analysis.prepend import (
     prepend_rows,
 )
 from repro.analysis.report import render_table
-from repro.analysis.traffic_coverage import format_traffic_coverage, traffic_coverage
+from repro.analysis.traffic_coverage import (
+    TrafficCoverage,
+    format_traffic_coverage,
+    traffic_coverage,
+)
 from repro.anycast.catchment import CatchmentMap
 from repro.core.comparison import compare_coverage
 from repro.core.experiments import prepend_sweep, run_stability_series
@@ -64,8 +70,46 @@ class TestCoverageTable:
         text = format_coverage_table(comparison)
         assert "coverage ratio" in text
 
+    def test_geolocatable_matches_block_loop(self, broot_tiny, broot_scan, atlas_measurement):
+        internet = broot_tiny.internet
+        # Mapped blocks the geolocation database does not know.
+        unlocated = [block for block in range(1 << 24) if block not in internet.geodb][:5]
+        mapping = dict(broot_scan.catchment.items())
+        mapping.update((block, "LAX") for block in unlocated)
+        scan = replace(
+            broot_scan,
+            catchment=CatchmentMap.from_mapping(broot_scan.catchment.site_codes, mapping),
+        )
+        comparison = compare_coverage(atlas_measurement, scan, internet)
+        located = sum(1 for block in set(scan.catchment.blocks()) if block in internet.geodb)
+        assert comparison.verf_geolocatable_blocks == located
+        assert comparison.verf_no_location_blocks == len(mapping) - located >= 5
+
+
+def traffic_coverage_model(catchment, estimate):
+    """Table 5 as a per-row loop: running totals in traffic-row order."""
+    blocks_seen = blocks_mapped = 0
+    queries_seen = queries_mapped = 0.0
+    for block, volume in zip(estimate.blocks.tolist(), estimate.daily.tolist()):
+        if volume <= 0:
+            continue
+        blocks_seen += 1
+        queries_seen += volume
+        if catchment.site_of(block) is not None:
+            blocks_mapped += 1
+            queries_mapped += volume
+    return TrafficCoverage(blocks_seen, blocks_mapped, queries_seen, queries_mapped)
+
 
 class TestTrafficCoverage:
+    def test_matches_row_loop(self, broot_scan, estimate):
+        catchment = broot_scan.catchment
+        partial = catchment.restrict(list(catchment.blocks())[::3])
+        for mapped in (catchment, partial):
+            assert traffic_coverage(mapped, estimate) == traffic_coverage_model(
+                mapped, estimate
+            )
+
     def test_fractions(self, broot_scan, estimate):
         coverage = traffic_coverage(broot_scan.catchment, estimate)
         assert coverage.blocks_seen == coverage.blocks_mapped + coverage.blocks_unmapped

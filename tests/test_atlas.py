@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.atlas.platform import AtlasPlatform
+from repro.atlas.vp import AtlasVP
+from repro.bgp.reference import site_of_block
 from repro.errors import ConfigurationError
+from repro.oracle.chaos import wire_measure
+from tests.conftest import CANONICAL_GRID
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +77,8 @@ class TestMeasurement:
         assert measurement.considered_vps == 120
         assert 0 < measurement.responding_vps <= 120
         for result in measurement.responding:
-            assert result.site_code == two_site_routing.site_of_block(
-                result.vp.block, 3
+            assert result.site_code == site_of_block(
+                two_site_routing, result.vp.block, 3
             )
             assert result.hostname.startswith(result.site_code.lower())
         # Some VPs should be down (4.6% default).
@@ -86,3 +91,41 @@ class TestMeasurement:
         assert blocks <= measurement.considered_blocks()
         catchments = measurement.block_catchments()
         assert set(catchments) == blocks
+
+
+@pytest.mark.parametrize("builder,scale", CANONICAL_GRID)
+def test_measure_matches_wire_measure(canonical_routing, builder, scale):
+    """Per VP (site, hostname, down): the column read equals the CHAOS
+    walk on the DNS wire."""
+    scenario, routing = canonical_routing(builder, scale)
+    platform = scenario.atlas
+    down = up = 0
+    for measurement_id in (0, 1, 4, 65536):
+        measured = platform.measure(routing, scenario.service, measurement_id)
+        wire = wire_measure(platform, routing, scenario.service, measurement_id)
+        assert measured.results == wire.results
+        assert measured.site_codes == wire.site_codes
+        down += measured.considered_vps - measured.responding_vps
+        up += measured.responding_vps
+    assert down and up
+
+
+def test_measure_follows_the_rounds_flips(canonical_routing):
+    """Few VPs sit behind flipping paths, so place every VP on a block
+    that flips in the measured round: both sides must follow the flip."""
+    scenario, routing = canonical_routing("tangled", "small")
+    blocks = np.asarray(scenario.internet.block_table()[0])
+    base = routing.sites_of(blocks)
+    flips = routing.sites_of(blocks, 3) != base
+    platform = AtlasPlatform(scenario.internet, vp_count=1)
+    platform.vps = [
+        AtlasVP(vp_id, int(block), "US", 0.0, 0.0)
+        for vp_id, block in enumerate(blocks[flips])
+    ]
+    measured = platform.measure(routing, scenario.service, 3)
+    assert measured.results == wire_measure(platform, routing, scenario.service, 3).results
+    codes = routing.policy.site_codes
+    assert any(
+        result.site_code not in (None, codes[site])
+        for result, site in zip(measured.results, base[flips])
+    )

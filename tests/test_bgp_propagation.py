@@ -2,25 +2,33 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import RoutingConfig, compute_routes
-from repro.bgp.reference import catchment_map, selection_of
+from repro.bgp.reference import (
+    catchment_map,
+    reachable_fraction,
+    selection_of,
+    site_of_block,
+    site_of_pop,
+)
 from repro.bgp.route import RouteClass
 from repro.errors import ConfigurationError, RoutingError
+from tests.conftest import CANONICAL_GRID
 
 
 class TestReachability:
     def test_every_as_selects_a_route(self, tiny_internet, two_site_routing):
-        assert two_site_routing.reachable_fraction() == 1.0
+        assert reachable_fraction(two_site_routing) == 1.0
 
     def test_every_block_has_a_site(self, tiny_internet, two_site_routing):
         for block in tiny_internet.blocks:
-            assert two_site_routing.site_of_block(block) in ("A", "B")
+            assert site_of_block(two_site_routing, block) in ("A", "B")
 
     def test_unknown_block_unmapped(self, two_site_routing):
-        assert two_site_routing.site_of_block(12345678) is None
+        assert site_of_block(two_site_routing, 12345678) is None
 
     def test_missing_upstream_raises(self, tiny_internet):
         policy = AnnouncementPolicy.uniform({"X": 999_999})
@@ -136,8 +144,31 @@ class TestDeterminismAndStability:
         for asn in tiny_internet.asns():
             selection = selection_of(two_site_routing, asn)
             for pop in tiny_internet.pops_of_asn(asn):
-                site = two_site_routing.site_of_pop(pop)
+                site = site_of_pop(two_site_routing, pop)
                 assert site in selection.pop_sites or site == selection.primary_site
+
+
+@pytest.mark.parametrize("builder,scale", CANONICAL_GRID)
+def test_sites_of_matches_site_of_block(canonical_routing, builder, scale):
+    """The column read equals the scalar reference on every populated
+    block, their unpopulated neighbours and blocks past the topology."""
+    scenario, routing = canonical_routing(builder, scale)
+    populated = np.asarray(scenario.internet.block_table()[0], dtype=np.int64)
+    top = int(populated.max())
+    blocks = np.concatenate(
+        [populated, populated + 1, [0, top + 1, top + 4096, (1 << 24) - 1, 1 << 30]]
+    )
+    codes = routing.policy.site_codes
+    base = routing.sites_of(blocks)
+    flipped = False
+    for round_id in (None, 0, 3, 65536):
+        sites = routing.sites_of(blocks, round_id)
+        assert sites.dtype == np.int16
+        assert [codes[i] if i >= 0 else None for i in sites.tolist()] == [
+            site_of_block(routing, block, round_id) for block in blocks.tolist()
+        ]
+        flipped |= bool(np.any(sites != base))
+    assert flipped  # the grid exercises the flip rule, not only base sites
 
 
 class TestRoutingConfig:

@@ -29,13 +29,15 @@ FORMS = {
     "playbook": ["playbook", "--scenario", "tangled", "--scale", "tiny"],
     "sweep": ["sweep", "--scale", "tiny"],
     "failure": ["failure", "--scale", "tiny"],
+    "coverage": ["coverage", "--scale", "tiny"],
+    "report": ["report", "--scale", "tiny"],
 }
 
 #: Modules of other subcommands, which ``stability`` must not import.
 NOT_STABILITY = (
     "repro.core.playbook", "repro.core.planning", "repro.core.pool",
     "repro.core.sharding", "repro.core.tables", "repro.service",
-    "repro.load.weighting", "repro.traffic.attack", "repro.dns", "repro.atlas",
+    "repro.load.weighting", "repro.traffic.attack", "repro.atlas",
 )
 
 
@@ -65,7 +67,9 @@ def test_help_loads_no_numpy():
     assert "numpy" not in loaded("help")
 
 
-@pytest.mark.parametrize("form", ["stability", "scan", "playbook", "sweep", "failure"])
+@pytest.mark.parametrize(
+    "form", ["stability", "scan", "playbook", "sweep", "failure", "coverage", "report"]
+)
 def test_operator_path_loads_no_oracle_or_ledger_module(form):
     declared = {
         f"repro.{key}"

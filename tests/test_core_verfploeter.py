@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.bgp.reference import site_of_block
 from repro.core.fastscan import FastScanEngine
 from repro.core.sharding import assert_scan_results_identical
 from repro.core.verfploeter import Verfploeter
@@ -21,7 +22,7 @@ class TestScan:
 
     def test_scan_matches_ground_truth(self, broot_tiny, broot_routing, broot_scan):
         for block, site in broot_scan.catchment.items():
-            assert site == broot_routing.site_of_block(block, broot_scan.round_id)
+            assert site == site_of_block(broot_routing, block, broot_scan.round_id)
 
     def test_cleaning_stats_consistent(self, broot_scan):
         stats = broot_scan.stats

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dns.message import (
+from repro.oracle.dns import (
     CLASS_CHAOS,
     CLASS_IN,
     TYPE_OPT,
@@ -17,8 +17,8 @@ from repro.dns.message import (
     decode_name,
     encode_name,
 )
-from repro.dns.server import SiteIdentityServer
 from repro.errors import DNSError
+from repro.oracle.chaos import SiteIdentityServer
 
 _LABEL = st.text(
     alphabet=st.sampled_from("abcdefghijklmnopqrstuvwxyz0123456789-"),

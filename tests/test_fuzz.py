@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.anycast.catchment import CatchmentMap
-from repro.dns.message import DnsMessage, decode_name
 from repro.errors import DNSError, PacketError, ReproError
 from repro.oracle.cleaning import clean_replies
+from repro.oracle.dns import DnsMessage, decode_name
 from repro.oracle.network import DeliveredReply
 from repro.oracle.packets import EchoMessage, IPv4Header, parse_packet
 from repro.oracle.schedule import PseudorandomOrder

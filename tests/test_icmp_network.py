@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.reference import site_of_block
 from repro.errors import MeasurementError
 from repro.oracle.network import SimulatedDataplane
 from repro.oracle.packets import EchoMessage, ICMP_ECHO_REPLY, ICMP_ECHO_REQUEST, build_probe, build_reply
@@ -77,7 +78,7 @@ class TestDataplane:
             delivered = dataplane.send_probe_packet(
                 build_probe(SOURCE, (block << 8) | 1, 1, 0), 0.0, 0
             )
-            expected = two_site_routing.site_of_block(block, 0)
+            expected = site_of_block(two_site_routing, block, 0)
             for reply in delivered:
                 assert reply.site_code == expected
 

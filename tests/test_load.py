@@ -168,6 +168,14 @@ class TestPrediction:
         # meaningful invariant.
         assert comparison.max_error() <= predicted.unknown_fraction() + 0.02
 
+    def test_measured_load_has_hours(self, tiny_internet, two_site_routing):
+        load = build_day_load(tiny_internet, root_profile(), "d")
+        measured = measured_site_load(two_site_routing, LoadEstimate(load))
+        for code in measured.site_codes:
+            hourly = measured.hourly_of(code)
+            assert measured.peak_of(code) == hourly.max() > 0
+            assert hourly.sum() == pytest.approx(measured.daily_of(code), rel=1e-9)
+
     def test_measured_load_has_no_unknown(self, tiny_internet, two_site_routing):
         load = build_day_load(tiny_internet, root_profile(), "d")
         measured = measured_site_load(two_site_routing, LoadEstimate(load))

@@ -16,7 +16,7 @@ PACKAGES = [
     "repro.icmp",
     "repro.probing",
     "repro.collector",
-    "repro.dns",
+    "repro.oracle",
     "repro.atlas",
     "repro.traffic",
     "repro.load",
