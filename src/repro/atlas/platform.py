@@ -89,13 +89,13 @@ class AtlasMeasurement:
 
 
 class AtlasPlatform:
-    """A deployed population of Atlas VPs over a synthetic Internet."""
+    """A deployed population of Atlas VPs over a synthetic Internet; its
+    deployment and downtime draws key on the Internet's seed."""
 
     def __init__(
         self,
         internet: Internet,
         vp_count: int,
-        seed: Optional[int] = None,
         unavailable_fraction: float = 0.046,
     ) -> None:
         if vp_count < 1:
@@ -103,7 +103,6 @@ class AtlasPlatform:
         if not 0.0 <= unavailable_fraction < 1.0:
             raise ConfigurationError("unavailable_fraction must be in [0, 1)")
         self.internet = internet
-        self.seed = internet.seed if seed is None else seed
         self.unavailable_fraction = unavailable_fraction
         self.vps = self._deploy(vp_count)
 
@@ -114,7 +113,7 @@ class AtlasPlatform:
         ``atlas_weight`` in the world model; countries with Internet
         users but few probes (China, Korea, ...) get almost none.
         """
-        rng = derive_rng(self.seed, "atlas-deploy")
+        rng = derive_rng(self.internet.seed, "atlas-deploy")
         columns = self.internet.geodb.columnar()
         populated = self.internet.join(columns.blocks)[1]
         country_index = columns.country_index[populated]
@@ -161,7 +160,7 @@ class AtlasPlatform:
         the DNS wire."""
         vp_ids = np.array([vp.vp_id for vp in self.vps], dtype=np.uint64)
         down = (
-            uniform_unit_np(self.seed, _DOWN_SALT, vp_ids, measurement_id)
+            uniform_unit_np(self.internet.seed, _DOWN_SALT, vp_ids, measurement_id)
             < self.unavailable_fraction
         )
         sites = routing.sites_of([vp.block for vp in self.vps], measurement_id)

@@ -25,7 +25,6 @@ __all__ = [
     "default_routing_cache",
     "internet_fingerprint",
     "policy_fingerprint",
-    "FlipModel",
     "FlipModelConfig",
     "RoutingConfig",
     "OriginLookup",
@@ -51,7 +50,6 @@ _EXPORTS = {
     "default_routing_cache": "repro.bgp.cache",
     "internet_fingerprint": "repro.bgp.cache",
     "policy_fingerprint": "repro.bgp.cache",
-    "FlipModel": "repro.bgp.instability",
     "FlipModelConfig": "repro.bgp.instability",
     "RoutingConfig": "repro.bgp.propagation",
     "OriginLookup": "repro.bgp.ribdump",

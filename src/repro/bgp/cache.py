@@ -5,8 +5,8 @@ repeatedly (benchmarks re-run configurations, stability series reuse
 one policy across 96 rounds, placement search revisits baselines).  A
 :class:`RoutingCache` keys fully-computed :class:`RoutingOutcome`
 objects by *content* — the internet's identity, the policy's complete
-announcement tuple, the :class:`RoutingConfig` and the flip model — so
-a repeated scenario is a dictionary hit rather than a propagation.
+announcement tuple and the :class:`RoutingConfig` — so a repeated
+scenario is a dictionary hit rather than a propagation.
 
 :meth:`RoutingCache.get_or_compute_many` is how every what-if routes —
 a playbook lattice, a prepend sweep, a site-failure study, a site
@@ -15,8 +15,8 @@ addition: the batch's misses propagate together as one array program
 
 :meth:`RoutingCache.get_or_compute` serves one policy.  A cold miss
 propagates in full; a miss with a cached outcome over the same internet
-object, config and flip model propagates **incrementally**, with that
-outcome as a :class:`~repro.bgp.delta.DeltaPropagator` baseline.  Delta
+object and config propagates **incrementally**, with that outcome as a
+:class:`~repro.bgp.delta.DeltaPropagator` baseline.  Delta
 reuse requires object identity on the internet (``is``), not just an
 equal fingerprint: the delta engine splices baseline selection objects,
 which is only sound against the very topology they were built from.
@@ -31,10 +31,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-from repro.bgp.instability import FlipModel
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import (
     RoutingConfig,
@@ -60,8 +59,9 @@ def policy_digest(policy: AnnouncementPolicy) -> str:
 
     A blake2b-8 digest of the same announcement tuple that keys the
     :class:`RoutingCache`, so two policies share a digest exactly when
-    they share a cache identity (with internet, config and flip model
-    held fixed, as they are within one planning search).  The playbook
+    they share a cache identity (with internet and config held fixed, as
+    they are within one planning search; flip draws key on the
+    Internet's seed, so they need no key of their own).  The playbook
     planner uses it as the config-lattice key: stable across processes
     and runs, usable in dataset ids and artifact JSON, and ties every
     ranked playbook row back to the routing state that produced it.
@@ -111,7 +111,6 @@ class CacheStats:
 class _Entry:
     outcome: RoutingOutcome
     config: RoutingConfig
-    flip_fingerprint: tuple = field(default_factory=tuple)
 
 
 class RoutingCache:
@@ -133,21 +132,12 @@ class RoutingCache:
         return len(self._entries)
 
     def _key(
-        self,
-        internet: Internet,
-        policy: AnnouncementPolicy,
-        config: RoutingConfig,
-        flip_fingerprint: tuple,
+        self, internet: Internet, policy: AnnouncementPolicy, config: RoutingConfig
     ) -> tuple:
-        return (
-            internet_fingerprint(internet),
-            policy_fingerprint(policy),
-            config,
-            flip_fingerprint,
-        )
+        return (internet_fingerprint(internet), policy_fingerprint(policy), config)
 
     def _find_baseline(
-        self, internet: Internet, config: RoutingConfig, flip_fingerprint: tuple
+        self, internet: Internet, config: RoutingConfig
     ) -> Optional[RoutingOutcome]:
         """Most recently used cached outcome usable as a delta baseline.
 
@@ -157,25 +147,17 @@ class RoutingCache:
         """
         for entry in reversed(self._entries.values()):
             outcome = entry.outcome
-            if (
-                outcome.internet is internet
-                and entry.config == config
-                and entry.flip_fingerprint == flip_fingerprint
-            ):
+            if outcome.internet is internet and entry.config == config:
                 return outcome
         return None
 
     def _store(
-        self,
-        key: tuple,
-        outcome: RoutingOutcome,
-        config: RoutingConfig,
-        flip_fingerprint: tuple,
+        self, key: tuple, outcome: RoutingOutcome, config: RoutingConfig
     ) -> RoutingOutcome:
         """Insert ``outcome`` under ``key`` (the lock is held); returns the
         entry's outcome — an earlier concurrent insert wins."""
         if key not in self._entries:
-            self._entries[key] = _Entry(outcome, config, flip_fingerprint)
+            self._entries[key] = _Entry(outcome, config)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
@@ -188,10 +170,9 @@ class RoutingCache:
         self,
         internet: Internet,
         policy: AnnouncementPolicy,
-        flip_model: Optional[FlipModel] = None,
         config: Optional[RoutingConfig] = None,
     ) -> RoutingOutcome:
-        """The outcome for (internet, policy, config, flip model).
+        """The outcome for (internet, policy, config).
 
         Hit: the cached outcome, LRU-refreshed.  Miss with a usable
         baseline: delta propagation.  Cold miss: full propagation.
@@ -199,9 +180,7 @@ class RoutingCache:
         never need to know which one served them.
         """
         resolved_config = config or RoutingConfig()
-        resolved_flip = flip_model or FlipModel(internet.seed)
-        flip_fp = resolved_flip.fingerprint()
-        key = self._key(internet, policy, resolved_config, flip_fp)
+        key = self._key(internet, policy, resolved_config)
         observer = self.observer
         with self._lock:
             entry = self._entries.get(key)
@@ -210,7 +189,7 @@ class RoutingCache:
                 self.stats.hits += 1
                 observer.metrics.counter("routing.cache.hits").inc()
                 return entry.outcome
-            baseline = self._find_baseline(internet, resolved_config, flip_fp)
+            baseline = self._find_baseline(internet, resolved_config)
         # Propagation runs outside the lock: concurrent misses for the
         # same key both compute, but results are deterministic and
         # identical, so whichever insert wins is indistinguishable.
@@ -224,21 +203,17 @@ class RoutingCache:
                 self.stats.delta_computes += 1
         else:
             with observer.tracer.span("bgp.propagate.full"):
-                outcome = compute_routes(
-                    internet, policy, flip_model=resolved_flip,
-                    config=resolved_config,
-                )
+                outcome = compute_routes(internet, policy, resolved_config)
             observer.metrics.counter("routing.cache.full_computes").inc()
             with self._lock:
                 self.stats.full_computes += 1
         with self._lock:
-            return self._store(key, outcome, resolved_config, flip_fp)
+            return self._store(key, outcome, resolved_config)
 
     def get_or_compute_many(
         self,
         internet: Internet,
         policies: Sequence[AnnouncementPolicy],
-        flip_model: Optional[FlipModel] = None,
         config: Optional[RoutingConfig] = None,
     ) -> List[RoutingOutcome]:
         """The outcome of every policy, in input order.
@@ -251,11 +226,7 @@ class RoutingCache:
         ``maxsize``.
         """
         resolved_config = config or RoutingConfig()
-        resolved_flip = flip_model or FlipModel(internet.seed)
-        flip_fp = resolved_flip.fingerprint()
-        keys = [
-            self._key(internet, policy, resolved_config, flip_fp) for policy in policies
-        ]
+        keys = [self._key(internet, policy, resolved_config) for policy in policies]
         found: Dict[tuple, RoutingOutcome] = {}
         missing: Dict[tuple, AnnouncementPolicy] = {}
         hits = 0
@@ -279,8 +250,7 @@ class RoutingCache:
                 "bgp.propagate.lattice", configs=len(missing)
             ) as span:
                 outcomes, levels = compute_lattice(
-                    internet, list(missing.values()), flip_model=resolved_flip,
-                    config=resolved_config,
+                    internet, list(missing.values()), resolved_config
                 )
                 span.set(levels=levels)
             metrics.counter("routing.cache.full_computes").inc(len(missing))
@@ -288,7 +258,7 @@ class RoutingCache:
             with self._lock:
                 self.stats.full_computes += len(missing)
                 for key, outcome in zip(missing, outcomes):
-                    found[key] = self._store(key, outcome, resolved_config, flip_fp)
+                    found[key] = self._store(key, outcome, resolved_config)
         return [found[key] for key in keys]
 
     def clear(self) -> None:

@@ -259,7 +259,7 @@ class DeltaPropagator:
             caches=propagator._caches,
         )
         return outcome_from_selections(
-            internet, policy, selections, baseline.flip_model, base_state.config, state
+            internet, policy, selections, base_state.config, state
         )
 
 

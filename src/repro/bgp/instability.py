@@ -11,12 +11,13 @@ background rate (transient routing changes).
 
 :func:`flip_sites` is that decision over arrays, for the scan engine and
 ``RoutingOutcome.sites_of``; :mod:`repro.bgp.reference` is its oracle.
+Every draw keys on the seed of the Internet the block lives in: no
+object carries a second copy of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -52,25 +53,8 @@ class FlipModelConfig:
                 raise ConfigurationError(f"{name}={value} must be in [0, 1]")
 
 
-class FlipModel:
-    """Deterministic per-(block, round) flip decisions: a seed and rates."""
-
-    def __init__(self, seed: int, config: Optional[FlipModelConfig] = None) -> None:
-        self.seed = seed
-        self.config = config or FlipModelConfig()
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity of this model's decisions (for cache keys).
-
-        Two models with equal fingerprints return identical flip
-        decisions for every (block, round) pair.
-        """
-        return (
-            self.seed,
-            self.config.flipper_block_fraction,
-            self.config.flipper_flip_probability,
-            self.config.background_flip_probability,
-        )
+FLIP_RATES = FlipModelConfig()
+"""The rates every flip decision uses; its draws key on ``internet.seed``."""
 
 
 def flip_sites(

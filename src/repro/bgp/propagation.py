@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bgp.instability import _FLIP_SALT, _PARTICIPATE_SALT, FlipModel, flip_sites
+from repro.bgp.instability import _FLIP_SALT, _PARTICIPATE_SALT, FLIP_RATES, flip_sites
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.sweep import PopRoutes, RouteTable, as_columns, pop_routes, propagate
 from repro.errors import ConfigurationError
@@ -84,13 +84,11 @@ class RoutingOutcome:
         self,
         internet: Internet,
         policy: AnnouncementPolicy,
-        flip_model: FlipModel,
         table: RouteTable,
         config: RoutingConfig,
     ) -> None:
         self.internet = internet
         self.policy = policy
-        self.flip_model = flip_model
         self.table = table
         self.config = config
         self._pop_routes: Optional[PopRoutes] = None
@@ -121,19 +119,20 @@ class RoutingOutcome:
     def sites_of(self, blocks: np.ndarray, round_id: Optional[int] = None) -> np.ndarray:
         """Site each of ``blocks`` reaches, as an int16 ``policy.site_codes``
         index (-1 = unrouted or not populated); with ``round_id``, after
-        that round's flips (per-packet load balancing, paper §6.3)."""
+        that round's flips (per-packet load balancing, paper §6.3), drawn
+        from the Internet's seed."""
         blocks = np.asarray(blocks, dtype=np.int64)
         rows, populated = self.internet.join(blocks)
         base, alternate, flipper = self.site_columns()
         pops = np.where(populated, self.internet.block_table()[2][rows], base.size - 1)
         if round_id is None:
             return base[pops]
-        seed, keys = self.flip_model.seed, blocks.astype(np.uint64)
+        seed, keys = self.internet.seed, blocks.astype(np.uint64)
         return flip_sites(
             base[pops], alternate[pops], flipper[pops],
             uniform_unit_np(seed, _PARTICIPATE_SALT, keys),
             uniform_unit_np(seed, _FLIP_SALT, keys, round_id),
-            self.flip_model.config,
+            FLIP_RATES,
         )
 
 
@@ -154,16 +153,14 @@ def pop_routes_of(outcomes: Sequence[RoutingOutcome]) -> List[PopRoutes]:
 def compute_lattice(
     internet: Internet,
     policies: Sequence[AnnouncementPolicy],
-    flip_model: Optional[FlipModel] = None,
     config: Optional[RoutingConfig] = None,
 ) -> Tuple[List[RoutingOutcome], int]:
     """Routes of every policy in one array propagation, in input order,
     and the number of level-synchronous sweeps it took."""
     config = config or RoutingConfig()
-    flip_model = flip_model or FlipModel(internet.seed)
     lattice = propagate(internet, policies, config)
     outcomes = [
-        RoutingOutcome(internet, policy, flip_model, table, config)
+        RoutingOutcome(internet, policy, table, config)
         for policy, table in zip(policies, lattice.tables)
     ]
     return outcomes, lattice.levels
@@ -172,9 +169,8 @@ def compute_lattice(
 def compute_routes(
     internet: Internet,
     policy: AnnouncementPolicy,
-    flip_model: Optional[FlipModel] = None,
     config: Optional[RoutingConfig] = None,
 ) -> RoutingOutcome:
     """Run Gao-Rexford propagation of ``policy`` over ``internet`` (a
     lattice of one)."""
-    return compute_lattice(internet, [policy], flip_model, config)[0][0]
+    return compute_lattice(internet, [policy], config)[0][0]

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.anycast.catchment import CatchmentMap
-from repro.bgp.instability import _FLIP_SALT, _PARTICIPATE_SALT, FlipModel
+from repro.bgp.instability import _FLIP_SALT, _PARTICIPATE_SALT, FLIP_RATES, FlipModelConfig
 from repro.bgp.policy import AnnouncementPolicy
 from repro.bgp.propagation import RoutingConfig, RoutingOutcome
 from repro.bgp.route import CandidateRoute, RouteClass
@@ -617,7 +617,6 @@ def outcome_from_selections(
     internet: Internet,
     policy: AnnouncementPolicy,
     selections: Dict[int, RouteSelection],
-    flip_model: FlipModel,
     config: RoutingConfig,
     state: Optional[_PropagationState] = None,
 ) -> RoutingOutcome:
@@ -625,7 +624,7 @@ def outcome_from_selections(
     here return those selections and ``state`` (None: not a delta
     baseline) rather than running the reference."""
     table = table_from_selections(as_columns(internet), policy.site_codes, selections)
-    outcome = RoutingOutcome(internet, policy, flip_model, table, config)
+    outcome = RoutingOutcome(internet, policy, table, config)
     _REFERENCE[outcome] = (selections, state)
     return outcome
 
@@ -672,7 +671,7 @@ def site_of_block(
     outcome: RoutingOutcome, block: int, round_id: Optional[int] = None
 ) -> Optional[str]:
     """Site that traffic from ``block`` reaches; with ``round_id`` given,
-    after the flip model's decision for that round (paper §6.3)."""
+    after that round's flip decision (paper §6.3)."""
     internet = outcome.internet
     if not internet.has_block(block):
         return None
@@ -683,31 +682,35 @@ def site_of_block(
     index = int(outcome.pop_routes().alternate[pop.pop_id])
     alternate = None if index < 0 else outcome.table.site_codes[index]
     asys = internet.ases[pop.asn]
-    return site_for(outcome.flip_model, asys, alternate, base_site, block, round_id)
+    return site_for(
+        internet.seed, FLIP_RATES, asys, alternate, base_site, block, round_id
+    )
 
 
-def participates(model: FlipModel, asys: AutonomousSystem, block: int) -> bool:
+def participates(
+    seed: int, rates: FlipModelConfig, asys: AutonomousSystem, block: int
+) -> bool:
     """Whether ``block`` of flipper ``asys`` sits on a load-balanced path."""
     return asys.flipper and (
-        uniform_unit(model.seed, _PARTICIPATE_SALT, block) < model.config.flipper_block_fraction
+        uniform_unit(seed, _PARTICIPATE_SALT, block) < rates.flipper_block_fraction
     )
 
 
 def site_for(
-    model: FlipModel, asys: AutonomousSystem, alternate: Optional[str], base_site: str,
-    block: int, round_id: int,
+    seed: int, rates: FlipModelConfig, asys: AutonomousSystem, alternate: Optional[str],
+    base_site: str, block: int, round_id: int,
 ) -> str:
-    """Resolve the per-round site for ``block`` given its AS's
-    alternate site (None: the AS has none)."""
+    """Resolve the per-round site for ``block`` of an Internet with
+    ``seed`` given its AS's alternate site (None: the AS has none)."""
     if alternate is None or alternate == base_site:
         return base_site
     if asys.flipper:
-        if not participates(model, asys, block):
+        if not participates(seed, rates, asys, block):
             return base_site
-        probability = model.config.flipper_flip_probability
+        probability = rates.flipper_flip_probability
     else:
-        probability = model.config.background_flip_probability
-    if uniform_unit(model.seed, _FLIP_SALT, block, round_id) < probability:
+        probability = rates.background_flip_probability
+    if uniform_unit(seed, _FLIP_SALT, block, round_id) < probability:
         return alternate
     return base_site
 

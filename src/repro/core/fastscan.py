@@ -61,7 +61,6 @@ import numpy as np
 
 from repro.anycast.catchment import CatchmentMap
 from repro.bgp import instability as _instability
-from repro.bgp.instability import FlipModelConfig
 from repro.bgp.propagation import RoutingOutcome, pop_routes_of
 from repro.collector.results import BlockValueMap
 from repro.core.verfploeter import ScanResult, ScanStats, Verfploeter
@@ -243,7 +242,6 @@ class RouteColumns:
     pop_base: np.ndarray  # int16 site index per PoP, -1 = unrouted
     pop_alternate: np.ndarray  # int16 site index per PoP, -1 = none
     pop_flipper: np.ndarray  # bool
-    flip_config: FlipModelConfig
 
 
 @dataclass
@@ -354,7 +352,7 @@ def _route_sites(state: RoundState, routes: RouteColumns, draws: RoundDraws) -> 
     pops = state.block_pops
     return _instability.flip_sites(
         routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
-        state.participate_draw, draws.flip_draw, routes.flip_config,
+        state.participate_draw, draws.flip_draw, _instability.FLIP_RATES,
     )
 
 
@@ -618,7 +616,6 @@ def route_columns(
                 pop_base=pop_base,
                 pop_alternate=pop_alternate,
                 pop_flipper=pop_flipper,
-                flip_config=routing.flip_model.config,
             )
         )
     return columns

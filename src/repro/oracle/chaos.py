@@ -78,7 +78,7 @@ def wire_measure(
     results: List[AtlasResult] = []
     for vp in platform.vps:
         down = (
-            uniform_unit(platform.seed, _DOWN_SALT, vp.vp_id, measurement_id)
+            uniform_unit(platform.internet.seed, _DOWN_SALT, vp.vp_id, measurement_id)
             < platform.unavailable_fraction
         )
         site_code = None if down else site_of_block(routing, vp.block, measurement_id)

@@ -7,7 +7,7 @@ the responder that turns them into the packet world: given an Echo
 Request to an address, produce the Echo Reply events (possibly none,
 several duplicates, or replies from a different source address) with
 their latencies.  The engine draws the same values as columns from the
-same salts (:mod:`repro.core.fastscan`).
+same salts and the same seed, the Internet's (:mod:`repro.core.fastscan`).
 """
 
 from __future__ import annotations

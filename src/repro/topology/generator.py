@@ -32,7 +32,7 @@ from repro.netaddr.prefix import Prefix
 from repro.rng import derive_rng
 from repro.topology.allocator import PrefixAllocator
 from repro.topology.asys import ASTier, AutonomousSystem, PoP, SeededAS
-from repro.topology.hosts import HostModel, HostModelConfig
+from repro.topology.hosts import HostModelConfig
 from repro.topology.internet import Internet
 from repro.topology.prefixes import AnnouncedPrefix
 from repro.topology.relationships import RelationshipGraph
@@ -401,7 +401,7 @@ class _Builder:
         return Internet(
             self.config.seed, self.ases, self.pops, self.graph, self.announced,
             (blocks, asns, pop_ids), self.build_geo(blocks, pop_ids),
-            HostModel(self.config.seed, self.config.host_config),
+            self.config.host_config,
         )
 
 

@@ -8,22 +8,28 @@ hosts replying from a different source address (§4 "data cleaning").
 Everything here is a *deterministic function* of (seed, block, round),
 computed on demand via stateless hashing, so no per-block state needs
 to be stored and results are reproducible for any subset of blocks.
-This module keeps the configuration, the time-invariant responder draw
-and the salts; the per-(block, round) draws are read as columns by the
-engine (:mod:`repro.core.fastscan`) and one host at a time by the wire
-oracle (:mod:`repro.oracle.responder`).
+The seed is the Internet's own: :attr:`Internet.host_model
+<repro.topology.internet.Internet.host_model>` is the one place a
+:class:`HostModel` is built, over that Internet, and the model reads the
+seed through it.  This module keeps the configuration, the
+time-invariant responder draw and the salts; the per-(block, round)
+draws are read as columns by the engine (:mod:`repro.core.fastscan`)
+and one host at a time by the wire oracle (:mod:`repro.oracle.responder`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.geo.geodb import GeoDatabase
 from repro.rng import uniform_unit, uniform_unit_np
+
+if TYPE_CHECKING:
+    from repro.topology.internet import Internet
 
 _STABLE_SALT = 0x5741424C  # arbitrary distinct salts per decision
 _CHURN_SALT = 0x43485552
@@ -74,11 +80,16 @@ class HostModelConfig:
 
 
 class HostModel:
-    """Deterministic per-(block, round) host behaviour."""
+    """Deterministic per-(block, round) host behaviour of one Internet."""
 
-    def __init__(self, seed: int, config: Optional[HostModelConfig] = None) -> None:
-        self.seed = seed
+    def __init__(self, internet: "Internet", config: Optional[HostModelConfig] = None) -> None:
+        self._internet = internet
         self.config = config or HostModelConfig()
+
+    @property
+    def seed(self) -> int:
+        """The Internet's seed, which every host draw keys on."""
+        return self._internet.seed
 
     def responsiveness_for(self, country_code: Optional[str]) -> float:
         """Long-term response probability for blocks in ``country_code``."""

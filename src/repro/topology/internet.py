@@ -9,7 +9,7 @@ import numpy as np
 from repro.errors import TopologyError
 from repro.geo.geodb import GeoDatabase, join_sorted, row_of
 from repro.topology.asys import AutonomousSystem, PoP
-from repro.topology.hosts import HostModel
+from repro.topology.hosts import HostModel, HostModelConfig
 from repro.topology.prefixes import AnnouncedPrefix
 from repro.topology.relationships import RelationshipGraph
 
@@ -19,8 +19,9 @@ class Internet:
 
     Holds the AS graph, PoPs, announced prefixes, the populated /24
     blocks as read-only ``(blocks, asns, pop_ids)`` columns (blocks
-    ascending), the geolocation database, and the host-responsiveness
-    model.  Scalar lookups are one ``searchsorted`` over those columns.
+    ascending), the geolocation database, and the ``host_config`` its
+    :attr:`host_model` draws with, over the Internet's own seed.  Scalar
+    lookups are one ``searchsorted`` over those columns.
     """
 
     def __init__(
@@ -32,7 +33,7 @@ class Internet:
         announced: List[AnnouncedPrefix],
         block_table: Tuple[Sequence[int], Sequence[int], Sequence[int]],
         geodb: GeoDatabase,
-        host_model: HostModel,
+        host_config: Optional[HostModelConfig] = None,
     ) -> None:
         self.seed = seed
         self.ases = ases
@@ -40,7 +41,7 @@ class Internet:
         self.graph = graph
         self.announced = announced
         self.geodb = geodb
-        self.host_model = host_model
+        self._host_config = host_config or HostModelConfig()
         columns = tuple(np.asarray(column, dtype=np.int64) for column in block_table)
         for column in columns:
             column.setflags(write=False)
@@ -119,6 +120,12 @@ class Internet:
         """Rows of ``blocks`` in :meth:`block_table` and whether each is
         populated (rows are meaningless where it is not)."""
         return join_sorted(self._block_table[0], blocks)
+
+    @property
+    def host_model(self) -> HostModel:
+        """The host-responsiveness model, drawing from this Internet's seed
+        (a view over it: the model keeps no seed, and the Internet no model)."""
+        return HostModel(self, self._host_config)
 
     def stable_mask(self) -> np.ndarray:
         """Which :meth:`block_table` rows host a ping responder at all.

@@ -37,17 +37,17 @@ def build_day_load(
     internet: Internet,
     profile: WorkloadProfile,
     date_label: str,
-    seed: Optional[int] = None,
     day_index: int = 0,
     target_total_queries: Optional[float] = None,
 ) -> DayLoad:
-    """Build one day of query logs for ``internet`` under ``profile``.
+    """Build one day of query logs for ``internet`` under ``profile``,
+    every per-block draw keyed on the Internet's seed.
 
     ``day_index`` decorrelates different days slightly (load drifts a
     few percent day to day); ``target_total_queries`` rescales the whole
     day to a fixed total (e.g. the paper's 2.2G queries/day, scaled).
     """
-    seed = internet.seed if seed is None else seed
+    seed = internet.seed
     blocks = internet.block_table()[0]
     geodb = internet.geodb
     sender_fraction = geodb.country_values(

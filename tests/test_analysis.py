@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -73,7 +74,9 @@ class TestCoverageTable:
     def test_geolocatable_matches_block_loop(self, broot_tiny, broot_scan, atlas_measurement):
         internet = broot_tiny.internet
         # Mapped blocks the geolocation database does not know.
-        unlocated = [block for block in range(1 << 24) if block not in internet.geodb][:5]
+        unlocated = list(
+            itertools.islice((b for b in range(1 << 24) if b not in internet.geodb), 5)
+        )
         mapping = dict(broot_scan.catchment.items())
         mapping.update((block, "LAX") for block in unlocated)
         scan = replace(

@@ -19,7 +19,6 @@ from repro.bgp.cache import (
     policy_fingerprint,
 )
 from repro.bgp.delta import DeltaPropagator, delta_routes
-from repro.bgp.instability import FlipModel
 from repro.bgp.propagation import RoutingConfig, compute_routes
 from repro.bgp.reference import catchment_map, outcome_from_selections, selections
 from repro.core.experiments import BROOT_PREPEND_CONFIGS, prepend_sweep
@@ -139,7 +138,6 @@ class TestEquivalence:
             broot.internet,
             broot_baseline.policy,
             dict(selections(broot_baseline)),
-            broot_baseline.flip_model,
             broot_baseline.config,
         )
         with pytest.raises(ConfigurationError):
@@ -182,7 +180,7 @@ class TestRoutingCache:
         assert cache.stats.full_computes == 1
         assert cache.stats.delta_computes == 3
 
-    def test_config_and_flip_model_partition_the_key(self, broot):
+    def test_config_partitions_the_key(self, broot):
         cache = RoutingCache()
         policy = broot.service.default_policy()
         plain = cache.get_or_compute(broot.internet, policy)
@@ -190,13 +188,9 @@ class TestRoutingCache:
             broot.internet, policy, config=RoutingConfig(era=1)
         )
         assert era1 is not plain
-        other_flips = cache.get_or_compute(
-            broot.internet, policy, flip_model=FlipModel(broot.internet.seed + 1)
-        )
-        assert other_flips is not plain
-        # Neither variant may delta off the plain baseline: a different
-        # config or flip model invalidates every cached selection.
-        assert cache.stats.full_computes == 3
+        # The variant may not delta off the plain baseline: a different
+        # config invalidates every cached selection.
+        assert cache.stats.full_computes == 2
         assert cache.stats.delta_computes == 0
 
     def test_delta_requires_internet_object_identity(self):

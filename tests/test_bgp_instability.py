@@ -1,10 +1,10 @@
-"""Tests for the flip model."""
+"""Tests for the flip model: :data:`FLIP_RATES` and the per-block draws."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bgp.instability import FlipModel, FlipModelConfig
+from repro.bgp.instability import FLIP_RATES, FlipModelConfig
 from repro.bgp.reference import participates, site_for
 from repro.errors import ConfigurationError
 from repro.topology.asys import ASTier, AutonomousSystem
@@ -22,43 +22,39 @@ def normal_as():
 
 class TestFlipModel:
     def test_no_alternate_never_flips(self, flipper_as):
-        model = FlipModel(seed=1)
         for round_id in range(50):
-            assert site_for(model, flipper_as, None, "A", 7, round_id) == "A"
+            assert site_for(1, FLIP_RATES, flipper_as, None, "A", 7, round_id) == "A"
 
     def test_flipper_blocks_flip_sometimes(self, flipper_as):
-        model = FlipModel(seed=1, config=FlipModelConfig(
-            flipper_block_fraction=1.0, flipper_flip_probability=0.5))
+        rates = FlipModelConfig(flipper_block_fraction=1.0, flipper_flip_probability=0.5)
         outcomes = {
-            site_for(model, flipper_as, "B", "A", 7, round_id)
+            site_for(1, rates, flipper_as, "B", "A", 7, round_id)
             for round_id in range(100)
         }
         assert outcomes == {"A", "B"}
 
     def test_nonparticipating_blocks_stay(self, flipper_as):
-        model = FlipModel(seed=1, config=FlipModelConfig(flipper_block_fraction=0.0))
+        rates = FlipModelConfig(flipper_block_fraction=0.0)
         for round_id in range(50):
-            assert site_for(model, flipper_as, "B", "A", 7, round_id) == "A"
+            assert site_for(1, rates, flipper_as, "B", "A", 7, round_id) == "A"
 
     def test_participation_rate(self, flipper_as):
-        model = FlipModel(seed=3, config=FlipModelConfig(flipper_block_fraction=0.25))
+        rates = FlipModelConfig(flipper_block_fraction=0.25)
         rate = sum(
-            participates(model, flipper_as, block) for block in range(4000)
+            participates(3, rates, flipper_as, block) for block in range(4000)
         ) / 4000
         assert 0.20 < rate < 0.30
 
     def test_background_flips_rare(self, normal_as):
-        model = FlipModel(seed=1)
         flips = sum(
-            site_for(model, normal_as, "B", "A", block, 1) == "B"
+            site_for(1, FLIP_RATES, normal_as, "B", "A", block, 1) == "B"
             for block in range(5000)
         )
         assert 0 < flips < 30  # ~0.15% background
 
     def test_deterministic(self, flipper_as):
-        model = FlipModel(seed=9)
-        first = [site_for(model, flipper_as, "B", "A", 7, r) for r in range(20)]
-        second = [site_for(model, flipper_as, "B", "A", 7, r) for r in range(20)]
+        first = [site_for(9, FLIP_RATES, flipper_as, "B", "A", 7, r) for r in range(20)]
+        second = [site_for(9, FLIP_RATES, flipper_as, "B", "A", 7, r) for r in range(20)]
         assert first == second
 
     def test_config_validation(self):

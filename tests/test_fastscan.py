@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
 from repro.core.fastscan import FastScanEngine, _VectorPermutation
+from repro.core.scenarios import broot_like, tangled_like
 from repro.core.sharding import assert_scan_results_identical, run_sharded_series
+from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
+from repro.oracle.chaos import wire_measure
 from repro.oracle.scan import wire_scan
 from repro.oracle.schedule import PseudorandomOrder
 
@@ -126,3 +132,51 @@ class TestColumnarResults:
         assert isinstance(engine, FastScanEngine)
         assert engine.routing is broot_routing
         assert broot_verfploeter.engine_for(broot_routing) is engine
+
+
+_BUILDERS = {"tangled": tangled_like, "broot": broot_like}
+_ENGINES: dict = {}
+
+
+def _engine(builder, seed):
+    """A tiny scenario and the engine of its default routing, built once
+    per (builder, Internet seed)."""
+    if (builder, seed) not in _ENGINES:
+        scenario = _BUILDERS[builder](scale="tiny", seed=seed)
+        verfploeter = Verfploeter(scenario.internet, scenario.service)
+        _ENGINES[builder, seed] = (scenario, FastScanEngine(verfploeter))
+    return _ENGINES[builder, seed]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    builder=st.sampled_from(sorted(_BUILDERS)),
+    seed=st.sampled_from([7, 11, 12]),
+    round_id=st.integers(min_value=0, max_value=1 << 16),
+    wire=st.just(False),
+)
+@example(builder="tangled", seed=11, round_id=3, wire=True)
+@example(builder="tangled", seed=12, round_id=96, wire=True)
+@example(builder="broot", seed=7, round_id=1, wire=True)
+def test_engine_sites_of_and_oracles_agree_at_any_seed(builder, seed, round_id, wire):
+    """Flip, host and Atlas draws all key on the Internet's seed, so every
+    block the engine keeps sits at the site ``sites_of`` gives it that
+    round; on the named examples the wire oracles agree as well."""
+    scenario, engine = _engine(builder, seed)
+    routing = engine.routing
+    fast = engine.run_scan(round_id=round_id)
+    sites = fast.catchment.site_index_array
+    kept = sites >= 0
+    assert kept.any()
+    np.testing.assert_array_equal(
+        sites[kept], routing.sites_of(fast.catchment.universe[kept], round_id)
+    )
+    if wire:
+        oracle = wire_scan(engine.verfploeter, routing, round_id=round_id)
+        assert dict(fast.catchment.items()) == dict(oracle.catchment.items())
+        assert fast.stats == oracle.stats
+        platform, service = scenario.atlas, scenario.service
+        assert (
+            platform.measure(routing, service, round_id).results
+            == wire_measure(platform, routing, service, round_id).results
+        )

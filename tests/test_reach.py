@@ -38,6 +38,17 @@ def test_the_linter_is_not_declared(reach):
     assert not [key for key in reach.NOT_OPERATOR if key.split(".")[0] == "lint"]
 
 
+def test_a_module_without_functions_counts_as_declared(reach):
+    """A ``types:`` module stays declared when its last function goes."""
+    declared = next(key for key, why in reach.NOT_OPERATOR.items() if why.startswith("types: "))
+    function = object()  # kind_of reads only whether the lists are empty
+    assert reach.kind_of(declared, [function], []) == 3
+    assert reach.kind_of(declared, [], []) == 3
+    assert reach.kind_of("made.up", [], []) == 3
+    assert reach.kind_of("made.up", [function], []) == 4
+    assert reach.kind_of(declared, [function], [function]) == 2
+
+
 def test_matrix_covers_every_subcommand():
     """A subcommand added to the parser must be added to the audit too."""
     listed = subprocess.run(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,51 +55,33 @@ SYNTH_CONFIG = TopologyConfig(
     block_density_scale=2.0,
     address_pool="64.0.0.0/2",
 )
-_FOREIGN_SEED = 0xD17
 _TARGET_TOTAL = 2.2e6
 _PROFILES = {"root": root_profile, "nl": nl_profile}
 
 PINNED = {
     "day/columns/root/d0/seed=None/raw": "fd70c949ea589d10",
     "day/columns/root/d0/seed=None/scaled": "0b5ffe8e77382f80",
-    "day/columns/root/d0/seed=3351/raw": "5a9a5e0a7640a9bd",
-    "day/columns/root/d0/seed=3351/scaled": "c0c9ac084982c20a",
     "day/columns/root/d1/seed=None/raw": "85d0fbf8a14ca41f",
     "day/columns/root/d1/seed=None/scaled": "88915371a364657d",
-    "day/columns/root/d1/seed=3351/raw": "2eb265003899adac",
-    "day/columns/root/d1/seed=3351/scaled": "711c758288743fab",
     "day/columns/nl/d0/seed=None/raw": "25148fb8ead05242",
     "day/columns/nl/d0/seed=None/scaled": "4925bc8885648816",
-    "day/columns/nl/d0/seed=3351/raw": "04b5118f54c8cf00",
-    "day/columns/nl/d0/seed=3351/scaled": "797005e1b9e63c94",
     "day/columns/nl/d1/seed=None/raw": "3f7623be94fadb8c",
     "day/columns/nl/d1/seed=None/scaled": "06cfe4838c2b86af",
-    "day/columns/nl/d1/seed=3351/raw": "56e875fad8d2d757",
-    "day/columns/nl/d1/seed=3351/scaled": "e64488c1793e1607",
     "hitlist/columns": "0508ca67a16927f6",
     "geo/columns": "84f4b7a3d4dbcdab",
     "day/tangled/root/d0/seed=None/raw": "28a1a909a0f7737b",
     "day/tangled/root/d0/seed=None/scaled": "e9f305e40ee5cf08",
-    "day/tangled/root/d0/seed=3351/raw": "a0e986f55525e86b",
-    "day/tangled/root/d0/seed=3351/scaled": "0feb79da06703ff1",
     "day/tangled/root/d1/seed=None/raw": "b57526a93230193c",
     "day/tangled/root/d1/seed=None/scaled": "8c82dd28777557df",
-    "day/tangled/root/d1/seed=3351/raw": "9339173e755fc64c",
-    "day/tangled/root/d1/seed=3351/scaled": "a1e779e539b2a9dc",
     "day/tangled/nl/d0/seed=None/raw": "716812227c3eedba",
     "day/tangled/nl/d0/seed=None/scaled": "dd9b865b6c84f644",
-    "day/tangled/nl/d0/seed=3351/raw": "113ffe4aafdbe73d",
-    "day/tangled/nl/d0/seed=3351/scaled": "a65615ad1d54ebd8",
     "day/tangled/nl/d1/seed=None/raw": "1c69db5c911fb3d5",
     "day/tangled/nl/d1/seed=None/scaled": "153018606f937118",
-    "day/tangled/nl/d1/seed=3351/raw": "dc15d485b7d13832",
-    "day/tangled/nl/d1/seed=3351/scaled": "117c382c7d806718",
     "hitlist/tangled": "fc83e51deea05aa1",
     "geo/tangled": "c941ec7f038c5b6d",
     "hitlist/broot": "c044ccb65a501644",
     "atlas/tangled": "299cfa6316ca4e6c",
     "atlas/broot": "9186ace79128405e",
-    "atlas/columns/foreign-seed": "42da9fa40ed233e3",
     "edges/tangled": "4e66357e403a33bb",
     "edges/broot": "59078d607ed380f0",
     "edges/columns": "e3219cac072b3b3e",
@@ -141,10 +124,9 @@ def _digest(*parts) -> str:
     return state.hexdigest()
 
 
-def _day_digest(internet, profile, day_index, seed, target) -> str:
+def _day_digest(internet, profile, day_index, target) -> str:
     day = build_day_load(
-        internet, profile, "pinned", seed=seed, day_index=day_index,
-        target_total_queries=target,
+        internet, profile, "pinned", day_index=day_index, target_total_queries=target
     )
     assert day.blocks.dtype == np.int64 and day.queries.dtype == np.float64
     return _digest(day.blocks, day.queries, day.good_fraction, day.reply_fraction)
@@ -225,20 +207,16 @@ def _observed(columns_internet, tangled_tiny, broot_tiny) -> dict:
     for name, internet in internets.items():
         for profile_name, profile in _PROFILES.items():
             for day_index in (0, 1):
-                for seed in (None, _FOREIGN_SEED):
-                    for label, target in (("raw", None), ("scaled", _TARGET_TOTAL)):
-                        key = f"day/{name}/{profile_name}/d{day_index}/seed={seed}/{label}"
-                        observed[key] = _day_digest(
-                            internet, profile(), day_index, seed, target
-                        )
+                for label, target in (("raw", None), ("scaled", _TARGET_TOTAL)):
+                    # "seed=None": the Internet's own seed, the only one a
+                    # day load draws from.
+                    key = f"day/{name}/{profile_name}/d{day_index}/seed=None/{label}"
+                    observed[key] = _day_digest(internet, profile(), day_index, target)
         observed[f"hitlist/{name}"] = _hitlist_digest(internet)
         observed[f"geo/{name}"] = _geo_digest(internet)
     observed["hitlist/broot"] = _hitlist_digest(broot_tiny.internet)
     observed["atlas/tangled"] = _atlas_digest(tangled_tiny.atlas)
     observed["atlas/broot"] = _atlas_digest(broot_tiny.atlas)
-    observed["atlas/columns/foreign-seed"] = _atlas_digest(
-        AtlasPlatform(columns_internet, 40, seed=_FOREIGN_SEED)
-    )
     observed["edges/tangled"] = _edge_digest(tangled_tiny.internet)
     observed["edges/broot"] = _edge_digest(broot_tiny.internet)
     observed["edges/columns"] = _edge_digest(columns_internet)
@@ -295,19 +273,23 @@ def test_stable_mask_is_the_scalar_draw(columns_internet):
     assert np.array_equal(model.stable_mask(subset, internet.geodb), mask[::3])
 
 
-def test_engine_reads_the_host_models_seed(columns_internet, tangled_tiny):
-    """A host model seeded apart from the Internet drives the engine too."""
-    from repro.topology.hosts import HostModel
+def test_engine_follows_the_host_config_responsiveness(columns_internet, tangled_tiny):
+    """A non-default responsiveness reaches the engine's stable column."""
+    from repro.topology.hosts import HostModelConfig
 
-    internet = build_internet(COLUMNS_CONFIG)
-    internet.host_model = HostModel(_FOREIGN_SEED)
+    config = HostModelConfig(base_responsiveness=0.9, country_responsiveness={"KR": 0.5})
+    internet = build_internet(replace(COLUMNS_CONFIG, host_config=config))
+    assert internet.host_model.config is config
     verfploeter = Verfploeter(internet, tangled_tiny.service)
     expected = [
         internet.host_model.is_stable_responder(block, internet.country_of_block(block))
         for block in internet.blocks
     ]
     assert verfploeter.round_state().stable.tolist() == expected
-    assert expected != columns_internet.stable_mask().tolist()
+    default = columns_internet.stable_mask()
+    assert sum(expected) > int(default.sum())
+    # Same seed, higher thresholds: every default responder still responds.
+    assert all(np.asarray(expected)[default])
 
 
 def test_empty_geo_database_still_builds():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.geo.geodb import GeoDatabase
 from repro.oracle.responder import (
     is_late_replier,
     replies_from_other_address,
@@ -12,12 +13,19 @@ from repro.oracle.responder import (
     reply_latency_ms,
     responds_in_round,
 )
-from repro.topology.hosts import HostModel, HostModelConfig
+from repro.topology.hosts import HostModelConfig
+from repro.topology.internet import Internet
+from repro.topology.relationships import RelationshipGraph
 
 
 @pytest.fixture(scope="module")
 def model():
-    return HostModel(seed=123)
+    """The host model of an Internet at seed 123 (the draws read only its seed)."""
+    internet = Internet(
+        seed=123, ases={}, pops=[], graph=RelationshipGraph(), announced=[],
+        block_table=([], [], []), geodb=GeoDatabase(),
+    )
+    return internet.host_model
 
 
 BLOCKS = range(4000)

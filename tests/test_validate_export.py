@@ -21,7 +21,7 @@ class TestValidateInternet:
         # Hand-build a broken topology: a stub with no providers.
         from repro.geo.geodb import GeoDatabase
         from repro.topology.asys import AutonomousSystem, PoP
-        from repro.topology.hosts import HostModel
+        from repro.topology.hosts import HostModelConfig
         from repro.topology.internet import Internet
         from repro.topology.relationships import RelationshipGraph
 
@@ -30,7 +30,7 @@ class TestValidateInternet:
         broken = Internet(
             seed=1, ases=ases, pops=pops, graph=RelationshipGraph(),
             announced=[], block_table=([], [], []), geodb=GeoDatabase(),
-            host_model=HostModel(1),
+            host_config=HostModelConfig(),
         )
         report = validate_internet(broken)
         assert not report.ok
@@ -42,7 +42,7 @@ class TestValidateInternet:
     def test_detects_foreign_pop(self, tiny_internet):
         from repro.geo.geodb import GeoDatabase
         from repro.topology.asys import AutonomousSystem, PoP
-        from repro.topology.hosts import HostModel
+        from repro.topology.hosts import HostModelConfig
         from repro.topology.internet import Internet
         from repro.topology.relationships import RelationshipGraph
 
@@ -56,7 +56,7 @@ class TestValidateInternet:
         broken = Internet(
             seed=1, ases=ases, pops=pops, graph=graph, announced=[],
             block_table=([100], [2], [0]),  # block of AS2 on AS1's PoP
-            geodb=GeoDatabase(), host_model=HostModel(1),
+            geodb=GeoDatabase(), host_config=HostModelConfig(),
         )
         report = validate_internet(broken)
         assert any("foreign PoP" in error for error in report.errors)

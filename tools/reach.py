@@ -92,6 +92,13 @@ def operator_reach() -> set:
     return ran
 
 
+def kind_of(module: str, defs: list, entered: list) -> int:
+    """The table column a module's functions count in: 2 operator (one of them ran),
+    3 declared (in ``NOT_OPERATOR``, or a module with no functions at all, which is a
+    ``types:`` module by construction), 4 orphan."""
+    return 2 if entered else 3 if module in NOT_OPERATOR or not defs else 4
+
+
 def main(argv: list) -> int:
     """Print the reach table; with ``--check``, gate on ``NOT_OPERATOR`` and
     ``IDLE_CEILING``."""
@@ -105,8 +112,7 @@ def main(argv: list) -> int:
         defs = [n for n in ast.walk(ast.parse(text)) if "FunctionDef" in type(n).__name__]
         entered = [n for n in defs if (str(path), (n.decorator_list + [n])[0].lineno) in ran]
         body, hit = (sum(n.end_lineno - n.lineno + 1 for n in nodes) for nodes in (defs, entered))
-        # The table column a module's functions count in: 2 operator, 3 declared, 4 orphan.
-        kinds[module] = kind = 2 if entered or not defs else 3 if module in NOT_OPERATOR else 4
+        kinds[module] = kind = kind_of(module, defs, entered)
         idle += [f"{module}:{n.name}" for n in defs if kind == 2 and n not in entered]
         row = [text.count("\n"), body, hit, body * (kind == 3), body * (kind == 4)]
         for package in (module.split(".")[0], "TOTAL"):
