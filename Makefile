@@ -70,7 +70,9 @@ examples:
 
 # Reach audit: every CLI subcommand and example under a profile hook;
 # fails on a module no operator path runs that tools/reach.py does not
-# declare (oracle / library / types), and on a declared one that ran.
+# declare (oracle / library / types / ledger), on an un-run function of an
+# operator module missing from its NOT_OPERATOR_FN, and on a declared
+# module or function that ran or is gone.
 reach:
 	PYTHONPATH=src python tools/reach.py --check
 	PYTHONPATH=src python -m pytest tests/test_reach.py -m reach -q

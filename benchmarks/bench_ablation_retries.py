@@ -26,13 +26,7 @@ def test_ablation_retries(benchmark, broot, broot_vp, broot_routing_may):
     combined = dict(second.catchment.items())
     combined.update(dict(first.catchment.items()))
 
-    stable_responders = sum(
-        1
-        for block in broot.internet.blocks
-        if broot.internet.host_model.is_stable_responder(
-            block, broot.internet.country_of_block(block)
-        )
-    )
+    stable_responders = int(broot.internet.stable_mask().sum())
     print()
     print("Ablation: coverage of one probe per /24 vs probe+retry")
     print(f"  probed blocks:               {first.stats.probes_sent}")

@@ -33,7 +33,7 @@ def test_extension_convergence_cost(benchmark, broot):
             outcome = BgpUpdateSimulator(broot.internet, policy, config).run()
         # Cross-check against the analytic fixed point.
         analytic = compute_routes(broot.internet, policy, config=config)
-        for asn in broot.internet.asns():
+        for asn in broot.internet.ases:
             a = selection_of(analytic, asn)
             s = outcome.selection_of(asn)
             assert a.route_class == s.route_class

@@ -143,7 +143,7 @@ def test_extension_playbook(benchmark, tangled):
         "warm_seconds": round(warm_seconds, 6),
         "speedup_warm_vs_cold": round(speedup, 1),
         "warm_pass": moved,
-        "top_config": cold.top.entry.label,
+        "top_config": cold.ranked[0].entry.label,
         "clears_violations": cold.recommendation.clears_violations,
     }
     with open(RESULT_PATH, "w", encoding="utf-8") as handle:
@@ -158,8 +158,8 @@ def test_extension_playbook(benchmark, tangled):
     print(f"  cold search (scratch) {cold_seconds:8.3f} s")
     print(f"  warm search (cached)  {warm_seconds:8.5f} s  ({speedup:.0f}x)")
     print(
-        f"  top config: {cold.top.entry.label} "
-        f"(violations={cold.top.violation_count})"
+        f"  top config: {cold.ranked[0].entry.label} "
+        f"(violations={cold.ranked[0].violation_count})"
     )
     print(f"  (recorded in {os.path.basename(RESULT_PATH)})")
 

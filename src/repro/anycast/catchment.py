@@ -277,11 +277,11 @@ class CatchmentAccumulator:
     block by block — no per-round rebuild of the map, no dict
     materialisation.
 
-    Folding rounds through :meth:`apply_catchment` (or their kept
-    replies through :meth:`apply_blocks`, batch by batch, in stream
-    order) is bit-identical to a batch recompute that merges the same
-    rounds' ``{block: site}`` mappings in round order — asserted by
-    the equivalence tests in ``tests/test_service.py``.
+    Folding rounds' kept replies through :meth:`apply_blocks`, batch by
+    batch, in stream order, is bit-identical to a batch recompute that
+    merges the same rounds' ``{block: site}`` mappings in round order
+    (:func:`repro.service.state.batch_replay`) — asserted by the
+    equivalence tests in ``tests/test_service.py``.
     """
 
     def __init__(self, site_codes: Sequence[str], universe: np.ndarray) -> None:
@@ -294,16 +294,6 @@ class CatchmentAccumulator:
         self._universe = universe
         self._sites = np.full(universe.size, -1, dtype=np.int16)
         self._generation = 0
-
-    @property
-    def site_codes(self) -> List[str]:
-        """Site codes the accumulated indices refer to."""
-        return list(self._site_codes)
-
-    @property
-    def universe(self) -> np.ndarray:
-        """The shared sorted block universe (do not mutate)."""
-        return self._universe
 
     @property
     def generation(self) -> int:
@@ -348,42 +338,6 @@ class CatchmentAccumulator:
         self._sites[positions] = updates
         self._generation += 1
         return changed
-
-    def apply_catchment(self, round_map: CatchmentMap) -> int:
-        """Fold one round's map in: its mapped rows overwrite, the rest keep.
-
-        Requires the round to share this accumulator's universe (the
-        same array object or equal contents), which is how the fast
-        engine materialises every round of a series — the update is
-        then a single masked scatter, no join.
-        """
-        if round_map.site_codes != self._site_codes:
-            raise ConfigurationError(
-                "round map's site codes differ from the accumulator's"
-            )
-        other = round_map.universe
-        if other is not self._universe and not (
-            other.shape == self._universe.shape
-            and np.array_equal(other, self._universe)
-        ):
-            raise ConfigurationError(
-                "round map's universe differs from the accumulator's"
-            )
-        incoming = round_map.site_index_array
-        mapped = incoming >= 0
-        changed = int(np.count_nonzero(self._sites[mapped] != incoming[mapped]))
-        self._sites[mapped] = incoming[mapped]
-        self._generation += 1
-        return changed
-
-    def site_index_of(self, block: int) -> int:
-        """Current site index of ``block`` (-1 = unmapped or unknown)."""
-        if not 0 <= block <= _UINT64_MAX or self._universe.size == 0:
-            return -1
-        pos = int(np.searchsorted(self._universe, np.uint64(block)))
-        if pos >= self._universe.size or int(self._universe[pos]) != block:
-            return -1
-        return int(self._sites[pos])
 
     def snapshot(self) -> CatchmentMap:
         """An immutable copy of the current state (universe stays shared)."""

@@ -81,9 +81,3 @@ class AnycastService:
         return AnycastService(
             f"{self.name}-test", test_prefix, self.sites, test_prefix.network + 1
         )
-
-    def __repr__(self) -> str:
-        return (
-            f"AnycastService({self.name!r}, {self.prefix}, "
-            f"sites={self.site_codes})"
-        )

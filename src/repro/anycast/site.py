@@ -26,6 +26,3 @@ class AnycastSite:
     def location(self) -> Tuple[float, float]:
         """(latitude, longitude) of the site."""
         return (self.latitude, self.longitude)
-
-    def __str__(self) -> str:
-        return f"{self.code} ({self.name}, upstream AS{self.upstream_asn})"

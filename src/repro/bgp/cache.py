@@ -261,11 +261,6 @@ class RoutingCache:
                     found[key] = self._store(key, outcome, resolved_config)
         return [found[key] for key in keys]
 
-    def clear(self) -> None:
-        """Drop all entries (stats are kept)."""
-        with self._lock:
-            self._entries.clear()
-
 
 _default_cache: Optional[RoutingCache] = None
 _default_cache_lock = threading.Lock()

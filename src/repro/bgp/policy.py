@@ -10,7 +10,7 @@ counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -93,13 +93,6 @@ class AnnouncementPolicy:
         """Announcing site codes."""
         return [entry.site_code for entry in self._announcements]
 
-    def prepend_of(self, site_code: str) -> int:
-        """Prepend count for ``site_code`` (raises if not announcing)."""
-        for entry in self._announcements:
-            if entry.site_code == site_code:
-                return entry.prepend
-        raise ConfigurationError(f"site {site_code!r} is not announcing")
-
     def with_prepend(self, site_code: str, prepend: int) -> "AnnouncementPolicy":
         """Return a copy with ``site_code``'s prepend replaced."""
         if site_code not in self.site_codes:
@@ -125,21 +118,3 @@ class AnnouncementPolicy:
             else entry
             for entry in self._announcements
         )
-
-    def describe(self) -> str:
-        """Short human-readable description, e.g. ``"equal"`` or ``"MIA+2"``.
-
-        Mirrors the labels in the paper's Figure 5/6 x-axis.
-        """
-        prepended = [
-            (entry.site_code, entry.prepend)
-            for entry in self._announcements
-            if entry.prepend
-        ]
-        if not prepended:
-            return "equal"
-        return ",".join(f"{code}+{count}" for code, count in prepended)
-
-    def as_dict(self) -> Dict[str, int]:
-        """Mapping of site code to prepend count."""
-        return {entry.site_code: entry.prepend for entry in self._announcements}

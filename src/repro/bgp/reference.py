@@ -47,7 +47,8 @@ from repro.bgp.sweep import (
     as_columns,
     site_hash,
 )
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
+from repro.geo.geodb import row_of
 from repro.rng import mix64, uniform_unit
 from repro.topology.asys import AutonomousSystem, PoP
 from repro.topology.internet import Internet
@@ -667,15 +668,29 @@ def site_of_pop(outcome: RoutingOutcome, pop: PoP) -> Optional[str]:
     return None if index < 0 else outcome.table.site_codes[index]
 
 
+def has_block(internet: Internet, block: int) -> bool:
+    """True if ``block`` is populated in ``internet``."""
+    return row_of(internet.block_table()[0], block) >= 0
+
+
+def pop_of_block(internet: Internet, block: int) -> PoP:
+    """The PoP serving the populated ``block``."""
+    blocks, _, pop_ids = internet.block_table()
+    row = row_of(blocks, block)
+    if row < 0:
+        raise TopologyError(f"block {block} is not populated")
+    return internet.pops[int(pop_ids[row])]
+
+
 def site_of_block(
     outcome: RoutingOutcome, block: int, round_id: Optional[int] = None
 ) -> Optional[str]:
     """Site that traffic from ``block`` reaches; with ``round_id`` given,
     after that round's flip decision (paper §6.3)."""
     internet = outcome.internet
-    if not internet.has_block(block):
+    if not has_block(internet, block):
         return None
-    pop = internet.pop_of_block(block)
+    pop = pop_of_block(internet, block)
     base_site = site_of_pop(outcome, pop)
     if base_site is None or round_id is None:
         return base_site

@@ -20,7 +20,7 @@ trial-and-error prepending experiments (§6.1).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, Tuple
 
@@ -86,8 +86,9 @@ class UpdateOutcome:
         """
         counts: Dict[str, int] = {}
         total = 0
+        weights = Counter(internet.block_table()[1].tolist())
         for asn, selection in self.selections.items():
-            weight = len(internet.blocks_of_asn(asn))
+            weight = weights[asn]
             if weight:
                 counts[selection.site_code] = (
                     counts.get(selection.site_code, 0) + weight

@@ -82,9 +82,6 @@ class BlockValueMap(MappingABC):
     def __iter__(self) -> Iterator[int]:
         return (int(block) for block in self._blocks)
 
-    def __contains__(self, block: object) -> bool:
-        return self._row_of(block) is not None
-
     def __getitem__(self, block: int) -> float:
         row = self._row_of(block)
         if row is None:

@@ -140,30 +140,13 @@ class SiteFailureResult:
     peak_baseline: Dict[str, float]
     peak_after: Dict[str, float]
 
-    def overloaded_sites(self, capacities: Mapping[str, float]) -> List[str]:
-        """Survivors pushed past capacity by this withdrawal.
-
-        Uses the repo's single pinned capacity definition
-        (:func:`repro.load.weighting.capacity_violations`): **peak
-        hourly** load compared strictly against capacity, with the
-        withdrawn site excluded — identical semantics to the playbook
-        planner (:mod:`repro.core.playbook`), so a withdrawal that this
-        study calls safe is exactly one the planner would rank
-        violation-free.
-        """
-        from repro.load.weighting import capacity_violations
-
-        return capacity_violations(
-            self.peak_after, dict(capacities), exclude=(self.withdrawn_site,)
-        )
-
     def overload_factor(self, site_code: str) -> float:
         """Load multiple at ``site_code`` after the withdrawal.
 
         A **daily**-load ratio: useful for "how many times its normal
         traffic does the survivor now carry", not a capacity check —
-        capacity questions go through :meth:`overloaded_sites`, which
-        compares peak hourly loads.
+        capacity questions compare :attr:`peak_after`'s peak hourly loads
+        (:func:`repro.load.weighting.capacity_violations`).
         """
         before = self.baseline.get(site_code, 0.0)
         if before <= 0:

@@ -207,11 +207,6 @@ class Playbook:
     attack: Optional[AttackProfile]
     attacker_count: int
 
-    @property
-    def top(self) -> ConfigOutcome:
-        """The best-ranked config."""
-        return self.ranked[0]
-
     def to_artifact(self, meta: Optional[dict] = None) -> dict:
         """The playbook as a plain deterministic dict (artifact schema).
 

@@ -188,11 +188,6 @@ class ShardPool:
         self._executor: Optional[ProcessPoolExecutor] = None
         self._closed = False
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`shutdown` has been called."""
-        return self._closed
-
     def __enter__(self) -> "ShardPool":
         return self
 

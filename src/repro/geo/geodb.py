@@ -10,7 +10,7 @@ blocks for this reason).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -74,31 +74,6 @@ class GeoDatabase:
             column.setflags(write=False)
         self._columns = columns
 
-    def __len__(self) -> int:
-        return int(self._columns.blocks.size)
-
-    def __contains__(self, block: int) -> bool:
-        return row_of(self._columns.blocks, block) >= 0
-
-    def add(self, block: int, record: GeoRecord) -> None:
-        """Register the location of ``block`` (replacing any previous one)."""
-        self.add_many([(block, record)])
-
-    def add_many(self, entries: Iterable[Tuple[int, GeoRecord]]) -> None:
-        """Bulk insert ``(block, record)`` pairs; rebuilds the columns."""
-        records = dict(self.items())
-        records.update(entries)
-        blocks = sorted(records)
-        rows = [records[block] for block in blocks]
-        countries = tuple(sorted({record.country_code for record in rows}))
-        self._columns = GeoColumns(
-            np.array(blocks, dtype=np.int64),
-            np.array([record.latitude for record in rows], dtype=np.float64),
-            np.array([record.longitude for record in rows], dtype=np.float64),
-            np.array([countries.index(record.country_code) for record in rows], dtype=np.int32),
-            countries,
-        )
-
     def _record(self, row: int) -> GeoRecord:
         columns = self._columns
         return GeoRecord(
@@ -111,16 +86,6 @@ class GeoDatabase:
         """Return the record for ``block`` or None when unlocatable."""
         row = row_of(self._columns.blocks, block)
         return self._record(row) if row >= 0 else None
-
-    def country_of(self, block: int) -> Optional[str]:
-        """Country code for ``block`` or None when unlocatable."""
-        record = self.locate(block)
-        return record.country_code if record is not None else None
-
-    def items(self) -> Iterator[Tuple[int, GeoRecord]]:
-        """Yield all ``(block, record)`` pairs, ascending by block."""
-        blocks = self._columns.blocks.tolist()
-        return ((block, self._record(row)) for row, block in enumerate(blocks))
 
     def require(self, block: int) -> GeoRecord:
         """Return the record for ``block`` or raise :class:`DatasetError`."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -50,25 +50,12 @@ class LoadEstimate:
         """Total daily load across all blocks."""
         return float(self._daily.sum())
 
-    def hourly_of_block(self, block: int) -> np.ndarray:
-        """Hourly load vector of ``block`` (zeros when absent)."""
-        row = self._row_of(block)
-        if row is None:
-            return np.zeros(self.source.queries.shape[1])
-        scale = 1.0
-        if self.kind == LoadKind.GOOD_REPLIES:
-            scale = float(self.source.good_fraction[row])
-        elif self.kind == LoadKind.ALL_REPLIES:
-            scale = float(self.source.reply_fraction[row])
-        return self.source.queries[row] * scale
-
     def hourly_matrix(self) -> np.ndarray:
         """Hourly load of every block at once, rows aligned with :attr:`blocks`.
 
-        Row ``r`` equals ``hourly_of_block(blocks[r])`` bit-for-bit: the
-        per-kind scale is applied as the same elementwise float64
-        multiply the scalar path performs.  The matrix is computed once
-        and cached — one estimate typically weights many scan rounds.
+        Row ``r`` is block ``blocks[r]``'s queries times its per-kind
+        reply fraction.  The matrix is computed once and cached — one
+        estimate typically weights many scan rounds.
         """
         if self._hourly_matrix is None:
             queries = self.source.queries
@@ -105,10 +92,3 @@ class LoadEstimate:
         """
         order = np.lexsort((self.blocks, -self._daily))[:count]
         return [(int(self.blocks[i]), float(self._daily[i])) for i in order]
-
-    def as_dict(self) -> Dict[int, float]:
-        """Snapshot mapping block -> daily load."""
-        return {
-            int(block): float(value)
-            for block, value in zip(self.blocks, self._daily)
-        }

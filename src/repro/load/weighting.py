@@ -81,10 +81,6 @@ class SiteLoad:
             return 0.0
         return float(vector.max())
 
-    def peaks(self) -> Dict[str, float]:
-        """Peak hourly load per site (``UNK`` excluded)."""
-        return {code: self.peak_of(code) for code in self.site_codes}
-
     def tables(
         self, site_codes: Sequence[str]
     ) -> Tuple[Dict[str, float], Dict[str, float]]:

@@ -39,11 +39,6 @@ class LoadWindow:
         self._rounds: Deque[SiteLoad] = deque(maxlen=window_rounds)
         self._aggregate: Optional[SiteLoad] = None
 
-    @property
-    def window_rounds(self) -> int:
-        """Maximum rounds the window covers."""
-        return self._window_rounds
-
     def __len__(self) -> int:
         return len(self._rounds)
 

@@ -9,7 +9,7 @@ aggregation sweeps.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 from repro.errors import AddressError
 from repro.netaddr.address import format_ipv4, parse_ipv4
@@ -90,21 +90,6 @@ class Prefix:
     def contains_address(self, address: int) -> bool:
         """Return True if ``address`` falls inside this prefix."""
         return (int(address) & self.netmask) == self._network
-
-    def contains_prefix(self, other: "Prefix") -> bool:
-        """Return True if ``other`` is equal to or a subnet of this prefix."""
-        return other._length >= self._length and self.contains_address(other._network)
-
-    def overlaps(self, other: "Prefix") -> bool:
-        """Return True if the two prefixes share any address."""
-        return self.contains_prefix(other) or other.contains_prefix(self)
-
-    def blocks(self) -> Iterator[int]:
-        """Yield the /24 block ids covered by this prefix (empty if longer than /24)."""
-        if self._length > 24:
-            return
-        start = self._network >> 8
-        yield from range(start, start + self.block_count)
 
     def __str__(self) -> str:
         return f"{format_ipv4(self._network)}/{self._length}"

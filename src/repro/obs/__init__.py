@@ -35,7 +35,6 @@ from repro.obs.meta import metadata_fingerprint, run_metadata
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullMetrics,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "NullMetrics",
     "Counter",
     "Gauge",
-    "Histogram",
     "run_metadata",
     "metadata_fingerprint",
 ]
@@ -79,11 +77,6 @@ class Observer:
     def collecting(cls) -> "Observer":
         """A live observer: fresh tick-clock tracer and registry."""
         return cls()
-
-    @classmethod
-    def null(cls) -> "Observer":
-        """The shared no-op observer (the default everywhere)."""
-        return NULL_OBSERVER
 
 
 #: Shared disabled observer: null tracer, null metrics.

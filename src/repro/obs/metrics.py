@@ -1,4 +1,4 @@
-"""Counters, gauges, and histograms for the scan pipeline.
+"""Counters and gauges for the scan pipeline.
 
 A :class:`MetricsRegistry` is a flat, thread-safe namespace of metrics
 keyed by name plus optional labels (``counter("cleaning.dropped",
@@ -23,17 +23,9 @@ from repro.errors import ConfigurationError
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
-    "DEFAULT_BUCKETS",
 ]
-
-#: Default histogram bucket upper bounds (seconds-ish scale; callers
-#: measuring counts pass their own).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0,
-)
 
 
 def _full_name(name: str, labels: Dict[str, object]) -> str:
@@ -92,51 +84,8 @@ class Gauge:
         return self.value
 
 
-class Histogram:
-    """Cumulative-bucket histogram with a running sum and count."""
-
-    __slots__ = ("name", "buckets", "counts", "total", "count", "_lock")
-
-    kind = "histogram"
-
-    def __init__(self, name: str, buckets: Optional[Tuple[float, ...]] = None) -> None:
-        resolved = tuple(buckets) if buckets is not None else DEFAULT_BUCKETS
-        if not resolved or list(resolved) != sorted(resolved):
-            raise ConfigurationError(
-                "histogram buckets must be a non-empty ascending sequence"
-            )
-        self.name = name
-        self.buckets = resolved
-        self.counts = [0] * (len(resolved) + 1)  # trailing +inf bucket
-        self.total = 0.0
-        self.count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        """Record one observation (locked: sum/count/bucket move together)."""
-        with self._lock:
-            self.total += value
-            self.count += 1
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.counts[index] += 1
-                    return
-            self.counts[-1] += 1
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-ready summary: count, sum, and per-bucket tallies."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "buckets": {
-                **{str(bound): self.counts[i] for i, bound in enumerate(self.buckets)},
-                "+inf": self.counts[-1],
-            },
-        }
-
-
 class MetricsRegistry:
-    """Thread-safe, deterministic namespace of counters/gauges/histograms."""
+    """Thread-safe, deterministic namespace of counters and gauges."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
@@ -145,12 +94,12 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def _get_or_create(self, factory, name: str, labels: Dict[str, object], *args):
+    def _get_or_create(self, factory, name: str, labels: Dict[str, object]):
         key = _full_name(name, labels)
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = factory(key, *args)
+                metric = factory(key)
                 self._metrics[key] = metric
             elif not isinstance(metric, factory):
                 raise ConfigurationError(
@@ -166,15 +115,6 @@ class MetricsRegistry:
         """The gauge for ``name`` + ``labels`` (created on first use)."""
         return self._get_or_create(Gauge, name, labels)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Tuple[float, ...]] = None,
-        **labels: object,
-    ) -> Histogram:
-        """The histogram for ``name`` + ``labels`` (created on first use)."""
-        return self._get_or_create(Histogram, name, labels, buckets)
-
     def value_of(self, name: str, **labels: object) -> object:
         """Snapshot of one metric's value (0 for a never-touched name)."""
         metric = self._metrics.get(_full_name(name, labels))
@@ -186,22 +126,17 @@ class MetricsRegistry:
         """JSON-ready document grouped by metric kind, sorted by name."""
         counters: Dict[str, object] = {}
         gauges: Dict[str, object] = {}
-        histograms: Dict[str, object] = {}
         with self._lock:
             for key in sorted(self._metrics):
                 metric = self._metrics[key]
-                bucket = {
-                    "counter": counters,
-                    "gauge": gauges,
-                    "histogram": histograms,
-                }[metric.kind]
+                bucket = counters if metric.kind == "counter" else gauges
                 bucket[key] = metric.snapshot()
         document: Dict[str, object] = {"version": 1}
         if meta is not None:
             document["meta"] = meta
         document["counters"] = counters
         document["gauges"] = gauges
-        document["histograms"] = histograms
+        document["histograms"] = {}
         return document
 
     def to_json(self, meta: Optional[Dict[str, object]] = None) -> str:
@@ -212,13 +147,9 @@ class MetricsRegistry:
         """Aligned two-column table of every metric, sorted by name."""
         document = self.to_dict()
         rows: List[Tuple[str, str]] = []
-        for kind in ("counters", "gauges", "histograms"):
+        for kind in ("counters", "gauges"):
             for key, value in document[kind].items():  # already sorted
-                if kind == "histograms":
-                    rendered = (
-                        f"count={value['count']} sum={value['sum']:.4g}"
-                    )
-                elif isinstance(value, float):
+                if isinstance(value, float):
                     rendered = f"{value:.4f}".rstrip("0").rstrip(".")
                 else:
                     rendered = str(value)
@@ -244,20 +175,13 @@ class _NullMetric:
     def set(self, value: float) -> None:
         """Discard the value."""
 
-    def observe(self, value: float) -> None:
-        """Discard the observation."""
-
 
 _NULL_METRIC = _NullMetric()
 
 
-class NullMetrics:
-    """Registry twin that records nothing (one method call per use)."""
-
-    __slots__ = ()
-
-    def __len__(self) -> int:
-        return 0
+class NullMetrics(MetricsRegistry):
+    """Registry twin that records nothing (one method call per use); it reads
+    and renders as the empty registry it stays."""
 
     def counter(self, name: str, **labels: object) -> _NullMetric:
         """The shared no-op metric."""
@@ -266,34 +190,3 @@ class NullMetrics:
     def gauge(self, name: str, **labels: object) -> _NullMetric:
         """The shared no-op metric."""
         return _NULL_METRIC
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Tuple[float, ...]] = None,
-        **labels: object,
-    ) -> _NullMetric:
-        """The shared no-op metric."""
-        return _NULL_METRIC
-
-    def value_of(self, name: str, **labels: object) -> object:
-        """Always 0."""
-        return 0
-
-    def to_dict(self, meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-        """An empty metrics document."""
-        document: Dict[str, object] = {"version": 1}
-        if meta is not None:
-            document["meta"] = meta
-        document["counters"] = {}
-        document["gauges"] = {}
-        document["histograms"] = {}
-        return document
-
-    def to_json(self, meta: Optional[Dict[str, object]] = None) -> str:
-        """Stable JSON rendering of the empty document."""
-        return json.dumps(self.to_dict(meta=meta), indent=2)
-
-    def render_text(self, title: str = "metrics") -> str:
-        """Always the empty-table rendering."""
-        return f"{title}: (empty)"

@@ -91,13 +91,6 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
-    def find(self, name: str) -> Optional["Span"]:
-        """First span named ``name`` in this subtree, or None."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready representation (stable key order, nested children)."""
         return {
@@ -177,30 +170,17 @@ class Tracer:
         if stack and stack[-1] is span:
             stack.pop()
 
-    def current(self) -> Optional[Span]:
-        """The innermost open span on this thread, or None."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
-    def find(self, name: str) -> Optional[Span]:
-        """First recorded span named ``name`` (depth-first), or None."""
+    def walk(self) -> Iterator[Span]:
+        """Every recorded span, depth-first in record order."""
         for root in self.roots:
-            found = root.find(name)
-            if found is not None:
-                return found
-        return None
-
-    def span_names(self) -> List[str]:
-        """Every recorded span name, depth-first in record order."""
-        return [span.name for root in self.roots for span in root.walk()]
+            yield from root.walk()
 
     def wall_by_name(self) -> Dict[str, Tuple[int, float, float]]:
         """Per span name: calls, total and self wall seconds."""
         table: Dict[str, Tuple[int, float, float]] = {}
-        for root in self.roots:
-            for span in root.walk():
-                calls, total, own = table.get(span.name, (0, 0.0, 0.0))
-                table[span.name] = (calls + 1, total + span.wall, own + span.self_wall)
+        for span in self.walk():
+            calls, total, own = table.get(span.name, (0, 0.0, 0.0))
+            table[span.name] = (calls + 1, total + span.wall, own + span.self_wall)
         return table
 
     def render_wall(self) -> str:
@@ -256,37 +236,10 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class NullTracer:
-    """Tracer that records nothing; ``span()`` costs one method call."""
-
-    __slots__ = ()
-
-    roots: tuple = ()
+class NullTracer(Tracer):
+    """Tracer that records nothing; ``span()`` costs one method call, and the
+    trace reads and renders as the empty one it stays."""
 
     def span(self, name: str, **attributes: object) -> _NullSpan:
         """The shared no-op span."""
         return NULL_SPAN
-
-    def current(self) -> None:
-        """Always None (nothing is ever open)."""
-        return None
-
-    def find(self, name: str) -> None:
-        """Always None (nothing is ever recorded)."""
-        return None
-
-    def span_names(self) -> List[str]:
-        """Always empty."""
-        return []
-
-    def to_dict(self, meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-        """An empty trace document."""
-        document: Dict[str, object] = {"version": 1}
-        if meta is not None:
-            document["meta"] = meta
-        document["spans"] = []
-        return document
-
-    def to_json(self, meta: Optional[Dict[str, object]] = None) -> str:
-        """Stable JSON rendering of the empty document."""
-        return json.dumps(self.to_dict(meta=meta), indent=2)

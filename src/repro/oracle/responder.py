@@ -15,11 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.bgp.reference import has_block
 from repro.oracle.packets import EchoMessage
 from repro.rng import uniform_unit
 from repro.topology import hosts as _hosts
 from repro.topology.hosts import HostModel
 from repro.topology.internet import Internet
+
+
+def country_of_block(internet: Internet, block: int) -> Optional[str]:
+    """Country code of ``block`` from the geolocation DB (or None)."""
+    record = internet.geodb.locate(block)
+    return record.country_code if record is not None else None
 
 
 def responds_in_round(
@@ -113,10 +120,10 @@ class HostResponder:
         if not message.is_request:
             return []
         block = destination >> 8
-        if not self._internet.has_block(block):
+        if not has_block(self._internet, block):
             return []
         hosts = self._hosts
-        country = self._internet.country_of_block(block)
+        country = country_of_block(self._internet, block)
         if not responds_in_round(hosts, block, round_id, country):
             return []
         source = destination

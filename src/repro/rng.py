@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
 
@@ -33,22 +32,6 @@ def derive_seed(parent_seed: int, label: str) -> int:
 def derive_rng(parent_seed: int, label: str) -> random.Random:
     """Return a fresh ``random.Random`` seeded from ``(parent_seed, label)``."""
     return random.Random(derive_seed(parent_seed, label))
-
-
-def splitmix64(state: int) -> Iterator[int]:
-    """Yield an endless stream of 64-bit values from the splitmix64 PRNG.
-
-    Used where we need a tiny, allocation-free generator inside hot loops
-    (e.g. per-block responsiveness draws) without the overhead of
-    ``random.Random``.
-    """
-    state &= _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
 
 
 def mix64(value: int) -> int:

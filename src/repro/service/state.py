@@ -108,7 +108,7 @@ class MeasurementState:
         self._site_codes = list(site_codes)
         self._estimate = estimate
         self._cleaning = cleaning if cleaning is not None else CleaningConfig()
-        self._observer = observer if observer is not None else NULL_OBSERVER
+        self.observer = observer if observer is not None else NULL_OBSERVER
         self._accumulator = CatchmentAccumulator(self._site_codes, universe)
         self._window = LoadWindow(self._site_codes, window_rounds)
         self._ring: Deque[RoundRecord] = deque(maxlen=ring_size)
@@ -129,11 +129,6 @@ class MeasurementState:
             quarantined_batches=0,
             generation=0,
         )
-
-    @property
-    def observer(self) -> Observer:
-        """The observer the service's spans and metrics flow through."""
-        return self._observer
 
     @property
     def view(self) -> StateView:
@@ -168,7 +163,7 @@ class MeasurementState:
             round_id,
             round_start,
             config=self._cleaning,
-            observer=self._observer,
+            observer=self.observer,
         )
         self._round_id = round_id
         self._round_start = round_start
@@ -196,7 +191,7 @@ class MeasurementState:
         except Exception:  # reprolint: disable=E302 — quarantine boundary: one poisoned batch must not kill the ingest loop; it is counted and skipped
             self._round_quarantined += 1
             self._quarantined += 1
-            self._observer.metrics.counter("service.quarantined_batches").inc()
+            self.observer.metrics.counter("service.quarantined_batches").inc()
             return None
         cleaner.commit(batch, rows)
         return batch
@@ -213,11 +208,11 @@ class MeasurementState:
         if cleaner is None:
             raise ServiceError("no round is open; call begin_round first")
         totals = cleaner.totals
-        with self._observer.tracer.span(
+        with self.observer.tracer.span(
             "service.round_end", round_id=self._round_id
         ) as span:
             snapshot = self._accumulator.snapshot()
-            load = weight_catchment(snapshot, self._estimate, observer=self._observer)
+            load = weight_catchment(snapshot, self._estimate, observer=self.observer)
             self._window.push(load)
             aggregate = self._window.aggregate()
             record = RoundRecord(
@@ -236,7 +231,7 @@ class MeasurementState:
             self._ring.append(record)
             self._rounds_completed += 1
             span.set(kept=record.kept, changed=record.changed_blocks)
-        metrics = self._observer.metrics
+        metrics = self.observer.metrics
         metrics.gauge("service.rounds_completed").set(self._rounds_completed)
         metrics.gauge("service.mapped_blocks").set(len(self._accumulator))
         metrics.counter("service.changed_blocks").inc(self._round_changed)
@@ -263,10 +258,12 @@ def batch_replay(
     """Batch reference for the accumulator: merge whole rounds in order.
 
     Rebuilds the "current catchment" the slow, obviously-correct way —
-    fold each round's mapped blocks over the previous state — for the
-    equivalence tests that pin the incremental path against it.
+    each round's blocks overwrite their site in the state, one by one —
+    for the equivalence tests that pin the incremental path against it.
     """
-    accumulator = CatchmentAccumulator(state_site_codes, universe)
+    codes = list(state_site_codes)
+    sites = np.full(len(universe), -1, dtype=np.int16)
     for round_map in rounds:
-        accumulator.apply_catchment(round_map)
-    return accumulator.snapshot()
+        for block, site in round_map.items():
+            sites[int(np.searchsorted(universe, block))] = codes.index(site)
+    return CatchmentMap(codes, universe, sites)

@@ -21,11 +21,6 @@ class PrefixAllocator:
         self._end = pool.network + pool.size
 
     @property
-    def pool(self) -> Prefix:
-        """The prefix this allocator carves from."""
-        return self._pool
-
-    @property
     def remaining(self) -> int:
         """Addresses still available (upper bound; ignores alignment waste)."""
         return max(0, self._end - self._cursor)

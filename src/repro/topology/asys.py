@@ -34,11 +34,6 @@ class PoP:
     latitude: float
     longitude: float
 
-    @property
-    def location(self) -> Tuple[float, float]:
-        """(latitude, longitude) of this PoP."""
-        return (self.latitude, self.longitude)
-
 
 @dataclass
 class AutonomousSystem:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.geo.geodb import GeoDatabase, join_sorted, row_of
+from repro.geo.geodb import GeoDatabase, join_sorted
 from repro.topology.asys import AutonomousSystem, PoP
 from repro.topology.hosts import HostModel, HostModelConfig
 from repro.topology.prefixes import AnnouncedPrefix
@@ -20,8 +20,8 @@ class Internet:
     Holds the AS graph, PoPs, announced prefixes, the populated /24
     blocks as read-only ``(blocks, asns, pop_ids)`` columns (blocks
     ascending), the geolocation database, and the ``host_config`` its
-    :attr:`host_model` draws with, over the Internet's own seed.  Scalar
-    lookups are one ``searchsorted`` over those columns.
+    :attr:`host_model` draws with, over the Internet's own seed.  Lookups
+    join against those columns (:meth:`join`).
     """
 
     def __init__(
@@ -52,7 +52,6 @@ class Internet:
         # one that can cover it.
         table = sorted((e.prefix.network, e.prefix.broadcast, i) for i, e in enumerate(announced))
         self._prefix_table = np.array([(-1, -1, -1), *table], dtype=np.int64).T.copy()
-        self._asn_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._stable_mask: Optional[np.ndarray] = None
 
     # -- blocks ---------------------------------------------------------
@@ -67,34 +66,6 @@ class Internet:
     def __len__(self) -> int:
         return int(self._block_table[0].size)
 
-    def _row(self, block: int) -> int:
-        row = row_of(self._block_table[0], block)
-        if row < 0:
-            raise TopologyError(f"block {block} is not populated")
-        return row
-
-    def has_block(self, block: int) -> bool:
-        """True if ``block`` is populated in this topology."""
-        return row_of(self._block_table[0], block) >= 0
-
-    def asn_of_block(self, block: int) -> int:
-        """Origin AS of ``block``."""
-        return int(self._block_table[1][self._row(block)])
-
-    def pop_of_block(self, block: int) -> PoP:
-        """The PoP serving ``block``."""
-        return self.pops[int(self._block_table[2][self._row(block)])]
-
-    def blocks_of_asn(self, asn: int) -> Sequence[int]:
-        """All populated blocks originated by ``asn``, ascending."""
-        if self._asn_index is None:
-            blocks, asns, _ = self._block_table
-            order = np.argsort(asns, kind="stable")
-            self._asn_index = (asns[order], blocks[order])
-        asns, blocks = self._asn_index
-        low, high = np.searchsorted(asns, asn), np.searchsorted(asns, asn, side="right")
-        return memoryview(blocks[low:high])
-
     def block_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The read-only ``(blocks, asns, pop_ids)`` columns.
 
@@ -105,10 +76,10 @@ class Internet:
         return self._block_table
 
     def asns_of_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Origin AS of each of ``blocks`` (vectorised ``asn_of_block``).
+        """Origin AS of each of ``blocks``.
 
         Raises :class:`~repro.errors.TopologyError` if any block is not
-        populated, mirroring the scalar lookup.
+        populated.
         """
         rows, populated = self.join(blocks)
         if not np.all(populated):
@@ -139,10 +110,6 @@ class Internet:
             self._stable_mask = mask
         return self._stable_mask
 
-    def country_of_block(self, block: int) -> Optional[str]:
-        """Country code of ``block`` from the geolocation DB (or None)."""
-        return self.geodb.country_of(block)
-
     # -- prefixes -------------------------------------------------------
 
     def announced_index_of(self, blocks: np.ndarray) -> np.ndarray:
@@ -153,23 +120,7 @@ class Internet:
         row = np.searchsorted(starts, addresses, side="right") - 1
         return np.where(addresses <= ends[row], index[row], -1)
 
-    def announced_prefix_of(self, block: int) -> Optional[AnnouncedPrefix]:
-        """The BGP-announced prefix covering ``block``, or None."""
-        index = int(self.announced_index_of(np.array([block]))[0])
-        return self.announced[index] if index >= 0 else None
-
     # -- ASes -----------------------------------------------------------
-
-    def autonomous_system(self, asn: int) -> AutonomousSystem:
-        """Look up an AS by number."""
-        try:
-            return self.ases[asn]
-        except KeyError:
-            raise TopologyError(f"AS{asn} does not exist") from None
-
-    def asns(self) -> Iterator[int]:
-        """All AS numbers."""
-        return iter(self.ases)
 
     def find_asn_by_name(self, name: str) -> int:
         """Return the ASN whose name is ``name`` (exact match)."""
@@ -177,10 +128,6 @@ class Internet:
             if asys.name == name:
                 return asn
         raise TopologyError(f"no AS named {name!r}")
-
-    def pops_of_asn(self, asn: int) -> List[PoP]:
-        """PoP objects of ``asn``."""
-        return [self.pops[pop_id] for pop_id in self.autonomous_system(asn).pop_ids]
 
     def summary(self) -> Dict[str, int]:
         """Headline sizes: AS / PoP / prefix / block counts."""

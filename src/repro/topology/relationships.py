@@ -88,13 +88,3 @@ class RelationshipGraph:
                 if key not in seen:
                     seen.add(key)
                     yield (key[0], key[1], "pp")
-
-    def relationship(self, of_asn: int, neighbor: int) -> str:
-        """What ``neighbor`` is to ``of_asn`` (customer/peer/provider)."""
-        if neighbor in self._customers.get(of_asn, []):
-            return Relationship.CUSTOMER
-        if neighbor in self._peers.get(of_asn, []):
-            return Relationship.PEER
-        if neighbor in self._providers.get(of_asn, []):
-            return Relationship.PROVIDER
-        raise TopologyError(f"AS{neighbor} is not a neighbour of AS{of_asn}")

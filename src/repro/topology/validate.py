@@ -15,9 +15,28 @@ from typing import Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import TopologyError
+from repro.netaddr.prefix import Prefix
 from repro.topology.asys import ASTier
 from repro.topology.internet import Internet
-from repro.topology.relationships import Relationship
+from repro.topology.relationships import Relationship, RelationshipGraph
+
+
+def overlaps(first: Prefix, second: Prefix) -> bool:
+    """True if the two prefixes share any address."""
+    return first.network <= second.broadcast and second.network <= first.broadcast
+
+
+def relationship(graph: RelationshipGraph, of_asn: int, neighbor: int) -> str:
+    """What ``neighbor`` is to ``of_asn`` (customer/peer/provider)."""
+    for kind, neighbours in (
+        (Relationship.CUSTOMER, graph.customers_of(of_asn)),
+        (Relationship.PEER, graph.peers_of(of_asn)),
+        (Relationship.PROVIDER, graph.providers_of(of_asn)),
+    ):
+        if neighbor in neighbours:
+            return kind
+    raise TopologyError(f"AS{neighbor} is not a neighbour of AS{of_asn}")
 
 
 @dataclass
@@ -34,8 +53,6 @@ class ValidationReport:
 
     def raise_if_invalid(self) -> None:
         """Raise :class:`~repro.errors.TopologyError` on any error."""
-        from repro.errors import TopologyError
-
         if self.errors:
             raise TopologyError(
                 f"invalid topology: {len(self.errors)} errors, first: "
@@ -88,7 +105,7 @@ def validate_internet(internet: Internet) -> ValidationReport:
     # -- prefix invariants ----------------------------------------------------
     announced = sorted(internet.announced, key=lambda e: e.prefix)
     for earlier, later in zip(announced, announced[1:]):
-        if earlier.prefix.overlaps(later.prefix):
+        if overlaps(earlier.prefix, later.prefix):
             report.errors.append(
                 f"overlapping announcements {earlier.prefix} / {later.prefix}"
             )
@@ -151,7 +168,7 @@ def _valley_free_error(internet: Internet, as_path: Tuple[int, ...]) -> Optional
             continue  # service hop or origin prepending
         if not graph.has_link(importer, exporter):
             return f"hop AS{importer}<-AS{exporter} has no adjacency"
-        relation = graph.relationship(importer, exporter)
+        relation = relationship(graph, importer, exporter)
         if relation == Relationship.PROVIDER:
             if stage != 0:
                 return (

@@ -77,9 +77,6 @@ class DayLoad:
     def __len__(self) -> int:
         return self.blocks.size
 
-    def __contains__(self, block: int) -> bool:
-        return block in self._index
-
     def row_of(self, block: int) -> Optional[int]:
         """Row index of ``block`` or None."""
         return self._index.get(block)

@@ -66,8 +66,9 @@ def site_load(
     daily = {code: 0.0 for code in buckets}
     hourly = {code: np.zeros(HOURS) for code in buckets}
     daily_values = estimate.source.daily_of_kind(estimate.kind)
+    hourly_rows = estimate.hourly_matrix()
     for row, block in enumerate(estimate.blocks):
         bucket = mapping.get(int(block), UNKNOWN)
         daily[bucket] += float(daily_values[row])
-        hourly[bucket] += estimate.hourly_of_block(int(block))
+        hourly[bucket] += hourly_rows[row]
     return SiteLoad(list(site_codes), daily, hourly)

@@ -26,7 +26,7 @@ class TestCatchmentGrid:
         total = sum(grid.site_totals().values())
         geolocated = sum(
             1 for block in broot_scan.catchment.blocks()
-            if block in broot_tiny.internet.geodb
+            if broot_tiny.internet.geodb.locate(block) is not None
         )
         assert total == geolocated
 
@@ -56,7 +56,7 @@ class TestLoadGrid:
         geolocated_total = sum(
             estimate.of_block(int(block))
             for block in estimate.blocks
-            if int(block) in broot_tiny.internet.geodb
+            if broot_tiny.internet.geodb.locate(int(block)) is not None
         )
         assert sum(grid.site_totals().values()) == pytest.approx(geolocated_total)
 

@@ -59,11 +59,13 @@ class TestService:
 
     def test_default_policy(self):
         policy = make_service().default_policy()
-        assert policy.as_dict() == {"LAX": 0, "MIA": 0}
+        assert [(entry.site_code, entry.prepend) for entry in policy.announcements] == [
+            ("LAX", 0), ("MIA", 0),
+        ]
 
     def test_policy_with_prepends(self):
         policy = make_service().policy(prepends={"MIA": 2})
-        assert policy.prepend_of("MIA") == 2
+        assert [entry.prepend for entry in policy.announcements] == [0, 2]
 
     def test_test_prefix_clone(self):
         service = make_service()

@@ -6,12 +6,13 @@ import pytest
 
 from repro.bgp.reference import selection_of
 from repro.bgp.route import RouteClass
+from repro.topology.validate import relationship
 
 
 @pytest.fixture(scope="module")
 def selections(tiny_internet, two_site_routing):
     return {
-        asn: selection_of(two_site_routing, asn) for asn in tiny_internet.asns()
+        asn: selection_of(two_site_routing, asn) for asn in tiny_internet.ases
     }
 
 
@@ -61,7 +62,7 @@ class TestValleyFreedom:
             hops = [hop for hop in selection.as_path if hop != 0]
             phase = "up"
             for a, b in zip(hops, hops[1:]):
-                relation = graph.relationship(a, b)
+                relation = relationship(graph, a, b)
                 if phase == "up":
                     if relation == "provider":
                         continue
@@ -87,6 +88,6 @@ class TestValleyFreedom:
             hops = [hop for hop in selection.as_path if hop != 0]
             if len(hops) < 2:
                 continue  # route heard directly from the service
-            assert graph.relationship(hops[0], hops[1]) == class_names[
+            assert relationship(graph, hops[0], hops[1]) == class_names[
                 selection.route_class
             ]

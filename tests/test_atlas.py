@@ -7,9 +7,10 @@ import pytest
 
 from repro.atlas.platform import AtlasPlatform
 from repro.atlas.vp import AtlasVP
-from repro.bgp.reference import site_of_block
+from repro.bgp.reference import has_block, site_of_block
 from repro.errors import ConfigurationError
 from repro.oracle.chaos import wire_measure
+from repro.oracle.responder import country_of_block
 from tests.conftest import CANONICAL_GRID
 
 
@@ -24,11 +25,11 @@ class TestDeployment:
 
     def test_vps_in_topology_blocks(self, tiny_internet, platform):
         for vp in platform.vps:
-            assert tiny_internet.has_block(vp.block)
+            assert has_block(tiny_internet, vp.block)
 
     def test_vps_have_geolocation(self, tiny_internet, platform):
         for vp in platform.vps:
-            assert tiny_internet.geodb.country_of(vp.block) == vp.country_code
+            assert country_of_block(tiny_internet, vp.block) == vp.country_code
 
     def test_europe_skew(self, tiny_internet):
         platform = AtlasPlatform(tiny_internet, vp_count=300)

@@ -24,12 +24,11 @@ class TestPolicy:
     def test_uniform(self):
         policy = AnnouncementPolicy.uniform(self.UPSTREAMS)
         assert policy.site_codes == ["LAX", "MIA"]
-        assert policy.prepend_of("LAX") == 0
+        assert [entry.prepend for entry in policy.announcements] == [0, 0]
 
     def test_with_prepends(self):
         policy = AnnouncementPolicy.uniform(self.UPSTREAMS, prepends={"MIA": 2})
-        assert policy.prepend_of("MIA") == 2
-        assert policy.prepend_of("LAX") == 0
+        assert [entry.prepend for entry in policy.announcements] == [0, 2]
 
     def test_withdrawn_site(self):
         policy = AnnouncementPolicy.uniform(self.UPSTREAMS, withdrawn=["MIA"])
@@ -56,24 +55,10 @@ class TestPolicy:
     def test_with_prepend_copy(self):
         policy = AnnouncementPolicy.uniform(self.UPSTREAMS)
         modified = policy.with_prepend("MIA", 3)
-        assert policy.prepend_of("MIA") == 0
-        assert modified.prepend_of("MIA") == 3
+        assert [entry.prepend for entry in policy.announcements] == [0, 0]
+        assert [entry.prepend for entry in modified.announcements] == [0, 3]
 
     def test_with_prepend_unknown_site(self):
         policy = AnnouncementPolicy.uniform(self.UPSTREAMS)
         with pytest.raises(ConfigurationError):
             policy.with_prepend("XXX", 1)
-
-    def test_prepend_of_unknown_site(self):
-        policy = AnnouncementPolicy.uniform(self.UPSTREAMS)
-        with pytest.raises(ConfigurationError):
-            policy.prepend_of("XXX")
-
-    def test_describe(self):
-        policy = AnnouncementPolicy.uniform(self.UPSTREAMS)
-        assert policy.describe() == "equal"
-        assert policy.with_prepend("MIA", 2).describe() == "MIA+2"
-
-    def test_as_dict(self):
-        policy = AnnouncementPolicy.uniform(self.UPSTREAMS, prepends={"LAX": 1})
-        assert policy.as_dict() == {"LAX": 1, "MIA": 0}

@@ -141,9 +141,9 @@ class TestDeterminismAndStability:
         assert unrounded is catchment_map(two_site_routing)
 
     def test_pop_site_within_candidates(self, tiny_internet, two_site_routing):
-        for asn in tiny_internet.asns():
+        for asn in tiny_internet.ases:
             selection = selection_of(two_site_routing, asn)
-            for pop in tiny_internet.pops_of_asn(asn):
+            for pop in (tiny_internet.pops[i] for i in tiny_internet.ases[asn].pop_ids):
                 site = site_of_pop(two_site_routing, pop)
                 assert site in selection.pop_sites or site == selection.primary_site
 

@@ -64,7 +64,7 @@ def assert_matches_reference(outcome, config=None):
     actual = table_identity(outcome.table)
     for column, values in expected.items():
         assert actual[column] == values, (
-            f"{column} diverged under {outcome.policy.describe()}"
+            f"{column} diverged under {outcome.policy.announcements}"
         )
 
 
@@ -253,7 +253,7 @@ class TestCacheBatch:
         observer = Observer.collecting()
         cache = RoutingCache(observer=observer)
         cache.get_or_compute_many(broot.internet, broot_policies)
-        span = observer.tracer.find("bgp.propagate.lattice")
+        span = next(span for span in observer.tracer.walk() if span.name == "bgp.propagate.lattice")
         assert span.attributes["configs"] == len(broot_policies)
         assert span.attributes["levels"] > 0
         metrics = observer.metrics

@@ -74,7 +74,7 @@ class TestCrossValidation:
         self, tiny_internet, policy, no_pin_config, sim_outcome
     ):
         analytic = compute_routes(tiny_internet, policy, config=no_pin_config)
-        for asn in tiny_internet.asns():
+        for asn in tiny_internet.ases:
             a = selection_of(analytic, asn)
             s = sim_outcome.selection_of(asn)
             assert (a is None) == (s is None)
@@ -89,7 +89,7 @@ class TestCrossValidation:
         analytic = compute_routes(tiny_internet, policy, config=no_pin_config)
         mismatches = sum(
             1
-            for asn in tiny_internet.asns()
+            for asn in tiny_internet.ases
             if selection_of(analytic, asn) is not None
             and selection_of(analytic, asn).primary_site
             != sim_outcome.selection_of(asn).site_code

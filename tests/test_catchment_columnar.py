@@ -254,7 +254,11 @@ class TestWeightCatchmentEquivalence:
         for kind in sorted(LoadKind.ALL):
             estimate = LoadEstimate(broot_tiny.day_load("2017-04-12"), kind=kind)
             matrix = estimate.hourly_matrix()
-            for row, block in enumerate(estimate.blocks[:50]):
-                assert np.array_equal(
-                    matrix[row], estimate.hourly_of_block(int(block))
-                )
+            source = estimate.source
+            scale = {
+                LoadKind.QUERIES: np.ones(len(source.blocks)),
+                LoadKind.GOOD_REPLIES: source.good_fraction,
+                LoadKind.ALL_REPLIES: source.reply_fraction,
+            }[kind]
+            for row in range(50):
+                assert np.array_equal(matrix[row], source.queries[row] * float(scale[row]))

@@ -260,7 +260,7 @@ class TestObservability:
         header, *rows = report.strip().splitlines()
         assert header.split() == ["span", "calls", "total", "s", "self", "s"]
         calls = {row.split()[0]: int(row.split()[1]) for row in rows}
-        assert calls == Counter(observer.tracer.span_names())
+        assert calls == Counter([span.name for span in observer.tracer.walk()])
         engine = (
             "fastscan.invariant", "fastscan.precompute", "fastscan.round",
             "fastscan.lattice",
@@ -312,7 +312,7 @@ class TestObservability:
         observer = Observer.collecting()
         assert main(argv, observer=observer) == 0
         metrics = observer.metrics
-        names = observer.tracer.span_names()
+        names = [span.name for span in observer.tracer.walk()]
         playbook = argv[0] == "playbook"
         assert metrics.value_of("fastscan.invariant.builds") == 1
         assert names.count("fastscan.invariant") == 1
@@ -400,7 +400,7 @@ class TestEngineIdentity:
 
         def span_names(observer):
             assert main(["scan", *TINY], observer=observer) == 0
-            return set(observer.tracer.span_names())
+            return set([span.name for span in observer.tracer.walk()])
 
         engine_spans = span_names(Observer.collecting())
         with wire_oracle():

@@ -11,7 +11,7 @@ from repro.core.fastscan import FastScanEngine
 from repro.core.sharding import assert_scan_results_identical
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
-from repro.obs import Observer
+from repro.obs import NULL_OBSERVER, Observer
 from repro.oracle.scan import wire_scan
 
 
@@ -83,7 +83,7 @@ class TestEngineMemo:
         )
         for round_id in range(5):
             verfploeter.run_scan(routing=broot_routing, round_id=round_id)
-        names = observer.tracer.span_names()
+        names = [span.name for span in observer.tracer.walk()]
         assert names.count("fastscan.precompute") == 1
         assert names.count("fastscan.round") == 5
 
@@ -97,7 +97,7 @@ class TestEngineMemo:
         )
         routings = [broot_routing, withdrawn]
         references = [
-            FastScanEngine(verfploeter, routing, observer=Observer.null())
+            FastScanEngine(verfploeter, routing, observer=NULL_OBSERVER)
             for routing in routings
         ]
         for round_id in range(6):
@@ -112,7 +112,7 @@ class TestEngineMemo:
             )
         assert set(scan.catchment.fractions()) == {"LAX"}
         # A single slot: every switch of routing state rebuilds.
-        assert observer.tracer.span_names().count("fastscan.precompute") == 6
+        assert [span.name for span in observer.tracer.walk()].count("fastscan.precompute") == 6
 
 
 class TestCaptureStyles:

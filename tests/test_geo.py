@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DatasetError
 from repro.geo.distance import haversine_km
-from repro.geo.geodb import GeoDatabase, GeoRecord
+from repro.geo.geodb import GeoColumns, GeoDatabase, GeoRecord
 from repro.geo.grid import GeoGrid
 from repro.geo.regions import (
     COUNTRIES,
@@ -65,33 +66,21 @@ class TestHaversine:
 
 
 class TestGeoDatabase:
-    def test_add_and_locate(self):
-        geodb = GeoDatabase()
-        geodb.add(5, GeoRecord("NL", 52.0, 5.0))
-        assert geodb.locate(5).country_code == "NL"
-        assert geodb.country_of(5) == "NL"
+    def test_locate_from_columns(self):
+        geodb = GeoDatabase(GeoColumns(
+            np.array([3, 5], dtype=np.int64), np.array([40.0, 52.0]),
+            np.array([-100.0, 5.0]), np.array([1, 0], dtype=np.int32), ("NL", "US"),
+        ))
+        assert geodb.locate(5) == GeoRecord("NL", 52.0, 5.0)
+        assert geodb.locate(3).country_code == "US"
+        assert geodb.locate(4) is None
 
     def test_missing_block(self):
-        geodb = GeoDatabase()
-        assert geodb.locate(5) is None
-        assert geodb.country_of(5) is None
+        assert GeoDatabase().locate(5) is None
 
     def test_require_raises(self):
         with pytest.raises(DatasetError):
             GeoDatabase().require(5)
-
-    def test_add_many_and_len(self):
-        geodb = GeoDatabase()
-        geodb.add_many((i, GeoRecord("US", 40.0, -100.0)) for i in range(10))
-        assert len(geodb) == 10
-        assert 3 in geodb
-
-    def test_replace(self):
-        geodb = GeoDatabase()
-        geodb.add(1, GeoRecord("US", 40.0, -100.0))
-        geodb.add(1, GeoRecord("DE", 50.0, 10.0))
-        assert geodb.country_of(1) == "DE"
-        assert len(geodb) == 1
 
 
 class TestGeoGrid:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.analysis.containment import (
@@ -15,7 +16,7 @@ from repro.analysis.inflation import (
     summarize_inflation,
 )
 from repro.anycast.catchment import CatchmentMap
-from repro.geo.geodb import GeoDatabase, GeoRecord
+from repro.geo.geodb import GeoColumns, GeoDatabase
 from repro.icmp.latency import LatencyModel
 
 
@@ -65,12 +66,14 @@ class TestInflation:
 
 
 def _toy_world():
-    geodb = GeoDatabase()
     # Blocks 1-4 in CN, 5-6 in US, 7 unlocatable.
-    for block in (1, 2, 3, 4):
-        geodb.add(block, GeoRecord("CN", 30.0, 100.0))
-    for block in (5, 6):
-        geodb.add(block, GeoRecord("US", 40.0, -100.0))
+    geodb = GeoDatabase(GeoColumns(
+        np.arange(1, 7, dtype=np.int64),
+        np.array([30.0] * 4 + [40.0] * 2),
+        np.array([100.0] * 4 + [-100.0] * 2),
+        np.array([0] * 4 + [1] * 2, dtype=np.int32),
+        ("CN", "US"),
+    ))
     catchment = CatchmentMap.from_mapping(
         ["BEIJING", "OTHER"],
         {1: "BEIJING", 2: "BEIJING", 3: "OTHER", 4: "BEIJING",

@@ -179,7 +179,7 @@ class TestScanLatticeRoundIds:
         metrics = observer.metrics
         assert metrics.value_of("fastscan.round_draws.miss") == 3
         assert metrics.value_of("fastscan.round_draws.hit") == 3
-        assert observer.tracer.span_names().count("fastscan.lattice") == 1
+        assert [span.name for span in observer.tracer.walk()].count("fastscan.lattice") == 1
 
 
 @pytest.fixture(
@@ -358,7 +358,7 @@ class TestPooledLattice:
             baseline = planner.catchment_for(scenario.service.default_policy())
             day = scenario.day_load("lattice-plan-day")
             load = weight_catchments([baseline], LoadEstimate(day))[0]
-            attacked = max(sorted(load.peaks()), key=load.daily_of)
+            attacked = max(sorted(load.site_codes), key=load.daily_of)
             profile = AttackProfile(target_site=attacked)
             attack_day, attackers = compose_attack(
                 day, baseline, profile, scenario.internet.seed

@@ -47,18 +47,14 @@ class TestLoadEstimate:
 
     def test_hourly_of_block(self):
         estimate = LoadEstimate(make_load(), LoadKind.GOOD_REPLIES)
-        hourly = estimate.hourly_of_block(1)
+        assert estimate.blocks[0] == 1
+        hourly = estimate.hourly_matrix()[0]
         assert hourly.shape == (HOURS,)
         assert hourly[0] == pytest.approx(50.0)
-        assert estimate.hourly_of_block(99).sum() == 0.0
 
     def test_heaviest(self):
         estimate = LoadEstimate(make_load())
         assert estimate.heaviest(1)[0][0] == 1
-
-    def test_as_dict(self):
-        mapping = LoadEstimate(make_load()).as_dict()
-        assert set(mapping) == {1, 2, 3, 4}
 
 
 def make_tied_load(n=64):

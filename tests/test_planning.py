@@ -16,7 +16,7 @@ class TestFindUpstream:
         asys = broot_tiny.internet.ases[asn]
         assert asys.tier in ("tier1", "transit")
         # The chosen PoP should be in or near Europe.
-        pops = broot_tiny.internet.pops_of_asn(asn)
+        pops = [broot_tiny.internet.pops[i] for i in broot_tiny.internet.ases[asn].pop_ids]
         from repro.geo.distance import haversine_km
 
         assert min(

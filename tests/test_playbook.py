@@ -48,7 +48,7 @@ def day(tangled_tiny):
 def attacked_site(baseline_catchment, day):
     """The heaviest-loaded site — the CLI's default target."""
     load = weight_catchment(baseline_catchment, LoadEstimate(day))
-    return max(sorted(load.peaks()), key=load.daily_of)
+    return max(sorted(load.site_codes), key=load.daily_of)
 
 
 class TestAttackComposition:
@@ -166,28 +166,6 @@ class TestCapacitySemantics:
         capacities = {"AAA": 100.0}  # mean would be 10/h: comfortably under
         assert capacity_violations(peaks, capacities) == ["AAA"]
 
-    def test_site_failure_study_shares_the_definition(
-        self, broot_verfploeter, broot_tiny
-    ):
-        from repro.core.experiments import site_failure_study
-
-        estimate = LoadEstimate(broot_tiny.day_load("failure-day"))
-        results = site_failure_study(broot_verfploeter, estimate)
-        for result in results:
-            assert set(result.peak_after) == set(
-                broot_tiny.service.site_codes
-            )
-            # withdrawn site never violates, even with zero capacity
-            zero_caps = {code: 0.0 for code in result.peak_after}
-            assert result.withdrawn_site not in result.overloaded_sites(
-                zero_caps
-            )
-            # identical semantics to the shared helper the planner uses
-            caps = {code: 1.0 for code in result.peak_after}
-            assert result.overloaded_sites(caps) == capacity_violations(
-                result.peak_after, caps, exclude=(result.withdrawn_site,)
-            )
-
 
 class TestLattice:
     def test_depth_one_count_and_order(self, tangled_vp):
@@ -235,7 +213,7 @@ def _plan_artifact(seed: int) -> str:
     catchment = planner.catchment_for(scenario.service.default_policy())
     day = scenario.day_load("pb-day")
     load = weight_catchment(catchment, LoadEstimate(day))
-    attacked = max(sorted(load.peaks()), key=load.daily_of)
+    attacked = max(sorted(load.site_codes), key=load.daily_of)
     profile = AttackProfile(target_site=attacked)
     attack_day, attackers = compose_attack(
         day, catchment, profile, scenario.internet.seed
@@ -281,7 +259,7 @@ class TestPlannerDeterminism:
             tangled_vp.service.default_policy()
         )
         load = weight_catchment(catchment, LoadEstimate(day))
-        attacked = max(sorted(load.peaks()), key=load.daily_of)
+        attacked = max(sorted(load.site_codes), key=load.daily_of)
         profile = AttackProfile(target_site=attacked)
         attack_day, attackers = compose_attack(
             day, catchment, profile, seed=11
@@ -295,7 +273,7 @@ class TestPlannerDeterminism:
         )
         keys = [outcome.sort_key() for outcome in playbook.ranked]
         assert keys == sorted(keys)
-        assert playbook.top.sort_key() == min(keys)
+        assert playbook.ranked[0].sort_key() == min(keys)
         # the do-nothing baseline is the first enumerated entry
         assert playbook.baseline.entry.label == "equal"
         # the lattice routed as one batch: full computes, never deltas

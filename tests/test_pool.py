@@ -168,7 +168,6 @@ class TestPoolLifecycle:
     def test_map_after_shutdown_raises(self, tmp_path):
         pool = ShardPool(workers=0, store=TableStore(root=str(tmp_path)))
         pool.shutdown()
-        assert pool.closed
         with pytest.raises(PoolError):
             pool.map(_slow_echo, [1])
 
@@ -220,8 +219,9 @@ class TestPoolLifecycle:
 
     def test_context_manager_shuts_down(self, tmp_path):
         with ShardPool(workers=0, store=TableStore(root=str(tmp_path))) as pool:
-            assert not pool.closed
-        assert pool.closed
+            assert pool.map(_slow_echo, ["open"]) == ["open"]
+        with pytest.raises(PoolError):
+            pool.map(_slow_echo, ["closed"])
 
     def test_run_attached_reports_reuse_and_rss(self):
         result, stats = run_attached(len, [1, 2, 3])

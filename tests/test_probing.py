@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, DatasetError, MeasurementError
+from repro.oracle.responder import country_of_block
 from repro.oracle.schedule import ProbeSchedule, PseudorandomOrder
 from repro.probing.hitlist import Hitlist, build_hitlist
 from repro.probing.prober import ProberConfig
@@ -28,7 +29,7 @@ class TestHitlist:
         hitlist = build_hitlist(tiny_internet)
         model = tiny_internet.host_model
         for block, score in zip(hitlist.blocks.tolist(), hitlist.scores.tolist()):
-            country = tiny_internet.country_of_block(block)
+            country = country_of_block(tiny_internet, block)
             if model.is_stable_responder(block, country):
                 assert score >= 0.55
             else:

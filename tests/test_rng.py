@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import rng
-from repro.rng import derive_rng, derive_seed, mix64, splitmix64, uniform_unit
+from repro.rng import derive_rng, derive_seed, mix64, uniform_unit
 
 #: A library module body whose one call site derives one stream; ``label``
 #: is the label expression, which may read the ``kind`` argument.
@@ -75,15 +75,6 @@ class TestDeriveSeed:
 
 
 class TestSplitmix:
-    def test_stream_reproducible(self):
-        first = [value for value, _ in zip(splitmix64(42), range(10))]
-        second = [value for value, _ in zip(splitmix64(42), range(10))]
-        assert first == second
-
-    def test_values_64_bit(self):
-        for value, _ in zip(splitmix64(7), range(100)):
-            assert 0 <= value < (1 << 64)
-
     def test_mix64_deterministic(self):
         assert mix64(12345) == mix64(12345)
 

@@ -181,7 +181,7 @@ class TestCounters:
             )
         FastScanEngine(shared, lattice[9][1]).run_scan(round_id=2)
         metrics = observer.metrics
-        names = observer.tracer.span_names()
+        names = [span.name for span in observer.tracer.walk()]
         assert metrics.value_of("fastscan.invariant.builds") == 1
         assert names.count("fastscan.invariant") == 1
         assert names.count("fastscan.precompute") == len(round_ids) + 1

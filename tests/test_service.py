@@ -569,8 +569,8 @@ class TestAccumulatorAndWindowValidation:
             np.array([0, 1, 0], dtype=np.int16),
         )
         assert changed == 2
-        assert accumulator.site_index_of(10) == 1
-        assert accumulator.site_index_of(20) == 0
+        snapshot = accumulator.snapshot()
+        assert (snapshot.site_of(10), snapshot.site_of(20)) == ("B", "A")
 
     def test_window_rejects_mismatched_site_codes(self, served):
         window = LoadWindow(["NOT-A-SITE"], 2)

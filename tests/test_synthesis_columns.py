@@ -22,6 +22,7 @@ from repro.atlas.platform import AtlasPlatform
 from repro.core.scenarios import tangled_like
 from repro.core.verfploeter import Verfploeter
 from repro.errors import DatasetError, MeasurementError
+from repro.oracle.responder import country_of_block
 from repro.probing.hitlist import build_hitlist
 from repro.topology.generator import SeededAS, TopologyConfig, build_internet
 from repro.traffic.ditl import build_day_load
@@ -138,11 +139,12 @@ def _hitlist_digest(internet) -> str:
 
 
 def _geo_digest(internet) -> str:
-    records = sorted(internet.geodb.items())
+    geo = internet.geodb.columnar()
+    countries = [geo.countries[index] for index in geo.country_index.tolist()]
     return _digest(
-        [(block, record.country_code) for block, record in records],
-        np.array([record.latitude for _, record in records], dtype=np.float64),
-        np.array([record.longitude for _, record in records], dtype=np.float64),
+        list(zip(geo.blocks.tolist(), countries)),
+        np.asarray(geo.latitudes, dtype=np.float64),
+        np.asarray(geo.longitudes, dtype=np.float64),
     )
 
 
@@ -258,11 +260,11 @@ def test_every_universe_digest_is_pinned(observed_universes):
 
 def test_stable_mask_is_the_scalar_draw(columns_internet):
     internet = columns_internet
-    countries = {internet.country_of_block(block) for block in internet.blocks}
+    countries = {country_of_block(internet, block) for block in internet.blocks}
     assert {"KR", "JP", "VN", "PK", None} <= countries
     model = internet.host_model
     expected = [
-        model.is_stable_responder(block, internet.country_of_block(block))
+        model.is_stable_responder(block, country_of_block(internet, block))
         for block in internet.blocks
     ]
     mask = internet.stable_mask()
@@ -282,7 +284,7 @@ def test_engine_follows_the_host_config_responsiveness(columns_internet, tangled
     assert internet.host_model.config is config
     verfploeter = Verfploeter(internet, tangled_tiny.service)
     expected = [
-        internet.host_model.is_stable_responder(block, internet.country_of_block(block))
+        internet.host_model.is_stable_responder(block, country_of_block(internet, block))
         for block in internet.blocks
     ]
     assert verfploeter.round_state().stable.tolist() == expected
@@ -299,7 +301,7 @@ def test_empty_geo_database_still_builds():
             max_blocks_per_prefix=4, unlocatable_fraction=1.0,
         )
     )
-    assert len(internet.geodb) == 0 and len(internet) > 0
+    assert internet.geodb.columnar().blocks.size == 0 and len(internet) > 0
     model = internet.host_model
     assert internet.stable_mask().tolist() == [
         model.is_stable_responder(block) for block in internet.blocks

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.bgp.reference import has_block, pop_of_block
 from repro.errors import ConfigurationError, TopologyError
+from repro.oracle.responder import country_of_block
 from repro.topology.asys import ASTier
 from repro.topology.generator import SeededAS, TopologyConfig, build_internet
+from repro.topology.validate import overlaps
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +86,7 @@ class TestPrefixes:
     def test_no_overlapping_announcements(self, internet):
         announced = sorted(internet.announced, key=lambda e: e.prefix)
         for earlier, later in zip(announced, announced[1:]):
-            assert not earlier.prefix.overlaps(later.prefix)
+            assert not overlaps(earlier.prefix, later.prefix)
 
     def test_blocks_inside_their_prefix(self, internet):
         for entry in internet.announced:
@@ -91,14 +95,14 @@ class TestPrefixes:
 
     def test_block_assignment_consistent(self, internet):
         for entry in internet.announced:
-            for block in entry.populated_blocks:
-                assert internet.asn_of_block(block) == entry.origin_asn
+            blocks = np.array(entry.populated_blocks, dtype=np.int64)
+            assert (internet.asns_of_blocks(blocks) == entry.origin_asn).all()
 
     def test_lpm_resolves_blocks(self, internet):
-        for block in list(internet.blocks)[:200]:
-            announced = internet.announced_prefix_of(block)
-            assert announced is not None
-            assert block in announced.populated_blocks
+        blocks = np.array(internet.blocks[:200], dtype=np.int64)
+        for block, index in zip(blocks.tolist(), internet.announced_index_of(blocks).tolist()):
+            assert index >= 0
+            assert block in internet.announced[index].populated_blocks
 
     def test_longer_prefixes_more_numerous(self, internet):
         lengths = [entry.length for entry in internet.announced]
@@ -115,25 +119,28 @@ class TestPrefixes:
 
 class TestBlocksAndGeo:
     def test_block_pop_belongs_to_as(self, internet):
-        for block in list(internet.blocks)[:200]:
-            pop = internet.pop_of_block(block)
-            assert pop.asn == internet.asn_of_block(block)
+        blocks = list(internet.blocks)[:200]
+        origins = internet.asns_of_blocks(np.array(blocks, dtype=np.int64))
+        for block, origin in zip(blocks, origins.tolist()):
+            assert pop_of_block(internet, block).asn == origin
 
     def test_most_blocks_geolocated(self, internet):
-        located = sum(1 for b in internet.blocks if b in internet.geodb)
+        located = sum(1 for b in internet.blocks if internet.geodb.locate(b) is not None)
         assert located >= 0.99 * len(internet)
 
     def test_block_country_matches_pop(self, internet):
         for block in list(internet.blocks)[:200]:
-            country = internet.country_of_block(block)
+            country = country_of_block(internet, block)
             if country is not None:
-                assert country == internet.pop_of_block(block).country_code
+                assert country == pop_of_block(internet, block).country_code
 
     def test_unpopulated_block_raises(self, internet):
         missing = max(internet.blocks) + 1000
         with pytest.raises(TopologyError):
-            internet.asn_of_block(missing)
-        assert not internet.has_block(missing)
+            internet.asns_of_blocks(np.array([missing]))
+        with pytest.raises(TopologyError):
+            pop_of_block(internet, missing)
+        assert not has_block(internet, missing)
 
 
 class TestDeterminism:

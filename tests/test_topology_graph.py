@@ -9,6 +9,7 @@ from repro.netaddr.prefix import Prefix
 from repro.topology.allocator import PrefixAllocator
 from repro.topology.asys import ASTier, AutonomousSystem, PoP
 from repro.topology.relationships import Relationship, RelationshipGraph
+from repro.topology.validate import overlaps, relationship
 
 
 class TestAutonomousSystem:
@@ -24,7 +25,7 @@ class TestAutonomousSystem:
 
     def test_pop_location(self):
         pop = PoP(0, 1, "US", 40.0, -100.0)
-        assert pop.location == (40.0, -100.0)
+        assert (pop.latitude, pop.longitude) == (40.0, -100.0)
 
 
 class TestRelationshipGraph:
@@ -33,15 +34,15 @@ class TestRelationshipGraph:
         graph.add_customer_provider(2, 1)
         assert graph.providers_of(2) == [1]
         assert graph.customers_of(1) == [2]
-        assert graph.relationship(1, 2) == Relationship.CUSTOMER
-        assert graph.relationship(2, 1) == Relationship.PROVIDER
+        assert relationship(graph, 1, 2) == Relationship.CUSTOMER
+        assert relationship(graph, 2, 1) == Relationship.PROVIDER
 
     def test_peering_symmetric(self):
         graph = RelationshipGraph()
         graph.add_peering(1, 2)
         assert graph.peers_of(1) == [2]
         assert graph.peers_of(2) == [1]
-        assert graph.relationship(1, 2) == Relationship.PEER
+        assert relationship(graph, 1, 2) == Relationship.PEER
 
     def test_self_loop_rejected(self):
         graph = RelationshipGraph()
@@ -82,7 +83,7 @@ class TestRelationshipGraph:
     def test_relationship_unknown_neighbor(self):
         graph = RelationshipGraph()
         with pytest.raises(TopologyError):
-            graph.relationship(1, 2)
+            relationship(graph, 1, 2)
 
 
 class TestPrefixAllocator:
@@ -91,7 +92,7 @@ class TestPrefixAllocator:
         first = allocator.allocate(16)
         second = allocator.allocate(16)
         assert first != second
-        assert not first.overlaps(second)
+        assert not overlaps(first, second)
         assert first.network % first.size == 0
 
     def test_alignment_after_small_allocation(self):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.bgp.reference import has_block
 from repro.errors import ConfigurationError, DatasetError
+from repro.oracle.responder import country_of_block
 from repro.traffic.ditl import build_day_load
 from repro.traffic.logs import DayLoad, HOURS, LoadKind
 from repro.traffic.workload import WorkloadProfile, nl_profile, root_profile
@@ -90,7 +92,7 @@ class TestBuildDayLoad:
     def test_senders_subset_of_topology(self, tiny_internet):
         load = build_day_load(tiny_internet, root_profile(), "d")
         for block in load.blocks:
-            assert tiny_internet.has_block(int(block))
+            assert has_block(tiny_internet, int(block))
 
     def test_target_scaling(self, tiny_internet):
         load = build_day_load(
@@ -103,7 +105,7 @@ class TestBuildDayLoad:
         model = tiny_internet.host_model
         responsive = sum(
             model.is_stable_responder(
-                int(block), tiny_internet.country_of_block(int(block))
+                int(block), country_of_block(tiny_internet, int(block))
             )
             for block in load.blocks
         )
@@ -128,7 +130,7 @@ class TestBuildDayLoad:
         total = 0.0
         daily = load.daily_queries()
         for row, block in enumerate(load.blocks):
-            country = tiny_internet.country_of_block(int(block))
+            country = country_of_block(tiny_internet, int(block))
             total += daily[row]
             if country and country_by_code(country).region == "EU":
                 europe += daily[row]
