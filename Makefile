@@ -1,6 +1,6 @@
 # Convenience targets for the verfploeter reproduction.
 
-.PHONY: install test lint lint-cold lint-sarif bench bench-verbose bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach determinism coldstart report serve-smoke all
+.PHONY: install test lint lint-sarif bench bench-verbose bench-delta bench-obs bench-sharded bench-sharded-smoke bench-playbook bench-e2e-smoke docs examples reach determinism coldstart report serve-smoke all
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -9,11 +9,6 @@ test:
 	PYTHONPATH=src python -m pytest tests/
 
 lint:
-	PYTHONPATH=src python -m repro.lint src tests benchmarks examples tools
-
-# Cold lint: drop the incremental cache first, then relint everything.
-lint-cold:
-	rm -rf .reprolint_cache
 	PYTHONPATH=src python -m repro.lint src tests benchmarks examples tools
 
 # Machine-readable lint report for CI upload.

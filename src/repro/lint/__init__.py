@@ -22,10 +22,10 @@ bit, and the test session's ``derive_seed`` recorder fails on one
 
 Run it with ``python -m repro.lint`` or the ``reprolint`` console
 script.  Suppress a finding in place with ``# reprolint:
-disable=<rule>`` on the offending line.  Results are cached
-incrementally under ``.reprolint_cache/``; a cached replay is
-byte-identical to a fresh run.  New rules are added as one module
-under :mod:`repro.lint.rules` (see CONTRIBUTING.md).
+disable=<rule>`` on the offending line.  Each file is parsed and
+walked once, and every rule reads that one node list; nothing is cached
+between runs.  New rules are added as one module under
+:mod:`repro.lint.rules` (see CONTRIBUTING.md).
 """
 
 from repro.lazy import lazy_exports

@@ -4,11 +4,9 @@
 script.  Exit status is 0 when no findings survive suppression, 1
 otherwise, and 2 for usage errors — so ``make lint`` can gate CI.
 
-The incremental cache is always on (``--cache-dir`` relocates it;
-``make lint-cold`` deletes it first), and ``--format sarif`` emits
-SARIF 2.1.0 for CI annotation (``--output`` writes it to a file).
-None of the options change the findings — output is byte-identical
-across cold and warm runs.
+Every run lints the files as they are on disk and writes nothing but
+its report.  ``--format sarif`` emits SARIF 2.1.0 for CI annotation
+(``--output`` writes it to a file); no option changes the findings.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.lint.cache import DEFAULT_CACHE_DIR
 from repro.lint.engine import lint_paths
-from repro.lint.violations import ALL_KINDS, all_rules, rule_version
+from repro.lint.violations import ALL_KINDS, all_rules
 
 _DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "tools")
 
@@ -73,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this rule ID (repeatable)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="DIR",
-        help="incremental result cache location (default: %(default)s)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every registered rule and exit",
@@ -89,11 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _list_rules() -> str:
     lines = []
     for rule in all_rules():
-        kinds = ",".join(rule.kinds)
-        lines.append(
-            f"{rule.rule_id}  {rule.name}  "
-            f"[v{rule_version(rule)}; {kinds}]"
-        )
+        lines.append(f"{rule.rule_id}  {rule.name}  [{','.join(rule.kinds)}]")
         lines.append(f"      {rule.description}")
     return "\n".join(lines)
 
@@ -115,7 +102,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             paths,
             force_kind=options.kind,
             rule_ids=options.rules,
-            cache_dir=options.cache_dir,
         )
     except ConfigurationError as error:
         parser.error(str(error))

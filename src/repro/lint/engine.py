@@ -6,10 +6,10 @@ disable=<rule>`` suppressions work, and how to render findings as text
 or machine-readable JSON.  Everything domain-specific lives in
 :mod:`repro.lint.rules`.
 
-Every rule checks one file at a time, so every result is cached
-incrementally (``cache_dir=``), keyed by content digest and rule
-versions (see :mod:`repro.lint.cache`).  A cached replay renders
-byte-identically to a fresh run.
+Each file is walked once: :func:`parse_file` stores the tree's nodes,
+in walk order, on the :class:`SourceFile`, and every rule iterates that
+list instead of walking the tree again.  Nothing is cached between
+runs, so every run lints what is on disk with the rules as they are.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import json
 import os
 import re
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cache import LintCache, digest_text, rules_fingerprint
 from repro.lint.violations import (
     ALL_KINDS,
     BENCHMARKS,
@@ -50,9 +49,16 @@ class SourceFile:
     path: str  # as reported in findings
     kind: str  # library/tests/benchmarks/examples
     package: Optional[str]  # top-level package under repro/, if any
-    text: str
     tree: ast.Module
+    nodes: List[ast.AST]  # every node of ``tree``, in walk order
     suppressions: Dict[int, Set[str]] = field(default_factory=dict)
+    _derived: Dict[str, object] = field(default_factory=dict)
+
+    def derived(self, key: str, build: Callable[["SourceFile"], object]) -> object:
+        """A per-file fact several rules share, built once on first use."""
+        if key not in self._derived:
+            self._derived[key] = build(self)
+        return self._derived[key]
 
     def suppressed(self, line: int, rule_id: str, rule_name: str) -> bool:
         tokens = self.suppressions.get(line)
@@ -63,17 +69,10 @@ class SourceFile:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run.
-
-    ``cache_hits``/``cache_misses`` count per-file cache lookups; neither
-    appears in :meth:`to_json` or :meth:`to_text` — cached and uncached
-    runs must render identically.
-    """
+    """Outcome of one lint run."""
 
     violations: List[Violation]
     files_scanned: int
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def ok(self) -> bool:
@@ -160,20 +159,29 @@ def collect_files(paths: Sequence[str]) -> List[str]:
 
 
 def parse_file(path: str, force_kind: Optional[str] = None) -> Tuple[Optional[SourceFile], Optional[Violation]]:
-    """Parse one file into a SourceFile, or a parse-error violation."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    """Parse one file into a SourceFile, or a parse-error violation.
+
+    A file that is not UTF-8, or that holds a NUL byte, is a parse error
+    like a syntax error.  ``ast.parse`` rejects a NUL byte with
+    ``ValueError`` on Python 3.9 and 3.10 and with ``SyntaxError`` on
+    later interpreters.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as error:
+        line = error.object[: error.start].count(b"\n") + 1
+        return None, _parse_error(
+            path, line, 0, f"not UTF-8 ({error.reason} at byte {error.start})"
+        )
     try:
         tree = ast.parse(text, filename=path)
     except SyntaxError as error:
-        return None, Violation(
-            rule=PARSE_ERROR_RULE,
-            name="parse-error",
-            path=path,
-            line=error.lineno or 1,
-            col=(error.offset or 1) - 1,
-            message=f"cannot parse file: {error.msg}",
+        return None, _parse_error(
+            path, error.lineno or 1, (error.offset or 1) - 1, error.msg
         )
+    except ValueError as error:
+        return None, _parse_error(path, 1, 0, str(error))
     suppressions: Dict[int, Set[str]] = {}
     for line_number, line in enumerate(text.splitlines(), 1):
         match = _SUPPRESS_RE.search(line)
@@ -188,11 +196,22 @@ def parse_file(path: str, force_kind: Optional[str] = None) -> Tuple[Optional[So
         path=path,
         kind=force_kind or classify_kind(path),
         package=infer_package(path),
-        text=text,
         tree=tree,
+        nodes=list(ast.walk(tree)),
         suppressions=suppressions,
     )
     return source, None
+
+
+def _parse_error(path: str, line: int, col: int, reason: str) -> Violation:
+    return Violation(
+        rule=PARSE_ERROR_RULE,
+        name="parse-error",
+        path=path,
+        line=line,
+        col=col,
+        message=f"cannot parse file: {reason}",
+    )
 
 
 def run_file_rules(
@@ -228,25 +247,18 @@ def lint_paths(
     paths: Sequence[str],
     force_kind: Optional[str] = None,
     rule_ids: Optional[Sequence[str]] = None,
-    *,
-    cache_dir: Optional[str] = None,
 ) -> LintResult:
     """Lint ``paths`` and return every unsuppressed finding, sorted.
 
     ``force_kind`` overrides tree classification (the fixture tests use
     it to hold test-tree fixtures to library rules); ``rule_ids``
-    restricts the run to a subset of rules; ``cache_dir`` enables the
-    incremental result cache, whose replays render byte-identically to
-    a fresh run.
+    restricts the run to a subset of rules.
     """
     if force_kind is not None and force_kind not in ALL_KINDS:
         from repro.errors import ConfigurationError
 
         raise ConfigurationError(f"unknown tree kind {force_kind!r}")
     rules = _select_rules(rule_ids)
-    cache = LintCache(cache_dir) if cache_dir else None
-
-    fingerprint = rules_fingerprint(rules)
     files_scanned = 0
     findings: List[Violation] = []
     for path in collect_files(paths):
@@ -256,23 +268,7 @@ def lint_paths(
         if source is None:
             continue
         files_scanned += 1
-        # Replay a cached result, or lint the file and store it.
-        key = LintCache.file_key(
-            source.path, digest_text(source.text), source.kind, fingerprint
-        )
-        cached = cache.load(key) if cache is not None else None
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        file_findings = run_file_rules(source, rules)
-        findings.extend(file_findings)
-        if cache is not None:
-            cache.store(key, file_findings)
+        findings.extend(run_file_rules(source, rules))
 
     findings.sort(key=lambda violation: violation.sort_key())
-    return LintResult(
-        violations=findings,
-        files_scanned=files_scanned,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
-    )
+    return LintResult(violations=findings, files_scanned=files_scanned)

@@ -11,7 +11,7 @@ subcommand under two hash seeds and compares the bytes.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.lint.violations import (
     ALL_KINDS,
@@ -37,7 +37,7 @@ _WALL_CLOCK_DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 class _ImportMap:
     """Which local names are bound to the modules/functions we police."""
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, nodes: List[ast.AST]) -> None:
         self.random_modules: Set[str] = set()
         self.numpy_modules: Set[str] = set()
         self.numpy_random_names: Set[str] = set()
@@ -53,7 +53,7 @@ class _ImportMap:
         self.time_fn_aliases: Dict[str, str] = {}
         self.urandom_aliases: Set[str] = set()
         self.uuid_fn_aliases: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -104,6 +104,11 @@ class _ImportMap:
                         self.secrets_names.add(bound)
 
 
+def _imports(source) -> _ImportMap:
+    """The file's import map, built once and shared by the D1xx rules."""
+    return source.derived("imports", lambda source: _ImportMap(source.nodes))
+
+
 def _violation(rule, source, node, message: str) -> Violation:
     return Violation(
         rule=rule.rule_id,
@@ -129,8 +134,8 @@ class GlobalRandomRule:
     kinds = ALL_KINDS
 
     def check(self, source) -> Iterable[Violation]:
-        imports = _ImportMap(source.tree)
-        for node in ast.walk(source.tree):
+        imports = _imports(source)
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -170,8 +175,8 @@ class UnseededRandomRule:
     kinds = ALL_KINDS
 
     def check(self, source) -> Iterable[Violation]:
-        imports = _ImportMap(source.tree)
-        for node in ast.walk(source.tree):
+        imports = _imports(source)
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -219,8 +224,8 @@ class NumpyGlobalRandomRule:
     kinds = ALL_KINDS
 
     def check(self, source) -> Iterable[Violation]:
-        imports = _ImportMap(source.tree)
-        for node in ast.walk(source.tree):
+        imports = _imports(source)
+        for node in source.nodes:
             if (
                 isinstance(node, ast.Attribute)
                 and node.attr == "random"
@@ -258,8 +263,8 @@ class WallClockRule:
     kinds = (LIBRARY,)
 
     def check(self, source) -> Iterable[Violation]:
-        imports = _ImportMap(source.tree)
-        for node in ast.walk(source.tree):
+        imports = _imports(source)
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -320,8 +325,8 @@ class OsEntropyRule:
     kinds = (LIBRARY,)
 
     def check(self, source) -> Iterable[Violation]:
-        imports = _ImportMap(source.tree)
-        for node in ast.walk(source.tree):
+        imports = _imports(source)
+        for node in source.nodes:
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -379,7 +384,7 @@ class InstanceDefaultRule:
     kinds = (LIBRARY,)
 
     def check(self, source) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
             ):

@@ -39,14 +39,14 @@ def _terminal_name(node: ast.expr):
     return None
 
 
-def _caught_names(tree: ast.Module) -> Set[str]:
+def _caught_names(nodes: List[ast.AST]) -> Set[str]:
     """Names bound by ``except ... as name`` anywhere in the module.
 
     Re-raising a caught exception (``raise err``) is always fine; a
     flow-sensitive check is not worth the complexity here.
     """
     names: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.ExceptHandler) and node.name:
             names.add(node.name)
     return names
@@ -69,8 +69,8 @@ class ForeignRaiseRule:
         if source.package == "errors":
             return
         allowed = _errors_hierarchy() | _ALWAYS_ALLOWED
-        caught = _caught_names(source.tree)
-        for node in ast.walk(source.tree):
+        caught = _caught_names(source.nodes)
+        for node in source.nodes:
             if not isinstance(node, ast.Raise) or node.exc is None:
                 continue
             name = _terminal_name(node.exc)
@@ -103,7 +103,7 @@ class BroadExceptRule:
     kinds = (LIBRARY,)
 
     def check(self, source) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not self._is_broad(node.type):

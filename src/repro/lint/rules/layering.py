@@ -76,7 +76,7 @@ class LayerViolationRule:
         source_layer = layer_of(package)
         if source_layer is None:
             return
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for target, at in _import_targets(node):
@@ -131,7 +131,7 @@ class UndeclaredPackageRule:
         if package is None:
             return
         source_layer = layer_of(package)
-        for node in ast.walk(source.tree):
+        for node in source.nodes:
             if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 continue
             for target, at in _import_targets(node):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterable
+from typing import Iterable, List
 
 from repro.lint.rules.determinism import _violation
 from repro.lint.violations import LIBRARY, Violation, register_rule
@@ -53,18 +53,17 @@ class ProcessPoolHygieneRule:
         "elsewhere in the library is flagged"
     )
     kinds = (LIBRARY,)
-    version = 7
 
     def check(self, source) -> Iterable[Violation]:
         if _is_pool_home(source.path):
             return
-        for node, message in _import_findings(source.tree):
+        for node, message in _import_findings(source.nodes):
             yield _violation(self, source, node, message)
 
 
-def _import_findings(tree: ast.Module):
+def _import_findings(nodes: List[ast.AST]):
     """Every pool-machinery import: ``(node, message)``."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == "multiprocessing" for alias in node.names):
                 yield node, f"import of 'multiprocessing' {_OUTSIDE_HOME}"

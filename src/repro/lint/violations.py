@@ -47,12 +47,8 @@ class Rule(Protocol):
     """The plugin protocol every reprolint rule implements.
 
     A rule checks one parsed file at a time, and only files whose tree
-    kind is in ``kinds``.
-
-    The optional ``version`` class attribute (int, default 1) must be
-    bumped whenever the rule's findings can change for unchanged input;
-    versions are part of the incremental cache key, so the bump
-    invalidates stale entries.
+    kind is in ``kinds``.  It reads the file's nodes from
+    ``source.nodes`` rather than walking ``source.tree`` again.
     """
 
     rule_id: str
@@ -63,11 +59,6 @@ class Rule(Protocol):
     def check(self, source: "SourceFile") -> Iterable[Violation]:  # noqa: F821
         """Yield the violations in one file."""
         ...
-
-
-def rule_version(rule: object) -> int:
-    """A rule's declared ``version`` (cache key component), default 1."""
-    return int(getattr(rule, "version", 1))
 
 
 _REGISTRY: Dict[str, Rule] = {}

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 import numpy as np
 
 from repro.errors import DatasetError
@@ -81,14 +79,3 @@ class LoadEstimate:
         bins.
         """
         return float(self.hourly_totals().max())
-
-    def heaviest(self, count: int) -> List[Tuple[int, float]]:
-        """Heaviest ``count`` blocks as ``(block, daily load)``.
-
-        Ties break toward the lower block id.  ``lexsort`` is a stable
-        sort with an explicit secondary key; a plain ``argsort`` on the
-        float loads would order tied blocks by numpy's unstable
-        quicksort partitioning — a platform-dependent result.
-        """
-        order = np.lexsort((self.blocks, -self._daily))[:count]
-        return [(int(self.blocks[i]), float(self._daily[i])) for i in order]

@@ -20,11 +20,6 @@ class PrefixAllocator:
         self._cursor = pool.network
         self._end = pool.network + pool.size
 
-    @property
-    def remaining(self) -> int:
-        """Addresses still available (upper bound; ignores alignment waste)."""
-        return max(0, self._end - self._cursor)
-
     def allocate(self, length: int) -> Prefix:
         """Allocate the next free prefix of ``length`` bits.
 

@@ -8,7 +8,7 @@ propagation can walk "up" (toward providers), "across" (peers), and
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.errors import TopologyError
 
@@ -65,26 +65,3 @@ class RelationshipGraph:
         """Settlement-free peers of ``asn``."""
         return self._peers.get(asn, [])
 
-    def degree(self, asn: int) -> int:
-        """Total neighbour count of ``asn``."""
-        return (
-            len(self.providers_of(asn))
-            + len(self.customers_of(asn))
-            + len(self.peers_of(asn))
-        )
-
-    def edges(self) -> Iterator[Tuple[int, int, str]]:
-        """Yield ``(a, b, kind)`` for every relationship once.
-
-        ``kind`` is ``"cp"`` (a is customer of b) or ``"pp"`` (peering).
-        """
-        for customer, providers in self._providers.items():
-            for provider in providers:
-                yield (customer, provider, "cp")
-        seen: Set[Tuple[int, int]] = set()
-        for a, peers in self._peers.items():
-            for b in peers:
-                key = (min(a, b), max(a, b))
-                if key not in seen:
-                    seen.add(key)
-                    yield (key[0], key[1], "pp")

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, TextIO
 
-from repro.errors import DatasetError
-
 
 @dataclass(frozen=True)
 class SiteTrafficReport:
@@ -39,13 +37,6 @@ class Rssac002Report:
     total_responses: float
     unique_sources: int
     sites: List[SiteTrafficReport]
-
-    def site(self, site_code: str) -> SiteTrafficReport:
-        """Look up one site's block."""
-        for entry in self.sites:
-            if entry.site_code == site_code:
-                return entry
-        raise DatasetError(f"report has no site {site_code!r}")
 
     def write(self, stream: TextIO) -> None:
         """Render the report in RSSAC-002's YAML-like style."""

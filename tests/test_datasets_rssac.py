@@ -104,11 +104,6 @@ class TestRssacReport:
         for site in report.sites:
             assert site.responses <= site.queries
 
-    def test_site_lookup(self, report):
-        assert report.site("LAX").site_code == "LAX"
-        with pytest.raises(DatasetError):
-            report.site("XXX")
-
     def test_rendering(self, report):
         buffer = io.StringIO()
         report.write(buffer)

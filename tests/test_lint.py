@@ -13,7 +13,7 @@ from repro.lint import all_rules, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import classify_kind, infer_package
 from repro.lint.layers import LAYERS, layer_of
-from repro.lint import violations
+from repro.lint import layers, violations
 from repro.lint.violations import register_rule
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "lint_fixtures")
@@ -118,6 +118,35 @@ def test_parse_error_reported_as_p001():
     result = lint_paths([path], force_kind="library")
     assert [violation.rule for violation in result.violations] == ["P001"]
     assert result.violations[0].path == path
+
+
+def test_unreadable_sources_are_p001_findings(tmp_path):
+    """A non-UTF-8 byte and a NUL byte are parse errors, not tracebacks."""
+    undecodable = tmp_path / "undecodable.py"
+    undecodable.write_bytes(b"x = 1\ny = '\xff'\n")
+    nul = tmp_path / "nul.py"
+    nul.write_bytes(b"x = 1\ny = 2\x00\n")
+    result = lint_paths([str(tmp_path)], force_kind="library")
+    assert [(v.rule, v.path, v.line) for v in result.violations] == [
+        ("P001", str(nul), 1),
+        ("P001", str(undecodable), 2),
+    ], result.to_text()
+    assert result.files_scanned == 0
+
+
+def test_second_run_sees_an_edited_layer_table(tmp_path, monkeypatch, capsys):
+    """Every run lints afresh: an edit outside the linted file (here the
+    layer table) changes the next run's findings."""
+    module = tmp_path / "repro" / "geo" / "shapes.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("from repro.topology import graph\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    argv = ["repro", "--kind=library"]
+    assert lint_main(argv) == 0  # geo and topology share layer 1
+    capsys.readouterr()
+    monkeypatch.setitem(layers._LAYER_OF, "topology", 2)
+    assert lint_main(argv) == 1
+    assert "L401 (layer-violation)" in capsys.readouterr().out
 
 
 def test_clean_fixture_has_zero_findings():

@@ -52,53 +52,6 @@ class TestLoadEstimate:
         assert hourly.shape == (HOURS,)
         assert hourly[0] == pytest.approx(50.0)
 
-    def test_heaviest(self):
-        estimate = LoadEstimate(make_load())
-        assert estimate.heaviest(1)[0][0] == 1
-
-
-def make_tied_load(n=64):
-    """Many blocks sharing only three distinct load values.
-
-    Dense ties are exactly the input where an unkeyed float argsort
-    leaves the order to quicksort partitioning.
-    """
-    blocks = list(range(1, n + 1))
-    queries = np.zeros((n, HOURS))
-    for i in range(n):
-        queries[i, 0] = float(i % 3)
-    return DayLoad("svc", "d", blocks, queries, np.full(n, 0.5), np.full(n, 0.9))
-
-
-class TestHeaviestTies:
-    @pytest.mark.parametrize("kind", ["quicksort", "stable"])
-    def test_heaviest_matches_keyed_reference(self, kind):
-        estimate = LoadEstimate(make_tied_load())
-        daily = estimate.source.daily_queries()
-        blocks = estimate.blocks
-        # The composite key is unique per block (loads are small, block
-        # ids distinct), so this reference order — load descending,
-        # block id ascending — is identical under every sort kind.
-        reference = np.argsort(daily * -1000.0 + blocks, kind=kind)
-        expected = [(int(blocks[i]), float(daily[i])) for i in reference]
-        assert estimate.heaviest(len(blocks)) == expected
-
-    def test_unkeyed_argsort_kinds_disagree(self):
-        # Documents the original bug: on tied loads, quicksort and
-        # stable argsort genuinely return different permutations, so
-        # heaviest() must not rely on an unkeyed argsort.
-        daily = make_tied_load().daily_queries()
-        quick = np.argsort(-daily, kind="quicksort")
-        stable = np.argsort(-daily, kind="stable")
-        assert not np.array_equal(quick, stable)
-
-    def test_tied_prefix_breaks_toward_lower_block(self):
-        estimate = LoadEstimate(make_tied_load())
-        top = estimate.heaviest(4)
-        # The heaviest value (2.0) belongs to blocks 3, 6, 9, 12, ...
-        assert [block for block, _ in top] == [3, 6, 9, 12]
-        assert all(value == 2.0 for _, value in top)
-
 
 class TestWeighting:
     def test_attribution(self):

@@ -64,22 +64,6 @@ class TestRelationshipGraph:
         assert graph.has_link(2, 1)
         assert not graph.has_link(1, 3)
 
-    def test_degree(self):
-        graph = RelationshipGraph()
-        graph.add_customer_provider(2, 1)
-        graph.add_peering(1, 3)
-        assert graph.degree(1) == 2
-        assert graph.degree(2) == 1
-
-    def test_edges_enumeration(self):
-        graph = RelationshipGraph()
-        graph.add_customer_provider(2, 1)
-        graph.add_peering(1, 3)
-        edges = set(graph.edges())
-        assert (2, 1, "cp") in edges
-        assert (1, 3, "pp") in edges
-        assert len(edges) == 2
-
     def test_relationship_unknown_neighbor(self):
         graph = RelationshipGraph()
         with pytest.raises(TopologyError):
@@ -112,9 +96,3 @@ class TestPrefixAllocator:
         allocator = PrefixAllocator(Prefix("10.0.0.0/8"))
         with pytest.raises(AddressError):
             allocator.allocate(7)
-
-    def test_remaining_decreases(self):
-        allocator = PrefixAllocator(Prefix("10.0.0.0/8"))
-        before = allocator.remaining
-        allocator.allocate(16)
-        assert allocator.remaining == before - (1 << 16)

@@ -70,16 +70,6 @@ NOT_OPERATOR_FN = {
     "core.sharding:assert_site_loads_identical": "test: sharded vs in-process load equality",
     "collector.stream:StreamingCleaner.feed":
         "test: stage + commit in one call, the batch form the cleaner tests drive",
-    "load.estimator:LoadEstimate.heaviest":
-        "test: only tests/test_load.py ranks blocks (its tie order); ROADMAP 7(c)",
-    "topology.allocator:PrefixAllocator.remaining":
-        "test: only tests/test_topology_graph.py reads it; ROADMAP 7(c)",
-    "topology.relationships:RelationshipGraph.degree":
-        "test: only tests/test_topology_graph.py reads it; ROADMAP 7(c)",
-    "topology.relationships:RelationshipGraph.edges":
-        "test: only tests/test_topology_graph.py reads it; ROADMAP 7(c)",
-    "traffic.rssac:Rssac002Report.site":
-        "test: only tests/test_datasets_rssac.py looks a site up; ROADMAP 7(c)",
     "anycast.catchment:CatchmentMap.__contains__": "types: block membership of the map",
     "bgp.cache:RoutingCache.__len__": "types: entry count, the LRU bound the cache tests read",
     "geo.grid:GeoGrid.__len__": "types: populated cells (benchmarks/bench_figure2_broot_maps.py)",
