@@ -19,38 +19,6 @@ from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "ReproError",
-    "AnycastService",
-    "AnycastSite",
-    "CatchmentMap",
-    "AnnouncementPolicy",
-    "compute_routes",
-    "Internet",
-    "TopologyConfig",
-    "build_internet",
-    "Verfploeter",
-    "ScanResult",
-    "Scenario",
-    "broot_like",
-    "tangled_like",
-    "nl_like",
-    "cdn_like",
-    "compare_coverage",
-    "prepend_sweep",
-    "run_stability_series",
-    "DayLoad",
-    "LoadKind",
-    "build_day_load",
-    "AttackProfile",
-    "PlaybookPlanner",
-    "LoadEstimate",
-    "weight_catchment",
-    "Observer",
-    "NULL_OBSERVER",
-]
-
 _EXPORTS = {
     "ReproError": "repro.errors",
     "AnycastService": "repro.anycast.service",
@@ -81,4 +49,5 @@ _EXPORTS = {
     "Observer": "repro.obs",
     "NULL_OBSERVER": "repro.obs",
 }
+__all__ = ["__version__", *_EXPORTS]
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -3,8 +3,7 @@
 Produced by the drivers in :mod:`repro.core.experiments` and
 :mod:`repro.core.comparison`, but defined here so analysis modules can
 depend on them without importing ``core`` (which sits above ``analysis``
-in the layer DAG — see :mod:`repro.lint.layers`).  ``repro.core``
-re-exports every name for its callers.
+in the layer DAG — see :mod:`repro.lint.layers`).
 """
 
 from __future__ import annotations

@@ -9,16 +9,3 @@ they answer, so a measurement is one downtime draw and one catchment
 read over every VP (:meth:`AtlasPlatform.measure`); the DNS wire round
 trip of each query is the oracle's (:mod:`repro.oracle.chaos`).
 """
-
-from repro.lazy import lazy_exports
-
-__all__ = ["AtlasVP", "AtlasPlatform", "AtlasMeasurement", "AtlasResult", "site_hostname"]
-
-_EXPORTS = {
-    "AtlasVP": "repro.atlas.vp",
-    "AtlasPlatform": "repro.atlas.platform",
-    "AtlasMeasurement": "repro.atlas.platform",
-    "AtlasResult": "repro.atlas.platform",
-    "site_hostname": "repro.atlas.platform",
-}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

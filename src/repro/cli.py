@@ -60,17 +60,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _observer_for(args: argparse.Namespace) -> Observer:
+def _observer_for(args: argparse.Namespace, injected: Optional[Observer]) -> Observer:
     """The observer this invocation runs under.
 
     Tests inject one via ``main(argv, observer=...)``; otherwise any of
     the ``--metrics-out``/``--trace-out``/``--profile`` flags switches
-    on a collecting observer, and the default stays the shared no-op.
+    on a collecting observer, and the default stays the shared no-op --
+    except for ``serve``, whose ``/v1/metrics`` endpoint is part of the
+    API surface and is served populated even without those flags.
     """
-    injected = getattr(args, "observer", None)
     if injected is not None:
         return injected
-    if args.metrics_out or args.trace_out or args.profile:
+    if args.metrics_out or args.trace_out or args.profile or args.command == "serve":
         return Observer.collecting()
     return NULL_OBSERVER
 
@@ -104,12 +105,10 @@ def _emit_observability(
         print(observer.tracer.render_wall())
 
 
-def _cmd_scan(args: argparse.Namespace) -> int:
+def _cmd_scan(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.report import render_table
     from repro.core.verfploeter import Verfploeter
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -154,18 +153,15 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         ))
     if observer.enabled:
         print(observer.metrics.render_text(title="pipeline metrics"))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.prepend import format_prepend_table
     from repro.bgp.cache import RoutingCache
     from repro.core.experiments import prepend_sweep
     from repro.core.verfploeter import Verfploeter
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -186,18 +182,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         site = scenario.service.site(args.site or "LAX").code
         sweep = prepend_sweep(verfploeter, scenario.atlas, cache=cache)
     print(format_prepend_table(sweep, site))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
+def _cmd_stability(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.flips import flip_table, format_flip_table, format_stability_table
     from repro.bgp.cache import RoutingCache
     from repro.core.experiments import run_stability_series
     from repro.core.verfploeter import Verfploeter
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -209,17 +202,14 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     print(format_stability_table(series, every=max(1, args.rounds // 8)))
     print()
     print(format_flip_table(flip_table(series, scenario.internet)))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_coverage(args: argparse.Namespace) -> int:
+def _cmd_coverage(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.coverage import format_coverage_table
     from repro.core.comparison import compare_coverage
     from repro.core.verfploeter import Verfploeter
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -229,18 +219,15 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
     print(format_coverage_table(
         compare_coverage(measurement, scan, scenario.internet)
     ))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_loadmap(args: argparse.Namespace) -> int:
+def _cmd_loadmap(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.maps import load_grid, render_ascii_map
     from repro.analysis.report import render_table
     from repro.core.verfploeter import Verfploeter
     from repro.load.estimator import LoadEstimate
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -254,19 +241,16 @@ def _cmd_loadmap(args: argparse.Namespace) -> int:
         [(site, f"{value / sum(totals.values()):.1%}")
          for site, value in sorted(totals.items())],
     ))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_failure(args: argparse.Namespace) -> int:
+def _cmd_failure(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.report import render_table
     from repro.bgp.cache import RoutingCache
     from repro.core.experiments import site_failure_study
     from repro.core.verfploeter import Verfploeter
     from repro.load.estimator import LoadEstimate
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -288,11 +272,10 @@ def _cmd_failure(args: argparse.Namespace) -> int:
         rows,
         title="site-failure what-if (load-weighted)",
     ))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_playbook(args: argparse.Namespace) -> int:
+def _cmd_playbook(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.bgp.cache import RoutingCache
     from repro.core.playbook import (
         PlaybookPlanner,
@@ -304,8 +287,6 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
     from repro.load.weighting import weight_catchment
     from repro.traffic.attack import AttackProfile, compose_attack
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -392,18 +373,15 @@ def _cmd_playbook(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as stream:
             stream.write(playbook.to_json(meta=meta) + "\n")
         print(f"wrote playbook artifact to {args.out}")
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_suggest(args: argparse.Namespace) -> int:
+def _cmd_suggest(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.analysis.placement import suggest_sites
     from repro.analysis.report import render_table
     from repro.core.verfploeter import Verfploeter
     from repro.load.estimator import LoadEstimate
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -423,11 +401,10 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
          for s in suggestions],
         title="suggested new site locations (from Verfploeter RTTs)",
     ))
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     import time
 
     import numpy as np
@@ -436,12 +413,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.load.estimator import LoadEstimate
     from repro.service import MappingService, MeasurementState, replay_feed
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
-    if observer is NULL_OBSERVER:
-        # The daemon's /v1/metrics endpoint is part of the API surface;
-        # serve it populated even when no artifact flags were passed.
-        observer = Observer.collecting()
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -486,16 +457,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         status = 130
     finally:
         service.shutdown()
-    _emit_observability(args, observer, scenario)
     return status
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from repro.core.verfploeter import Verfploeter
     from repro.load.rssac import build_rssac_report
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
@@ -503,23 +471,19 @@ def _cmd_report(args: argparse.Namespace) -> int:
     load = scenario.day_load("cli-report-day")
     report = build_rssac_report(scenario.service.name, load, routing)
     report.write(sys.stdout)
-    _emit_observability(args, observer, scenario)
     return 0
 
 
-def _cmd_paper(args: argparse.Namespace) -> int:
+def _cmd_paper(args: argparse.Namespace, scenario: Scenario, observer: Observer) -> int:
     from pathlib import Path
 
     from repro.reporting import generate_full_report
 
-    scenario = _build_scenario(args)
-    observer = _observer_for(args)
     report_path = generate_full_report(
         scenario, Path(args.outdir), stability_rounds=args.rounds,
         observer=observer,
     )
     print(f"wrote {report_path}")
-    _emit_observability(args, observer, scenario)
     return 0
 
 
@@ -683,6 +647,9 @@ def main(
 ) -> int:
     """CLI entry point; returns the process exit code.
 
+    It builds the scenario and the observer, runs the subcommand's
+    handler on them and, once the handler returns, writes the requested
+    ``--metrics-out``/``--trace-out`` artifacts and ``--profile`` table.
     ``observer`` lets callers (tests, embedding scripts) supply a
     pre-built :class:`~repro.obs.Observer` and inspect its tracer and
     metrics after the command returns, instead of round-tripping
@@ -692,13 +659,15 @@ def main(
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if observer is not None:
-        args.observer = observer
     try:
-        return args.handler(args)
+        scenario = _build_scenario(args)
+        observer = _observer_for(args, observer)
+        status = args.handler(args, scenario, observer)
     except ReproError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
+    _emit_observability(args, observer, scenario)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -6,20 +6,3 @@ the wire oracle's (:mod:`repro.oracle`); this package keeps what the
 operator paths run: the cleaning configuration and result, the columnar
 reply stream with its streaming cleaner, and the scan result types.
 """
-
-from repro.lazy import lazy_exports
-
-__all__ = [
-    "ReplyColumns",
-    "StreamingCleaner",
-    "CleaningConfig",
-    "CleaningResult",
-]
-
-_EXPORTS = {
-    "ReplyColumns": "repro.collector.stream",
-    "StreamingCleaner": "repro.collector.stream",
-    "CleaningConfig": "repro.collector.cleaning",
-    "CleaningResult": "repro.collector.cleaning",
-}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

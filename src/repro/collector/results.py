@@ -3,7 +3,6 @@
 These are produced by the measurement drivers in :mod:`repro.core`
 but consumed throughout the analysis layer, so they live here (the
 collector layer) to keep analysis below core in the layer DAG.
-``repro.core`` re-exports them for its callers.
 
 ``BlockValueMap`` is the columnar companion of the catchment map: an
 immutable ``Mapping[int, float]`` backed by a sorted block array plus a

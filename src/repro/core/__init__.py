@@ -1,60 +1,1 @@
 """Top-level orchestration: the Verfploeter system and canonical scenarios."""
-
-from repro.lazy import lazy_exports
-
-__all__ = [
-    "Verfploeter",
-    "ScanResult",
-    "ScanStats",
-    "CoverageComparison",
-    "compare_coverage",
-    "Scenario",
-    "SCALES",
-    "broot_like",
-    "tangled_like",
-    "nl_like",
-    "prepend_sweep",
-    "PrependMeasurement",
-    "run_stability_series",
-    "StabilityRound",
-    "StabilitySeries",
-    "build_stability_series",
-    "FastScanEngine",
-    "evaluate_site_addition",
-    "find_upstream_near",
-    "Playbook",
-    "PlaybookEntry",
-    "PlaybookPlanner",
-    "derive_capacities",
-    "enumerate_lattice",
-    "format_playbook_table",
-]
-
-_EXPORTS = {
-    "Verfploeter": "repro.core.verfploeter",
-    "ScanResult": "repro.core.verfploeter",
-    "ScanStats": "repro.core.verfploeter",
-    "CoverageComparison": "repro.core.comparison",
-    "compare_coverage": "repro.core.comparison",
-    "Scenario": "repro.core.scenarios",
-    "SCALES": "repro.core.scenarios",
-    "broot_like": "repro.core.scenarios",
-    "tangled_like": "repro.core.scenarios",
-    "nl_like": "repro.core.scenarios",
-    "prepend_sweep": "repro.core.experiments",
-    "PrependMeasurement": "repro.core.experiments",
-    "run_stability_series": "repro.core.experiments",
-    "StabilityRound": "repro.core.experiments",
-    "StabilitySeries": "repro.core.experiments",
-    "build_stability_series": "repro.core.experiments",
-    "FastScanEngine": "repro.core.fastscan",
-    "evaluate_site_addition": "repro.core.planning",
-    "find_upstream_near": "repro.core.planning",
-    "Playbook": "repro.core.playbook",
-    "PlaybookEntry": "repro.core.playbook",
-    "PlaybookPlanner": "repro.core.playbook",
-    "derive_capacities": "repro.core.playbook",
-    "enumerate_lattice": "repro.core.playbook",
-    "format_playbook_table": "repro.core.playbook",
-}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

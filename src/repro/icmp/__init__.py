@@ -7,10 +7,3 @@ hosts' behaviour and the per-packet dataplane are the wire oracle's
 (:mod:`repro.oracle`); this package keeps the geographic latency model
 both the engine and the oracle read.
 """
-
-from repro.lazy import lazy_exports
-
-__all__ = ["LatencyModel"]
-
-_EXPORTS = {"LatencyModel": "repro.icmp.latency"}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,13 +1,19 @@
 """Lazy package re-exports (PEP 562).
 
-A package ``__init__`` names the home module of each name it re-exports
-in one table and serves it through a module ``__getattr__``::
+The three packages that callers import names from -- ``repro``,
+``repro.service`` and ``repro.lint`` -- name the home module of each
+name they re-export in one table and serve it through a module
+``__getattr__``::
 
     _EXPORTS = {
-        "Hitlist": "repro.probing.hitlist",
-        "ProberConfig": "repro.probing.prober",
+        "MappingService": "repro.service.daemon",
+        "replay_feed": "repro.service.feed",
     }
+    __all__ = list(_EXPORTS)
     __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+Every other package ``__init__`` is its docstring alone: its names are
+imported from their modules.
 
 The home module is imported on the first access of one of its names,
 so importing one submodule does not import every sibling the package

@@ -30,14 +30,6 @@ between runs.  New rules are added as one module under
 
 from repro.lazy import lazy_exports
 
-__all__ = [
-    "LintResult",
-    "Violation",
-    "all_rules",
-    "lint_paths",
-    "register_rule",
-]
-
 _EXPORTS = {
     "LintResult": "repro.lint.engine",
     "Violation": "repro.lint.violations",
@@ -45,4 +37,5 @@ _EXPORTS = {
     "lint_paths": "repro.lint.engine",
     "register_rule": "repro.lint.violations",
 }
+__all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

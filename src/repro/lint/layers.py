@@ -21,8 +21,8 @@ with these additions reflecting the tree as it actually is:
 * ``obs`` (tracing spans and their wall times, metrics) is also layer 0:
   every pipeline layer above it reports into it, so it may import
   nothing but ``errors``;
-* ``lazy`` (the PEP 562 re-export hook every package ``__init__`` but
-  ``obs`` uses) is layer 0 too, so any package may use it;
+* ``lazy`` (the PEP 562 re-export hook of the ``repro``, ``service``
+  and ``lint`` tables) is layer 0 too, so any package may use it;
 * ``datasets`` and ``reporting`` sit between ``core`` and ``cli``:
   they serialise and render *outputs* of the core drivers;
 * ``service`` (the always-on mapping daemon) sits with them: it drives
@@ -38,7 +38,7 @@ with these additions reflecting the tree as it actually is:
 ``analysis`` is kept below ``core`` by construction: the result types
 it consumes (:class:`~repro.collector.results.ScanResult`,
 :class:`~repro.analysis.results.StabilitySeries`, ...) live in layer-3
-modules, and ``core`` re-exports them for its callers.
+modules, and callers import them from there.
 """
 
 from __future__ import annotations

@@ -7,23 +7,13 @@ codec (:mod:`~repro.oracle.packets`), per-host replies
 catchment site (:mod:`~repro.oracle.network`), the three per-site
 captures (:mod:`~repro.oracle.capture`), the central merge
 (:mod:`~repro.oracle.aggregate`) and §4 cleaning over reply objects
-(:mod:`~repro.oracle.cleaning`), walked by :func:`wire_scan` and
-:func:`wire_round`; the DNS codec (:mod:`~repro.oracle.dns`) and the
-sites' identity nameservers, walked by :func:`wire_measure`
-(:mod:`~repro.oracle.chaos`).  No operator path runs them: every scan
-is the columnar engine (:mod:`repro.core.fastscan`) and every Atlas
-measurement a column read, which the equivalence suites hold to these
-walks.  It is the top layer of
-:mod:`repro.lint.layers`, so no other ``repro`` package may import it.
+(:mod:`~repro.oracle.cleaning`), walked by
+:func:`~repro.oracle.scan.wire_scan` and
+:func:`~repro.oracle.scan.wire_round`; the DNS codec
+(:mod:`~repro.oracle.dns`) and the sites' identity nameservers, walked
+by :func:`~repro.oracle.chaos.wire_measure`.  No operator path runs
+them: every scan is the columnar engine (:mod:`repro.core.fastscan`)
+and every Atlas measurement a column read, which the equivalence suites
+hold to these walks.  It is the top layer of :mod:`repro.lint.layers`,
+so no other ``repro`` package may import it.
 """
-
-from repro.lazy import lazy_exports
-
-__all__ = ["wire_scan", "wire_round", "wire_measure"]
-
-_EXPORTS = {
-    "wire_scan": "repro.oracle.scan",
-    "wire_round": "repro.oracle.scan",
-    "wire_measure": "repro.oracle.chaos",
-}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

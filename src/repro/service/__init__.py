@@ -11,22 +11,6 @@ daemon (:mod:`repro.service.daemon`), also reachable as ``repro serve``.
 
 from repro.lazy import lazy_exports
 
-__all__ = [
-    "MappingService",
-    "MeasurementState",
-    "StateView",
-    "RoundRecord",
-    "batch_replay",
-    "build_app",
-    "JsonApp",
-    "Request",
-    "FeedEvent",
-    "RoundStart",
-    "ReplyBatch",
-    "RoundEnd",
-    "replay_feed",
-]
-
 _EXPORTS = {
     "MappingService": "repro.service.daemon",
     "MeasurementState": "repro.service.state",
@@ -42,4 +26,5 @@ _EXPORTS = {
     "RoundEnd": "repro.service.feed",
     "replay_feed": "repro.service.feed",
 }
+__all__ = list(_EXPORTS)
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -193,6 +193,20 @@ class TestObservability:
         trace_meta = json.loads(trace_out.read_text())["meta"]
         assert metrics_meta == trace_meta
 
+    def test_suggest_with_no_suggestion_writes_its_artifacts(self, tmp_path, capsys):
+        """An early normal return still writes every requested artifact."""
+        metrics_out = tmp_path / "m.json"
+        trace_out = tmp_path / "t.json"
+        assert main(
+            ["suggest", *TINY, "--threshold", "100000", "--metrics-out",
+             str(metrics_out), "--trace-out", str(trace_out), "--profile"]
+        ) == 0
+        output = capsys.readouterr().out
+        assert "no underserved regions above the RTT threshold" in output
+        assert json.loads(metrics_out.read_text())["meta"]["scenario"] == "broot"
+        assert json.loads(trace_out.read_text())["spans"]
+        assert "profile (wall clock, opt-in):" in output
+
     def test_scan_prints_metrics_table_when_collecting(self, tmp_path, capsys):
         assert main(
             ["scan", *TINY, "--metrics-out", str(tmp_path / "m.json")]
