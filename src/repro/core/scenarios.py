@@ -8,13 +8,15 @@ Builders come in several scales (``tiny`` for unit tests up to
 
 from __future__ import annotations
 
+import hashlib
+import pathlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.anycast.service import AnycastService
 from repro.anycast.site import AnycastSite
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.netaddr.prefix import Prefix
 from repro.topology.asys import SeededAS
 from repro.traffic.workload import WorkloadProfile, nl_profile, root_profile
@@ -127,24 +129,52 @@ def _scale_params(scale: str) -> Tuple[int, int, int, int, float]:
         ) from None
 
 
+#: The sources an Internet build runs, under ``src/repro``: a snapshot is
+#: keyed on their bytes, so any edit to the generator misses.
+_BUILD_SOURCES = ("topology/*.py", "geo/*.py", "netaddr/*.py", "rng.py", "errors.py",
+                  "core/scenarios.py", "core/tables.py")
+
+
+@lru_cache(maxsize=None)
+def _sources_digest() -> str:
+    root = pathlib.Path(__file__).resolve().parents[1]
+    digest = hashlib.blake2b(digest_size=8)
+    for pattern in _BUILD_SOURCES:
+        for path in sorted(root.glob(pattern)):
+            digest.update(path.relative_to(root).as_posix().encode() + path.read_bytes())
+    return digest.hexdigest()
+
+
+def snapshot_internet(**config) -> Internet:
+    """``build_internet(TopologyConfig(**config))``, attached from the table
+    store when an entry of the same inputs and build sources verifies; a miss
+    (or a damaged entry) builds and persists.  A hit imports no generator."""
+    from repro.core.tables import TableStore, attach_internet, persist_internet
+
+    store = TableStore()
+    key = "internet-" + hashlib.blake2b(
+        repr((sorted(config.items()), _sources_digest())).encode(), digest_size=8
+    ).hexdigest()
+    try:
+        return attach_internet(store, key)
+    except DatasetError:
+        pass  # no entry yet, or a damaged one: build it, overwriting what is there
+    from repro.topology.generator import TopologyConfig, build_internet
+
+    internet = build_internet(TopologyConfig(**config))
+    persist_internet(store, key, internet)
+    return internet
+
+
 def _build_internet(
     scale: str, seed: int, seeded_ases: Tuple[SeededAS, ...]
 ) -> Internet:
     """The scenario's seeded topology at ``scale``."""
-    from repro.topology.generator import TopologyConfig, build_internet
-
     tier1, transit, stub, blocks_cap, density = _scale_params(scale)
-    return build_internet(
-        TopologyConfig(
-            seed=seed,
-            tier1_count=tier1,
-            transit_count=transit,
-            stub_count=stub,
-            max_blocks_per_prefix=blocks_cap,
-            block_density_scale=density,
-            address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL),
-            seeded_ases=seeded_ases,
-        )
+    return snapshot_internet(
+        seed=seed, tier1_count=tier1, transit_count=transit, stub_count=stub,
+        max_blocks_per_prefix=blocks_cap, block_density_scale=density,
+        address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL), seeded_ases=seeded_ases,
     )
 
 

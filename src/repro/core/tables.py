@@ -2,14 +2,17 @@
 
 A :class:`TableStore` is a directory of ``.npy`` files the pool's
 worker processes attach as read-only ``np.memmap`` arrays instead of
-unpickling them per task.  Every entry is keyed by *content*: the
+unpickling them per task.  Every pool entry is keyed by *content*: the
 fingerprint is a blake2b over dtype, shape, and raw bytes, so two runs
 that build the same arrays share one on-disk copy, and a stale cache
-entry is impossible by construction.
+entry is impossible by construction.  The scenario Internet
+(:func:`persist_internet`) is keyed by its build inputs and sources
+instead, and carries a content fingerprint that every attach checks.
 
-Writes are atomic (temp file + ``os.replace``) so a crashed run never
-leaves a half-written table under a valid fingerprint; the manifest is
-written last and its presence is what marks a fingerprint as complete.
+Writes are atomic (a temp file of the writer's own + ``os.replace``) so
+a crashed run never leaves a half-written table under a valid
+fingerprint, and two writers of one entry never collide; the manifest
+is written last and its presence is what marks a fingerprint as complete.
 """
 
 from __future__ import annotations
@@ -55,40 +58,50 @@ class TableStore:
     def _array_path(self, fingerprint: str, name: str) -> str:
         return os.path.join(self.dir_of(fingerprint), f"{name}.npy")
 
-    def write_array(self, fingerprint: str, name: str, array: np.ndarray) -> None:
-        """Persist one named array atomically."""
+    def _replace(self, fingerprint: str, filename: str, write) -> None:
+        """Write one file of an entry through a temp file of this writer's own:
+        concurrent writers of one entry never share (or truncate) one."""
         directory = self.dir_of(fingerprint)
         os.makedirs(directory, exist_ok=True)
-        final = self._array_path(fingerprint, name)
-        scratch = final + ".tmp"
-        with open(scratch, "wb") as handle:
-            np.save(handle, np.ascontiguousarray(array))
-        os.replace(scratch, final)
+        handle, scratch = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(handle, "wb") as stream:
+                write(stream)
+            os.replace(scratch, os.path.join(directory, filename))
+        except BaseException:
+            os.unlink(scratch)
+            raise
+
+    def write_array(self, fingerprint: str, name: str, array: np.ndarray) -> None:
+        """Persist one named array atomically."""
+        self._replace(
+            fingerprint, f"{name}.npy",
+            lambda stream: np.save(stream, np.ascontiguousarray(array)),
+        )
 
     def read_array(self, fingerprint: str, name: str) -> np.ndarray:
         """Attach one named array as a read-only memmap."""
         path = self._array_path(fingerprint, name)
-        if not os.path.exists(path):
-            raise DatasetError(f"no table {name!r} under fingerprint {fingerprint}")
-        return np.load(path, mmap_mode="r")
+        try:
+            return np.load(path, mmap_mode="r")
+        except (OSError, ValueError) as error:  # missing, truncated or not .npy
+            raise DatasetError(f"table {name!r} under {fingerprint}: {error}") from None
 
     def write_manifest(self, fingerprint: str, payload: Dict[str, object]) -> None:
         """Persist the manifest atomically (write this last)."""
-        directory = self.dir_of(fingerprint)
-        os.makedirs(directory, exist_ok=True)
-        final = os.path.join(directory, _MANIFEST)
-        scratch = final + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-        os.replace(scratch, final)
+        self._replace(
+            fingerprint, _MANIFEST,
+            lambda stream: stream.write(json.dumps(payload, sort_keys=True).encode()),
+        )
 
     def read_manifest(self, fingerprint: str) -> Dict[str, object]:
         """Load the manifest of one fingerprint."""
         path = os.path.join(self.dir_of(fingerprint), _MANIFEST)
-        if not os.path.exists(path):
-            raise DatasetError(f"no persisted tables under fingerprint {fingerprint}")
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+        except (OSError, ValueError) as error:  # missing, or not JSON
+            raise DatasetError(f"no readable manifest under {fingerprint}: {error}") from None
 
 
 def content_fingerprint(
@@ -268,3 +281,94 @@ def attach_round_state(store: TableStore, fingerprint: str):
         row_start=0,
         **columns,
     )
+
+
+#: Array columns of a persisted :class:`~repro.topology.internet.Internet`:
+#: block table, geo columns, PoP table, and prefixes ``(network, length,
+#: origin)`` and AS edges ``(a, b, peering)`` (in order) as ``(3, n)`` tables;
+#: the manifest holds one AS list per :data:`_AS_FIELDS` field.  Column by
+#: column: per-row containers by the thousand would set off a full GC pass.
+_INTERNET_COLUMNS = (
+    "blocks", "asns", "pop_ids",
+    "geo.blocks", "geo.latitudes", "geo.longitudes", "geo.country_index",
+    "pops.asn", "pops.latitude", "pops.longitude", "prefixes", "edges",
+)
+_AS_FIELDS = ("asn", "tier", "name", "country_code", "flipper")
+
+
+def persist_internet(store: TableStore, key: str, internet) -> None:
+    """Persist ``internet`` under ``key``, overwriting what is there: arrays
+    to ``.npy`` files; AS rows, country codes and host configuration to the
+    manifest, with a ``content_fingerprint`` of both that attach recomputes."""
+    geo = internet.geodb.columnar()
+    pops, announced = internet.pops, internet.announced
+    arrays = dict(zip(_INTERNET_COLUMNS, (
+        *internet.block_table(),
+        geo.blocks, geo.latitudes, geo.longitudes, geo.country_index,
+        *(np.array([getattr(pop, field) for pop in pops], dtype)
+          for field, dtype in (("asn", np.int64), ("latitude", np.float64),
+                               ("longitude", np.float64))),
+        np.array([[e.prefix.network for e in announced], [e.prefix.length for e in announced],
+                  [e.origin_asn for e in announced]], dtype=np.int64).reshape(3, -1),
+        np.array(internet.graph.edge_columns(), dtype=np.int64).reshape(3, -1),
+    )))
+    ases = internet.ases.values()
+    scalars = {
+        "kind": "internet",
+        "seed": internet.seed,
+        "ases": {field: [getattr(a, field) for a in ases] for field in _AS_FIELDS},
+        "pop_countries": [pop.country_code for pop in pops],
+        "geo_countries": list(geo.countries),
+        "host_config": dataclasses.asdict(internet.host_model.config),
+    }
+    for name, array in arrays.items():
+        store.write_array(key, name, array)
+    store.write_manifest(
+        key, {**scalars, "content_fingerprint": content_fingerprint(arrays, scalars)}
+    )
+
+
+def attach_internet(store: TableStore, key: str):
+    """The Internet :func:`persist_internet` stored under ``key``, its columns
+    read-only memmaps.  Raises :class:`~repro.errors.DatasetError` when the
+    entry is missing, of another kind, truncated, misaligned or fails its
+    fingerprint."""
+    # Deferred: only a scenario snapshot needs the topology types.
+    from repro.geo.geodb import GeoColumns, GeoDatabase
+    from repro.netaddr.prefix import Prefix
+    from repro.topology.asys import AutonomousSystem, PoP
+    from repro.topology.hosts import HostModelConfig
+    from repro.topology.internet import Internet
+    from repro.topology.prefixes import AnnouncedPrefix
+    from repro.topology.relationships import RelationshipGraph
+
+    manifest = store.read_manifest(key)
+    if manifest.get("kind") != "internet":
+        raise DatasetError(f"entry {key} holds {manifest.get('kind')!r}, not an internet")
+    scalars = {name: value for name, value in manifest.items() if name != "content_fingerprint"}
+    arrays = {name: np.asarray(store.read_array(key, name)) for name in _INTERNET_COLUMNS}
+    if content_fingerprint(arrays, scalars) != manifest.get("content_fingerprint"):
+        raise DatasetError(f"entry {key} does not match its content fingerprint")
+    blocks, asns, pop_ids = (arrays[name] for name in ("blocks", "asns", "pop_ids"))
+    pop_columns = [arrays[f"pops.{name}"] for name in ("asn", "latitude", "longitude")]
+    as_columns = [scalars["ases"][field] for field in _AS_FIELDS]
+    if ({asns.shape, pop_ids.shape} != {blocks.shape} or arrays["prefixes"].shape[0] != 3
+            or {c.shape for c in pop_columns} != {(len(scalars["pop_countries"]),)}
+            or arrays["edges"].shape[0] != 3 or len({len(c) for c in as_columns}) != 1):
+        raise DatasetError(f"entry {key} has misaligned columns")
+    ases = {asn: AutonomousSystem(asn, tier, name, country, [], flipper)
+            for asn, tier, name, country, flipper in zip(*as_columns)}
+    pops = []
+    for pop_id, (asn, lat, lon, country) in enumerate(
+            zip(*(c.tolist() for c in pop_columns), scalars["pop_countries"])):
+        pops.append(PoP(pop_id, asn, country, lat, lon))
+        ases[asn].pop_ids.append(pop_id)
+    graph = RelationshipGraph()
+    for a, b, peering in zip(*arrays["edges"].tolist()):
+        (graph.add_peering if peering else graph.add_customer_provider)(a, b)
+    announced = [AnnouncedPrefix(Prefix(network, length), origin)
+                 for network, length, origin in zip(*arrays["prefixes"].tolist())]
+    geo = GeoColumns(*(arrays[name] for name in _INTERNET_COLUMNS[3:7]),
+                     tuple(scalars["geo_countries"]))
+    return Internet(int(scalars["seed"]), ases, pops, graph, announced, (blocks, asns, pop_ids),
+                    GeoDatabase(geo), HostModelConfig(**scalars["host_config"]))

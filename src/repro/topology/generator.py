@@ -386,17 +386,13 @@ class _Builder:
 
     def finish(self) -> Internet:
         # The allocator hands prefixes out upward and offsets are sorted,
-        # so the blocks arrive ascending; each prefix's are a contiguous run.
+        # so the blocks arrive ascending; each prefix's are a contiguous run
+        # (the Internet hands each its run).
         blocks = np.frombuffer(self._blocks, dtype=np.int64)
         blocks.setflags(write=False)  # before any view of it is taken
         if not np.all(np.diff(blocks) > 0):
             raise TopologyError("populated blocks are not strictly ascending")
         pop_ids = np.frombuffer(self._pop_ids, dtype=np.int64)
-        starts = np.array([entry.prefix.network >> 8 for entry in self.announced], dtype=np.int64)
-        spans = np.array([entry.prefix.block_count for entry in self.announced], dtype=np.int64)
-        lows, highs = (np.searchsorted(blocks, edge).tolist() for edge in (starts, starts + spans))
-        for entry, low, high in zip(self.announced, lows, highs):
-            entry.populated = blocks[low:high]
         asns = np.array([pop.asn for pop in self.pops], dtype=np.int64)[pop_ids]
         return Internet(
             self.config.seed, self.ases, self.pops, self.graph, self.announced,

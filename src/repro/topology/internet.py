@@ -17,11 +17,12 @@ from repro.topology.relationships import RelationshipGraph
 class Internet:
     """Container for a generated topology.
 
-    Holds the AS graph, PoPs, announced prefixes, the populated /24
-    blocks as read-only ``(blocks, asns, pop_ids)`` columns (blocks
-    ascending), the geolocation database, and the ``host_config`` its
-    :attr:`host_model` draws with, over the Internet's own seed.  Lookups
-    join against those columns (:meth:`join`).
+    Holds the AS graph, PoPs, announced prefixes (each given its run of
+    populated blocks here), the populated /24 blocks as read-only
+    ``(blocks, asns, pop_ids)`` columns (blocks ascending), the
+    geolocation database, and the ``host_config`` its :attr:`host_model`
+    draws with, over the Internet's own seed.  Lookups join against those
+    columns (:meth:`join`).
     """
 
     def __init__(
@@ -46,12 +47,20 @@ class Internet:
         for column in columns:
             column.setflags(write=False)
         self._block_table: Tuple[np.ndarray, np.ndarray, np.ndarray] = columns
+        bounds = [(e.prefix.network, e.prefix.broadcast, e.prefix.block_count) for e in announced]
+        starts, ends, spans = np.array(bounds, dtype=np.int64).reshape(-1, 3).T
+        # Each prefix's populated blocks are its run of the (read-only) block column.
+        lows, highs = (np.searchsorted(columns[0], edge).tolist()
+                       for edge in (starts >> 8, (starts >> 8) + spans))
+        for entry, low, high in zip(announced, lows, highs):
+            entry.populated = columns[0][low:high]
         # (start, end address, index) of the announced prefixes, by start,
         # after a sentinel row covering nothing.  Prefixes never overlap,
         # so the last one starting at or before an address is the only
         # one that can cover it.
-        table = sorted((e.prefix.network, e.prefix.broadcast, i) for i, e in enumerate(announced))
-        self._prefix_table = np.array([(-1, -1, -1), *table], dtype=np.int64).T.copy()
+        order = np.lexsort((ends, starts))
+        table = np.stack([starts[order], ends[order], order])
+        self._prefix_table = np.concatenate([np.full((3, 1), -1), table], axis=1)
         self._stable_mask: Optional[np.ndarray] = None
 
     # -- blocks ---------------------------------------------------------

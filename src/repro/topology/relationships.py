@@ -8,7 +8,7 @@ propagation can walk "up" (toward providers), "across" (peers), and
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import TopologyError
 
@@ -28,30 +28,38 @@ class RelationshipGraph:
         self._providers: Dict[int, List[int]] = {}
         self._customers: Dict[int, List[int]] = {}
         self._peers: Dict[int, List[int]] = {}
-        self._edge_set: Set[Tuple[int, int]] = set()
+        # Every edge as ``(a, b) -> peering`` in insertion order.
+        self._edges: Dict[Tuple[int, int], bool] = {}
 
-    def _check_new_edge(self, a: int, b: int) -> None:
+    def _check_new_edge(self, a: int, b: int, peering: bool) -> None:
         if a == b:
             raise TopologyError(f"self-loop on AS{a}")
-        if (a, b) in self._edge_set or (b, a) in self._edge_set:
+        if self.has_link(a, b):
             raise TopologyError(f"duplicate relationship between AS{a} and AS{b}")
-        self._edge_set.add((a, b))
+        self._edges[a, b] = peering
 
     def add_customer_provider(self, customer: int, provider: int) -> None:
         """Record that ``customer`` buys transit from ``provider``."""
-        self._check_new_edge(customer, provider)
+        self._check_new_edge(customer, provider, False)
         self._providers.setdefault(customer, []).append(provider)
         self._customers.setdefault(provider, []).append(customer)
 
     def add_peering(self, a: int, b: int) -> None:
         """Record a settlement-free peering between ``a`` and ``b``."""
-        self._check_new_edge(a, b)
+        self._check_new_edge(a, b, True)
         self._peers.setdefault(a, []).append(b)
         self._peers.setdefault(b, []).append(a)
 
     def has_link(self, a: int, b: int) -> bool:
         """True if any relationship exists between ``a`` and ``b``."""
-        return (a, b) in self._edge_set or (b, a) in self._edge_set
+        return (a, b) in self._edges or (b, a) in self._edges
+
+    def edge_columns(self) -> Tuple[List[int], List[int], List[int]]:
+        """``(a, b, peering)`` columns of every edge in insertion order (``a``
+        buys transit from ``b`` where ``peering`` is 0): adding the edges again
+        in this order rebuilds every neighbour list in its order."""
+        return ([a for a, _ in self._edges], [b for _, b in self._edges],
+                [int(peering) for peering in self._edges.values()])
 
     def providers_of(self, asn: int) -> List[int]:
         """ASes that ``asn`` buys transit from."""
@@ -64,4 +72,3 @@ class RelationshipGraph:
     def peers_of(self, asn: int) -> List[int]:
         """Settlement-free peers of ``asn``."""
         return self._peers.get(asn, [])
-

@@ -6,7 +6,10 @@ functions of their seeds — tests never mutate them.
 
 from __future__ import annotations
 
+import os
+import shutil
 import sys
+import tempfile
 from contextlib import contextmanager
 
 import pytest
@@ -16,6 +19,19 @@ from repro.bgp.propagation import compute_routes
 from repro.core.scenarios import broot_like, cdn_like, nl_like, tangled_like
 from repro.core.verfploeter import Verfploeter
 from repro.topology.generator import SeededAS, TopologyConfig, build_internet
+
+
+#: The session's own table store, empty at the start: a store shared across
+#: sessions would attach scenario Internets this session never builds, so
+#: the suite would not be hermetic and :class:`SeedLabelRecorder` would never
+#: see the generator's ``derive_seed`` sites.  Set before any test runs, so
+#: the CLI children the suite starts inherit it.
+TABLE_STORE = tempfile.mkdtemp(prefix="repro-tables-")
+os.environ["REPRO_TABLE_CACHE"] = TABLE_STORE
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(TABLE_STORE, ignore_errors=True)
 
 
 class SeedLabelRecorder:

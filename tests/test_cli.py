@@ -216,8 +216,9 @@ class TestObservability:
         assert "probe.probes_sent" in output
 
     def test_two_seeded_runs_write_identical_artifacts(self, tmp_path):
-        """Fresh interpreters under ``PYTHONHASHSEED=0`` and ``=1`` write the
-        same stdout and files, through ``tools/determinism.py``'s runner."""
+        """Fresh interpreters under ``PYTHONHASHSEED=0`` and ``=1``, and one
+        more on the table store the second filled, write the same stdout and
+        files, through ``tools/determinism.py``'s runner."""
         tool = runpy.run_path(str(DETERMINISM_TOOL))
         pairs = [
             ("sweep --metrics-out TMP/m.json --trace-out TMP/t.json", "small",
@@ -226,8 +227,10 @@ class TestObservability:
         ]
         for form, scale, names in pairs:
             first, second = (tool["run"](form, scale, seed, tmp_path) for seed in (0, 1))
+            warm = tool["run"](form, scale, 0, tmp_path, warm=True)
             assert set(first) == names, first.get("exit")
             assert tool["differ"](first, second) == [], form
+            assert tool["differ"](first, warm) == [], form
 
     @pytest.mark.parametrize(
         "argv",

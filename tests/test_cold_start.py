@@ -34,11 +34,17 @@ FORMS = {
 }
 
 #: Modules of other subcommands, which ``stability`` must not import.
+#: ``repro.core.tables`` is not one: every subcommand reads its scenario
+#: Internet from the table store.
 NOT_STABILITY = (
     "repro.core.playbook", "repro.core.planning", "repro.core.pool",
-    "repro.core.sharding", "repro.core.tables", "repro.service",
+    "repro.core.sharding", "repro.service",
     "repro.load.weighting", "repro.traffic.attack", "repro.atlas",
 )
+
+#: What only a cold scenario build runs: a warm table store attaches the
+#: Internet instead.
+GENERATOR = ("repro.topology.generator", "repro.topology.allocator")
 
 
 def _not_operator() -> dict:
@@ -50,17 +56,21 @@ def _not_operator() -> dict:
     return module.NOT_OPERATOR
 
 
-@functools.lru_cache(maxsize=None)
-def loaded(form: str) -> frozenset:
-    """Every module a fresh interpreter holds after ``repro <FORMS[form]>``."""
+def _run(argv, **env) -> frozenset:
     paths = [os.path.join(REPO_ROOT, "src"), os.environ.get("PYTHONPATH", "")]
     done = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), *FORMS[form]],
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths))),
+        [sys.executable, os.path.abspath(__file__), *argv],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **env),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
     return frozenset(done.stdout.split())
+
+
+@functools.lru_cache(maxsize=None)
+def loaded(form: str) -> frozenset:
+    """Every module a fresh interpreter holds after ``repro <FORMS[form]>``."""
+    return _run(FORMS[form])
 
 
 def test_help_loads_no_numpy():
@@ -92,6 +102,13 @@ def test_stability_loads_no_other_subcommand_module():
         if any(module == name or module.startswith(name + ".") for name in NOT_STABILITY)
     ]
     assert stray == []
+
+
+def test_a_warm_table_store_loads_no_generator(tmp_path):
+    """The second run of a scenario attaches its Internet from the store."""
+    cold, warm = (_run(FORMS["stability"], REPRO_TABLE_CACHE=str(tmp_path)) for _ in range(2))
+    assert set(GENERATOR) <= cold
+    assert sorted(set(GENERATOR) & warm) == []
 
 
 def test_stability_module_budget():

@@ -5,7 +5,10 @@ Runs each form of ``tools/reach.py``'s ``MATRIX`` as ``python -m repro <form>
 under ``PYTHONHASHSEED=0`` and once under ``=1``.  Every run starts from the same
 empty scratch path (``TMP`` and the table store), so both sides see the same paths.
 It compares stdout and every file the form writes; only the ``--profile`` table
-and ``serve``'s ``serving on`` port are masked.  A form that passes ``--workers``
+and ``serve``'s ``serving on`` port are masked.  Each form also runs once more
+against the table store its ``PYTHONHASHSEED=0`` run filled (a warm store: the
+scenario Internet is attached, not built), and must match that run byte for
+byte.  A form that passes ``--workers``
 or ``--shards`` must also match the same form without them, on stdout and its
 ``--out``/``--output``/``--outdir`` files (its metrics and trace count pool work).
 Prints one line per mismatch and a summary; exits 1 on any mismatch.
@@ -37,12 +40,13 @@ def mask(stdout: bytes) -> bytes:
     return re.sub(rb"(serving on http://127\.0\.0\.1:)\d+", rb"\1PORT", stdout)
 
 
-def run(form: str, scale: str, hashseed: int, scratch) -> dict:
+def run(form: str, scale: str, hashseed: int, scratch, warm: bool = False) -> dict:
     """``repro <form> --scale <scale>`` in a fresh interpreter under ``hashseed``:
-    ``{"stdout": masked stdout, "TMP/<name>": bytes of each file it wrote}``."""
+    ``{"stdout": masked stdout, "TMP/<name>": bytes of each file it wrote}``.
+    ``warm`` keeps the table store the previous run left."""
     scratch = pathlib.Path(scratch)
     tmp, tables = scratch / "tmp", scratch / "tables"
-    for directory in (tmp, tables):
+    for directory in (tmp,) if warm else (tmp, tables):
         shutil.rmtree(directory, ignore_errors=True)
         directory.mkdir(parents=True)
     env = dict(os.environ, PYTHONHASHSEED=str(hashseed), REPRO_TABLE_CACHE=str(tables),
@@ -72,7 +76,8 @@ def differ(first: dict, second: dict, skip=()) -> list:
 
 def check(forms, scales) -> list:
     """One line per mismatch over ``forms`` x ``scales``: hash seed 0 vs 1,
-    and each pooled form (seed 0) vs its in-process form (seed 0)."""
+    cold vs warm table store (seed 0), and each pooled form (seed 0) vs its
+    in-process form (seed 0)."""
     runs, mismatches = {}, []
     with tempfile.TemporaryDirectory() as scratch:
         def outputs(form, scale, hashseed):
@@ -82,8 +87,12 @@ def check(forms, scales) -> list:
 
         for scale in scales:
             for form in forms:
-                seeded, inline = outputs(form, scale, 0), in_process(form)
+                # The warm run must follow the cold run that filled its store.
+                seeded = runs[form, scale, 0] = run(form, scale, 0, scratch)
+                inline = in_process(form)
                 found = [f"exit {seeded['exit'].decode(errors='replace').strip()}"] if "exit" in seeded else []
+                found += [f"{name} differs on a warm table store"
+                          for name in differ(seeded, run(form, scale, 0, scratch, warm=True))]
                 found += [f"{name} differs under PYTHONHASHSEED=0/1"
                           for name in differ(seeded, outputs(form, scale, 1))]
                 if inline != form:
