@@ -8,8 +8,12 @@ Builders come in several scales (``tiny`` for unit tests up to
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import hashlib
+import os
 import pathlib
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -132,7 +136,12 @@ def _scale_params(scale: str) -> Tuple[int, int, int, int, float]:
 #: The sources an Internet build runs, under ``src/repro``: a snapshot is
 #: keyed on their bytes, so any edit to the generator misses.
 _BUILD_SOURCES = ("topology/*.py", "geo/*.py", "netaddr/*.py", "rng.py", "errors.py",
-                  "core/scenarios.py", "core/tables.py")
+                  "__init__.py", "lazy.py", "core/__init__.py", "core/scenarios.py",
+                  "core/tables.py")
+
+#: ``(store root, key, Internet)`` of a snapshot miss, which :func:`save_snapshot`
+#: persists at the next lookup or at exit: after the run's output.
+_unsaved: list = []
 
 
 @lru_cache(maxsize=None)
@@ -148,22 +157,44 @@ def _sources_digest() -> str:
 def snapshot_internet(**config) -> Internet:
     """``build_internet(TopologyConfig(**config))``, attached from the table
     store when an entry of the same inputs and build sources verifies; a miss
-    (or a damaged entry) builds and persists.  A hit imports no generator."""
-    from repro.core.tables import TableStore, attach_internet, persist_internet
-
-    store = TableStore()
+    (or a damaged entry) builds, and persists later, so it costs no more than
+    the build.  A hit imports no generator, a miss not even ``core.tables``
+    (the store's root is read here)."""
+    save_snapshot()
+    root = os.environ.get("REPRO_TABLE_CACHE") or os.path.join(tempfile.gettempdir(),
+                                                                "repro-tables")
     key = "internet-" + hashlib.blake2b(
         repr((sorted(config.items()), _sources_digest())).encode(), digest_size=8
     ).hexdigest()
-    try:
-        return attach_internet(store, key)
-    except DatasetError:
-        pass  # no entry yet, or a damaged one: build it, overwriting what is there
+    if os.path.exists(os.path.join(root, key, "manifest.json")):
+        from repro.core.tables import TableStore, attach_internet
+
+        try:
+            return attach_internet(TableStore(root), key)
+        except DatasetError:
+            pass  # a damaged entry: build it, overwriting what is there
     from repro.topology.generator import TopologyConfig, build_internet
 
     internet = build_internet(TopologyConfig(**config))
-    persist_internet(store, key, internet)
+    with contextlib.suppress(OSError):  # a store that cannot be made is skipped
+        os.makedirs(root, exist_ok=True)
+        _unsaved.append((root, key, internet))
     return internet
+
+
+def save_snapshot() -> None:
+    """Persist the Internet of the last snapshot miss, if any.  The snapshot
+    is a cache: a store that is gone, full or not writable is skipped."""
+    if _unsaved:
+        root, key, internet = _unsaved.pop()
+        from repro.core.tables import TableStore, persist_internet
+
+        with contextlib.suppress(OSError):
+            if os.path.isdir(root):  # not recreated once its owner removed it
+                persist_internet(TableStore(root), key, internet)
+
+
+atexit.register(save_snapshot)
 
 
 def _build_internet(

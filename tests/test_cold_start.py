@@ -17,6 +17,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -34,11 +35,9 @@ FORMS = {
 }
 
 #: Modules of other subcommands, which ``stability`` must not import.
-#: ``repro.core.tables`` is not one: every subcommand reads its scenario
-#: Internet from the table store.
 NOT_STABILITY = (
     "repro.core.playbook", "repro.core.planning", "repro.core.pool",
-    "repro.core.sharding", "repro.service",
+    "repro.core.sharding", "repro.core.tables", "repro.service",
     "repro.load.weighting", "repro.traffic.attack", "repro.atlas",
 )
 
@@ -69,8 +68,10 @@ def _run(argv, **env) -> frozenset:
 
 @functools.lru_cache(maxsize=None)
 def loaded(form: str) -> frozenset:
-    """Every module a fresh interpreter holds after ``repro <FORMS[form]>``."""
-    return _run(FORMS[form])
+    """Every module a fresh interpreter holds after ``repro <FORMS[form]>``, on
+    an empty table store (its scenario snapshot is written after the listing)."""
+    with tempfile.TemporaryDirectory() as store:
+        return _run(FORMS[form], REPRO_TABLE_CACHE=store)
 
 
 def test_help_loads_no_numpy():
@@ -105,10 +106,12 @@ def test_stability_loads_no_other_subcommand_module():
 
 
 def test_a_warm_table_store_loads_no_generator(tmp_path):
-    """The second run of a scenario attaches its Internet from the store."""
+    """The second run of a scenario attaches its Internet from the store the
+    first filled at its exit: ``core.tables`` then, but no module of the pool."""
     cold, warm = (_run(FORMS["stability"], REPRO_TABLE_CACHE=str(tmp_path)) for _ in range(2))
-    assert set(GENERATOR) <= cold
+    assert set(GENERATOR) <= cold and "repro.core.tables" not in cold
     assert sorted(set(GENERATOR) & warm) == []
+    assert sorted(set(NOT_STABILITY) & warm) == ["repro.core.tables"]
 
 
 def test_stability_module_budget():

@@ -209,8 +209,8 @@ class TestPooledStore:
             json.loads(manifest.read_text())["kind"]
             for manifest in tmp_path.glob("*/manifest.json")
         ]
-        assert kinds.count("round_state") == 1 and kinds.count("internet") == 1
-        assert set(kinds) == {"round_state", "array", "internet"}
+        assert kinds.count("round_state") == 1
+        assert set(kinds) == {"round_state", "array"}
         # One sites column per distinct catchment plus a handful of
         # shared columns — not seventeen files per config.
         assert len(list(tmp_path.glob("*/*"))) < 2 * 101 + 40

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -115,6 +116,7 @@ def _attached_scenario(builder, seed):
 
 
 def _entry(store) -> str:
+    scenarios.save_snapshot()
     (entry,) = [name for name in os.listdir(store.root) if name.startswith("internet-")]
     return entry
 
@@ -153,6 +155,7 @@ def test_a_damaged_snapshot_raises_and_is_rebuilt(store, damage, filename):
         attach_internet(store, entry)
     rebuilt = tangled_like(scale="tiny", seed=3).internet
     assert not _attached(rebuilt) and _fields(rebuilt) == _fields(built)
+    scenarios.save_snapshot()
     assert _fields(attach_internet(store, entry)) == _fields(built)  # overwritten
 
 
@@ -173,36 +176,91 @@ def test_another_generator_source_misses(store, monkeypatch):
     tangled_like(scale="tiny", seed=3)
     monkeypatch.setattr(scenarios, "_sources_digest", lambda: "edited")
     assert not _attached(tangled_like(scale="tiny", seed=3).internet)
+    scenarios.save_snapshot()
     assert len([name for name in os.listdir(store.root) if name.startswith("internet-")]) == 2
+
+
+def test_a_miss_is_persisted_after_the_build(store):
+    """A miss writes nothing while the run goes on; the next lookup (or the
+    end of the process) persists it, and a store removed meanwhile stays gone."""
+    tangled_like(scale="tiny", seed=3)
+    assert os.listdir(store.root) == []
+    assert _attached(tangled_like(scale="tiny", seed=3).internet)
+    broot_like(scale="tiny", seed=3)
+    shutil.rmtree(store.root)
+    scenarios.save_snapshot()
+    assert not os.path.exists(store.root)
+
+
+def test_a_store_that_cannot_be_written_changes_no_output(tmp_path, monkeypatch, capsys):
+    """The snapshot is a cache: a run whose store cannot be made still exits 0
+    with the stdout of a run on a working store."""
+    from repro.cli import main
+
+    argv = ["stability", "--scale", "tiny", "--rounds", "2"]
+    outputs = []
+    (tmp_path / "file").write_text("")
+    for root in (tmp_path / "store", tmp_path / "file" / "store"):
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(root))
+        assert main(argv) == 0
+        scenarios.save_snapshot()
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0]
+    assert [name.startswith("internet-") for name in os.listdir(tmp_path / "store")] == [True]
 
 
 _GUARD = """
 import json, sys
-from repro.core import scenarios
-before = set(sys.modules)
-scenarios._build_internet("tiny", 3, scenarios._GIANTS)
-print(json.dumps({name: getattr(sys.modules[name], "__file__", None)
-                  for name in sorted(set(sys.modules) - before)
+from repro.core.tables import TableStore, attach_internet, persist_internet
+from repro.topology.asys import SeededAS
+from repro.topology.generator import TopologyConfig, build_internet
+seeded = (
+    SeededAS("FLIPPER", "transit", "CN", ("CN", "CN"), ((16, 2), (18, 1)), flipper=True,
+             block_density=0.35),
+    SeededAS("UPSTREAM", "transit", "US", ("US", "BR"), ((19, 1),),
+             provider_names=("TIER1-2",), peer_regions=("SA",)),
+)
+internet = build_internet(TopologyConfig(seed=3, tier1_count=4, transit_count=16,
+                                         stub_count=80, seeded_ases=seeded))
+persist_internet(TableStore(sys.argv[1]), "guard", internet)
+attach_internet(TableStore(sys.argv[1]), "guard")
+print(json.dumps({name: module.__file__ for name, module in sys.modules.items()
                   if name.split(".")[0] == "repro"}))
 """
 
 
-def _guard_run(store_root) -> dict:
-    env = dict(os.environ, REPRO_TABLE_CACHE=str(store_root), PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", _GUARD], env=env, capture_output=True,
-                          text=True, check=True)
-    return json.loads(done.stdout)
-
-
 def test_the_build_imports_only_digested_sources(tmp_path):
-    """A module the build runs but the key does not digest could change the
-    Internet without a miss; a hit needs no generator at all."""
-    cold, warm = _guard_run(tmp_path), _guard_run(tmp_path)
-    assert "repro.topology.generator" in cold
-    for name, path in cold.items():
+    """From a bare interpreter, a build, its persist and its attach load only
+    digested sources: a module outside the key could change the Internet
+    without a miss, and a module ``core.scenarios`` loads first for the
+    builders would hide from a check that starts after it."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", _GUARD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout)
+    assert "repro.topology.generator" in loaded
+    for name, path in loaded.items():
         relative = os.path.relpath(path, PACKAGE).replace(os.sep, "/")
         assert any(fnmatch(relative, source) for source in scenarios._BUILD_SOURCES), name
-    assert not {"repro.topology.generator", "repro.topology.allocator"} & set(warm)
+
+
+_LOOKUP = """
+import sys
+from repro.core import scenarios
+scenarios._build_internet("tiny", 3, scenarios._GIANTS)
+print(*sys.modules)
+"""
+
+
+def test_a_process_leaves_its_miss_for_the_next_one(tmp_path):
+    """The miss is persisted at exit, so the next process attaches it and
+    imports no generator."""
+    env = dict(os.environ, REPRO_TABLE_CACHE=str(tmp_path), PYTHONPATH=SRC)
+    cold, warm = (set(subprocess.run([sys.executable, "-c", _LOOKUP], env=env, check=True,
+                                     capture_output=True, text=True).stdout.split())
+                  for _ in range(2))
+    assert "repro.topology.generator" in cold
+    assert not {"repro.topology.generator", "repro.topology.allocator"} & warm
 
 
 _RACE = """
