@@ -67,13 +67,18 @@ from repro.core.verfploeter import ScanResult, ScanStats, Verfploeter
 from repro.errors import ConfigurationError, MeasurementError
 from repro.geo.distance import EARTH_RADIUS_KM
 from repro.icmp import latency as _latency
-from repro.obs import Observer
+from repro.obs import NULL_OBSERVER, Observer, Tracer
 from repro.probing.prober import round_order_seed
-from repro.rng import hash_prefix_np, uniform_from_prefix_np, uniform_unit_np
+from repro.rng import hash_prefix_np, mix64_inplace_np, uniform_from_prefix_np, uniform_unit_np
 from repro.topology import hosts as _hosts
 from repro.topology.hosts import HostModelConfig
 
 _ROUNDS = 4  # Feistel rounds; must match oracle.schedule
+_DUP_GAP = 0.1 / 1000.0  # seconds a duplicate trails the reply before it
+#: Below one row in this many, rows decrypt their schedule positions one
+#: by one (:func:`send_offsets`); from there on, inverting the whole
+#: permutation is cheaper.
+_WALK_FRACTION = 64
 
 
 class _VectorPermutation:
@@ -86,41 +91,71 @@ class _VectorPermutation:
         if bits % 2:
             bits += 1
         self._half_bits = bits // 2
-        self._half_mask = (1 << self._half_bits) - 1
+        self._round_values: Optional[np.ndarray] = None
 
-    def _round_function(self, values: np.ndarray, round_index: int) -> np.ndarray:
-        from repro.rng import mix64_np
+    def _rounds(self) -> np.ndarray:
+        """``(rounds, 2 ** half_bits)`` int64: each round's function at
+        every half value, ``mix64(seed ^ (half * 0x9E3779B1) ^ (round <<
+        48))`` masked to a half.
 
-        with np.errstate(over="ignore"):
-            mixed = (
-                np.uint64(self._seed)
-                ^ (values * np.uint64(0x9E3779B1))
-                ^ np.uint64(round_index << 48)
-            )
-        return mix64_np(mixed) & np.uint64(self._half_mask)
+        A half takes only ``2 ** half_bits`` values, so the cipher's
+        every splitmix64 evaluation happens here, once per (round, half)
+        and in place; a Feistel round over any number of values is then
+        one gather and one XOR.
+        """
+        if self._round_values is None:
+            halves = np.arange(1 << self._half_bits, dtype=np.uint64)
+            values = np.empty((_ROUNDS, halves.size), dtype=np.uint64)
+            scratch = np.empty_like(halves)
+            for round_index, row in enumerate(values):
+                np.multiply(halves, np.uint64(0x9E3779B1), out=row)
+                row ^= np.uint64(self._seed ^ (round_index << 48))
+                mix64_inplace_np(row, scratch)
+            values &= np.uint64((1 << self._half_bits) - 1)
+            self._round_values = values.view(np.int64)
+        return self._round_values
 
-    def _feistel(self, values: np.ndarray) -> np.ndarray:
-        left = values >> np.uint64(self._half_bits)
-        right = values & np.uint64(self._half_mask)
-        for round_index in range(_ROUNDS):
-            left, right = right, left ^ self._round_function(right, round_index)
-        return (left << np.uint64(self._half_bits)) | right
-
-    def _feistel_inverse(self, values: np.ndarray) -> np.ndarray:
-        left = values >> np.uint64(self._half_bits)
-        right = values & np.uint64(self._half_mask)
-        for round_index in reversed(range(_ROUNDS)):
-            left, right = right ^ self._round_function(left, round_index), left
-        return (left << np.uint64(self._half_bits)) | right
+    def _feistel(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """The four-round Feistel network (or its inverse) over int64
+        ``values``, which it consumes: the halves rotate through
+        ``values`` and two more buffers, so a pass allocates twice."""
+        rounds = self._rounds()
+        left = values >> self._half_bits
+        right = np.bitwise_and(values, (1 << self._half_bits) - 1, out=values)
+        spare = np.empty_like(left)
+        if inverse:
+            for round_index in reversed(range(_ROUNDS)):
+                # (left, right) <- (right ^ F(left), left)
+                np.take(rounds[round_index], left, out=spare, mode="clip")
+                spare ^= right
+                left, right, spare = spare, left, right
+        else:
+            for round_index in range(_ROUNDS):
+                # (left, right) <- (right, left ^ F(right))
+                np.take(rounds[round_index], right, out=spare, mode="clip")
+                spare ^= left
+                left, right, spare = right, spare, left
+        left <<= self._half_bits
+        left |= right
+        return left
 
     def permutation(self) -> np.ndarray:
-        """``perm[p]`` = hitlist index probed at position ``p``."""
-        values = self._feistel(np.arange(self._n, dtype=np.uint64))
-        out_of_range = values >= self._n
-        while out_of_range.any():
-            values[out_of_range] = self._feistel(values[out_of_range])
-            out_of_range = values >= self._n
-        return values.astype(np.int64)
+        """``perm[p]`` = hitlist index probed at position ``p``.
+
+        One Feistel pass over the whole ``4 ** half_bits`` domain gives
+        the cipher as a table; cycle-walking a position that lands
+        outside ``[0, n)`` applies the same bijection again, which is a
+        gather through that table.
+        """
+        n = self._n
+        table = self._feistel(np.arange(1 << (2 * self._half_bits), dtype=np.int64))
+        values = table[:n].copy()
+        walking = np.flatnonzero(values >= n)
+        while walking.size:
+            stepped = table[values[walking]]
+            values[walking] = stepped
+            walking = walking[stepped >= n]
+        return values
 
     def positions_of(self, indices: np.ndarray) -> np.ndarray:
         """Schedule positions of the given hitlist ``indices``.
@@ -132,30 +167,38 @@ class _VectorPermutation:
         exactly the position the forward permutation started from.
         Shard workers use this to recover their rows' send offsets.
         """
-        values = indices.astype(np.uint64)
-        if (values >= self._n).any():
+        n = self._n
+        values = np.asarray(indices, dtype=np.int64)
+        if ((values < 0) | (values >= n)).any():
             raise ConfigurationError("permutation input outside [0, n)")
-        values = self._feistel_inverse(values)
-        out_of_range = values >= self._n
-        while out_of_range.any():
-            values[out_of_range] = self._feistel_inverse(values[out_of_range])
-            out_of_range = values >= self._n
-        return values.astype(np.int64)
+        values = self._feistel(values.copy(), inverse=True)
+        walking = np.flatnonzero(values >= n)
+        while walking.size:
+            stepped = self._feistel(values[walking], inverse=True)
+            values[walking] = stepped
+            walking = walking[stepped >= n]
+        return values
 
 
 class RoundDraws(NamedTuple):
     """The routing-independent part of one evaluated round: pure functions
     of ``(seed, salt, block, round)``, shared by every routing state
-    scanned at that round id.  Immutable, its arrays read-only."""
+    scanned at that round id.  Immutable, its arrays read-only.
+
+    A draw is made only for the rows that read it: churn for stable rows,
+    everything else for rows that respond, the duplicate tail for those
+    that are duplicators.  Every other row holds zero (``False``).
+    Send offsets are not a draw: :func:`_clean` asks for the few rows
+    whose replies can straddle the cut-off (:func:`send_offsets`).
+    """
 
     round_id: int
     responds: np.ndarray  # bool: stable and not churned out this round
     flip_draw: np.ndarray  # float64 uniform deciding per-round flips
-    counts: np.ndarray  # int64 replies a delivered probe would draw
+    counts: np.ndarray  # int64 replies the row's probe draws (0: silent)
     late_replier: np.ndarray  # bool
     host_delay: np.ndarray  # float64 ms, delay when no path delay applies
     jitter: np.ndarray  # float64 ms
-    offsets: np.ndarray  # float64 seconds after round start of each probe
 
 
 @dataclass
@@ -199,6 +242,26 @@ class RoundState:
     def rows(self) -> int:
         """Number of blocks this state covers."""
         return int(self.blocks.size)
+
+    @property
+    def in_time_bound(self) -> float:
+        """Largest first-reply delay (seconds after the send) whose every
+        reply beats the cut-off, wherever in the round the probe is sent.
+
+        The last probe leaves ``(n_total - 1) * interval`` after round
+        start and a burst's last duplicate trails its first reply by
+        under ``max_duplicates * 0.1`` ms; one more gap, plus a few ulps
+        of the sum, absorbs the float rounding of the cleaning
+        arithmetic.  A delay above ``late_cutoff`` is late from any
+        offset, so only a row whose delay falls between the two needs
+        its send offset.
+        """
+        last_send = (self.n_total - 1) * self.interval
+        slack = (self.host_config.max_duplicates + 1) * _DUP_GAP
+        return (
+            self.late_cutoff - last_send - slack
+            - 8 * float(np.spacing(self.late_cutoff + last_send))
+        )
 
     def shard(self, start: int, stop: int) -> "RoundState":
         """The contiguous sub-state covering hitlist rows [start, stop).
@@ -255,28 +318,31 @@ class RoundArrays:
     stats: ScanStats
 
 
-def send_offsets(state: RoundState, round_id: int) -> np.ndarray:
-    """Seconds after round start each of this state's probes is sent.
+def send_offsets(
+    state: RoundState, round_id: int, rows: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Seconds after round start each probe of ``rows`` (indexes into
+    this state; default every row) is sent.
 
     The permutation always spans the *full* ``n_total`` domain — shard
-    boundaries must not change anyone's schedule position.  The full
-    state scatters the forward permutation (one pass); a shard decrypts
-    just its own rows through the inverse Feistel.  Both paths multiply
-    the identical integer position by the identical float interval, so
-    the offsets are bit-equal.
+    boundaries must not change anyone's schedule position.  A handful of
+    rows decrypt their own positions through the inverse Feistel; more
+    invert the whole forward permutation at once.  Both yield the
+    identical integer position, multiplied by the identical float
+    interval, so the offsets are bit-equal however they are asked for.
     """
     seed = round_order_seed(state.order_parent_seed, round_id)
     perm = _VectorPermutation(state.n_total, seed)
-    if state.row_start == 0 and state.rows == state.n_total:
-        offsets = np.empty(state.n_total, dtype=np.float64)
-        offsets[perm.permutation()] = (
-            np.arange(state.n_total, dtype=np.float64) * state.interval
-        )
-        return offsets
-    rows = np.arange(
-        state.row_start, state.row_start + state.rows, dtype=np.uint64
-    )
-    return perm.positions_of(rows).astype(np.float64) * state.interval
+    if rows is None:
+        rows = np.arange(state.rows)
+    indices = state.row_start + rows
+    if indices.size * _WALK_FRACTION < state.n_total:
+        positions = perm.positions_of(indices)
+    else:
+        positions = np.empty(state.n_total, dtype=np.int64)
+        positions[perm.permutation()] = np.arange(state.n_total)
+        positions = positions[indices]
+    return positions.astype(np.float64) * state.interval
 
 
 def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
@@ -286,42 +352,54 @@ def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
     series over round ids holds one round at a time (the stale one is
     released before the next is built).  Read once and assigned once, so
     concurrent callers at worst draw a round each — never see half of
-    one.
+    one.  Each draw depends only on its own row, so drawing a subset is
+    bit-equal to drawing every row and keeping that subset.
     """
     draws = state._draws
     if draws is not None and draws.round_id == round_id:
         return draws, True
     state._draws = draws = None
     cfg = state.host_config
+    n = state.rows
 
-    def draw(salt: int) -> np.ndarray:
-        """One per-block uniform draw for this round (prefix finished)."""
-        return uniform_from_prefix_np(state.prefixes[salt], round_id)
+    def draw(salt: int, rows: np.ndarray) -> np.ndarray:
+        """This round's uniform draw for ``rows`` (their prefixes finished)."""
+        return uniform_from_prefix_np(state.prefixes[salt][rows], round_id)
 
-    responds = state.stable & (draw(_hosts._CHURN_SALT) >= cfg.churn_probability)
-    flip_draw = draw(_instability._FLIP_SALT)
+    def column(values: np.ndarray) -> np.ndarray:
+        """``values`` of the responding rows, zero at every other row."""
+        full = np.zeros(n, dtype=values.dtype)
+        full[responders] = values
+        return full
 
-    # Reply counts (duplicates).
-    tail = draw(_hosts._DUPN_SALT)
-    heavy = tail < cfg.heavy_duplicate_fraction
-    counts = np.ones(state.rows, dtype=np.int64)
-    counts[state.duplicator & ~heavy] = 2
+    stable = np.flatnonzero(state.stable)
+    responds = np.zeros(n, dtype=bool)
+    responds[stable] = draw(_hosts._CHURN_SALT, stable) >= cfg.churn_probability
+    responders = np.flatnonzero(responds)
+
+    # Reply counts: one, or a duplicator's two or heavy tail.
+    counts = responds.astype(np.int64)
+    duplicators = responders[state.duplicator[responders]]
+    tail = draw(_hosts._DUPN_SALT, duplicators)
     heaviness = tail / cfg.heavy_duplicate_fraction
-    heavy_counts = 3 + ((cfg.max_duplicates - 3) * heaviness).astype(np.int64)
-    counts = np.where(state.duplicator & heavy, heavy_counts, counts)
+    counts[duplicators] = np.where(
+        tail < cfg.heavy_duplicate_fraction,
+        3 + ((cfg.max_duplicates - 3) * heaviness).astype(np.int64),
+        2,
+    )
 
     # Host-side delay (milliseconds), mirroring the dataplane.
-    latency_draw = draw(_hosts._LATENCY_SALT)
-    late_replier = draw(_hosts._LATE_SALT) < cfg.late_fraction
+    latency_draw = draw(_hosts._LATENCY_SALT, responders)
+    late_replier = draw(_hosts._LATE_SALT, responders) < cfg.late_fraction
     host_delay = np.where(
         late_replier,
         cfg.late_threshold_ms * (1.0 + 4.0 * latency_draw),
         10.0 + 390.0 * latency_draw,
     )
-    jitter = state.jitter_scale * draw(_latency._JITTER_SALT)
+    jitter = state.jitter_scale * draw(_latency._JITTER_SALT, responders)
     draws = RoundDraws(
-        round_id, responds, flip_draw, counts, late_replier, host_delay,
-        jitter, send_offsets(state, round_id),
+        round_id, responds, column(draw(_instability._FLIP_SALT, responders)), counts,
+        column(late_replier), column(host_delay), column(jitter),
     )
     for array in draws[1:]:
         array.setflags(write=False)
@@ -337,7 +415,8 @@ class ConfigRound(NamedTuple):
 
 
 class Cleaned(NamedTuple):
-    """Per-row §4 cleaning outcome; every array has the input's shape."""
+    """§4 cleaning outcome per cell: a delivered row at the site it
+    reached (:func:`_clean`), or every cell of :func:`outcome_grid`."""
 
     delay: np.ndarray  # float64 first-reply delay (ms)
     counts: np.ndarray  # int64 replies delivered, before cleaning
@@ -346,46 +425,79 @@ class Cleaned(NamedTuple):
     duplicates: np.ndarray  # int64 in-time replies after a kept row's first
 
 
+class _Delivered(NamedTuple):
+    """The delivered cells of a round: each a row at the site it reached."""
+
+    rows: np.ndarray  # intp row of each cell
+    delay: np.ndarray  # float64 first-reply delay (ms)
+    first: np.ndarray  # float64 the same, in seconds (as the cut-off compares it)
+
+
 def _route_sites(state: RoundState, routes: RouteColumns, draws: RoundDraws) -> np.ndarray:
     """Site index per row this round: the PoP's base site, or its
-    alternate where the block flips (-1 = unrouted)."""
-    pops = state.block_pops
-    return _instability.flip_sites(
+    alternate where the block flips; -1 where unrouted.  Picked for the
+    responding rows only: a silent row reaches no site, so it reads -1."""
+    rows = np.flatnonzero(draws.responds)
+    pops = state.block_pops[rows]
+    site = np.full(state.rows, -1, dtype=np.int16)
+    site[rows] = _instability.flip_sites(
         routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
-        state.participate_draw, draws.flip_draw, _instability.FLIP_RATES,
+        state.participate_draw[rows], draws.flip_draw[rows], _instability.FLIP_RATES,
     )
+    return site
+
+
+def _deliver(
+    state: RoundState, draws: RoundDraws, rows: np.ndarray, path_rtt: np.ndarray
+) -> _Delivered:
+    """First-reply delays of delivered ``rows``, given the RTT (ms) to
+    the site each reached, mirroring the dataplane."""
+    use_path = state.lat_ok[rows] & ~draws.late_replier[rows]
+    path_rtt += state.access[rows]
+    path_rtt += draws.jitter[rows]
+    delay = np.where(use_path, path_rtt, draws.host_delay[rows])
+    return _Delivered(rows, delay, delay / 1000.0)
+
+
+def _straddling(
+    state: RoundState, round_id: int, delivered: _Delivered
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The delivered cells whose replies can straddle the cut-off (their
+    first-reply delay above :attr:`RoundState.in_time_bound`, not above
+    ``late_cutoff``), and their first replies' arrival after round start
+    (seconds): the only cells whose send offset can change the outcome."""
+    first = delivered.first
+    window = np.flatnonzero((first > state.in_time_bound) & (first <= state.late_cutoff))
+    offsets = send_offsets(state, round_id, delivered.rows[window])
+    return window, offsets + first[window]
 
 
 def _clean(
-    state: RoundState, draws: RoundDraws, path_rtt: np.ndarray, routed: np.ndarray
+    state: RoundState,
+    draws: RoundDraws,
+    delivered: _Delivered,
+    window: np.ndarray,
+    first_rel: np.ndarray,
 ) -> Cleaned:
-    """Clean each row's replies given the site they reached.
+    """§4 cleaning of the delivered cells, one entry per cell.
 
-    ``path_rtt`` is the RTT (ms) to that site and ``routed`` whether
-    there is one; any leading shape broadcasts over the rows — a round's
-    own (n,) column or a lattice's (sites + 1, n) outcome grid.
+    Every reply of a cell at or below :attr:`RoundState.in_time_bound`
+    beats the cut-off and none of one above ``late_cutoff`` does,
+    whatever its offset; only the ``window`` cells of
+    :func:`_straddling`, first replies ``first_rel`` seconds after round
+    start, count their in-time replies one by one.
     """
-    delivered = draws.responds & routed
-    counts = np.where(delivered, draws.counts, 0)
+    rows = delivered.rows
+    counts = draws.counts[rows]
+    within = np.where(delivered.first <= state.in_time_bound, counts, 0)
+    straddling = np.floor((state.late_cutoff - first_rel) / _DUP_GAP) + 1
+    straddling = np.clip(straddling, 0, counts[window]).astype(np.int64)
+    within[window] = np.where(first_rel <= state.late_cutoff, straddling, 0)
 
-    # First-reply delay (milliseconds), mirroring the dataplane.
-    use_path = state.lat_ok & ~draws.late_replier & routed
-    delay = np.where(
-        use_path, path_rtt + state.access + draws.jitter, draws.host_delay
-    )
-
-    # How many of each block's replies beat the cut-off?
-    first_rel = draws.offsets + delay / 1000.0
-    dup_gap = 0.1 / 1000.0  # duplicates trail by 0.1 ms
-    within = np.floor((state.late_cutoff - first_rel) / dup_gap) + 1
-    within = np.clip(within, 0, counts).astype(np.int64)
-    within = np.where(first_rel <= state.late_cutoff, within, 0)
-    within = np.where(delivered, within, 0)
-
-    countable = delivered & ~state.off_address
+    countable = ~state.off_address[rows]
     kept = countable & (within >= 1)
     return Cleaned(
-        delay=delay,
+        delay=delivered.delay,
         counts=counts,
         kept=kept,
         late=np.where(countable, counts - within, 0),
@@ -394,41 +506,65 @@ def _clean(
 
 
 def evaluate_round(
-    state: RoundState, routes: RouteColumns, draws: RoundDraws
+    state: RoundState,
+    routes: RouteColumns,
+    draws: RoundDraws,
+    tracer: Tracer = NULL_OBSERVER.tracer,
 ) -> RoundArrays:
     """One measurement round of ``routes`` over ``state`` (pure array passes).
 
     Module-level so process-pool workers evaluate attached shard states
-    with the very code the in-process engine runs.
+    with the very code the in-process engine runs.  Only delivered rows
+    are cleaned; every other row reads no replies, not kept.  ``tracer``
+    gets the ``fastscan.evaluate``, ``fastscan.offsets`` and
+    ``fastscan.clean`` spans.
     """
     n = state.rows
-    site = _route_sites(state, routes, draws)
-    site_clamped = np.clip(site, 0, len(routes.site_codes) - 1)
-    path_rtt = state.site_rtt[routes.site_rows[site_clamped], np.arange(n)]
-    cleaned = _clean(state, draws, path_rtt, site >= 0)
-    counts = cleaned.counts
-    stats = ScanStats(
-        probes_sent=n,
-        replies_received=int(counts.sum()),
-        wrong_round=0,
-        unsolicited=int(counts[state.off_address].sum()),
-        late=int(cleaned.late.sum()),
-        duplicates=int(cleaned.duplicates.sum()),
-        kept=int(cleaned.kept.sum()),
-    )
-    return RoundArrays(
-        site=site, delay=cleaned.delay, kept_mask=cleaned.kept, counts=counts,
-        stats=stats,
-    )
+    with tracer.span("fastscan.evaluate"):
+        site = _route_sites(state, routes, draws)
+        rows = np.flatnonzero(site >= 0)
+        path_rtt = state.site_rtt[routes.site_rows[site[rows]], rows]
+        delivered = _deliver(state, draws, rows, path_rtt)
+    with tracer.span("fastscan.offsets") as span:
+        window, first_rel = _straddling(state, draws.round_id, delivered)
+        span.set(rows=int(window.size))
+    with tracer.span("fastscan.clean"):
+        cleaned = _clean(state, draws, delivered, window, first_rel)
+        counts = np.zeros(n, dtype=np.int64)
+        counts[rows] = cleaned.counts
+        delay = np.zeros(n)
+        delay[rows] = cleaned.delay
+        kept = np.zeros(n, dtype=bool)
+        kept[rows] = cleaned.kept
+        stats = ScanStats(
+            probes_sent=n,
+            replies_received=int(cleaned.counts.sum()),
+            wrong_round=0,
+            unsolicited=int(cleaned.counts[state.off_address[rows]].sum()),
+            late=int(cleaned.late.sum()),
+            duplicates=int(cleaned.duplicates.sum()),
+            kept=int(np.count_nonzero(cleaned.kept)),
+        )
+    return RoundArrays(site=site, delay=delay, kept_mask=kept, counts=counts, stats=stats)
 
 
 def outcome_grid(state: RoundState, draws: RoundDraws) -> Cleaned:
     """Every row's cleaned outcome at every service site (grid row =
-    ``RoundState.site_rtt`` row) and, in the last grid row, unrouted."""
-    sites = state.site_rtt.shape[0]
-    path_rtt = np.concatenate([state.site_rtt, np.zeros((1, state.rows))])
-    routed = (np.arange(sites + 1) < sites)[:, None]
-    return _clean(state, draws, path_rtt, routed)
+    ``RoundState.site_rtt`` row) and, in the last grid row, unrouted:
+    only the responding rows at a site are cleaned, every other cell
+    reads no replies, not kept."""
+    sites, n = state.site_rtt.shape
+    responders = np.flatnonzero(draws.responds)
+    cells = (np.repeat(np.arange(sites), responders.size), np.tile(responders, sites))
+    delivered = _deliver(state, draws, cells[1], state.site_rtt[cells])
+    window, first_rel = _straddling(state, draws.round_id, delivered)
+    cleaned = _clean(state, draws, delivered, window, first_rel)
+    grid = []
+    for values in cleaned:
+        full = np.zeros((sites + 1, n), dtype=values.dtype)
+        full[cells] = values
+        grid.append(full)
+    return Cleaned(*grid)
 
 
 def evaluate_lattice(
@@ -454,7 +590,7 @@ def evaluate_lattice(
     kept_grid = grid.kept.ravel()
     late_grid = grid.late.ravel()
     duplicates_grid = grid.duplicates.ravel()
-    received = np.where(draws.responds, draws.counts, 0)
+    received = draws.counts
     unsolicited = np.where(state.off_address, received, 0)
     columns = np.arange(n)
     rounds = []
@@ -760,10 +896,11 @@ class FastScanEngine:
         dataset_id: Optional[str],
     ) -> ScanResult:
         """Evaluate one round and materialise it."""
-        state = self.state
-        draws, hit = round_draws(state, round_id)
+        state, tracer = self.state, self.observer.tracer
+        with tracer.span("fastscan.draws"):
+            draws, hit = round_draws(state, round_id)
         count_draws(self.observer, hit)
-        arrays = evaluate_round(state, self.routes, draws)
+        arrays = evaluate_round(state, self.routes, draws, tracer)
         kept = arrays.kept_mask
         return materialise_columnar(
             state,

@@ -46,25 +46,48 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
+def mix64_inplace_np(z, scratch=None):
+    """:func:`mix64` applied in place to the uint64 array ``z``; returns it.
+
+    The splitmix64 core every vectorised draw and the probe-order
+    Feistel share: three in-place multiply/xor-shift steps through one
+    ``scratch`` buffer of ``z``'s shape (allocated when not given), so a
+    mix costs no temporaries.  uint64 array arithmetic wraps exactly
+    like the masked Python ints of the scalar version.
+    """
+    import numpy as np
+
+    if scratch is None:
+        scratch = np.empty_like(z)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(0x94D049BB133111EB)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
+
+
 def mix64_np(values):
     """Vectorised :func:`mix64` over a numpy uint64 array.
 
-    Bit-for-bit identical to the scalar version (uint64 arithmetic
-    wraps exactly like the masked Python ints), so vectorised engines
+    Bit-for-bit identical to the scalar version, so vectorised engines
     reproduce scalar draws exactly.
     """
     import numpy as np
 
-    z = values.astype(np.uint64, copy=True)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    return mix64_inplace_np(np.array(values, dtype=np.uint64))
 
 
 def _absorb_np(h, components):
-    """Fold ``components`` into hash state ``h`` (uniform_unit's chain)."""
+    """Fold ``components`` into hash state ``h`` (uniform_unit's chain).
+
+    ``h`` itself is never written: the first fold makes the copy every
+    later one mixes in place.
+    """
     import numpy as np
 
     for component in components:
@@ -72,7 +95,7 @@ def _absorb_np(h, components):
             mixed = np.uint64(mix64(component))
         else:
             mixed = mix64_np(np.asarray(component, dtype=np.uint64))
-        h = mix64_np(h ^ mixed)
+        h = mix64_inplace_np(np.asarray(h ^ mixed))
     return h
 
 
@@ -99,7 +122,10 @@ def uniform_from_prefix_np(prefix, *components):
     import numpy as np
 
     h = _absorb_np(prefix, components)
-    return (h >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    h = np.right_shift(h, np.uint64(11), out=None if h is prefix else h)
+    unit = np.asarray(h, dtype=np.float64)
+    unit /= float(1 << 53)
+    return unit if unit.ndim else unit[()]
 
 
 def uniform_unit_np(seed: int, *components):

@@ -29,9 +29,10 @@ import numpy as np
 
 from repro.bgp.propagation import RoutingOutcome
 from repro.collector.stream import ReplyColumns
-from repro.core.fastscan import RoundArrays, RoundDraws, RoundState, evaluate_round, round_draws
+from repro.core.fastscan import RoundArrays, RoundState, evaluate_round, round_draws, send_offsets
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ServiceError
+from repro.obs import Tracer
 
 
 @dataclass(frozen=True)
@@ -63,26 +64,32 @@ FeedEvent = Union[RoundStart, ReplyBatch, RoundEnd]
 
 
 def _round_replies(
-    state: RoundState, draws: RoundDraws, arrays: RoundArrays,
+    state: RoundState, round_id: int, arrays: RoundArrays,
     site_codes: Tuple[str, ...], sources: np.ndarray, start_time: float,
+    tracer: Tracer,
 ) -> ReplyColumns:
     """Every reply the round's probes drew, in collector order.
 
     Mirrors the dataplane: a probe's ``k``-th reply trails its first by
     ``0.1 * k`` ms and arrives at ``(start_time + position * interval)
-    + delay_ms / 1000``, from its row of ``sources``.
+    + delay_ms / 1000``, from its row of ``sources``.  Only the rows
+    that reply are sent, so only theirs are the send offsets computed.
     """
-    rows = np.repeat(np.arange(state.rows), arrays.counts)
-    burst_start = np.cumsum(arrays.counts) - arrays.counts
-    extra = np.arange(rows.size) - burst_start[rows]
+    emitting = np.flatnonzero(arrays.counts)
+    counts = arrays.counts[emitting]
+    with tracer.span("fastscan.offsets", rows=int(emitting.size)):
+        sent = start_time + send_offsets(state, round_id, emitting)
+    rows = np.repeat(emitting, counts)
+    burst_start = np.cumsum(counts) - counts
+    extra = np.arange(rows.size) - np.repeat(burst_start, counts)
     delay_ms = arrays.delay[rows] + 0.1 * extra
     replies = ReplyColumns(
         site_codes,
         arrays.site[rows],
         sources[rows],
-        np.full(rows.size, draws.round_id & 0xFFFF),
+        np.full(rows.size, round_id & 0xFFFF),
         (state.row_start + rows) & 0xFFFF,
-        (start_time + draws.offsets[rows]) + delay_ms / 1000.0,
+        np.repeat(sent, counts) + delay_ms / 1000.0,
     )
     return replies[replies.sort_order()]
 
@@ -126,8 +133,7 @@ def _feed(
     """The generator behind :func:`replay_feed`, over checked arguments."""
     if routing is None:
         routing = verfploeter.routing_for()
-    observer = verfploeter.observer
-    metrics = observer.metrics
+    metrics, tracer = verfploeter.observer.metrics, verfploeter.observer.tracer
     engine = verfploeter.engine_for(routing)
     state, site_codes = engine.state, engine.routes.site_codes
     addresses = verfploeter.hitlist.addresses
@@ -137,10 +143,13 @@ def _feed(
     for index in range(rounds):
         round_id = start_round + index
         start_time = index * interval_seconds
-        with observer.tracer.span("service.feed.round", round_id=round_id):
-            draws, _ = round_draws(state, round_id)
-            arrays = evaluate_round(state, engine.routes, draws)
-            replies = _round_replies(state, draws, arrays, site_codes, sources, start_time)
+        with tracer.span("service.feed.round", round_id=round_id):
+            with tracer.span("fastscan.draws"):
+                draws, _ = round_draws(state, round_id)
+            arrays = evaluate_round(state, engine.routes, draws, tracer)
+            replies = _round_replies(
+                state, round_id, arrays, site_codes, sources, start_time, tracer
+            )
         metrics.counter("probe.rounds_scheduled").inc()
         metrics.counter("probe.probes_sent").inc(state.rows)
         metrics.counter("collector.replies_received").inc(len(replies))

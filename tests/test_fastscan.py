@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bgp.instability import FLIP_RATES, flip_sites
+from repro.collector.cleaning import CleaningConfig
 from repro.collector.results import BlockValueMap
 from repro.core.experiments import run_stability_series
-from repro.core.fastscan import FastScanEngine, _VectorPermutation
+from repro.core.fastscan import (
+    FastScanEngine,
+    _VectorPermutation,
+    evaluate_round,
+    round_draws,
+    send_offsets,
+)
 from repro.core.scenarios import broot_like, tangled_like
 from repro.core.sharding import assert_scan_results_identical, run_sharded_series
 from repro.core.verfploeter import Verfploeter
@@ -19,6 +29,7 @@ from repro.errors import ConfigurationError, MeasurementError
 from repro.oracle.chaos import wire_measure
 from repro.oracle.scan import wire_scan
 from repro.oracle.schedule import PseudorandomOrder
+from repro.probing.prober import ProberConfig, round_order_seed
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +47,29 @@ class TestVectorPermutation:
     def test_is_permutation(self):
         values = _VectorPermutation(1000, 3).permutation()
         assert sorted(values.tolist()) == list(range(1000))
+
+
+#: Sizes just above and at a power of four: one past it makes the Feistel
+#: domain four times the range, the longest cycle walks there are.
+_WALK_WORST = sorted({4**k + extra for k in range(1, 9) for extra in (0, 1)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=1, max_value=5000), st.sampled_from(_WALK_WORST)),
+    seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+)
+@example(n=_WALK_WORST[-1], seed=0)
+@example(n=_WALK_WORST[-2], seed=(1 << 64) - 1)
+def test_vector_permutation_is_the_scalar_order(n, seed):
+    """The table-walked permutation is the scalar cycle-walking Feistel,
+    index for index, and ``positions_of`` inverts it."""
+    perm = _VectorPermutation(n, seed)
+    forward = perm.permutation()
+    order = PseudorandomOrder(n, seed)
+    assert forward.tolist() == [order.index(i) for i in range(n)]
+    positions = perm.positions_of(np.arange(n))
+    np.testing.assert_array_equal(forward[positions], np.arange(n))
 
 
 class TestEquivalence:
@@ -180,3 +214,106 @@ def test_engine_sites_of_and_oracles_agree_at_any_seed(builder, seed, round_id, 
             platform.measure(routing, service, round_id).results
             == wire_measure(platform, routing, service, round_id).results
         )
+
+
+def _full_offset_round(state, routes, draws):
+    """Kept mask, kept sites, kept delays and stats of one round cleaned
+    the long way: every row picked, every row's send offset, every row
+    through the §4 cut-off arithmetic."""
+    n = state.rows
+    pops = state.block_pops
+    site = flip_sites(
+        routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
+        state.participate_draw, draws.flip_draw, FLIP_RATES,
+    )
+    routed = site >= 0
+    delivered = draws.responds & routed
+    counts = np.where(delivered, draws.counts, 0)
+    path_rtt = state.site_rtt[routes.site_rows[np.clip(site, 0, None)], np.arange(n)]
+    delay = np.where(
+        state.lat_ok & ~draws.late_replier & routed,
+        path_rtt + state.access + draws.jitter,
+        draws.host_delay,
+    )
+    first_rel = send_offsets(state, draws.round_id) + delay / 1000.0
+    within = np.floor((state.late_cutoff - first_rel) / (0.1 / 1000.0)) + 1
+    within = np.clip(within, 0, counts).astype(np.int64)
+    within = np.where(delivered & (first_rel <= state.late_cutoff), within, 0)
+    countable = delivered & ~state.off_address
+    kept = countable & (within >= 1)
+    stats = (
+        int(counts.sum()), int(counts[state.off_address].sum()),
+        int(np.where(countable, counts - within, 0).sum()),
+        int(np.where(kept, within - 1, 0).sum()), int(kept.sum()),
+    )
+    return kept, site[kept], delay[kept], stats
+
+
+def assert_round_equals_full_offsets(state, routes, round_id):
+    """:func:`evaluate_round` equals :func:`_full_offset_round`."""
+    draws, _ = round_draws(state, round_id)
+    arrays = evaluate_round(state, routes, draws)
+    kept, sites, delays, stats = _full_offset_round(state, routes, draws)
+    np.testing.assert_array_equal(arrays.kept_mask, kept)
+    np.testing.assert_array_equal(arrays.site[kept], sites)
+    assert arrays.delay[kept].tobytes() == delays.tobytes()
+    got = arrays.stats
+    assert (got.replies_received, got.unsolicited, got.late, got.duplicates, got.kept) == stats
+    return arrays
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    rate_pps=st.floats(min_value=0.5, max_value=20_000.0),
+    late_cutoff=st.floats(min_value=0.01, max_value=5_000.0),
+    round_id=st.integers(min_value=0, max_value=1 << 16),
+)
+@example(rate_pps=1.0, late_cutoff=300.0, round_id=3)  # the round outlasts the cut-off
+@example(rate_pps=10_000.0, late_cutoff=0.2, round_id=1)  # cut-off inside the RTTs
+@example(rate_pps=2.0, late_cutoff=1_000.0, round_id=5)  # late repliers straddle it
+@example(rate_pps=10_000.0, late_cutoff=900.0, round_id=0)  # the paper's setting
+def test_offsets_only_where_they_matter(rate_pps, late_cutoff, round_id):
+    """Whatever the rate, cut-off and round, the engine — offsets only for
+    the rows whose replies can straddle the cut-off — equals the
+    full-offset computation and the wire oracle."""
+    scenario, default = _engine("broot", 7)
+    verfploeter = Verfploeter(
+        scenario.internet, scenario.service, hitlist=default.verfploeter.hitlist
+    )
+    verfploeter.cleaning = CleaningConfig(late_cutoff_seconds=late_cutoff)
+    verfploeter.prober_config = ProberConfig(
+        source_address=scenario.service.measurement_address, rate_pps=rate_pps
+    )
+    engine = FastScanEngine(verfploeter, default.routing)
+    assert_round_equals_full_offsets(engine.state, engine.routes, round_id)
+    fast = engine.run_scan(round_id=round_id)
+    wire = wire_scan(verfploeter, default.routing, round_id=round_id)
+    assert dict(fast.catchment.items()) == dict(wire.catchment.items())
+    assert fast.stats == wire.stats
+    assert set(fast.rtts) == set(wire.rtts)
+    for block, rtt in wire.rtts.items():
+        assert math.isclose(fast.rtts[block], rtt, rel_tol=1e-9)
+
+
+def test_late_replier_on_the_cutoff_at_offset_zero_is_kept():
+    """The bound's exact edge: a late replier whose first reply lands on
+    the cut-off itself, probed first in its round, is kept."""
+    _, engine = _engine("broot", 7)
+    state, round_id = engine.state, 2
+    draws, _ = round_draws(state, round_id)
+    arrays = evaluate_round(state, engine.routes, draws)
+    row = int(np.flatnonzero(
+        draws.late_replier & (arrays.counts > 0) & ~state.off_address
+    )[0])
+    # The row's delay is the cut-off, and an order seed probes it first.
+    parent = next(
+        seed for seed in itertools.count()
+        if _VectorPermutation(state.n_total, round_order_seed(seed, round_id))
+        .positions_of(np.array([row]))[0] == 0
+    )
+    edge = dataclasses.replace(
+        state, late_cutoff=draws.host_delay[row] / 1000.0, order_parent_seed=parent
+    )
+    assert send_offsets(edge, round_id, np.array([row]))[0] == 0.0
+    arrays = assert_round_equals_full_offsets(edge, engine.routes, round_id)
+    assert arrays.kept_mask[row]

@@ -192,7 +192,8 @@ class TestPipelineInstrumentation:
         assert scan.stats.probes_sent <= 5_000
         assert [span.name for span in observer.tracer.walk()] == [
             "hitlist.build", "bgp.propagate.full", "fastscan.invariant",
-            "fastscan.precompute", "fastscan.round",
+            "fastscan.precompute", "fastscan.round", "fastscan.draws",
+            "fastscan.evaluate", "fastscan.offsets", "fastscan.clean",
         ]
         assert "collector.site_replies" not in observer.metrics.to_json()
 

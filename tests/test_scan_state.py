@@ -226,7 +226,7 @@ class TestReadOnly:
         ]
         arrays += list(state.prefixes.values())
         arrays += list(round_draws(state, 0)[0][1:])
-        assert len(arrays) == 9 + 6 + 7
+        assert len(arrays) == 9 + 6 + 6  # RoundDraws holds no send offsets
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = array
