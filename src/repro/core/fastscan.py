@@ -41,10 +41,17 @@ leading shape.  Two evaluators call it, chosen by what the caller holds:
   baseline, a depth-1 search, a sweep's one config per round id):
   those clean each config's own column.
 
+A round does only the work that can change its result: each draw is
+made for the rows that read it, site pick and cleaning run over the
+responding and delivered rows, and a probe's send offset is computed
+only when its replies can straddle the late cut-off
+(:attr:`RoundState.in_time_bound`) — at the paper's rate and cut-off,
+for no row of a typical round.
+
 Every stochastic draw depends only on ``(seed, salt, block, round)``,
-and probe send offsets are recovered per shard through the inverse of
-the global Feistel permutation, so a :meth:`RoundState.shard` slice
-evaluates to exactly the rows the full state would.
+and probe send offsets come from the global Feistel permutation
+(:func:`send_offsets`), so a :meth:`RoundState.shard` slice evaluates
+to exactly the rows the full state would.
 
 Results are columnar end-to-end: each round returns an
 :class:`~repro.anycast.catchment.CatchmentMap` over the engine's
@@ -331,10 +338,13 @@ def send_offsets(
     identical integer position, multiplied by the identical float
     interval, so the offsets are bit-equal however they are asked for.
     """
-    seed = round_order_seed(state.order_parent_seed, round_id)
-    perm = _VectorPermutation(state.n_total, seed)
     if rows is None:
         rows = np.arange(state.rows)
+    if not rows.size:
+        return np.zeros(0)
+    perm = _VectorPermutation(
+        state.n_total, round_order_seed(state.order_parent_seed, round_id)
+    )
     indices = state.row_start + rows
     if indices.size * _WALK_FRACTION < state.n_total:
         positions = perm.positions_of(indices)

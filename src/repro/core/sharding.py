@@ -29,10 +29,11 @@ construction rather than by luck:
 * every stochastic draw in the engine depends only on
   ``(seed, salt, block, round)`` via ``hash_prefix_np``, so a shard's
   rows evaluate to exactly the values the full pass would produce;
-* probe send offsets — the one cross-block coupling — are recovered
-  per shard through the inverse of the *global* Feistel permutation
-  (:meth:`_VectorPermutation.positions_of`), multiplying the identical
-  integer position by the identical float interval;
+* probe send offsets — the one cross-block coupling, needed only for
+  rows whose replies can straddle the cut-off — are recovered per shard
+  from the *global* Feistel permutation (:func:`send_offsets`),
+  multiplying the identical integer position by the identical float
+  interval;
 * float accumulations are never merged as per-shard partial sums
   (float addition is not associative).  Workers return exact integers
   (int16 site indices, packed bool masks, per-row float64 delays that

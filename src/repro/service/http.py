@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.errors import HttpError
-from repro.obs import NULL_OBSERVER, Observer
+from repro.obs import NULL_OBSERVER, Counter, Observer
 
 #: ``<name>`` placeholders in route templates become path captures.
 _PLACEHOLDER = re.compile(r"<([a-z_]+)>")
@@ -47,6 +47,8 @@ MAX_CONNECTIONS = 256
 
 _RECV_BYTES = 65536
 _HEAD_END = b"\r\n\r\n"
+#: Reason phrase of every status code, for the status line.
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _RESPONSE_HEAD = (
     "HTTP/1.1 %d %s\r\nContent-Type: application/json; charset=utf-8\r\n"
     "Content-Length: %d\r\nConnection: %s\r\n\r\n"
@@ -147,6 +149,8 @@ class JsonApp:
     def __init__(self, observer: Optional[Observer] = None) -> None:
         self._routes: List[_Route] = []
         self._observer = observer if observer is not None else NULL_OBSERVER
+        #: (route, status) -> its ``service.requests`` counter, bound on first use.
+        self._requests: Dict[Tuple[str, int], Counter] = {}
 
     def route(self, method: str, template: str, handler: Callable) -> None:
         """Register ``handler`` for ``method`` requests matching ``template``."""
@@ -156,10 +160,18 @@ class JsonApp:
         """Register a GET route."""
         self.route("GET", template, handler)
 
+    def _count(self, route: str, status: int) -> None:
+        """Count one answered request under its route template and status."""
+        counter = self._requests.get((route, status))
+        if counter is None:
+            counter = self._requests[route, status] = self._observer.metrics.counter(
+                "service.requests", route=route, status=status
+            )
+        counter.inc()
+
     def refuse(self, err: HttpError, route: str = "none") -> Tuple[int, bytes]:
         """Count and render the structured error answer for ``err``."""
-        metrics = self._observer.metrics
-        metrics.counter("service.requests", route=route, status=err.status).inc()
+        self._count(route, err.status)
         return err.status, render_json(error_body(err.status, err.code, err.message))
 
     def respond(
@@ -171,7 +183,6 @@ class JsonApp:
         here.  Requests are counted per route *template* and status —
         a bounded label set, never the raw path.
         """
-        metrics = self._observer.metrics
         template, handler, match = "none", None, None
         for route in self._routes:
             match = route.regex.match(path)
@@ -193,10 +204,10 @@ class JsonApp:
         except HttpError as err:
             return self.refuse(err, template)
         except Exception:  # reprolint: disable=E302 — service boundary: a crashing handler must become a 500, not kill the daemon
-            metrics.counter("service.errors", kind="handler").inc()
+            self._observer.metrics.counter("service.errors", kind="handler").inc()
             message = "unexpected error handling the request"
             return self.refuse(HttpError(500, "internal-error", message), template)
-        metrics.counter("service.requests", route=template, status=200).inc()
+        self._count(template, 200)
         return 200, body
 
 
@@ -278,6 +289,9 @@ class HttpServer:
             self._drop(next(iter(self._connections.values())), "evicted")
         connection = self._connections[sock] = _Connection(sock)
         self._selector.register(sock, selectors.EVENT_READ, connection)
+        # A client that sent its request with the handshake is answered
+        # now, not one ``select`` later.
+        self._advance(connection)
 
     def _drop(self, connection: _Connection, kind: Optional[str] = None) -> None:
         if kind is not None:
@@ -347,6 +361,6 @@ class HttpServer:
                 or "transfer-encoding" in headers
             )
         ending = "close" if connection.closing else "keep-alive"
-        head = _RESPONSE_HEAD % (status, HTTPStatus(status).phrase, len(body), ending)
+        head = _RESPONSE_HEAD % (status, _PHRASES[status], len(body), ending)
         connection.outbuf += head.encode("ascii") + body
         return True
