@@ -90,7 +90,16 @@ class ReplyColumns:
 
     def sort_order(self) -> np.ndarray:
         """Row order of the collector's global sort: timestamp, source
-        address, site *code*, identifier, sequence."""
+        address, site *code*, identifier, sequence.
+
+        Timestamps that are all distinct (and not NaN) decide the order
+        alone, so one argsort of them is the whole sort.
+        """
+        order = np.argsort(self.timestamp, kind="stable")
+        stamps = self.timestamp[order]  # NaNs sort last
+        distinct = not (stamps[1:] == stamps[:-1]).any()
+        if distinct and not (stamps.size and np.isnan(stamps[-1])):
+            return order
         code_rank = np.argsort(np.argsort(np.array(self.site_codes, dtype=str)))
         return np.lexsort((
             self.sequence, self.identifier, code_rank[self.site],

@@ -76,7 +76,7 @@ from repro.geo.distance import EARTH_RADIUS_KM
 from repro.icmp import latency as _latency
 from repro.obs import NULL_OBSERVER, Observer, Tracer
 from repro.probing.prober import round_order_seed
-from repro.rng import hash_prefix_np, mix64_inplace_np, uniform_from_prefix_np, uniform_unit_np
+from repro.rng import hash_prefix_np, mix64_inplace_np, mix64_np, uniform_from_prefix_np
 from repro.topology import hosts as _hosts
 from repro.topology.hosts import HostModelConfig
 
@@ -690,6 +690,7 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
     site_rtt = np.full((len(sites), n), np.nan)
     lat_rad = np.radians(lat)
     lon_rad = np.radians(lon)
+    cos_lat = np.cos(lat_rad)
     for index, site in enumerate(sites):
         site_lat = np.radians(site.latitude)
         site_lon = np.radians(site.longitude)
@@ -697,15 +698,22 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
         half_dlon = (site_lon - lon_rad) / 2.0
         a = (
             np.sin(half_dlat) ** 2
-            + np.cos(lat_rad) * np.cos(site_lat) * np.sin(half_dlon) ** 2
+            + cos_lat * np.cos(site_lat) * np.sin(half_dlon) ** 2
         )
         distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0, 1)))
         site_rtt[index] = 2.0 * lm._stretch * distance / _latency.KM_PER_MS
     low, high = lm._access_range
 
+    # Every per-block draw absorbs the block's mix; it is mixed once.
+    block_mix = mix64_np(blocks)
+
+    def prefix(salt: int) -> np.ndarray:
+        """``hash_prefix_np(seed, salt, blocks)``, over the shared block mix."""
+        return mix64_inplace_np(hash_prefix_np(seed, salt) ^ block_mix)
+
     def unit(salt: int) -> np.ndarray:
-        """One round-invariant uniform draw per block."""
-        return uniform_unit_np(seed, salt, blocks)
+        """One round-invariant uniform draw per block (``uniform_unit_np``)."""
+        return uniform_from_prefix_np(prefix(salt))
 
     access_draw = unit(_latency._ACCESS_SALT)
     state = RoundState(
@@ -718,7 +726,7 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
         # Per-round draws share a round-invariant hash prefix over (seed,
         # salt, blocks); a round then absorbs its id in one array mix pass.
         prefixes={
-            salt: hash_prefix_np(seed, salt, blocks)
+            salt: prefix(salt)
             for salt in (
                 _hosts._CHURN_SALT,
                 _hosts._DUPN_SALT,
