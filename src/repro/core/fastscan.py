@@ -24,8 +24,9 @@ multiprocess shard workers in :mod:`repro.core.sharding` — bit-identity
 between the two is by construction, not by parallel maintenance of two
 implementations.  A round is site selection (:func:`_route_sites`:
 each row's base site, or its alternate where it flips) followed by the
-§4 cleaning arithmetic (:func:`_clean`), which takes site rows of any
-leading shape.  Two evaluators call it, chosen by what the caller holds:
+§4 cleaning arithmetic (:func:`_clean`) over the delivered cells, each
+a row at the site it reached.  Two evaluators call it, chosen by what
+the caller holds:
 
 * :func:`evaluate_round` cleans one routing state's own (n,) column.
   A stability series draws a new round per call, so this is its path.
@@ -85,7 +86,7 @@ _DUP_GAP = 0.1 / 1000.0  # seconds a duplicate trails the reply before it
 #: Below one row in this many, rows decrypt their schedule positions one
 #: by one (:func:`send_offsets`); from there on, inverting the whole
 #: permutation is cheaper.
-_WALK_FRACTION = 64
+_WALK_FRACTION = 8
 
 
 class _VectorPermutation:
@@ -172,7 +173,7 @@ class _VectorPermutation:
         lands outside ``[0, n)``.  Because the forward walk only ever
         passes *through* out-of-range values, walking back stops at
         exactly the position the forward permutation started from.
-        Shard workers use this to recover their rows' send offsets.
+        :func:`send_offsets` uses this for a handful of rows.
         """
         n = self._n
         values = np.asarray(indices, dtype=np.int64)
@@ -195,8 +196,8 @@ class RoundDraws(NamedTuple):
     A draw is made only for the rows that read it: churn for stable rows,
     everything else for rows that respond, the duplicate tail for those
     that are duplicators.  Every other row holds zero (``False``).
-    Send offsets are not a draw: :func:`_clean` asks for the few rows
-    whose replies can straddle the cut-off (:func:`send_offsets`).
+    Send offsets are not drawn here: :func:`_straddling` asks for those
+    of the few rows whose replies can straddle the cut-off.
     """
 
     round_id: int
