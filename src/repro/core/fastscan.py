@@ -444,18 +444,17 @@ class _Delivered(NamedTuple):
     first: np.ndarray  # float64 the same, in seconds (as the cut-off compares it)
 
 
-def _route_sites(state: RoundState, routes: RouteColumns, draws: RoundDraws) -> np.ndarray:
-    """Site index per row this round: the PoP's base site, or its
-    alternate where the block flips; -1 where unrouted.  Picked for the
-    responding rows only: a silent row reaches no site, so it reads -1."""
-    rows = np.flatnonzero(draws.responds)
+def _route_sites(
+    state: RoundState, routes: RouteColumns, draws: RoundDraws, rows: np.ndarray
+) -> np.ndarray:
+    """Site index of each of ``rows`` (the responding ones: a silent row
+    reaches no site) this round: its PoP's base site, or its alternate
+    where the block flips; -1 where unrouted."""
     pops = state.block_pops[rows]
-    site = np.full(state.rows, -1, dtype=np.int16)
-    site[rows] = _instability.flip_sites(
+    return _instability.flip_sites(
         routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
         state.participate_draw[rows], draws.flip_draw[rows], _instability.FLIP_RATES,
     )
-    return site
 
 
 def _deliver(
@@ -532,7 +531,9 @@ def evaluate_round(
     """
     n = state.rows
     with tracer.span("fastscan.evaluate"):
-        site = _route_sites(state, routes, draws)
+        responders = np.flatnonzero(draws.responds)
+        site = np.full(n, -1, dtype=np.int16)
+        site[responders] = _route_sites(state, routes, draws, responders)
         rows = np.flatnonzero(site >= 0)
         path_rtt = state.site_rtt[routes.site_rows[site[rows]], rows]
         delivered = _deliver(state, draws, rows, path_rtt)
@@ -601,30 +602,32 @@ def evaluate_lattice(
     kept_grid = grid.kept.ravel()
     late_grid = grid.late.ravel()
     duplicates_grid = grid.duplicates.ravel()
-    received = draws.counts
-    unsolicited = np.where(state.off_address, received, 0)
-    columns = np.arange(n)
+    received_grid = grid.counts.ravel()
+    unsolicited_grid = np.where(state.off_address, grid.counts, 0).ravel()
+    # A silent row's cells are all zeros: only the responding rows gather.
+    responders = np.flatnonzero(draws.responds)
     rounds = []
     for routes in routes_seq:
-        site = _route_sites(state, routes, draws)
-        routed = site >= 0
+        site = _route_sites(state, routes, draws, responders)
         # Site index -> first grid cell of its row; index -1 lands on
-        # the trailing "unrouted" row.
+        # the trailing "unrouted" row, all zeros.
         row_starts = np.append(routes.site_rows, unrouted) * n
-        flat = row_starts[site.astype(np.intp)] + columns
+        flat = row_starts[site.astype(np.intp)] + responders
         kept = kept_grid[flat]
         stats = ScanStats(
             probes_sent=n,
-            replies_received=int(received[routed].sum()),
+            replies_received=int(received_grid[flat].sum()),
             wrong_round=0,
-            unsolicited=int(unsolicited[routed].sum()),
+            unsolicited=int(unsolicited_grid[flat].sum()),
             late=int(late_grid[flat].sum()),
             duplicates=int(duplicates_grid[flat].sum()),
             kept=int(np.count_nonzero(kept)),
         )
         # The site where kept, else -1: arithmetic, as a where on a mask
         # this irregular mispredicts its way to 10x slower.
-        rounds.append(ConfigRound((site + 1) * kept - 1, stats))
+        sites = np.full(n, -1, dtype=np.int16)
+        sites[responders] = (site + 1) * kept - 1
+        rounds.append(ConfigRound(sites, stats))
     return rounds
 
 

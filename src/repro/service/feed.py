@@ -72,8 +72,8 @@ def _round_replies(
 
     Mirrors the dataplane: a probe's ``k``-th reply trails its first by
     ``0.1 * k`` ms and arrives at ``(start_time + position * interval)
-    + delay_ms / 1000``, from its row of ``sources``.  Only the rows
-    that reply are sent, so only theirs are the send offsets computed.
+    + delay_ms / 1000``, from its row of ``sources``.  Send offsets are
+    computed for the replying rows only.
     """
     emitting = np.flatnonzero(arrays.counts)
     counts = arrays.counts[emitting]
