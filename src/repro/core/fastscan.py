@@ -114,11 +114,10 @@ class _VectorPermutation:
         if self._round_values is None:
             halves = np.arange(1 << self._half_bits, dtype=np.uint64)
             values = np.empty((_ROUNDS, halves.size), dtype=np.uint64)
-            scratch = np.empty_like(halves)
             for round_index, row in enumerate(values):
                 np.multiply(halves, np.uint64(0x9E3779B1), out=row)
                 row ^= np.uint64(self._seed ^ (round_index << 48))
-                mix64_inplace_np(row, scratch)
+                mix64_inplace_np(row)
             values &= np.uint64((1 << self._half_bits) - 1)
             self._round_values = values.view(np.int64)
         return self._round_values

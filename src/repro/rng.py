@@ -46,19 +46,18 @@ def mix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix64_inplace_np(z, scratch=None):
+def mix64_inplace_np(z):
     """:func:`mix64` applied in place to the uint64 array ``z``; returns it.
 
     The splitmix64 core every vectorised draw and the probe-order
     Feistel share: three in-place multiply/xor-shift steps through one
-    ``scratch`` buffer of ``z``'s shape (allocated when not given), so a
-    mix costs no temporaries.  uint64 array arithmetic wraps exactly
-    like the masked Python ints of the scalar version.
+    scratch buffer of ``z``'s shape, so a mix allocates once.  uint64
+    array arithmetic wraps exactly like the masked Python ints of the
+    scalar version.
     """
     import numpy as np
 
-    if scratch is None:
-        scratch = np.empty_like(z)
+    scratch = np.empty_like(z)
     z += np.uint64(0x9E3779B97F4A7C15)
     np.right_shift(z, np.uint64(30), out=scratch)
     z ^= scratch
@@ -125,7 +124,7 @@ def uniform_from_prefix_np(prefix, *components):
     h = np.right_shift(h, np.uint64(11), out=None if h is prefix else h)
     unit = np.asarray(h, dtype=np.float64)
     unit /= float(1 << 53)
-    return unit if unit.ndim else unit[()]
+    return unit
 
 
 def uniform_unit_np(seed: int, *components):
