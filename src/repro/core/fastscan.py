@@ -83,10 +83,6 @@ from repro.topology.hosts import HostModelConfig
 
 _ROUNDS = 4  # Feistel rounds; must match oracle.schedule
 _DUP_GAP = 0.1 / 1000.0  # seconds a duplicate trails the reply before it
-#: Below one row in this many, rows decrypt their schedule positions one
-#: by one (:func:`send_offsets`); from there on, inverting the whole
-#: permutation is cheaper.
-_WALK_FRACTION = 8
 
 
 class _VectorPermutation:
@@ -122,26 +118,19 @@ class _VectorPermutation:
             self._round_values = values.view(np.int64)
         return self._round_values
 
-    def _feistel(self, values: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """The four-round Feistel network (or its inverse) over int64
-        ``values``, which it consumes: the halves rotate through
-        ``values`` and two more buffers, so a pass allocates twice."""
+    def _feistel(self, values: np.ndarray) -> np.ndarray:
+        """The four-round Feistel network over int64 ``values``, which it
+        consumes: the halves rotate through ``values`` and two more
+        buffers, so a pass allocates twice."""
         rounds = self._rounds()
         left = values >> self._half_bits
         right = np.bitwise_and(values, (1 << self._half_bits) - 1, out=values)
         spare = np.empty_like(left)
-        if inverse:
-            for round_index in reversed(range(_ROUNDS)):
-                # (left, right) <- (right ^ F(left), left)
-                np.take(rounds[round_index], left, out=spare, mode="clip")
-                spare ^= right
-                left, right, spare = spare, left, right
-        else:
-            for round_index in range(_ROUNDS):
-                # (left, right) <- (right, left ^ F(right))
-                np.take(rounds[round_index], right, out=spare, mode="clip")
-                spare ^= left
-                left, right, spare = right, spare, left
+        for round_index in range(_ROUNDS):
+            # (left, right) <- (right, left ^ F(right))
+            np.take(rounds[round_index], right, out=spare, mode="clip")
+            spare ^= left
+            left, right, spare = right, spare, left
         left <<= self._half_bits
         left |= right
         return left
@@ -165,26 +154,16 @@ class _VectorPermutation:
         return values
 
     def positions_of(self, indices: np.ndarray) -> np.ndarray:
-        """Schedule positions of the given hitlist ``indices``.
-
-        The inverse of :meth:`permutation` without materialising the
-        whole domain: decrypt, cycle-walking backwards while the value
-        lands outside ``[0, n)``.  Because the forward walk only ever
-        passes *through* out-of-range values, walking back stops at
-        exactly the position the forward permutation started from.
-        :func:`send_offsets` uses this for a handful of rows.
-        """
+        """Schedule positions of the given hitlist ``indices``: the
+        inverse of :meth:`permutation`, read from the whole permutation
+        inverted at once."""
         n = self._n
-        values = np.asarray(indices, dtype=np.int64)
-        if ((values < 0) | (values >= n)).any():
+        indices = np.asarray(indices, dtype=np.int64)
+        if ((indices < 0) | (indices >= n)).any():
             raise ConfigurationError("permutation input outside [0, n)")
-        values = self._feistel(values.copy(), inverse=True)
-        walking = np.flatnonzero(values >= n)
-        while walking.size:
-            stepped = self._feistel(values[walking], inverse=True)
-            values[walking] = stepped
-            walking = walking[stepped >= n]
-        return values
+        positions = np.empty(n, dtype=np.int64)
+        positions[self.permutation()] = np.arange(n)
+        return positions[indices]
 
 
 class RoundDraws(NamedTuple):
@@ -193,16 +172,17 @@ class RoundDraws(NamedTuple):
     scanned at that round id.  Immutable, its arrays read-only.
 
     A draw is made only for the rows that read it: churn for stable rows,
-    everything else for rows that respond, the duplicate tail for those
-    that are duplicators.  Every other row holds zero (``False``).
-    Send offsets are not drawn here: :func:`_straddling` asks for those
-    of the few rows whose replies can straddle the cut-off.
+    the duplicate tail for responding duplicators, everything else for
+    the responding rows, which are the only rows the columns below hold
+    (one entry per ``responders`` row, in row order).  Send offsets are
+    not drawn here: :func:`_straddling` asks for those of the few rows
+    whose replies can straddle the cut-off.
     """
 
     round_id: int
-    responds: np.ndarray  # bool: stable and not churned out this round
+    responders: np.ndarray  # intp rows that are stable and not churned out
     flip_draw: np.ndarray  # float64 uniform deciding per-round flips
-    counts: np.ndarray  # int64 replies the row's probe draws (0: silent)
+    counts: np.ndarray  # int64 replies the probe draws (one or more)
     late_replier: np.ndarray  # bool
     host_delay: np.ndarray  # float64 ms, delay when no path delay applies
     jitter: np.ndarray  # float64 ms
@@ -332,11 +312,8 @@ def send_offsets(
     this state; default every row) is sent.
 
     The permutation always spans the *full* ``n_total`` domain — shard
-    boundaries must not change anyone's schedule position.  A handful of
-    rows decrypt their own positions through the inverse Feistel; more
-    invert the whole forward permutation at once.  Both yield the
-    identical integer position, multiplied by the identical float
-    interval, so the offsets are bit-equal however they are asked for.
+    boundaries must not change anyone's schedule position.  No rows cost
+    nothing; any number inverts the whole permutation once.
     """
     if rows is None:
         rows = np.arange(state.rows)
@@ -345,14 +322,7 @@ def send_offsets(
     perm = _VectorPermutation(
         state.n_total, round_order_seed(state.order_parent_seed, round_id)
     )
-    indices = state.row_start + rows
-    if indices.size * _WALK_FRACTION < state.n_total:
-        positions = perm.positions_of(indices)
-    else:
-        positions = np.empty(state.n_total, dtype=np.int64)
-        positions[perm.permutation()] = np.arange(state.n_total)
-        positions = positions[indices]
-    return positions.astype(np.float64) * state.interval
+    return perm.positions_of(state.row_start + rows).astype(np.float64) * state.interval
 
 
 def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
@@ -370,27 +340,18 @@ def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
         return draws, True
     state._draws = draws = None
     cfg = state.host_config
-    n = state.rows
 
     def draw(salt: int, rows: np.ndarray) -> np.ndarray:
         """This round's uniform draw for ``rows`` (their prefixes finished)."""
         return uniform_from_prefix_np(state.prefixes[salt][rows], round_id)
 
-    def column(values: np.ndarray) -> np.ndarray:
-        """``values`` of the responding rows, zero at every other row."""
-        full = np.zeros(n, dtype=values.dtype)
-        full[responders] = values
-        return full
-
     stable = np.flatnonzero(state.stable)
-    responds = np.zeros(n, dtype=bool)
-    responds[stable] = draw(_hosts._CHURN_SALT, stable) >= cfg.churn_probability
-    responders = np.flatnonzero(responds)
+    responders = stable[draw(_hosts._CHURN_SALT, stable) >= cfg.churn_probability]
 
     # Reply counts: one, or a duplicator's two or heavy tail.
-    counts = responds.astype(np.int64)
-    duplicators = responders[state.duplicator[responders]]
-    tail = draw(_hosts._DUPN_SALT, duplicators)
+    counts = np.ones(responders.size, dtype=np.int64)
+    duplicators = np.flatnonzero(state.duplicator[responders])
+    tail = draw(_hosts._DUPN_SALT, responders[duplicators])
     heaviness = tail / cfg.heavy_duplicate_fraction
     counts[duplicators] = np.where(
         tail < cfg.heavy_duplicate_fraction,
@@ -408,8 +369,8 @@ def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
     )
     jitter = state.jitter_scale * draw(_latency._JITTER_SALT, responders)
     draws = RoundDraws(
-        round_id, responds, column(draw(_instability._FLIP_SALT, responders)), counts,
-        column(late_replier), column(host_delay), column(jitter),
+        round_id, responders, draw(_instability._FLIP_SALT, responders), counts,
+        late_replier, host_delay, jitter,
     )
     for array in draws[1:]:
         array.setflags(write=False)
@@ -438,34 +399,39 @@ class Cleaned(NamedTuple):
 class _Delivered(NamedTuple):
     """The delivered cells of a round: each a row at the site it reached."""
 
+    responders: np.ndarray  # intp index of each cell's row in the draws' columns
     rows: np.ndarray  # intp row of each cell
     delay: np.ndarray  # float64 first-reply delay (ms)
     first: np.ndarray  # float64 the same, in seconds (as the cut-off compares it)
 
 
-def _route_sites(
-    state: RoundState, routes: RouteColumns, draws: RoundDraws, rows: np.ndarray
-) -> np.ndarray:
-    """Site index of each of ``rows`` (the responding ones: a silent row
-    reaches no site) this round: its PoP's base site, or its alternate
-    where the block flips; -1 where unrouted."""
+def _route_sites(state: RoundState, routes: RouteColumns, draws: RoundDraws) -> np.ndarray:
+    """Site index of each responding row (a silent row reaches no site)
+    this round: its PoP's base site, or its alternate where the block
+    flips; -1 where unrouted."""
+    rows = draws.responders
     pops = state.block_pops[rows]
     return _instability.flip_sites(
         routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
-        state.participate_draw[rows], draws.flip_draw[rows], _instability.FLIP_RATES,
+        state.participate_draw[rows], draws.flip_draw, _instability.FLIP_RATES,
     )
 
 
 def _deliver(
-    state: RoundState, draws: RoundDraws, rows: np.ndarray, path_rtt: np.ndarray
+    state: RoundState,
+    draws: RoundDraws,
+    responders: np.ndarray,
+    rows: np.ndarray,
+    path_rtt: np.ndarray,
 ) -> _Delivered:
-    """First-reply delays of delivered ``rows``, given the RTT (ms) to
-    the site each reached, mirroring the dataplane."""
-    use_path = state.lat_ok[rows] & ~draws.late_replier[rows]
+    """First-reply delays of the delivered cells — ``responders`` indexing
+    the draws' columns, ``rows`` the state's — given the RTT (ms) to the
+    site each reached, mirroring the dataplane."""
+    use_path = state.lat_ok[rows] & ~draws.late_replier[responders]
     path_rtt += state.access[rows]
-    path_rtt += draws.jitter[rows]
-    delay = np.where(use_path, path_rtt, draws.host_delay[rows])
-    return _Delivered(rows, delay, delay / 1000.0)
+    path_rtt += draws.jitter[responders]
+    delay = np.where(use_path, path_rtt, draws.host_delay[responders])
+    return _Delivered(responders, rows, delay, delay / 1000.0)
 
 
 def _straddling(
@@ -497,7 +463,7 @@ def _clean(
     start, count their in-time replies one by one.
     """
     rows = delivered.rows
-    counts = draws.counts[rows]
+    counts = draws.counts[delivered.responders]
     within = np.where(delivered.first <= state.in_time_bound, counts, 0)
     straddling = np.floor((state.late_cutoff - first_rel) / _DUP_GAP) + 1
     straddling = np.clip(straddling, 0, counts[window]).astype(np.int64)
@@ -530,12 +496,14 @@ def evaluate_round(
     """
     n = state.rows
     with tracer.span("fastscan.evaluate"):
-        responders = np.flatnonzero(draws.responds)
+        reached = _route_sites(state, routes, draws)
+        routed = np.flatnonzero(reached >= 0)
+        reached = reached[routed]
+        rows = draws.responders[routed]
+        path_rtt = state.site_rtt[routes.site_rows[reached], rows]
+        delivered = _deliver(state, draws, routed, rows, path_rtt)
         site = np.full(n, -1, dtype=np.int16)
-        site[responders] = _route_sites(state, routes, draws, responders)
-        rows = np.flatnonzero(site >= 0)
-        path_rtt = state.site_rtt[routes.site_rows[site[rows]], rows]
-        delivered = _deliver(state, draws, rows, path_rtt)
+        site[rows] = reached
     with tracer.span("fastscan.offsets") as span:
         window, first_rel = _straddling(state, draws.round_id, delivered)
         span.set(rows=int(window.size))
@@ -565,9 +533,11 @@ def outcome_grid(state: RoundState, draws: RoundDraws) -> Cleaned:
     only the responding rows at a site are cleaned, every other cell
     reads no replies, not kept."""
     sites, n = state.site_rtt.shape
-    responders = np.flatnonzero(draws.responds)
-    cells = (np.repeat(np.arange(sites), responders.size), np.tile(responders, sites))
-    delivered = _deliver(state, draws, cells[1], state.site_rtt[cells])
+    responders = draws.responders.size
+    cells = (np.repeat(np.arange(sites), responders), np.tile(draws.responders, sites))
+    delivered = _deliver(
+        state, draws, np.tile(np.arange(responders), sites), cells[1], state.site_rtt[cells]
+    )
     window, first_rel = _straddling(state, draws.round_id, delivered)
     cleaned = _clean(state, draws, delivered, window, first_rel)
     grid = []
@@ -604,10 +574,10 @@ def evaluate_lattice(
     received_grid = grid.counts.ravel()
     unsolicited_grid = np.where(state.off_address, grid.counts, 0).ravel()
     # A silent row's cells are all zeros: only the responding rows gather.
-    responders = np.flatnonzero(draws.responds)
+    responders = draws.responders
     rounds = []
     for routes in routes_seq:
-        site = _route_sites(state, routes, draws, responders)
+        site = _route_sites(state, routes, draws)
         # Site index -> first grid cell of its row; index -1 lands on
         # the trailing "unrouted" row, all zeros.
         row_starts = np.append(routes.site_rows, unrouted) * n

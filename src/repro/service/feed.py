@@ -77,7 +77,7 @@ def _round_replies(
     """
     emitting = np.flatnonzero(arrays.counts)
     counts = arrays.counts[emitting]
-    with tracer.span("fastscan.offsets", rows=int(emitting.size)):
+    with tracer.span("service.feed.offsets", rows=int(emitting.size)):
         sent = start_time + send_offsets(state, round_id, emitting)
     rows = np.repeat(emitting, counts)
     burst_start = np.cumsum(counts) - counts

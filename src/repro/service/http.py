@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.errors import HttpError
-from repro.obs import NULL_OBSERVER, Counter, Observer
+from repro.obs import NULL_OBSERVER, Observer
 
 #: ``<name>`` placeholders in route templates become path captures.
 _PLACEHOLDER = re.compile(r"<([a-z_]+)>")
@@ -149,8 +149,6 @@ class JsonApp:
     def __init__(self, observer: Optional[Observer] = None) -> None:
         self._routes: List[_Route] = []
         self._observer = observer if observer is not None else NULL_OBSERVER
-        #: (route, status) -> its ``service.requests`` counter, bound on first use.
-        self._requests: Dict[Tuple[str, int], Counter] = {}
 
     def route(self, method: str, template: str, handler: Callable) -> None:
         """Register ``handler`` for ``method`` requests matching ``template``."""
@@ -160,18 +158,10 @@ class JsonApp:
         """Register a GET route."""
         self.route("GET", template, handler)
 
-    def _count(self, route: str, status: int) -> None:
-        """Count one answered request under its route template and status."""
-        counter = self._requests.get((route, status))
-        if counter is None:
-            counter = self._requests[route, status] = self._observer.metrics.counter(
-                "service.requests", route=route, status=status
-            )
-        counter.inc()
-
     def refuse(self, err: HttpError, route: str = "none") -> Tuple[int, bytes]:
         """Count and render the structured error answer for ``err``."""
-        self._count(route, err.status)
+        metrics = self._observer.metrics
+        metrics.counter("service.requests", route=route, status=err.status).inc()
         return err.status, render_json(error_body(err.status, err.code, err.message))
 
     def respond(
@@ -183,6 +173,7 @@ class JsonApp:
         here.  Requests are counted per route *template* and status —
         a bounded label set, never the raw path.
         """
+        metrics = self._observer.metrics
         template, handler, match = "none", None, None
         for route in self._routes:
             match = route.regex.match(path)
@@ -204,10 +195,10 @@ class JsonApp:
         except HttpError as err:
             return self.refuse(err, template)
         except Exception:  # reprolint: disable=E302 — service boundary: a crashing handler must become a 500, not kill the daemon
-            self._observer.metrics.counter("service.errors", kind="handler").inc()
+            metrics.counter("service.errors", kind="handler").inc()
             message = "unexpected error handling the request"
             return self.refuse(HttpError(500, "internal-error", message), template)
-        self._count(template, 200)
+        metrics.counter("service.requests", route=template, status=200).inc()
         return 200, body
 
 

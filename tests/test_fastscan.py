@@ -221,19 +221,26 @@ def _full_offset_round(state, routes, draws):
     the long way: every row picked, every row's send offset, every row
     through the §4 cut-off arithmetic."""
     n = state.rows
+
+    def column(values):
+        """The responders' draws spread over every row, zero elsewhere."""
+        full = np.zeros(n, dtype=values.dtype)
+        full[draws.responders] = values
+        return full
+
     pops = state.block_pops
     site = flip_sites(
         routes.pop_base[pops], routes.pop_alternate[pops], routes.pop_flipper[pops],
-        state.participate_draw, draws.flip_draw, FLIP_RATES,
+        state.participate_draw, column(draws.flip_draw), FLIP_RATES,
     )
     routed = site >= 0
-    delivered = draws.responds & routed
-    counts = np.where(delivered, draws.counts, 0)
+    counts = np.where(routed, column(draws.counts), 0)
+    delivered = counts > 0
     path_rtt = state.site_rtt[routes.site_rows[np.clip(site, 0, None)], np.arange(n)]
     delay = np.where(
-        state.lat_ok & ~draws.late_replier & routed,
-        path_rtt + state.access + draws.jitter,
-        draws.host_delay,
+        state.lat_ok & ~column(draws.late_replier) & routed,
+        path_rtt + state.access + column(draws.jitter),
+        column(draws.host_delay),
     )
     first_rel = send_offsets(state, draws.round_id) + delay / 1000.0
     within = np.floor((state.late_cutoff - first_rel) / (0.1 / 1000.0)) + 1
@@ -302,18 +309,20 @@ def test_late_replier_on_the_cutoff_at_offset_zero_is_kept():
     state, round_id = engine.state, 2
     draws, _ = round_draws(state, round_id)
     arrays = evaluate_round(state, engine.routes, draws)
-    row = int(np.flatnonzero(
-        draws.late_replier & (arrays.counts > 0) & ~state.off_address
-    )[0])
-    # The row's delay is the cut-off, and an order seed probes it first.
-    parent = next(
-        seed for seed in itertools.count()
-        if _VectorPermutation(state.n_total, round_order_seed(seed, round_id))
-        .positions_of(np.array([row]))[0] == 0
+    candidates = np.zeros(state.rows, dtype=bool)
+    candidates[draws.responders[draws.late_replier]] = True
+    candidates &= (arrays.counts > 0) & ~state.off_address
+    # An order seed that probes such a row first, and that row's delay as
+    # the cut-off.
+    parent, row = next(
+        (seed, first) for seed in itertools.count()
+        for first in [int(
+            _VectorPermutation(state.n_total, round_order_seed(seed, round_id)).permutation()[0]
+        )]
+        if candidates[first]
     )
-    edge = dataclasses.replace(
-        state, late_cutoff=draws.host_delay[row] / 1000.0, order_parent_seed=parent
-    )
+    delay = draws.host_delay[np.searchsorted(draws.responders, row)]
+    edge = dataclasses.replace(state, late_cutoff=delay / 1000.0, order_parent_seed=parent)
     assert send_offsets(edge, round_id, np.array([row]))[0] == 0.0
     arrays = assert_round_equals_full_offsets(edge, engine.routes, round_id)
     assert arrays.kept_mask[row]

@@ -95,9 +95,6 @@ NOT_OPERATOR_FN = {
     "datasets:_convert": "library: read_scan's field parser",
     "netaddr.blocks:parse_block": "library: read_scan's /24 parser",
     "traffic.logs:DayLoad.mean_qps": "library: Table 2's mean rate (benchmarks/bench_table2_load.py)",
-    "core.fastscan:_VectorPermutation.positions_of":
-        "library: send offsets of a few rows straddling the late cut-off, which the default "
-        "rate and cut-off leave empty (tests/test_fastscan.py)",
     "core.fastscan:FastScanEngine.run_series": "ledger: benchmarks/e2e/layers.py:289",
     "obs.metrics:MetricsRegistry.value_of": "ledger: benchmarks/e2e/layers.py:417",
     "obs.trace:Span.duration": "ledger: benchmarks/e2e/layers.py:75",
