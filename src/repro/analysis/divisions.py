@@ -48,7 +48,7 @@ def prefixes_by_sites_seen(
 ) -> Dict[int, List[int]]:
     """Figure 7 input: sites-seen -> announced-prefix counts of those ASes."""
     site_counts = sites_seen_per_as(catchment, internet)
-    announced = Counter(entry.origin_asn for entry in internet.announced)
+    announced = Counter(internet.prefixes[2].tolist())
     result: Dict[int, List[int]] = {}
     for asn, sites in site_counts.items():
         result.setdefault(sites, []).append(announced[asn])
@@ -104,7 +104,7 @@ def prefix_site_distribution(
             sites_by_prefix.setdefault(index, set()).add(site)
     distribution: Dict[int, Dict[int, int]] = {}
     for index, seen in sites_by_prefix.items():
-        length = internet.announced[index].prefix.length
+        length = int(internet.prefixes[1, index])
         bucket = distribution.setdefault(length, {})
         bucket[len(seen)] = bucket.get(len(seen), 0) + 1
     return distribution

@@ -55,7 +55,7 @@ def flip_table(
             FlipTableRow(
                 rank=rank,
                 asn=asn,
-                name=internet.ases[asn].name,
+                name=internet.as_table.name[internet.as_row(asn)],
                 flipping_blocks=len(blocks_by_as[asn]),
                 flips=flips,
                 fraction=flips / total_flips if total_flips else 0.0,

@@ -116,20 +116,21 @@ _EDGE_TABLES: "weakref.WeakKeyDictionary[Internet, Dict[RoutingConfig, EdgeTable
 
 
 def as_columns(internet: "Internet") -> AsColumns:
-    """The memoised per-AS and per-PoP columns of ``internet``."""
+    """The memoised per-AS and per-PoP columns of ``internet``'s tables."""
     columns = _AS_COLUMNS.get(internet)
     if columns is None:
-        asns = np.array(sorted(internet.ases), dtype=np.int64)
-        index = {int(asn): i for i, asn in enumerate(asns)}
-        systems = [internet.ases[int(asn)] for asn in asns]
-        pop_ids = np.array([pop.pop_id for pop in internet.pops], dtype=np.uint64)
+        table = internet.as_table
+        order = np.argsort(table.asn, kind="stable")
+        asns = table.asn[order]
+        pop_as = np.searchsorted(asns, internet.pop_table.asn)
+        pop_ids = np.arange(pop_as.size, dtype=np.uint64)
         columns = _AS_COLUMNS[internet] = AsColumns(
             asns=asns,
-            index=index,
-            multi_pop=np.array([asys.is_multi_pop for asys in systems], dtype=bool),
-            flipper=np.array([asys.flipper for asys in systems], dtype=bool),
+            index=dict(zip(asns.tolist(), range(asns.size))),
+            multi_pop=np.bincount(pop_as, minlength=asns.size) > 1,
+            flipper=table.flipper[order],
             flip_hash=mix64_np(asns.astype(np.uint64) * np.uint64(0xA5A5)),
-            pop_as=np.array([index[pop.asn] for pop in internet.pops], dtype=np.intp),
+            pop_as=pop_as.astype(np.intp),
             pop_hash=mix64_np(pop_ids * np.uint64(0x51ED) + np.uint64(17)),
         )
     return columns
@@ -152,20 +153,17 @@ def _edge_costs(seed: int, config: "RoutingConfig", edge_ids: np.ndarray) -> np.
 
 
 def _edge_table(
-    seed: int, columns: AsColumns, neighbours, config: "RoutingConfig", pins: bool
+    seed: int, columns: AsColumns, importers: np.ndarray, exporters: np.ndarray,
+    config: "RoutingConfig", pins: bool,
 ) -> EdgeTable:
-    """CSR of ``neighbours(asn)`` per importing AS, with its draws."""
-    importer: List[int] = []
-    exporter: List[int] = []
-    offsets = [0]
-    index = columns.index
-    for i, asn in enumerate(columns.asns.tolist()):
-        for neighbour in neighbours(asn):
-            importer.append(i)
-            exporter.append(index[neighbour])
-        offsets.append(len(importer))
-    imp = np.array(importer, dtype=np.intp)
-    exp = np.array(exporter, dtype=np.intp)
+    """CSR of the ``importers[k]`` <- ``exporters[k]`` edges, with their draws.
+
+    A stable sort by importer keeps each row in edge order: the order the
+    graph's neighbour lists hold, which ``_first_min`` breaks ties by."""
+    imp = np.searchsorted(columns.asns, importers)
+    order = np.argsort(imp, kind="stable")
+    imp = imp[order].astype(np.intp)
+    exp = np.searchsorted(columns.asns, exporters)[order].astype(np.intp)
     imp_asn = columns.asns[imp].astype(np.uint64)
     exp_asn = columns.asns[exp].astype(np.uint64)
     if pins:
@@ -180,10 +178,10 @@ def _edge_table(
             (exp_asn * np.uint64(0x9E3779B1)) ^ (imp_asn * np.uint64(0x85EBCA6B))
         )
         tie_prefix = mix64_np(imp_asn * np.uint64(0x9E37) + exp_asn)
-    offsets_array = np.array(offsets, dtype=np.intp)
-    rows = np.flatnonzero(np.diff(offsets_array) > 0)
+    offsets = np.searchsorted(imp, np.arange(columns.asns.size + 1)).astype(np.intp)
+    rows = np.flatnonzero(np.diff(offsets) > 0)
     return EdgeTable(
-        offsets=offsets_array,
+        offsets=offsets,
         importer=imp,
         exporter=exp,
         cost=_edge_costs(seed, config, imp_asn * np.uint64(131071) + exp_asn),
@@ -191,22 +189,27 @@ def _edge_table(
         pick_hash=pick_hash,
         tie_prefix=tie_prefix,
         rows=rows,
-        starts=offsets_array[rows],
+        starts=offsets[rows],
     )
 
 
 def edge_tables(internet: "Internet", config: "RoutingConfig") -> EdgeTables:
-    """The memoised CSR edge tables of ``internet`` under ``config``."""
+    """The memoised CSR edge tables of ``internet`` under ``config``, from its
+    edge columns: ``up`` rows are providers importing from customers, ``down``
+    the reverse, and each peering is an edge both ways."""
     per_config = _EDGE_TABLES.setdefault(internet, {})
     tables = per_config.get(config)
     if tables is None:
         columns = as_columns(internet)
-        graph = internet.graph
+        a, b, peering = internet.edges
+        transit = peering == 0
+        # Each peering as its two directions, adjacent, so a stable sort keeps edge order.
+        ends = np.stack([a[~transit], b[~transit]], axis=1)
         seed = internet.seed
         tables = per_config[config] = EdgeTables(
-            up=_edge_table(seed, columns, graph.customers_of, config, False),
-            peer=_edge_table(seed, columns, graph.peers_of, config, False),
-            down=_edge_table(seed, columns, graph.providers_of, config, True),
+            up=_edge_table(seed, columns, b[transit], a[transit], config, False),
+            peer=_edge_table(seed, columns, ends.ravel(), ends[:, ::-1].ravel(), config, False),
+            down=_edge_table(seed, columns, a[transit], b[transit], config, True),
         )
     return tables
 

@@ -648,7 +648,8 @@ def build_round_state(verfploeter: Verfploeter) -> RoundState:
     # (unrouted, so their responder draw is never read).
     signed_blocks = verfploeter.hitlist.blocks
     rows, populated = internet.join(signed_blocks)
-    block_pops = np.where(populated, internet.block_table()[2][rows], len(internet.pops))
+    block_pops = np.where(populated, internet.block_table()[2][rows],
+                          len(internet.pop_table.asn))
     stable = populated & internet.stable_mask()[rows]
 
     # Geography joins against the geo database's columnar snapshot.

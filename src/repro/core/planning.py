@@ -63,13 +63,15 @@ def find_upstream_near(
     that actually provides transit); stubs are a fallback.
     """
     best: Optional[Tuple[float, int, str]] = None
-    for pop in internet.pops:
-        asys = internet.ases[pop.asn]
-        if prefer_transit and asys.tier == ASTier.STUB:
+    tiers = dict(zip(internet.as_table.asn.tolist(), internet.as_table.tier))
+    pops = internet.pop_table
+    for asn, country, lat, lon in zip(pops.asn.tolist(), pops.country_code,
+                                      pops.latitude.tolist(), pops.longitude.tolist()):
+        if prefer_transit and tiers[asn] == ASTier.STUB:
             continue
-        distance = haversine_km(latitude, longitude, pop.latitude, pop.longitude)
+        distance = haversine_km(latitude, longitude, lat, lon)
         if best is None or distance < best[0]:
-            best = (distance, pop.asn, pop.country_code)
+            best = (distance, asn, country)
     if best is None:
         raise TopologyError("topology has no eligible upstream PoPs")
     return best[1], best[2]
@@ -109,9 +111,11 @@ def evaluate_site_addition(
             scenario.internet, latitude, longitude
         )
     else:
-        if upstream_asn not in scenario.internet.ases:
-            raise ConfigurationError(f"AS{upstream_asn} does not exist")
-        country = scenario.internet.ases[upstream_asn].country_code
+        try:
+            row = scenario.internet.as_row(upstream_asn)
+        except TopologyError:
+            raise ConfigurationError(f"AS{upstream_asn} does not exist") from None
+        country = scenario.internet.as_table.country_code[row]
     country_by_code(country)  # validate the upstream's country exists
 
     new_site = AnycastSite(

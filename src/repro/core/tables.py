@@ -55,9 +55,6 @@ class TableStore:
         """True if a complete table set exists (manifest written last)."""
         return os.path.exists(os.path.join(self.dir_of(fingerprint), _MANIFEST))
 
-    def _array_path(self, fingerprint: str, name: str) -> str:
-        return os.path.join(self.dir_of(fingerprint), f"{name}.npy")
-
     def _replace(self, fingerprint: str, filename: str, write) -> None:
         """Write one file of an entry through a temp file of this writer's own:
         concurrent writers of one entry never share (or truncate) one."""
@@ -81,9 +78,8 @@ class TableStore:
 
     def read_array(self, fingerprint: str, name: str) -> np.ndarray:
         """Attach one named array as a read-only memmap."""
-        path = self._array_path(fingerprint, name)
         try:
-            return np.load(path, mmap_mode="r")
+            return np.load(os.path.join(self.dir_of(fingerprint), f"{name}.npy"), mmap_mode="r")
         except (OSError, ValueError) as error:  # missing, truncated or not .npy
             raise DatasetError(f"table {name!r} under {fingerprint}: {error}") from None
 
@@ -283,43 +279,36 @@ def attach_round_state(store: TableStore, fingerprint: str):
     )
 
 
-#: Array columns of a persisted :class:`~repro.topology.internet.Internet`:
-#: block table, geo columns, PoP table, and prefixes ``(network, length,
-#: origin)`` and AS edges ``(a, b, peering)`` (in order) as ``(3, n)`` tables;
-#: the manifest holds one AS list per :data:`_AS_FIELDS` field.  Column by
+#: The columns of a persisted :class:`~repro.topology.internet.Internet`, by
+#: name: numeric ones to ``.npy`` files, text ones to the manifest.  Column by
 #: column: per-row containers by the thousand would set off a full GC pass.
 _INTERNET_COLUMNS = (
-    "blocks", "asns", "pop_ids",
-    "geo.blocks", "geo.latitudes", "geo.longitudes", "geo.country_index",
-    "pops.asn", "pops.latitude", "pops.longitude", "prefixes", "edges",
+    "blocks", "asns", "pop_ids", "geo.blocks", "geo.latitudes", "geo.longitudes",
+    "geo.country_index", "ases.asn", "ases.flipper", "pops.asn", "pops.latitude",
+    "pops.longitude", "prefixes", "edges",
 )
-_AS_FIELDS = ("asn", "tier", "name", "country_code", "flipper")
+_INTERNET_TEXT = ("ases.tier", "ases.name", "ases.country_code", "pops.country_code",
+                  "geo.countries")
 
 
-def persist_internet(store: TableStore, key: str, internet) -> None:
-    """Persist ``internet`` under ``key``, overwriting what is there: arrays
-    to ``.npy`` files; AS rows, country codes and host configuration to the
-    manifest, with a ``content_fingerprint`` of both that attach recomputes."""
+def persist_internet(store: TableStore, key: str, internet, sources: str = "") -> None:
+    """Persist ``internet`` under ``key``, overwriting what is there: numeric
+    columns to ``.npy`` files; text columns, host configuration and the build's
+    ``sources`` digest to the manifest, with a ``content_fingerprint`` of both
+    that attach recomputes."""
     geo = internet.geodb.columnar()
-    pops, announced = internet.pops, internet.announced
-    arrays = dict(zip(_INTERNET_COLUMNS, (
-        *internet.block_table(),
-        geo.blocks, geo.latitudes, geo.longitudes, geo.country_index,
-        *(np.array([getattr(pop, field) for pop in pops], dtype)
-          for field, dtype in (("asn", np.int64), ("latitude", np.float64),
-                               ("longitude", np.float64))),
-        np.array([[e.prefix.network for e in announced], [e.prefix.length for e in announced],
-                  [e.origin_asn for e in announced]], dtype=np.int64).reshape(3, -1),
-        np.array(internet.graph.edge_columns(), dtype=np.int64).reshape(3, -1),
-    )))
-    ases = internet.ases.values()
+    columns = {
+        **dict(zip(("blocks", "asns", "pop_ids"), internet.block_table())),
+        **{f"geo.{field.name}": getattr(geo, field.name) for field in dataclasses.fields(geo)},
+        **{f"ases.{name}": column for name, column in internet.as_table._asdict().items()},
+        **{f"pops.{name}": column for name, column in internet.pop_table._asdict().items()},
+        "prefixes": internet.prefixes, "edges": internet.edges,
+    }
+    arrays = {name: columns[name] for name in _INTERNET_COLUMNS}
     scalars = {
-        "kind": "internet",
-        "seed": internet.seed,
-        "ases": {field: [getattr(a, field) for a in ases] for field in _AS_FIELDS},
-        "pop_countries": [pop.country_code for pop in pops],
-        "geo_countries": list(geo.countries),
+        "kind": "internet", "seed": internet.seed, "sources": sources,
         "host_config": dataclasses.asdict(internet.host_model.config),
+        **{name: list(columns[name]) for name in _INTERNET_TEXT},
     }
     for name, array in arrays.items():
         store.write_array(key, name, array)
@@ -330,17 +319,13 @@ def persist_internet(store: TableStore, key: str, internet) -> None:
 
 def attach_internet(store: TableStore, key: str):
     """The Internet :func:`persist_internet` stored under ``key``, its columns
-    read-only memmaps.  Raises :class:`~repro.errors.DatasetError` when the
-    entry is missing, of another kind, truncated, misaligned or fails its
-    fingerprint."""
+    read-only memmaps: no AS, PoP, prefix or edge object is built.  Raises
+    :class:`~repro.errors.DatasetError` when the entry is missing, of another
+    kind, truncated, misaligned or fails its fingerprint."""
     # Deferred: only a scenario snapshot needs the topology types.
     from repro.geo.geodb import GeoColumns, GeoDatabase
-    from repro.netaddr.prefix import Prefix
-    from repro.topology.asys import AutonomousSystem, PoP
     from repro.topology.hosts import HostModelConfig
-    from repro.topology.internet import Internet
-    from repro.topology.prefixes import AnnouncedPrefix
-    from repro.topology.relationships import RelationshipGraph
+    from repro.topology.internet import AsTable, Internet, PopTable
 
     manifest = store.read_manifest(key)
     if manifest.get("kind") != "internet":
@@ -349,26 +334,16 @@ def attach_internet(store: TableStore, key: str):
     arrays = {name: np.asarray(store.read_array(key, name)) for name in _INTERNET_COLUMNS}
     if content_fingerprint(arrays, scalars) != manifest.get("content_fingerprint"):
         raise DatasetError(f"entry {key} does not match its content fingerprint")
-    blocks, asns, pop_ids = (arrays[name] for name in ("blocks", "asns", "pop_ids"))
-    pop_columns = [arrays[f"pops.{name}"] for name in ("asn", "latitude", "longitude")]
-    as_columns = [scalars["ases"][field] for field in _AS_FIELDS]
-    if ({asns.shape, pop_ids.shape} != {blocks.shape} or arrays["prefixes"].shape[0] != 3
-            or {c.shape for c in pop_columns} != {(len(scalars["pop_countries"]),)}
-            or arrays["edges"].shape[0] != 3 or len({len(c) for c in as_columns}) != 1):
+    columns = {**arrays, **{name: scalars[name] for name in _INTERNET_TEXT}}
+    ases, pops = ([columns[f"{table}.{name}"] for name in fields]
+                  for table, fields in (("ases", AsTable._fields), ("pops", PopTable._fields)))
+    blocks = tuple(arrays[name] for name in ("blocks", "asns", "pop_ids"))
+    if (any(len({len(column) for column in table}) != 1 for table in (ases, pops))
+            or {column.shape for column in blocks} != {blocks[0].shape}
+            or {arrays[name].shape[0] for name in ("prefixes", "edges")} != {3}):
         raise DatasetError(f"entry {key} has misaligned columns")
-    ases = {asn: AutonomousSystem(asn, tier, name, country, [], flipper)
-            for asn, tier, name, country, flipper in zip(*as_columns)}
-    pops = []
-    for pop_id, (asn, lat, lon, country) in enumerate(
-            zip(*(c.tolist() for c in pop_columns), scalars["pop_countries"])):
-        pops.append(PoP(pop_id, asn, country, lat, lon))
-        ases[asn].pop_ids.append(pop_id)
-    graph = RelationshipGraph()
-    for a, b, peering in zip(*arrays["edges"].tolist()):
-        (graph.add_peering if peering else graph.add_customer_provider)(a, b)
-    announced = [AnnouncedPrefix(Prefix(network, length), origin)
-                 for network, length, origin in zip(*arrays["prefixes"].tolist())]
-    geo = GeoColumns(*(arrays[name] for name in _INTERNET_COLUMNS[3:7]),
-                     tuple(scalars["geo_countries"]))
-    return Internet(int(scalars["seed"]), ases, pops, graph, announced, (blocks, asns, pop_ids),
-                    GeoDatabase(geo), HostModelConfig(**scalars["host_config"]))
+    geo = GeoColumns(*(arrays[f"geo.{name}"] for name in
+                       ("blocks", "latitudes", "longitudes", "country_index")),
+                     tuple(scalars["geo.countries"]))
+    return Internet(int(scalars["seed"]), ases, pops, arrays["prefixes"], arrays["edges"],
+                    blocks, GeoDatabase(geo), HostModelConfig(**scalars["host_config"]))

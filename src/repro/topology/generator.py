@@ -31,11 +31,9 @@ from repro.geo.regions import COUNTRIES, Country, country_by_code
 from repro.netaddr.prefix import Prefix
 from repro.rng import derive_rng
 from repro.topology.allocator import PrefixAllocator
-from repro.topology.asys import ASTier, AutonomousSystem, PoP, SeededAS
+from repro.topology.asys import ASTier, SeededAS
 from repro.topology.hosts import HostModelConfig
 from repro.topology.internet import Internet
-from repro.topology.prefixes import AnnouncedPrefix
-from repro.topology.relationships import RelationshipGraph
 
 
 @dataclass(frozen=True)
@@ -105,44 +103,40 @@ _POP_COUNT_RANGE = {ASTier.TIER1: (6, 10), ASTier.TRANSIT: (1, 4), ASTier.STUB: 
 
 
 class _Builder:
-    """Single-use builder holding generation state."""
+    """Single-use builder holding generation state: the Internet's tables,
+    row by row."""
 
     def __init__(self, config: TopologyConfig) -> None:
         self.config = config
-        self.ases: Dict[int, AutonomousSystem] = {}
-        self.pops: List[PoP] = []
-        self.graph = RelationshipGraph()
-        self.announced: List[AnnouncedPrefix] = []
-        # Populated blocks and their PoPs, appended prefix by prefix.
+        # ``(asn, tier, name, country, flipper)`` per AS (ASN = row + 1), its
+        # PoP ids and the ASN of each name; ``(asn, country, lat, lon)`` per PoP
+        # (pop_id = row); every edge ``(a, b) -> peering`` in insertion order.
+        self.as_rows: List[tuple] = []
+        self.pops_of: List[List[int]] = []
+        self.asn_of: Dict[str, int] = {}
+        self.pop_rows: List[tuple] = []
+        self.edges: Dict[Tuple[int, int], bool] = {}
+        # (network, length, origin) of each announced prefix, then the
+        # populated blocks and their PoPs, appended prefix by prefix.
+        self._prefixes = array("q")
         self._blocks = array("q")
         self._pop_ids = array("q")
         self.allocator = PrefixAllocator(Prefix(self.config.address_pool))
-        self.next_asn = 1
         self.tier1_asns: List[int] = []
         self.transit_asns: List[int] = []
-        self.stub_asns: List[int] = []
-        self.seeded_asns: Dict[str, int] = {}
         self._preference_groups: Dict[Tuple[str, int], Tuple[List[int], ...]] = {}
-        weights = [country.internet_weight for country in COUNTRIES]
-        self._countries = COUNTRIES
-        self._country_weights = weights
+        self._country_weights = [country.internet_weight for country in COUNTRIES]
 
     # -- sampling helpers -------------------------------------------------
 
     def _sample_country(self, rng) -> Country:
-        return rng.choices(self._countries, weights=self._country_weights, k=1)[0]
-
-    def _sample_point_in(self, country: Country, rng) -> Tuple[float, float]:
-        lat = rng.uniform(*country.lat_range)
-        lon = rng.uniform(*country.lon_range)
-        return lat, lon
+        return rng.choices(COUNTRIES, weights=self._country_weights, k=1)[0]
 
     def _new_pop(self, asn: int, country_code: str, rng) -> int:
         country = country_by_code(country_code)
-        lat, lon = self._sample_point_in(country, rng)
-        pop = PoP(len(self.pops), asn, country_code, lat, lon)
-        self.pops.append(pop)
-        return pop.pop_id
+        lat, lon = rng.uniform(*country.lat_range), rng.uniform(*country.lon_range)
+        self.pop_rows.append((asn, country_code, lat, lon))
+        return len(self.pop_rows) - 1
 
     def _new_as(
         self,
@@ -152,13 +146,24 @@ class _Builder:
         pop_countries: Sequence[str],
         rng,
         flipper: bool = False,
-    ) -> AutonomousSystem:
-        asn = self.next_asn
-        self.next_asn += 1
-        asys = AutonomousSystem(asn, tier, name, country_code, [], flipper)
-        asys.pop_ids = [self._new_pop(asn, code, rng) for code in pop_countries]
-        self.ases[asn] = asys
-        return asys
+    ) -> int:
+        asn = len(self.as_rows) + 1
+        self.as_rows.append((asn, tier, name, country_code, flipper))
+        self.asn_of.setdefault(name, asn)
+        self.pops_of.append([self._new_pop(asn, code, rng) for code in pop_countries])
+        return asn
+
+    def _home(self, asn: int) -> Country:
+        return country_by_code(self.as_rows[asn - 1][3])
+
+    def _linked(self, a: int, b: int) -> bool:
+        return (a, b) in self.edges or (b, a) in self.edges
+
+    def _link(self, a: int, b: int, peering: bool = False) -> None:
+        """Record that ``a`` buys transit from ``b``, or peers with it."""
+        if a == b or self._linked(a, b):
+            raise TopologyError(f"self-loop or duplicate relationship AS{a}-AS{b}")
+        self.edges[a, b] = peering
 
     # -- AS population ----------------------------------------------------
 
@@ -171,14 +176,13 @@ class _Builder:
             pop_countries = [home] + [
                 self._sample_country(rng).code for _ in range(pop_count - 1)
             ]
-            asys = self._new_as(
+            self.tier1_asns.append(self._new_as(
                 ASTier.TIER1, f"TIER1-{index}", home, pop_countries, rng
-            )
-            self.tier1_asns.append(asys.asn)
+            ))
         # Tier-1 clique: full-mesh settlement-free peering.
         for i, a in enumerate(self.tier1_asns):
             for b in self.tier1_asns[i + 1 :]:
-                self.graph.add_peering(a, b)
+                self._link(a, b, peering=True)
 
     def build_transit(self) -> None:
         rng = derive_rng(self.config.seed, "transit")
@@ -188,16 +192,16 @@ class _Builder:
                 pop_count = rng.randint(2, _POP_COUNT_RANGE[ASTier.TRANSIT][1])
             else:
                 pop_count = 1
-            region_mates = [c for c in self._countries if c.region == home.region]
+            region_mates = [c for c in COUNTRIES if c.region == home.region]
             pop_countries = [home.code] + [
                 rng.choice(region_mates).code for _ in range(pop_count - 1)
             ]
-            asys = self._new_as(
+            asn = self._new_as(
                 ASTier.TRANSIT, f"TRANSIT-{index}", home.code, pop_countries, rng
             )
             providers = rng.sample(self.tier1_asns, k=min(len(self.tier1_asns), rng.randint(1, 2)))
             for provider in providers:
-                self.graph.add_customer_provider(asys.asn, provider)
+                self._link(asn, provider)
             # Buy from earlier transits too (keeps hierarchy acyclic) —
             # deeper chains spread path costs, which is what makes
             # prepending shift catchments gradually rather than all at once.
@@ -205,30 +209,25 @@ class _Builder:
                 if not self.transit_asns:
                     break
                 upstream = rng.choice(self.transit_asns)
-                if not self.graph.has_link(asys.asn, upstream):
-                    self.graph.add_customer_provider(asys.asn, upstream)
-            self.transit_asns.append(asys.asn)
+                if not self._linked(asn, upstream):
+                    self._link(asn, upstream)
+            self.transit_asns.append(asn)
         # Same-region transit peering.
         for i, a in enumerate(self.transit_asns):
             for b in self.transit_asns[i + 1 :]:
-                if self.graph.has_link(a, b):
+                if self._linked(a, b):
                     continue
-                same_region = (
-                    country_by_code(self.ases[a].country_code).region
-                    == country_by_code(self.ases[b].country_code).region
-                )
+                same_region = self._home(a).region == self._home(b).region
                 probability = self.config.transit_peering_probability
                 if same_region and rng.random() < probability:
-                    self.graph.add_peering(a, b)
+                    self._link(a, b, peering=True)
 
     def _transit_preference(self, country: Country, rng) -> List[int]:
         """Transit providers ordered: same country, same region, anywhere."""
         key = (country.code, len(self.transit_asns))  # transit_asns only grows
         groups = self._preference_groups.get(key)
         if groups is None:
-            homes = [
-                (asn, country_by_code(self.ases[asn].country_code)) for asn in self.transit_asns
-            ]
+            homes = [(asn, self._home(asn)) for asn in self.transit_asns]
             region = [(asn, home.code) for asn, home in homes if home.region == country.region]
             groups = self._preference_groups[key] = (
                 [asn for asn, code in region if code == country.code],
@@ -250,7 +249,7 @@ class _Builder:
             pop_countries = [home.code]
             if rng.random() < self.config.stub_multi_pop_fraction:
                 pop_countries.append(home.code)
-            asys = self._new_as(
+            asn = self._new_as(
                 ASTier.STUB, f"STUB-{index}", home.code, pop_countries, rng
             )
             if rng.random() < self.config.stub_multihome_fraction:
@@ -259,13 +258,12 @@ class _Builder:
                 provider_count = 1
             preferences = self._transit_preference(home, rng)
             for provider in preferences[:provider_count]:
-                self.graph.add_customer_provider(asys.asn, provider)
-            self.stub_asns.append(asys.asn)
+                self._link(asn, provider)
 
     def build_seeded(self) -> None:
         rng = derive_rng(self.config.seed, "seeded")
         for spec in self.config.seeded_ases:
-            asys = self._new_as(
+            asn = self._new_as(
                 spec.tier,
                 spec.name,
                 spec.country_code,
@@ -273,12 +271,11 @@ class _Builder:
                 rng,
                 flipper=spec.flipper,
             )
-            self.seeded_asns[spec.name] = asys.asn
             home = country_by_code(spec.country_code)
             if spec.tier == ASTier.TIER1:
                 for other in self.tier1_asns:
-                    self.graph.add_peering(asys.asn, other)
-                self.tier1_asns.append(asys.asn)
+                    self._link(asn, other, peering=True)
+                self.tier1_asns.append(asn)
                 continue
             # Transit and stub seeded ASes are multihomed for resilience.
             # Explicit provider_names pin connectivity (scenarios use this
@@ -290,8 +287,8 @@ class _Builder:
                 preferences = self._transit_preference(home, rng) or list(self.tier1_asns)
                 providers = preferences[:2] if len(preferences) >= 2 else preferences
             for provider in providers:
-                if not self.graph.has_link(asys.asn, provider):
-                    self.graph.add_customer_provider(asys.asn, provider)
+                if not self._linked(asn, provider):
+                    self._link(asn, provider)
             # Regional peering fabric: the seeded AS peers with most
             # transits whose home country lies in the listed regions
             # (how an academic exchange like AMPATH blankets South
@@ -299,28 +296,22 @@ class _Builder:
             # region gravitates to this AS's announcements.
             for region in spec.peer_regions:
                 for transit in list(self.transit_asns):
-                    home = country_by_code(self.ases[transit].country_code)
-                    if home.region != region or self.graph.has_link(asys.asn, transit):
+                    if self._home(transit).region != region or self._linked(asn, transit):
                         continue
                     if rng.random() < 0.75:
-                        self.graph.add_peering(asys.asn, transit)
+                        self._link(asn, transit, peering=True)
             if spec.tier == ASTier.TRANSIT:
-                self.transit_asns.append(asys.asn)
-            else:
-                self.stub_asns.append(asys.asn)
+                self.transit_asns.append(asn)
 
     def _resolve_name(self, name: str) -> int:
         """ASN of a previously-created AS by generated name."""
-        for asn, asys in self.ases.items():
-            if asys.name == name:
-                return asn
-        raise ConfigurationError(f"seeded provider {name!r} does not exist (yet)")
+        if name not in self.asn_of:
+            raise ConfigurationError(f"seeded provider {name!r} does not exist (yet)")
+        return self.asn_of[name]
 
     # -- prefixes and blocks ----------------------------------------------
 
-    def _announce(
-        self, asys: AutonomousSystem, length: int, density: float, rng
-    ) -> None:
+    def _announce(self, asn: int, length: int, density: float, rng) -> None:
         prefix = self.allocator.allocate(length)
         span = prefix.block_count
         target = max(
@@ -334,27 +325,26 @@ class _Builder:
         start_block = prefix.network >> 8
         offsets = sorted(rng.sample(range(span), target)) if target < span else range(span)
         self._blocks.extend([start_block + offset for offset in offsets])
-        self._pop_ids.extend([rng.choice(asys.pop_ids) for _ in offsets])
-        self.announced.append(AnnouncedPrefix(prefix, asys.asn))
+        self._pop_ids.extend([rng.choice(self.pops_of[asn - 1]) for _ in offsets])
+        self._prefixes.extend((prefix.network, prefix.length, asn))
 
     def build_prefixes(self) -> None:
         rng = derive_rng(self.config.seed, "prefix")
         seeded_names = {spec.name: spec for spec in self.config.seeded_ases}
-        for asn in sorted(self.ases):
-            asys = self.ases[asn]
-            spec = seeded_names.get(asys.name)
+        for asn, tier, name, _, _ in self.as_rows:
+            spec = seeded_names.get(name)
             if spec is not None:
                 for length, count in spec.prefix_plan:
                     for _ in range(count):
-                        self._announce(asys, length, spec.block_density, rng)
+                        self._announce(asn, length, spec.block_density, rng)
                 continue
-            low, high = _PREFIX_COUNT_RANGE[asys.tier]
-            mix = _PREFIX_MIX[asys.tier]
+            low, high = _PREFIX_COUNT_RANGE[tier]
+            mix = _PREFIX_MIX[tier]
             lengths = [entry[0] for entry in mix]
             weights = [entry[1] for entry in mix]
             for _ in range(rng.randint(low, high)):
                 length = rng.choices(lengths, weights=weights, k=1)[0]
-                self._announce(asys, length, _BLOCK_DENSITY[asys.tier], rng)
+                self._announce(asn, length, _BLOCK_DENSITY[tier], rng)
 
     def build_geo(self, blocks: np.ndarray, pop_ids: np.ndarray) -> GeoDatabase:
         """Locate each block near its PoP, in ascending block order."""
@@ -364,14 +354,14 @@ class _Builder:
         for row, pop_id in enumerate(pop_ids.tolist()):
             if random() < unlocatable:
                 continue
-            pop = self.pops[pop_id]
+            _, _, latitude, longitude = self.pop_rows[pop_id]
             rows.append(row)
-            lats.append(gauss(pop.latitude, 1.5))
-            lons.append(gauss(pop.longitude, 1.5))
+            lats.append(gauss(latitude, 1.5))
+            lons.append(gauss(longitude, 1.5))
         rows = np.frombuffer(rows, dtype=np.int64)
         located = pop_ids[rows]
         # Clamp each draw into its PoP's country, then onto the globe.
-        homes = [country_by_code(pop.country_code) for pop in self.pops]
+        homes = [country_by_code(country) for _, country, _, _ in self.pop_rows]
         bounds = np.array([(*home.lat_range, *home.lon_range) for home in homes])
         lat_low, lat_high, lon_low, lon_high = bounds[located].T
         codes = np.array([home.code for home in homes])
@@ -393,11 +383,14 @@ class _Builder:
         if not np.all(np.diff(blocks) > 0):
             raise TopologyError("populated blocks are not strictly ascending")
         pop_ids = np.frombuffer(self._pop_ids, dtype=np.int64)
-        asns = np.array([pop.asn for pop in self.pops], dtype=np.int64)[pop_ids]
+        pop_table = list(zip(*self.pop_rows))
+        asns = np.array(pop_table[0], dtype=np.int64)[pop_ids]
+        edges = [(a, b, int(peering)) for (a, b), peering in self.edges.items()]
         return Internet(
-            self.config.seed, self.ases, self.pops, self.graph, self.announced,
-            (blocks, asns, pop_ids), self.build_geo(blocks, pop_ids),
-            self.config.host_config,
+            self.config.seed, list(zip(*self.as_rows)), pop_table,
+            np.frombuffer(self._prefixes, dtype=np.int64).reshape(-1, 3).T,
+            np.array(edges, dtype=np.int64).reshape(-1, 3).T, (blocks, asns, pop_ids),
+            self.build_geo(blocks, pop_ids), self.config.host_config,
         )
 
 

@@ -28,8 +28,7 @@ class RelationshipGraph:
         self._providers: Dict[int, List[int]] = {}
         self._customers: Dict[int, List[int]] = {}
         self._peers: Dict[int, List[int]] = {}
-        # Every edge as ``(a, b) -> peering`` in insertion order.
-        self._edges: Dict[Tuple[int, int], bool] = {}
+        self._edges: Dict[Tuple[int, int], bool] = {}  # (a, b) -> peering
 
     def _check_new_edge(self, a: int, b: int, peering: bool) -> None:
         if a == b:
@@ -53,13 +52,6 @@ class RelationshipGraph:
     def has_link(self, a: int, b: int) -> bool:
         """True if any relationship exists between ``a`` and ``b``."""
         return (a, b) in self._edges or (b, a) in self._edges
-
-    def edge_columns(self) -> Tuple[List[int], List[int], List[int]]:
-        """``(a, b, peering)`` columns of every edge in insertion order (``a``
-        buys transit from ``b`` where ``peering`` is 0): adding the edges again
-        in this order rebuilds every neighbour list in its order."""
-        return ([a for a, _ in self._edges], [b for _, b in self._edges],
-                [int(peering) for peering in self._edges.values()])
 
     def providers_of(self, asn: int) -> List[int]:
         """ASes that ``asn`` buys transit from."""

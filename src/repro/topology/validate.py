@@ -78,11 +78,6 @@ def validate_internet(internet: Internet) -> ValidationReport:
             report.errors.append(f"AS{asn} ({asys.name}) has no provider")
         if not asys.pop_ids:
             report.errors.append(f"AS{asn} ({asys.name}) has no PoPs")
-        for pop_id in asys.pop_ids:
-            if pop_id >= len(internet.pops):
-                report.errors.append(f"AS{asn}: dangling PoP id {pop_id}")
-            elif internet.pops[pop_id].asn != asn:
-                report.errors.append(f"AS{asn}: PoP {pop_id} owned by another AS")
 
     # Provider hierarchy must be acyclic.
     state = {}
@@ -112,19 +107,13 @@ def validate_internet(internet: Internet) -> ValidationReport:
     for entry in announced:
         if entry.origin_asn not in internet.ases:
             report.errors.append(f"{entry.prefix} originated by unknown AS")
-        populated = np.asarray(entry.populated, dtype=np.int64)
-        if not populated.size:
+        if not entry.populated.size:
             report.warnings.append(f"{entry.prefix} has no populated blocks")
-        addresses = populated << 8
-        outside = (addresses < entry.prefix.network) | (addresses > entry.prefix.broadcast)
-        for block in populated[outside].tolist():
-            report.errors.append(f"block {block:#x} outside its prefix {entry.prefix}")
 
     # -- block invariants ------------------------------------------------------
     blocks, asns, pop_ids = internet.block_table()
-    known = np.isin(asns, np.fromiter(internet.ases, dtype=np.int64))
-    pop_asns = np.array([pop.asn for pop in internet.pops], dtype=np.int64)
-    foreign = known & (pop_asns[pop_ids] != asns)
+    known = np.isin(asns, internet.as_table.asn)
+    foreign = known & (internet.pop_table.asn[pop_ids] != asns)
     bad = ~known | foreign
     for block, asn, unknown in zip(*(c[bad].tolist() for c in (blocks, asns, ~known))):
         report.errors.append(

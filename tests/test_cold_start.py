@@ -45,6 +45,9 @@ NOT_STABILITY = (
 #: Internet instead.
 GENERATOR = ("repro.topology.generator", "repro.topology.allocator")
 
+#: The object views' modules, which an attach (reading columns only) never loads.
+VIEWS = ("repro.topology.relationships", "repro.topology.prefixes")
+
 
 def _not_operator() -> dict:
     spec = importlib.util.spec_from_file_location(
@@ -107,10 +110,11 @@ def test_stability_loads_no_other_subcommand_module():
 
 def test_a_warm_table_store_loads_no_generator(tmp_path):
     """The second run of a scenario attaches its Internet from the store the
-    first filled at its exit: ``core.tables`` then, but no module of the pool."""
+    first filled at its exit: ``core.tables`` then, but no module of the pool,
+    and none that builds the object views."""
     cold, warm = (_run(FORMS["stability"], REPRO_TABLE_CACHE=str(tmp_path)) for _ in range(2))
     assert set(GENERATOR) <= cold and "repro.core.tables" not in cold
-    assert sorted(set(GENERATOR) & warm) == []
+    assert sorted(set(GENERATOR + VIEWS) & warm) == []
     assert sorted(set(NOT_STABILITY) & warm) == ["repro.core.tables"]
 
 

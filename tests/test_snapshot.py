@@ -8,6 +8,9 @@ store; a damaged entry raises ``DatasetError`` and is rebuilt.
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
 import json
 import os
 import shutil
@@ -19,6 +22,8 @@ from fnmatch import fnmatch
 import numpy as np
 import pytest
 
+from repro.bgp import sweep
+from repro.bgp.propagation import RoutingConfig
 from repro.core import scenarios
 from repro.core.scenarios import broot_like, cdn_like, nl_like, snapshot_internet, tangled_like
 from repro.core.tables import (
@@ -26,9 +31,15 @@ from repro.core.tables import (
     TableStore,
     attach_internet,
     content_fingerprint,
+    ensure_array,
+    persist_internet,
 )
 from repro.errors import DatasetError
-from repro.topology.generator import TopologyConfig
+from repro.topology import generator
+from repro.topology.asys import AutonomousSystem, PoP
+from repro.topology.generator import TopologyConfig, build_internet
+from repro.topology.prefixes import AnnouncedPrefix
+from repro.topology.relationships import RelationshipGraph
 from tests import test_synthesis_columns as synthesis
 
 PACKAGE = os.path.dirname(os.path.dirname(os.path.abspath(scenarios.__file__)))
@@ -47,15 +58,41 @@ def _attached(internet) -> bool:
     return isinstance(internet.block_table()[0].base, np.memmap)
 
 
+def _routing_rows(internet) -> dict:
+    """Routing's AS columns and CSR rows, each held equal to what the object
+    views give: the per-AS fields, and the walk of each AS's neighbour list
+    in order that built the rows before they were read off the edge columns."""
+    columns, tables = sweep.as_columns(internet), sweep.edge_tables(internet, RoutingConfig())
+    systems = [internet.ases[asn] for asn in columns.asns.tolist()]
+    assert columns.asns.tolist() == sorted(internet.ases)
+    assert columns.multi_pop.tolist() == [asys.is_multi_pop for asys in systems]
+    assert columns.flipper.tolist() == [asys.flipper for asys in systems]
+    assert columns.pop_as.tolist() == [columns.index[pop.asn] for pop in internet.pops]
+    graph, rows = internet.graph, {}
+    for name, walk in (("up", graph.customers_of), ("peer", graph.peers_of),
+                       ("down", graph.providers_of)):
+        table = getattr(tables, name)
+        rows[name] = [table.exporter[low:high].tolist()
+                      for low, high in zip(table.offsets[:-1], table.offsets[1:])]
+        assert rows[name] == [[columns.index[n] for n in walk(asn)] for asn in sorted(internet.ases)]
+        assert table.importer.tolist() == np.repeat(np.arange(len(systems)),
+                                                    np.diff(table.offsets)).tolist()
+    return rows
+
+
 def _fields(internet) -> dict:
-    """Everything an Internet holds, as plain comparable values."""
+    """Everything an Internet holds, its object views and routing's rows
+    included, as plain comparable values."""
     geo = internet.geodb.columnar()
     graph = internet.graph
+    ases, pops = internet.as_table, internet.pop_table
     arrays = (*internet.block_table(), geo.blocks, geo.latitudes, geo.longitudes,
-              geo.country_index)
+              geo.country_index, internet.prefixes, internet.edges, ases.asn, ases.flipper,
+              pops.asn, pops.latitude, pops.longitude)
     return {
         "seed": internet.seed,
         "arrays": [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+        "text": (ases.tier, ases.name, ases.country_code, pops.country_code),
         "countries": geo.countries,
         "pops": internet.pops,
         "ases": list(internet.ases.items()),
@@ -63,11 +100,11 @@ def _fields(internet) -> dict:
             (str(e.prefix), e.origin_asn, e.populated.dtype.str, e.populated.tolist())
             for e in internet.announced
         ],
-        "edges": graph.edge_columns(),
         "neighbours": [
             (asn, graph.providers_of(asn), graph.customers_of(asn), graph.peers_of(asn))
             for asn in internet.ases
         ],
+        "routing": _routing_rows(internet),
         "host_config": internet.host_model.config,
     }
 
@@ -285,3 +322,103 @@ def test_two_writers_of_one_entry_both_succeed(tmp_path, monkeypatch):
     shared = TableStore(str(tmp_path / "shared"))
     assert _fields(attach_internet(shared, "race")) == _fields(fresh)
     assert not [name for name in os.listdir(shared.dir_of("race")) if name.endswith(".tmp")]
+
+
+def _builder_of(config: TopologyConfig):
+    """The generator's own rows for ``config``, before they become columns."""
+    builder = generator._Builder(config)
+    for step in (builder.build_tier1, builder.build_transit, builder.build_stubs,
+                 builder.build_seeded, builder.build_prefixes):
+        step()
+    return builder
+
+
+@pytest.mark.parametrize("name", [*sorted(BUILDERS), "columns"])
+def test_the_views_of_an_attach_are_the_generator_rows(store, monkeypatch, name):
+    """At ``tiny`` and for the synthesis pins' config, an attached Internet equals
+    a built one field for field; its ``ases``, ``pops`` and neighbour lists (in
+    order) are the generator's rows, and each prefix's run the blocks inside it."""
+    config = synthesis.COLUMNS_CONFIG
+    if name != "columns":
+        inputs, lookup = [], scenarios.snapshot_internet
+        monkeypatch.setattr(scenarios, "snapshot_internet",
+                            lambda **given: inputs.append(given) or lookup(**given))
+        BUILDERS[name](scale="tiny")
+        config = TopologyConfig(**inputs[0])
+    attached, builder = _attach_of(config), _builder_of(config)
+    assert _fields(attached) == _fields(build_internet(config))
+    systems = attached.ases.values()
+    assert [(a.asn, a.tier, a.name, a.country_code, a.flipper) for a in systems] == builder.as_rows
+    assert [a.pop_ids for a in systems] == builder.pops_of
+    assert [(p.pop_id, p.asn, p.country_code, p.latitude, p.longitude) for p in attached.pops] == [
+        (pop_id, *row) for pop_id, row in enumerate(builder.pop_rows)]
+    lists = {asn: ([], [], []) for asn in attached.ases}  # providers, customers, peers
+    for (a, b), peering in builder.edges.items():
+        lists[a][2 if peering else 0].append(b)
+        lists[b][2 if peering else 1].append(a)
+    graph = attached.graph
+    assert lists == {asn: (graph.providers_of(asn), graph.customers_of(asn), graph.peers_of(asn))
+                     for asn in attached.ases}
+    blocks = attached.block_table()[0]
+    for entry in attached.announced:
+        first = entry.prefix.network >> 8
+        inside = blocks[(blocks >= first) & (blocks < first + entry.prefix.block_count)]
+        assert entry.populated.tolist() == inside.tolist()
+
+
+def test_a_save_evicts_other_sources_while_their_attach_reads_on(store, monkeypatch):
+    """A save removes every ``internet-*`` entry of another source digest (an
+    attach of one keeps reading its memmaps) and leaves entries it cannot read,
+    and entries of other kinds, alone."""
+    built = tangled_like(scale="tiny", seed=3).internet
+    old = _entry(store)
+    open_attach = attach_internet(store, old)
+    persist_internet(store, "internet-unsourced", built)  # a manifest without the digest
+    os.makedirs(store.dir_of("internet-unreadable"))  # no manifest: being written, say
+    array = ensure_array(store, np.arange(3))
+    monkeypatch.setattr(scenarios, "_sources_digest", lambda: "edited")
+    assert not _attached(tangled_like(scale="tiny", seed=3).internet)
+    (_, new, _), = scenarios._unsaved
+    scenarios.save_snapshot()
+    assert sorted(os.listdir(store.root)) == sorted([array, "internet-unreadable", new])
+    assert _fields(open_attach) == _fields(built)
+
+
+def _reach_tool():
+    path = os.path.join(os.path.dirname(SRC), "tools", "reach.py")
+    spec = importlib.util.spec_from_file_location("reach_tool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory) -> str:
+    """A table store holding each scenario's ``tiny`` Internet at its default seed."""
+    root = str(tmp_path_factory.mktemp("warm"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_TABLE_CACHE", root)
+        for builder in BUILDERS.values():
+            builder(scale="tiny")
+        scenarios.save_snapshot()
+    return root
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an operator path built the Internet's object graph")
+
+
+@pytest.mark.parametrize("form", _reach_tool().MATRIX)
+def test_no_warm_operator_path_builds_the_object_graph(warm_store, tmp_path, monkeypatch, form):
+    """Every reach-matrix form at ``tiny`` on a warm store reads the Internet's
+    columns only: no AS, PoP, prefix or relationship object is made."""
+    from repro.cli import main
+
+    monkeypatch.setenv("REPRO_TABLE_CACHE", warm_store)
+    for kind in (AutonomousSystem, PoP, AnnouncedPrefix):
+        monkeypatch.setattr(kind, "__init__", _refuse)
+    for method in ("add_customer_provider", "add_peering"):
+        monkeypatch.setattr(RelationshipGraph, method, _refuse)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*form.replace("TMP", str(tmp_path)).split(), "--scale", "tiny"]) == 0
+    assert scenarios._unsaved == []  # attached, not built

@@ -15,14 +15,13 @@ from repro.oracle.responder import (
 )
 from repro.topology.hosts import HostModelConfig
 from repro.topology.internet import Internet
-from repro.topology.relationships import RelationshipGraph
 
 
 @pytest.fixture(scope="module")
 def model():
     """The host model of an Internet at seed 123 (the draws read only its seed)."""
     internet = Internet(
-        seed=123, ases={}, pops=[], graph=RelationshipGraph(), announced=[],
+        seed=123, as_table=([],) * 5, pop_table=([],) * 4, prefixes=[], edges=[],
         block_table=([], [], []), geodb=GeoDatabase(),
     )
     return internet.host_model

@@ -20,17 +20,13 @@ class TestValidateInternet:
     def test_detects_missing_provider(self, tiny_internet):
         # Hand-build a broken topology: a stub with no providers.
         from repro.geo.geodb import GeoDatabase
-        from repro.topology.asys import AutonomousSystem, PoP
         from repro.topology.hosts import HostModelConfig
         from repro.topology.internet import Internet
-        from repro.topology.relationships import RelationshipGraph
 
-        pops = [PoP(0, 1, "US", 40.0, -100.0)]
-        ases = {1: AutonomousSystem(1, "stub", "LONELY", "US", [0])}
         broken = Internet(
-            seed=1, ases=ases, pops=pops, graph=RelationshipGraph(),
-            announced=[], block_table=([], [], []), geodb=GeoDatabase(),
-            host_config=HostModelConfig(),
+            seed=1, as_table=([1], ["stub"], ["LONELY"], ["US"], [False]),
+            pop_table=([1], ["US"], [40.0], [-100.0]), prefixes=[], edges=[],
+            block_table=([], [], []), geodb=GeoDatabase(), host_config=HostModelConfig(),
         )
         report = validate_internet(broken)
         assert not report.ok
@@ -41,20 +37,14 @@ class TestValidateInternet:
 
     def test_detects_foreign_pop(self, tiny_internet):
         from repro.geo.geodb import GeoDatabase
-        from repro.topology.asys import AutonomousSystem, PoP
         from repro.topology.hosts import HostModelConfig
         from repro.topology.internet import Internet
-        from repro.topology.relationships import RelationshipGraph
 
-        graph = RelationshipGraph()
-        graph.add_customer_provider(2, 1)
-        pops = [PoP(0, 1, "US", 40.0, -100.0), PoP(1, 2, "US", 41.0, -99.0)]
-        ases = {
-            1: AutonomousSystem(1, "tier1", "T1", "US", [0]),
-            2: AutonomousSystem(2, "stub", "S", "US", [1]),
-        }
         broken = Internet(
-            seed=1, ases=ases, pops=pops, graph=graph, announced=[],
+            seed=1, as_table=([1, 2], ["tier1", "stub"], ["T1", "S"], ["US", "US"],
+                              [False, False]),
+            pop_table=([1, 2], ["US", "US"], [40.0, 41.0], [-100.0, -99.0]),
+            prefixes=[], edges=[[2], [1], [0]],  # AS2 buys transit from AS1
             block_table=([100], [2], [0]),  # block of AS2 on AS1's PoP
             geodb=GeoDatabase(), host_config=HostModelConfig(),
         )

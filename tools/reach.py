@@ -47,6 +47,8 @@ NOT_OPERATOR = {
     "bgp.ribdump": "library: the §4 Route Views stage (RIB and AS-path dumps)",
     "netaddr.trie": "library: the longest-prefix-match trie bgp.ribdump's lookups walk",
     "topology.prefixes": "types: the AnnouncedPrefix value type",
+    "topology.relationships": "oracle: the neighbour lists of the Internet.graph view that "
+                              "bgp.reference, bgp.updates and topology.validate walk",
 }
 
 #: The reasons' prefixes: why a declared module or function runs on no operator path.
@@ -64,6 +66,15 @@ NOT_OPERATOR_FN = {
         "oracle: the dict-to-columns RTT map oracle.scan builds (and read_scan)",
     "service.state:batch_replay":
         "oracle: the round-by-round merge tests/test_service.py holds the accumulator to",
+    "topology.internet:Internet.ases":
+        "oracle: object view of the AS table (bgp.reference, bgp.updates, topology.validate)",
+    "topology.internet:Internet.pops": "oracle: object view of the PoP table (bgp.reference)",
+    "topology.internet:Internet.announced":
+        "oracle: object view of the prefix table (topology.validate, bgp.ribdump)",
+    "topology.internet:Internet.graph":
+        "oracle: object view of the edge table (bgp.reference, bgp.updates, topology.validate)",
+    "topology.internet:_rows": "oracle: the row reader of the ases and pops views",
+    "topology.asys:AutonomousSystem.is_multi_pop": "oracle: bgp.reference's hot-potato test",
     "core.sharding:assert_buffers_equal": "test: the bit-for-bit column check of the two below",
     "core.sharding:assert_scan_results_identical":
         "test: sharded vs in-process scan equality (tests, benchmarks/e2e/layers.py:546)",
@@ -79,6 +90,8 @@ NOT_OPERATOR_FN = {
     "netaddr.prefix:Prefix.__eq__": "types: the Prefix value type",
     "netaddr.prefix:Prefix.__lt__": "types: prefix order (ribdump and validation sort by it)",
     "netaddr.prefix:Prefix.__hash__": "types: the Prefix value type",
+    "netaddr.prefix:Prefix.broadcast": "types: the Prefix value type (validation's overlap test)",
+    "topology.asys:AutonomousSystem.__post_init__": "types: the AS view type's tier check",
     "obs.metrics:MetricsRegistry.__len__": "types: metric count",
     "analysis.maps:server_load_grid":
         "library: Figure 4b's per-server load grid (benchmarks/bench_figure4_load_maps.py)",
