@@ -125,6 +125,15 @@ class Scenario:
         )
 
 
+def _scale_params(scale: str) -> Tuple[int, int, int, int, float]:
+    try:
+        return SCALES[scale]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown scale {scale!r}; choose from {sorted(SCALES)}"
+        ) from None
+
+
 #: The sources an Internet build runs, under ``src/repro``: a snapshot is
 #: keyed on their bytes, so any edit to the generator misses.
 _BUILD_SOURCES = ("topology/*.py", "geo/*.py", "netaddr/*.py", "rng.py", "errors.py",
@@ -176,9 +185,9 @@ def snapshot_internet(**config) -> Internet:
 
 def save_snapshot() -> None:
     """Persist the Internet of the last snapshot miss, if any, and evict the
-    ``internet-*`` entries of other build sources, which can never hit again.
-    The snapshot is a cache: a store that is gone, full or not writable is
-    skipped."""
+    ``internet-*`` entries of other build sources, which no process of these
+    sources can hit.  The snapshot is a cache: a store that is gone, full or
+    not writable is skipped."""
     if _unsaved:
         root, key, internet = _unsaved.pop()
         from repro.core.tables import TableStore, persist_internet
@@ -214,14 +223,17 @@ def _build_internet(
     scale: str, seed: int, seeded_ases: Tuple[SeededAS, ...]
 ) -> Internet:
     """The scenario's seeded topology at ``scale``."""
-    if scale not in SCALES:
-        raise ConfigurationError(f"unknown scale {scale!r}; choose from {sorted(SCALES)}")
-    tier1, transit, stub, blocks_cap, density = SCALES[scale]
+    tier1, transit, stub, blocks_cap, density = _scale_params(scale)
     return snapshot_internet(
         seed=seed, tier1_count=tier1, transit_count=transit, stub_count=stub,
         max_blocks_per_prefix=blocks_cap, block_density_scale=density,
         address_pool=_SCALE_POOLS.get(scale, _DEFAULT_POOL), seeded_ases=seeded_ases,
     )
+
+
+def _site(code: str, name: str, country: str, lat: float, lon: float,
+          upstream_asn: int) -> AnycastSite:
+    return AnycastSite(code, name, country, lat, lon, upstream_asn)
 
 
 def broot_like(scale: str = "small", seed: int = 42,
@@ -258,8 +270,8 @@ def broot_like(scale: str = "small", seed: int = 42,
         "B.root-servers.net",
         Prefix("199.9.14.0/24"),
         [
-            AnycastSite("LAX", "Los Angeles (USC/ISI)", "US", 34.05, -118.24, lax_upstream),
-            AnycastSite("MIA", "Miami (FIU/AMPATH)", "US", 25.76, -80.19, mia_upstream),
+            _site("LAX", "Los Angeles (USC/ISI)", "US", 34.05, -118.24, lax_upstream),
+            _site("MIA", "Miami (FIU/AMPATH)", "US", 25.76, -80.19, mia_upstream),
         ],
     )
     return Scenario("b-root", scale, internet, service, root_profile(), vp_count)
@@ -296,19 +308,19 @@ def tangled_like(scale: str = "small", seed: int = 1337,
         "tangled.example.net",
         Prefix("198.51.100.0/24"),
         [
-            AnycastSite("SYD", "Sydney (Vultr)", "AU", -33.87, 151.21, vultr),
-            AnycastSite("CDG", "Paris (Vultr)", "FR", 48.86, 2.35, vultr),
-            AnycastSite("HND", "Tokyo (WIDE)", "JP", 35.68, 139.69,
-                        internet.find_asn_by_name("WIDE")),
-            AnycastSite("ENS", "Enschede (U. Twente)", "NL", 52.22, 6.90,
-                        internet.find_asn_by_name("UT-NET")),
-            AnycastSite("LHR", "London (Vultr)", "GB", 51.51, -0.13, vultr),
-            AnycastSite("MIA", "Miami (FIU)", "US", 25.76, -80.19, fiu),
-            AnycastSite("IAD", "Washington (USC)", "US", 38.90, -77.04,
-                        internet.find_asn_by_name("USC-NET")),
-            AnycastSite("SAO", "Sao Paulo (FIU)", "BR", -23.55, -46.63, fiu),
-            AnycastSite("CPH", "Copenhagen (DK Hostmaster)", "DK", 55.68, 12.57,
-                        internet.find_asn_by_name("DKHOST")),
+            _site("SYD", "Sydney (Vultr)", "AU", -33.87, 151.21, vultr),
+            _site("CDG", "Paris (Vultr)", "FR", 48.86, 2.35, vultr),
+            _site("HND", "Tokyo (WIDE)", "JP", 35.68, 139.69,
+                  internet.find_asn_by_name("WIDE")),
+            _site("ENS", "Enschede (U. Twente)", "NL", 52.22, 6.90,
+                  internet.find_asn_by_name("UT-NET")),
+            _site("LHR", "London (Vultr)", "GB", 51.51, -0.13, vultr),
+            _site("MIA", "Miami (FIU)", "US", 25.76, -80.19, fiu),
+            _site("IAD", "Washington (USC)", "US", 38.90, -77.04,
+                  internet.find_asn_by_name("USC-NET")),
+            _site("SAO", "Sao Paulo (FIU)", "BR", -23.55, -46.63, fiu),
+            _site("CPH", "Copenhagen (DK Hostmaster)", "DK", 55.68, 12.57,
+                  internet.find_asn_by_name("DKHOST")),
         ],
     )
     return Scenario("tangled", scale, internet, service, root_profile(), vp_count)
@@ -333,10 +345,10 @@ def nl_like(scale: str = "small", seed: int = 2017,
         "nl-anycast.example.net",
         Prefix("203.0.113.0/24"),
         [
-            AnycastSite("AMS", "Amsterdam (SIDN)", "NL", 52.37, 4.90,
-                        internet.find_asn_by_name("SIDN-NET")),
-            AnycastSite("IAD", "Washington (SIDN)", "US", 38.90, -77.04,
-                        internet.find_asn_by_name("SIDN-US")),
+            _site("AMS", "Amsterdam (SIDN)", "NL", 52.37, 4.90,
+                  internet.find_asn_by_name("SIDN-NET")),
+            _site("IAD", "Washington (SIDN)", "US", 38.90, -77.04,
+                  internet.find_asn_by_name("SIDN-US")),
         ],
     )
     return Scenario("nl", scale, internet, service, nl_profile(), vp_count)
@@ -395,8 +407,8 @@ def cdn_like(scale: str = "small", seed: int = 4242,
     """
     internet = _build_internet(scale, seed, _GIANTS + _CDN_UPSTREAMS)
     sites = [
-        AnycastSite(code, f"{city} (CDN)", country, lat, lon,
-                    internet.find_asn_by_name(upstream))
+        _site(code, f"{city} (CDN)", country, lat, lon,
+              internet.find_asn_by_name(upstream))
         for code, city, country, lat, lon, upstream in _CDN_SITES
     ]
     service = AnycastService(

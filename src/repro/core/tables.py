@@ -55,6 +55,9 @@ class TableStore:
         """True if a complete table set exists (manifest written last)."""
         return os.path.exists(os.path.join(self.dir_of(fingerprint), _MANIFEST))
 
+    def _array_path(self, fingerprint: str, name: str) -> str:
+        return os.path.join(self.dir_of(fingerprint), f"{name}.npy")
+
     def _replace(self, fingerprint: str, filename: str, write) -> None:
         """Write one file of an entry through a temp file of this writer's own:
         concurrent writers of one entry never share (or truncate) one."""
@@ -78,8 +81,9 @@ class TableStore:
 
     def read_array(self, fingerprint: str, name: str) -> np.ndarray:
         """Attach one named array as a read-only memmap."""
+        path = self._array_path(fingerprint, name)
         try:
-            return np.load(os.path.join(self.dir_of(fingerprint), f"{name}.npy"), mmap_mode="r")
+            return np.load(path, mmap_mode="r")
         except (OSError, ValueError) as error:  # missing, truncated or not .npy
             raise DatasetError(f"table {name!r} under {fingerprint}: {error}") from None
 

@@ -125,16 +125,22 @@ class _Builder:
         self.tier1_asns: List[int] = []
         self.transit_asns: List[int] = []
         self._preference_groups: Dict[Tuple[str, int], Tuple[List[int], ...]] = {}
-        self._country_weights = [country.internet_weight for country in COUNTRIES]
+        weights = [country.internet_weight for country in COUNTRIES]
+        self._countries = COUNTRIES
+        self._country_weights = weights
 
     # -- sampling helpers -------------------------------------------------
 
     def _sample_country(self, rng) -> Country:
-        return rng.choices(COUNTRIES, weights=self._country_weights, k=1)[0]
+        return rng.choices(self._countries, weights=self._country_weights, k=1)[0]
+
+    def _sample_point_in(self, country: Country, rng) -> Tuple[float, float]:
+        lat = rng.uniform(*country.lat_range)
+        lon = rng.uniform(*country.lon_range)
+        return lat, lon
 
     def _new_pop(self, asn: int, country_code: str, rng) -> int:
-        country = country_by_code(country_code)
-        lat, lon = rng.uniform(*country.lat_range), rng.uniform(*country.lon_range)
+        lat, lon = self._sample_point_in(country_by_code(country_code), rng)
         self.pop_rows.append((asn, country_code, lat, lon))
         return len(self.pop_rows) - 1
 
@@ -192,7 +198,7 @@ class _Builder:
                 pop_count = rng.randint(2, _POP_COUNT_RANGE[ASTier.TRANSIT][1])
             else:
                 pop_count = 1
-            region_mates = [c for c in COUNTRIES if c.region == home.region]
+            region_mates = [c for c in self._countries if c.region == home.region]
             pop_countries = [home.code] + [
                 rng.choice(region_mates).code for _ in range(pop_count - 1)
             ]

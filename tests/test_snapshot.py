@@ -60,8 +60,8 @@ def _attached(internet) -> bool:
 
 def _routing_rows(internet) -> dict:
     """Routing's AS columns and CSR rows, each held equal to what the object
-    views give: the per-AS fields, and the walk of each AS's neighbour list
-    in order that built the rows before they were read off the edge columns."""
+    views give: the per-AS fields, and a walk of each AS's neighbour lists in
+    order (the scalar candidate order ``_first_min`` breaks ties by)."""
     columns, tables = sweep.as_columns(internet), sweep.edge_tables(internet, RoutingConfig())
     systems = [internet.ases[asn] for asn in columns.asns.tolist()]
     assert columns.asns.tolist() == sorted(internet.ases)
