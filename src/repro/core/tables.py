@@ -295,7 +295,7 @@ _INTERNET_TEXT = ("ases.tier", "ases.name", "ases.country_code", "pops.country_c
                   "geo.countries")
 
 
-def persist_internet(store: TableStore, key: str, internet, sources: str = "") -> None:
+def persist_internet(store: TableStore, key: str, internet, sources: str) -> None:
     """Persist ``internet`` under ``key``, overwriting what is there: numeric
     columns to ``.npy`` files; text columns, host configuration and the build's
     ``sources`` digest to the manifest, with a ``content_fingerprint`` of both

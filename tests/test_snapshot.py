@@ -259,7 +259,7 @@ seeded = (
 )
 internet = build_internet(TopologyConfig(seed=3, tier1_count=4, transit_count=16,
                                          stub_count=80, seeded_ases=seeded))
-persist_internet(TableStore(sys.argv[1]), "guard", internet)
+persist_internet(TableStore(sys.argv[1]), "guard", internet, "guard")
 attach_internet(TableStore(sys.argv[1]), "guard")
 print(json.dumps({name: module.__file__ for name, module in sys.modules.items()
                   if name.split(".")[0] == "repro"}))
@@ -305,7 +305,7 @@ from repro.core.scenarios import tangled_like
 from repro.core.tables import TableStore, persist_internet
 internet = tangled_like(scale="tiny", seed=3).internet
 for _ in range(40):
-    persist_internet(TableStore(), "race", internet)
+    persist_internet(TableStore(), "race", internet, "race")
 """
 
 
@@ -373,7 +373,7 @@ def test_a_save_evicts_other_sources_while_their_attach_reads_on(store, monkeypa
     built = tangled_like(scale="tiny", seed=3).internet
     old = _entry(store)
     open_attach = attach_internet(store, old)
-    persist_internet(store, "internet-unsourced", built)  # a manifest without the digest
+    persist_internet(store, "internet-older", built, "older sources")
     os.makedirs(store.dir_of("internet-unreadable"))  # no manifest: being written, say
     array = ensure_array(store, np.arange(3))
     monkeypatch.setattr(scenarios, "_sources_digest", lambda: "edited")
