@@ -28,19 +28,19 @@ each row's base site, or its alternate where it flips) followed by the
 a row at the site it reached.  Two evaluators call it, chosen by what
 the caller holds:
 
-* :func:`evaluate_round` cleans one routing state's own (n,) column.
+* :func:`evaluate_round` cleans one routing state's delivered cells.
   A stability series draws a new round per call, so this is its path.
 * :func:`evaluate_lattice` serves many routing states at one round id
   (each round-id group of :func:`scan_lattice`: a playbook lattice, a
   prepend sweep, a site-failure study).  Within a round a row's cleaned
   outcome depends only on (row, site), so it cleans once on the
-  *outcome grid* — every row at every service site plus "unrouted",
-  (sites + 1, n) — and each config then costs its site selection and
-  three gathers (kept, late, duplicates) from the grid.  A series gains
-  nothing from the grid: it would clean (sites + 1)x the rows per round.
-  Nor does a lattice of at most sites + 1 configs (a playbook's
-  baseline, a depth-1 search, a sweep's one config per round id):
-  those clean each config's own column.
+  *outcome grid* — every responding row at every service site plus
+  "unrouted", (sites + 1) x responders — and each config then costs its
+  site selection and a few gathers (kept, late, duplicates) from the
+  grid.  A series gains nothing from the grid: it would clean
+  (sites + 1)x the rows per round.  Nor does a lattice of at most
+  sites + 1 configs (a playbook's baseline, a depth-1 search, a sweep's
+  one config per round id): those clean each config's own cells.
 
 A round does only the work that can change its result: each draw is
 made for the rows that read it, site pick and cleaning run over the
@@ -54,10 +54,12 @@ and probe send offsets come from the global Feistel permutation
 (:func:`send_offsets`), so a :meth:`RoundState.shard` slice evaluates
 to exactly the rows the full state would.
 
-Results are columnar end-to-end: each round returns an
-:class:`~repro.anycast.catchment.CatchmentMap` over the engine's
-shared block universe plus a :class:`BlockValueMap` of RTTs, so
-consumers (diffs, load weighting, stability series) stay in numpy.
+A round's result is its delivered cells (:class:`RoundCells`), a
+lattice config's its kept rows (:class:`KeptRows`); the site column of
+each scan's :class:`~repro.anycast.catchment.CatchmentMap` over the
+engine's shared block universe is built from them (:func:`site_column`),
+and its RTTs are a :class:`BlockValueMap`, so consumers (diffs, load
+weighting, stability series) stay in numpy.
 """
 
 from __future__ import annotations
@@ -294,17 +296,6 @@ class RouteColumns:
     pop_flipper: np.ndarray  # bool
 
 
-@dataclass
-class RoundArrays:
-    """One evaluated round, before materialisation into a ScanResult."""
-
-    site: np.ndarray  # int16 replying site per row (meaningful where kept)
-    delay: np.ndarray  # float64 first-reply delay (ms) per row
-    kept_mask: np.ndarray  # bool: row survives cleaning
-    counts: np.ndarray  # int64 replies delivered per row, before cleaning
-    stats: ScanStats
-
-
 def send_offsets(
     state: RoundState, round_id: int, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -378,10 +369,24 @@ def round_draws(state: RoundState, round_id: int) -> Tuple[RoundDraws, bool]:
     return draws, False
 
 
-class ConfigRound(NamedTuple):
+class RoundCells(NamedTuple):
+    """One evaluated round: its delivered cells, each a row at the site
+    it reached, and the round's stats.  A row with no cell here read no
+    replies and is not kept."""
+
+    rows: np.ndarray  # intp row of each cell, ascending
+    site: np.ndarray  # int16 site index the row reached
+    delay: np.ndarray  # float64 first-reply delay (ms)
+    counts: np.ndarray  # int64 replies delivered, before cleaning
+    kept: np.ndarray  # bool: the row survives cleaning
+    stats: ScanStats
+
+
+class KeptRows(NamedTuple):
     """One routing state's round in a lattice: what its catchment needs."""
 
-    sites: np.ndarray  # int16 kept site per row, -1 where not kept
+    rows: np.ndarray  # intp kept rows, ascending
+    sites: np.ndarray  # int16 site index of each
     stats: ScanStats
 
 
@@ -485,126 +490,128 @@ def evaluate_round(
     routes: RouteColumns,
     draws: RoundDraws,
     tracer: Tracer = NULL_OBSERVER.tracer,
-) -> RoundArrays:
+) -> RoundCells:
     """One measurement round of ``routes`` over ``state`` (pure array passes).
 
     Module-level so process-pool workers evaluate attached shard states
     with the very code the in-process engine runs.  Only delivered rows
-    are cleaned; every other row reads no replies, not kept.  ``tracer``
-    gets the ``fastscan.evaluate``, ``fastscan.offsets`` and
-    ``fastscan.clean`` spans.
+    are cleaned, and only they are returned.  ``tracer`` gets the
+    ``fastscan.evaluate``, ``fastscan.offsets`` and ``fastscan.clean``
+    spans.
     """
-    n = state.rows
     with tracer.span("fastscan.evaluate"):
         reached = _route_sites(state, routes, draws)
         routed = np.flatnonzero(reached >= 0)
-        reached = reached[routed]
+        site = reached[routed]
         rows = draws.responders[routed]
-        path_rtt = state.site_rtt[routes.site_rows[reached], rows]
+        path_rtt = state.site_rtt[routes.site_rows[site], rows]
         delivered = _deliver(state, draws, routed, rows, path_rtt)
-        site = np.full(n, -1, dtype=np.int16)
-        site[rows] = reached
     with tracer.span("fastscan.offsets") as span:
         window, first_rel = _straddling(state, draws.round_id, delivered)
         span.set(rows=int(window.size))
     with tracer.span("fastscan.clean"):
         cleaned = _clean(state, draws, delivered, window, first_rel)
-        counts = np.zeros(n, dtype=np.int64)
-        counts[rows] = cleaned.counts
-        delay = np.zeros(n)
-        delay[rows] = cleaned.delay
-        kept = np.zeros(n, dtype=bool)
-        kept[rows] = cleaned.kept
-        stats = ScanStats(
-            probes_sent=n,
-            replies_received=int(cleaned.counts.sum()),
-            wrong_round=0,
-            unsolicited=int(cleaned.counts[state.off_address[rows]].sum()),
-            late=int(cleaned.late.sum()),
-            duplicates=int(cleaned.duplicates.sum()),
-            kept=int(np.count_nonzero(cleaned.kept)),
-        )
-    return RoundArrays(site=site, delay=delay, kept_mask=kept, counts=counts, stats=stats)
+        stats = _stats(state, cleaned.counts, cleaned.counts[state.off_address[rows]],
+                       cleaned.late, cleaned.duplicates, cleaned.kept)
+    return RoundCells(rows, site, cleaned.delay, cleaned.counts, cleaned.kept, stats)
+
+
+def _stats(state: RoundState, received, unsolicited, late, duplicates, kept) -> ScanStats:
+    """A round's stats from per-cell columns of its replies, its
+    off-address replies, late and duplicate drops, and kept flags."""
+    return ScanStats(
+        probes_sent=state.rows,
+        replies_received=int(received.sum()),
+        wrong_round=0,
+        unsolicited=int(unsolicited.sum()),
+        late=int(late.sum()),
+        duplicates=int(duplicates.sum()),
+        kept=int(np.count_nonzero(kept)),
+    )
 
 
 def outcome_grid(state: RoundState, draws: RoundDraws) -> Cleaned:
-    """Every row's cleaned outcome at every service site (grid row =
-    ``RoundState.site_rtt`` row) and, in the last grid row, unrouted:
-    only the responding rows at a site are cleaned, every other cell
-    reads no replies, not kept."""
-    sites, n = state.site_rtt.shape
-    responders = draws.responders.size
-    cells = (np.repeat(np.arange(sites), responders), np.tile(draws.responders, sites))
+    """Every responding row's cleaned outcome at every service site and,
+    in the last grid row, unrouted (nothing delivered, not kept): grid
+    row = ``RoundState.site_rtt`` row, grid column = index into
+    ``draws.responders``, (sites + 1) x responders."""
+    sites = state.site_rtt.shape[0]
+    width = draws.responders.size
+    cells = (np.repeat(np.arange(sites), width), np.tile(draws.responders, sites))
     delivered = _deliver(
-        state, draws, np.tile(np.arange(responders), sites), cells[1], state.site_rtt[cells]
+        state, draws, np.tile(np.arange(width), sites), cells[1], state.site_rtt[cells]
     )
     window, first_rel = _straddling(state, draws.round_id, delivered)
     cleaned = _clean(state, draws, delivered, window, first_rel)
     grid = []
     for values in cleaned:
-        full = np.zeros((sites + 1, n), dtype=values.dtype)
-        full[cells] = values
+        full = np.zeros((sites + 1, width), dtype=values.dtype)
+        full[:sites] = values.reshape(sites, width)
         grid.append(full)
     return Cleaned(*grid)
 
 
 def evaluate_lattice(
     state: RoundState, routes_seq: Sequence[RouteColumns], draws: RoundDraws
-) -> List[ConfigRound]:
+) -> List[KeptRows]:
     """One round of every routing state in ``routes_seq`` over ``state``.
 
-    Equals :func:`evaluate_round` per config (kept sites and stats) but
-    cleans once, on :func:`outcome_grid`; each config gathers from it
-    one at a time, so nothing of shape (configs x rows) is ever built.
-    A lattice no larger than the grid's sites + 1 rows is cheaper to
-    clean config by config, so it is.
+    Equals :func:`evaluate_round` per config (kept rows, their sites and
+    stats) but cleans once, on :func:`outcome_grid`; each config gathers
+    from it one at a time, so nothing of shape (configs x responders) is
+    ever built.  A lattice no larger than the grid's sites + 1 rows is
+    cheaper to clean config by config, so it is.
     """
     unrouted = state.site_rtt.shape[0]  # the grid's last row
     if len(routes_seq) <= unrouted + 1:
         rounds = []
         for routes in routes_seq:
-            arrays = evaluate_round(state, routes, draws)
-            rounds.append(ConfigRound((arrays.site + 1) * arrays.kept_mask - 1, arrays.stats))
+            cells = evaluate_round(state, routes, draws)
+            kept = cells.kept
+            rounds.append(KeptRows(cells.rows[kept], cells.site[kept], cells.stats))
         return rounds
-    n = state.rows
     grid = outcome_grid(state, draws)
+    responders = draws.responders
+    width = responders.size
     kept_grid = grid.kept.ravel()
     late_grid = grid.late.ravel()
     duplicates_grid = grid.duplicates.ravel()
     received_grid = grid.counts.ravel()
-    unsolicited_grid = np.where(state.off_address, grid.counts, 0).ravel()
-    # A silent row's cells are all zeros: only the responding rows gather.
-    responders = draws.responders
-    rounds = []
+    unsolicited_grid = np.where(state.off_address[responders], grid.counts, 0).ravel()
+    columns = np.arange(width)
+    rounds, previous = [], None
     for routes in routes_seq:
         site = _route_sites(state, routes, draws)
         # Site index -> first grid cell of its row; index -1 lands on
         # the trailing "unrouted" row, all zeros.
-        row_starts = np.append(routes.site_rows, unrouted) * n
-        flat = row_starts[site.astype(np.intp)] + responders
+        row_starts = np.append(routes.site_rows, unrouted) * width
+        flat = row_starts[site.astype(np.intp)] + columns
         kept = kept_grid[flat]
-        stats = ScanStats(
-            probes_sent=n,
-            replies_received=int(received_grid[flat].sum()),
-            wrong_round=0,
-            unsolicited=int(unsolicited_grid[flat].sum()),
-            late=int(late_grid[flat].sum()),
-            duplicates=int(duplicates_grid[flat].sum()),
-            kept=int(np.count_nonzero(kept)),
-        )
-        # The site where kept, else -1: arithmetic, as a where on a mask
-        # this irregular mispredicts its way to 10x slower.
-        sites = np.full(n, -1, dtype=np.int16)
-        sites[responders] = (site + 1) * kept - 1
-        rounds.append(ConfigRound(sites, stats))
+        stats = _stats(state, received_grid[flat], unsolicited_grid[flat],
+                       late_grid[flat], duplicates_grid[flat], kept)
+        index = np.flatnonzero(kept)
+        rows = responders[index]
+        if np.array_equal(rows, previous):
+            rows = previous  # configs mostly keep the same rows: one array, pickled once
+        rounds.append(KeptRows(rows, site[index], stats))
+        previous = rows
     return rounds
+
+
+def site_column(size: int, rows: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """The full-universe int16 site column a :class:`CatchmentMap` holds:
+    ``sites`` at ``rows``, -1 at every other of ``size`` rows."""
+    column = np.full(size, -1, dtype=np.int16)
+    column[rows] = sites
+    return column
 
 
 def materialise_columnar(
     state: RoundState,
     site_codes: Tuple[str, ...],
+    rows: np.ndarray,
     sites: np.ndarray,
-    kept_delays: np.ndarray,
+    delays: np.ndarray,
     stats: ScanStats,
     round_id: int,
     start_time: float,
@@ -612,10 +619,9 @@ def materialise_columnar(
 ) -> ScanResult:
     """Columnar ScanResult over ``state``'s block universe.
 
-    ``sites`` is the full-universe int16 site column, ``-1`` wherever a
-    row was not kept, and ``kept_delays`` the kept rows' first-reply
-    delays in row order.  The engine and the sharded merge
-    (:mod:`repro.core.sharding`) both build their results here.
+    ``rows`` are the kept rows, ascending, ``sites`` and ``delays`` each
+    one's site index and first-reply delay.  The engine and the sharded
+    merge (:mod:`repro.core.sharding`) both build their results here.
     ``state.blocks`` becomes the shared universe array of every round
     materialised from the same state, so same-universe diffs stay pure
     array compares and pickling a list of rounds serialises the
@@ -626,9 +632,11 @@ def materialise_columnar(
         round_id=round_id,
         start_time=start_time,
         duration_seconds=state.rows * state.interval,
-        catchment=CatchmentMap(site_codes, state.blocks, sites, validate=False),
+        catchment=CatchmentMap(
+            site_codes, state.blocks, site_column(state.rows, rows, sites), validate=False
+        ),
         stats=stats,
-        rtts=BlockValueMap(state.blocks[sites >= 0].astype(np.int64), kept_delays),
+        rtts=BlockValueMap(state.blocks[rows].astype(np.int64), delays),
     )
 
 
@@ -818,7 +826,7 @@ def scan_lattice(
     groups: Dict[int, List[int]] = {}
     for index, round_id in enumerate(round_ids):
         groups.setdefault(round_id, []).append(index)
-    rounds: Dict[int, ConfigRound] = {}
+    rounds: Dict[int, KeptRows] = {}
     with observer.tracer.span(
         "fastscan.lattice", configs=len(routes_seq), blocks=state.rows
     ):
@@ -829,8 +837,10 @@ def scan_lattice(
             count_draws(observer, hit, len(members))
     catchments = []
     for index, routes in enumerate(routes_seq):
-        sites, stats = rounds[index]
-        catchment = CatchmentMap(routes.site_codes, state.blocks, sites, validate=False)
+        rows, sites, stats = rounds[index]
+        catchment = CatchmentMap(
+            routes.site_codes, state.blocks, site_column(state.rows, rows, sites), validate=False
+        )
         record_round(observer, stats, catchment)
         catchments.append(catchment)
     return catchments
@@ -892,14 +902,15 @@ class FastScanEngine:
         with tracer.span("fastscan.draws"):
             draws, hit = round_draws(state, round_id)
         count_draws(self.observer, hit)
-        arrays = evaluate_round(state, self.routes, draws, tracer)
-        kept = arrays.kept_mask
+        cells = evaluate_round(state, self.routes, draws, tracer)
+        kept = cells.kept
         return materialise_columnar(
             state,
             self.routes.site_codes,
-            np.where(kept, arrays.site, np.int16(-1)),
-            arrays.delay[kept],
-            arrays.stats,
+            cells.rows[kept],
+            cells.site[kept],
+            cells.delay[kept],
+            cells.stats,
             round_id,
             start_time,
             dataset_id or f"fast-r{round_id}",

@@ -144,6 +144,10 @@ _BUILD_SOURCES = ("topology/*.py", "geo/*.py", "netaddr/*.py", "rng.py", "errors
 #: persists at the next lookup or at exit: after the run's output.
 _unsaved: list = []
 
+#: Bytes of ``internet-*`` snapshots a store keeps (about 38 at ``large``): a
+#: save beyond it evicts the least recently attached ones, never its own.
+_SNAPSHOT_BYTES = 128 << 20
+
 
 @lru_cache(maxsize=None)
 def _sources_digest() -> str:
@@ -171,9 +175,13 @@ def snapshot_internet(**config) -> Internet:
         from repro.core.tables import TableStore, attach_internet
 
         try:
-            return attach_internet(TableStore(root), key)
+            internet = attach_internet(TableStore(root), key)
         except DatasetError:
             pass  # a damaged entry: build it, overwriting what is there
+        else:
+            with contextlib.suppress(OSError):
+                _touch(root, key)
+            return internet
     from repro.topology.generator import TopologyConfig, build_internet
 
     internet = build_internet(TopologyConfig(**config))
@@ -184,36 +192,54 @@ def snapshot_internet(**config) -> Internet:
 
 
 def save_snapshot() -> None:
-    """Persist the Internet of the last snapshot miss, if any, and evict the
-    ``internet-*`` entries of other build sources, which no process of these
-    sources can hit.  The snapshot is a cache: a store that is gone, full or
-    not writable is skipped."""
+    """Persist the Internet of the last snapshot miss, if any, then keep the
+    store's snapshots within ``_SNAPSHOT_BYTES``.  The snapshot is a cache: a
+    store that is gone, full or not writable is skipped."""
     if _unsaved:
         root, key, internet = _unsaved.pop()
         from repro.core.tables import TableStore, persist_internet
 
-        store = TableStore(root)
         with contextlib.suppress(OSError):
             if os.path.isdir(root):  # not recreated once its owner removed it
-                persist_internet(store, key, internet, _sources_digest())
-                for entry in os.listdir(root):
-                    _evict_stale(store, entry)
+                persist_internet(TableStore(root), key, internet, _sources_digest())
+                _evict_least_recent(root, key)
 
 
-def _evict_stale(store, entry: str) -> None:
-    """Remove ``entry`` if it is a snapshot of other build sources.  It is
-    renamed to a trash name first, so an attach of it keeps its memmaps; an
-    entry whose manifest cannot be read (one being written, say) stays."""
-    try:
-        if not entry.startswith("internet-") or (
-                store.read_manifest(entry).get("sources") == _sources_digest()):
-            return
-    except (DatasetError, AttributeError):  # no manifest, or not a JSON object
-        return
-    trash = os.path.join(store.root, f".evicted-{entry}-{os.getpid()}")
+def _touch(root: str, key: str) -> Dict[str, int]:
+    """Mark snapshot ``key`` the store's most recently used and return every
+    readable snapshot's mark: its manifest's mtime (ns), which an attach or a
+    save sets one past the newest, a logical clock that still orders marks
+    set within one filesystem timestamp tick.  An entry without a manifest
+    (one being written, say) has no mark."""
+    marks = {}
+    for entry in os.listdir(root):
+        if entry.startswith("internet-"):
+            with contextlib.suppress(OSError):
+                marks[entry] = os.stat(os.path.join(root, entry, "manifest.json")).st_mtime_ns
+    marks[key] = mark = max(marks.values(), default=0) + 1
     with contextlib.suppress(OSError):
-        os.rename(store.dir_of(entry), trash)
-        shutil.rmtree(trash)
+        os.utime(os.path.join(root, key, "manifest.json"), ns=(mark, mark))
+    return marks
+
+
+def _evict_least_recent(root: str, keep: str) -> None:
+    """Mark ``keep`` used, then evict the other snapshots, least recently
+    used first, while the store's snapshots exceed ``_SNAPSHOT_BYTES``.  Each
+    is renamed to a trash name first, so an attach of it keeps its memmaps."""
+    marks = _touch(root, keep)
+    sizes = dict.fromkeys(marks, 0)
+    for entry in marks:
+        with contextlib.suppress(OSError):
+            sizes[entry] = sum(item.stat().st_size for item in os.scandir(os.path.join(root, entry)))
+    total = sum(sizes.values())
+    for _, entry in sorted((mark, entry) for entry, mark in marks.items() if entry != keep):
+        if total <= _SNAPSHOT_BYTES:
+            return
+        total -= sizes[entry]
+        trash = os.path.join(root, f".evicted-{entry}-{os.getpid()}")
+        with contextlib.suppress(OSError):
+            os.rename(os.path.join(root, entry), trash)
+            shutil.rmtree(trash)
 
 
 atexit.register(save_snapshot)

@@ -19,9 +19,9 @@ routing-invariant columns once through
 params)`` — its size never depends on the block count.  Each worker
 process attaches the fingerprinted arrays as read-only memmaps through
 a per-process cache (`core.pool`), once per shard however many routing
-states are scanned.  Results come back compact too: kept-only
-site/delay columns plus a packed keep mask; the parent rebuilds full
-columns against its own copy of the universe.
+states are scanned.  Results come back compact too: each shard's kept
+rows with their sites (and delays); the parent scatters them into one
+full-universe column against its own copy of the universe.
 
 The merged output is **bit-identical** to the single-process path, by
 construction rather than by luck:
@@ -36,8 +36,8 @@ construction rather than by luck:
   interval;
 * float accumulations are never merged as per-shard partial sums
   (float addition is not associative).  Workers return exact integers
-  (int16 site indices, packed bool masks, per-row float64 delays that
-  are copied, never summed); the parent owns **all** float
+  (kept rows, int16 site indices, per-row float64 delays that are
+  copied, never summed); the parent owns **all** float
   accumulation, handing the joined indices to the very
   ``accumulate_site_load`` the single-process join runs — the
   identical sequence of additions.
@@ -65,12 +65,14 @@ from repro.bgp.propagation import RoutingOutcome
 from repro.collector.results import ScanResult, ScanStats
 from repro.core.fastscan import (
     FastScanEngine,
+    KeptRows,
     evaluate_lattice,
     evaluate_round,
     externalize,
     materialise_columnar,
     round_draws,
     route_columns,
+    site_column,
 )
 from repro.core.pool import (
     ShardPool,
@@ -292,43 +294,31 @@ def _scan_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray
 
     The payload (:func:`scan_payloads`) carries no block-sized array;
     the shard's state is attached (or found warm) in this process's cache.
-    Each round comes back as ``(kept site indices, packed keep mask,
-    kept delays, stats)``: the parent rebuilds full-universe columns
-    from its own copy, so result pickling scales with *kept* rows only.
+    Each round comes back as ``(kept rows, their site indices, their
+    delays, stats)``, rows local to the shard: result pickling scales
+    with *kept* rows only.
     """
     store_root, fingerprint, routes, start, stop, rounds = payload
     state = attached_round_state(store_root, fingerprint).shard(start, stop)
     results = []
     for round_id in range(rounds):
-        arrays = evaluate_round(state, routes, round_draws(state, round_id)[0])
-        results.append(
-            (
-                arrays.site[arrays.kept_mask],
-                np.packbits(arrays.kept_mask),
-                arrays.delay[arrays.kept_mask],
-                arrays.stats,
-            )
-        )
+        cells = evaluate_round(state, routes, round_draws(state, round_id)[0])
+        kept = cells.kept
+        results.append((cells.rows[kept], cells.site[kept], cells.delay[kept], cells.stats))
     return results
 
 
-def _lattice_shard_worker(payload) -> List[Tuple[np.ndarray, np.ndarray, ScanStats]]:
+def _lattice_shard_worker(payload) -> List[KeptRows]:
     """Evaluate one shard's rows under every routing state of a lattice.
 
     The payload (:func:`sharded_lattice`) is the round state's
     fingerprint, every config's per-PoP route columns, the shard bounds
-    and the round id.  Each config comes back as ``(kept site indices,
-    packed keep mask, stats)``, the compact encoding of
-    :func:`_scan_shard_worker` without delays.
+    and the round id.  Each config comes back as its
+    :class:`~repro.core.fastscan.KeptRows`, rows local to the shard.
     """
     store_root, fingerprint, routes_seq, start, stop, round_id = payload
     state = attached_round_state(store_root, fingerprint).shard(start, stop)
-    draws = round_draws(state, round_id)[0]
-    results = []
-    for sites, stats in evaluate_lattice(state, routes_seq, draws):
-        kept = sites >= 0
-        results.append((sites[kept], np.packbits(kept), stats))
-    return results
+    return evaluate_lattice(state, routes_seq, round_draws(state, round_id)[0])
 
 
 def _join_shard_worker(payload) -> np.ndarray:
@@ -352,15 +342,12 @@ def _join_shard_worker(payload) -> np.ndarray:
 # -- sharded scan series ---------------------------------------------------
 
 
-def _merge_sites(rows: int, bounds: Sequence[Tuple[int, int]], shard_parts) -> np.ndarray:
-    """One full-universe int16 site column (``-1`` where not kept) from
-    each shard's kept site indices and packed keep mask, the first two
-    fields of every part in ``shard_parts``."""
-    sites = np.full(rows, -1, dtype=np.int16)
-    for (start, stop), (kept_sites, packed_mask, *_) in zip(bounds, shard_parts):
-        mask = np.unpackbits(packed_mask, count=stop - start).view(np.bool_)
-        sites[start:stop][mask] = kept_sites
-    return sites
+def _merge_kept(bounds: Sequence[Tuple[int, int]], shard_parts) -> Tuple[np.ndarray, np.ndarray]:
+    """The universe's kept rows, ascending, and their site indices, from
+    each shard's local kept rows and sites: the first two fields of
+    every part in ``shard_parts``, one part per shard of ``bounds``."""
+    rows = [start + part[0] for (start, _), part in zip(bounds, shard_parts)]
+    return np.concatenate(rows), np.concatenate([part[1] for part in shard_parts])
 
 
 def _merge_round(
@@ -373,16 +360,15 @@ def _merge_round(
 ) -> ScanResult:
     """Rebuild one round's full-universe result from compact shard columns.
 
-    Each shard's kept site indices scatter into one full-universe site
-    column (``-1`` where its keep mask is clear) and its kept delays
-    follow in shard order; the engine's own builder,
+    Each shard's kept rows, offset by its start, and their sites and
+    delays follow in shard order; the engine's own builder,
     :func:`repro.core.fastscan.materialise_columnar`, makes the result,
     so it is bit-identical to evaluating the full universe in one pass.
     """
     return materialise_columnar(
         engine.state,
         engine.routes.site_codes,
-        _merge_sites(engine.state.rows, bounds, shard_rounds),
+        *_merge_kept(bounds, shard_rounds),
         np.concatenate([part[2] for part in shard_rounds]),
         merge_stats([part[3] for part in shard_rounds]),
         round_id,
@@ -460,8 +446,8 @@ def sharded_lattice(
 
     Bit-identical to :func:`repro.core.fastscan.scan_lattice`: every
     shard runs :func:`~repro.core.fastscan.evaluate_lattice` over its
-    rows and the parent scatters each config's kept sites back into a
-    full-universe column.  Like the sharded series it counts no engine
+    rows and the parent scatters each config's kept rows back into a
+    full-universe site column.  Like the sharded series it counts no engine
     rounds: the draws and cleaning happen in the workers.
     """
     observer = verfploeter.observer
@@ -492,7 +478,9 @@ def sharded_lattice(
         CatchmentMap(
             routes.site_codes,
             state.blocks,
-            _merge_sites(state.rows, plan.bounds, [shard[index] for shard in per_shard]),
+            site_column(
+                state.rows, *_merge_kept(plan.bounds, [shard[index] for shard in per_shard])
+            ),
             validate=False,
         )
         for index, routes in enumerate(routes_seq)

@@ -65,8 +65,22 @@ class MappingService:
         Stops after ``max_rounds`` round ends (or feed exhaustion), and
         honours :meth:`shutdown`'s stop flag **only at round
         boundaries** — an open round is always finished and published,
-        never abandoned half-ingested.
+        never abandoned half-ingested.  A failure of the feed or of the
+        state ends the drain: it is counted as ``service.ingest.failed``
+        and raised as a :class:`~repro.errors.ReproError` (anything
+        else becomes a :class:`~repro.errors.ServiceError`); the
+        published view stays at the last completed round.
         """
+        try:
+            return self._drain(max_rounds)
+        except Exception as err:
+            self._observer.metrics.counter("service.ingest.failed").inc()
+            if isinstance(err, ReproError):
+                raise
+            raise ServiceError(f"ingest failed: {type(err).__name__}: {err}") from err
+
+    def _drain(self, max_rounds: Optional[int]) -> int:
+        """:meth:`ingest`'s loop over the feed."""
         completed = 0
         state = self._state
         for event in self._feed:

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.bgp.propagation import RoutingOutcome
 from repro.collector.stream import ReplyColumns
-from repro.core.fastscan import RoundArrays, RoundState, evaluate_round, round_draws, send_offsets
+from repro.core.fastscan import RoundCells, RoundState, evaluate_round, round_draws, send_offsets
 from repro.core.verfploeter import Verfploeter
 from repro.errors import ServiceError
 from repro.obs import Tracer
@@ -64,7 +64,7 @@ FeedEvent = Union[RoundStart, ReplyBatch, RoundEnd]
 
 
 def _round_replies(
-    state: RoundState, round_id: int, arrays: RoundArrays,
+    state: RoundState, round_id: int, cells: RoundCells,
     site_codes: Tuple[str, ...], sources: np.ndarray, start_time: float,
     tracer: Tracer,
 ) -> ReplyColumns:
@@ -73,19 +73,18 @@ def _round_replies(
     Mirrors the dataplane: a probe's ``k``-th reply trails its first by
     ``0.1 * k`` ms and arrives at ``(start_time + position * interval)
     + delay_ms / 1000``, from its row of ``sources``.  Send offsets are
-    computed for the replying rows only.
+    computed for the delivered rows only.
     """
-    emitting = np.flatnonzero(arrays.counts)
-    counts = arrays.counts[emitting]
-    with tracer.span("service.feed.offsets", rows=int(emitting.size)):
-        sent = start_time + send_offsets(state, round_id, emitting)
-    rows = np.repeat(emitting, counts)
+    counts = cells.counts
+    with tracer.span("service.feed.offsets", rows=int(cells.rows.size)):
+        sent = start_time + send_offsets(state, round_id, cells.rows)
+    rows = np.repeat(cells.rows, counts)
     burst_start = np.cumsum(counts) - counts
     extra = np.arange(rows.size) - np.repeat(burst_start, counts)
-    delay_ms = arrays.delay[rows] + 0.1 * extra
+    delay_ms = np.repeat(cells.delay, counts) + 0.1 * extra
     replies = ReplyColumns(
         site_codes,
-        arrays.site[rows],
+        np.repeat(cells.site, counts),
         sources[rows],
         np.full(rows.size, round_id & 0xFFFF),
         (state.row_start + rows) & 0xFFFF,
@@ -146,9 +145,9 @@ def _feed(
         with tracer.span("service.feed.round", round_id=round_id):
             with tracer.span("fastscan.draws"):
                 draws, _ = round_draws(state, round_id)
-            arrays = evaluate_round(state, engine.routes, draws, tracer)
+            cells = evaluate_round(state, engine.routes, draws, tracer)
             replies = _round_replies(
-                state, round_id, arrays, site_codes, sources, start_time, tracer
+                state, round_id, cells, site_codes, sources, start_time, tracer
             )
         metrics.counter("probe.rounds_scheduled").inc()
         metrics.counter("probe.probes_sent").inc(state.rows)

@@ -437,6 +437,24 @@ class TestServe:
         assert main(["serve", *TINY, "--rounds", "0"]) == 2
         assert "repro: error: rounds must be >= 1" in capsys.readouterr().err
 
+    def test_a_feed_that_raises_fails_the_command(self, capsys, monkeypatch):
+        """A feed crash is a typed exit, not "ingested N round(s)" and 0."""
+        from repro.service import feed
+
+        real = feed._feed
+
+        def broken(*args):
+            for event in real(*args):
+                yield event
+                if isinstance(event, feed.ReplyBatch):
+                    raise RuntimeError("feed broke")
+
+        monkeypatch.setattr(feed, "_feed", broken)
+        assert main(["serve", *TINY, "--rounds", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "repro: error: ingest failed: RuntimeError: feed broke" in captured.err
+        assert "ingested" not in captured.out
+
     @pytest.mark.parametrize("phase", ["ingest", "linger"])
     def test_sigint_drains_closes_and_writes_artifacts(self, tmp_path, phase):
         import os

@@ -259,14 +259,14 @@ def _full_offset_round(state, routes, draws):
 def assert_round_equals_full_offsets(state, routes, round_id):
     """:func:`evaluate_round` equals :func:`_full_offset_round`."""
     draws, _ = round_draws(state, round_id)
-    arrays = evaluate_round(state, routes, draws)
+    cells = evaluate_round(state, routes, draws)
     kept, sites, delays, stats = _full_offset_round(state, routes, draws)
-    np.testing.assert_array_equal(arrays.kept_mask, kept)
-    np.testing.assert_array_equal(arrays.site[kept], sites)
-    assert arrays.delay[kept].tobytes() == delays.tobytes()
-    got = arrays.stats
+    np.testing.assert_array_equal(cells.rows[cells.kept], np.flatnonzero(kept))
+    np.testing.assert_array_equal(cells.site[cells.kept], sites)
+    assert cells.delay[cells.kept].tobytes() == delays.tobytes()
+    got = cells.stats
     assert (got.replies_received, got.unsolicited, got.late, got.duplicates, got.kept) == stats
-    return arrays
+    return cells
 
 
 @settings(max_examples=12, deadline=None)
@@ -302,16 +302,53 @@ def test_offsets_only_where_they_matter(rate_pps, late_cutoff, round_id):
         assert math.isclose(fast.rtts[block], rtt, rel_tol=1e-9)
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    data=st.data(),
+    rate_pps=st.floats(min_value=0.5, max_value=1.0),
+    round_id=st.integers(min_value=0, max_value=1 << 16),
+)
+def test_a_shard_evaluates_to_the_full_rounds_cells(data, rate_pps, round_id):
+    """:func:`evaluate_round` on ``state.shard(a, b)`` returns exactly the
+    full round's cells with rows in [a, b), shifted by ``a``, field by
+    field — at a rate so low that delivered rows straddle the cut-off, so
+    their send offsets (from the global permutation) decide them."""
+    scenario, default = _engine("broot", 7)
+    verfploeter = Verfploeter(
+        scenario.internet, scenario.service, hitlist=default.verfploeter.hitlist
+    )
+    verfploeter.prober_config = ProberConfig(
+        source_address=scenario.service.measurement_address, rate_pps=rate_pps
+    )
+    engine = FastScanEngine(verfploeter, default.routing)
+    state, routes = engine.state, engine.routes
+    full = evaluate_round(state, routes, round_draws(state, round_id)[0])
+    first = full.delay / 1000.0
+    assert ((first > state.in_time_bound) & (first <= state.late_cutoff)).any()
+    start = data.draw(st.integers(min_value=0, max_value=state.rows - 1), label="start")
+    stop = data.draw(st.integers(min_value=start + 1, max_value=state.rows), label="stop")
+    shard = state.shard(start, stop)
+    cells = evaluate_round(shard, routes, round_draws(shard, round_id)[0])
+    inside = (full.rows >= start) & (full.rows < stop)
+    np.testing.assert_array_equal(cells.rows, full.rows[inside] - start)
+    for name in ("site", "delay", "counts", "kept"):
+        got, want = getattr(cells, name), getattr(full, name)[inside]
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
 def test_late_replier_on_the_cutoff_at_offset_zero_is_kept():
     """The bound's exact edge: a late replier whose first reply lands on
     the cut-off itself, probed first in its round, is kept."""
     _, engine = _engine("broot", 7)
     state, round_id = engine.state, 2
     draws, _ = round_draws(state, round_id)
-    arrays = evaluate_round(state, engine.routes, draws)
+    cells = evaluate_round(state, engine.routes, draws)
     candidates = np.zeros(state.rows, dtype=bool)
     candidates[draws.responders[draws.late_replier]] = True
-    candidates &= (arrays.counts > 0) & ~state.off_address
+    delivered = np.zeros(state.rows, dtype=bool)
+    delivered[cells.rows[cells.counts > 0]] = True
+    candidates &= delivered & ~state.off_address
     # An order seed that probes such a row first, and that row's delay as
     # the cut-off.
     parent, row = next(
@@ -324,5 +361,5 @@ def test_late_replier_on_the_cutoff_at_offset_zero_is_kept():
     delay = draws.host_delay[np.searchsorted(draws.responders, row)]
     edge = dataclasses.replace(state, late_cutoff=delay / 1000.0, order_parent_seed=parent)
     assert send_offsets(edge, round_id, np.array([row]))[0] == 0.0
-    arrays = assert_round_equals_full_offsets(edge, engine.routes, round_id)
-    assert arrays.kept_mask[row]
+    cells = assert_round_equals_full_offsets(edge, engine.routes, round_id)
+    assert row in cells.rows[cells.kept]

@@ -2,8 +2,8 @@
 
 ``evaluate_lattice`` cleans each round once on the outcome grid and
 gathers every config from it (or, for lattices no larger than the grid,
-cleans each config's own column); ``evaluate_round`` cleans one
-config's own column.  The stacked ``pop_routes`` picks every table's
+cleans each config's own cells); ``evaluate_round`` cleans one
+config's delivered cells.  The stacked ``pop_routes`` picks every table's
 PoP sites in one weighted pick; ``weight_catchments`` joins the traffic once and
 sums each hour in one ``bincount`` pass.  Each is held bit-equal to the
 per-config path it replaces, and the planner's pooled lattice to its
@@ -30,6 +30,7 @@ from repro.core.fastscan import (
     round_draws,
     route_columns,
     scan_lattice,
+    site_column,
 )
 from repro.core.playbook import PlaybookPlanner, derive_capacities, enumerate_lattice
 from repro.core.pool import ShardPool
@@ -37,7 +38,7 @@ from repro.core.scenarios import broot_like, tangled_like
 from repro.core.sharding import (
     ShardPlan,
     _lattice_shard_worker,
-    _merge_sites,
+    _merge_kept,
     assert_site_loads_identical,
     sharded_lattice,
 )
@@ -72,24 +73,25 @@ def lattice(request):
 
 
 def assert_lattice_equals_rounds(verfploeter, routings, round_id):
-    """Kept sites, stats and kept-row delays of every config equal
-    :func:`evaluate_round` on that config alone."""
+    """Kept rows, their sites, stats and kept-row delays of every config
+    equal :func:`evaluate_round` on that config alone."""
     state = verfploeter.round_state()
     routes_seq = route_columns(verfploeter, routings)
     draws, _ = round_draws(state, round_id)
     grid = outcome_grid(state, draws)
     rounds = evaluate_lattice(state, routes_seq, draws)
     assert len(rounds) == len(routes_seq)
-    for routes, (sites, stats) in zip(routes_seq, rounds):
-        arrays = evaluate_round(state, routes, draws)
-        kept = arrays.kept_mask
-        expected = np.where(kept, arrays.site, np.int16(-1))
+    for routes, (rows, sites, stats) in zip(routes_seq, rounds):
+        cells = evaluate_round(state, routes, draws)
+        kept = cells.kept
+        expected = cells.site[kept]
         assert sites.dtype == expected.dtype
+        np.testing.assert_array_equal(rows, cells.rows[kept])
         np.testing.assert_array_equal(sites, expected)
-        assert stats == arrays.stats
-        rows = np.flatnonzero(kept)
-        delays = grid.delay[routes.site_rows[arrays.site[rows]], rows]
-        assert delays.tobytes() == arrays.delay[kept].tobytes()
+        assert stats == cells.stats
+        columns = np.searchsorted(draws.responders, rows)
+        delays = grid.delay[routes.site_rows[sites], columns]
+        assert delays.tobytes() == cells.delay[kept].tobytes()
 
 
 class TestEvaluateLattice:
@@ -336,7 +338,7 @@ class TestPooledLattice:
         ]
         for index, want in enumerate(expected):
             parts = [shard[index] for shard in per_shard]
-            merged = _merge_sites(state.rows, bounds, parts)
+            merged = site_column(state.rows, *_merge_kept(bounds, parts))
             np.testing.assert_array_equal(merged, want.site_index_array)
 
     def test_sharded_lattice_equals_in_process(self, lattice, tmp_path):

@@ -403,6 +403,33 @@ class TestEdgeCases:
         assert state.view.rounds_completed >= 1
         assert state.view.rounds_completed < ROUNDS
 
+    def test_a_feed_that_raises_mid_round_is_typed_counted_and_fatal(
+        self, broot_verfploeter, broot_routing, universe, estimate
+    ):
+        """An error that is no ``ReproError`` out of the feed ends the
+        background ingest as a ``ServiceError``, counted once, and the
+        published view stays at the last completed round."""
+        observer = Observer()
+        state = build_state(broot_routing, universe, estimate, observer=observer)
+
+        def broken_feed():
+            for event in replay_feed(
+                broot_verfploeter, routing=broot_routing, rounds=2, batch_size=BATCH,
+            ):
+                yield event
+                if isinstance(event, ReplyBatch) and event.round_id == 1:
+                    raise RuntimeError("feed broke")
+
+        service = MappingService(state, broken_feed())
+        service.start_ingest()
+        with pytest.raises(ServiceError, match="RuntimeError: feed broke") as caught:
+            service.wait_ingest()
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert observer.metrics.value_of("service.ingest.failed") == 1
+        assert state.round_open
+        assert state.view.rounds_completed == 1
+        assert [record.round_id for record in state.view.rounds] == [0]
+
     def test_state_api_misuse_raises_service_errors(
         self, broot_routing, universe, estimate
     ):

@@ -367,7 +367,7 @@ def test_the_views_of_an_attach_are_the_generator_rows(store, monkeypatch, name)
 
 
 def test_a_save_evicts_other_sources_while_their_attach_reads_on(store, monkeypatch):
-    """A save removes every ``internet-*`` entry of another source digest (an
+    """A save over the byte bound removes the other ``internet-*`` entries (an
     attach of one keeps reading its memmaps) and leaves entries it cannot read,
     and entries of other kinds, alone."""
     built = tangled_like(scale="tiny", seed=3).internet
@@ -376,12 +376,37 @@ def test_a_save_evicts_other_sources_while_their_attach_reads_on(store, monkeypa
     persist_internet(store, "internet-older", built, "older sources")
     os.makedirs(store.dir_of("internet-unreadable"))  # no manifest: being written, say
     array = ensure_array(store, np.arange(3))
+    monkeypatch.setattr(scenarios, "_SNAPSHOT_BYTES", 1)  # room for the new entry only
     monkeypatch.setattr(scenarios, "_sources_digest", lambda: "edited")
     assert not _attached(tangled_like(scale="tiny", seed=3).internet)
     (_, new, _), = scenarios._unsaved
     scenarios.save_snapshot()
     assert sorted(os.listdir(store.root)) == sorted([array, "internet-unreadable", new])
     assert _fields(open_attach) == _fields(built)
+
+
+def _snapshots(store) -> list:
+    return sorted(name for name in os.listdir(store.root) if name.startswith("internet-"))
+
+
+def test_two_source_trees_share_one_store_and_the_bound_drops_the_oldest(store, monkeypatch):
+    """Two source digests alternating on one store each hit after their first
+    miss; a save that takes the store over its byte bound evicts the least
+    recently attached entry, not the other tree's live one."""
+    def lookup(digest: str) -> bool:
+        monkeypatch.setattr(scenarios, "_sources_digest", lambda: digest)
+        attached = _attached(tangled_like(scale="tiny", seed=3).internet)
+        scenarios.save_snapshot()
+        return attached
+
+    assert [lookup(digest) for digest in ("a", "b")] == [False, False]
+    assert [lookup(digest) for digest in ("a", "b", "a", "b")] == [True] * 4
+    first, _ = _snapshots(store)
+    size = sum(item.stat().st_size for item in os.scandir(store.dir_of(first)))
+    monkeypatch.setattr(scenarios, "_SNAPSHOT_BYTES", 3 * size - 1)
+    assert not lookup("c")  # three entries of one size: one over the bound
+    assert lookup("b") and not lookup("a")  # "a" was attached longest ago
+    assert len(_snapshots(store)) == 2
 
 
 def _reach_tool():
