@@ -147,7 +147,9 @@ class CatchmentMap:
         """Universe row of a *mapped* ``block``, or None."""
         if not 0 <= block <= _UINT64_MAX or self._universe.size == 0:
             return None
-        pos = int(np.searchsorted(self._universe, np.uint64(block)))
+        # The method, not ``np.searchsorted``, whose dispatch costs more
+        # than the search; the daemon pays it on every catchment query.
+        pos = int(self._universe.searchsorted(np.uint64(block)))
         if pos >= self._universe.size or int(self._universe[pos]) != block:
             return None
         return pos if self._sites[pos] >= 0 else None

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import unquote
 
 from repro.errors import HttpError
-from repro.obs import NULL_OBSERVER, Observer
+from repro.obs import NULL_OBSERVER, Counter, Observer
 
 #: ``<name>`` placeholders in route templates become path captures.
 _PLACEHOLDER = re.compile(r"<([a-z_]+)>")
@@ -47,6 +47,8 @@ MAX_CONNECTIONS = 256
 
 _RECV_BYTES = 65536
 _HEAD_END = b"\r\n\r\n"
+#: The only request headers read: the ones that decide whether to close.
+_CLOSING_FIELDS = frozenset(("connection", "content-length", "transfer-encoding"))
 #: Reason phrase of every status code, for the status line.
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _RESPONSE_HEAD = (
@@ -149,6 +151,9 @@ class JsonApp:
     def __init__(self, observer: Optional[Observer] = None) -> None:
         self._routes: List[_Route] = []
         self._observer = observer if observer is not None else NULL_OBSERVER
+        # ``service.requests`` per (route template, status), resolved once:
+        # the registry's lookup renders and sorts the labels on every call.
+        self._requests: Dict[Tuple[str, int], Counter] = {}
 
     def route(self, method: str, template: str, handler: Callable) -> None:
         """Register ``handler`` for ``method`` requests matching ``template``."""
@@ -158,10 +163,18 @@ class JsonApp:
         """Register a GET route."""
         self.route("GET", template, handler)
 
+    def _count(self, route: str, status: int) -> None:
+        """Count one answer under ``service.requests{route=,status=}``."""
+        counter = self._requests.get((route, status))
+        if counter is None:
+            counter = self._requests[route, status] = self._observer.metrics.counter(
+                "service.requests", route=route, status=status
+            )
+        counter.inc()
+
     def refuse(self, err: HttpError, route: str = "none") -> Tuple[int, bytes]:
         """Count and render the structured error answer for ``err``."""
-        metrics = self._observer.metrics
-        metrics.counter("service.requests", route=route, status=err.status).inc()
+        self._count(route, err.status)
         return err.status, render_json(error_body(err.status, err.code, err.message))
 
     def respond(
@@ -173,7 +186,6 @@ class JsonApp:
         here.  Requests are counted per route *template* and status —
         a bounded label set, never the raw path.
         """
-        metrics = self._observer.metrics
         template, handler, match = "none", None, None
         for route in self._routes:
             match = route.regex.match(path)
@@ -195,23 +207,24 @@ class JsonApp:
         except HttpError as err:
             return self.refuse(err, template)
         except Exception:  # reprolint: disable=E302 — service boundary: a crashing handler must become a 500, not kill the daemon
-            metrics.counter("service.errors", kind="handler").inc()
+            self._observer.metrics.counter("service.errors", kind="handler").inc()
             message = "unexpected error handling the request"
             return self.refuse(HttpError(500, "internal-error", message), template)
-        metrics.counter("service.requests", route=template, status=200).inc()
+        self._count(template, 200)
         return 200, body
 
 
 class _Connection:
     """One client: its socket, unparsed input and unsent output."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "closing")
+    __slots__ = ("sock", "inbuf", "outbuf", "closing", "events")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         self.closing = False
+        self.events = selectors.EVENT_READ  # what the selector waits for
 
 
 class HttpServer:
@@ -228,6 +241,8 @@ class HttpServer:
         self._metrics = observer.metrics
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
+        # Accepted sockets inherit it (tests/test_service_http.py checks).
+        self._listener.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._wake_recv, self._wake_send = socket.socketpair()
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ)
@@ -275,7 +290,6 @@ class HttpServer:
         except OSError:  # the peer gave up between the event and the call
             return
         sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if len(self._connections) >= MAX_CONNECTIONS:
             self._drop(next(iter(self._connections.values())), "evicted")
         connection = self._connections[sock] = _Connection(sock)
@@ -313,7 +327,9 @@ class HttpServer:
         except OSError:
             return self._drop(connection, "reset")
         events = selectors.EVENT_WRITE if connection.outbuf else selectors.EVENT_READ
-        self._selector.modify(sock, events, connection)
+        if events != connection.events:
+            connection.events = events
+            self._selector.modify(sock, events, connection)
 
     def _answer_next(self, connection: _Connection) -> bool:
         """Queue the answer to the next buffered request; False if none is whole."""
@@ -336,10 +352,12 @@ class HttpServer:
             status, body = self._app.refuse(refusal)
             connection.closing = True
         else:
-            headers = dict(
-                (name.strip().lower(), value.strip().lower())
-                for name, _, value in (line.partition(":") for line in lines[1:])
-            )
+            fields: Dict[str, str] = {}
+            for line in lines[1:]:
+                name, _, value = line.partition(":")
+                name = name.strip().lower()
+                if name in _CLOSING_FIELDS:
+                    fields[name] = value.strip().lower()
             method, (path, _, query) = words[0].upper(), words[1].partition("?")
             path = unquote(path, "iso-8859-1")
             status, body = self._app.respond(method, path, query)
@@ -347,9 +365,9 @@ class HttpServer:
             # is not a GET at all) ends the connection after its answer.
             connection.closing = (
                 method != "GET" or words[2] != "HTTP/1.1"
-                or "close" in headers.get("connection", "")
-                or headers.get("content-length", "0") != "0"
-                or "transfer-encoding" in headers
+                or "close" in fields.get("connection", "")
+                or fields.get("content-length", "0") != "0"
+                or "transfer-encoding" in fields
             )
         ending = "close" if connection.closing else "keep-alive"
         head = _RESPONSE_HEAD % (status, _PHRASES[status], len(body), ending)

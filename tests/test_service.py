@@ -181,6 +181,26 @@ class TestDeterminism:
                 "GET", path, query
             )
 
+    def test_catchment_body_is_the_canonical_render(self, served):
+        # The handler writes its body directly; it must stay byte-equal
+        # to ``render_json`` of the same four keys, ``null`` site included.
+        view = served.state.view
+        catchment = view.catchment
+        expected = dict(catchment.items())
+        unmapped = int(catchment.universe[catchment.site_index_array < 0][0])
+        for block in (unmapped, 0, 2**64 - 1):
+            assert block not in expected
+            expected[block] = None
+        for block, site in expected.items():
+            status, body = served.app.respond("GET", f"/v1/catchment/{block}")
+            assert status == 200
+            assert body == render_json({
+                "block": block,
+                "generation": view.generation,
+                "round_id": view.rounds[-1].round_id,
+                "site": site,
+            })
+
 
 class TestEdgeCases:
     def test_query_before_first_complete_round(

@@ -194,6 +194,37 @@ class TestWire:
         assert head.endswith(b"\r\nConnection: close")
         assert client.at_eof()
 
+    @pytest.mark.parametrize(
+        "header, body, closes",
+        [
+            ("CONNECTION: Close", b"", True),
+            ("Connection:  keep-alive, close", b"", True),
+            ("connection:close", b"", True),
+            ("Content-Length: 3", b"abc", True),
+            ("Transfer-Encoding: chunked", b"", True),
+            ("Content-Length: 0", b"", False),
+            ("X-Connection: close", b"", False),
+            ("Proxy-Connection: close", b"", False),
+        ],
+    )
+    def test_only_the_closing_headers_end_the_connection(
+        self, daemon, header, body, closes
+    ):
+        # Names match whole, after strip and lowercasing: look-alikes
+        # such as ``X-Connection`` keep the connection open.
+        client = Client(daemon.address)
+        client.send(get("/v1/health", header) + body)
+        status, head, _ = client.response()
+        assert status == 200
+        ending = b"close" if closes else b"keep-alive"
+        assert head.endswith(b"\r\nConnection: " + ending)
+        if closes:
+            assert client.at_eof()
+        else:
+            client.send(get("/v1/health"))
+            assert client.response()[0] == 200
+            client.close()
+
     def test_request_delivered_one_byte_at_a_time(self, daemon):
         whole = Client(daemon.address)
         whole.send(get("/v1/load"))
@@ -367,6 +398,28 @@ def test_client_that_never_reads_a_large_body_does_not_stall_another():
         assert stalled.response()[2] == b'{"ok":true}\n'
         stalled.close()
         other.close()
+    finally:
+        server.close(TIMEOUT)
+
+
+def test_accepted_sockets_inherit_tcp_nodelay_from_the_listener():
+    # The server sets TCP_NODELAY once, on the listener; this checks that
+    # the platform hands it on to every accepted socket.
+    observer = Observer.collecting()
+    app = JsonApp(observer=observer)
+    app.get("/small", lambda request: {"ok": True})
+    server = HttpServer(app, observer, "127.0.0.1", 0)
+    try:
+        clients = [Client(server.address) for _ in range(2)]
+        for client in clients:
+            client.send(get("/small"))
+            assert client.response()[0] == 200
+        accepted = list(server._connections)
+        assert len(accepted) == 2
+        for sock in accepted:
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        for client in clients:
+            client.close()
     finally:
         server.close(TIMEOUT)
 

@@ -4,7 +4,9 @@
 Boots two same-seed daemons on a tiny scenario, drives each through the
 same simulated reply stream, queries every ``/v1`` endpoint over one
 keep-alive ``http.client`` connection per daemon (the ephemeral port
-the server bound), and asserts:
+the server bound), then sends ``FRESH_GETS`` catchment GETs on fresh
+connections (connect, one GET, close: the benchmark's traffic shape),
+and asserts:
 
 - every endpoint answers 200 with well-formed JSON, and the error
   paths answer structured 4xx, all on that one connection;
@@ -13,9 +15,11 @@ the server bound), and asserts:
   ``cleaning.dropped`` == ``collector.replies_received``), and the two
   daemons — asked the same things in the same order — report equal
   ``counters``;
-- the two daemons' data-endpoint responses are **byte-identical** —
-  status line, headers and body: the service determinism contract, end
-  to end through the HTTP stack.
+- the two daemons' data-endpoint responses, fresh-connection ones
+  included, are **byte-identical** — status line, headers and body: the
+  service determinism contract, end to end through the HTTP stack;
+- ``service.requests{route=/v1/catchment/<block>,status=200}`` counts
+  every catchment GET sent.
 
 Stdlib + repro only.  Run as ``python tools/serve_smoke.py`` (or
 ``make serve-smoke``); exits non-zero with a message on any failure.
@@ -37,6 +41,8 @@ from repro.obs import Observer
 from repro.service import MappingService, MeasurementState, replay_feed
 
 ROUNDS = 3
+#: Catchment GETs sent one per fresh connection, after the keep-alive run.
+FRESH_GETS = 50
 ENDPOINTS = (
     "/v1/health",
     "/v1/load",
@@ -44,13 +50,9 @@ ENDPOINTS = (
     "/v1/metrics",
 )
 
-#: Data endpoints that must be byte-identical across same-seed daemons
-#: (health/metrics carry run-local counters like request tallies); one
-#: ``/v1/catchment/<block>`` of a mapped block joins them at run time.
-DETERMINISTIC_ENDPOINTS = (
-    "/v1/load",
-    "/v1/diff?rounds=1",
-)
+#: Endpoints whose answers carry run-local counters (request tallies);
+#: every other 200 answer must be byte-identical across same-seed daemons.
+RUN_LOCAL_ENDPOINTS = ("/v1/health", "/v1/metrics")
 
 ERROR_PATHS = (
     ("/v1/catchment/not-a-block", 400),
@@ -102,6 +104,18 @@ def fetch(connection: http.client.HTTPConnection, path: str) -> Response:
     )
 
 
+def fetch_fresh(host: str, port: int, paths: List[str]) -> Dict[str, Response]:
+    """GET each path on a connection of its own: connect, one GET, close."""
+    answers: Dict[str, Response] = {}
+    for path in paths:
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            answers[path] = fetch(connection, path)
+        finally:
+            connection.close()
+    return answers
+
+
 def conservation_failures(counters: Dict[str, int]) -> List[str]:
     """docs/observability.md's Conservation invariant on one document."""
     received = counters.get("collector.replies_received", 0)
@@ -122,7 +136,7 @@ def main() -> int:
     daemons = [boot_daemon() for _ in range(2)]
     failures: List[str] = []
     responses: List[Dict[str, Response]] = []
-    catchment_path = ""
+    fresh_responses: List[Dict[str, Response]] = []
     try:
         for service, host, port in daemons:
             connection = http.client.HTTPConnection(host, port, timeout=30)
@@ -162,13 +176,36 @@ def main() -> int:
             ):
                 failures.append("the keep-alive connection did not survive the run")
             connection.close()
+            mapped = service.state.view.catchment.mapped_block_array()
+            fresh_paths = [
+                f"/v1/catchment/{int(block)}"
+                for block in mapped[:: max(1, len(mapped) // FRESH_GETS)][:FRESH_GETS]
+            ]
+            fresh = fetch_fresh(host, port, fresh_paths)
+            failures.extend(
+                f"{path}: expected 200 on a fresh connection, got {answer[1]}"
+                for path, answer in fresh.items() if answer[1] != 200
+            )
+            metrics = fetch_fresh(host, port, ["/v1/metrics"])["/v1/metrics"]
+            counted = json.loads(metrics[4])["counters"].get(
+                "service.requests{route=/v1/catchment/<block>,status=200}", 0
+            )
+            if counted != 1 + len(fresh_paths):
+                failures.append(
+                    f"service.requests counted {counted} catchment answers, "
+                    f"{1 + len(fresh_paths)} were sent"
+                )
             responses.append(answers)
+            fresh_responses.append(fresh)
     finally:
         for service, _, _ in daemons:
             service.shutdown()
-    for path in (*DETERMINISTIC_ENDPOINTS, catchment_path):
-        if responses[0].get(path) != responses[1].get(path):
-            failures.append(f"{path}: two same-seed daemons differ")
+    for first, second in (responses, fresh_responses):
+        for path in sorted(set(first) | set(second)):
+            if path in RUN_LOCAL_ENDPOINTS:
+                continue
+            if first.get(path) != second.get(path):
+                failures.append(f"{path}: two same-seed daemons differ")
     counters = [
         json.loads(answers["/v1/metrics"][4])["counters"] for answers in responses
     ]
@@ -181,7 +218,8 @@ def main() -> int:
     print(
         f"serve-smoke: OK ({ROUNDS} rounds x 2 daemons, "
         f"{len(ENDPOINTS) + 1} endpoints and {len(ERROR_PATHS)} error paths "
-        f"on one keep-alive connection each, byte-identical data responses, "
+        f"on one keep-alive connection each, {FRESH_GETS} catchment GETs on "
+        f"fresh connections, byte-identical data responses, "
         f"conserved and equal /v1/metrics counters)"
     )
     return 0
