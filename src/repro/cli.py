@@ -282,6 +282,7 @@ def _cmd_playbook(args: argparse.Namespace, scenario: Scenario, observer: Observ
         derive_capacities,
         format_playbook_table,
     )
+    from repro.core.scenarios import catchment_store
     from repro.core.verfploeter import Verfploeter
     from repro.load.estimator import LoadEstimate
     from repro.load.weighting import weight_catchment
@@ -290,10 +291,12 @@ def _cmd_playbook(args: argparse.Namespace, scenario: Scenario, observer: Observ
     verfploeter = Verfploeter(
         scenario.internet, scenario.service, observer=observer
     )
-    # Fresh per-invocation cache (same reasoning as the sweep): two
-    # same-seed invocations emit byte-identical artifacts AND metrics.
+    # Fresh per-invocation cache (same reasoning as the sweep); in-process, the
+    # catchments persisted beside the snapshot are attached, not measured again.
     planner = PlaybookPlanner(
-        verfploeter, cache=RoutingCache(maxsize=256, observer=observer)
+        verfploeter, cache=RoutingCache(maxsize=256, observer=observer),
+        store=None if args.workers is not None
+        else catchment_store(scenario.internet, scenario.service),
     )
     pool = None
     try:

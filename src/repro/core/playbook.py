@@ -40,16 +40,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.anycast.catchment import CatchmentMap
-from repro.bgp.cache import (
-    RoutingCache,
-    default_routing_cache,
-    policy_digest,
-    policy_fingerprint,
-)
+from repro.bgp.cache import RoutingCache, default_routing_cache, policy_digest
 from repro.bgp.policy import AnnouncementPolicy
 from repro.core.fastscan import scan_lattice
 from repro.core.verfploeter import Verfploeter
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DatasetError
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import SiteLoad, capacity_violations, weight_catchments
 from repro.traffic.attack import AttackProfile
@@ -289,41 +284,68 @@ class PlaybookPlanner:
 
     One planner amortises work across searches: routing states live in
     the shared :class:`~repro.bgp.cache.RoutingCache`, and measured
-    catchments are memoised per policy fingerprint — a repeated search
+    catchments are memoised per policy digest — a repeated search
     (the playbook-refresh loop an operator runs as attacks evolve)
     skips both propagation and scanning, which is what
-    ``BENCH_playbook.json`` measures.  All evaluation paths are
-    deterministic, so memo hits are indistinguishable from recomputes.
+    ``BENCH_playbook.json`` measures.  A ``store`` (the ``(root, key)``
+    of :func:`~repro.core.scenarios.catchment_store`) persists the memo
+    for later processes.  All evaluation paths are deterministic, so
+    memo and store hits are indistinguishable from recomputes.
     """
 
     def __init__(
         self,
         verfploeter: Verfploeter,
         cache: Optional[RoutingCache] = None,
+        store: Optional[Tuple[str, str]] = None,
     ) -> None:
         self.verfploeter = verfploeter
         self.cache = cache if cache is not None else default_routing_cache()
         self.observer = verfploeter.observer
-        self._catchments: Dict[tuple, CatchmentMap] = {}
+        self.store = store
+        self._catchments: Dict[str, CatchmentMap] = {}
+        self._stored: Optional[Dict[str, CatchmentMap]] = None
 
     def catchment_for(self, policy: AnnouncementPolicy, pool=None) -> CatchmentMap:
-        """The measured catchment of ``policy``, memoised per fingerprint:
+        """The measured catchment of ``policy``, memoised per digest:
         a lattice of one (:meth:`_measure_lattice`)."""
-        return self._measure_lattice([policy], [policy_fingerprint(policy)], pool)[0]
+        return self._measure_lattice([policy], [policy_digest(policy)], pool)[0]
+
+    def _attach_stored(self, missing: Dict[str, AnnouncementPolicy]) -> None:
+        """Move each of ``missing`` the store holds into the memo (the entry is
+        read once; a damaged one is measured again and overwritten)."""
+        from repro.core.scenarios import stored_catchments
+
+        metrics = self.observer.metrics
+        with self.observer.tracer.span("playbook.catchments.attach") as span:
+            if self._stored is None:
+                try:
+                    self._stored = stored_catchments(*self.store)
+                except DatasetError:
+                    self._stored = {}
+                    metrics.counter("playbook.catchment_store.damaged").inc()
+            hits = [key for key in missing if key in self._stored]
+            for key in hits:
+                self._catchments[key] = self._stored[key]
+                del missing[key]
+            span.set(hit=len(hits), miss=len(missing))
+        for name, count in (("hit", len(hits)), ("miss", len(missing))):
+            if count:
+                metrics.counter(f"playbook.catchment_store.{name}").inc(count)
 
     def _measure_lattice(
-        self, policies: Sequence[AnnouncementPolicy], keys: Sequence[tuple], pool
+        self, policies: Sequence[AnnouncementPolicy], keys: Sequence[str], pool
     ) -> List[CatchmentMap]:
-        """The catchment of every policy (``keys`` are their fingerprints).
+        """The catchment of every policy (``keys`` are their digests).
 
-        Memo hits are returned as they are; the misses route through the
-        cache in one lattice call and scan as one lattice: in-process, or
-        as one ``pool.map`` over ``pool``'s shards.
+        Memo hits are returned as they are, store hits attached; the
+        misses route through the cache in one lattice call and scan as
+        one lattice: in-process, or as one ``pool.map`` over ``pool``'s
+        shards.
         """
-        known = {key: self._catchments[key] for key in keys if key in self._catchments}
-        missing: Dict[tuple, AnnouncementPolicy] = {}
+        missing: Dict[str, AnnouncementPolicy] = {}
         for key, policy in zip(keys, policies):
-            if key not in known:
+            if key not in self._catchments:
                 missing.setdefault(key, policy)
         metrics = self.observer.metrics
         # A policy repeated after a miss is served from the memo, as it
@@ -333,6 +355,9 @@ class PlaybookPlanner:
             metrics.counter("playbook.catchment_memo.hits").inc(hits)
         if missing:
             metrics.counter("playbook.catchment_memo.misses").inc(len(missing))
+            if self.store is not None:
+                self._attach_stored(missing)
+        if missing:
             routings = self.cache.get_or_compute_many(
                 self.verfploeter.internet, list(missing.values())
             )
@@ -342,10 +367,12 @@ class PlaybookPlanner:
                 scanned = sharded_lattice(self.verfploeter, routings, pool)
             else:
                 scanned = scan_lattice(self.verfploeter, routings)
-            fresh = dict(zip(missing, scanned))
-            self._catchments.update(fresh)
-            known.update(fresh)
-        return [known[key] for key in keys]
+            self._catchments.update(zip(missing, scanned))
+            if self.store is not None:
+                from repro.core.scenarios import save_catchments
+
+                save_catchments(*self.store, self._catchments)
+        return [self._catchments[key] for key in keys]
 
     def _outcome(
         self,
@@ -451,8 +478,9 @@ class PlaybookPlanner:
             max_prepend=max_prepend,
         ) as span:
             policies = [entry.policy_for(service) for entry in entries]
-            keys = [policy_fingerprint(policy) for policy in policies]
-            catchments = self._measure_lattice(policies, keys, pool)
+            catchments = self._measure_lattice(
+                policies, [entry.config_id for entry in entries], pool
+            )
             loads = weight_catchments(catchments, estimate, observer=observer)
             observer.metrics.counter("playbook.configs_evaluated").inc(len(entries))
             outcomes = [

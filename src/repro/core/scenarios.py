@@ -15,6 +15,7 @@ import os
 import pathlib
 import shutil
 import tempfile
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
@@ -140,23 +141,35 @@ _BUILD_SOURCES = ("topology/*.py", "geo/*.py", "netaddr/*.py", "rng.py", "errors
                   "__init__.py", "lazy.py", "core/__init__.py", "core/scenarios.py",
                   "core/tables.py")
 
-#: ``(store root, key, Internet)`` of a snapshot miss, which :func:`save_snapshot`
+#: The sources that route and scan a catchment, beside the build's: a
+#: ``catchments-*`` entry is keyed on their bytes too.
+_SCAN_SOURCES = ("anycast/*.py", "bgp/*.py", "collector/*.py", "icmp/*.py", "obs/*.py",
+                 "probing/*.py", "core/fastscan.py", "core/playbook.py", "core/verfploeter.py")
+
+#: ``(store root, key, Internet or catchments)`` of each miss, which :func:`save_snapshot`
 #: persists at the next lookup or at exit: after the run's output.
 _unsaved: list = []
 
-#: Bytes of ``internet-*`` snapshots a store keeps (about 38 at ``large``): a
-#: save beyond it evicts the least recently attached ones, never its own.
+#: ``(store root, key)`` of each Internet :func:`snapshot_internet` returned.
+_snapshots: "weakref.WeakKeyDictionary[Internet, Tuple[str, str]]" = weakref.WeakKeyDictionary()
+
+#: Bytes of ``internet-*`` and ``catchments-*`` entries a store keeps (38 ``large``
+#: Internets): a save beyond it evicts the least recently used ones, never its own.
 _SNAPSHOT_BYTES = 128 << 20
 
 
 @lru_cache(maxsize=None)
-def _sources_digest() -> str:
-    root = pathlib.Path(__file__).resolve().parents[1]
+def _digest(patterns: Tuple[str, ...], root=pathlib.Path(__file__).resolve().parents[1]) -> str:
+    """blake2b of the path and bytes of each file under ``root`` that ``patterns`` match."""
     digest = hashlib.blake2b(digest_size=8)
-    for pattern in _BUILD_SOURCES:
+    for pattern in patterns:
         for path in sorted(root.glob(pattern)):
             digest.update(path.relative_to(root).as_posix().encode() + path.read_bytes())
     return digest.hexdigest()
+
+
+def _sources_digest() -> str:
+    return _digest(_BUILD_SOURCES)
 
 
 def snapshot_internet(**config) -> Internet:
@@ -181,6 +194,7 @@ def snapshot_internet(**config) -> Internet:
         else:
             with contextlib.suppress(OSError):
                 _touch(root, key)
+            _snapshots[internet] = (root, key)
             return internet
     from repro.topology.generator import TopologyConfig, build_internet
 
@@ -188,32 +202,70 @@ def snapshot_internet(**config) -> Internet:
     with contextlib.suppress(OSError):  # a store that cannot be made is skipped
         os.makedirs(root, exist_ok=True)
         _unsaved.append((root, key, internet))
+    _snapshots[internet] = (root, key)
     return internet
 
 
+def catchment_store(internet, service) -> Optional[Tuple[str, str]]:
+    """``(store root, key)`` of ``service``'s round-0 catchments under the default
+    ``RoutingConfig`` on an Internet :func:`snapshot_internet` returned, else ``None``."""
+    from repro.bgp.propagation import RoutingConfig
+
+    snapshot = _snapshots.get(internet)
+    if snapshot is None:
+        return None
+    identity = (snapshot[1], service.sites, service.prefix.network, service.prefix.length,
+                service.measurement_address, RoutingConfig(), 0, _digest(_SCAN_SOURCES))
+    key = hashlib.blake2b(repr(identity).encode(), digest_size=8).hexdigest()
+    return snapshot[0], "catchments-" + key
+
+
+def stored_catchments(root: str, key: str) -> dict:
+    """The catchments persisted under ``key`` by config key, ``{}`` when there
+    are none; a damaged entry raises :class:`~repro.errors.DatasetError`."""
+    if not os.path.exists(os.path.join(root, key, "manifest.json")):
+        return {}
+    from repro.core.tables import TableStore, attach_catchments
+
+    catchments = attach_catchments(TableStore(root), key)
+    with contextlib.suppress(OSError):
+        _touch(root, key)
+    return catchments
+
+
+def save_catchments(root: str, key: str, catchments: dict) -> None:
+    """Persist ``catchments`` under ``key`` with the next :func:`save_snapshot`,
+    replacing any save of ``key`` still pending."""
+    _unsaved[:] = [entry for entry in _unsaved if entry[:2] != (root, key)]
+    _unsaved.append((root, key, dict(catchments)))
+
+
 def save_snapshot() -> None:
-    """Persist the Internet of the last snapshot miss, if any, then keep the
-    store's snapshots within ``_SNAPSHOT_BYTES``.  The snapshot is a cache: a
-    store that is gone, full or not writable is skipped."""
-    if _unsaved:
-        root, key, internet = _unsaved.pop()
-        from repro.core.tables import TableStore, persist_internet
+    """Persist every pending snapshot miss, then keep the store's entries
+    within ``_SNAPSHOT_BYTES``.  The snapshot is a cache: a store that is gone,
+    full or not writable is skipped."""
+    while _unsaved:
+        root, key, payload = _unsaved.pop(0)
+        from repro.core.tables import TableStore, persist_catchments, persist_internet
 
         with contextlib.suppress(OSError):
             if os.path.isdir(root):  # not recreated once its owner removed it
-                persist_internet(TableStore(root), key, internet, _sources_digest())
+                if key.startswith("internet-"):
+                    persist_internet(TableStore(root), key, payload, _sources_digest())
+                else:
+                    persist_catchments(TableStore(root), key, payload)
                 _evict_least_recent(root, key)
 
 
 def _touch(root: str, key: str) -> Dict[str, int]:
-    """Mark snapshot ``key`` the store's most recently used and return every
-    readable snapshot's mark: its manifest's mtime (ns), which an attach or a
+    """Mark entry ``key`` the store's most recently used and return every
+    readable entry's mark: its manifest's mtime (ns), which an attach or a
     save sets one past the newest, a logical clock that still orders marks
     set within one filesystem timestamp tick.  An entry without a manifest
     (one being written, say) has no mark."""
     marks = {}
     for entry in os.listdir(root):
-        if entry.startswith("internet-"):
+        if entry.startswith(("internet-", "catchments-")):
             with contextlib.suppress(OSError):
                 marks[entry] = os.stat(os.path.join(root, entry, "manifest.json")).st_mtime_ns
     marks[key] = mark = max(marks.values(), default=0) + 1
@@ -223,8 +275,8 @@ def _touch(root: str, key: str) -> Dict[str, int]:
 
 
 def _evict_least_recent(root: str, keep: str) -> None:
-    """Mark ``keep`` used, then evict the other snapshots, least recently
-    used first, while the store's snapshots exceed ``_SNAPSHOT_BYTES``.  Each
+    """Mark ``keep`` used, then evict the other entries, least recently
+    used first, while the store's entries exceed ``_SNAPSHOT_BYTES``.  Each
     is renamed to a trash name first, so an attach of it keeps its memmaps."""
     marks = _touch(root, keep)
     sizes = dict.fromkeys(marks, 0)

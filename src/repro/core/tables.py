@@ -6,8 +6,9 @@ unpickling them per task.  Every pool entry is keyed by *content*: the
 fingerprint is a blake2b over dtype, shape, and raw bytes, so two runs
 that build the same arrays share one on-disk copy, and a stale cache
 entry is impossible by construction.  The scenario Internet
-(:func:`persist_internet`) is keyed by its build inputs and sources
-instead, and carries a content fingerprint that every attach checks.
+(:func:`persist_internet`) and a playbook's measured catchments
+(:func:`persist_catchments`) are keyed by their inputs and sources
+instead, and carry a content fingerprint that every attach checks.
 
 Writes are atomic (a temp file of the writer's own + ``os.replace``) so
 a crashed run never leaves a half-written table under a valid
@@ -295,6 +296,29 @@ _INTERNET_TEXT = ("ases.tier", "ases.name", "ases.country_code", "pops.country_c
                   "geo.countries")
 
 
+def _persist(store: TableStore, key: str, arrays: Dict[str, np.ndarray],
+             scalars: Dict[str, object]) -> None:
+    """Write ``arrays``, then ``scalars`` and their ``content_fingerprint`` as the manifest."""
+    for name, array in arrays.items():
+        store.write_array(key, name, array)
+    store.write_manifest(
+        key, {**scalars, "content_fingerprint": content_fingerprint(arrays, scalars)}
+    )
+
+
+def _attach(store: TableStore, key: str, kind: str, names) -> Tuple[dict, dict]:
+    """``(arrays, scalars)`` :func:`_persist` wrote under ``key``, arrays memmapped; raises
+    ``DatasetError`` on an entry missing, of another kind, truncated or unverified."""
+    manifest = store.read_manifest(key)
+    if manifest.get("kind") != kind:
+        raise DatasetError(f"entry {key} holds {manifest.get('kind')!r}, not {kind}")
+    scalars = {name: value for name, value in manifest.items() if name != "content_fingerprint"}
+    arrays = {name: np.asarray(store.read_array(key, name)) for name in names}
+    if content_fingerprint(arrays, scalars) != manifest.get("content_fingerprint"):
+        raise DatasetError(f"entry {key} does not match its content fingerprint")
+    return arrays, scalars
+
+
 def persist_internet(store: TableStore, key: str, internet, sources: str) -> None:
     """Persist ``internet`` under ``key``, overwriting what is there: numeric
     columns to ``.npy`` files; text columns, host configuration and the build's
@@ -308,17 +332,11 @@ def persist_internet(store: TableStore, key: str, internet, sources: str) -> Non
         **{f"pops.{name}": column for name, column in internet.pop_table._asdict().items()},
         "prefixes": internet.prefixes, "edges": internet.edges,
     }
-    arrays = {name: columns[name] for name in _INTERNET_COLUMNS}
-    scalars = {
+    _persist(store, key, {name: columns[name] for name in _INTERNET_COLUMNS}, {
         "kind": "internet", "seed": internet.seed, "sources": sources,
         "host_config": dataclasses.asdict(internet.host_model.config),
         **{name: list(columns[name]) for name in _INTERNET_TEXT},
-    }
-    for name, array in arrays.items():
-        store.write_array(key, name, array)
-    store.write_manifest(
-        key, {**scalars, "content_fingerprint": content_fingerprint(arrays, scalars)}
-    )
+    })
 
 
 def attach_internet(store: TableStore, key: str):
@@ -331,13 +349,7 @@ def attach_internet(store: TableStore, key: str):
     from repro.topology.hosts import HostModelConfig
     from repro.topology.internet import AsTable, Internet, PopTable
 
-    manifest = store.read_manifest(key)
-    if manifest.get("kind") != "internet":
-        raise DatasetError(f"entry {key} holds {manifest.get('kind')!r}, not an internet")
-    scalars = {name: value for name, value in manifest.items() if name != "content_fingerprint"}
-    arrays = {name: np.asarray(store.read_array(key, name)) for name in _INTERNET_COLUMNS}
-    if content_fingerprint(arrays, scalars) != manifest.get("content_fingerprint"):
-        raise DatasetError(f"entry {key} does not match its content fingerprint")
+    arrays, scalars = _attach(store, key, "internet", _INTERNET_COLUMNS)
     columns = {**arrays, **{name: scalars[name] for name in _INTERNET_TEXT}}
     ases, pops = ([columns[f"{table}.{name}"] for name in fields]
                   for table, fields in (("ases", AsTable._fields), ("pops", PopTable._fields)))
@@ -351,3 +363,26 @@ def attach_internet(store: TableStore, key: str):
                      tuple(scalars["geo.countries"]))
     return Internet(int(scalars["seed"]), ases, pops, arrays["prefixes"], arrays["edges"],
                     blocks, GeoDatabase(geo), HostModelConfig(**scalars["host_config"]))
+
+
+def persist_catchments(store: TableStore, key: str, catchments: Mapping[str, object]) -> None:
+    """Persist measured catchments under ``key``, overwriting what is there:
+    one int16 (configs x universe) site matrix and the universe they share;
+    each config's key (a policy digest) and site codes go to the manifest."""
+    maps = list(catchments.values())
+    _persist(store, key, {
+        "universe": maps[0].universe,
+        "sites": np.stack([catchment.site_index_array for catchment in maps]),
+    }, {"kind": "catchments", "configs": list(catchments),
+        "site_codes": [catchment.site_codes for catchment in maps]})
+
+
+def attach_catchments(store: TableStore, key: str) -> Dict[str, object]:
+    """The catchments :func:`persist_catchments` stored under ``key``, by config
+    key, over one read-only universe; raises like :func:`attach_internet`."""
+    from repro.anycast.catchment import CatchmentMap
+
+    arrays, scalars = _attach(store, key, "catchments", ("universe", "sites"))
+    return {config: CatchmentMap(codes, arrays["universe"], column, validate=False)
+            for config, codes, column in zip(scalars["configs"], scalars["site_codes"],
+                                             arrays["sites"])}

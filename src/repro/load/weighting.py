@@ -209,7 +209,8 @@ def weight_catchments(
     Blocks absent from a catchment land in ``UNK``.  The traffic
     blocks join each distinct universe once (a playbook lattice shares
     one), and every catchment then gathers its site column through that
-    join.
+    join.  Equal site codes and traffic-site columns share one
+    :class:`SiteLoad`: the same rows in the same order, the same sums.
     """
     if observer is None:
         observer = NULL_OBSERVER
@@ -218,16 +219,17 @@ def weight_catchments(
     # Always ``columnar=True``: the attribute is part of the documented span.
     with observer.tracer.span("load.weight", columnar=True) as span:
         joins: Dict[int, np.ndarray] = {}
+        weighed: Dict[tuple, SiteLoad] = {}
         loads = []
         for catchment in catchments:
             rows = joins.get(id(catchment.universe))
             if rows is None:
                 rows = joins[id(catchment.universe)] = catchment.join(estimate.blocks)
-            loads.append(
-                accumulate_site_load(
-                    catchment.site_codes, catchment.site_indices_at(rows), estimate
-                )
-            )
+            codes, column = catchment.site_codes, catchment.site_indices_at(rows)
+            key = (tuple(codes), column.tobytes())
+            if key not in weighed:
+                weighed[key] = accumulate_site_load(codes, column, estimate)
+            loads.append(weighed[key])
         span.set(join_rows=len(estimate))
         if len(catchments) > 1:  # one catchment keeps the single-join span shape
             span.set(catchments=len(catchments))

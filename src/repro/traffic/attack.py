@@ -12,8 +12,9 @@ planner (:mod:`repro.core.playbook`) treat attack days exactly like
 ordinary days.
 
 Everything is deterministic in the seed: attacker selection and
-per-attacker volume draws go through :func:`repro.rng.uniform_unit`
-with module-level salts, mirroring :mod:`repro.traffic.ditl`.
+per-attacker volume draws go through :func:`repro.rng.uniform_unit_np`
+(one column each, equal to the scalar :func:`repro.rng.uniform_unit`
+per block) with module-level salts, mirroring :mod:`repro.traffic.ditl`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.anycast.catchment import CatchmentMap
 from repro.errors import ConfigurationError, DatasetError
-from repro.rng import uniform_unit
+from repro.rng import uniform_unit_np
 from repro.traffic.logs import HOURS, DayLoad
 
 _HOTSPOT_SALT = 0x41545048  # attacker-sample membership draws
@@ -93,15 +94,20 @@ def hotspot_blocks(
     """
     if not 0 < fraction <= 1:
         raise ConfigurationError("hotspot fraction must be in (0, 1]")
-    members = sorted(catchment.blocks_of_site(site_code))
-    chosen = [
-        block
-        for block in members
-        if uniform_unit(seed, _HOTSPOT_SALT, block) < fraction
-    ]
-    if not chosen and members:
-        chosen = [members[0]]
-    return chosen
+    index = catchment.index_of_site(site_code)
+    members = catchment.universe[:0] if index is None else (
+        catchment.universe[catchment.site_index_array == index])  # ascending
+    chosen = members[uniform_unit_np(seed, _HOTSPOT_SALT, members) < fraction]
+    return (chosen if chosen.size or not members.size else members[:1]).tolist()
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` by one sort, without the ``numpy.ma`` import
+    that ``np.unique`` and ``np.union1d`` make on their first call."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def attack_day_load(
@@ -128,7 +134,7 @@ def attack_day_load(
     0.0 and ``reply_fraction`` 1.0 — junk queries that all draw an
     answer but never a good one.
     """
-    attacker_array = np.unique(np.asarray(list(attackers), dtype=np.int64))
+    attacker_array = _sorted_unique(np.asarray(attackers, dtype=np.int64))
     if attacker_array.size == 0:
         raise DatasetError("attack needs at least one attacker block")
     peak_rate = float(baseline.hourly_totals().max()) if len(baseline) else 0.0
@@ -136,17 +142,11 @@ def attack_day_load(
     if attack_total <= 0:
         raise DatasetError("baseline day has no traffic to scale against")
 
-    weights = 0.5 + np.asarray(
-        [
-            uniform_unit(seed, _ATTACK_VOLUME_SALT, int(block))
-            for block in attacker_array
-        ],
-        dtype=np.float64,
-    )
+    weights = 0.5 + uniform_unit_np(seed, _ATTACK_VOLUME_SALT, attacker_array)
     per_block_daily = attack_total * weights / weights.sum()
     per_block_hourly = per_block_daily / profile.duration_hours
 
-    union = np.union1d(baseline.blocks, attacker_array)
+    union = _sorted_unique(np.concatenate((baseline.blocks, attacker_array)))
     queries = np.zeros((union.size, HOURS), dtype=np.float64)
     good = np.zeros(union.size, dtype=np.float64)
     reply = np.ones(union.size, dtype=np.float64)

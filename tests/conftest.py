@@ -200,6 +200,13 @@ def per_config_scans():
 
 
 @pytest.fixture
+def fresh_store(tmp_path, monkeypatch):
+    """An empty table store of the test's own, for a test that counts routing
+    or scan work: the session's store may hold a playbook's catchments."""
+    monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "tables"))
+
+
+@pytest.fixture
 def wire_oracle():
     """``with wire_oracle():`` forces every scan through the wire path.
 

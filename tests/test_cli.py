@@ -242,7 +242,7 @@ class TestObservability:
         ],
         ids=lambda argv: argv[0],
     )
-    def test_no_subcommand_routes_by_delta(self, argv, tmp_path, capsys):
+    def test_no_subcommand_routes_by_delta(self, argv, tmp_path, fresh_store, capsys):
         """What-ifs route as one lattice batch, a series by one lookup."""
         out = tmp_path / "m.json"
         assert main([*argv, "--metrics-out", str(out)]) == 0
@@ -265,7 +265,7 @@ class TestObservability:
         ],
         ids=["scan", "stability", "playbook", "report"],
     )
-    def test_profile_lists_the_engine_sections(self, argv, engine_calls, capsys):
+    def test_profile_lists_the_engine_sections(self, argv, engine_calls, fresh_store, capsys):
         """One row per span name of the run's own trace, calls = count."""
         from collections import Counter
 
@@ -318,7 +318,7 @@ class TestObservability:
         ],
         ids=["playbook-depth2", "playbook-depth1", "stability"],
     )
-    def test_counters_show_the_hoist(self, argv, scans, draw_hits, capsys):
+    def test_counters_show_the_hoist(self, argv, scans, draw_hits, fresh_store, capsys):
         """One invariant build per deployment; one draw per run of equal
         round ids — a playbook scans every policy at round 0, a
         stability series never repeats a round.  A playbook scans its

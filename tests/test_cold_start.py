@@ -100,6 +100,12 @@ def test_operator_path_builds_no_trie(form):
     assert "repro.netaddr.trie" not in loaded(form)
 
 
+def test_playbook_loads_no_numpy_ma():
+    """The attack's draws and merges are sorts, not ``np.unique``/``np.union1d``,
+    whose first call imports ``numpy.ma`` (12-17 ms)."""
+    assert "numpy.ma" not in loaded("playbook")
+
+
 def test_stability_loads_no_other_subcommand_module():
     stray = [
         module for module in loaded("stability")

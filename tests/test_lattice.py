@@ -34,7 +34,7 @@ from repro.core.fastscan import (
 )
 from repro.core.playbook import PlaybookPlanner, derive_capacities, enumerate_lattice
 from repro.core.pool import ShardPool
-from repro.core.scenarios import broot_like, tangled_like
+from repro.core.scenarios import broot_like, cdn_like, nl_like, tangled_like
 from repro.core.sharding import (
     ShardPlan,
     _lattice_shard_worker,
@@ -299,6 +299,27 @@ class TestWeightCatchments:
         assert len(loads) == len(catchments)
         for catchment, load in zip(catchments, loads):
             assert_site_loads_identical(load, _reference_load(catchment, estimate))
+
+    @pytest.mark.parametrize("builder", [broot_like, tangled_like, nl_like, cdn_like],
+                             ids=lambda builder: builder.__name__)
+    def test_each_distinct_column_is_weighed_once(self, builder):
+        """Configs with equal traffic-site columns share one load, and every
+        config's load is the one it weighs to on its own, bit for bit."""
+        scenario = builder(scale="tiny")
+        verfploeter = Verfploeter(scenario.internet, scenario.service)
+        entries = enumerate_lattice(scenario.service, scenario.service.site_codes[0],
+                                    max_prepend=2, depth=2)
+        routings, _ = compute_lattice(
+            scenario.internet, [entry.policy_for(scenario.service) for entry in entries])
+        catchments = scan_lattice(verfploeter, routings)
+        estimate = LoadEstimate(scenario.day_load("lattice-weight-day"))
+        loads = weight_catchments(catchments, estimate)
+        for catchment, load in zip(catchments, loads):
+            assert_site_loads_identical(load, weight_catchment(catchment, estimate))
+            assert_site_loads_identical(load, _reference_load(catchment, estimate))
+        columns = {(tuple(catchment.site_codes), catchment.site_indices_of(estimate.blocks).tobytes())
+                   for catchment in catchments}
+        assert len({id(load) for load in loads}) == len(columns)
 
     def test_dict_catchment_takes_the_reference_path(self, lattice):
         """A map rebuilt from a plain dict (its own universe) weighs in

@@ -15,7 +15,7 @@ from repro.core.playbook import (
     derive_capacities,
     enumerate_lattice,
 )
-from repro.core.scenarios import tangled_like
+from repro.core.scenarios import broot_like, cdn_like, nl_like, tangled_like
 from repro.core.verfploeter import Verfploeter
 from repro.load.estimator import LoadEstimate
 from repro.load.weighting import UNKNOWN, capacity_violations, weight_catchment
@@ -25,7 +25,8 @@ from repro.traffic.attack import (
     compose_attack,
     hotspot_blocks,
 )
-from repro.traffic.logs import HOURS
+from repro.rng import uniform_unit
+from repro.traffic.logs import HOURS, DayLoad
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +136,51 @@ class TestAttackComposition:
             baseline_catchment, attacked_site, profile.hotspot_fraction, 11
         )
         assert attacked.total_queries() > day.total_queries()
+
+
+def _scalar_attack(day, catchment, profile, seed):
+    """``compose_attack`` one block at a time: a ``uniform_unit`` per block for
+    membership and volume, ``np.unique`` and ``np.union1d`` for the rows."""
+    members = sorted(catchment.blocks_of_site(profile.target_site))
+    attackers = [block for block in members
+                 if uniform_unit(seed, 0x41545048, block) < profile.hotspot_fraction]
+    attackers = attackers or members[:1]
+    blocks = np.unique(np.asarray(attackers, dtype=np.int64))
+    weights = 0.5 + np.asarray([uniform_unit(seed, 0x41545656, int(block)) for block in blocks])
+    total = profile.intensity * float(day.hourly_totals().max()) * profile.duration_hours
+    hourly = total * weights / weights.sum() / profile.duration_hours
+    union = np.union1d(day.blocks, blocks)
+    queries = np.zeros((union.size, HOURS))
+    good, reply = np.zeros(union.size), np.ones(union.size)
+    rows = np.searchsorted(union, day.blocks)
+    queries[rows], good[rows], reply[rows] = day.queries, day.good_fraction, day.reply_fraction
+    for hour in profile.window_hours():
+        queries[np.searchsorted(union, blocks), hour] += hourly
+    return DayLoad(day.service_name, f"{day.date_label}+{profile.name}", union, queries,
+                   good, reply), attackers
+
+
+@pytest.mark.parametrize("builder", [broot_like, tangled_like, nl_like, cdn_like],
+                         ids=lambda builder: builder.__name__)
+def test_attack_day_is_the_scalar_one(builder):
+    """The columnar draws and the sort-based merge give the attack day of the
+    per-block draws and ``np.unique``/``np.union1d``, bit for bit."""
+    scenario = builder(scale="tiny")
+    verfploeter = Verfploeter(scenario.internet, scenario.service)
+    catchment = PlaybookPlanner(verfploeter, cache=RoutingCache()).catchment_for(
+        scenario.service.default_policy())
+    day = scenario.day_load("playbook-day")
+    for site in scenario.service.site_codes:
+        profile = AttackProfile(target_site=site, hotspot_fraction=0.3, start_hour=22)
+        if not catchment.blocks_of_site(site):
+            continue
+        attacked, attackers = compose_attack(day, catchment, profile, scenario.internet.seed)
+        expected, expected_attackers = _scalar_attack(day, catchment, profile,
+                                                      scenario.internet.seed)
+        assert attackers == expected_attackers
+        for name in ("blocks", "queries", "good_fraction", "reply_fraction"):
+            actual, reference = getattr(attacked, name), getattr(expected, name)
+            assert actual.dtype == reference.dtype and actual.tobytes() == reference.tobytes()
 
 
 class TestCapacitySemantics:

@@ -419,12 +419,17 @@ def _reach_tool():
 
 @pytest.fixture(scope="module")
 def warm_store(tmp_path_factory) -> str:
-    """A table store holding each scenario's ``tiny`` Internet at its default seed."""
+    """A table store holding each scenario's ``tiny`` Internet at its default seed,
+    and the catchments of the ``tangled`` playbook's lattice."""
+    from repro.cli import main
+
     root = str(tmp_path_factory.mktemp("warm"))
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("REPRO_TABLE_CACHE", root)
         for builder in BUILDERS.values():
             builder(scale="tiny")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["playbook", "--scenario", "tangled", "--scale", "tiny"]) == 0
         scenarios.save_snapshot()
     return root
 

@@ -124,7 +124,9 @@ MATRIX = [
     "stability --rounds 4 --metrics-out TMP/m.json --trace-out TMP/t.json --profile", "report",
     "stability --rounds 3 --shards 2 --workers 0", "stability --rounds 3 --workers 1",
     "stability --rounds 3 --shards 2",
-    "playbook --scenario tangled --out TMP/p.json", "playbook --scenario cdn --workers 0",
+    "playbook --scenario tangled --out TMP/p.json",
+    "playbook --scenario tangled --start-hour 5 --out TMP/p2.json",
+    "playbook --scenario cdn --workers 0",
     "playbook --scenario tangled --workers 2 --out TMP/p.json",
     "serve --rounds 2", "paper --rounds 4 --outdir TMP/paper",
 ]
